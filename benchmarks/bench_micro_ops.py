@@ -9,9 +9,12 @@ group enumeration) so regressions in any substrate show up directly.
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 
+from _common import save_json, save_text
 from repro.config import SimulationConfig
 from repro.grouping.additive_tree import build_groups
 from repro.insertion.linear_insertion import best_insertion
@@ -95,6 +98,74 @@ def test_linear_insertion(benchmark, oracle, requests):
         return feasible
 
     benchmark(run)
+
+
+def _best_insertion_us(route, request, oracle, *, cold: bool) -> float:
+    """Best-of-5 microseconds per ``best_insertion`` call over 300 calls.
+
+    ``cold`` asks a fresh copy of the snapshot every time, so each call also
+    prices the route; otherwise one snapshot answers all of them.
+    """
+    best = float("inf")
+    for _ in range(5):
+        routes = [replace(route) if cold else route for _ in range(300)]
+        start = time.perf_counter()
+        for snapshot in routes:
+            best_insertion(snapshot, request, oracle)
+        best = min(best, (time.perf_counter() - start) / len(routes))
+    return best * 1e6
+
+
+def test_best_insertion_by_route_length(city, oracle):
+    """us per ``best_insertion`` call against 0 / 2 / 4 / 6 / 8 stops.
+
+    The ``feasible`` request has time to spare at every position; the
+    ``late`` one is rejected at every position by its waiting limit.  A
+    dispatcher asks each snapshot about four times per batch, so the truth
+    lies between the cold and the warm column.
+    """
+    rng = random.Random(9)
+    nodes = list(city.nodes())
+
+    def request(rid: int, *, max_wait: float = 1e6) -> Request:
+        source, destination = rng.sample(nodes, 2)
+        return Request.create(
+            request_id=rid, source=source, destination=destination, release_time=0.0,
+            direct_cost=oracle.cost(source, destination), gamma=50.0, max_wait=max_wait,
+        )
+
+    route = RouteState(vehicle_id=0, origin=nodes[0], departure_time=0.0,
+                       schedule=Schedule.empty(), capacity=10, onboard=0)
+    feasible = request(100)
+    late = replace(feasible, request_id=101, max_wait=0.0)
+    columns = [
+        (f"{name}_{'cold' if cold else 'warm'}_us", candidate, cold)
+        for name, candidate in (("feasible", feasible), ("late", late))
+        for cold in (True, False)
+    ]
+    rows = []
+    for stops in (0, 2, 4, 6, 8):
+        while len(route.schedule) < stops:
+            member = request(len(route.schedule))
+            route = replace(route, schedule=best_insertion(route, member, oracle).schedule)
+        assert best_insertion(route, feasible, oracle).feasible
+        assert not best_insertion(route, late, oracle).feasible
+        rows.append({"stops": stops} | {
+            key: _best_insertion_us(route, candidate, oracle, cold=cold)
+            for key, candidate, cold in columns
+        })
+    lines = [
+        "best_insertion, us per call by route length (best of 5 x 300 calls)",
+        "stops " + " ".join(f"{key:>16}" for key, _, _ in columns),
+        *(
+            f"{row['stops']:>5} " + " ".join(f"{row[key]:>16.2f}" for key, _, _ in columns)
+            for row in rows
+        ),
+    ]
+    save_text("micro_best_insertion", "\n".join(lines))
+    save_json("micro_best_insertion", {"benchmark": "micro_best_insertion", "rows": rows})
+    # Linear, not cubic: eight stops may not cost a late pick-up 20x an idle car.
+    assert rows[-1]["late_warm_us"] < 20 * rows[0]["late_warm_us"]
 
 
 def test_pairwise_shareability(benchmark, oracle, requests, config):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..config import SimulationConfig
 from ..model.batch import Batch
@@ -36,12 +37,17 @@ class DispatchContext:
     #: Mean driving speed in m/s, used to convert time slack to search radii.
     average_speed: float = 10.0
 
+    @cached_property
+    def vehicles_by_id(self) -> dict[int, Vehicle]:
+        """The fleet keyed by vehicle identifier (built on first use)."""
+        return {vehicle.vehicle_id: vehicle for vehicle in self.vehicles}
+
     def vehicle_by_id(self, vehicle_id: int) -> Vehicle:
         """Look up a vehicle by identifier."""
-        for vehicle in self.vehicles:
-            if vehicle.vehicle_id == vehicle_id:
-                return vehicle
-        raise KeyError(f"unknown vehicle {vehicle_id}")
+        try:
+            return self.vehicles_by_id[vehicle_id]
+        except KeyError:
+            raise KeyError(f"unknown vehicle {vehicle_id}") from None
 
 
 @dataclass(frozen=True)
@@ -134,7 +140,7 @@ def candidate_vehicles(
     slack = max(request.latest_pickup - context.current_time, 0.0)
     radius = max(context.average_speed * slack, 1.0)
     ids = context.vehicle_index.query_radius(source_xy[0], source_xy[1], radius)
-    by_id = {vehicle.vehicle_id: vehicle for vehicle in context.vehicles}
+    by_id = context.vehicles_by_id
     found = [by_id[vid] for vid in ids if vid in by_id]
     if not found:
         found = list(context.vehicles)

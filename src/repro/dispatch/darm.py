@@ -22,6 +22,8 @@ cost -- which this heuristic reproduces.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
 from ..model.vehicle import RouteState
@@ -113,16 +115,7 @@ class DARMDispatcher(Dispatcher):
                 if self._reject_unassigned:
                     rejected.append(request)
                 continue
-            old_route = routes[best_vehicle_id]
-            routes[best_vehicle_id] = RouteState(
-                vehicle_id=old_route.vehicle_id,
-                origin=old_route.origin,
-                departure_time=old_route.departure_time,
-                schedule=best_outcome.schedule,
-                capacity=old_route.capacity,
-                onboard=old_route.onboard,
-                min_insert_position=old_route.min_insert_position,
-            )
+            routes[best_vehicle_id] = replace(routes[best_vehicle_id], schedule=best_outcome.schedule)
             accepted.setdefault(best_vehicle_id, []).append(request)
         assignments = [
             Assignment(

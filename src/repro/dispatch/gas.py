@@ -14,9 +14,9 @@ from __future__ import annotations
 # DET002 audit: every draw below flows through a seeded random.Random
 # stream; the module-global generator is never called (repro-lint enforced).
 import random
+from dataclasses import replace
 
 from ..grouping.additive_tree import GroupingStatistics, build_groups
-from ..model.vehicle import RouteState
 from ..observability.trace import get_tracer
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from .base import (
@@ -141,15 +141,7 @@ class GASDispatcher(Dispatcher):
                     # cost.
                     best = max(groups, key=lambda g: (g.direct_cost, -g.delta_cost))
                     accepted.setdefault(vehicle.vehicle_id, []).extend(best.requests)
-                    routes[vehicle.vehicle_id] = RouteState(
-                        vehicle_id=route.vehicle_id,
-                        origin=route.origin,
-                        departure_time=route.departure_time,
-                        schedule=best.schedule,
-                        capacity=route.capacity,
-                        onboard=route.onboard,
-                        min_insert_position=route.min_insert_position,
-                    )
+                    routes[vehicle.vehicle_id] = replace(route, schedule=best.schedule)
                     for rid in best.members:
                         remaining.pop(rid, None)
                     builder.remove(best.members)

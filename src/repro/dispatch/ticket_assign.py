@@ -13,6 +13,8 @@ in the paper's experiments.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
 from ..model.vehicle import RouteState
@@ -86,16 +88,7 @@ class TicketAssignDispatcher(Dispatcher):
                 delta, request, outcome = vehicle_bids[0]
                 # Losing bidders retry next round: that is the lock contention.
                 self.contention_retries += len(vehicle_bids) - 1
-                old_route = routes[vehicle_id]
-                routes[vehicle_id] = RouteState(
-                    vehicle_id=old_route.vehicle_id,
-                    origin=old_route.origin,
-                    departure_time=old_route.departure_time,
-                    schedule=outcome.schedule,
-                    capacity=old_route.capacity,
-                    onboard=old_route.onboard,
-                    min_insert_position=old_route.min_insert_position,
-                )
+                routes[vehicle_id] = replace(routes[vehicle_id], schedule=outcome.schedule)
                 accepted.setdefault(vehicle_id, []).append(request)
                 del remaining[request.request_id]
                 progressed = True

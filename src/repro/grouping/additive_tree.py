@@ -11,13 +11,12 @@ shareability-ordered linear insertion of Section IV-A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 from collections.abc import Callable, Iterable, Sequence
 
 from ..insertion.linear_insertion import best_insertion, base_route_cost
 from ..model.request import Request
-from ..model.schedule import Schedule
 from ..model.vehicle import RouteState
 from ..network.shortest_path import DistanceOracle
 from ..shareability.graph import ShareabilityGraph
@@ -39,19 +38,6 @@ class GroupingStatistics:
         self.merges_attempted += other.merges_attempted
         self.pruned_not_clique += other.pruned_not_clique
         self.pruned_infeasible += other.pruned_infeasible
-
-
-def _replace_schedule(route: RouteState, group_schedule: Schedule) -> RouteState:
-    """A route state identical to ``route`` but carrying ``group_schedule``."""
-    return RouteState(
-        vehicle_id=route.vehicle_id,
-        origin=route.origin,
-        departure_time=route.departure_time,
-        schedule=group_schedule,
-        capacity=route.capacity,
-        onboard=route.onboard,
-        min_insert_position=route.min_insert_position,
-    )
 
 
 def build_groups(
@@ -143,7 +129,7 @@ def build_groups(
                 newcomer = unique_requests.get(newcomer_id)
                 if newcomer is None:
                     continue
-                parent_route = _replace_schedule(route, parent.schedule)
+                parent_route = replace(route, schedule=parent.schedule)
                 outcome = best_insertion(parent_route, newcomer, oracle)
                 if not outcome.feasible:
                     stats.pruned_infeasible += 1

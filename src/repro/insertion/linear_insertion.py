@@ -10,9 +10,9 @@ heuristic beyond that.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from collections.abc import Iterable
+from math import inf
 
 from ..model.request import Request
 from ..model.schedule import Schedule
@@ -25,7 +25,7 @@ class InsertionOutcome:
     """Result of attempting to insert a request into a route.
 
     ``delta_cost`` is the increase in total travel time over the route's
-    current schedule; it is ``math.inf`` when no feasible placement exists.
+    current schedule; it is ``inf`` when no feasible placement exists.
     """
 
     feasible: bool
@@ -33,17 +33,17 @@ class InsertionOutcome:
     schedule: Schedule
     pickup_position: int = -1
     dropoff_position: int = -1
-    total_cost: float = math.inf
+    total_cost: float = inf
 
     @classmethod
     def infeasible(cls, schedule: Schedule) -> "InsertionOutcome":
         """The canonical "no feasible placement" outcome."""
-        return cls(False, math.inf, schedule)
+        return cls(False, inf, schedule)
 
 
 def base_route_cost(route: RouteState, oracle: DistanceOracle) -> float:
     """Travel cost of the route's current schedule from its origin."""
-    return route.schedule.travel_cost(oracle, route.origin)
+    return route.profile(oracle).travel_cost
 
 
 def best_insertion(
@@ -53,45 +53,124 @@ def best_insertion(
 ) -> InsertionOutcome:
     """Find the cheapest feasible insertion of ``request`` into ``route``.
 
-    Every pair of positions ``(i, j)`` with ``i <= j`` is evaluated, where
+    Every pair of positions ``(i, j)`` with ``i <= j`` is considered, where
     ``i`` is the index of the pick-up in the current schedule and the
     drop-off follows at index ``j`` of the extended schedule.  Positions
     before ``route.min_insert_position`` are skipped because the vehicle has
     already committed to its next stop.
+
+    For each pick-up position the route is walked forward once from the
+    route profile's state at that position; the walk ends at the first stop
+    the detour makes late or overfull, since every later drop-off position
+    drives through it too.  A drop-off position is settled by comparing the
+    arrival at the stop behind it with that stop's slack; only an arrival
+    within the profile's margin of the slack walks the tail exactly.  All
+    clocks and cost sums run in ``Schedule.evaluate``'s order, so the
+    outcome equals evaluating every extended schedule from scratch.
     """
     schedule = route.schedule
+    cost = oracle.cost
+    source, destination = request.source, request.destination
+    riders, release = request.riders, request.release_time
+    pickup_due = request.latest_pickup + 1e-9
+    dropoff_due = request.deadline + 1e-9
+    capacity = route.capacity
     n = len(schedule)
-    # Quick rejection: even the direct drive to the pick-up is too late.
-    direct_pickup = route.departure_time + oracle.cost(route.origin, request.source)
-    if n == 0 and direct_pickup > request.latest_pickup + 1e-9:
-        return InsertionOutcome.infeasible(schedule)
+    if n == 0:
+        # Idle vehicle: one candidate, no profile.
+        to_pickup = cost(route.origin, source)
+        clock = route.departure_time + to_pickup
+        if clock < release:
+            clock = release
+        if clock > pickup_due or not 0 <= route.onboard <= capacity - riders:
+            return InsertionOutcome.infeasible(schedule)
+        trip = cost(source, destination)
+        total = to_pickup + trip
+        if clock + trip > dropoff_due or total == inf:
+            return InsertionOutcome.infeasible(schedule)
+        return InsertionOutcome(True, total, Schedule.direct(request), 0, 1, total)
 
-    base_cost = base_route_cost(route, oracle)
-    best: InsertionOutcome = InsertionOutcome.infeasible(schedule)
-    start = route.min_insert_position
-    for pickup_pos in range(start, n + 1):
-        for dropoff_pos in range(pickup_pos + 1, n + 2):
-            candidate = schedule.with_insertion(request, pickup_pos, dropoff_pos)
-            evaluation = candidate.evaluate(
-                oracle,
-                route.origin,
-                route.departure_time,
-                capacity=route.capacity,
-                initial_load=route.onboard,
-            )
-            if not evaluation.feasible:
-                continue
-            delta = evaluation.travel_cost - base_cost
-            if delta < best.delta_cost - 1e-12:
-                best = InsertionOutcome(
-                    feasible=True,
-                    delta_cost=delta,
-                    schedule=candidate,
-                    pickup_position=pickup_pos,
-                    dropoff_position=dropoff_pos,
-                    total_cost=evaluation.travel_cost,
-                )
-    return best
+    (
+        legs, releases, due, node_at, clock_at, load_at, travel_at,
+        open_until, safe_by, late_after, request_ids,
+    ) = route.profile(oracle)
+    if request.request_id in request_ids:
+        return InsertionOutcome.infeasible(schedule)
+    base_cost = travel_at[n]
+    best_delta = best_total = inf
+    best_pickup = best_dropoff = -1
+    for i in range(route.min_insert_position, min(n, open_until) + 1):
+        leg = cost(node_at[i], source)
+        clock = clock_at[i] + leg
+        if clock < release:
+            clock = release
+        load = load_at[i] + riders
+        if clock > pickup_due or not 0 <= load <= capacity:
+            continue
+        travel = travel_at[i] + leg
+        here = source
+        for d in range(i, n + 1):
+            # Drop off before stop d, i.e. at index d + 1 of the extended
+            # schedule; the walk stands at ``here`` having serviced i .. d-1.
+            leg = cost(here, destination)
+            arrival = clock + leg
+            if arrival <= dropoff_due and 0 <= load - riders:
+                total = travel + leg
+                if d < n:
+                    leg = cost(destination, node_at[d + 1])
+                    arrival += leg
+                    if arrival > late_after[d] or (
+                        arrival > safe_by[d]
+                        and not _tail_on_time(arrival, d, releases, due, legs)
+                    ):
+                        total = inf
+                    else:
+                        total += leg
+                        for k in range(d + 1, n):
+                            total += legs[k]
+                # An unreachable leg anywhere makes ``total`` infinite (or the
+                # difference NaN), which never beats ``best_delta``.
+                if total - base_cost < best_delta - 1e-12:
+                    best_delta, best_total = total - base_cost, total
+                    best_pickup, best_dropoff = i, d + 1
+            if d == n:
+                break
+            # Drive on over stop d with the new rider aboard.
+            leg = legs[d] if d > i else cost(source, node_at[d + 1])
+            clock += leg
+            if clock < releases[d]:
+                clock = releases[d]
+            load = load_at[d + 1] + riders
+            if clock > due[d] or not 0 <= load <= capacity:
+                break
+            travel += leg
+            here = node_at[d + 1]
+    if best_pickup < 0:
+        return InsertionOutcome.infeasible(schedule)
+    return InsertionOutcome(
+        True,
+        best_delta,
+        schedule.with_insertion(request, best_pickup, best_dropoff),
+        best_pickup,
+        best_dropoff,
+        best_total,
+    )
+
+
+def _tail_on_time(
+    clock: float, k: int, releases: list[float], due: list[float], legs: list[float]
+) -> bool:
+    """Exact walk of stops ``k ..`` from an arrival at ``k`` at ``clock``."""
+    last = len(due) - 1
+    while True:
+        if clock < releases[k]:
+            clock = releases[k]
+        if clock > due[k]:
+            return False
+        if k == last:
+            return True
+        k += 1
+        clock += legs[k]
 
 
 def insert_sequence(
@@ -109,34 +188,15 @@ def insert_sequence(
     """
     current = route
     total_delta = 0.0
-    last_schedule = route.schedule
-    any_inserted = False
     for request in requests:
         outcome = best_insertion(current, request, oracle)
         if not outcome.feasible:
             return InsertionOutcome.infeasible(route.schedule)
         total_delta += outcome.delta_cost
-        last_schedule = outcome.schedule
-        any_inserted = True
-        current = RouteState(
-            vehicle_id=route.vehicle_id,
-            origin=route.origin,
-            departure_time=route.departure_time,
-            schedule=outcome.schedule,
-            capacity=route.capacity,
-            onboard=route.onboard,
-            min_insert_position=route.min_insert_position,
-        )
-    if not any_inserted:
-        return InsertionOutcome(
-            feasible=True,
-            delta_cost=0.0,
-            schedule=route.schedule,
-            total_cost=base_route_cost(route, oracle),
-        )
+        current = replace(current, schedule=outcome.schedule)
     return InsertionOutcome(
         feasible=True,
         delta_cost=total_delta,
-        schedule=last_schedule,
+        schedule=current.schedule,
         total_cost=base_route_cost(route, oracle) + total_delta,
     )

@@ -26,17 +26,23 @@ from ..model.schedule import Schedule, Waypoint, WaypointKind
 from ..network.shortest_path import DistanceOracle
 
 
+#: The three stop orders above, as indices into ``(s_a, e_a, s_b, e_b)``.
+_ORDERINGS = ((0, 2, 1, 3), (0, 2, 3, 1), (0, 1, 2, 3))
+
+
+def _waypoints(first: Request, second: Request) -> tuple[Waypoint, Waypoint, Waypoint, Waypoint]:
+    return (
+        Waypoint(first, WaypointKind.PICKUP),
+        Waypoint(first, WaypointKind.DROPOFF),
+        Waypoint(second, WaypointKind.PICKUP),
+        Waypoint(second, WaypointKind.DROPOFF),
+    )
+
+
 def pair_orderings(first: Request, second: Request) -> list[Schedule]:
     """The candidate joint schedules that start with ``first``'s pick-up."""
-    pickup_a = Waypoint(first, WaypointKind.PICKUP)
-    dropoff_a = Waypoint(first, WaypointKind.DROPOFF)
-    pickup_b = Waypoint(second, WaypointKind.PICKUP)
-    dropoff_b = Waypoint(second, WaypointKind.DROPOFF)
-    return [
-        Schedule((pickup_a, pickup_b, dropoff_a, dropoff_b)),
-        Schedule((pickup_a, pickup_b, dropoff_b, dropoff_a)),
-        Schedule((pickup_a, dropoff_a, pickup_b, dropoff_b)),
-    ]
+    waypoints = _waypoints(first, second)
+    return [Schedule(waypoints[k] for k in order) for order in _ORDERINGS]
 
 
 def best_pair_schedule(
@@ -49,25 +55,49 @@ def best_pair_schedule(
     """Cheapest feasible joint schedule anchored at ``first``'s source.
 
     Returns ``(schedule, travel_cost)`` or ``(None, inf)`` when the two
-    requests cannot share a trip in this orientation.
+    requests cannot share a trip in this orientation.  The vehicle starts
+    empty at ``first``'s source when ``first`` is released, so with both
+    parties fitting the seats only the deadlines can fail; each ordering is
+    driven in ``Schedule.evaluate``'s arithmetic and only the winner is
+    built.
     """
     seats = capacity if capacity is not None else first.riders + second.riders
-    if first.riders + second.riders > seats:
+    start = first.release_time
+    if (
+        first.riders + second.riders > seats
+        or first.request_id == second.request_id
+        or start > first.latest_pickup + 1e-9
+    ):
         return None, math.inf
-    best_schedule: Schedule | None = None
+    cost = oracle.cost
+    # (node, earliest service, deadline plus tolerance) of s_a, e_a, s_b, e_b.
+    stops = (
+        (first.source, start, math.inf),
+        (first.destination, -math.inf, first.deadline + 1e-9),
+        (second.source, second.release_time, second.latest_pickup + 1e-9),
+        (second.destination, -math.inf, second.deadline + 1e-9),
+    )
+    best_order = None
     best_cost = math.inf
-    for candidate in pair_orderings(first, second):
-        evaluation = candidate.evaluate(
-            oracle,
-            origin=first.source,
-            departure_time=first.release_time,
-            capacity=seats,
-            initial_load=0,
-        )
-        if evaluation.feasible and evaluation.travel_cost < best_cost:
-            best_schedule = candidate
-            best_cost = evaluation.travel_cost
-    return best_schedule, best_cost
+    for order in _ORDERINGS:
+        here, clock, travel = first.source, start, 0.0
+        for k in order[1:]:
+            node, release, due = stops[k]
+            leg = cost(here, node)
+            travel += leg
+            clock += leg
+            if clock < release:
+                clock = release
+            if clock > due:
+                travel = math.inf
+                break
+            here = node
+        if travel < best_cost:
+            best_order, best_cost = order, travel
+    if best_order is None:
+        return None, math.inf
+    waypoints = _waypoints(first, second)
+    return Schedule(waypoints[k] for k in best_order), best_cost
 
 
 def are_shareable(

@@ -1,10 +1,11 @@
-"""Vehicle schedules: way-points, feasibility and buffer times.
+"""Vehicle schedules: way-points and feasibility.
 
 A schedule (Definition 2) is an ordered list of way-points, each being the
 pick-up or drop-off location of an assigned request.  A schedule is feasible
 when it satisfies the coverage, order, capacity and deadline constraints.
-Buffer times (Definition 3) measure how much extra detour each way-point can
-absorb without violating any later deadline.
+Buffer times (Definition 3) -- how much extra detour each way-point can
+absorb without violating any later deadline -- live on the priced route, see
+:class:`~repro.model.vehicle.RouteProfile`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class Waypoint:
         """Earliest time the stop can be serviced (pick-ups wait for release)."""
         if self.kind is WaypointKind.PICKUP:
             return self.request.release_time
-        return 0.0
+        return -math.inf
 
     @property
     def load_delta(self) -> int:
@@ -261,38 +262,6 @@ class Schedule:
             total += oracle.cost(here, wp.node)
             here = wp.node
         return total
-
-    def buffer_times(
-        self,
-        oracle: DistanceOracle,
-        origin: int,
-        departure_time: float,
-    ) -> list[float]:
-        """Buffer time of each way-point (Definition 3).
-
-        ``buf(o_x)`` is the maximum extra detour the vehicle could take at
-        way-point ``o_x`` without violating the deadline of any later
-        way-point.  Computed backwards:
-        ``buf(o_x) = min(buf(o_{x+1}), ddl(o_{x+1}) - arrive(o_{x+1}))`` with
-        the convention that the last way-point's buffer is its own slack.
-        """
-        if not self._waypoints:
-            return []
-        evaluation = self.evaluate(
-            oracle, origin, departure_time, capacity=10**9, initial_load=0
-        )
-        arrivals = list(evaluation.arrival_times)
-        if len(arrivals) < len(self._waypoints):
-            # Pad with +inf slack for unreachable tail (callers should have
-            # checked feasibility first; this keeps the function total).
-            arrivals += [math.inf] * (len(self._waypoints) - len(arrivals))
-        buffers = [0.0] * len(self._waypoints)
-        last = len(self._waypoints) - 1
-        buffers[last] = self._waypoints[last].deadline - arrivals[last]
-        for x in range(last - 1, -1, -1):
-            slack_next = self._waypoints[x + 1].deadline - arrivals[x + 1]
-            buffers[x] = min(buffers[x + 1], slack_next)
-        return buffers
 
     # ------------------------------------------------------------------ #
     # editing

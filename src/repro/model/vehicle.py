@@ -4,11 +4,129 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..exceptions import ScheduleError
 from ..network.shortest_path import DistanceOracle
 from .request import Request
-from .schedule import Schedule, Waypoint, WaypointKind
+from .schedule import Schedule, WaypointKind
+
+#: Slack comparisons closer than this to a deadline are re-simulated exactly.
+_SLACK_MARGIN = 1e-6
+
+
+class RouteProfile(NamedTuple):
+    """A route driven once, left to right, as flat read-only arrays.
+
+    Way-point ``k`` of an ``n``-stop route is described by the per-stop
+    arrays; the ``*_at`` arrays have ``n + 1`` entries and describe the
+    vehicle just *before* position ``k`` (entry 0 is the route's origin).
+    Clocks and travel sums are accumulated in exactly the order
+    :meth:`Schedule.evaluate` uses, so a walk resumed from them is
+    bit-identical to one started at the origin.
+    """
+
+    #: Leg into stop ``k`` from its predecessor (the origin for ``k == 0``).
+    legs: list[float]
+    #: Earliest service time of stop ``k`` (a pick-up's release time).
+    releases: list[float]
+    #: Deadline of stop ``k`` plus the evaluation tolerance of 1e-9.
+    due: list[float]
+    #: Node, departure clock, onboard load and travelled cost before
+    #: position ``k``.
+    node_at: list[int]
+    clock_at: list[float]
+    load_at: list[int]
+    travel_at: list[float]
+    #: Stops ``0 .. open_until - 1`` are reachable, on time and within
+    #: capacity; no position beyond ``open_until`` can take a new stop
+    #: (-1: the stops violate the order constraint, so no position can).
+    open_until: int
+    #: Arriving at stop ``k`` no later than ``safe_by[k]`` keeps stops
+    #: ``k ..`` feasible (Definition 3's slack, less the margin); arriving
+    #: after ``late_after[k]`` breaks one of them.  Between the two, only
+    #: an exact walk of the tail decides.
+    safe_by: list[float]
+    late_after: list[float]
+    #: Requests with a stop on the route.
+    request_ids: frozenset[int]
+
+    @property
+    def travel_cost(self) -> float:
+        """Driving time of the whole route (``Schedule.travel_cost``)."""
+        return self.travel_at[-1]
+
+
+def _price_route(route: "RouteState", oracle: DistanceOracle) -> RouteProfile:
+    """Drive ``route`` once and derive the slack of every stop."""
+    waypoints = route.schedule.waypoints
+    n = len(waypoints)
+    capacity = route.capacity
+    cost = oracle.cost
+    legs: list[float] = []
+    releases: list[float] = []
+    due: list[float] = []
+    node_at = [route.origin]
+    clock_at = [route.departure_time]
+    load_at = [route.onboard]
+    travel_at = [0.0]
+    here, clock, load, travel = route.origin, route.departure_time, route.onboard, 0.0
+    open_until = n if route.schedule.satisfies_order() else -1
+    horizon = abs(clock)
+    for index, waypoint in enumerate(waypoints):
+        request = waypoint.request
+        if waypoint.kind is WaypointKind.PICKUP:
+            node, release, deadline = request.source, request.release_time, request.latest_pickup
+            load += request.riders
+        else:
+            node, release, deadline = request.destination, -math.inf, request.deadline
+            load -= request.riders
+        leg = cost(here, node)
+        travel += leg
+        clock += leg
+        if clock < release:
+            clock = release
+        late = deadline + 1e-9
+        if open_until > index and (
+            leg == math.inf or clock > late or not 0 <= load <= capacity
+        ):
+            open_until = index
+        legs.append(leg)
+        releases.append(release)
+        due.append(late)
+        node_at.append(node)
+        clock_at.append(clock)
+        load_at.append(load)
+        travel_at.append(travel)
+        here = node
+        if horizon < deadline < math.inf:
+            horizon = deadline
+
+    # Backwards: ``latest`` is the latest arrival at stop k that keeps every
+    # deadline from k on (ignoring releases), ``gap`` the smallest distance
+    # of a release in that tail from its own latest arrival.  Rounding in
+    # this pass differs from the forward walk's, hence the margin.
+    margin = max(_SLACK_MARGIN, 1e-12 * horizon)
+    safe_by = [0.0] * n
+    late_after = [0.0] * n
+    latest = gap = math.inf
+    for k in range(n - 1, -1, -1):
+        if due[k] < latest:
+            latest = due[k]
+        if latest == -math.inf or not 0 <= load_at[k + 1] <= capacity:
+            gap = -math.inf
+        elif latest - releases[k] < gap:
+            gap = latest - releases[k]
+        if gap < -margin:
+            latest = -math.inf
+        safe_by[k] = latest - margin if gap > margin else -math.inf
+        late_after[k] = latest + margin
+        latest = -math.inf if legs[k] == math.inf else latest - legs[k]
+    return RouteProfile(
+        legs, releases, due, node_at, clock_at, load_at, travel_at,
+        open_until, safe_by, late_after,
+        frozenset(wp.request.request_id for wp in waypoints),
+    )
 
 
 @dataclass(frozen=True)
@@ -28,11 +146,27 @@ class RouteState:
     capacity: int
     onboard: int
     min_insert_position: int = 0
+    #: The oracle :meth:`profile` last priced the route with, and the result.
+    _priced: tuple[DistanceOracle, RouteProfile] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def free_seats(self) -> int:
         """Seats not occupied by onboard riders."""
         return self.capacity - self.onboard
+
+    def profile(self, oracle: DistanceOracle) -> RouteProfile:
+        """The route priced with ``oracle``, computed once per snapshot.
+
+        The cache assumes ``oracle`` answers the same while the snapshot is
+        in use -- one dispatch call; snapshots are not kept across batches.
+        """
+        priced = self._priced
+        if priced is None or priced[0] is not oracle:
+            priced = (oracle, _price_route(self, oracle))
+            object.__setattr__(self, "_priced", priced)
+        return priced[1]
 
 
 @dataclass
@@ -120,10 +254,7 @@ class Vehicle:
         """
         previous_ids = set(self.active_requests)
         new_ids = {r.request_id for r in new_requests}
-        covered = schedule.request_ids() | {
-            rid for rid in previous_ids if rid not in schedule.request_ids()
-        }
-        missing = previous_ids - covered
+        missing = previous_ids - schedule.request_ids()
         if missing:
             raise ScheduleError(
                 f"vehicle {self.vehicle_id}: new schedule drops active requests {missing}"

@@ -57,6 +57,25 @@ class TestCandidateVehicles:
             for v in dropped
         )
 
+    def test_max_candidates_truncation_is_stable(self, make_request, make_context):
+        # Two vehicles per node: equally distant ones keep the index's order.
+        vehicles = [Vehicle(vehicle_id=i, location=i // 2) for i in range(10)]
+        request = make_request(1, 0, 4, release_time=5.0, max_wait=300.0)
+        context = make_context(vehicles, [request], current_time=5.0)
+        everyone = candidate_vehicles(request, context)
+        assert len(everyone) > 3
+        ranked = sorted(
+            everyone, key=lambda v: context.network.euclidean(v.location, request.source)
+        )
+        assert candidate_vehicles(request, context, max_candidates=3) == ranked[:3]
+
+    def test_fleet_map_is_built_once_per_context(self, make_context):
+        vehicles = [Vehicle(vehicle_id=i, location=i) for i in range(3)]
+        context = make_context(vehicles, [])
+        assert "vehicles_by_id" not in vars(context)
+        assert context.vehicles_by_id == {v.vehicle_id: v for v in vehicles}
+        assert context.vehicles_by_id is context.vehicles_by_id
+
     def test_requests_by_vehicle_is_inverse_mapping(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=35)]
         requests = [make_request(1, 0, 4, release_time=5.0),

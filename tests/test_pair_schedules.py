@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +71,19 @@ class TestShareability:
             )
             if result.feasible:
                 assert cost <= result.travel_cost + 1e-9
+
+    def test_anchor_that_cannot_be_picked_up_in_time_shares_nothing(self, make_request, oracle):
+        # A direct cost beyond the whole time window puts the latest pick-up
+        # before the release: the anchor's own first stop is already late.
+        a = make_request(1, 0, 4)
+        b = make_request(2, 1, 5)
+        assert best_pair_schedule(a, b, oracle, capacity=3)[0] is not None
+        hopeless = replace(a, direct_cost=a.deadline - a.release_time + 1.0)
+        assert best_pair_schedule(hopeless, b, oracle, capacity=3) == (None, math.inf)
+
+    def test_request_does_not_pair_with_itself(self, make_request, oracle):
+        a = make_request(1, 0, 4)
+        assert best_pair_schedule(a, a, oracle, capacity=3) == (None, math.inf)
 
     def test_infeasible_pair_returns_none_and_inf(self, make_request, oracle):
         a = make_request(1, 0, 1, gamma=1.2, max_wait=5.0)

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.insertion.linear_insertion import best_insertion
+from repro.insertion.linear_insertion import InsertionOutcome, best_insertion
+from repro.insertion.pair_schedules import best_pair_schedule, pair_orderings
 from repro.model.request import Request
 from repro.model.schedule import Schedule
 from repro.model.vehicle import RouteState
@@ -105,6 +107,180 @@ class TestScheduleProperties:
         )
         assert evaluation.feasible
         assert outcome.delta_cost >= -1e-9
+
+
+# --------------------------------------------------------------------------- #
+# Differential tests: the insertion kernels against the obvious brute force.
+# --------------------------------------------------------------------------- #
+def _reference_best_insertion(route, request, oracle) -> InsertionOutcome:
+    """The pre-kernel ``best_insertion``: build, order-check and re-simulate
+    every ``(i, j)`` candidate through ``Schedule.evaluate``."""
+    schedule = route.schedule
+    n = len(schedule)
+    direct_pickup = route.departure_time + oracle.cost(route.origin, request.source)
+    if n == 0 and direct_pickup > request.latest_pickup + 1e-9:
+        return InsertionOutcome.infeasible(schedule)
+    base_cost = schedule.travel_cost(oracle, route.origin)
+    best = InsertionOutcome.infeasible(schedule)
+    for pickup_pos in range(route.min_insert_position, n + 1):
+        for dropoff_pos in range(pickup_pos + 1, n + 2):
+            candidate = schedule.with_insertion(request, pickup_pos, dropoff_pos)
+            evaluation = candidate.evaluate(
+                oracle, route.origin, route.departure_time,
+                capacity=route.capacity, initial_load=route.onboard,
+            )
+            if not evaluation.feasible:
+                continue
+            delta = evaluation.travel_cost - base_cost
+            if delta < best.delta_cost - 1e-12:
+                best = InsertionOutcome(
+                    feasible=True, delta_cost=delta, schedule=candidate,
+                    pickup_position=pickup_pos, dropoff_position=dropoff_pos,
+                    total_cost=evaluation.travel_cost,
+                )
+    return best
+
+
+def _reference_best_pair_schedule(first, second, oracle, *, capacity=None):
+    """The pre-kernel ``best_pair_schedule``: evaluate the three orderings."""
+    seats = capacity if capacity is not None else first.riders + second.riders
+    if first.riders + second.riders > seats:
+        return None, math.inf
+    best_schedule, best_cost = None, math.inf
+    for candidate in pair_orderings(first, second):
+        evaluation = candidate.evaluate(
+            oracle, origin=first.source, departure_time=first.release_time,
+            capacity=seats, initial_load=0,
+        )
+        if evaluation.feasible and evaluation.travel_cost < best_cost:
+            best_schedule, best_cost = candidate, evaluation.travel_cost
+    return best_schedule, best_cost
+
+
+class _TableOracle:
+    """Twelve nodes with arbitrary pairwise costs: no ties, no triangle
+    inequality, and a share of unreachable ordered pairs."""
+
+    nodes = tuple(range(12))
+
+    def __init__(self, seed: int) -> None:
+        rng = random.Random(seed)
+        self._cost = {
+            (u, v): math.inf if rng.random() < 0.05 else rng.uniform(3.0, 40.0)
+            for u in self.nodes for v in self.nodes if u != v
+        }
+
+    def cost(self, source: int, target: int) -> float:
+        return 0.0 if source == target else self._cost[source, target]
+
+
+_TABLES = [_TableOracle(seed) for seed in range(2)]
+# Jittered legs: routes through the same streets in a different order cost the
+# same up to the last bit, which is what the 1e-12 tie-break is about.
+_JITTERED = DistanceOracle(grid_city(6, 6, block_length=100.0, speed=10.0,
+                                     perturbation=0.3, seed=3))
+
+
+@st.composite
+def insertion_cases(draw):
+    """``(oracle, route, request)`` over 0-8 stops: onboard riders, a
+    committed first stop, pick-ups that wait for their release, routes that
+    are already late, unreachable legs and exact-deadline ties."""
+    oracle = draw(st.sampled_from([_ORACLE, _JITTERED, *_TABLES]))
+    nodes = _TableOracle.nodes if oracle in _TABLES else _NODES
+    if oracle is _JITTERED and draw(st.booleans()):
+        # One street: detours cost nothing, up to the order of the additions.
+        nodes = _NODES[:6]
+    # Multiples of 10 s on the grid oracle (whose legs are multiples of 10 s
+    # too) put arrivals exactly on deadlines; fractions exercise rounding.
+    times = draw(st.sampled_from([
+        st.integers(min_value=0, max_value=12).map(lambda k: 10.0 * k),
+        st.floats(min_value=0.0, max_value=120.0),
+        st.floats(min_value=0.0, max_value=400.0),
+    ]))
+
+    def request(rid: int) -> Request:
+        source, destination = draw(st.lists(st.sampled_from(nodes), min_size=2,
+                                            max_size=2, unique=True))
+        direct = oracle.cost(source, destination)
+        return Request.create(
+            request_id=rid, source=source, destination=destination,
+            release_time=draw(times),
+            direct_cost=direct if direct < math.inf else 50.0,
+            gamma=draw(st.sampled_from([1.5, 2.0, 4.0, 8.0])),
+            max_wait=draw(st.sampled_from([0.0, 120.0, 600.0, math.inf])),
+            riders=draw(st.integers(min_value=1, max_value=2)),
+        )
+
+    origin = draw(st.sampled_from(nodes))
+    departure = draw(st.sampled_from([0.0, 0.0, 0.0, 10.0, 35.5, 200.0]))
+    capacity = draw(st.integers(min_value=1, max_value=6))
+    schedule, onboard = Schedule.empty(), 0
+    for rid in range(1, draw(st.integers(min_value=0, max_value=4)) + 1):
+        member = request(rid)
+        n = len(schedule)
+        # Mostly extend the route the way a dispatcher would (so it stays
+        # feasible), sometimes anywhere (so it is late or overfull).
+        planned = _reference_best_insertion(
+            RouteState(0, origin, departure, schedule, capacity, onboard), member, oracle
+        )
+        if planned.feasible and draw(st.integers(min_value=0, max_value=4)):
+            pickup, dropoff = planned.pickup_position, planned.dropoff_position
+        else:
+            pickup = draw(st.integers(min_value=0, max_value=n))
+            dropoff = draw(st.integers(min_value=pickup + 1, max_value=n + 1))
+        schedule = schedule.with_insertion(member, pickup, dropoff)
+        if pickup == 0 and draw(st.booleans()):
+            # Already picked up: only the drop-off remains.
+            schedule, onboard = Schedule(schedule.waypoints[1:]), onboard + member.riders
+    # A rider count that disagrees with the stops overfills or "empties" the
+    # car somewhere along the route.
+    onboard += draw(st.sampled_from([0, 0, 0, 0, 1, -1]))
+    route = RouteState(
+        vehicle_id=0, origin=origin, departure_time=departure, schedule=schedule,
+        capacity=capacity, onboard=onboard,
+        min_insert_position=draw(st.integers(min_value=0, max_value=min(1, len(schedule)))),
+    )
+    # Identifier 1 collides with a request of the route now and then.
+    return oracle, route, request(draw(st.sampled_from([1, 9, 9, 9, 9, 9, 9, 9])))
+
+
+class TestInsertionKernelEqualsBruteForce:
+    @given(case=insertion_cases())
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_best_insertion(self, case):
+        oracle, route, request = case
+        expected = _reference_best_insertion(route, request, oracle)
+        outcome = best_insertion(route, request, oracle)
+        assert outcome.feasible == expected.feasible
+        assert outcome.delta_cost == expected.delta_cost
+        assert outcome.total_cost == expected.total_cost
+        assert outcome.pickup_position == expected.pickup_position
+        assert outcome.dropoff_position == expected.dropoff_position
+        assert outcome.schedule == expected.schedule
+        # A second request against the same snapshot reuses its profile.
+        assert best_insertion(route, request, oracle) == outcome
+
+    @given(case=insertion_cases(), capacity=st.sampled_from([None, 1, 2, 3, 4]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_best_pair_schedule(self, case, capacity):
+        oracle, route, second = case
+        for first in route.schedule.requests():
+            expected = _reference_best_pair_schedule(first, second, oracle, capacity=capacity)
+            assert best_pair_schedule(first, second, oracle, capacity=capacity) == expected
+            expected = _reference_best_pair_schedule(second, first, oracle, capacity=capacity)
+            assert best_pair_schedule(second, first, oracle, capacity=capacity) == expected
+
+    def test_route_that_violates_the_order_constraint_takes_nothing(self):
+        a = _request(1, _NODES[0], _NODES[5], 0.0, 2.0)
+        backwards = Schedule(tuple(reversed(Schedule.direct(a).waypoints)))
+        route = RouteState(vehicle_id=0, origin=_NODES[0], departure_time=0.0,
+                           schedule=backwards, capacity=4, onboard=0)
+        newcomer = _request(2, _NODES[1], _NODES[4], 0.0, 2.0)
+        assert not _reference_best_insertion(route, newcomer, _ORACLE).feasible
+        assert best_insertion(route, newcomer, _ORACLE) == InsertionOutcome.infeasible(backwards)
 
 
 class TestGridIndexProperties:

@@ -110,26 +110,6 @@ class TestEvaluation:
         result = schedule.evaluate(line_oracle, origin=0, departure_time=0.0, capacity=1)
         assert result.feasible
         assert result.travel_cost == 0.0
-        assert schedule.buffer_times(line_oracle, 0, 0.0) == []
-
-
-class TestBufferTimes:
-    def test_buffer_times_definition3(self, make_line_request, line_oracle):
-        request = make_line_request(1, 0, 3, gamma=2.0, max_wait=1000.0)
-        schedule = Schedule.direct(request)
-        buffers = schedule.buffer_times(line_oracle, origin=0, departure_time=0.0)
-        # Drop-off arrives at t=30 with deadline 60 -> slack 30; the pick-up's
-        # buffer is bounded by the drop-off slack.
-        assert buffers[1] == pytest.approx(30.0)
-        assert buffers[0] == pytest.approx(30.0)
-
-    def test_buffers_non_increasing_towards_front(self, make_line_request, line_oracle):
-        a = make_line_request(1, 0, 4, gamma=1.8, max_wait=500.0)
-        b = make_line_request(2, 1, 3, gamma=1.8, max_wait=500.0)
-        schedule = Schedule.direct(a).with_insertion(b, 1, 2)
-        buffers = schedule.buffer_times(line_oracle, origin=0, departure_time=0.0)
-        for earlier, later in zip(buffers, buffers[1:]):
-            assert earlier <= later + 1e-9
 
 
 class TestEditing:

@@ -9,6 +9,7 @@ import pytest
 from repro.exceptions import ScheduleError
 from repro.model.schedule import Schedule
 from repro.model.vehicle import Vehicle
+from repro.network.shortest_path import DistanceOracle
 
 
 class TestRouteState:
@@ -57,6 +58,81 @@ class TestAssignment:
         reordered = Schedule.direct(second).with_insertion(first, 1, 2)
         with pytest.raises(ScheduleError):
             vehicle.assign_schedule(reordered, [second], current_time=5.0)
+
+
+    def test_assign_cannot_drop_onboard_rider(self, make_line_request, line_oracle):
+        vehicle = Vehicle(vehicle_id=1, location=0)
+        rider = make_line_request(1, 0, 4)
+        vehicle.assign_schedule(Schedule.direct(rider), [rider], current_time=0.0)
+        vehicle.advance_to(5.0, line_oracle)
+        assert vehicle.onboard == 1
+        # The rider is in the car; a schedule without the drop-off loses them.
+        newcomer = make_line_request(2, 1, 3)
+        with pytest.raises(ScheduleError, match="drops active requests"):
+            vehicle.assign_schedule(Schedule.direct(newcomer), [newcomer], current_time=5.0)
+
+    def test_assign_cannot_drop_waiting_request(self, make_line_request):
+        vehicle = Vehicle(vehicle_id=1, location=0)
+        waiting = make_line_request(1, 2, 4)
+        vehicle.assign_schedule(Schedule.direct(waiting), [waiting], current_time=0.0)
+        newcomer = make_line_request(2, 1, 3)
+        with pytest.raises(ScheduleError, match="drops active requests"):
+            vehicle.assign_schedule(Schedule.direct(newcomer), [newcomer], current_time=0.0)
+        assert vehicle.assigned_request_ids == {1}
+
+    def test_assign_extends_existing_schedule(self, make_line_request):
+        vehicle = Vehicle(vehicle_id=1, location=0)
+        first = make_line_request(1, 0, 4)
+        vehicle.assign_schedule(Schedule.direct(first), [first], current_time=0.0)
+        second = make_line_request(2, 1, 3)
+        extended = Schedule.direct(first).with_insertion(second, 1, 2)
+        vehicle.assign_schedule(extended, [second], current_time=0.0)
+        assert vehicle.assigned_request_ids == {1, 2}
+        assert vehicle.schedule == extended
+
+
+class TestRouteProfile:
+    """Definition 3's buffer times, as the slack arrays of the priced route."""
+
+    @staticmethod
+    def _buffers(state, oracle):
+        profile = state.profile(oracle)
+        # Latest arrival that keeps the rest of the route on time, minus the
+        # arrival the route is driven with.
+        return [late - arrival for late, arrival in zip(profile.late_after, profile.clock_at[1:])]
+
+    def test_slack_definition3(self, make_line_request, line_oracle):
+        request = make_line_request(1, 0, 3, gamma=2.0, max_wait=1000.0)
+        vehicle = Vehicle(vehicle_id=1, location=0, schedule=Schedule.direct(request))
+        buffers = self._buffers(vehicle.route_state(0.0), line_oracle)
+        # Drop-off arrives at t=30 with deadline 60 -> slack 30; the pick-up's
+        # buffer is bounded by the drop-off slack.
+        assert buffers[1] == pytest.approx(30.0)
+        assert buffers[0] == pytest.approx(30.0)
+
+    def test_slack_non_increasing_towards_front(self, make_line_request, line_oracle):
+        a = make_line_request(1, 0, 4, gamma=1.8, max_wait=500.0)
+        b = make_line_request(2, 1, 3, gamma=1.8, max_wait=500.0)
+        schedule = Schedule.direct(a).with_insertion(b, 1, 2)
+        vehicle = Vehicle(vehicle_id=1, location=0, schedule=schedule)
+        state = vehicle.route_state(0.0)
+        buffers = self._buffers(state, line_oracle)
+        for earlier, later in zip(buffers, buffers[1:]):
+            assert earlier <= later + 1e-9
+        profile = state.profile(line_oracle)
+        assert profile.open_until == len(schedule)
+        assert profile.travel_cost == schedule.travel_cost(line_oracle, 0)
+        assert all(safe < late for safe, late in zip(profile.safe_by, profile.late_after))
+
+    def test_profile_is_cached_per_oracle(self, make_line_request, line_network, line_oracle):
+        request = make_line_request(1, 0, 3)
+        vehicle = Vehicle(vehicle_id=1, location=0, schedule=Schedule.direct(request))
+        state = vehicle.route_state(0.0)
+        assert state.profile(line_oracle) is state.profile(line_oracle)
+        other = DistanceOracle(line_network)
+        assert state.profile(other) is not state.profile(line_oracle)
+        # The cache takes no part in the snapshot's identity.
+        assert state == vehicle.route_state(0.0)
 
 
 class TestMovement:
