@@ -16,56 +16,35 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments.figures import FigureResult
-from repro.experiments.harness import ExperimentRunner
+from repro.experiments.figures import FigureResult, InstanceScale
 from repro.experiments.reporting import format_rows, rows_to_csv
 
 #: Output directory for the regenerated tables.
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Laptop-scale fractions of the paper's instance sizes used by every figure
-#: benchmark: 100K requests -> 80, 3K vehicles -> 60.
-BENCH_REQUEST_FRACTION = 0.0008
-BENCH_VEHICLE_FRACTION = 0.02
-BENCH_CITY_SCALE = 0.35
 
 #: The full algorithm line-up of the paper's main figures.
 ALL_ALGORITHMS = ("pruneGDP", "TicketAssign+", "DARM+DPRS", "RTV", "GAS", "SARD")
 #: Reduced line-up for the heaviest sweeps.
 CORE_ALGORITHMS = ("pruneGDP", "RTV", "GAS", "SARD")
 
-
-#: Routing backend used by the figure benchmarks.  ``hub_label`` reproduces
-#: the paper's oracle (and is the fastest; see bench_oracle_backends.py);
-#: pass ``routing_backend="dijkstra"`` to make_runner for the legacy search.
-BENCH_ROUTING_BACKEND = "hub_label"
-
-
-def make_runner(algorithms=ALL_ALGORITHMS, **overrides) -> ExperimentRunner:
-    """The benchmark-sized experiment runner."""
-    params = {
-        "algorithms": algorithms,
-        "request_fraction": BENCH_REQUEST_FRACTION,
-        "vehicle_fraction": BENCH_VEHICLE_FRACTION,
-        "city_scale": BENCH_CITY_SCALE,
-        "routing_backend": BENCH_ROUTING_BACKEND,
-    }
-    params.update(overrides)
-    return ExperimentRunner(**params)
+#: Laptop-scale instance of every figure and table benchmark: the paper's
+#: 100K requests -> 80, 3K vehicles -> 60.  ``hub_label`` reproduces the
+#: paper's oracle (and is the fastest; see bench_oracle_backends.py).
+BENCH_SCALE = InstanceScale(
+    request_fraction=0.0008,
+    vehicle_fraction=0.02,
+    city_scale=0.35,
+    routing_backend="hub_label",
+)
 
 
 def save_figure(name: str, figure: FigureResult) -> str:
     """Persist and return the text table of a figure result."""
     rows = figure.all_rows()
-    text = format_rows(rows, title=f"{figure.figure} -- parameter: {figure.parameter}")
-    _write(name, text, rows)
-    return text
-
-
-def save_rows(name: str, title: str, rows) -> str:
-    """Persist and return the text table for a plain list of result rows."""
-    text = format_rows(rows, title=title)
-    _write(name, text, rows)
+    text = save_text(
+        name, format_rows(rows, title=f"{figure.figure} -- parameter: {figure.parameter}")
+    )
+    rows_to_csv(rows, RESULTS_DIR / f"{name}.csv")
     return text
 
 
@@ -89,8 +68,56 @@ def save_text(name: str, text: str) -> str:
     return text
 
 
-def _write(name: str, text: str, rows) -> None:
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-    rows_to_csv(rows, RESULTS_DIR / f"{name}.csv")
-    print(text)
+def format_grid(
+    rows: list[dict],
+    columns: dict[str, tuple[str, str]],
+    *,
+    title: str,
+    note: str,
+    markdown: bool = False,
+) -> str:
+    """Render a grid's row dicts as a fixed-width text table, or as a
+    GitHub-flavoured markdown table (CI job summary).
+
+    ``columns`` maps row key -> (printed label, value format); ``"s"``
+    columns are left-justified, numeric ones right-justified.
+    """
+    labels = [label for label, _ in columns.values()]
+    table = [labels] + [
+        [
+            str(row[key]) if fmt == "s" else f"{row[key]:{fmt}}"
+            for key, (_, fmt) in columns.items()
+        ]
+        for row in rows
+    ]
+    if markdown:
+        header, *body = ("| " + " | ".join(line) + " |" for line in table)
+        rule = "|" + "|".join("---" for _ in labels) + "|"
+        lines = [f"### {title}", "", header, rule, *body]
+    else:
+        widths = [max(len(line[i]) for line in table) for i in range(len(labels))]
+        justify = [
+            str.ljust if fmt == "s" else str.rjust for _, fmt in columns.values()
+        ]
+        lines = [title] + [
+            " ".join(
+                pad(cell, width) for pad, cell, width in zip(justify, line, widths)
+            ).rstrip()
+            for line in table
+        ]
+    return "\n".join([*lines, "", note])
+
+
+def save_grid(
+    name: str,
+    rows: list[dict],
+    columns: dict[str, tuple[str, str]],
+    *,
+    title: str,
+    note: str,
+) -> None:
+    """Persist a grid as ``<name>.txt`` (also printed) and ``<name>.md``."""
+    save_text(name, format_grid(rows, columns, title=title, note=note))
+    (RESULTS_DIR / f"{name}.md").write_text(
+        format_grid(rows, columns, title=title, note=note, markdown=True) + "\n"
+    )

@@ -31,7 +31,7 @@ from repro.experiments.harness import (
     run_grid,
 )
 
-from _common import RESULTS_DIR, save_text
+from _common import save_grid
 
 BACKENDS = ("ch", "hub_label")
 POLICIES = ("eager", "deferred", "coalesce", "repair")
@@ -68,43 +68,6 @@ VERIFY_NOTE = (
 )
 
 
-def _cells(row: dict) -> list[str]:
-    return [
-        f"{row[key]:{fmt}}" if fmt != "s" else str(row[key])
-        for key, (_, fmt) in COLUMNS.items()
-    ]
-
-
-def format_table(rows: list[dict], *, title: str) -> str:
-    labels = [label for label, _ in COLUMNS.values()]
-    table = [labels] + [_cells(row) for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(labels))]
-    lines = [title]
-    for line in table:
-        padded = [
-            cell.ljust(width) if j < 4 else cell.rjust(width)
-            for j, (cell, width) in enumerate(zip(line, widths))
-        ]
-        lines.append(" ".join(padded).rstrip())
-    lines += ["", VERIFY_NOTE]
-    return "\n".join(lines)
-
-
-def format_markdown(rows: list[dict], *, title: str) -> str:
-    """The same grid as a GitHub-flavoured markdown table (CI job summary)."""
-    labels = [label for label, _ in COLUMNS.values()]
-    lines = [
-        f"### {title}",
-        "",
-        "| " + " | ".join(labels) + " |",
-        "|" + "|".join("---" for _ in labels) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_cells(row)) + " |")
-    lines += ["", VERIFY_NOTE]
-    return "\n".join(lines)
-
-
 def _case(scenario: str, backend: str, policy: str, **kwargs) -> dict:
     row = run(RunSpec(
         mode="chaos", scenario=scenario, backend=backend,
@@ -138,11 +101,7 @@ def smoke_rows() -> list[dict]:
 
 
 def _save_grid(rows: list[dict], name: str, title: str) -> None:
-    save_text(name, format_table(rows, title=title))
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.md").write_text(
-        format_markdown(rows, title=title) + "\n"
-    )
+    save_grid(name, rows, COLUMNS, title=title, note=VERIFY_NOTE)
 
 
 # ---------------------------------------------------------------------- #

@@ -9,19 +9,18 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import ALL_ALGORITHMS, make_runner, save_figure
+from _common import ALL_ALGORITHMS, BENCH_SCALE, save_figure
 
 #: Scaled sweep: the paper's 1K / 3K / 5K fleet sizes.
 VEHICLE_VALUES = (1_000, 3_000, 5_000)
 
 
 def test_figure8_fleet_size_sweep(benchmark):
-    runner = make_runner(ALL_ALGORITHMS)
-
     def run():
-        return figures.figure8(
+        return figures.figure(
+            "fig8",
             values=VEHICLE_VALUES, presets=("chd", "nyc"),
-            algorithms=ALL_ALGORITHMS, runner=runner,
+            algorithms=ALL_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import CORE_ALGORITHMS, make_runner, save_figure
+from _common import CORE_ALGORITHMS, BENCH_SCALE, save_figure
 
 REQUEST_VALUES = (10_000, 100_000, 250_000)
 
 
 def test_figure9_request_volume_sweep(benchmark):
-    runner = make_runner(CORE_ALGORITHMS)
-
     def run():
-        return figures.figure9(
+        return figures.figure(
+            "fig9",
             values=REQUEST_VALUES, presets=("chd", "nyc"),
-            algorithms=CORE_ALGORITHMS, runner=runner,
+            algorithms=CORE_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import ALL_ALGORITHMS, make_runner, save_figure
+from _common import ALL_ALGORITHMS, BENCH_SCALE, save_figure
 
 GAMMA_VALUES = (1.2, 1.5, 2.0)
 
 
 def test_figure10_deadline_sweep(benchmark):
-    runner = make_runner(ALL_ALGORITHMS)
-
     def run():
-        return figures.figure10(
+        return figures.figure(
+            "fig10",
             values=GAMMA_VALUES, presets=("chd", "nyc"),
-            algorithms=ALL_ALGORITHMS, runner=runner,
+            algorithms=ALL_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

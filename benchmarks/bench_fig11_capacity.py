@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import CORE_ALGORITHMS, make_runner, save_figure
+from _common import CORE_ALGORITHMS, BENCH_SCALE, save_figure
 
 CAPACITY_VALUES = (2, 3, 6)
 
 
 def test_figure11_capacity_sweep(benchmark):
-    runner = make_runner(CORE_ALGORITHMS)
-
     def run():
-        return figures.figure11(
+        return figures.figure(
+            "fig11",
             values=CAPACITY_VALUES, presets=("chd", "nyc"),
-            algorithms=CORE_ALGORITHMS, runner=runner,
+            algorithms=CORE_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import CORE_ALGORITHMS, make_runner, save_figure
+from _common import CORE_ALGORITHMS, BENCH_SCALE, save_figure
 
 PENALTY_VALUES = (2, 10, 30)
 
 
 def test_figure12_penalty_sweep(benchmark):
-    runner = make_runner(CORE_ALGORITHMS)
-
     def run():
-        return figures.figure12(
+        return figures.figure(
+            "fig12",
             values=PENALTY_VALUES, presets=("chd", "nyc"),
-            algorithms=CORE_ALGORITHMS, runner=runner,
+            algorithms=CORE_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

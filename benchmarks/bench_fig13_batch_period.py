@@ -5,18 +5,17 @@ from __future__ import annotations
 from repro.experiments import figures
 from repro.experiments.figures import BATCH_ALGORITHMS
 
-from _common import make_runner, save_figure
+from _common import BENCH_SCALE, save_figure
 
 BATCH_PERIODS = (1, 3, 9)
 
 
 def test_figure13_batch_period_sweep(benchmark):
-    runner = make_runner(BATCH_ALGORITHMS)
-
     def run():
-        return figures.figure13(
+        return figures.figure(
+            "fig13",
             values=BATCH_PERIODS, presets=("chd", "nyc"),
-            algorithms=BATCH_ALGORITHMS, runner=runner,
+            algorithms=BATCH_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -4,15 +4,14 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import ALL_ALGORITHMS, make_runner, save_figure
+from _common import ALL_ALGORITHMS, BENCH_SCALE, save_figure
 
 
 def test_figure14_memory_consumption(benchmark):
-    runner = make_runner(ALL_ALGORITHMS)
-
     def run():
-        return figures.figure14_memory(
-            presets=("chd", "nyc"), algorithms=ALL_ALGORITHMS, runner=runner,
+        return figures.figure(
+            "fig14",
+            presets=("chd", "nyc"), algorithms=ALL_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

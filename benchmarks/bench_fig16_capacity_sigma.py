@@ -4,21 +4,23 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import make_runner, save_figure
+from _common import BENCH_SCALE, save_figure
 
 CAINIAO_ALGORITHMS = ("pruneGDP", "RTV", "GAS", "SARD")
 
 
 def test_figure16_capacity_and_sigma(benchmark):
-    runner = make_runner(CAINIAO_ALGORITHMS)
-
     def run():
-        return figures.figure16(
-            capacity_values=(2, 4, 6),
-            sigma_values=(0.0, 1.0, 2.0),
-            algorithms=CAINIAO_ALGORITHMS,
-            runner=runner,
-        )
+        return {
+            parameter: figures.figure(
+                f"fig16_{parameter}",
+                values=values, algorithms=CAINIAO_ALGORITHMS, scale=BENCH_SCALE,
+            )
+            for parameter, values in (
+                ("capacity", (2, 4, 6)),
+                ("capacity_sigma", (0.0, 1.0, 2.0)),
+            )
+        }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     save_figure("figure16_capacity", results["capacity"])

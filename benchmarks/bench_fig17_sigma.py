@@ -4,18 +4,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import CORE_ALGORITHMS, make_runner, save_figure
+from _common import CORE_ALGORITHMS, BENCH_SCALE, save_figure
 
 SIGMA_VALUES = (0.0, 1.0, 2.0)
 
 
 def test_figure17_capacity_variance_sweep(benchmark):
-    runner = make_runner(CORE_ALGORITHMS)
-
     def run():
-        return figures.figure17(
+        return figures.figure(
+            "fig17",
             values=SIGMA_VALUES, presets=("chd", "nyc"),
-            algorithms=CORE_ALGORITHMS, runner=runner,
+            algorithms=CORE_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

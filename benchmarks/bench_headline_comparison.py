@@ -10,18 +10,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import ALL_ALGORITHMS, make_runner, save_figure
+from _common import ALL_ALGORITHMS, BENCH_SCALE, save_figure
 
 
 def test_headline_default_parameters(benchmark):
-    runner = make_runner(ALL_ALGORITHMS)
-
     def run():
         # A single sweep point at the paper's default penalty reproduces the
         # default-parameter columns of Figures 8-12.
-        return figures.figure12(
+        return figures.figure(
+            "fig12",
             values=(10,), presets=("chd", "nyc"),
-            algorithms=ALL_ALGORITHMS, runner=runner,
+            algorithms=ALL_ALGORITHMS, scale=BENCH_SCALE,
         )
 
     figure = benchmark.pedantic(run, rounds=1, iterations=1)

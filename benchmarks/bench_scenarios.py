@@ -29,7 +29,7 @@ import sys
 
 from repro.experiments.harness import RunSpec, run, run_grid
 
-from _common import RESULTS_DIR, save_json, save_text
+from _common import RESULTS_DIR, save_grid, save_json
 
 BACKENDS = ("ch", "hub_label")
 POLICIES = ("eager", "deferred", "coalesce", "repair")
@@ -62,43 +62,6 @@ PARITY_NOTE = (
     "Parity checked after every event burst: scenario oracle == fresh "
     "Dijkstra on the mutated network; all returned paths avoid closed edges."
 )
-
-
-def _cells(row: dict) -> list[str]:
-    return [
-        f"{row[key]:{fmt}}" if fmt != "s" else str(row[key])
-        for key, (_, fmt) in COLUMNS.items()
-    ]
-
-
-def format_table(rows: list[dict], *, title: str) -> str:
-    labels = [label for label, _ in COLUMNS.values()]
-    table = [labels] + [_cells(row) for row in rows]
-    widths = [max(len(line[i]) for line in table) for i in range(len(labels))]
-    lines = [title]
-    for line in table:
-        padded = [
-            cell.ljust(width) if j < 3 else cell.rjust(width)
-            for j, (cell, width) in enumerate(zip(line, widths))
-        ]
-        lines.append(" ".join(padded).rstrip())
-    lines += ["", PARITY_NOTE]
-    return "\n".join(lines)
-
-
-def format_markdown(rows: list[dict], *, title: str) -> str:
-    """The same grid as a GitHub-flavoured markdown table (CI job summary)."""
-    labels = [label for label, _ in COLUMNS.values()]
-    lines = [
-        f"### {title}",
-        "",
-        "| " + " | ".join(labels) + " |",
-        "|" + "|".join("---" for _ in labels) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(_cells(row)) + " |")
-    lines += ["", PARITY_NOTE]
-    return "\n".join(lines)
 
 
 def _grid_rows(**common) -> list[dict]:
@@ -134,12 +97,8 @@ def smoke_rows() -> list[dict]:
 
 
 def _save_grid(rows: list[dict], name: str, title: str) -> None:
-    save_text(name, format_table(rows, title=title))
+    save_grid(name, rows, COLUMNS, title=title, note=PARITY_NOTE)
     save_json(name, {"benchmark": name, "title": title, "rows": rows})
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.md").write_text(
-        format_markdown(rows, title=title) + "\n"
-    )
 
 
 # ---------------------------------------------------------------------- #
@@ -192,6 +151,7 @@ def main() -> None:
         # the benchmark tables (uploaded as CI artifacts / job summary).
         outcome = run(RunSpec(
             mode="traced", out_dir=RESULTS_DIR, name="traced_run",
+            num_requests=80, num_vehicles=12,
         ))
         assert outcome.artifacts is not None
         for kind, path in sorted(outcome.artifacts.items()):

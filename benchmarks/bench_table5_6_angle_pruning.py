@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import BENCH_REQUEST_FRACTION, BENCH_VEHICLE_FRACTION, save_text
+from _common import BENCH_SCALE, save_text
 
 
 def _format(rows) -> str:
@@ -25,7 +25,7 @@ def _format(rows) -> str:
 
 def test_table5_cainiao_angle_pruning(benchmark):
     rows = benchmark.pedantic(
-        lambda: figures.table5_angle_pruning(request_fraction=BENCH_REQUEST_FRACTION),
+        lambda: figures.angle_pruning_ablation(presets=("cainiao",), scale=BENCH_SCALE),
         rounds=1, iterations=1,
     )
     save_text("table5_angle_pruning_cainiao", _format(rows))
@@ -38,7 +38,7 @@ def test_table5_cainiao_angle_pruning(benchmark):
 
 def test_table6_chd_nyc_angle_pruning(benchmark):
     rows = benchmark.pedantic(
-        lambda: figures.table6_angle_pruning(request_fraction=BENCH_REQUEST_FRACTION),
+        lambda: figures.angle_pruning_ablation(presets=("chd", "nyc"), scale=BENCH_SCALE),
         rounds=1, iterations=1,
     )
     save_text("table6_angle_pruning_chd_nyc", _format(rows))

@@ -38,8 +38,6 @@ or, for one-call experiment runs, the harness front door::
     print(outcome.simulation.service_rate)
 """
 
-import warnings
-
 from .config import (
     ChaosConfig,
     DemandSurge,
@@ -164,7 +162,6 @@ from .service import (
     ServiceStats,
 )
 from .experiments import (
-    ExperimentRunner,
     ResultRow,
     RunResult,
     RunSpec,
@@ -174,48 +171,6 @@ from .experiments import (
 )
 
 __version__ = "1.0.0"
-
-#: Old top-level names served lazily (with a DeprecationWarning) by
-#: :func:`__getattr__`: name -> (harness attribute, suggested replacement).
-_DEPRECATED_ALIASES: dict[str, tuple[str, str]] = {
-    "run_traced_case": ("run_traced_case", 'run(RunSpec(mode="traced", ...))'),
-    "run_scenario_case": (
-        "run_scenario_case", 'run(RunSpec(mode="scenario", ...))'
-    ),
-    "run_scenario_grid": (
-        "run_scenario_grid", 'run_grid(RunSpec.grid(mode="scenario", ...))'
-    ),
-    "run_chaos_case": ("run_chaos_case", 'run(RunSpec(mode="chaos", ...))'),
-    "run_chaos_grid": (
-        "run_chaos_grid", 'run_grid(RunSpec.grid(mode="chaos", ...))'
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shim: keep the pre-service import paths alive.
-
-    ``from repro import run_traced_case`` (and the scenario/chaos case and
-    grid helpers) still work, but resolving the attribute emits a
-    :class:`DeprecationWarning` naming the :func:`run`/:class:`RunSpec`
-    replacement.  The returned callables are the harness' own delegating
-    wrappers, so *calling* them warns too.
-    """
-    try:
-        attr, replacement = _DEPRECATED_ALIASES[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    warnings.warn(
-        f"importing {name} from the repro package is deprecated; "
-        f"use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from . import experiments
-
-    return getattr(experiments.harness, attr)
 
 __all__ = [
     "__version__",
@@ -340,7 +295,6 @@ __all__ = [
     "ServiceStats",
     "RejectionReason",
     # experiments
-    "ExperimentRunner",
     "SweepResult",
     "ResultRow",
     "RunSpec",

@@ -1,38 +1,30 @@
 """Experiment harness reproducing every table and figure of the paper.
 
-* :mod:`~repro.experiments.harness` -- the :func:`~repro.experiments.harness.run`
-  front door (one typed :class:`~repro.experiments.harness.RunSpec` per run),
-  the figure sweeps and the scenario/chaos grids.
-* :mod:`~repro.experiments.figures` -- one entry point per paper artefact
-  (Figures 8-17, Tables V-VI, the insertion-order study).
+* :mod:`~repro.experiments.harness` -- the one way a simulation is launched:
+  :func:`~repro.experiments.harness.run` over one typed
+  :class:`~repro.experiments.harness.RunSpec` (single, scenario, chaos,
+  traced and service runs), :func:`~repro.experiments.harness.run_grid` over
+  many.
+* :mod:`~repro.experiments.figures` -- the paper's artefacts in paper units
+  (Figures 8-17 as one table of sweeps, Tables V-VI, the insertion-order
+  study), built on grids of ``single`` specs.
 * :mod:`~repro.experiments.reporting` -- turns result rows into the text /
   CSV tables printed by the benchmark harness.
 """
 
-from .harness import (
-    ExperimentRunner,
-    ResultRow,
-    RunResult,
-    RunSpec,
-    SweepResult,
-    run,
-    run_grid,
-    run_traced_case,
-)
-from .reporting import format_rows, rows_to_csv, series_by_algorithm
+from .harness import RunResult, RunSpec, run, run_grid
+from .figures import ResultRow, SweepResult
+from .reporting import format_rows, rows_to_csv
 from . import figures
 
 __all__ = [
-    "ExperimentRunner",
     "ResultRow",
     "RunResult",
     "RunSpec",
     "SweepResult",
     "run",
     "run_grid",
-    "run_traced_case",
     "format_rows",
     "rows_to_csv",
-    "series_by_algorithm",
     "figures",
 ]

@@ -1,9 +1,15 @@
-"""One entry point per paper artefact (Figures 8-17, Tables V-VI, studies).
+"""The paper's artefacts (Figures 8-17, Tables V-VI, studies) in paper units.
 
 Every function builds scaled-down instances of the paper's experiments and
 returns structured results.  The corresponding benchmark module prints the
 same rows/series the paper reports; absolute values differ (Python simulator
 versus the authors' C++ testbed) but the comparison shape is preserved.
+
+Sweep values and defaults are stated in the paper's units (100K requests,
+3K vehicles); an :class:`InstanceScale` says how far below them a run is and
+:func:`paper_workload` is the only place that applies it.  A sweep is a grid
+of ``single`` :class:`~repro.experiments.harness.RunSpec` cells: one workload
+per swept value, shared by every algorithm.
 
 The paper's parameter grids are exposed as ``PAPER_*`` constants; benchmark
 modules typically pass a reduced subset to keep wall-clock time reasonable.
@@ -16,10 +22,10 @@ import math
 # stream; the module-global generator is never called (repro-lint enforced).
 import random
 from dataclasses import dataclass, field
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
-from ..config import SimulationConfig
 from ..dispatch.sard import SARDDispatcher
+from ..exceptions import ConfigurationError
 from ..insertion.kinetic_tree import KineticTreeScheduler
 from ..insertion.linear_insertion import insert_sequence
 from ..model.schedule import Schedule
@@ -28,7 +34,7 @@ from ..shareability.angle_pruning import expected_sharing_probability, fit_logno
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
 from ..workloads.presets import Workload, make_workload
-from .harness import DEFAULT_ALGORITHMS, ExperimentRunner, ResultRow, SweepResult
+from .harness import RunResult, RunSpec, run, run_grid
 
 # --------------------------------------------------------------------------- #
 # the paper's parameter grids (Tables III and IV)
@@ -46,19 +52,171 @@ PAPER_CAINIAO_NUM_VEHICLES = (3_000, 3_500, 4_000, 4_500, 5_000)
 PAPER_CAINIAO_GAMMAS = (1.8, 1.9, 2.0, 2.1, 2.2)
 PAPER_CAINIAO_BATCH_PERIODS = (3, 4, 5, 6, 7)
 
+#: Default algorithm line-up of the paper's main figures.
+DEFAULT_ALGORITHMS: tuple[str, ...] = (
+    "pruneGDP",
+    "TicketAssign+",
+    "DARM+DPRS",
+    "RTV",
+    "GAS",
+    "SARD",
+)
 #: Batch-mode algorithms only (Figure 13 varies the batching period).
 BATCH_ALGORITHMS = ("RTV", "GAS", "SARD")
+#: The paper omits DARM+DPRS on Cainiao (insufficient training data).
+CAINIAO_ALGORITHMS = ("pruneGDP", "TicketAssign+", "RTV", "GAS", "SARD")
 
-#: Default scaled-down grids used by quick benchmark runs.
-QUICK_VALUES = {
-    "num_vehicles": (1_000, 3_000, 5_000),
-    "num_requests": (10_000, 100_000, 250_000),
-    "gamma": (1.2, 1.5, 2.0),
-    "capacity": (2, 3, 6),
-    "penalty_coefficient": (2, 10, 30),
-    "batch_period": (1, 3, 9),
-    "capacity_sigma": (0.0, 1.0, 2.0),
+#: The paper's default request / fleet sizes (Tables III and IV).
+PAPER_DEFAULT_REQUESTS = {"chd": 100_000, "nyc": 100_000, "cainiao": 100_000}
+PAPER_DEFAULT_VEHICLES = {"chd": 3_000, "nyc": 3_000, "cainiao": 4_000}
+
+#: Sweep parameters that change the simulation configuration.
+_SIMULATION_PARAMETERS = {
+    "gamma",
+    "capacity",
+    "penalty_coefficient",
+    "batch_period",
+    "angle_threshold",
 }
+
+
+# --------------------------------------------------------------------------- #
+# instance size: paper units -> laptop scale
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class InstanceScale:
+    """How far below the paper's instance sizes an experiment runs."""
+
+    #: Fraction of the paper's request count a value is scaled by (0.0025
+    #: turns the paper's default 100K requests into 250).
+    request_fraction: float = 0.0025
+    #: Fraction of the paper's fleet size (0.04 turns 3K vehicles into 120).
+    vehicle_fraction: float = 0.04
+    city_scale: float = 0.7
+    #: Routing backend forced on every workload (``None`` keeps each
+    #: preset's ``SimulationConfig.routing_backend``).
+    routing_backend: str | None = None
+
+    def __post_init__(self) -> None:
+        if min(self.request_fraction, self.vehicle_fraction, self.city_scale) <= 0:
+            raise ConfigurationError(
+                "request_fraction, vehicle_fraction and city_scale must be positive"
+            )
+
+
+def paper_workload(
+    preset: str,
+    scale: InstanceScale = InstanceScale(),
+    *,
+    parameter: str | None = None,
+    value: float = 0.0,
+) -> Workload:
+    """The preset's instance at the paper's default sizes, scaled down.
+
+    ``parameter`` = ``value`` (in paper units) replaces one default: a
+    simulation knob (``gamma``, ``capacity``, ``penalty_coefficient``,
+    ``batch_period``, ``angle_threshold``) or a workload knob
+    (``num_requests``, ``num_vehicles``, ``capacity_sigma``).
+    """
+    paper_sizes: dict[str, float] = {
+        "num_requests": PAPER_DEFAULT_REQUESTS.get(preset.lower(), 100_000),
+        "num_vehicles": PAPER_DEFAULT_VEHICLES.get(preset.lower(), 3_000),
+    }
+    workload_overrides: dict[str, object] = {}
+    simulation_overrides: dict[str, object] = {}
+    if scale.routing_backend is not None:
+        simulation_overrides["routing_backend"] = scale.routing_backend
+    if parameter is None:
+        pass
+    elif parameter in paper_sizes:
+        paper_sizes[parameter] = value
+    elif parameter == "capacity":
+        simulation_overrides[parameter] = int(value)
+    elif parameter in _SIMULATION_PARAMETERS:
+        simulation_overrides[parameter] = value
+    elif parameter == "capacity_sigma":
+        workload_overrides[parameter] = value
+    else:
+        raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
+    for name, fraction in (
+        ("num_requests", scale.request_fraction),
+        ("num_vehicles", scale.vehicle_fraction),
+    ):
+        workload_overrides[name] = max(int(round(paper_sizes[name] * fraction)), 1)
+    return make_workload(
+        preset,
+        city_scale=scale.city_scale,
+        workload_overrides=workload_overrides,
+        simulation_overrides=simulation_overrides,
+    )
+
+
+# --------------------------------------------------------------------------- #
+# sweeps: one row per cell, one sweep per dataset, one figure per table entry
+# --------------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class ResultRow:
+    """One (algorithm, parameter value) cell of a figure."""
+
+    dataset: str
+    algorithm: str
+    parameter: str
+    value: float
+    unified_cost: float
+    service_rate: float
+    running_time: float
+    shortest_path_queries: int
+    peak_memory_bytes: int
+    assigned_requests: int
+    total_requests: int
+
+    def metric(self, name: str) -> float:
+        """Access a metric by the names used in the paper's figures."""
+        mapping = {
+            "unified_cost": self.unified_cost,
+            "service_rate": self.service_rate,
+            "running_time": self.running_time,
+            "shortest_path_queries": float(self.shortest_path_queries),
+            "memory": float(self.peak_memory_bytes),
+        }
+        try:
+            return mapping[name]
+        except KeyError as exc:
+            raise ConfigurationError(f"unknown metric {name!r}") from exc
+
+
+@dataclass
+class SweepResult:
+    """All rows of one parameter sweep (one figure column)."""
+
+    label: str
+    parameter: str
+    rows: list[ResultRow] = field(default_factory=list)
+
+    def algorithms(self) -> list[str]:
+        """Distinct algorithm names in insertion order."""
+        seen: dict[str, None] = {}
+        for row in self.rows:
+            seen.setdefault(row.algorithm, None)
+        return list(seen)
+
+    def values(self) -> list[float]:
+        """Distinct parameter values in ascending order."""
+        return sorted({row.value for row in self.rows})
+
+    def series(self, metric: str) -> dict[str, list[tuple[float, float]]]:
+        """Per-algorithm ``(value, metric)`` series, as plotted in the paper."""
+        result: dict[str, list[tuple[float, float]]] = {}
+        for row in sorted(self.rows, key=lambda r: r.value):
+            result.setdefault(row.algorithm, []).append((row.value, row.metric(metric)))
+        return result
+
+    def row_for(self, algorithm: str, value: float) -> ResultRow:
+        """The row of one (algorithm, value) cell."""
+        for row in self.rows:
+            if row.algorithm == algorithm and row.value == value:
+                return row
+        raise KeyError(f"no row for ({algorithm}, {value})")
 
 
 @dataclass
@@ -77,229 +235,125 @@ class FigureResult:
         return rows
 
 
-def _default_runner(
-    request_fraction: float, algorithms: Sequence[str] | None
-) -> ExperimentRunner:
-    return ExperimentRunner(
-        algorithms=tuple(algorithms or DEFAULT_ALGORITHMS),
-        request_fraction=request_fraction,
-        vehicle_fraction=0.04,
-        city_scale=0.7,
+def _to_row(dataset: str, parameter: str, value: float, outcome: RunResult) -> ResultRow:
+    assert outcome.spec.algorithm and outcome.simulation is not None
+    metrics = outcome.simulation.metrics
+    return ResultRow(
+        dataset=dataset,
+        algorithm=outcome.spec.algorithm,
+        parameter=parameter,
+        value=float(value),
+        unified_cost=metrics.unified_cost,
+        service_rate=metrics.service_rate,
+        running_time=metrics.dispatch_seconds,
+        shortest_path_queries=metrics.shortest_path_queries,
+        peak_memory_bytes=metrics.peak_memory_bytes,
+        assigned_requests=metrics.assigned_requests,
+        total_requests=metrics.total_requests,
     )
 
 
-def _sweep_figure(
-    figure: str,
+def sweep(
+    preset: str,
     parameter: str,
-    values: Sequence[float],
+    values: Iterable[float],
     *,
-    presets: Sequence[str],
-    request_fraction: float,
-    algorithms: Sequence[str] | None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    runner = runner or _default_runner(request_fraction, algorithms)
-    result = FigureResult(figure=figure, parameter=parameter)
-    for preset in presets:
-        result.sweeps[preset] = runner.sweep(
-            preset,
-            parameter,
-            values,
-            label=f"{figure} ({preset.upper()})",
-            algorithms=algorithms,
+    algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
+    scale: InstanceScale = InstanceScale(),
+) -> SweepResult:
+    """Sweep one parameter (see :func:`paper_workload`) for every algorithm.
+
+    The workload is regenerated for every value so that deadline- or
+    size-dependent properties are consistent, but only once per value: every
+    algorithm of a column runs over the same instance.
+    """
+    result = SweepResult(label=f"{preset}:{parameter}", parameter=parameter)
+    for value in values:
+        workload = paper_workload(preset, scale, parameter=parameter, value=value)
+        outcomes = run_grid(
+            RunSpec(workload=workload, algorithm=algorithm) for algorithm in algorithms
+        )
+        result.rows.extend(
+            _to_row(workload.name, parameter, value, outcome) for outcome in outcomes
         )
     return result
 
 
-# --------------------------------------------------------------------------- #
-# Figures 8-13: the six main sweeps on CHD and NYC
-# --------------------------------------------------------------------------- #
-def figure8(
+@dataclass(frozen=True)
+class FigureSpec:
+    """One sweep figure of the paper: what is swept, where and for whom."""
+
+    label: str
+    parameter: str
+    #: Reduced grid used by quick runs (the full grids are ``PAPER_*`` above).
+    values: tuple[float, ...]
+    presets: tuple[str, ...] = ("chd", "nyc")
+    algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
+
+
+def _cainiao(label: str, parameter: str, values: tuple[float, ...]) -> FigureSpec:
+    return FigureSpec(label, parameter, values, ("cainiao",), CAINIAO_ALGORITHMS)
+
+
+#: Figures 8-13 and 17: the main sweeps on CHD and NYC; Figure 14
+#: (Appendix A): the memory column of the default-parameter run; Figures
+#: 15-16 (Appendices B-C): the Cainiao sweeps.
+FIGURES: dict[str, FigureSpec] = {
+    "fig8": FigureSpec("Figure 8", "num_vehicles", (1_000, 3_000, 5_000)),
+    "fig9": FigureSpec("Figure 9", "num_requests", (10_000, 100_000, 250_000)),
+    "fig10": FigureSpec("Figure 10", "gamma", (1.2, 1.5, 2.0)),
+    "fig11": FigureSpec("Figure 11", "capacity", (2, 3, 6)),
+    "fig12": FigureSpec("Figure 12", "penalty_coefficient", (2, 10, 30)),
+    "fig13": FigureSpec(
+        "Figure 13", "batch_period", (1, 3, 9), algorithms=BATCH_ALGORITHMS
+    ),
+    "fig14": FigureSpec("Figure 14 (memory)", "penalty_coefficient", (10.0,)),
+    "fig15_num_vehicles": _cainiao(
+        "Figure 15 (num_vehicles)", "num_vehicles", (3_000, 4_000, 5_000)
+    ),
+    "fig15_num_requests": _cainiao(
+        "Figure 15 (num_requests)", "num_requests", (50_000, 100_000, 150_000)
+    ),
+    "fig15_gamma": _cainiao("Figure 15 (gamma)", "gamma", (1.8, 2.0, 2.2)),
+    "fig15_penalty_coefficient": _cainiao(
+        "Figure 15 (penalty_coefficient)", "penalty_coefficient", (2, 10, 30)
+    ),
+    "fig15_batch_period": _cainiao(
+        "Figure 15 (batch_period)", "batch_period", (3, 5, 7)
+    ),
+    "fig16_capacity": _cainiao("Figure 16 (capacity)", "capacity", (2, 3, 6)),
+    "fig16_capacity_sigma": _cainiao(
+        "Figure 16 (sigma)", "capacity_sigma", (0.0, 1.0, 2.0)
+    ),
+    "fig17": FigureSpec("Figure 17", "capacity_sigma", (0.0, 1.0, 2.0)),
+}
+
+
+def figure(
+    key: str,
     *,
-    values: Sequence[float] = QUICK_VALUES["num_vehicles"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
+    values: Sequence[float] | None = None,
+    presets: Sequence[str] | None = None,
     algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
+    scale: InstanceScale = InstanceScale(),
 ) -> FigureResult:
-    """Figure 8: unified cost / service rate / running time vs fleet size."""
-    return _sweep_figure(
-        "Figure 8", "num_vehicles", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
-
-
-def figure9(
-    *,
-    values: Sequence[float] = QUICK_VALUES["num_requests"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 9: metrics vs number of requests."""
-    return _sweep_figure(
-        "Figure 9", "num_requests", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
-
-
-def figure10(
-    *,
-    values: Sequence[float] = QUICK_VALUES["gamma"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 10: metrics vs deadline parameter gamma."""
-    return _sweep_figure(
-        "Figure 10", "gamma", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
-
-
-def figure11(
-    *,
-    values: Sequence[float] = QUICK_VALUES["capacity"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 11: metrics vs vehicle capacity."""
-    return _sweep_figure(
-        "Figure 11", "capacity", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
-
-
-def figure12(
-    *,
-    values: Sequence[float] = QUICK_VALUES["penalty_coefficient"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 12: metrics vs penalty coefficient."""
-    return _sweep_figure(
-        "Figure 12", "penalty_coefficient", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
-
-
-def figure13(
-    *,
-    values: Sequence[float] = QUICK_VALUES["batch_period"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = BATCH_ALGORITHMS,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 13: batch-mode algorithms vs batching period Delta."""
-    return _sweep_figure(
-        "Figure 13", "batch_period", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
-
-
-# --------------------------------------------------------------------------- #
-# Figure 14 / Appendix A: memory consumption under default parameters
-# --------------------------------------------------------------------------- #
-def figure14_memory(
-    *,
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 14: estimated memory consumption per algorithm."""
-    runner = runner or _default_runner(request_fraction, algorithms)
-    result = FigureResult(figure="Figure 14", parameter="memory")
-    algorithms = tuple(algorithms or runner.algorithms)
-    for preset in presets:
-        sweep = runner.sweep(
+    """Run one entry of :data:`FIGURES`; ``None`` keeps the entry's own value."""
+    try:
+        spec = FIGURES[key]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown figure {key!r}; choose from {sorted(FIGURES)}"
+        ) from None
+    result = FigureResult(figure=spec.label, parameter=spec.parameter)
+    for preset in presets or spec.presets:
+        result.sweeps[preset] = sweep(
             preset,
-            "penalty_coefficient",
-            (10.0,),
-            label=f"Figure 14 ({preset.upper()})",
-            algorithms=algorithms,
+            spec.parameter,
+            values or spec.values,
+            algorithms=algorithms or spec.algorithms,
+            scale=scale,
         )
-        result.sweeps[preset] = sweep
     return result
-
-
-# --------------------------------------------------------------------------- #
-# Figure 15: the five Cainiao sweeps
-# --------------------------------------------------------------------------- #
-def figure15(
-    *,
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = (
-        "pruneGDP", "TicketAssign+", "RTV", "GAS", "SARD",
-    ),
-    runner: ExperimentRunner | None = None,
-    quick: bool = True,
-) -> dict[str, FigureResult]:
-    """Figure 15: vehicles / requests / gamma / penalty / batch period on Cainiao."""
-    runner = runner or _default_runner(request_fraction, algorithms)
-    grids = {
-        "num_vehicles": (3_000, 4_000, 5_000) if quick else PAPER_CAINIAO_NUM_VEHICLES,
-        "num_requests": (50_000, 100_000, 150_000) if quick else PAPER_CAINIAO_NUM_REQUESTS,
-        "gamma": (1.8, 2.0, 2.2) if quick else PAPER_CAINIAO_GAMMAS,
-        "penalty_coefficient": (2, 10, 30) if quick else PAPER_PENALTIES,
-        "batch_period": (3, 5, 7) if quick else PAPER_CAINIAO_BATCH_PERIODS,
-    }
-    results: dict[str, FigureResult] = {}
-    for parameter, values in grids.items():
-        results[parameter] = _sweep_figure(
-            f"Figure 15 ({parameter})", parameter, values,
-            presets=("cainiao",), request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-        )
-    return results
-
-
-# --------------------------------------------------------------------------- #
-# Figures 16 and 17: capacity and capacity-variance sweeps
-# --------------------------------------------------------------------------- #
-def figure16(
-    *,
-    capacity_values: Sequence[float] = QUICK_VALUES["capacity"],
-    sigma_values: Sequence[float] = QUICK_VALUES["capacity_sigma"],
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = (
-        "pruneGDP", "TicketAssign+", "RTV", "GAS", "SARD",
-    ),
-    runner: ExperimentRunner | None = None,
-) -> dict[str, FigureResult]:
-    """Figure 16: capacity and capacity-variance sweeps on Cainiao."""
-    runner = runner or _default_runner(request_fraction, algorithms)
-    return {
-        "capacity": _sweep_figure(
-            "Figure 16 (capacity)", "capacity", capacity_values,
-            presets=("cainiao",), request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-        ),
-        "capacity_sigma": _sweep_figure(
-            "Figure 16 (sigma)", "capacity_sigma", sigma_values,
-            presets=("cainiao",), request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-        ),
-    }
-
-
-def figure17(
-    *,
-    values: Sequence[float] = QUICK_VALUES["capacity_sigma"],
-    presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    algorithms: Sequence[str] | None = None,
-    runner: ExperimentRunner | None = None,
-) -> FigureResult:
-    """Figure 17: capacity-variance sweep on CHD and NYC."""
-    return _sweep_figure(
-        "Figure 17", "capacity_sigma", values,
-        presets=presets, request_fraction=request_fraction, algorithms=algorithms, runner=runner,
-    )
 
 
 # --------------------------------------------------------------------------- #
@@ -320,56 +374,33 @@ class PruningRow:
 def angle_pruning_ablation(
     *,
     presets: Sequence[str] = ("chd", "nyc"),
-    request_fraction: float = 0.0025,
-    vehicle_fraction: float = 0.04,
-    runner: ExperimentRunner | None = None,
+    scale: InstanceScale = InstanceScale(),
 ) -> list[PruningRow]:
-    """Tables V/VI: SARD without pruning versus SARD-O with angle pruning."""
-    runner = runner or _default_runner(request_fraction, None)
+    """SARD without pruning versus SARD-O with angle pruning, at the paper's
+    default sizes: Table VI on CHD and NYC, Table V with ``("cainiao",)``."""
     rows: list[PruningRow] = []
     for preset in presets:
-        workload = make_workload(
-            preset,
-            city_scale=runner.city_scale,
-            workload_overrides={
-                "num_requests": max(int(100_000 * request_fraction), 1),
-                "num_vehicles": max(int(3_000 * vehicle_fraction), 1),
-            },
-        )
+        workload = paper_workload(preset, scale)
         for method, dispatcher in (
             ("SARD", SARDDispatcher.without_angle_pruning()),
             ("SARD-O", SARDDispatcher.with_angle_pruning()),
         ):
-            run = runner.run_single(workload, method, dispatcher=dispatcher)
+            outcome = run(
+                RunSpec(workload=workload, algorithm=method, dispatcher=dispatcher)
+            )
+            assert outcome.simulation is not None
+            metrics = outcome.simulation.metrics
             rows.append(
                 PruningRow(
                     dataset=workload.name,
                     method=method,
-                    unified_cost=run.metrics.unified_cost,
-                    service_rate=run.metrics.service_rate,
-                    shortest_path_queries=run.metrics.shortest_path_queries,
-                    running_time=run.metrics.dispatch_seconds,
+                    unified_cost=metrics.unified_cost,
+                    service_rate=metrics.service_rate,
+                    shortest_path_queries=metrics.shortest_path_queries,
+                    running_time=metrics.dispatch_seconds,
                 )
             )
     return rows
-
-
-def table5_angle_pruning(
-    *, request_fraction: float = 0.0025, runner: ExperimentRunner | None = None
-) -> list[PruningRow]:
-    """Table V: the angle-pruning ablation on the Cainiao dataset."""
-    return angle_pruning_ablation(
-        presets=("cainiao",), request_fraction=request_fraction, runner=runner
-    )
-
-
-def table6_angle_pruning(
-    *, request_fraction: float = 0.0025, runner: ExperimentRunner | None = None
-) -> list[PruningRow]:
-    """Table VI: the angle-pruning ablation on CHD and NYC."""
-    return angle_pruning_ablation(
-        presets=("chd", "nyc"), request_fraction=request_fraction, runner=runner
-    )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,20 +1,15 @@
-"""Parameter-sweep harness used by every figure and table reproduction.
+"""The one way a simulation is launched from :mod:`repro.experiments`.
 
-The front door of this module is :func:`run`: one typed :class:`RunSpec`
-describes any kind of run -- a plain single simulation, a dynamic-world
-scenario cell (with optional exact-parity probing), a chaos cell under
-fault injection, a span-traced run with observability artifacts, or a
-service-mode run through :class:`repro.service.DispatchService` -- and
-:func:`run` executes it.  :func:`run_grid` sweeps a list of specs;
-:meth:`RunSpec.grid` builds the scenario x backend x refresh-policy
-product.  The historical entry points (:func:`run_scenario_case`,
-:func:`run_scenario_grid`, :func:`run_chaos_case`, :func:`run_chaos_grid`,
-:func:`run_traced_case`) remain as thin delegating wrappers that emit a
-``DeprecationWarning``.
-
-Besides the front door, :class:`ExperimentRunner` owns the figure sweeps
-(it delegates its per-cell work to :func:`run` as well, so experiments,
-benchmarks and CI exercise one code path).
+One typed :class:`RunSpec` describes any kind of run -- a plain single
+simulation, a dynamic-world scenario cell (with optional exact-parity
+probing), a chaos cell under fault injection, a span-traced run with
+observability artifacts, or a service-mode run through
+:class:`repro.service.DispatchService` -- and :func:`run` executes it.
+:func:`run_grid` runs a list of specs; :meth:`RunSpec.grid` builds the
+scenario x backend x refresh-policy product.  Every mode goes through the
+same workload builder and the same engine construction, so a field of the
+spec means the same thing in all of them.  The figure sweeps of
+:mod:`repro.experiments.figures` are grids of ``single`` specs.
 """
 
 from __future__ import annotations
@@ -23,8 +18,7 @@ import math
 # DET002 audit: every draw below flows through a seeded random.Random
 # stream; the module-global generator is never called (repro-lint enforced).
 import random
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -57,275 +51,6 @@ from ..service.server import DispatchService, ServiceResult
 from ..simulation.engine import SimulationResult, Simulator
 from ..workloads.presets import Workload, make_workload
 
-#: Default algorithm line-up of the paper's main figures.
-DEFAULT_ALGORITHMS: tuple[str, ...] = (
-    "pruneGDP",
-    "TicketAssign+",
-    "DARM+DPRS",
-    "RTV",
-    "GAS",
-    "SARD",
-)
-
-#: Sweep parameters that change the simulation configuration.
-_SIMULATION_PARAMETERS = {
-    "gamma",
-    "capacity",
-    "penalty_coefficient",
-    "batch_period",
-    "angle_threshold",
-}
-#: Sweep parameters that change the workload shape.
-_WORKLOAD_PARAMETERS = {"num_requests", "num_vehicles", "capacity_sigma"}
-
-#: The paper's default request / fleet sizes (Tables III and IV).  Sweep
-#: values and defaults are expressed in these units and mapped to laptop
-#: scale through the runner's ``request_fraction`` / ``vehicle_fraction``.
-PAPER_DEFAULT_REQUESTS = {"chd": 100_000, "nyc": 100_000, "cainiao": 100_000}
-PAPER_DEFAULT_VEHICLES = {"chd": 3_000, "nyc": 3_000, "cainiao": 4_000}
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One (algorithm, parameter value) cell of a figure."""
-
-    dataset: str
-    algorithm: str
-    parameter: str
-    value: float
-    unified_cost: float
-    service_rate: float
-    running_time: float
-    shortest_path_queries: int
-    peak_memory_bytes: int
-    assigned_requests: int
-    total_requests: int
-
-    def metric(self, name: str) -> float:
-        """Access a metric by the names used in the paper's figures."""
-        mapping = {
-            "unified_cost": self.unified_cost,
-            "service_rate": self.service_rate,
-            "running_time": self.running_time,
-            "shortest_path_queries": float(self.shortest_path_queries),
-            "memory": float(self.peak_memory_bytes),
-        }
-        try:
-            return mapping[name]
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown metric {name!r}") from exc
-
-
-@dataclass
-class SweepResult:
-    """All rows of one parameter sweep (one figure column)."""
-
-    label: str
-    parameter: str
-    rows: list[ResultRow] = field(default_factory=list)
-
-    def algorithms(self) -> list[str]:
-        """Distinct algorithm names in insertion order."""
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.algorithm, None)
-        return list(seen)
-
-    def values(self) -> list[float]:
-        """Distinct parameter values in ascending order."""
-        return sorted({row.value for row in self.rows})
-
-    def series(self, metric: str) -> dict[str, list[tuple[float, float]]]:
-        """Per-algorithm ``(value, metric)`` series, as plotted in the paper."""
-        result: dict[str, list[tuple[float, float]]] = {}
-        for row in sorted(self.rows, key=lambda r: r.value):
-            result.setdefault(row.algorithm, []).append((row.value, row.metric(metric)))
-        return result
-
-    def row_for(self, algorithm: str, value: float) -> ResultRow:
-        """The row of one (algorithm, value) cell."""
-        for row in self.rows:
-            if row.algorithm == algorithm and row.value == value:
-                return row
-        raise KeyError(f"no row for ({algorithm}, {value})")
-
-    def extend(self, other: "SweepResult") -> None:
-        """Append another sweep's rows (used to combine datasets)."""
-        self.rows.extend(other.rows)
-
-
-class ExperimentRunner:
-    """Builds workloads, instantiates dispatchers and runs simulations."""
-
-    def __init__(
-        self,
-        *,
-        algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
-        request_fraction: float = 0.0025,
-        vehicle_fraction: float = 0.04,
-        city_scale: float = 0.7,
-        dispatcher_factory: Callable[[str], Dispatcher] | None = None,
-        routing_backend: str | None = None,
-    ) -> None:
-        if request_fraction <= 0 or vehicle_fraction <= 0 or city_scale <= 0:
-            raise ConfigurationError(
-                "request_fraction, vehicle_fraction and city_scale must be positive"
-            )
-        self.algorithms = tuple(algorithms)
-        #: Fraction of the paper's request count a sweep value is scaled by
-        #: (0.0025 turns the paper's default 100K requests into 250).
-        self.request_fraction = request_fraction
-        #: Fraction of the paper's fleet size (0.04 turns 3K vehicles into 120).
-        self.vehicle_fraction = vehicle_fraction
-        self.city_scale = city_scale
-        #: Routing backend forced on every workload built by this runner
-        #: (``None`` keeps each preset's ``SimulationConfig.routing_backend``).
-        self.routing_backend = routing_backend
-        self._dispatcher_factory = dispatcher_factory or make_dispatcher
-
-    # ------------------------------------------------------------------ #
-    def run_single(
-        self,
-        workload: Workload,
-        algorithm: str,
-        *,
-        simulation_config: SimulationConfig | None = None,
-        dispatcher: Dispatcher | None = None,
-        scenario: Scenario | None = None,
-        refresh_policy: str | None = None,
-    ) -> SimulationResult:
-        """Run one algorithm over one workload and return the raw result.
-
-        With a ``scenario`` (see :func:`repro.scenarios.make_scenario_workload`,
-        which also generates the matching surge-modulated request trace) a
-        fresh event timeline is built for the run and the oracle follows the
-        mutating network under ``refresh_policy`` (the scenario's own policy
-        when ``None``).
-
-        This is a convenience method over the :func:`run` front door --
-        equivalent to ``run(RunSpec(mode="single", workload=..., ...))``.
-        """
-        outcome = run(RunSpec(
-            mode="single",
-            workload=workload,
-            algorithm=algorithm,
-            simulation_config=simulation_config,
-            dispatcher=dispatcher or self._dispatcher_factory(algorithm),
-            scenario=scenario,
-            refresh_policy=refresh_policy,
-        ))
-        assert outcome.simulation is not None
-        return outcome.simulation
-
-    # ------------------------------------------------------------------ #
-    def sweep(
-        self,
-        preset: str,
-        parameter: str,
-        values: Iterable[float],
-        *,
-        label: str | None = None,
-        algorithms: Sequence[str] | None = None,
-        workload_overrides: dict | None = None,
-        simulation_overrides: dict | None = None,
-    ) -> SweepResult:
-        """Sweep one parameter over its values for every algorithm.
-
-        ``parameter`` may be a simulation knob (``gamma``, ``capacity``,
-        ``penalty_coefficient``, ``batch_period``, ``angle_threshold``) or a
-        workload knob (``num_requests``, ``num_vehicles``,
-        ``capacity_sigma``).  The workload is regenerated for every value so
-        that deadline- or size-dependent properties are consistent.
-        """
-        algorithms = tuple(algorithms or self.algorithms)
-        label = label or f"{preset}:{parameter}"
-        result = SweepResult(label=label, parameter=parameter)
-        for value in values:
-            workload = self._build_workload(
-                preset,
-                parameter,
-                value,
-                workload_overrides=workload_overrides,
-                simulation_overrides=simulation_overrides,
-            )
-            for algorithm in algorithms:
-                run = self.run_single(workload, algorithm)
-                result.rows.append(self._to_row(workload, algorithm, parameter, value, run))
-        return result
-
-    # ------------------------------------------------------------------ #
-    def _build_workload(
-        self,
-        preset: str,
-        parameter: str,
-        value: float,
-        *,
-        workload_overrides: dict | None,
-        simulation_overrides: dict | None,
-    ) -> Workload:
-        workload_overrides = dict(workload_overrides or {})
-        simulation_overrides = dict(simulation_overrides or {})
-        if self.routing_backend is not None:
-            simulation_overrides.setdefault("routing_backend", self.routing_backend)
-        # Every instance uses the paper's default request/fleet sizes scaled
-        # by the runner's fractions; the swept parameter then overrides the
-        # matching knob.
-        paper_requests = PAPER_DEFAULT_REQUESTS.get(preset.lower(), 100_000)
-        paper_vehicles = PAPER_DEFAULT_VEHICLES.get(preset.lower(), 3_000)
-        if parameter == "num_requests":
-            paper_requests = value
-        if parameter == "num_vehicles":
-            paper_vehicles = value
-        workload_overrides.setdefault(
-            "num_requests", max(int(round(paper_requests * self.request_fraction)), 1)
-        )
-        workload_overrides.setdefault(
-            "num_vehicles", max(int(round(paper_vehicles * self.vehicle_fraction)), 1)
-        )
-        if parameter in _SIMULATION_PARAMETERS:
-            if parameter == "capacity":
-                simulation_overrides[parameter] = int(value)
-            else:
-                simulation_overrides[parameter] = value
-        elif parameter == "capacity_sigma":
-            workload_overrides[parameter] = value
-        elif parameter not in _WORKLOAD_PARAMETERS:
-            raise ConfigurationError(f"unknown sweep parameter {parameter!r}")
-        return make_workload(
-            preset,
-            city_scale=self.city_scale,
-            workload_overrides=workload_overrides,
-            simulation_overrides=simulation_overrides,
-        )
-
-    # ------------------------------------------------------------------ #
-    def _to_row(
-        self,
-        workload: Workload,
-        algorithm: str,
-        parameter: str,
-        value: float,
-        run: SimulationResult,
-    ) -> ResultRow:
-        metrics = run.metrics
-        return ResultRow(
-            dataset=workload.name,
-            algorithm=algorithm,
-            parameter=parameter,
-            value=float(value),
-            unified_cost=metrics.unified_cost,
-            service_rate=metrics.service_rate,
-            running_time=metrics.dispatch_seconds,
-            shortest_path_queries=metrics.shortest_path_queries,
-            peak_memory_bytes=metrics.peak_memory_bytes,
-            assigned_requests=metrics.assigned_requests,
-            total_requests=metrics.total_requests,
-        )
-
-
-# ---------------------------------------------------------------------- #
-# the unified run() front door
-# ---------------------------------------------------------------------- #
 #: Run kinds the front door understands.
 RUN_MODES = ("single", "scenario", "chaos", "traced", "service")
 
@@ -374,7 +99,8 @@ class RunSpec:
     num_vehicles: int | None = None
     #: Routing backend override (``None`` keeps the preset's).
     backend: str | None = None
-    #: Prebuilt workload (modes ``single`` / ``service``); skips the preset.
+    #: Prebuilt workload; replaces everything above, so it excludes
+    #: ``backend=`` / ``num_requests=`` / ``num_vehicles=`` and scenario names.
     workload: Workload | None = None
     # -- algorithm / simulation ------------------------------------------ #
     #: Dispatcher name; ``None`` picks the mode's default (``SARD``, or
@@ -383,9 +109,12 @@ class RunSpec:
     dispatcher: Dispatcher | None = None
     simulation_config: SimulationConfig | None = None
     # -- dynamic world --------------------------------------------------- #
-    #: Scenario name (modes ``scenario`` / ``chaos``) or a prebuilt
-    #: :class:`~repro.scenarios.timeline.Scenario` (mode ``single``).
+    #: Scenario name (required by modes ``scenario`` / ``chaos``; builds the
+    #: surge-modulated workload with it) or a prebuilt
+    #: :class:`~repro.scenarios.timeline.Scenario`.
     scenario: str | Scenario | None = None
+    #: How the oracle follows the scenario's network mutations (``None``:
+    #: the scenario's own policy); meaningless without a scenario.
     refresh_policy: str | None = None
     scenario_config: ScenarioConfig | None = None
     parity_pairs: int = 0
@@ -433,12 +162,25 @@ class RunSpec:
                 )
         if self.mode == "traced" and self.out_dir is None:
             raise ConfigurationError("mode 'traced' needs out_dir=")
-        if isinstance(self.scenario, Scenario) and self.mode not in (
-            "single", "service"
-        ):
+        if self.refresh_policy is not None and self.scenario is None:
             raise ConfigurationError(
-                "a prebuilt Scenario only applies to modes 'single'/'service'"
+                "refresh_policy without a scenario has nothing to refresh; "
+                "pass the scenario whose timeline mutates the network"
             )
+        if self.workload is not None:
+            # A built workload already fixed its size, backend and trace; a
+            # scenario *name* would have to regenerate the trace under its
+            # demand surges (pass a built Scenario next to workload=).
+            stray = [
+                name
+                for name in ("backend", "num_requests", "num_vehicles")
+                if getattr(self, name) is not None
+            ] + (["scenario"] if isinstance(self.scenario, str) else [])
+            if stray:
+                raise ConfigurationError(
+                    f"workload= is already built; {', '.join(stray)}= would "
+                    "be ignored"
+                )
 
     def with_overrides(self, **overrides: Any) -> "RunSpec":
         """Return a copy of this spec with the given fields replaced."""
@@ -489,89 +231,110 @@ class RunResult:
     service: ServiceResult | None = None
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} from repro.experiments.harness",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+# ---------------------------------------------------------------------- #
+# what every mode shares: the workload and the engine built over it
+# ---------------------------------------------------------------------- #
+def _build_workload(spec: RunSpec) -> tuple[Workload, Scenario | None]:
+    """The workload a spec describes and the scenario that mutates it, if any.
 
-
-def _build_workload(spec: RunSpec) -> Workload:
-    """Materialise the workload a preset-shaped spec describes."""
-    if spec.workload is not None:
-        return spec.workload
-    overrides: dict[str, object] = {}
-    if spec.num_requests is not None:
-        overrides["num_requests"] = spec.num_requests
-    if spec.num_vehicles is not None:
-        overrides["num_vehicles"] = spec.num_vehicles
-    return make_workload(
-        spec.preset,
-        scale=spec.scale,
-        city_scale=spec.city_scale,
-        workload_overrides=overrides or None,
-        simulation_overrides=(
+    A scenario *name* builds its own city first, because the scenario's zones,
+    corridors and demand surges are derived from the network the requests are
+    then generated on (which is why ``RunSpec`` refuses one next to a built
+    ``workload=``).
+    """
+    shape: dict[str, Any] = {
+        "scale": spec.scale,
+        "city_scale": spec.city_scale,
+        "workload_overrides": {
+            name: getattr(spec, name)
+            for name in ("num_requests", "num_vehicles")
+            if getattr(spec, name) is not None
+        },
+        "simulation_overrides": (
             {"routing_backend": spec.backend} if spec.backend else None
         ),
-    )
+    }
+    if isinstance(spec.scenario, str):
+        return make_scenario_workload(
+            spec.preset,
+            spec.scenario,
+            scenario_config=spec.scenario_config,
+            **shape,
+        )
+    return spec.workload or make_workload(spec.preset, **shape), spec.scenario
 
 
-def _single_impl(spec: RunSpec) -> "RunResult":
-    """One algorithm over one workload (optionally under a built Scenario)."""
-    workload = _build_workload(spec)
+def _engine_arguments(
+    spec: RunSpec,
+    workload: Workload,
+    scenario: Scenario | None,
+    *,
+    on_applied: Callable[[WorldView], None] | None = None,
+    resilience: ResilienceManager | None = None,
+) -> dict[str, Any]:
+    """The constructor arguments :class:`Simulator` and
+    :class:`DispatchService` have in common, fresh for one run.
+
+    With a ``resilience`` manager the oracle is the manager's (a chaos oracle
+    when faults are configured); otherwise a clean one over the workload's
+    network.  A scenario contributes a fresh event timeline and the refresh
+    policy the oracle follows the mutating network under (the scenario's own
+    policy when the spec names none).
+    """
     config = spec.simulation_config or workload.simulation_config
-    dispatcher = spec.dispatcher or make_dispatcher(spec.algorithm or "SARD")
-    timeline = policy = None
-    if isinstance(spec.scenario, Scenario):
-        timeline = spec.scenario.make_timeline()
-        policy = make_refresh_policy(
-            spec.refresh_policy, config=spec.scenario.config
+    backend = config.routing_backend
+    default_algorithm = "pruneGDP" if spec.mode == "chaos" else "SARD"
+    arguments: dict[str, Any] = {
+        "network": workload.network,
+        "oracle": (
+            resilience.make_oracle(workload.network, backend=backend)
+            if resilience is not None
+            else workload.fresh_oracle(backend=backend)
+        ),
+        "vehicles": workload.fresh_vehicles(),
+        "dispatcher": (
+            spec.dispatcher or make_dispatcher(spec.algorithm or default_algorithm)
+        ),
+        "config": config,
+        "resilience": resilience,
+    }
+    if scenario is not None:
+        arguments["timeline"] = scenario.make_timeline(on_applied=on_applied)
+        arguments["refresh_policy"] = make_refresh_policy(
+            spec.refresh_policy, config=scenario.config
         )
-    elif spec.refresh_policy is not None:
-        raise ConfigurationError(
-            "refresh_policy without a scenario has nothing to refresh; "
-            "pass the scenario whose timeline mutates the network"
-        )
-    simulator = Simulator(
-        network=workload.network,
-        oracle=workload.fresh_oracle(backend=config.routing_backend),
-        vehicles=workload.fresh_vehicles(),
+    return arguments
+
+
+def _make_simulator(
+    spec: RunSpec, workload: Workload, scenario: Scenario | None, **options: Any
+) -> Simulator:
+    """A batch simulator over the whole trace (``options``: see
+    :func:`_engine_arguments`)."""
+    return Simulator(
         requests=list(workload.requests),
-        dispatcher=dispatcher,
-        config=config,
         record_events=False,
-        timeline=timeline,
-        refresh_policy=policy,
+        **_engine_arguments(spec, workload, scenario, **options),
     )
+
+
+def _single_impl(spec: RunSpec) -> RunResult:
+    """One algorithm over one workload (optionally under a scenario)."""
+    simulator = _make_simulator(spec, *_build_workload(spec))
     return RunResult(spec=spec, simulation=simulator.run())
 
 
-def _service_impl(spec: RunSpec) -> "RunResult":
+def _service_impl(spec: RunSpec) -> RunResult:
     """Replay the workload's trace through the dispatch service.
 
     The service drives the simulator's stepwise interface, so the returned
     assignments are parity-exact with mode ``single`` over the same
     workload (events are recorded here -- the service streams them).
     """
-    workload = _build_workload(spec)
-    config = spec.simulation_config or workload.simulation_config
-    timeline = None
-    policy = spec.refresh_policy
-    if isinstance(spec.scenario, Scenario):
-        timeline = spec.scenario.make_timeline()
-        policy = make_refresh_policy(
-            spec.refresh_policy, config=spec.scenario.config
-        )
+    workload, scenario = _build_workload(spec)
     service = DispatchService(
-        network=workload.network,
-        oracle=workload.fresh_oracle(backend=config.routing_backend),
-        vehicles=workload.fresh_vehicles(),
-        dispatcher=spec.dispatcher or make_dispatcher(spec.algorithm or "SARD"),
-        config=config,
         service_config=spec.service_config,
-        timeline=timeline,
-        refresh_policy=policy,
+        **_engine_arguments(spec, workload, scenario),
     )
     result = service.serve(
         RideRequest.from_request(request) for request in workload.requests
@@ -616,40 +379,18 @@ TRACED_RUN_HIGHLIGHTS = (
 )
 
 
-def _traced_impl(spec: "RunSpec") -> "RunResult":
+def _traced_impl(spec: RunSpec) -> RunResult:
     """Run one workload with span tracing on and write all three exports.
 
-    Unlike mode ``single`` the oracle is built *here* so sampled query
-    tracing attaches to the oracle the simulator actually queries.  Emits
-    ``<name>.trace.jsonl`` / ``<name>.prom`` / ``<name>.report.md`` into
-    ``spec.out_dir`` (the CI scenario job uploads them as artifacts).
+    Sampled query tracing attaches to the oracle the simulator actually
+    queries.  Emits ``<name>.trace.jsonl`` / ``<name>.prom`` /
+    ``<name>.report.md`` into ``spec.out_dir`` (the CI scenario job uploads
+    them as artifacts).
     """
-    algorithm = spec.algorithm or "SARD"
-    num_requests = spec.num_requests if spec.num_requests is not None else 80
-    num_vehicles = spec.num_vehicles if spec.num_vehicles is not None else 12
     assert spec.out_dir is not None  # enforced by RunSpec validation
-    workload = make_workload(
-        spec.preset,
-        city_scale=spec.city_scale,
-        workload_overrides={
-            "num_requests": num_requests,
-            "num_vehicles": num_vehicles,
-        },
-        simulation_overrides=(
-            {"routing_backend": spec.backend} if spec.backend else None
-        ),
-    )
-    config = workload.simulation_config
-    oracle = workload.fresh_oracle(backend=config.routing_backend)
-    simulator = Simulator(
-        network=workload.network,
-        oracle=oracle,
-        vehicles=workload.fresh_vehicles(),
-        requests=list(workload.requests),
-        dispatcher=make_dispatcher(algorithm),
-        config=config,
-        record_events=False,
-    )
+    workload, scenario = _build_workload(spec)
+    simulator = _make_simulator(spec, workload, scenario)
+    oracle = simulator.oracle
     with tracing(oracle=oracle, config=spec.trace_config) as tracer:
         result = simulator.run()
     metrics = result.metrics
@@ -668,8 +409,9 @@ def _traced_impl(spec: "RunSpec") -> "RunResult":
         spec.out_dir,
         spec.name,
         title=(
-            f"Traced run: {algorithm} on {workload.name} "
-            f"({metrics.total_requests} requests, {num_vehicles} vehicles, "
+            f"Traced run: {simulator.dispatcher.name} on {workload.name} "
+            f"({metrics.total_requests} requests, "
+            f"{len(simulator.vehicles)} vehicles, "
             f"{oracle.backend_name} oracle)"
         ),
         summary=metrics.summary(),
@@ -678,36 +420,6 @@ def _traced_impl(spec: "RunSpec") -> "RunResult":
         highlight_keys=TRACED_RUN_HIGHLIGHTS,
     )
     return RunResult(spec=spec, simulation=result, artifacts=paths)
-
-
-def run_traced_case(
-    out_dir: str | Path,
-    *,
-    name: str = "traced_run",
-    preset: str = "nyc",
-    algorithm: str = "SARD",
-    num_requests: int = 80,
-    num_vehicles: int = 12,
-    city_scale: float = 0.4,
-    backend: str | None = None,
-    trace_config: TraceConfig | None = None,
-) -> tuple[SimulationResult, dict[str, Path]]:
-    """Deprecated wrapper over ``run(RunSpec(mode="traced", ...))``."""
-    _warn_deprecated("run_traced_case", 'run(RunSpec(mode="traced", ...))')
-    outcome = run(RunSpec(
-        mode="traced",
-        out_dir=out_dir,
-        name=name,
-        preset=preset,
-        algorithm=algorithm,
-        num_requests=num_requests,
-        num_vehicles=num_vehicles,
-        city_scale=city_scale,
-        backend=backend,
-        trace_config=trace_config,
-    ))
-    assert outcome.simulation is not None and outcome.artifacts is not None
-    return outcome.simulation, outcome.artifacts
 
 
 # ---------------------------------------------------------------------- #
@@ -757,7 +469,7 @@ def _parity_probe(
     return probe
 
 
-def _scenario_impl(spec: "RunSpec") -> "RunResult":
+def _scenario_impl(spec: RunSpec) -> RunResult:
     """Run one (scenario, backend, refresh-policy) cell of the grid.
 
     The row carries the refresh-overhead columns (rebuilds, repair work,
@@ -766,44 +478,23 @@ def _scenario_impl(spec: "RunSpec") -> "RunResult":
     (once the refresh policy has made the oracle consistent) and raises on
     any divergence from a fresh Dijkstra over the mutated network.
     """
-    scenario = spec.scenario
-    backend = spec.backend
-    policy = spec.refresh_policy
-    assert isinstance(scenario, str) and backend and policy  # RunSpec-validated
-    algorithm = spec.algorithm or "SARD"
-    workload, built = make_scenario_workload(
-        spec.preset,
-        scenario,
-        scale=spec.scale,
-        city_scale=spec.city_scale,
-        scenario_config=spec.scenario_config,
-        simulation_overrides={"routing_backend": backend},
-    )
+    workload, scenario = _build_workload(spec)
     context = {"bursts": 0}
     on_applied = (
         _parity_probe(context, spec.parity_pairs, spec.parity_seed)
         if spec.parity_pairs
         else None
     )
-    simulator = Simulator(
-        network=workload.network,
-        oracle=workload.fresh_oracle(),
-        vehicles=workload.fresh_vehicles(),
-        requests=list(workload.requests),
-        dispatcher=make_dispatcher(algorithm),
-        config=workload.simulation_config,
-        record_events=False,
-        timeline=built.make_timeline(on_applied=on_applied),
-        refresh_policy=make_refresh_policy(policy, config=built.config),
-    )
-    result = simulator.run()
+    result = _make_simulator(
+        spec, workload, scenario, on_applied=on_applied
+    ).run()
     metrics = result.metrics
     if spec.parity_pairs and context["bursts"] == 0:
-        raise ScenarioError(f"scenario {scenario!r} applied no events")
+        raise ScenarioError(f"scenario {spec.scenario!r} applied no events")
     row = {
-        "scenario": scenario,
-        "backend": backend,
-        "policy": policy,
+        "scenario": spec.scenario,
+        "backend": spec.backend,
+        "policy": spec.refresh_policy,
         "events": metrics.scenario_events,
         "rebuilds": metrics.oracle_rebuilds,
         "rebuild_ms": metrics.oracle_rebuild_seconds * 1e3,
@@ -821,65 +512,6 @@ def _scenario_impl(spec: "RunSpec") -> "RunResult":
         "dispatch_s": metrics.dispatch_seconds,
     }
     return RunResult(spec=spec, simulation=result, row=row)
-
-
-def run_scenario_case(
-    scenario: str,
-    backend: str,
-    policy: str,
-    *,
-    preset: str = "nyc",
-    algorithm: str = "SARD",
-    scale: float = 0.08,
-    city_scale: float = 0.4,
-    parity_pairs: int = 0,
-    parity_seed: int = 99,
-    scenario_config: ScenarioConfig | None = None,
-) -> dict:
-    """Deprecated wrapper over ``run(RunSpec(mode="scenario", ...))``."""
-    _warn_deprecated(
-        "run_scenario_case", 'run(RunSpec(mode="scenario", ...))'
-    )
-    outcome = run(RunSpec(
-        mode="scenario",
-        scenario=scenario,
-        backend=backend,
-        refresh_policy=policy,
-        preset=preset,
-        algorithm=algorithm,
-        scale=scale,
-        city_scale=city_scale,
-        parity_pairs=parity_pairs,
-        parity_seed=parity_seed,
-        scenario_config=scenario_config,
-    ))
-    assert outcome.row is not None
-    return outcome.row
-
-
-def run_scenario_grid(
-    scenarios: Sequence[str],
-    backends: Sequence[str],
-    policies: Sequence[str],
-    **case_kwargs: Any,
-) -> list[dict]:
-    """Deprecated wrapper over ``run_grid(RunSpec.grid(mode="scenario", ...))``.
-
-    This was the one code path behind the ``bench_scenarios`` refresh table
-    and the CI scenario job; those now build :class:`RunSpec` grids
-    directly.
-    """
-    _warn_deprecated(
-        "run_scenario_grid", 'run_grid(RunSpec.grid(mode="scenario", ...))'
-    )
-    specs = RunSpec.grid(
-        mode="scenario",
-        scenarios=scenarios,
-        backends=backends,
-        policies=policies,
-        **case_kwargs,
-    )
-    return [outcome.row for outcome in run_grid(specs) if outcome.row]
 
 
 # ---------------------------------------------------------------------- #
@@ -900,7 +532,7 @@ CHAOS_RESILIENCE = ResilienceConfig(
 )
 
 
-def _chaos_impl(spec: "RunSpec") -> "RunResult":
+def _chaos_impl(spec: RunSpec) -> RunResult:
     """Run one (scenario, backend, refresh-policy) cell under fault injection.
 
     The run is wrapped in a :class:`~repro.resilience.degrade.ResilienceManager`
@@ -912,45 +544,22 @@ def _chaos_impl(spec: "RunSpec") -> "RunResult":
     and produce identical non-timing metrics (see
     :func:`deterministic_summary`).
     """
-    scenario = spec.scenario
-    backend = spec.backend
-    policy = spec.refresh_policy
-    assert isinstance(scenario, str) and backend and policy  # RunSpec-validated
-    algorithm = spec.algorithm or "pruneGDP"
     chaos = spec.chaos if spec.chaos is not None else "flaky_oracle"
-    chaos_config = make_chaos_config(chaos) if isinstance(chaos, str) else chaos
     manager = ResilienceManager(
         config=(
             spec.resilience if spec.resilience is not None else CHAOS_RESILIENCE
         ),
-        chaos=chaos_config,
+        chaos=make_chaos_config(chaos) if isinstance(chaos, str) else chaos,
     )
-    workload, built = make_scenario_workload(
-        spec.preset,
-        scenario,
-        scale=spec.scale,
-        city_scale=spec.city_scale,
-        scenario_config=spec.scenario_config,
-        simulation_overrides={"routing_backend": backend},
-    )
-    simulator = Simulator(
-        network=workload.network,
-        oracle=manager.make_oracle(workload.network, backend=backend),
-        vehicles=workload.fresh_vehicles(),
-        requests=list(workload.requests),
-        dispatcher=make_dispatcher(algorithm),
-        config=workload.simulation_config,
-        record_events=False,
-        timeline=built.make_timeline(),
-        refresh_policy=make_refresh_policy(policy, config=built.config),
-        resilience=manager,
-    )
-    result = simulator.run()
+    workload, scenario = _build_workload(spec)
+    result = _make_simulator(
+        spec, workload, scenario, resilience=manager
+    ).run()
     metrics = result.metrics
     row = {
-        "scenario": scenario,
-        "backend": backend,
-        "policy": policy,
+        "scenario": spec.scenario,
+        "backend": spec.backend,
+        "policy": spec.refresh_policy,
         "events": metrics.scenario_events,
         "faults": metrics.faults_injected,
         "retries": metrics.oracle_retries,
@@ -968,58 +577,6 @@ def _chaos_impl(spec: "RunSpec") -> "RunResult":
         "dispatch_s": metrics.dispatch_seconds,
     }
     return RunResult(spec=spec, simulation=result, row=row)
-
-
-def run_chaos_case(
-    scenario: str,
-    backend: str,
-    policy: str,
-    *,
-    chaos: str | ChaosConfig = "flaky_oracle",
-    preset: str = "nyc",
-    algorithm: str = "pruneGDP",
-    scale: float = 0.08,
-    city_scale: float = 0.4,
-    resilience: ResilienceConfig | None = None,
-    scenario_config: ScenarioConfig | None = None,
-) -> dict:
-    """Deprecated wrapper over ``run(RunSpec(mode="chaos", ...))``."""
-    _warn_deprecated("run_chaos_case", 'run(RunSpec(mode="chaos", ...))')
-    outcome = run(RunSpec(
-        mode="chaos",
-        scenario=scenario,
-        backend=backend,
-        refresh_policy=policy,
-        chaos=chaos,
-        preset=preset,
-        algorithm=algorithm,
-        scale=scale,
-        city_scale=city_scale,
-        resilience=resilience,
-        scenario_config=scenario_config,
-    ))
-    assert outcome.row is not None
-    return outcome.row
-
-
-def run_chaos_grid(
-    scenarios: Sequence[str],
-    backends: Sequence[str],
-    policies: Sequence[str],
-    **case_kwargs: Any,
-) -> list[dict]:
-    """Deprecated wrapper over ``run_grid(RunSpec.grid(mode="chaos", ...))``."""
-    _warn_deprecated(
-        "run_chaos_grid", 'run_grid(RunSpec.grid(mode="chaos", ...))'
-    )
-    specs = RunSpec.grid(
-        mode="chaos",
-        scenarios=scenarios,
-        backends=backends,
-        policies=policies,
-        **case_kwargs,
-    )
-    return [outcome.row for outcome in run_grid(specs) if outcome.row]
 
 
 def deterministic_summary(row: dict) -> dict:

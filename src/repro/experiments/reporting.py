@@ -7,7 +7,7 @@ import io
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 
-from .harness import ResultRow, SweepResult
+from .figures import ResultRow, SweepResult
 
 #: Metrics shown in the default reports (the three panels of every figure).
 DEFAULT_METRICS: tuple[str, ...] = ("unified_cost", "service_rate", "running_time")
@@ -115,13 +115,6 @@ def rows_to_csv(
     if path is not None:
         Path(path).write_text(text)
     return text
-
-
-def series_by_algorithm(
-    sweep: SweepResult, metric: str
-) -> dict[str, list[tuple[float, float]]]:
-    """Per-algorithm series of ``(parameter value, metric)`` pairs."""
-    return sweep.series(metric)
 
 
 def _format_number(value: float) -> str:

@@ -3,14 +3,15 @@
 Covers the typed schemas (validation + wire round-trips), the bounded
 ingestion queue (ordering, admission policies, async backpressure), the
 service lifecycle (tick alignment, graceful shutdown, health/stats/registry
-endpoints), the service-vs-batch parity gate, and the deprecation shims the
-API redesign left behind (harness wrappers and package import paths).
+endpoints), the service-vs-batch parity gate, and the validation and the
+package-level surface of the ``run(RunSpec)`` front door.
 """
 
 from __future__ import annotations
 
 import asyncio
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -18,12 +19,7 @@ import repro
 from repro.config import ServiceConfig
 from repro.dispatch import make_dispatcher
 from repro.exceptions import ConfigurationError, SchemaError, ServiceError
-from repro.experiments.harness import (
-    RunSpec,
-    run,
-    run_chaos_grid,
-    run_scenario_grid,
-)
+from repro.experiments.harness import RunSpec, run
 from repro.model.request import Request
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
@@ -555,7 +551,7 @@ class TestBatchParity:
 
 
 # --------------------------------------------------------------------- #
-# RunSpec validation and deprecation shims
+# RunSpec validation, traced mode and what replaced the shims
 # --------------------------------------------------------------------- #
 class TestRunSpec:
     def test_rejects_unknown_mode(self):
@@ -582,6 +578,25 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError, match="out_dir"):
             RunSpec(mode="traced")
 
+    @pytest.mark.parametrize("mode", ["single", "service"])
+    def test_refresh_policy_needs_a_scenario(self, mode):
+        with pytest.raises(ConfigurationError, match="refresh_policy"):
+            RunSpec(mode=mode, refresh_policy="eager")
+
+    @pytest.mark.parametrize(
+        "stray",
+        [
+            {"backend": "ch"},
+            {"num_requests": 10},
+            {"num_vehicles": 3},
+            {"scenario": "bridge_closure", "refresh_policy": "eager"},
+        ],
+    )
+    def test_built_workload_rejects_the_knobs_it_would_ignore(self, stray):
+        workload = make_workload("nyc", scale=0.02, city_scale=0.35)
+        with pytest.raises(ConfigurationError, match=next(iter(stray))):
+            RunSpec(workload=workload, **stray)
+
     def test_grid_builds_the_product(self):
         specs = RunSpec.grid(
             scenarios=("a", "b"), backends=("ch",),
@@ -595,25 +610,56 @@ class TestRunSpec:
         assert spec.algorithm == "SARD"
 
 
-class TestDeprecationShims:
-    def test_harness_grid_wrappers_warn(self):
-        with pytest.deprecated_call(match="run_scenario_grid is deprecated"):
-            assert run_scenario_grid((), (), ()) == []
-        with pytest.deprecated_call(match="run_chaos_grid is deprecated"):
-            assert run_chaos_grid((), (), ()) == []
+class TestOneBuilderForEveryMode:
+    def test_traced_run_writes_artifacts_and_matches_single(self, tmp_path):
+        shape = dict(
+            num_requests=40, num_vehicles=8, city_scale=0.3, algorithm="pruneGDP"
+        )
+        traced = run(RunSpec(mode="traced", out_dir=tmp_path, name="t", **shape))
+        single = run(RunSpec(mode="single", **shape))
+        assert traced.artifacts is not None
+        assert sorted(path.name for path in traced.artifacts.values()) == [
+            "t.prom", "t.report.md", "t.trace.jsonl",
+        ]
+        for path in traced.artifacts.values():
+            assert path.stat().st_size > 0
+        title = (tmp_path / "t.report.md").read_text().splitlines()[0]
+        assert "pruneGDP on NYC (40 requests, 8 vehicles" in title
+        assert traced.simulation is not None and single.simulation is not None
+        assert traced.simulation.unified_cost == single.simulation.unified_cost
+        assert traced.simulation.service_rate == single.simulation.service_rate
+        assert traced.simulation.metrics.assigned_requests == (
+            single.simulation.metrics.assigned_requests
+        )
 
-    def test_package_getattr_warns_and_delegates(self):
-        with pytest.deprecated_call(match="run_traced_case"):
-            shim = repro.run_traced_case
-        assert callable(shim)
-        with pytest.deprecated_call(
-            match='run_grid\\(RunSpec.grid\\(mode="chaos"'
-        ):
-            repro.run_chaos_grid
+    def test_scenario_name_means_the_same_in_every_mode(self):
+        """One workload builder: a scenario name builds the surge-modulated
+        workload and its timeline outside the grid modes too."""
+        outcome = run(RunSpec(
+            mode="single", scenario="bridge_closure", backend="ch",
+            refresh_policy="eager", scale=0.03, algorithm="pruneGDP",
+        ))
+        assert outcome.simulation is not None
+        assert outcome.simulation.metrics.scenario_events > 0
+        assert outcome.simulation.metrics.oracle_rebuilds > 0
+
+    def test_traced_honours_a_built_workload(self, tmp_path):
+        workload = make_workload("nyc", scale=0.02, city_scale=0.35)
+        traced = run(RunSpec(
+            mode="traced", out_dir=tmp_path, workload=workload, algorithm="pruneGDP"
+        ))
+        assert traced.simulation is not None
+        assert traced.simulation.metrics.total_requests == len(workload.requests)
+
+
+class TestDeprecationShims:
+    """The shims are gone: one front door, no lazy aliases, no warnings."""
 
     def test_old_names_left_the_eager_namespace(self):
-        assert "run_traced_case" not in repro.__all__
+        launchers = sorted(name for name in dir(repro) if name.startswith("run"))
+        assert launchers == ["run", "run_grid"]
         assert "run" in repro.__all__ and "RunSpec" in repro.__all__
+        assert "__getattr__" not in vars(repro)
         with pytest.raises(AttributeError):
             repro.run_everything_everywhere
 
@@ -625,3 +671,18 @@ class TestDeprecationShims:
                 workload=make_workload("nyc", scale=0.02, city_scale=0.35),
                 algorithm="pruneGDP",
             ))
+
+
+def test_version_has_one_source():
+    """pyproject.toml reads ``repro.__version__`` instead of restating it
+    (the two literals had drifted to 0.1.0 and 1.0.0)."""
+    tomllib = pytest.importorskip("tomllib")  # stdlib from Python 3.11
+    config = tomllib.loads(
+        (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    )
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+        "attr": "repro.__version__"
+    }
+    assert repro.__version__.count(".") == 2
