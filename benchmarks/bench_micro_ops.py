@@ -100,29 +100,46 @@ def test_linear_insertion(benchmark, oracle, requests):
     benchmark(run)
 
 
-def _best_insertion_us(route, request, oracle, *, cold: bool) -> float:
-    """Best-of-5 microseconds per ``best_insertion`` call over 300 calls.
+def _best_insertion_cost(route, request, oracle, *, offer: str) -> tuple[float, float]:
+    """Best-of-5 ``(microseconds, oracle queries)`` per ``best_insertion``
+    call over 300 calls, by what the snapshot already knows:
 
-    ``cold`` asks a fresh copy of the snapshot every time, so each call also
-    prices the route; otherwise one snapshot answers all of them.
+    ``cold``  a fresh copy of the snapshot every time: price the route, then scan;
+    ``warm``  one priced snapshot, a request it has not seen (300 requests
+              that differ in their identifier only): scan;
+    ``again`` one snapshot, the request it has answered: look the outcome up.
     """
     best = float("inf")
     for _ in range(5):
-        routes = [replace(route) if cold else route for _ in range(300)]
+        routes = [replace(route) if offer == "cold" else route for _ in range(300)]
+        offered = [
+            replace(request, request_id=1000 + k) if offer == "warm" else request
+            for k in range(300)
+        ]
+        if offer != "cold":
+            route.profile(oracle)
+            route.outcomes(oracle).clear()
+        if offer == "again":
+            best_insertion(route, request, oracle)
+        asked = oracle.stats.queries
         start = time.perf_counter()
-        for snapshot in routes:
-            best_insertion(snapshot, request, oracle)
+        for snapshot, candidate in zip(routes, offered):
+            best_insertion(snapshot, candidate, oracle)
         best = min(best, (time.perf_counter() - start) / len(routes))
-    return best * 1e6
+        queries = (oracle.stats.queries - asked) / len(routes)
+    return best * 1e6, queries
 
 
 def test_best_insertion_by_route_length(city, oracle):
     """us per ``best_insertion`` call against 0 / 2 / 4 / 6 / 8 stops.
 
     The ``feasible`` request has time to spare at every position; the
-    ``late`` one is rejected at every position by its waiting limit.  A
-    dispatcher asks each snapshot about four times per batch, so the truth
-    lies between the cold and the warm column.
+    ``late`` one is rejected at every position by its waiting limit.  The
+    second table puts a first offer to a priced plan (``warm``) next to the
+    same request offered again to the unchanged snapshot, which is what a
+    pending request is to a driving vehicle on every later tick: one look-up
+    and no oracle query.  A route without stops keeps no outcomes -- its
+    insertion *is* two look-ups -- so its two rows read the same.
     """
     rng = random.Random(9)
     nodes = list(city.nodes())
@@ -139,11 +156,11 @@ def test_best_insertion_by_route_length(city, oracle):
     feasible = request(100)
     late = replace(feasible, request_id=101, max_wait=0.0)
     columns = [
-        (f"{name}_{'cold' if cold else 'warm'}_us", candidate, cold)
+        (f"{name}_{offer}_us", candidate, offer)
         for name, candidate in (("feasible", feasible), ("late", late))
-        for cold in (True, False)
+        for offer in ("cold", "warm")
     ]
-    rows = []
+    rows, offers = [], []
     for stops in (0, 2, 4, 6, 8):
         while len(route.schedule) < stops:
             member = request(len(route.schedule))
@@ -151,9 +168,15 @@ def test_best_insertion_by_route_length(city, oracle):
         assert best_insertion(route, feasible, oracle).feasible
         assert not best_insertion(route, late, oracle).feasible
         rows.append({"stops": stops} | {
-            key: _best_insertion_us(route, candidate, oracle, cold=cold)
-            for key, candidate, cold in columns
+            key: _best_insertion_cost(route, candidate, oracle, offer=offer)[0]
+            for key, candidate, offer in columns
         })
+        if stops in (0, 2, 6):
+            for name, candidate in (("feasible", feasible), ("late", late)):
+                for label, offer in (("first offer", "warm"), ("re-offer", "again")):
+                    us, queries = _best_insertion_cost(route, candidate, oracle, offer=offer)
+                    offers.append({"stops": stops, "request": name, "offer": label,
+                                   "us": us, "oracle_queries": queries})
     lines = [
         "best_insertion, us per call by route length (best of 5 x 300 calls)",
         "stops " + " ".join(f"{key:>16}" for key, _, _ in columns),
@@ -161,11 +184,25 @@ def test_best_insertion_by_route_length(city, oracle):
             f"{row['stops']:>5} " + " ".join(f"{row[key]:>16.2f}" for key, _, _ in columns)
             for row in rows
         ),
+        "",
+        "first offer to a priced plan vs re-offer on the unchanged snapshot, per call",
+        f"stops {'request':>9} {'offer':>12} {'us':>8} {'oracle queries':>15}",
+        *(
+            f"{row['stops']:>5} {row['request']:>9} {row['offer']:>12} "
+            f"{row['us']:>8.2f} {row['oracle_queries']:>15.2f}"
+            for row in offers
+        ),
     ]
     save_text("micro_best_insertion", "\n".join(lines))
-    save_json("micro_best_insertion", {"benchmark": "micro_best_insertion", "rows": rows})
+    save_json("micro_best_insertion",
+              {"benchmark": "micro_best_insertion", "rows": rows, "offers": offers})
     # Linear, not cubic: eight stops may not cost a late pick-up 20x an idle car.
     assert rows[-1]["late_warm_us"] < 20 * rows[0]["late_warm_us"]
+    for first, again in zip(offers[::2], offers[1::2]):
+        if first["stops"]:
+            assert again["oracle_queries"] == 0 < first["oracle_queries"]
+        else:
+            assert again["oracle_queries"] == first["oracle_queries"]
 
 
 def test_pairwise_shareability(benchmark, oracle, requests, config):

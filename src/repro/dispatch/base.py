@@ -10,7 +10,7 @@ from ..config import SimulationConfig
 from ..model.batch import Batch
 from ..model.request import Request
 from ..model.schedule import Schedule
-from ..model.vehicle import Vehicle
+from ..model.vehicle import RouteState, Vehicle
 from ..network.grid_index import GridIndex
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
@@ -23,7 +23,8 @@ class DispatchContext:
     ``pending`` contains every unassigned, unexpired request known to the
     platform, including the requests of the current ``batch``.  Dispatchers
     must not mutate the vehicles; they return assignments and the simulator
-    applies them.
+    applies them.  They plan on :meth:`working_routes`, which snapshots the
+    vehicles a candidate query actually names rather than the fleet.
     """
 
     current_time: float
@@ -37,6 +38,10 @@ class DispatchContext:
     #: Mean driving speed in m/s, used to convert time slack to search radii.
     average_speed: float = 10.0
 
+    def working_routes(self) -> WorkingRoutes:
+        """The routes one dispatch call plans on, snapshotted on first use."""
+        return WorkingRoutes(self)
+
     @cached_property
     def vehicles_by_id(self) -> dict[int, Vehicle]:
         """The fleet keyed by vehicle identifier (built on first use)."""
@@ -48,6 +53,25 @@ class DispatchContext:
             return self.vehicles_by_id[vehicle_id]
         except KeyError:
             raise KeyError(f"unknown vehicle {vehicle_id}") from None
+
+
+class WorkingRoutes(dict[int, RouteState]):
+    """The routes one dispatch call plans on, by vehicle identifier.
+
+    An entry starts as the vehicle's planning snapshot at the context's
+    time, taken when the dispatcher first asks for it; a dispatcher that
+    extends a route overwrites the entry, so insertions within a batch
+    compound.
+    """
+
+    def __init__(self, context: DispatchContext) -> None:
+        super().__init__()
+        self._fleet = context.vehicles_by_id
+        self._now = context.current_time
+
+    def __missing__(self, vehicle_id: int) -> RouteState:
+        route = self[vehicle_id] = self._fleet[vehicle_id].route_state(self._now)
+        return route
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,6 @@ from dataclasses import replace
 
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState
 from ..network.grid_index import GridIndex
 from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
 
@@ -92,10 +91,7 @@ class DARMDispatcher(Dispatcher):
             )
 
     def _match(self, context: DispatchContext) -> DispatchResult:
-        routes: dict[int, RouteState] = {
-            vehicle.vehicle_id: vehicle.route_state(context.current_time)
-            for vehicle in context.vehicles
-        }
+        routes = context.working_routes()
         accepted: dict[int, list[Request]] = {}
         rejected: list[Request] = []
         for request in sorted(context.pending, key=lambda r: (r.release_time, r.request_id)):
@@ -164,9 +160,7 @@ class DARMDispatcher(Dispatcher):
             travel = context.oracle.cost(vehicle.location, target_node)
             if travel <= 0 or travel == float("inf"):
                 continue
-            vehicle.total_travel_time += travel
-            vehicle._clock = max(vehicle._clock, context.current_time) + travel
-            vehicle.location = target_node
+            vehicle.reposition(target_node, travel, context.current_time)
             index.move(vehicle.vehicle_id, *context.network.position(target_node))
             self.repositioned += 1
             self.reposition_cost += travel

@@ -92,10 +92,7 @@ class GASDispatcher(Dispatcher):
             # RV-style pruning: each vehicle enumerates only the requests whose
             # pick-up it can plausibly reach before the waiting deadline.
             reachable = requests_by_vehicle(context, list(pending_by_id.values()))
-            routes = {
-                vehicle.vehicle_id: vehicle.route_state(context.current_time)
-                for vehicle in vehicles
-            }
+            routes = context.working_routes()
             accepted: dict[int, list] = {}
             # GAS keeps scanning its additive index greedily until no vehicle
             # can take another profitable group, so several passes over the

@@ -13,7 +13,6 @@ from dataclasses import replace
 
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState
 from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
 
 
@@ -34,22 +33,19 @@ class PruneGDPDispatcher(Dispatcher):
     ) -> None:
         self._max_candidates = max_candidates
         self._reject_unassigned = reject_unassigned
-        self._planned: dict[int, RouteState] = {}
+        self._fleet_size = 0
 
     def reset(self) -> None:
-        self._planned = {}
+        self._fleet_size = 0
 
     def estimated_memory_bytes(self) -> int:
         # Online methods keep almost nothing between requests.
-        return 100 * len(self._planned)
+        return 100 * self._fleet_size
 
     def dispatch(self, context: DispatchContext) -> DispatchResult:
         # Working copies of each vehicle's route; insertions within the batch
         # compound on these so a vehicle can pick up several new requests.
-        routes: dict[int, RouteState] = {
-            vehicle.vehicle_id: vehicle.route_state(context.current_time)
-            for vehicle in context.vehicles
-        }
+        routes = context.working_routes()
         accepted: dict[int, list[Request]] = {}
         rejected: list[Request] = []
         for request in sorted(context.pending, key=lambda r: (r.release_time, r.request_id)):
@@ -71,7 +67,7 @@ class PruneGDPDispatcher(Dispatcher):
                 continue
             routes[best_vehicle_id] = replace(routes[best_vehicle_id], schedule=best_outcome.schedule)
             accepted.setdefault(best_vehicle_id, []).append(request)
-        self._planned = routes
+        self._fleet_size = len(context.vehicles)
         assignments = [
             Assignment(
                 vehicle_id=vehicle_id,

@@ -86,8 +86,9 @@ class RTVDispatcher(Dispatcher):
         # plausibly reach before the waiting deadline.
         reachable = requests_by_vehicle(context, list(pending_by_id.values()))
         candidates: list[tuple[int, RequestGroup]] = []
+        routes = context.working_routes()
         for vehicle in context.vehicles:
-            route = vehicle.route_state(context.current_time)
+            route = routes[vehicle.vehicle_id]
             if route.free_seats <= 0:
                 continue
             pool = reachable.get(vehicle.vehicle_id, [])

@@ -18,6 +18,7 @@ SARD is the paper's contribution.  Per batch it:
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,7 +27,6 @@ from ..grouping.additive_tree import GroupingStatistics, build_groups
 from ..grouping.group import RequestGroup
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState, Vehicle
 from ..observability.trace import get_tracer
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
@@ -38,8 +38,6 @@ from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candi
 class _VehicleState:
     """Per-batch working state of one vehicle during proposal/acceptance."""
 
-    vehicle: Vehicle
-    route: RouteState
     #: Requests that proposed to this vehicle in the current round.
     proposals: dict[int, Request] = field(default_factory=dict)
     #: Requests currently accepted by this vehicle (``w_x.ac`` in the paper).
@@ -161,12 +159,8 @@ class SARDDispatcher(Dispatcher):
             pending=len(context.pending),
             vehicles=len(context.vehicles),
         ):
-            states = {
-                vehicle.vehicle_id: _VehicleState(
-                    vehicle=vehicle, route=vehicle.route_state(context.current_time)
-                )
-                for vehicle in context.vehicles
-            }
+            oracle = context.oracle
+            routes = context.working_routes()
             sign = -1.0 if self._propose_worst_first else 1.0
             queues: dict[int, list[tuple[float, int]]] = {}
             assigned_to: dict[int, int] = {}
@@ -175,19 +169,20 @@ class SARDDispatcher(Dispatcher):
                 candidates = candidate_vehicles(
                     request, context, max_candidates=self._max_candidates
                 )
-                if candidates:
-                    # Batch the pick-up legs of every candidate's insertion
-                    # test (vehicle position -> request source) into one
-                    # oracle call: a reverse multi-source search for the graph
-                    # backends, a bucket join for hub labels.  ``prefetch``
-                    # leaves the logical query counters untouched.
-                    context.oracle.prefetch(
-                        [states[v.vehicle_id].route.origin for v in candidates],
-                        (request.source,),
-                    )
-                for vehicle in candidates:
-                    state = states[vehicle.vehicle_id]
-                    outcome = best_insertion(state.route, request, context.oracle)
+                offered = [routes[vehicle.vehicle_id] for vehicle in candidates]
+                # Batch the pick-up legs of the insertion tests still to be
+                # computed (vehicle position -> request source) into one
+                # oracle call: a reverse multi-source search for the graph
+                # backends, a bucket join for hub labels.  ``prefetch``
+                # leaves the logical query counters untouched.
+                unanswered = [
+                    route.origin for route in offered
+                    if request not in route.outcomes(oracle)
+                ]
+                if unanswered:
+                    oracle.prefetch(unanswered, (request.source,))
+                for vehicle, route in zip(candidates, offered):
+                    outcome = best_insertion(route, request, oracle)
                     if not outcome.feasible:
                         continue
                     heapq.heappush(
@@ -201,6 +196,7 @@ class SARDDispatcher(Dispatcher):
         # a few extra rounds, hence the slack.
         with tracer.span("sard.rounds") as rounds_span:
             rounds_before = self.rounds_executed
+            states: defaultdict[int, _VehicleState] = defaultdict(_VehicleState)
             batch_group_count = 0
             max_rounds = (self._max_candidates or len(context.vehicles)) * 2 + 10
             for _ in range(max_rounds):
@@ -220,17 +216,9 @@ class SARDDispatcher(Dispatcher):
                 # arrivals.
                 touched: set[int] = set()
                 for rid in proposing:
-                    queue = queues[rid]
-                    while queue:
-                        _, vehicle_id = heapq.heappop(queue)
-                        state = states.get(vehicle_id)
-                        if state is None:
-                            continue
-                        state.proposals[rid] = pending_by_id[rid]
-                        touched.add(vehicle_id)
-                        break
-                if not touched:
-                    break
+                    _, vehicle_id = heapq.heappop(queues[rid])
+                    states[vehicle_id].proposals[rid] = pending_by_id[rid]
+                    touched.add(vehicle_id)
                 # Acceptance phase: every vehicle with new proposals
                 # re-selects its best group among its accumulated pool plus
                 # what it already accepted.  Requests currently held by
@@ -247,7 +235,7 @@ class SARDDispatcher(Dispatcher):
                     groups = build_groups(
                         list(pool.values()),
                         graph,
-                        state.route,
+                        routes[vehicle_id],
                         context.oracle,
                         max_group_size=config.group_size_limit,
                         stats=self.grouping_stats,
@@ -275,12 +263,13 @@ class SARDDispatcher(Dispatcher):
         # -------------------- materialise assignments ------------------- #
         with tracer.span("sard.materialize") as materialize_span:
             assignments: list[Assignment] = []
-            for state in states.values():
-                if state.accepted_group is None or not state.accepted:
+            for vehicle in context.vehicles:
+                state = states.get(vehicle.vehicle_id)
+                if state is None or state.accepted_group is None or not state.accepted:
                     continue
                 assignments.append(
                     Assignment(
-                        vehicle_id=state.vehicle.vehicle_id,
+                        vehicle_id=vehicle.vehicle_id,
                         schedule=state.accepted_group.schedule,
                         new_requests=tuple(state.accepted.values()),
                     )

@@ -17,7 +17,6 @@ from dataclasses import replace
 
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState
 from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
 
 
@@ -48,10 +47,7 @@ class TicketAssignDispatcher(Dispatcher):
         return 150 * self.contention_retries + 2000
 
     def dispatch(self, context: DispatchContext) -> DispatchResult:
-        routes: dict[int, RouteState] = {
-            vehicle.vehicle_id: vehicle.route_state(context.current_time)
-            for vehicle in context.vehicles
-        }
+        routes = context.working_routes()
         accepted: dict[int, list[Request]] = {}
         remaining: dict[int, Request] = {
             request.request_id: request for request in context.pending

@@ -67,6 +67,9 @@ def best_insertion(
     within the profile's margin of the slack walks the tail exactly.  All
     clocks and cost sums run in ``Schedule.evaluate``'s order, so the
     outcome equals evaluating every extended schedule from scratch.
+
+    The outcome is kept on the snapshot (:meth:`RouteState.outcomes`): a
+    request offered again to an unchanged plan is answered from there.
     """
     schedule = route.schedule
     cost = oracle.cost
@@ -90,6 +93,10 @@ def best_insertion(
             return InsertionOutcome.infeasible(schedule)
         return InsertionOutcome(True, total, Schedule.direct(request), 0, 1, total)
 
+    outcomes = route.outcomes(oracle)
+    outcome = outcomes.get(request)
+    if outcome is not None:
+        return outcome
     (
         legs, releases, due, node_at, clock_at, load_at, travel_at,
         open_until, safe_by, late_after, request_ids,
@@ -146,15 +153,18 @@ def best_insertion(
             travel += leg
             here = node_at[d + 1]
     if best_pickup < 0:
-        return InsertionOutcome.infeasible(schedule)
-    return InsertionOutcome(
-        True,
-        best_delta,
-        schedule.with_insertion(request, best_pickup, best_dropoff),
-        best_pickup,
-        best_dropoff,
-        best_total,
-    )
+        outcome = InsertionOutcome.infeasible(schedule)
+    else:
+        outcome = InsertionOutcome(
+            True,
+            best_delta,
+            schedule.with_insertion(request, best_pickup, best_dropoff),
+            best_pickup,
+            best_dropoff,
+            best_total,
+        )
+    outcomes[request] = outcome
+    return outcome
 
 
 def _tail_on_time(

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..exceptions import ScheduleError
 from ..network.shortest_path import DistanceOracle
 from .request import Request
 from .schedule import Schedule, WaypointKind
+
+if TYPE_CHECKING:
+    from ..insertion.linear_insertion import InsertionOutcome
 
 #: Slack comparisons closer than this to a deadline are re-simulated exactly.
 _SLACK_MARGIN = 1e-6
@@ -146,27 +149,44 @@ class RouteState:
     capacity: int
     onboard: int
     min_insert_position: int = 0
-    #: The oracle :meth:`profile` last priced the route with, and the result.
-    _priced: tuple[DistanceOracle, RouteProfile] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: What has been derived from this snapshot so far: ``[oracle,
+    #: oracle.generation, profile or None, insertion outcome per request]``.
+    _derived: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def free_seats(self) -> int:
         """Seats not occupied by onboard riders."""
         return self.capacity - self.onboard
 
-    def profile(self, oracle: DistanceOracle) -> RouteProfile:
-        """The route priced with ``oracle``, computed once per snapshot.
+    def _derived_with(self, oracle: DistanceOracle) -> list:
+        derived = self._derived
+        if derived is None or derived[0] is not oracle or derived[1] != oracle.generation:
+            derived = [oracle, oracle.generation, None, {}]
+            object.__setattr__(self, "_derived", derived)
+        return derived
 
-        The cache assumes ``oracle`` answers the same while the snapshot is
-        in use -- one dispatch call; snapshots are not kept across batches.
+    def profile(self, oracle: DistanceOracle) -> RouteProfile:
+        """The route priced with ``oracle``, computed once per plan.
+
+        A driving vehicle hands out the same snapshot until its plan changes
+        (see :meth:`Vehicle.route_state`), so the profile and the
+        :meth:`outcomes` table outlive the batch.  Both are valid while the
+        snapshot's fields describe the vehicle, ``oracle`` is the same
+        object and its ``generation`` is unchanged; anything else starts
+        them over.
         """
-        priced = self._priced
-        if priced is None or priced[0] is not oracle:
-            priced = (oracle, _price_route(self, oracle))
-            object.__setattr__(self, "_priced", priced)
-        return priced[1]
+        derived = self._derived_with(oracle)
+        if derived[2] is None:
+            derived[2] = _price_route(self, oracle)
+        return derived[2]
+
+    def outcomes(self, oracle: DistanceOracle) -> dict[Request, InsertionOutcome]:
+        """Insertions already answered on this snapshot with ``oracle``.
+
+        Filled by :func:`~repro.insertion.linear_insertion.best_insertion`;
+        valid exactly as long as :meth:`profile`.
+        """
+        return self._derived_with(oracle)[3]
 
 
 @dataclass
@@ -200,23 +220,44 @@ class Vehicle:
     _leg_arrival: float | None = None
     #: Travel time of the leg currently being driven.
     _pending_leg_cost: float = 0.0
+    #: The snapshot last handed out while driving (see :meth:`route_state`).
+    _snapshot: RouteState | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------ #
     # planning interface
     # ------------------------------------------------------------------ #
     def route_state(self, current_time: float) -> RouteState:
-        """Return the planning snapshot of this vehicle at ``current_time``."""
+        """Return the planning snapshot of this vehicle at ``current_time``.
+
+        A driving vehicle's snapshot does not depend on ``current_time``, so
+        the one handed out last is handed out again while its fields still
+        describe the vehicle -- and with it what was derived from it.  An
+        idle vehicle departs at ``current_time`` and gets a new one per call.
+        """
         if self.schedule and self._leg_arrival is not None:
             # Driving: the first remaining way-point is committed.
-            return RouteState(
-                vehicle_id=self.vehicle_id,
-                origin=self.location,
-                departure_time=self._clock,
-                schedule=self.schedule,
-                capacity=self.capacity,
-                onboard=self.onboard,
-                min_insert_position=1,
-            )
+            snapshot = self._snapshot
+            if (
+                snapshot is None
+                or snapshot.schedule is not self.schedule
+                or snapshot.departure_time != self._clock
+                or snapshot.origin != self.location
+                or snapshot.onboard != self.onboard
+                or snapshot.capacity != self.capacity
+            ):
+                snapshot = self._snapshot = RouteState(
+                    vehicle_id=self.vehicle_id,
+                    origin=self.location,
+                    departure_time=self._clock,
+                    schedule=self.schedule,
+                    capacity=self.capacity,
+                    onboard=self.onboard,
+                    min_insert_position=1,
+                )
+            return snapshot
+        self._snapshot = None
         return RouteState(
             vehicle_id=self.vehicle_id,
             origin=self.location,
@@ -285,6 +326,20 @@ class Vehicle:
     # ------------------------------------------------------------------ #
     # movement
     # ------------------------------------------------------------------ #
+    def reposition(self, node: int, travel_time: float, now: float) -> None:
+        """Relocate an idle vehicle: ready at ``node`` ``travel_time`` after ``now``.
+
+        The move is committed whole and charged to the odometer, so the
+        vehicle cannot serve anyone before it (virtually) arrives.
+        """
+        if self.schedule:
+            raise ScheduleError(
+                f"vehicle {self.vehicle_id}: only an idle vehicle can be repositioned"
+            )
+        self.total_travel_time += travel_time
+        self._clock = max(self._clock, now) + travel_time
+        self.location = node
+
     def advance_to(self, time: float, oracle: DistanceOracle) -> list[tuple[Request, float]]:
         """Drive along the schedule until ``time``; return completed requests.
 

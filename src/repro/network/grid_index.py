@@ -14,7 +14,7 @@ The same structure backs two different uses in this reproduction:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from ..exceptions import NetworkError
 from .road_network import RoadNetwork
@@ -117,9 +117,10 @@ class GridIndex:
             raise NetworkError("radius must be non-negative")
         results = []
         radius_sq = radius * radius
-        for cell in self._cells_overlapping(x, y, radius):
-            for key in self._cells.get(cell, ()):
-                px, py = self._positions[key]
+        positions = self._positions
+        for members in self._cells_overlapping(x, y, radius):
+            for key in members:
+                px, py = positions[key]
                 if (px - x) ** 2 + (py - y) ** 2 <= radius_sq:
                     results.append(key)
         return results
@@ -191,11 +192,23 @@ class GridIndex:
         cy = min(max(cy, 0), self._cells_per_axis - 1)
         return cx, cy
 
-    def _cells_overlapping(
-        self, x: float, y: float, radius: float
-    ) -> Iterable[tuple[int, int]]:
-        lo = self._cell_of(x - radius, y - radius)
-        hi = self._cell_of(x + radius, y + radius)
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                yield cx, cy
+    def _cells_overlapping(self, x: float, y: float, radius: float) -> list[set]:
+        """Occupied cells the query box overlaps, column by column."""
+        cells = self._cells
+        lo_x, lo_y = self._cell_of(x - radius, y - radius)
+        hi_x, hi_y = self._cell_of(x + radius, y + radius)
+        if (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(cells):
+            # A box of mostly empty cells: pick the occupied ones out instead.
+            # Sorted (cx, cy) is the order of the nested ranges below, and
+            # callers truncate and tie-break on the order of the result.
+            inside = sorted(
+                cell for cell in cells
+                if lo_x <= cell[0] <= hi_x and lo_y <= cell[1] <= hi_y
+            )
+            return [cells[cell] for cell in inside]
+        return [
+            cells[cx, cy]
+            for cx in range(lo_x, hi_x + 1)
+            for cy in range(lo_y, hi_y + 1)
+            if (cx, cy) in cells
+        ]

@@ -158,6 +158,11 @@ class DistanceOracle:
         self._network = network
         self._cache_size = cache_size
         self._cache: OrderedDict[tuple[int, int], float] = OrderedDict()
+        #: Changes exactly where an answer already returned may stop being
+        #: the answer (new routing structures, fallback switch, a flushed
+        #: cache, injected corruption): whoever keeps results derived from
+        #: queries compares it instead of registering for invalidation.
+        self.generation = 0
         self.stats = QueryStatistics()
         self._requested_backend = backend
         self._num_landmarks = num_landmarks
@@ -339,7 +344,7 @@ class DistanceOracle:
             num_landmarks=self._num_landmarks,
             seed=self._seed,
         )
-        self._cache.clear()
+        self.clear_cache()
         self._fallback = None
         self._fallback_data = None
         self._data = data
@@ -366,7 +371,7 @@ class DistanceOracle:
         )
         if self._fallback is not None and self._fallback_data is data:
             return
-        self._cache.clear()
+        self.clear_cache()
         self._fallback_data = data
         self._fallback = GraphSearchBackend(data)
 
@@ -522,8 +527,9 @@ class DistanceOracle:
         return total
 
     def clear_cache(self) -> None:
-        """Drop every cached distance."""
+        """Drop every cached distance and start a new :attr:`generation`."""
         self._cache.clear()
+        self.generation += 1
 
     @property
     def cache_len(self) -> int:

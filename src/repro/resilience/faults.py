@@ -129,7 +129,12 @@ class ChaosOracle(DistanceOracle):
 
     def heal(self) -> None:
         """Clear injected corruption (the self-healing rung calls this)."""
-        self._corruption = None
+        self._set_corruption(None)
+
+    def _set_corruption(self, scale: float | None) -> None:
+        if scale != self._corruption:
+            self._corruption = scale
+            self.generation += 1
 
     # ------------------------------------------------------------------ #
     # refresh seams
@@ -140,7 +145,7 @@ class ChaosOracle(DistanceOracle):
             raise InjectedFaultError("injected fault: backend rebuild crashed")
         seconds = super().rebuild()
         if injector.corrupt_refresh():
-            self._corruption = injector.config.corruption_factor
+            self._set_corruption(injector.config.corruption_factor)
         return seconds
 
     def repair(
@@ -156,7 +161,7 @@ class ChaosOracle(DistanceOracle):
             mutated_edges, max_affected_fraction=max_affected_fraction
         )
         if report.mode != "noop" and injector.corrupt_refresh():
-            self._corruption = injector.config.corruption_factor
+            self._set_corruption(injector.config.corruption_factor)
         return report
 
     # ------------------------------------------------------------------ #

@@ -76,6 +76,30 @@ class TestCandidateVehicles:
         assert context.vehicles_by_id == {v.vehicle_id: v for v in vehicles}
         assert context.vehicles_by_id is context.vehicles_by_id
 
+    def test_snapshots_are_taken_for_the_vehicles_asked_about(
+        self, make_request, make_context, monkeypatch
+    ):
+        vehicles = [Vehicle(vehicle_id=i, location=5 * i) for i in range(6)]
+        request = make_request(1, 0, 4, release_time=5.0, max_wait=20.0)
+        context = make_context(vehicles, [request], current_time=5.0)
+        taken: list[int] = []
+        route_state = Vehicle.route_state
+        monkeypatch.setattr(
+            Vehicle, "route_state",
+            lambda vehicle, now: taken.append(vehicle.vehicle_id) or route_state(vehicle, now),
+        )
+        make_dispatcher("pruneGDP").dispatch(context)
+        reachable = [v.vehicle_id for v in candidate_vehicles(request, context)]
+        assert 0 < len(reachable) < len(vehicles)
+        assert taken == reachable
+        # One snapshot per vehicle and dispatch call, at the context's time.
+        routes = context.working_routes()
+        assert routes[0] is routes[0]
+        assert routes[0].departure_time == 5.0
+        assert taken == [*reachable, 0]
+        with pytest.raises(KeyError):
+            routes[99]
+
     def test_requests_by_vehicle_is_inverse_mapping(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=35)]
         requests = [make_request(1, 0, 4, release_time=5.0),

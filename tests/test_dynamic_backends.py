@@ -12,12 +12,20 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.config import ChaosConfig
 from repro.exceptions import UnreachableError
+from repro.insertion.linear_insertion import best_insertion
+from repro.model.request import Request
+from repro.model.schedule import Schedule
+from repro.model.vehicle import RouteState
 from repro.network.generators import grid_city
+from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.resilience.faults import ChaosOracle, FaultInjector
 
 ALL_BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
 
@@ -333,3 +341,99 @@ class TestIncrementalRepair:
         network.add_node(u, x, y)
         assert network.edge_mutations_since(mark) is None
         assert network.edge_mutations_since(network.mutation_count) == []
+
+
+class TestGeneration:
+    """``DistanceOracle.generation`` changes exactly where an answer already
+    given may stop being the answer -- the stamp plan snapshots compare."""
+
+    @staticmethod
+    def _slow_one_edge(network):
+        u, v, cost = next(iter(network.edges()))
+        network.add_edge(u, v, cost * 2.0)
+
+    def test_rebuild_and_clear_cache_start_a_new_generation(self):
+        oracle = DistanceOracle(_city(seed=21))
+        first = oracle.generation
+        oracle.rebuild()
+        second = oracle.generation
+        oracle.clear_cache()
+        assert len({first, second, oracle.generation}) == 3
+
+    def test_repair_starts_one_unless_it_is_a_noop(self):
+        network = _city(seed=22)
+        oracle = DistanceOracle(network, backend="ch")
+        oracle.cost(0, 5)
+        before = oracle.generation
+        assert oracle.repair().mode == "noop"
+        assert oracle.generation == before
+        self._slow_one_edge(network)
+        assert oracle.repair().mode == "repaired"
+        repaired = oracle.generation
+        assert repaired != before
+        # Reverting the edge swaps the remembered routing state back in.
+        u, v, cost = next(iter(network.edges()))
+        network.add_edge(u, v, cost / 2.0)
+        assert oracle.repair().mode == "snapshot"
+        assert oracle.generation not in (before, repaired)
+
+    def test_fallback_starts_one_when_it_switches(self):
+        network = _city(seed=23)
+        oracle = DistanceOracle(network, backend="ch")
+        before = oracle.generation
+        self._slow_one_edge(network)
+        assert oracle.generation == before  # a stale oracle still answers as it did
+        oracle.enable_fallback()
+        switched = oracle.generation
+        assert switched != before
+        oracle.enable_fallback()  # already serving this network
+        assert oracle.generation == switched
+
+    def test_lru_eviction_does_not(self):
+        network = _city(seed=24)
+        oracle = DistanceOracle(network, cache_size=4, backend="ch")
+        before = oracle.generation
+        answers = {(0, node): oracle.cost(0, node) for node in range(1, 30)}
+        assert oracle.cache_len == 4
+        assert oracle.generation == before
+        assert all(oracle.cost(*pair) == cost for pair, cost in answers.items())
+
+    def test_chaos_corruption_and_heal_each_start_one(self):
+        network = _city(seed=25)
+        oracle = ChaosOracle(
+            network, injector=FaultInjector(ChaosConfig(corruption_rate=1.0))
+        )
+        healthy = oracle.cost(0, 5)
+        before = oracle.generation
+        oracle.heal()  # nothing to heal: same answers, same generation
+        assert oracle.generation == before
+        oracle.rebuild()
+        assert oracle.corrupted and oracle.cost(0, 5) != healthy
+        corrupted = oracle.generation
+        oracle.heal()
+        assert oracle.cost(0, 5) == healthy
+        assert len({before, corrupted, oracle.generation}) == 3
+
+    def test_snapshot_priced_before_a_closure_is_priced_again_after_rebuild(self):
+        """The regression behind the oracle stamp: a kept outcome must not
+        survive the rebuild that makes one of the route's stops unreachable."""
+        one_way = RoadNetwork()
+        for node in range(5):
+            one_way.add_node(node, node * 100.0, 0.0)
+        for node in range(4):
+            one_way.add_edge(node, node + 1, 10.0)
+        oracle = DistanceOracle(one_way)
+        rider = Request(release_time=0.0, request_id=1, source=2, destination=4)
+        route = RouteState(vehicle_id=0, origin=0, departure_time=0.0,
+                           schedule=Schedule.direct(rider), capacity=3, onboard=0)
+        newcomer = Request(release_time=0.0, request_id=2, source=1, destination=3)
+        before = best_insertion(route, newcomer, oracle)
+        assert before.feasible and route.profile(oracle).open_until == 2
+        one_way.remove_edge(1, 2)
+        # Stale structures keep answering as they did, and so does the snapshot.
+        assert best_insertion(route, newcomer, oracle) is before
+        oracle.rebuild()
+        assert route.profile(oracle).open_until == 0
+        after = best_insertion(route, newcomer, oracle)
+        assert not after.feasible
+        assert after == best_insertion(replace(route), newcomer, oracle)

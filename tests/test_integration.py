@@ -6,6 +6,8 @@ import pytest
 
 from repro import Simulator, make_dispatcher, make_workload
 from repro.dispatch.sard import SARDDispatcher
+from repro.experiments.harness import RunSpec, run
+from repro.model.vehicle import RouteState, Vehicle
 
 
 @pytest.fixture(scope="module")
@@ -106,3 +108,32 @@ class TestFullPipeline:
         )
         result = _simulate(workload, make_dispatcher("SARD"))
         assert result.service_rate >= 0.5
+
+
+class TestPlanSnapshotReuseIsInvisible:
+    """Keeping a vehicle's snapshot, profile and insertion outcomes across
+    ticks is an optimisation: a run that never keeps any is event-for-event
+    the same, through rush-hour rebuilds included."""
+
+    @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP"])
+    def test_event_stream_equals_a_run_without_reuse(self, algorithm, monkeypatch):
+        spec = RunSpec(
+            mode="service", preset="nyc", scale=0.1, scenario="rush_hour",
+            algorithm=algorithm,
+        )
+        kept = run(spec).simulation
+        assert kept.metrics.oracle_rebuilds > 0
+
+        route_state = Vehicle.route_state
+
+        def always_fresh(vehicle, current_time):
+            vehicle._snapshot = None
+            return route_state(vehicle, current_time)
+
+        monkeypatch.setattr(Vehicle, "route_state", always_fresh)
+        monkeypatch.setattr(RouteState, "outcomes", lambda route, oracle: {})
+        fresh = run(spec).simulation
+        assert fresh.events.events == kept.events.events
+        assert fresh.unified_cost == kept.unified_cost
+        # ... and the kept run did answer from its snapshots.
+        assert kept.metrics.shortest_path_queries < fresh.metrics.shortest_path_queries

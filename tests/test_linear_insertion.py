@@ -119,6 +119,10 @@ class _CountingOracle:
         self._oracle = oracle
         self.calls = 0
 
+    @property
+    def generation(self) -> int:
+        return self._oracle.generation
+
     def cost(self, source: int, target: int) -> float:
         self.calls += 1
         return self._oracle.cost(source, target)
@@ -152,11 +156,16 @@ class TestKernelWork:
         request = make_request(1, 6, 8, release_time=0.0, max_wait=10.0)
         assert not best_insertion(route, request, counting).feasible
         assert counting.calls <= 2 * stops + 2
-        # The route is priced once per snapshot: asking again only costs the
-        # pick-up leg of every position.
+        # The route is priced once per snapshot: another request only costs
+        # the pick-up leg of every position, the same one again nothing
+        # (an idle route keeps no outcomes: it is two look-ups either way).
+        counting.calls = 0
+        other = replace(request, request_id=2)
+        assert not best_insertion(route, other, counting).feasible
+        assert counting.calls <= stops + 1
         counting.calls = 0
         assert not best_insertion(route, request, counting).feasible
-        assert counting.calls <= stops + 1
+        assert counting.calls == (0 if stops else 1)
 
     def test_profile_is_not_reused_under_another_oracle(self, make_request, grid_network, oracle):
         slow_city = grid_city(6, 6, block_length=100.0, speed=2.0, perturbation=0.0, seed=1)

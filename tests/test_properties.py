@@ -6,17 +6,19 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+from repro.config import ChaosConfig
 from repro.insertion.linear_insertion import InsertionOutcome, best_insertion
 from repro.insertion.pair_schedules import best_pair_schedule, pair_orderings
 from repro.model.request import Request
 from repro.model.schedule import Schedule
-from repro.model.vehicle import RouteState
+from repro.model.vehicle import RouteState, Vehicle
 from repro.network.generators import grid_city
 from repro.network.grid_index import GridIndex
 from repro.network.shortest_path import DistanceOracle
+from repro.resilience.faults import ChaosOracle, FaultInjector
 from repro.shareability.cliques import clique_partition_upper_bound, greedy_clique_partition
 from repro.shareability.graph import ShareabilityGraph
 from repro.shareability.loss import residual_shareability_loss, shareability_loss
@@ -162,6 +164,8 @@ class _TableOracle:
     inequality, and a share of unreachable ordered pairs."""
 
     nodes = tuple(range(12))
+    #: The table never changes, so neither does what was derived from it.
+    generation = 0
 
     def __init__(self, seed: int) -> None:
         rng = random.Random(seed)
@@ -283,6 +287,110 @@ class TestInsertionKernelEqualsBruteForce:
         assert best_insertion(route, newcomer, _ORACLE) == InsertionOutcome.infeasible(backwards)
 
 
+# --------------------------------------------------------------------------- #
+# Differential test: a vehicle's reused plan snapshot against a fresh one.
+# --------------------------------------------------------------------------- #
+_PLAN_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from([
+            "advance", "advance", "advance", "assign", "assign", "reposition",
+            "refit", "rebuild", "fallback", "clear_cache", "heal", "offer", "offer",
+        ]),
+        st.integers(min_value=0, max_value=7),
+        st.sampled_from([1.0, 4.0, 15.0, 60.0]),
+    ),
+    min_size=4, max_size=40,
+)
+
+
+class TestPlanSnapshotsEqualFreshOnes:
+    @given(operations=_PLAN_OPERATIONS, capacity=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_best_insertion_on_the_vehicles_snapshot(self, operations, capacity):
+        """Whatever happened to the vehicle and the oracle in between, asking
+        the snapshot ``route_state`` hands out -- possibly the object of an
+        earlier tick, with its profile and outcome table -- equals asking a
+        snapshot constructed from the same fields that has answered nothing."""
+        city = grid_city(4, 4, block_length=100.0, speed=10.0, perturbation=0.2, seed=5)
+        nodes = sorted(city.nodes())
+        edges = sorted(city.edges())
+        # Every refresh leaves the oracle corrupted, so "heal" has work to do.
+        oracle = ChaosOracle(
+            city, injector=FaultInjector(ChaosConfig(corruption_rate=1.0, corruption_factor=1.5))
+        )
+        trips = [(nodes[(3 * rid) % 16], nodes[(3 * rid + 7) % 16]) for rid in range(8)]
+        pool = [
+            Request.create(
+                request_id=rid, source=source, destination=destination, release_time=0.0,
+                direct_cost=oracle.cost(source, destination),
+                gamma=(3.0, 6.0, 12.0)[rid % 3], max_wait=(60.0, 240.0, math.inf)[rid % 3],
+                riders=1 + rid % 2,
+            )
+            for rid, (source, destination) in enumerate(trips)
+        ]
+        vehicle = Vehicle(vehicle_id=7, location=nodes[0], capacity=capacity)
+        now, assigned, reused = 0.0, set(), 0
+        seen: set[int] = set()
+        for operation, pick, amount in operations:
+            request = pool[pick]
+            if operation == "advance":
+                now += amount
+                vehicle.advance_to(now, oracle)
+            elif operation == "assign":
+                outcome = best_insertion(vehicle.route_state(now), request, oracle)
+                if outcome.feasible and pick not in assigned:
+                    vehicle.assign_schedule(outcome.schedule, [request], now)
+                    assigned.add(pick)
+            elif operation == "reposition":
+                if vehicle.is_idle and nodes[pick] != vehicle.location:
+                    vehicle.reposition(nodes[pick], oracle.cost(vehicle.location, nodes[pick]), now)
+            elif operation in ("rebuild", "fallback"):
+                u, v, cost = edges[pick]
+                city.add_edge(u, v, cost * amount)
+                oracle.rebuild() if operation == "rebuild" else oracle.enable_fallback()
+            elif operation == "refit":
+                vehicle.capacity = max(vehicle.onboard, 1 + pick % 3)
+            elif operation == "clear_cache":
+                oracle.clear_cache()
+            elif operation == "heal":
+                oracle.heal()
+            # Whatever just happened, offer two requests to the vehicle's plan.
+            snapshot = vehicle.route_state(now)
+            reused += id(snapshot) in seen
+            seen.add(id(snapshot))
+            driving = snapshot.min_insert_position == 1
+            assert snapshot == RouteState(
+                vehicle.vehicle_id, vehicle.location,
+                vehicle._clock if driving else max(vehicle._clock, now),
+                vehicle.schedule, vehicle.capacity, vehicle.onboard, int(driving),
+            )
+            fresh = RouteState(
+                snapshot.vehicle_id, snapshot.origin, snapshot.departure_time,
+                snapshot.schedule, snapshot.capacity, snapshot.onboard,
+                snapshot.min_insert_position,
+            )
+            for offered in (request, pool[(pick + 3) % 8]):
+                assert best_insertion(snapshot, offered, oracle) == best_insertion(
+                    fresh, offered, oracle
+                )
+        event(f"snapshots reused: {min(reused, 3)}")
+
+
+def _reference_query_radius(index: GridIndex, x: float, y: float, radius: float) -> list:
+    """The pre-PR-14 ``query_radius``: visit every cell the box overlaps."""
+    results = []
+    lo = index._cell_of(x - radius, y - radius)
+    hi = index._cell_of(x + radius, y + radius)
+    for cx in range(lo[0], hi[0] + 1):
+        for cy in range(lo[1], hi[1] + 1):
+            for key in index._cells.get((cx, cy), ()):
+                px, py = index._positions[key]
+                if (px - x) ** 2 + (py - y) ** 2 <= radius * radius:
+                    results.append(key)
+    return results
+
+
 class TestGridIndexProperties:
     @given(
         points=st.lists(
@@ -307,6 +415,36 @@ class TestGridIndexProperties:
             if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
         }
         assert set(index.query_radius(qx, qy, radius)) == expected
+
+    @given(
+        cells_per_axis=st.sampled_from([1, 3, 8, 32]),
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "move", "remove", "query", "query"]),
+                st.integers(min_value=0, max_value=11),
+                st.floats(min_value=-50, max_value=550),
+                st.floats(min_value=-50, max_value=550),
+                st.floats(min_value=0, max_value=400),
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_radius_query_equals_the_cell_walk_in_order(self, cells_per_axis, operations):
+        """Candidate order feeds stable-sort truncation and first-wins
+        tie-breaks, so the result must equal the full cell walk as a list."""
+        index = GridIndex((0, 0, 500, 500), cells_per_axis=cells_per_axis)
+        for operation, key, x, y, radius in operations:
+            if operation == "insert":
+                index.insert(key, x, y)
+            elif operation == "move":
+                index.move(key, x, y)
+            elif operation == "remove":
+                index.remove(key)
+            else:
+                assert index.query_radius(x, y, radius) == _reference_query_radius(
+                    index, x, y, radius
+                )
 
 
 def _graph_from_edge_bools(num_nodes: int, edge_bits: list[bool]) -> ShareabilityGraph:

@@ -89,6 +89,16 @@ class TestDispatch:
         # Only one two-rider request fits at a time along the shared corridor.
         assert len(result.assigned_request_ids) >= 1
 
+    def test_assignments_come_in_fleet_order(self, scene, make_context):
+        """The simulator applies and logs assignments in the order given, so
+        it must not depend on which vehicle a candidate query named first."""
+        requests, _ = scene
+        # Request 1 and 2 start near node 0, request 3 near node 31: listing
+        # the far vehicle first makes the first-named vehicle the second one.
+        vehicles = [Vehicle(vehicle_id=5, location=31), Vehicle(vehicle_id=2, location=0)]
+        result = SARDDispatcher().dispatch(make_context(vehicles, requests, current_time=7.0))
+        assert [a.vehicle_id for a in result.assignments] == [5, 2]
+
     def test_empty_pending(self, make_context):
         dispatcher = SARDDispatcher()
         context = make_context([Vehicle(vehicle_id=0, location=0)], [], current_time=5.0)

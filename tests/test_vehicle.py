@@ -7,6 +7,7 @@ import math
 import pytest
 
 from repro.exceptions import ScheduleError
+from repro.insertion.linear_insertion import best_insertion
 from repro.model.schedule import Schedule
 from repro.model.vehicle import Vehicle
 from repro.network.shortest_path import DistanceOracle
@@ -33,6 +34,102 @@ class TestRouteState:
         assert state.min_insert_position == 1
         assert state.origin == 0
         assert len(state.schedule) == 2
+
+
+class TestPlanSnapshotLifetime:
+    """The snapshot, and what was derived from it, lasts as long as the plan."""
+
+    @staticmethod
+    def _driving(make_line_request, line_oracle) -> Vehicle:
+        vehicle = Vehicle(vehicle_id=1, location=0, capacity=3)
+        request = make_line_request(1, 3, 4, gamma=9.0, max_wait=1000.0)
+        vehicle.assign_schedule(Schedule.direct(request), [request], current_time=0.0)
+        vehicle.advance_to(3.0, line_oracle)
+        return vehicle
+
+    def test_driving_vehicle_hands_out_one_snapshot_per_leg(self, make_line_request, line_oracle):
+        vehicle = self._driving(make_line_request, line_oracle)
+        first = vehicle.route_state(3.0)
+        vehicle.advance_to(6.0, line_oracle)
+        assert vehicle.route_state(6.0) is first
+        vehicle.advance_to(31.0, line_oracle)  # picks up at node 3, drives on
+        second = vehicle.route_state(31.0)
+        assert second is not first
+        assert (second.origin, second.departure_time, second.onboard) == (3, 30.0, 1)
+        assert vehicle.route_state(33.0) is second
+
+    def test_new_schedule_ends_the_snapshot(self, make_line_request, line_oracle):
+        vehicle = self._driving(make_line_request, line_oracle)
+        first = vehicle.route_state(3.0)
+        newcomer = make_line_request(2, 3, 4, gamma=9.0, max_wait=1000.0)
+        outcome = best_insertion(first, newcomer, line_oracle)
+        vehicle.assign_schedule(outcome.schedule, [newcomer], current_time=3.0)
+        second = vehicle.route_state(3.0)
+        assert second is not first and second.schedule is outcome.schedule
+        # Equal stops in a new schedule object are a new plan as well.
+        vehicle.assign_schedule(Schedule(outcome.schedule.waypoints), [], current_time=3.0)
+        assert vehicle.route_state(3.0) is not second
+
+    @pytest.mark.parametrize("field, value", [("onboard", 1), ("capacity", 5), ("location", 1)])
+    def test_any_field_written_from_outside_ends_the_snapshot(
+        self, make_line_request, line_oracle, field, value
+    ):
+        vehicle = self._driving(make_line_request, line_oracle)
+        first = vehicle.route_state(3.0)
+        setattr(vehicle, field, value)
+        fresh = vehicle.route_state(3.0)
+        assert fresh is not first
+        assert getattr(fresh, "origin" if field == "location" else field) == value
+
+    def test_idle_vehicle_gets_a_snapshot_per_call(self, make_line_request, line_oracle):
+        vehicle = Vehicle(vehicle_id=1, location=2)
+        assert vehicle.route_state(5.0) is not vehicle.route_state(5.0)
+        assert vehicle.route_state(8.0).departure_time == 8.0
+        # Assigned but not yet under way: still planned from the tick time.
+        request = make_line_request(1, 3, 4, gamma=9.0, max_wait=1000.0)
+        vehicle.assign_schedule(Schedule.direct(request), [request], current_time=8.0)
+        assert vehicle.route_state(9.0).departure_time == 9.0
+        assert vehicle.route_state(9.0).min_insert_position == 0
+
+    def test_re_offered_request_is_answered_from_the_snapshot(self, make_line_request, line_oracle):
+        vehicle = self._driving(make_line_request, line_oracle)
+        newcomer = make_line_request(2, 3, 4, gamma=9.0, max_wait=1000.0)
+        first = best_insertion(vehicle.route_state(3.0), newcomer, line_oracle)
+        vehicle.advance_to(6.0, line_oracle)
+        queries = line_oracle.stats.queries
+        assert best_insertion(vehicle.route_state(6.0), newcomer, line_oracle) is first
+        assert line_oracle.stats.queries == queries
+        assert vehicle.route_state(6.0).outcomes(line_oracle) == {newcomer: first}
+        # A new generation of the oracle starts the snapshot's tables over.
+        line_oracle.clear_cache()
+        assert vehicle.route_state(6.0).outcomes(line_oracle) == {}
+        again = best_insertion(vehicle.route_state(6.0), newcomer, line_oracle)
+        assert again == first and again is not first
+
+
+class TestReposition:
+    def test_relocation_is_committed_and_charged(self):
+        vehicle = Vehicle(vehicle_id=1, location=0)
+        vehicle.reposition(3, travel_time=30.0, now=10.0)
+        assert vehicle.location == 3
+        assert vehicle.total_travel_time == 30.0
+        state = vehicle.route_state(current_time=12.0)
+        # Not available before it (virtually) arrives.
+        assert (state.origin, state.departure_time) == (3, 40.0)
+        assert vehicle.route_state(current_time=50.0).departure_time == 50.0
+
+    def test_clock_never_moves_backwards(self, line_oracle):
+        vehicle = Vehicle(vehicle_id=1, location=0)
+        vehicle.advance_to(100.0, line_oracle)
+        vehicle.reposition(1, travel_time=10.0, now=20.0)
+        assert vehicle.route_state(current_time=20.0).departure_time == 110.0
+
+    def test_busy_vehicle_cannot_be_repositioned(self, make_line_request):
+        request = make_line_request(1, 1, 3)
+        vehicle = Vehicle(vehicle_id=1, location=0, schedule=Schedule.direct(request))
+        with pytest.raises(ScheduleError):
+            vehicle.reposition(4, travel_time=40.0, now=0.0)
+        assert vehicle.location == 0 and vehicle.total_travel_time == 0.0
 
 
 class TestAssignment:
