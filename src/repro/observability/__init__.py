@@ -5,9 +5,9 @@ Four pieces (see DESIGN.md "Observability"):
 * :mod:`.trace` -- nested span tracer with virtual sim-time, a bounded
   ring buffer, and a zero-allocation null tracer when disabled.
 * :mod:`.registry` -- typed metric registry (Counter / Gauge / Histogram
-  with fixed buckets) that :class:`repro.simulation.MetricsCollector`
-  exports into, so new subsystems register metrics instead of widening a
-  dataclass.
+  with fixed buckets), the export shape that
+  :class:`repro.simulation.MetricsCollector` and the dispatch service fill
+  from their metrics tables.
 * :mod:`.instrument` -- the front door: ``with tracing(oracle=...) as t:``
   activates every instrumented site in the pipeline for the block.
 * :mod:`.export` -- JSONL trace, Prometheus text exposition, and a

@@ -1,11 +1,11 @@
 """Typed metric registry: Counter / Gauge / Histogram behind one namespace.
 
-``MetricsCollector`` grew one dataclass field per counter for three PRs in
-a row; every new subsystem widened it by hand and every exporter had to
-know the full field list.  The registry inverts that: subsystems *register*
-metrics under a dotted name (``dispatch.batches``, ``oracle.query_seconds``)
-and exporters iterate the registry, so adding a metric touches exactly one
-call site.  Three metric types, mirroring the Prometheus data model:
+The registry is the export shape of a run's numbers: metrics live under a
+dotted name (``requests.assigned``, ``dispatch.batch_seconds``) and
+exporters iterate the registry, so they never know a field list.  The run's
+store (:class:`repro.simulation.MetricsCollector`) and the service fill one
+from their metrics tables on demand; nothing reads a registry back to make
+a decision.  Three metric types, mirroring the Prometheus data model:
 
 * :class:`Counter` -- monotonically non-decreasing count.
 * :class:`Gauge` -- a value that can go up and down (peak tracking built in).
@@ -13,9 +13,9 @@ call site.  Three metric types, mirroring the Prometheus data model:
   with count / sum / per-bucket cumulative counts and interpolated
   percentile estimates.
 
-Registration is idempotent get-or-create: two subsystems asking for the
-same name receive the same instance, and asking for an existing name with
-a different type (or different histogram buckets) raises -- silently
+Registration is idempotent get-or-create: two callers asking for the same
+name receive the same instance, and asking for an existing name with a
+different type (or different histogram buckets) raises -- silently
 returning a mismatched metric would corrupt both callers' data.
 """
 

@@ -43,9 +43,9 @@ VEHICLE_SHIFT_ENDED = "vehicle_shift_ended"
 class WorldView:
     """Mutable world state the simulator exposes to events at a boundary.
 
-    ``metrics`` is the run's ``MetricsCollector`` and ``record`` appends to
-    the simulation event log (both typed loosely so the scenario package
-    does not import the simulation layer).
+    ``metrics`` is the run's ``MetricsCollector`` and ``record`` is the
+    run's event sink (both typed loosely so the scenario package does not
+    import the simulation layer).
     """
 
     now: float
@@ -56,7 +56,7 @@ class WorldView:
     pending: dict[int, Any]
     vehicle_index: Any
     metrics: Any
-    #: ``record(kind, subject, other=None)`` -- event-log sink.
+    #: ``record(time, kind, subject, other=None)`` -- the run's event sink.
     record: Callable[..., None] = field(default=lambda *args, **kwargs: None)
     #: Original costs a :class:`RestoreEdges` could not write back because
     #: the edge was closed at restore time; the reopening applies them after
@@ -137,7 +137,7 @@ class ScaleEdges(WorldEvent):
                 network.add_edge(u, v, cost * self.factor)
                 self.scaled.append((u, v, cost))
         if self.scaled:
-            world.record(EDGES_RESCALED, len(self.scaled))
+            world.record(world.now, EDGES_RESCALED, len(self.scaled))
         return len(self.scaled)
 
 
@@ -170,7 +170,7 @@ class RestoreEdges(WorldEvent):
                 world.cost_restores[(u, v)] = cost
         self.scaling.scaled = []
         if mutations:
-            world.record(EDGES_RESCALED, mutations)
+            world.record(world.now, EDGES_RESCALED, mutations)
         return mutations
 
 
@@ -218,7 +218,7 @@ class CloseEdges(WorldEvent):
             network.remove_edge(u, v)
             self.closed.append((u, v, cost))
         if self.closed:
-            world.record(ROAD_CLOSED, len(self.closed))
+            world.record(world.now, ROAD_CLOSED, len(self.closed))
         return len(self.closed)
 
 
@@ -249,7 +249,7 @@ class ReopenEdges(WorldEvent):
                 mutations += 1
         self.closure.closed = []
         if mutations:
-            world.record(ROAD_REOPENED, mutations)
+            world.record(world.now, ROAD_REOPENED, mutations)
         return mutations
 
 
@@ -283,7 +283,7 @@ class CancelRequests(WorldEvent):
             if request_id in world.pending:
                 del world.pending[request_id]
                 world.metrics.cancelled_requests += 1
-                world.record(REQUEST_CANCELLED, request_id)
+                world.record(world.now, REQUEST_CANCELLED, request_id)
         return 0
 
 
@@ -318,7 +318,7 @@ class VehicleShiftStart(WorldEvent):
             world.vehicles_by_id[vehicle_id] = vehicle
             x, y = world.network.position(location)
             world.vehicle_index.move(vehicle_id, x, y)
-            world.record(VEHICLE_SHIFT_STARTED, vehicle_id)
+            world.record(world.now, VEHICLE_SHIFT_STARTED, vehicle_id)
         return 0
 
 
@@ -342,5 +342,5 @@ class VehicleShiftEnd(WorldEvent):
                 continue
             vehicle.on_shift = False
             world.vehicle_index.remove(vehicle_id)
-            world.record(VEHICLE_SHIFT_ENDED, vehicle_id)
+            world.record(world.now, VEHICLE_SHIFT_ENDED, vehicle_id)
         return 0

@@ -6,8 +6,10 @@ into a request/response service: clients submit typed
 :class:`~repro.service.queue.IngestionQueue`, a virtual-clock batch tick
 drains everything due into the dispatcher, and typed
 :class:`~repro.service.schemas.AssignmentEvent` records stream to
-subscribers.  Health and stats endpoints expose the run through the
-observability registry (PR 8) and the resilience breaker states (PR 6).
+subscribers.  The service listens on the engine's event sink, so what it
+streams does not depend on what the engine's log retains.  Health and stats
+endpoints expose the run through the metrics tables and the resilience
+breaker states.
 
 Parity with batch mode is by construction, not by re-implementation: the
 service drives the simulator's stepwise interface (``begin_run`` /
@@ -40,8 +42,8 @@ from ..resilience.degrade import BreakerState, ResilienceManager
 from ..scenarios.refresh import OracleRefreshPolicy
 from ..scenarios.timeline import ScenarioTimeline
 from ..simulation.engine import SimulationResult, Simulator
-from ..simulation.events import EventKind, EventLog
-from ..simulation.metrics import BatchRecord, MetricsCollector
+from ..simulation.events import Event, EventKind
+from ..simulation.metrics import BatchRecord, MetricsCollector, MetricSpec, export_rows
 from .queue import Admission, IngestionQueue
 from .schemas import (
     AssignmentEvent,
@@ -51,7 +53,7 @@ from .schemas import (
     ServiceStats,
 )
 
-#: How simulator event-log kinds translate to service assignment events:
+#: How engine event kinds translate to service assignment events:
 #: ``kind -> (service kind, rejection reason, other-field-is-vehicle)``.
 #: Read-only constant -- per-run state lives on the service instance.
 _EVENT_MAP: dict[
@@ -67,6 +69,18 @@ _EVENT_MAP: dict[
     ),
     EventKind.REQUEST_CANCELLED: (AssignmentEventKind.CANCELLED, None, False),
 }
+
+_M = MetricSpec
+#: The ``service.*`` registry rows, keyed by :class:`ServiceStats` field.
+SERVICE_METRICS: tuple[MetricSpec, ...] = (
+    _M("received", "Requests offered to the service", "service.received"),
+    _M("accepted", "Requests admitted into the queue", "service.accepted"),
+    _M("rejected", "Requests rejected (all reasons)", "service.rejected"),
+    _M("events_dropped", "Assignment events past the history cap", "service.events_dropped"),
+    _M("batches", "Batch windows the service ticked", "service.batches"),
+    _M("queue_depth", "Requests currently queued", "service.queue_depth", "gauge"),
+    _M("sim_time", "Virtual time of the last batch boundary", "service.sim_time", "gauge"),
+)
 
 
 @dataclass(frozen=True)
@@ -148,15 +162,17 @@ class DispatchService:
         self._started = False
         self._stopped = False
         self._result: ServiceResult | None = None
-        self._final_metrics: MetricsCollector | None = None
+        #: The run's metrics store: empty until :meth:`start`, then the
+        #: engine's own (and, after shutdown, the finished result's).
+        self._metrics = MetricsCollector()
         #: Start of the next batch window; aligned on the first tick.
         self._next_start: float | None = None
         self._next_index = 0
         self._batches = 0
         self._sim_time = 0.0
-        #: Read cursor into the simulator's event log (service translation).
-        self._event_log: EventLog | None = None
-        self._event_cursor = 0
+        #: Batch index stamped on streamed engine events (``None`` for the
+        #: end-of-run tail).
+        self._streaming_batch: int | None = None
         self._history: deque[AssignmentEvent] = deque(
             maxlen=self.service_config.event_history or None
         )
@@ -201,7 +217,9 @@ class DispatchService:
         if self._started:
             raise ServiceError("service already started")
         self._sim.begin_run(track_released=True)
-        self._event_log = self._sim.run_state.events
+        state = self._sim.run_state
+        state.listeners.append(self._on_engine_event)
+        self._metrics = state.metrics
         self._started = True
 
     def shutdown(self) -> ServiceResult:
@@ -235,9 +253,8 @@ class DispatchService:
                     request_id=ride.request_id,
                     reason=RejectionReason.SHUTTING_DOWN,
                 ))
+        self._streaming_batch = None
         simulation = self._sim.end_run()
-        self._final_metrics = simulation.metrics
-        self._pump_events(batch_index=None)
         self._stopped = True
         self._result = ServiceResult(
             simulation=simulation,
@@ -369,12 +386,12 @@ class DispatchService:
             index=index, start_time=start, end_time=end,
             requests=tuple(requests),
         )
+        self._streaming_batch = index
         record = self._sim.process_batch(batch)
         self._next_start = end
         self._next_index += 1
         self._batches += 1
         self._sim_time = end
-        self._pump_events(batch_index=index)
         return record
 
     def _materialise(
@@ -442,26 +459,20 @@ class DispatchService:
         """Snapshot of the retained assignment-event history."""
         return list(self._history)
 
-    def _pump_events(self, *, batch_index: int | None) -> None:
-        """Translate newly-logged simulator events into assignment events."""
-        log = self._event_log
-        if log is None:
+    def _on_engine_event(self, entry: Event) -> None:
+        """Engine-sink listener: stream the request-lifecycle kinds."""
+        mapped = _EVENT_MAP.get(entry.kind)
+        if mapped is None:
             return
-        entries = log.events
-        for entry in entries[self._event_cursor:]:
-            mapped = _EVENT_MAP.get(entry.kind)
-            if mapped is None:
-                continue
-            kind, reason, other_is_vehicle = mapped
-            self._emit(AssignmentEvent(
-                event=kind,
-                time=entry.time,
-                request_id=entry.subject,
-                vehicle_id=entry.other if other_is_vehicle else None,
-                batch_index=batch_index,
-                reason=reason,
-            ))
-        self._event_cursor = len(entries)
+        kind, reason, other_is_vehicle = mapped
+        self._emit(AssignmentEvent(
+            event=kind,
+            time=entry.time,
+            request_id=entry.subject,
+            vehicle_id=entry.other if other_is_vehicle else None,
+            batch_index=self._streaming_batch,
+            reason=reason,
+        ))
 
     def _emit(self, event: AssignmentEvent) -> None:
         if self._retain_history:
@@ -479,40 +490,30 @@ class DispatchService:
     # ------------------------------------------------------------------ #
     # health / stats endpoints
     # ------------------------------------------------------------------ #
-    def _metrics(self) -> MetricsCollector | None:
-        if self._final_metrics is not None:
-            return self._final_metrics
-        if self._started and not self._stopped:
-            return self._sim.run_state.metrics
-        return None
-
     def stats(self) -> ServiceStats:
         """Point-in-time service snapshot (works in every lifecycle phase).
 
-        ``rejected`` merges admission-time refusals (queue full, shed,
-        duplicate, unknown node, shutdown) with materialisation-time
-        ``unreachable`` rejections -- the latter also count in ``accepted``
-        since the request did enter the queue.
+        While the run is live the engine's store is collected first, so the
+        snapshot is current.  ``rejected`` merges admission-time refusals
+        (queue full, shed, duplicate, unknown node, shutdown) with
+        materialisation-time ``unreachable`` rejections -- the latter also
+        count in ``accepted`` since the request did enter the queue.
         """
         counters = self._queue.counters
-        metrics = self._metrics()
-        assigned = metrics.assigned_requests if metrics is not None else 0
-        expired = metrics.expired_requests if metrics is not None else 0
-        dispatch_rejected = (
-            metrics.rejected_requests if metrics is not None else 0
-        )
-        completed = sum(len(v.completed) for v in self._sim.vehicles)
+        if self._started and not self._stopped:
+            self._sim.collect()
+        metrics = self._metrics
         service_rate = (
-            assigned / counters.accepted if counters.accepted else 1.0
+            metrics.assigned_requests / counters.accepted if counters.accepted else 1.0
         )
         return ServiceStats(
             received=counters.received,
             accepted=counters.accepted,
             rejected=dict(counters.rejected),
-            assigned=assigned,
-            completed=completed,
-            expired=expired,
-            dispatch_rejected=dispatch_rejected,
+            assigned=metrics.assigned_requests,
+            completed=metrics.completed_requests,
+            expired=metrics.expired_requests,
+            dispatch_rejected=metrics.rejected_requests,
             batches=self._batches,
             queue_depth=self._queue.depth,
             queue_high_watermark=counters.high_watermark,
@@ -580,40 +581,15 @@ class DispatchService:
     def registry(self) -> MetricRegistry:
         """Typed metric registry: simulation metrics + service gauges.
 
-        The simulation half is :meth:`MetricsCollector.as_registry` (so
-        anything that renders a finished run -- ``prometheus_text``, the
-        JSON exporter -- renders a live service identically); the
-        ``service.*`` half adds the admission and queue state only the
-        service knows.
+        The simulation half is :meth:`MetricsCollector.as_registry` over the
+        store :meth:`stats` just collected (so anything that renders a
+        finished run -- ``prometheus_text``, the JSON exporter -- renders a
+        live service identically); the ``service.*`` half is that same
+        :class:`ServiceStats` snapshot through :data:`SERVICE_METRICS`.
         """
-        metrics = self._metrics()
-        registry = (
-            metrics.as_registry() if metrics is not None else MetricRegistry()
-        )
-        counters = self._queue.counters
-        registry.counter(
-            "service.received", "Requests offered to the service"
-        ).inc(counters.received)
-        registry.counter(
-            "service.accepted", "Requests admitted into the queue"
-        ).inc(counters.accepted)
-        registry.counter(
-            "service.rejected", "Requests rejected (all reasons)"
-        ).inc(sum(counters.rejected.values()))
-        registry.counter(
-            "service.events_dropped", "Assignment events past the history cap"
-        ).inc(self._events_dropped)
-        registry.counter(
-            "service.batches", "Batch windows the service ticked"
-        ).inc(self._batches)
-        depth = registry.gauge(
-            "service.queue_depth", "Requests currently queued"
-        )
-        depth.set(counters.high_watermark)  # records the peak
-        depth.set(self._queue.depth)
-        registry.gauge(
-            "service.sim_time", "Virtual time of the last batch boundary"
-        ).set(self._sim_time)
+        stats = self.stats()
+        registry = self._metrics.as_registry()
+        export_rows(registry, SERVICE_METRICS, stats)
         return registry
 
 

@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from ..config import SimulationConfig
 from ..dispatch.base import DispatchContext, Dispatcher
@@ -37,7 +39,7 @@ from ..scenarios.events import WorldView
 from ..scenarios.refresh import OracleRefreshPolicy, make_refresh_policy
 from ..scenarios.timeline import ScenarioTimeline
 from .events import Event, EventKind, EventLog
-from .metrics import BatchRecord, MetricsCollector, unified_cost
+from .metrics import BatchRecord, MetricsCollector
 
 
 @dataclass
@@ -91,6 +93,10 @@ class RunState:
     #: Count released requests into ``metrics.total_requests`` as batches
     #: arrive (service mode: the trace is not known up front).
     track_released: bool
+    #: Called with every event the run emits, retained in ``events`` or not
+    #: (:class:`repro.service.DispatchService` streams from here).  A
+    #: listener runs inside the batch it observes and must not raise.
+    listeners: list[Callable[[Event], None]] = field(default_factory=list)
 
 
 # The simulator rejects positional construction: every call site names its
@@ -172,21 +178,12 @@ class Simulator:
         metrics = MetricsCollector(
             total_requests=0 if track_released else len(self.requests)
         )
-        events = EventLog(max_events=200_000 if self.record_events else 0)
         self.dispatcher.reset()
         self.oracle.stats.reset()
-        resilience = self.resilience
-        if resilience is not None:
-
-            def _record_resilience(
-                now: float, kind: str, subject: int, other: int | None = None
-            ) -> None:
-                if self.record_events:
-                    events.record(Event(now, EventKind(kind), subject, other))
-
-            resilience.begin_run(recorder=_record_resilience)
+        if self.resilience is not None:
+            self.resilience.begin_run(recorder=self._emit)
             if self.refresh_policy is not None:
-                self.refresh_policy.resilience = resilience
+                self.refresh_policy.resilience = self.resilience
 
         vehicles_by_id = {vehicle.vehicle_id: vehicle for vehicle in self.vehicles}
         self._refresh_vehicle_index()
@@ -196,7 +193,7 @@ class Simulator:
         self._cost_restores: dict[tuple[int, int], float] = {}
         self._run = RunState(
             metrics=metrics,
-            events=events,
+            events=EventLog(),
             pending={},
             vehicles_by_id=vehicles_by_id,
             last_time=start_time,
@@ -211,26 +208,21 @@ class Simulator:
         empty and no dispatch ran (the clock still advances).
         """
         state = self.run_state
-        metrics, events, pending = state.metrics, state.events, state.pending
         state.last_time = batch.end_time
         if state.track_released:
-            metrics.total_requests += len(batch)
+            state.metrics.total_requests += len(batch)
         tracer = get_tracer()
         tracer.set_sim_time(batch.end_time)
         with tracer.span("sim.advance", batch=batch.index):
-            self._advance_vehicles(batch.end_time, metrics, events)
-            self._expire_pending(pending, batch.end_time, metrics, events)
+            self._advance_vehicles(batch.end_time)
+            self._expire_pending(batch.end_time)
         for request in batch:
-            pending[request.request_id] = request
-            if self.record_events:
-                events.record(
-                    Event(request.release_time, EventKind.REQUEST_RELEASED,
-                          request.request_id)
-                )
-        with tracer.span("scenario.step", batch=batch.index):
-            self._scenario_step(
-                batch.end_time, pending, state.vehicles_by_id, metrics, events
+            state.pending[request.request_id] = request
+            self._emit(
+                request.release_time, EventKind.REQUEST_RELEASED, request.request_id
             )
+        with tracer.span("scenario.step", batch=batch.index):
+            self._scenario_step(batch.end_time)
         if self.resilience is not None:
             # Recovery probes + invariant probes run between the scenario
             # step (the only place corruption can be injected) and the
@@ -248,12 +240,10 @@ class Simulator:
                 # A breaker recovery probe may have rebuilt the oracle
                 # outside the refresh policy; stop its stale clock.
                 self.refresh_policy.stats.clear_stale()
-        if not pending:
+        if not state.pending:
             return None
-        record = self._dispatch_batch(
-            batch, pending, state.vehicles_by_id, metrics, events
-        )
-        metrics.record_batch(record)
+        record = self._dispatch_batch(batch)
+        state.metrics.record_batch(record)
         return record
 
     def end_run(self) -> SimulationResult:
@@ -268,94 +258,81 @@ class Simulator:
         fleet finish every remaining stop.
         """
         state = self.run_state
-        metrics, events, pending = state.metrics, state.events, state.pending
-        last_time = state.last_time
-        resilience = self.resilience
         if self.timeline is not None and self.timeline.remaining:
-            self._scenario_step(
-                last_time, pending, state.vehicles_by_id, metrics, events,
-                drain=True,
-            )
+            self._scenario_step(state.last_time, drain=True)
         if self.refresh_policy is not None:
             self.refresh_policy.finalize(self.oracle)
-        if resilience is not None:
-            resilience.finalize(self.network, self.oracle, last_time)
-        self._advance_vehicles(math.inf, metrics, events)
-        self._expire_pending(pending, math.inf, metrics, events)
-        metrics.total_travel_time = sum(v.total_travel_time for v in self.vehicles)
-        metrics.completed_requests = sum(len(v.completed) for v in self.vehicles)
-        metrics.shortest_path_queries = self.oracle.stats.queries
-        metrics.oracle_searches = self.oracle.stats.searches
-        metrics.oracle_settled_nodes = self.oracle.stats.settled_nodes
-        metrics.oracle_fallback_queries = self.oracle.stats.fallback_queries
-        if self.refresh_policy is not None:
-            refresh = self.refresh_policy.stats
-            metrics.oracle_rebuilds = refresh.rebuilds
-            metrics.oracle_rebuild_seconds = refresh.rebuild_seconds
-            metrics.oracle_stale_seconds = refresh.stale_seconds
-            metrics.oracle_repairs = refresh.repairs
-            metrics.oracle_repair_seconds = refresh.repair_seconds
-            metrics.oracle_snapshot_hits = refresh.snapshot_hits
-            metrics.oracle_nodes_recontracted = refresh.nodes_recontracted
-            metrics.oracle_shortcuts_replaced = refresh.shortcuts_replaced
-        if resilience is not None:
-            rstats = resilience.stats
-            metrics.faults_injected = resilience.faults_injected
-            metrics.oracle_retries = rstats.retries
-            metrics.breaker_trips = resilience.breaker_trips
-            metrics.degraded_batches = rstats.degraded_batches
-            metrics.batch_overruns = rstats.batch_overruns
-            metrics.probe_failures = rstats.probe_failures
-            metrics.self_heals = rstats.self_heals
-            metrics.recovery_seconds = rstats.recovery_seconds
-        metrics.wall_clock_seconds = time.perf_counter() - state.start_wall
+        if self.resilience is not None:
+            self.resilience.finalize(self.network, self.oracle, state.last_time)
+        self._advance_vehicles(math.inf)
+        self._expire_pending(math.inf)
+        metrics = self.collect()
         metrics.observe_memory(self._memory_estimate())
-        # ``penalty`` has been accumulated as requests expired; recompute the
-        # final unified cost to make sure the invariant holds.
-        assert math.isclose(
-            metrics.unified_cost,
-            metrics.total_travel_time + metrics.penalty,
-            rel_tol=1e-9,
-        )
         self._run = None
         return SimulationResult(
             algorithm=self.dispatcher.name,
             metrics=metrics,
-            events=events,
+            events=state.events,
             config=self.config,
         )
+
+    def collect(self) -> MetricsCollector:
+        """Bring the in-flight run's metrics store up to date and return it.
+
+        Copies in the counters other subsystems own (see ``METRICS``).  Runs
+        when the run ends and whenever a live view is asked for (the
+        service's ``stats`` / ``registry``).
+        """
+        state = self.run_state
+        policy = self.refresh_policy
+        state.metrics.collect(
+            oracle=self.oracle.stats,
+            refresh=policy.stats if policy is not None else None,
+            resilience=self.resilience,
+            fleet=SimpleNamespace(
+                total_travel_time=sum(v.total_travel_time for v in self.vehicles),
+                completed=sum(len(v.completed) for v in self.vehicles),
+            ),
+        )
+        state.metrics.wall_clock_seconds = time.perf_counter() - state.start_wall
+        return state.metrics
+
+    def _emit(
+        self, when: float, kind: EventKind | str, subject: int, other: int | None = None
+    ) -> None:
+        """The run's one event sink: the engine's own transitions, the world
+        events (``WorldView.record``) and the resilience manager's recorder.
+
+        Retains the event in the log when ``record_events`` is on (and the
+        log's cap allows) and hands it to the run's listeners either way.
+        """
+        state = self.run_state
+        if not (self.record_events or state.listeners):
+            return
+        event = Event(when, EventKind(kind), subject, other)
+        if self.record_events:
+            state.events.record(event)
+        for listener in state.listeners:
+            listener(event)
 
     # ------------------------------------------------------------------ #
     # scenario engine
     # ------------------------------------------------------------------ #
-    def _scenario_step(
-        self,
-        now: float,
-        pending: dict[int, Request],
-        vehicles_by_id: dict[int, Vehicle],
-        metrics: MetricsCollector,
-        events: EventLog,
-        *,
-        drain: bool = False,
-    ) -> None:
+    def _scenario_step(self, now: float, *, drain: bool = False) -> None:
         """Apply due world events and drive the oracle refresh policy.
 
         With ``drain`` every remaining event is applied at ``now`` (the
         post-stream fast-forward); the per-batch policy hook is skipped then
         because ``finalize`` runs right after.
         """
+        state = self.run_state
         timeline, policy = self.timeline, self.refresh_policy
-
-        def record(kind: str, subject: int, other: int | None = None) -> None:
-            if self.record_events:
-                events.record(Event(now, EventKind(kind), subject, other))
-
         if policy is not None and not drain:
             rebuilds_before = policy.stats.rebuilds
             more_due = timeline.has_due(now) if timeline is not None else False
             policy.on_batch_start(self.oracle, now, more_due)
             if policy.stats.rebuilds > rebuilds_before:
-                record(EventKind.ORACLE_REBUILT.value, 0)
+                self._emit(now, EventKind.ORACLE_REBUILT, 0)
         if timeline is None:
             return
         due = timeline.pop_due(math.inf if drain else now)
@@ -367,38 +344,33 @@ class Simulator:
             network=self.network,
             oracle=self.oracle,
             vehicles=self.vehicles,
-            vehicles_by_id=vehicles_by_id,
-            pending=pending,
+            vehicles_by_id=state.vehicles_by_id,
+            pending=state.pending,
             vehicle_index=self._vehicle_index,
-            metrics=metrics,
-            record=record,
+            metrics=state.metrics,
+            record=self._emit,
             cost_restores=self._cost_restores,
         )
         mutations = 0
         for event in due:
             mutations += event.apply(world)
-            metrics.scenario_events += 1
+            state.metrics.scenario_events += 1
         if mutations and policy is not None:
             rebuilds_before = policy.stats.rebuilds
             repairs_before = policy.stats.repairs
             policy.on_mutations(self.oracle, now, mutations)
             if policy.stats.rebuilds > rebuilds_before:
-                record(EventKind.ORACLE_REBUILT.value, mutations)
+                self._emit(now, EventKind.ORACLE_REBUILT, mutations)
             if policy.stats.repairs > repairs_before:
-                record(EventKind.ORACLE_REPAIRED.value, mutations)
+                self._emit(now, EventKind.ORACLE_REPAIRED, mutations)
         timeline.notify(world)
 
     # ------------------------------------------------------------------ #
     # batch processing
     # ------------------------------------------------------------------ #
-    def _dispatch_batch(
-        self,
-        batch: Batch,
-        pending: dict[int, Request],
-        vehicles_by_id: dict[int, Vehicle],
-        metrics: MetricsCollector,
-        events: EventLog,
-    ) -> BatchRecord:
+    def _dispatch_batch(self, batch: Batch) -> BatchRecord:
+        state = self.run_state
+        metrics, pending, vehicles_by_id = state.metrics, state.pending, state.vehicles_by_id
         dispatcher = self.dispatcher
         degraded = False
         if self.resilience is not None:
@@ -457,11 +429,10 @@ class Simulator:
             for request in new_requests:
                 assigned_ids.add(request.request_id)
                 del pending[request.request_id]
-                if self.record_events:
-                    events.record(
-                        Event(batch.end_time, EventKind.REQUEST_ASSIGNED,
-                              request.request_id, vehicle.vehicle_id)
-                    )
+                self._emit(
+                    batch.end_time, EventKind.REQUEST_ASSIGNED,
+                    request.request_id, vehicle.vehicle_id,
+                )
         metrics.assigned_requests += len(assigned_ids)
 
         for request in result.rejected:
@@ -471,17 +442,12 @@ class Simulator:
                 metrics.penalty += (
                     self.config.penalty_coefficient * request.direct_cost
                 )
-                if self.record_events:
-                    events.record(
-                        Event(batch.end_time, EventKind.REQUEST_REJECTED,
-                              request.request_id)
-                    )
+                self._emit(
+                    batch.end_time, EventKind.REQUEST_REJECTED, request.request_id
+                )
 
         metrics.observe_memory(self._memory_estimate())
-        if self.record_events:
-            events.record(
-                Event(batch.end_time, EventKind.BATCH_DISPATCHED, batch.index)
-            )
+        self._emit(batch.end_time, EventKind.BATCH_DISPATCHED, batch.index)
         return BatchRecord(
             index=batch.index,
             start_time=batch.start_time,
@@ -496,36 +462,26 @@ class Simulator:
     # ------------------------------------------------------------------ #
     # bookkeeping
     # ------------------------------------------------------------------ #
-    def _advance_vehicles(
-        self, until: float, metrics: MetricsCollector, events: EventLog
-    ) -> None:
+    def _advance_vehicles(self, until: float) -> None:
         for vehicle in self.vehicles:
-            completed = vehicle.advance_to(until, self.oracle)
-            for request, drop_time in completed:
-                if self.record_events:
-                    events.record(
-                        Event(drop_time, EventKind.REQUEST_COMPLETED,
-                              request.request_id, vehicle.vehicle_id)
-                    )
+            for request, drop_time in vehicle.advance_to(until, self.oracle):
+                self._emit(
+                    drop_time, EventKind.REQUEST_COMPLETED,
+                    request.request_id, vehicle.vehicle_id,
+                )
         self._refresh_vehicle_index()
 
-    def _expire_pending(
-        self,
-        pending: dict[int, Request],
-        now: float,
-        metrics: MetricsCollector,
-        events: EventLog,
-    ) -> None:
-        expired = [r for r in pending.values() if r.is_expired(now)]
+    def _expire_pending(self, now: float) -> None:
+        state = self.run_state
+        expired = [r for r in state.pending.values() if r.is_expired(now)]
         for request in expired:
-            del pending[request.request_id]
-            metrics.expired_requests += 1
-            metrics.penalty += self.config.penalty_coefficient * request.direct_cost
-            if self.record_events:
-                events.record(
-                    Event(now if math.isfinite(now) else request.latest_pickup,
-                          EventKind.REQUEST_EXPIRED, request.request_id)
-                )
+            del state.pending[request.request_id]
+            state.metrics.expired_requests += 1
+            state.metrics.penalty += self.config.penalty_coefficient * request.direct_cost
+            self._emit(
+                now if math.isfinite(now) else request.latest_pickup,
+                EventKind.REQUEST_EXPIRED, request.request_id,
+            )
 
     def _refresh_vehicle_index(self) -> None:
         for vehicle in self.vehicles:

@@ -10,8 +10,8 @@ unserved request is proportional to its direct travel time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from collections.abc import Iterable
+from dataclasses import dataclass, field
 
 from ..config import SimulationConfig
 from ..model.request import Request
@@ -57,9 +57,104 @@ class BatchRecord:
     degraded: bool = False
 
 
+@dataclass(frozen=True)
+class MetricSpec:
+    """One row of a metrics table: a store field and everything said about it.
+
+    A table of these rows drives the collect step, ``summary()`` and the
+    registry export, so adding a metric is one row plus one field on the
+    store (:class:`MetricsCollector`, or the service's ``ServiceStats``).
+    """
+
+    field: str
+    help: str
+    #: Dotted registry name; ``None`` keeps the field out of the registry.
+    name: str | None = None
+    kind: str = "counter"
+    #: ``"<subsystem>.<attribute path>"`` the collect step copies the value
+    #: from; ``None`` for a field the store's owner writes itself.
+    source: str | None = None
+
+
+def export_rows(registry: MetricRegistry, table: Iterable[MetricSpec], store: object) -> None:
+    """Write every named row's value in ``store`` into ``registry``.
+
+    A per-key counter (a ``dict`` field) is exported as its total.
+    """
+    for row in table:
+        if row.name is None:
+            continue
+        value = getattr(store, row.field)
+        if isinstance(value, dict):
+            value = sum(value.values())
+        if row.kind == "counter":
+            registry.counter(row.name, row.help).inc(value)
+        else:
+            registry.gauge(row.name, row.help).set(value)
+
+
+_M = MetricSpec
+#: Every number a run reports, in ``summary()`` order.  Sources name the
+#: subsystem that owns the counter: the oracle's ``QueryStatistics``
+#: (backend-dependent work next to the logical query count), the refresh
+#: policy's ``RefreshStats`` (scenario runs), the ``ResilienceManager``
+#: (chaos runs) and the fleet; rows without one are written by the engine.
+METRICS: tuple[MetricSpec, ...] = (
+    _M("total_requests", "Requests released", "requests.total"),
+    _M("assigned_requests", "Requests assigned", "requests.assigned"),
+    _M("completed_requests", "Requests completed", "requests.completed", source="fleet.completed"),
+    _M("expired_requests", "Requests expired unserved", "requests.expired"),
+    _M("rejected_requests", "Requests rejected by the dispatcher", "requests.rejected"),
+    _M("service_rate", "Fraction of requests assigned", "sim.service_rate", "gauge"),
+    _M("total_travel_time", "Fleet travel time", source="fleet.total_travel_time"),
+    _M("penalty", "Penalty of the unserved requests"),
+    _M("unified_cost", "Unified cost (Equation 3)", "sim.unified_cost", "gauge"),
+    _M("dispatch_seconds", "Wall clock inside the dispatcher"),
+    _M("wall_clock_seconds", "End-to-end run wall clock", "sim.wall_clock_seconds", "gauge"),
+    _M("shortest_path_queries", "Logical shortest-path queries", "oracle.queries",
+       source="oracle.queries"),
+    _M("oracle_searches", "Backend searches executed", "oracle.searches",
+       source="oracle.searches"),
+    _M("oracle_settled_nodes", "Nodes settled / label entries scanned", "oracle.settled_nodes",
+       source="oracle.settled_nodes"),
+    _M("cancelled_requests", "Requests cancelled", "requests.cancelled"),
+    _M("scenario_events", "World events applied", "scenario.events"),
+    _M("oracle_rebuilds", "Full oracle rebuilds", "oracle.rebuilds", source="refresh.rebuilds"),
+    _M("oracle_rebuild_seconds", "Wall clock of the full rebuilds",
+       source="refresh.rebuild_seconds"),
+    _M("oracle_fallback_queries", "Queries served by the Dijkstra fallback",
+       "oracle.fallback_queries", source="oracle.fallback_queries"),
+    _M("oracle_stale_seconds", "Wall clock served from dirty structures",
+       source="refresh.stale_seconds"),
+    _M("oracle_repairs", "Incremental oracle repairs", "oracle.repairs", source="refresh.repairs"),
+    _M("oracle_repair_seconds", "Wall clock of the repairs", source="refresh.repair_seconds"),
+    _M("oracle_snapshot_hits", "Repairs answered by a snapshot swap",
+       source="refresh.snapshot_hits"),
+    _M("oracle_nodes_recontracted", "Nodes re-contracted by repairs",
+       source="refresh.nodes_recontracted"),
+    _M("oracle_shortcuts_replaced", "Overlay effects spliced by repairs",
+       source="refresh.shortcuts_replaced"),
+    _M("faults_injected", "Faults injected", "resilience.faults_injected",
+       source="resilience.faults_injected"),
+    _M("oracle_retries", "Refresh retries performed", source="resilience.stats.retries"),
+    _M("breaker_trips", "Circuit-breaker trips", "resilience.breaker_trips",
+       source="resilience.breaker_trips"),
+    _M("degraded_batches", "Batches run on the degraded dispatcher",
+       "resilience.degraded_batches", source="resilience.stats.degraded_batches"),
+    _M("batch_overruns", "Batches that overran their time budget",
+       source="resilience.stats.batch_overruns"),
+    _M("probe_failures", "Invariant-probe mismatches", source="resilience.stats.probe_failures"),
+    _M("self_heals", "Rebuilds triggered by a failed probe", source="resilience.stats.self_heals"),
+    _M("recovery_seconds", "Wall clock inside failure handling",
+       source="resilience.stats.recovery_seconds"),
+    _M("peak_memory_bytes", "Peak estimated working set", "sim.peak_memory_bytes", "gauge"),
+    _M("num_batches", "Dispatch batches run", "sim.batches"),
+)
+
+
 @dataclass
 class MetricsCollector:
-    """Mutable accumulator the simulator fills in while running."""
+    """The run's one metrics store; :data:`METRICS` says what each field means."""
 
     total_requests: int = 0
     assigned_requests: int = 0
@@ -71,41 +166,19 @@ class MetricsCollector:
     dispatch_seconds: float = 0.0
     wall_clock_seconds: float = 0.0
     shortest_path_queries: int = 0
-    #: Backend work behind the logical queries: searches actually executed
-    #: and nodes settled / label entries scanned, straight from
-    #: :class:`~repro.network.shortest_path.QueryStatistics`.  Unlike
-    #: ``shortest_path_queries`` these depend on the routing backend, which
-    #: is exactly why they are recorded -- ordering / preprocessing
-    #: regressions show up here while the logical column stays fixed.
     oracle_searches: int = 0
     oracle_settled_nodes: int = 0
-    #: Dynamic-world accounting (scenario engine): requests cancelled by
-    #: riders while pending, world events applied, and the oracle refresh
-    #: overhead -- full backend rebuilds with their wall-clock cost, queries
-    #: served by the exact Dijkstra fallback while the preprocessed
-    #: structures were dirty, and the wall-clock time spent in that stale
-    #: window ("stale-serving time").
     cancelled_requests: int = 0
     scenario_events: int = 0
     oracle_rebuilds: int = 0
     oracle_rebuild_seconds: float = 0.0
     oracle_fallback_queries: int = 0
     oracle_stale_seconds: float = 0.0
-    #: Incremental-repair accounting (``repair`` refresh policy): bursts
-    #: absorbed without a full rebuild (snapshot swaps included) with their
-    #: wall-clock cost, and the hierarchy work actually performed --
-    #: nodes re-contracted and overlay effects spliced.
     oracle_repairs: int = 0
     oracle_repair_seconds: float = 0.0
     oracle_snapshot_hits: int = 0
     oracle_nodes_recontracted: int = 0
     oracle_shortcuts_replaced: int = 0
-    #: Resilience-layer accounting (chaos runs; all zero otherwise): faults
-    #: injected by the chaos injector, refresh retries performed, circuit
-    #: breaker trips (oracle + dispatch), batches run on the degraded
-    #: dispatcher, batches whose charged time overran the budget, invariant
-    #: probe mismatches, self-healing rebuilds triggered by them, and the
-    #: wall-clock spent inside failure handling (recovery latency).
     faults_injected: int = 0
     oracle_retries: int = 0
     breaker_trips: int = 0
@@ -116,7 +189,6 @@ class MetricsCollector:
     recovery_seconds: float = 0.0
     peak_memory_bytes: int = 0
     num_batches: int = 0
-    proposal_rounds: int = 0
     batch_records: list[BatchRecord] = field(default_factory=list)
 
     @property
@@ -156,57 +228,34 @@ class MetricsCollector:
             "dispatch_max_seconds": samples[-1] if samples else 0.0,
         }
 
-    def as_registry(self) -> MetricRegistry:
-        """Export the collected metrics as a typed registry.
+    def collect(self, **subsystems: object) -> None:
+        """Refresh every sourced field from the subsystem that owns its counter.
 
-        This is the facade bridge to :mod:`repro.observability`: every scalar
-        counter becomes a registry counter, the distribution-worthy fields
-        become gauges, and the per-batch dispatch latencies populate a
-        histogram -- so :func:`repro.observability.prometheus_text` can
-        render a finished run without the collector knowing about exposition
-        formats.
+        ``subsystems`` maps the first segment of the rows' ``source`` paths
+        to live objects; an absent (or ``None``) subsystem leaves its fields
+        at their defaults.  The values are copied, so a finished run's store
+        does not follow a later ``oracle.stats.reset()``.
+        """
+        for row in METRICS:
+            if row.source is None:
+                continue
+            root, *path = row.source.split(".")
+            value = subsystems.get(root)
+            if value is None:
+                continue
+            for attribute in path:
+                value = getattr(value, attribute)
+            setattr(self, row.field, value)
+
+    def as_registry(self) -> MetricRegistry:
+        """The store as a typed registry: one metric per named table row.
+
+        The per-batch dispatch latencies are the one distribution; they
+        populate a histogram so :func:`repro.observability.prometheus_text`
+        can render the tails of a run.
         """
         registry = MetricRegistry()
-        counters = {
-            "requests.total": (self.total_requests, "Requests released"),
-            "requests.assigned": (self.assigned_requests, "Requests assigned"),
-            "requests.completed": (self.completed_requests, "Requests completed"),
-            "requests.expired": (self.expired_requests, "Requests expired unserved"),
-            "requests.cancelled": (self.cancelled_requests, "Requests cancelled"),
-            "oracle.queries": (
-                self.shortest_path_queries, "Logical shortest-path queries"
-            ),
-            "oracle.searches": (self.oracle_searches, "Backend searches executed"),
-            "oracle.settled_nodes": (
-                self.oracle_settled_nodes, "Nodes settled / label entries scanned"
-            ),
-            "oracle.rebuilds": (self.oracle_rebuilds, "Full oracle rebuilds"),
-            "oracle.repairs": (self.oracle_repairs, "Incremental oracle repairs"),
-            "oracle.fallback_queries": (
-                self.oracle_fallback_queries, "Queries served by the Dijkstra fallback"
-            ),
-            "scenario.events": (self.scenario_events, "World events applied"),
-            "resilience.faults_injected": (self.faults_injected, "Faults injected"),
-            "resilience.breaker_trips": (self.breaker_trips, "Circuit-breaker trips"),
-            "resilience.degraded_batches": (
-                self.degraded_batches, "Batches run on the degraded dispatcher"
-            ),
-            "sim.batches": (self.num_batches, "Dispatch batches run"),
-        }
-        for name, (value, description) in counters.items():
-            registry.counter(name, description).inc(value)
-        gauges = {
-            "sim.service_rate": (self.service_rate, "Fraction of requests assigned"),
-            "sim.unified_cost": (self.unified_cost, "Unified cost (Equation 3)"),
-            "sim.peak_memory_bytes": (
-                float(self.peak_memory_bytes), "Peak estimated working set"
-            ),
-            "sim.wall_clock_seconds": (
-                self.wall_clock_seconds, "End-to-end run wall clock"
-            ),
-        }
-        for name, (value, description) in gauges.items():
-            registry.gauge(name, description).set(value)
+        export_rows(registry, METRICS, self)
         latency = registry.histogram(
             "dispatch.batch_seconds",
             "Per-batch dispatch latency",
@@ -217,41 +266,8 @@ class MetricsCollector:
         return registry
 
     def summary(self) -> dict[str, float]:
-        """Flat dictionary used by the reporting layer."""
-        return {
-            "total_requests": float(self.total_requests),
-            "assigned_requests": float(self.assigned_requests),
-            "completed_requests": float(self.completed_requests),
-            "expired_requests": float(self.expired_requests),
-            "service_rate": self.service_rate,
-            "total_travel_time": self.total_travel_time,
-            "penalty": self.penalty,
-            "unified_cost": self.unified_cost,
-            "dispatch_seconds": self.dispatch_seconds,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "shortest_path_queries": float(self.shortest_path_queries),
-            "oracle_searches": float(self.oracle_searches),
-            "oracle_settled_nodes": float(self.oracle_settled_nodes),
-            "cancelled_requests": float(self.cancelled_requests),
-            "scenario_events": float(self.scenario_events),
-            "oracle_rebuilds": float(self.oracle_rebuilds),
-            "oracle_rebuild_seconds": self.oracle_rebuild_seconds,
-            "oracle_fallback_queries": float(self.oracle_fallback_queries),
-            "oracle_stale_seconds": self.oracle_stale_seconds,
-            "oracle_repairs": float(self.oracle_repairs),
-            "oracle_repair_seconds": self.oracle_repair_seconds,
-            "oracle_snapshot_hits": float(self.oracle_snapshot_hits),
-            "oracle_nodes_recontracted": float(self.oracle_nodes_recontracted),
-            "oracle_shortcuts_replaced": float(self.oracle_shortcuts_replaced),
-            "faults_injected": float(self.faults_injected),
-            "oracle_retries": float(self.oracle_retries),
-            "breaker_trips": float(self.breaker_trips),
-            "degraded_batches": float(self.degraded_batches),
-            "batch_overruns": float(self.batch_overruns),
-            "probe_failures": float(self.probe_failures),
-            "self_heals": float(self.self_heals),
-            "recovery_seconds": self.recovery_seconds,
-            "peak_memory_bytes": float(self.peak_memory_bytes),
-            "num_batches": float(self.num_batches),
-            **self.dispatch_latency(),
-        }
+        """Flat dictionary used by the reporting layer: every table row under
+        its field name, plus the dispatch-latency percentiles."""
+        summary = {row.field: float(getattr(self, row.field)) for row in METRICS}
+        return {**summary, **self.dispatch_latency()}
+

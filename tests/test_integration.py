@@ -46,6 +46,11 @@ class TestFullPipeline:
             metrics.total_travel_time + metrics.penalty
         )
         assert metrics.shortest_path_queries > 0
+        summary = metrics.summary()
+        assert summary["total_requests"] == (
+            summary["assigned_requests"] + summary["expired_requests"]
+            + summary["rejected_requests"] + summary["cancelled_requests"]
+        )
 
     def test_batch_methods_do_not_lose_to_penalty_only_solution(self, tiny_workload):
         """Serving requests must beat serving nothing under the unified cost."""

@@ -10,6 +10,10 @@ measured dispatch time.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import NetworkError
@@ -26,8 +30,11 @@ from repro.observability import (
     tracing,
     use_tracer,
 )
+from repro.service.server import SERVICE_METRICS
 from repro.simulation.events import Event, EventKind, EventLog
-from repro.simulation.metrics import BatchRecord, MetricsCollector
+from repro.simulation.metrics import METRICS, BatchRecord, MetricsCollector
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 class StepClock:
@@ -355,20 +362,34 @@ class TestMetricsFacade:
         assert summary["dispatch_max_seconds"] == pytest.approx(0.05)
         assert summary["num_batches"] == 1.0
 
-    def test_as_registry_mirrors_collector(self):
-        metrics = MetricsCollector(
-            total_requests=10, assigned_requests=8, shortest_path_queries=123
-        )
-        metrics.record_batch(_batch(0, 0.02))
-        metrics.record_batch(_batch(1, 0.2))
+    def test_table_is_complete(self, traced_sard_run):
+        """One table: every numeric field of the store is a row, every row
+        is in ``summary()`` under its field name and -- when named -- in the
+        registry under that name and kind, and the exported names of a
+        finished run are the committed list."""
+        metrics = traced_sard_run[0].metrics
+        numeric = {
+            spec.name
+            for spec in dataclasses.fields(MetricsCollector)
+            if spec.type in ("int", "float")
+        } | {"service_rate", "unified_cost"}
+        assert {row.field for row in METRICS} == numeric
+        summary = metrics.summary()
         registry = metrics.as_registry()
-        snapshot = registry.as_dict()
-        assert snapshot["requests.total"] == 10.0
-        assert snapshot["requests.assigned"] == 8.0
-        assert snapshot["oracle.queries"] == 123.0
-        assert snapshot["sim.service_rate"] == pytest.approx(0.8)
-        assert snapshot["dispatch.batch_seconds.count"] == 2.0
-        assert snapshot["dispatch.batch_seconds.sum"] == pytest.approx(0.22)
+        for row in METRICS:
+            value = float(getattr(metrics, row.field))
+            assert summary[row.field] == value
+            if row.name is not None:
+                exported = registry.get(row.name)
+                assert exported.kind == row.kind
+                assert exported.description == row.help
+                assert exported.value == value
+        assert registry.get("dispatch.batch_seconds").total == metrics.num_batches
+        golden = json.loads((GOLDEN_DIR / "metric_names.json").read_text())
+        assert sorted(summary) == golden["summary"]
+        assert sorted(registry.as_dict()) == golden["registry"]
+        named = [row.name for row in SERVICE_METRICS if row.name is not None]
+        assert sorted(named) == golden["service_registry"]
 
 
 # --------------------------------------------------------------------- #

@@ -551,6 +551,75 @@ class TestBatchParity:
 
 
 # --------------------------------------------------------------------- #
+# one event sink, one metrics table
+# --------------------------------------------------------------------- #
+def _nyc_service(**kwargs) -> tuple[DispatchService, list[RideRequest]]:
+    workload = make_workload("nyc", scale=0.05, city_scale=0.35)
+    service = DispatchService(
+        network=workload.network,
+        oracle=workload.fresh_oracle(),
+        vehicles=workload.fresh_vehicles(),
+        dispatcher=make_dispatcher("SARD"),
+        config=workload.simulation_config,
+        **kwargs,
+    )
+    return service, [RideRequest.from_request(r) for r in workload.requests]
+
+
+class TestStreamIsIndependentOfRetention:
+    def test_unretained_and_capped_logs_stream_the_same_events(self):
+        """What the engine's log keeps (``record_events``, its cap) governs
+        retention only: the service streams every lifecycle event anyway."""
+        default, rides = _nyc_service()
+        expected = default.serve(rides)
+        assert expected.stats.assigned > 0
+
+        unretained, rides = _nyc_service(record_events=False)
+        capped, _ = _nyc_service()
+        capped.start()
+        capped._sim.run_state.events.max_events = 10
+        for service in (unretained, capped):
+            outcome = service.serve(rides)
+            assert [e.to_dict() for e in outcome.events] == [
+                e.to_dict() for e in expected.events
+            ]
+            streamed = sum(
+                event.event is AssignmentEventKind.ASSIGNED for event in outcome.events
+            )
+            assert outcome.stats.assigned == streamed
+        assert len(unretained.result.simulation.events) == 0
+        assert len(capped.result.simulation.events) == 10
+        assert capped.result.simulation.events.dropped > 0
+
+
+class TestLiveViewIsTheTruth:
+    def test_mid_run_registry_then_frozen_result(self):
+        service, rides = _nyc_service()
+        service.start()
+        for ride in rides:
+            service.submit(ride)
+        for _ in range(12):
+            service.tick()
+        live = service.registry().as_dict()
+        travelled = sum(v.total_travel_time for v in service.vehicles)
+        assert travelled > 0
+        assert live["oracle.queries"] == service.oracle.stats.queries > 0
+        assert live["requests.completed"] == service.stats().completed > 0
+        assert live["sim.unified_cost"] == pytest.approx(
+            travelled + service._sim.run_state.metrics.penalty
+        )
+
+        result = service.shutdown()
+        final = result.simulation.metrics.as_registry().as_dict()
+        service.oracle.stats.reset()
+        frozen = service.registry().as_dict()
+        for name in ("oracle.queries", "requests.completed", "sim.unified_cost"):
+            assert frozen[name] == final[name]
+        assert frozen["oracle.queries"] > live["oracle.queries"]
+        assert service.stats() == result.stats
+
+
+# --------------------------------------------------------------------- #
 # RunSpec validation, traced mode and what replaced the shims
 # --------------------------------------------------------------------- #
 class TestRunSpec:
