@@ -3,70 +3,30 @@
 The correctness story of this reproduction rests on conventions that are
 invisible to generic linters: every random draw flows through a seeded
 ``random.Random`` stream, simulated time comes from the virtual batch clock
-(never the wall clock), CSR routing arrays are only mutated behind
-``mutation_count`` bumps inside ``network/routing/``, and float costs are
-compared through tolerance helpers.  One unseeded ``random.random()`` or a
-stray ``time.time()`` in a hot path silently breaks the deterministic-summary
+(never the wall clock), no decision iterates a bare ``set``, and float costs
+are compared through tolerance helpers.  One unseeded ``random.random()`` or
+a stray ``time.time()`` in a hot path silently breaks the deterministic-summary
 and chaos-parity gates CI relies on -- long after review.
 
-This package encodes those conventions as machine-checked AST rules (see
-:mod:`repro.analysis.rules` for the catalog), with three escape hatches:
-
-* **waivers** -- ``# repro-lint: disable=<CODE> <reason>`` on the violating
-  line; the reason is mandatory and lint-enforced (``WVR001``),
-* a **committed baseline** -- pre-existing violations are frozen in
-  ``.repro-lint-baseline.json`` and only *new* violations fail the build,
-* ``--fix`` -- mechanical rewrites for the autofixable rules.
+This package encodes those conventions as per-file AST rules (see
+:mod:`repro.analysis.rules` for the catalog).  The one escape hatch is a
+**waiver** -- ``# repro-lint: disable=<CODE> <reason>`` on the violating
+line; the reason is mandatory and lint-enforced (``WVR001``).
 
 Run it as ``repro-lint src tests benchmarks`` (console script) or
 ``python -m repro.analysis.cli``.
 """
 
-from .baseline import Baseline
-from .callgraph import CallGraph, build_call_graph
-from .effects import EffectMap, classify, infer_effects
-from .engine import (
-    FileReport,
-    analyze_path,
-    analyze_paths,
-    analyze_project,
-    attach_semantic,
-    iter_python_files,
-)
-from .rules import RULES, Fix, Rule, Violation, rule_catalog
-from .semantic_rules import (
-    SEMANTIC_RULES,
-    ProjectAnalysis,
-    build_project,
-    call_graph_dot,
-    call_graph_json,
-    run_semantic_rules,
-    summary_tables,
-)
+from .engine import FileReport, analyze_path, analyze_paths, iter_python_files
+from .rules import RULES, Rule, Violation, rule_catalog
 
 __all__ = [
     "RULES",
-    "SEMANTIC_RULES",
-    "Baseline",
-    "CallGraph",
-    "EffectMap",
     "FileReport",
-    "Fix",
-    "ProjectAnalysis",
     "Rule",
     "Violation",
     "analyze_path",
     "analyze_paths",
-    "analyze_project",
-    "attach_semantic",
-    "build_call_graph",
-    "build_project",
-    "call_graph_dot",
-    "call_graph_json",
-    "classify",
-    "infer_effects",
     "iter_python_files",
     "rule_catalog",
-    "run_semantic_rules",
-    "summary_tables",
 ]

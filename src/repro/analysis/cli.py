@@ -3,37 +3,26 @@
 Usage::
 
     repro-lint [paths ...]            # lint (default: src tests benchmarks)
-    repro-lint --fix src              # apply mechanical autofixes, then lint
-    repro-lint --write-baseline       # freeze current violations
     repro-lint --list-rules           # print the rule catalog
+    repro-lint --statistics           # per-rule hit counts after the findings
     repro-lint --summary out.md       # markdown rule-hit table (CI job summary)
 
-Exit status: 0 when no *new* violations remain (baselined ones are frozen,
-waived ones are suppressed), 1 otherwise.
+Exit status: 0 when no unwaived violation remains, 1 otherwise, 2 on a
+missing path.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from pathlib import Path
 
-from .baseline import Baseline
-from .engine import FileReport, analyze_project
-from .fixes import apply_fixes
+from .engine import analyze_paths
 from .rules import Violation, rule_catalog
-from .semantic_rules import (
-    ProjectAnalysis,
-    call_graph_dot,
-    call_graph_json,
-    summary_tables,
-)
 
 __all__ = ["main"]
 
-DEFAULT_BASELINE = ".repro-lint-baseline.json"
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
 
 
@@ -54,27 +43,6 @@ def _parser() -> argparse.ArgumentParser:
         help="repo root used for relative paths and rule scoping (default: cwd)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file; report every violation as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="freeze the current violations into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply autofixes for the mechanical rules before reporting",
-    )
-    parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
     parser.add_argument(
@@ -86,19 +54,6 @@ def _parser() -> argparse.ArgumentParser:
         default=None,
         help="write a markdown rule-hit summary table to this file (append)",
     )
-    parser.add_argument(
-        "--call-graph",
-        type=Path,
-        default=None,
-        metavar="OUT",
-        help="export the project call graph (+effects) -- JSON, or GraphViz "
-        "DOT when OUT ends in .dot/.gv",
-    )
-    parser.add_argument(
-        "--no-semantic",
-        action="store_true",
-        help="skip the interprocedural pass (call graph, effects, ORA/CONC/PUR rules)",
-    )
     return parser
 
 
@@ -109,122 +64,78 @@ def _resolve_paths(args: argparse.Namespace) -> list[Path]:
     return [path for path in defaults if path.exists()] or [args.root]
 
 
-def _statistics(reports: list[FileReport], new: list[Violation]) -> list[tuple[str, int, int]]:
-    """(code, total hits, new hits) for every rule, catalog order."""
-    total = Counter(v.code for report in reports for v in report.violations)
-    fresh = Counter(v.code for v in new)
-    rows = [(code, total.pop(code, 0), fresh.get(code, 0)) for code, _fix, _s in rule_catalog()]
-    rows.extend((code, count, fresh.get(code, 0)) for code, count in sorted(total.items()))
+def _statistics(violations: list[Violation]) -> list[tuple[str, int]]:
+    """(code, hits) for every rule in catalog order, then any other code (PARSE)."""
+    counts = Counter(v.code for v in violations)
+    rows = [(code, counts.pop(code, 0)) for code, _summary in rule_catalog()]
+    rows.extend(sorted(counts.items()))
     return rows
 
 
-def _print_statistics(rows: list[tuple[str, int, int]], waiver_count: int) -> None:
+def _print_statistics(rows: list[tuple[str, int]], waiver_count: int) -> None:
     print()
-    print(f"{'rule':<8} {'hits':>6} {'new':>6}")
-    for code, hits, fresh in rows:
-        print(f"{code:<8} {hits:>6} {fresh:>6}")
+    print(f"{'rule':<8} {'hits':>6}")
+    for code, hits in rows:
+        print(f"{code:<8} {hits:>6}")
     print(f"{'waivers':<8} {waiver_count:>6}")
 
 
 def _write_summary(
     path: Path,
-    rows: list[tuple[str, int, int]],
-    new: list[Violation],
+    rows: list[tuple[str, int]],
+    violations: list[Violation],
     waiver_count: int,
     files: int,
-    project: ProjectAnalysis | None = None,
 ) -> None:
-    summaries = {code: summary for code, _fixable, summary in rule_catalog()}
+    summaries = dict(rule_catalog())
     lines = [
         "## repro-lint",
         "",
-        f"{files} files analyzed, {len(new)} new violation(s), {waiver_count} waiver(s).",
+        f"{files} files analyzed, {len(violations)} violation(s), {waiver_count} waiver(s).",
         "",
-        "| rule | hits | new | summary |",
-        "| --- | ---: | ---: | --- |",
+        "| rule | hits | summary |",
+        "| --- | ---: | --- |",
     ]
-    for code, hits, fresh in rows:
-        lines.append(f"| {code} | {hits} | {fresh} | {summaries.get(code, '—')} |")
-    if new:
-        lines += ["", "### New violations", ""]
-        lines += [f"- `{violation.render()}`" for violation in new[:50]]
-        if len(new) > 50:
-            lines.append(f"- … and {len(new) - 50} more")
-    if project is not None:
-        lines += ["", summary_tables(project)]
+    for code, hits in rows:
+        lines.append(f"| {code} | {hits} | {summaries.get(code, '—')} |")
+    if violations:
+        lines += ["", "### Violations", ""]
+        lines += [f"- `{violation.render()}`" for violation in violations[:50]]
+        if len(violations) > 50:
+            lines.append(f"- … and {len(violations) - 50} more")
     lines.append("")
     with path.open("a", encoding="utf-8") as handle:
         handle.write("\n".join(lines))
-
-
-def _export_call_graph(path: Path, project: ProjectAnalysis) -> None:
-    if path.suffix in {".dot", ".gv"}:
-        path.write_text(call_graph_dot(project), encoding="utf-8")
-    else:
-        path.write_text(
-            json.dumps(call_graph_json(project), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-    print(f"call graph written to {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
 
     if args.list_rules:
-        for code, fixable, summary in rule_catalog():
-            marker = "fixable" if fixable else "       "
-            print(f"{code}  [{marker}]  {summary}")
+        for code, summary in rule_catalog():
+            print(f"{code}  {summary}")
         return 0
 
-    root: Path = args.root
     paths = _resolve_paths(args)
     missing = [str(p) for p in paths if not p.exists()]
     if missing:
         print(f"repro-lint: no such path: {', '.join(missing)}", file=sys.stderr)
         return 2
 
-    semantic = not args.no_semantic
-    reports, project = analyze_project(paths, root, semantic=semantic)
-    if args.fix:
-        applied = apply_fixes(reports, root)
-        for rel, count in sorted(applied.items()):
-            print(f"fixed {count} violation(s) in {rel}")
-        # Re-analyze so the report reflects the post-fix tree.
-        reports, project = analyze_project(paths, root, semantic=semantic)
-
-    if args.call_graph is not None:
-        if project is None:
-            print("repro-lint: no src/repro files analyzed; call graph not written", file=sys.stderr)
-        else:
-            _export_call_graph(args.call_graph, project)
-
-    baseline_path = args.baseline or (root / DEFAULT_BASELINE)
-    if args.write_baseline:
-        baseline = Baseline.from_reports(reports)
-        baseline.save(baseline_path)
-        count = sum(baseline.entries.values())
-        print(f"baseline written to {baseline_path} ({count} violation(s) frozen)")
-        return 0
-
-    if not args.no_baseline and baseline_path.is_file():
-        baseline = Baseline.load(baseline_path)
-        new = baseline.filter_new(reports)
-    else:
-        new = [violation for report in reports for violation in report.violations]
-
-    for violation in new:
+    reports = analyze_paths(paths, args.root)
+    violations = [violation for report in reports for violation in report.violations]
+    for violation in violations:
         print(violation.render())
 
     waiver_count = sum(len(report.waivers) for report in reports)
-    rows = _statistics(reports, new)
+    rows = _statistics(violations)
     if args.statistics:
         _print_statistics(rows, waiver_count)
     if args.summary is not None:
-        _write_summary(args.summary, rows, new, waiver_count, files=len(reports), project=project)
+        _write_summary(args.summary, rows, violations, waiver_count, files=len(reports))
 
-    if new:
-        print(f"\nrepro-lint: {len(new)} new violation(s) in {len(reports)} file(s)")
+    if violations:
+        print(f"\nrepro-lint: {len(violations)} violation(s) in {len(reports)} file(s)")
         return 1
     return 0
 

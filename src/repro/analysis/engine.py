@@ -2,9 +2,7 @@
 
 The engine is deliberately small: it parses each file once, hands the
 shared :class:`~repro.analysis.rules.FileContext` to every applicable rule,
-then applies per-line waivers.  Baseline filtering happens one layer up
-(:mod:`repro.analysis.baseline`) so unit tests can exercise raw rule output
-directly.
+then applies per-line waivers.
 """
 
 from __future__ import annotations
@@ -15,15 +13,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .rules import RULES, FileContext, Rule, Violation
-from .semantic_rules import ProjectAnalysis, build_project, run_semantic_rules
 
 __all__ = [
     "FileReport",
     "WAIVER_PATTERN",
     "analyze_path",
     "analyze_paths",
-    "analyze_project",
-    "attach_semantic",
     "iter_python_files",
 ]
 
@@ -50,19 +45,11 @@ class Waiver:
 
 @dataclass
 class FileReport:
-    """Violations for one file, after waivers but before the baseline."""
+    """Violations for one file, after waivers."""
 
     path: str
     violations: list[Violation] = field(default_factory=list)
     waivers: list[Waiver] = field(default_factory=list)
-    parse_error: str | None = None
-    #: Parsed context, kept so the semantic pass can reuse the one parse.
-    context: FileContext | None = field(default=None, repr=False)
-
-    def line_text(self, line: int) -> str:
-        return self._lines[line - 1] if 0 < line <= len(self._lines) else ""
-
-    _lines: list[str] = field(default_factory=list, repr=False)
 
 
 def parse_waivers(lines: list[str]) -> dict[int, Waiver]:
@@ -79,12 +66,10 @@ def parse_waivers(lines: list[str]) -> dict[int, Waiver]:
 
 def analyze_source(path: str, source: str, rules: tuple[type[Rule], ...] = RULES) -> FileReport:
     """Run every applicable rule over *source*, applying per-line waivers."""
-    lines = source.splitlines()
-    report = FileReport(path=path, _lines=lines)
+    report = FileReport(path=path)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
-        report.parse_error = f"{exc.msg} (line {exc.lineno})"
         report.violations.append(
             Violation(
                 code="PARSE",
@@ -96,9 +81,8 @@ def analyze_source(path: str, source: str, rules: tuple[type[Rule], ...] = RULES
         )
         return report
 
-    ctx = FileContext(path=path, source=source, tree=tree, lines=lines)
-    report.context = ctx
-    waivers = parse_waivers(lines)
+    ctx = FileContext(path=path, tree=tree)
+    waivers = parse_waivers(source.splitlines())
     report.waivers = sorted(waivers.values(), key=lambda w: w.line)
 
     raw: list[Violation] = []
@@ -137,7 +121,7 @@ def analyze_path(path: Path, root: Path, rules: tuple[type[Rule], ...] = RULES) 
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
-        report = FileReport(path=rel, parse_error=str(exc))
+        report = FileReport(path=rel)
         report.violations.append(
             Violation(code="PARSE", path=rel, line=1, column=0, message=f"unreadable: {exc}")
         )
@@ -150,51 +134,6 @@ def analyze_paths(
 ) -> list[FileReport]:
     files = iter_python_files(paths)
     return [analyze_path(path, root, rules) for path in files]
-
-
-def attach_semantic(reports: list[FileReport]) -> ProjectAnalysis | None:
-    """Run the whole-program pass and merge its findings into *reports*.
-
-    Builds the call graph + effect map from the already-parsed contexts
-    (``src/repro/`` scope only), runs the semantic rules, applies each
-    file's per-line waivers to the new findings, and re-sorts.  Returns the
-    :class:`ProjectAnalysis` for ``--call-graph``/summary export, or
-    ``None`` when no in-scope file was analyzed.
-    """
-    contexts = [report.context for report in reports if report.context is not None]
-    project = build_project(contexts)
-    if project is None:
-        return None
-    by_path = {report.path: report for report in reports}
-    touched: set[str] = set()
-    for violation in run_semantic_rules(project):
-        report = by_path.get(violation.path)
-        if report is None:
-            continue
-        waived = any(
-            waiver.line == violation.line and violation.code in waiver.codes
-            for waiver in report.waivers
-        )
-        if waived:
-            continue
-        report.violations.append(violation)
-        touched.add(report.path)
-    for path in sorted(touched):
-        by_path[path].violations.sort(key=lambda v: (v.line, v.column, v.code))
-    return project
-
-
-def analyze_project(
-    paths: list[Path],
-    root: Path,
-    rules: tuple[type[Rule], ...] = RULES,
-    *,
-    semantic: bool = True,
-) -> tuple[list[FileReport], ProjectAnalysis | None]:
-    """Lexical pass plus (by default) the interprocedural semantic pass."""
-    reports = analyze_paths(paths, root, rules)
-    project = attach_semantic(reports) if semantic else None
-    return reports, project
 
 
 def iter_python_files(paths: list[Path]) -> list[Path]:

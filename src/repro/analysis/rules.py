@@ -1,11 +1,10 @@
 """Rule catalog for repro-lint.
 
-Every rule is a subclass of :class:`Rule` with a unique code, a docstring
+Every rule is a subclass of :class:`Rule` with a unique code and a docstring
 that *is* the user-facing documentation (the first line becomes the summary
-shown by ``repro-lint --list-rules``), and an ``autofixable`` flag.  Rules
-receive a parsed :class:`FileContext` and yield :class:`Violation` records;
-they never mutate files themselves -- autofixes are declarative
-:class:`Fix` edits applied by :mod:`repro.analysis.fixes`.
+shown by ``repro-lint --list-rules``).  Rules receive a parsed
+:class:`FileContext` and yield :class:`Violation` records; they never mutate
+files.
 
 Detection is deliberately *syntactic*: the checker runs on every commit and
 must stay dependency-free and fast, so rules pattern-match the AST plus a
@@ -19,28 +18,15 @@ from __future__ import annotations
 import ast
 import re
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
     "RULES",
     "FileContext",
-    "Fix",
     "Rule",
     "Violation",
     "rule_catalog",
 ]
-
-
-@dataclass(frozen=True)
-class Fix:
-    """A declarative single-span text edit plus any imports it requires."""
-
-    line: int
-    col: int
-    end_line: int
-    end_col: int
-    replacement: str
-    imports: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -52,11 +38,9 @@ class Violation:
     line: int
     column: int
     message: str
-    fix: Fix | None = None
 
     def render(self) -> str:
-        suffix = " [fixable]" if self.fix is not None else ""
-        return f"{self.path}:{self.line}:{self.column}: {self.code} {self.message}{suffix}"
+        return f"{self.path}:{self.line}:{self.column}: {self.code} {self.message}"
 
 
 @dataclass
@@ -64,16 +48,7 @@ class FileContext:
     """Parsed view of one file handed to every rule."""
 
     path: str  # repo-relative POSIX path
-    source: str
     tree: ast.Module
-    lines: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if not self.lines:
-            self.lines = self.source.splitlines()
-
-    def segment(self, node: ast.AST) -> str:
-        return ast.get_source_segment(self.source, node) or ""
 
 
 def _under(path: str, prefix: str) -> bool:
@@ -81,10 +56,9 @@ def _under(path: str, prefix: str) -> bool:
 
 
 class Rule:
-    """Base class: one lint rule with a code, docstring and autofix flag."""
+    """Base class: one lint rule with a code and a docstring."""
 
     code: str = ""
-    autofixable: bool = False
 
     @classmethod
     def summary(cls) -> str:
@@ -126,7 +100,6 @@ class DET001WallClock(Rule):
     """
 
     code = "DET001"
-    autofixable = False
 
     BANNED_TIME = frozenset(
         {"time", "time_ns", "sleep", "monotonic", "monotonic_ns", "localtime", "ctime"}
@@ -197,7 +170,6 @@ class DET002ModuleRandom(Rule):
     """
 
     code = "DET002"
-    autofixable = False
 
     ALLOWED_ATTRS = frozenset({"Random", "SystemRandom"})
 
@@ -254,11 +226,10 @@ class DET003SetIteration(Rule):
     Iterate ``sorted(the_set)`` or keep an ordered container (dict keys
     preserve insertion order).  Order-insensitive consumers
     (``len``/``sum``/``min``/``max``/``any``/``all``/``set``/``frozenset``)
-    are exempt.  Autofix wraps the iterable in ``sorted(...)``.
+    are exempt.
     """
 
     code = "DET003"
-    autofixable = True
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         exempt: set[int] = set()
@@ -317,16 +288,6 @@ class DET003SetIteration(Rule):
         return False
 
     def _violation(self, ctx: FileContext, iter_expr: ast.expr) -> Violation:
-        fix: Fix | None = None
-        segment = ctx.segment(iter_expr)
-        if segment and iter_expr.end_lineno is not None and iter_expr.end_col_offset is not None:
-            fix = Fix(
-                line=iter_expr.lineno,
-                col=iter_expr.col_offset,
-                end_line=iter_expr.end_lineno,
-                end_col=iter_expr.end_col_offset,
-                replacement=f"sorted({segment})",
-            )
         return Violation(
             code=self.code,
             path=ctx.path,
@@ -336,7 +297,6 @@ class DET003SetIteration(Rule):
                 "iteration over a bare set leaks hash order into results; "
                 "wrap in sorted(...) or use an ordered container"
             ),
-            fix=fix,
         )
 
 
@@ -449,80 +409,6 @@ def _name_is_set(bindings: _SetBindings, name: str, line: int) -> bool:
     return entries[0][1]
 
 
-class INV001CSRMutation(Rule):
-    """CSR routing arrays are immutable outside ``network/routing/``.
-
-    ``CSRGraph.indptr`` / ``indices`` / ``weights`` back every backend's
-    inner loop and are cache-keyed by ``RoadNetwork.mutation_count``; a
-    mutation that bypasses the routing layer leaves preprocessed structures
-    (CH shortcuts, hub labels, snapshots) silently inconsistent with the
-    graph they claim to describe.  All writes go through
-    ``network/routing/`` (compilation, repair, refresh) which bumps the
-    version stamps.  Flags attribute assignment, element assignment,
-    deletion and in-place mutating method calls on those attributes.
-    """
-
-    code = "INV001"
-    autofixable = False
-
-    CSR_ATTRS = frozenset({"indptr", "indices", "weights"})
-    MUTATORS = frozenset(
-        {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
-    )
-
-    def applies_to(self, path: str) -> bool:
-        return not _under(path, "src/repro/network/routing/")
-
-    def _csr_attr(self, node: ast.expr) -> str | None:
-        """Return the attribute name if *node* reaches a CSR array store."""
-        if isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute) and node.attr in self.CSR_ATTRS:
-            return node.attr
-        return None
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            targets: list[tuple[ast.expr, str]] = []
-            if isinstance(node, ast.Assign):
-                targets = [(t, "assignment") for t in node.targets]
-            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                targets = [(node.target, "assignment")]
-            elif isinstance(node, ast.Delete):
-                targets = [(t, "deletion") for t in node.targets]
-            elif (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.MUTATORS
-            ):
-                attr = self._csr_attr(node.func.value)
-                if attr is not None:
-                    yield Violation(
-                        code=self.code,
-                        path=ctx.path,
-                        line=node.lineno,
-                        column=node.col_offset,
-                        message=(
-                            f"in-place `{node.func.attr}` on CSR array `.{attr}` outside "
-                            "network/routing/; route mutations through the routing layer"
-                        ),
-                    )
-                continue
-            for target, kind in targets:
-                attr = self._csr_attr(target)
-                if attr is not None:
-                    yield Violation(
-                        code=self.code,
-                        path=ctx.path,
-                        line=target.lineno,
-                        column=target.col_offset,
-                        message=(
-                            f"{kind} to CSR array `.{attr}` outside network/routing/; "
-                            "route mutations through the routing layer"
-                        ),
-                    )
-
-
 _COSTY = re.compile(
     r"(?:^|_)(cost|costs|weight|weights|dist|distance|distances|loss|fare|"
     r"price|penalty|detour|eta)(?:$|_)",
@@ -540,13 +426,10 @@ class INV002FloatCostEquality(Rule):
     backend-dependent.  Use ``repro.numeric.costs_equal`` /
     ``costs_differ`` (relative+absolute tolerance) or ``math.isclose``.
     Comparisons against infinity are exempt (IEEE infinity is exact and is
-    the idiomatic unreachable sentinel).  Autofix rewrites the comparison
-    to ``costs_equal(a, b)`` / ``not costs_equal(a, b)`` and inserts the
-    import.
+    the idiomatic unreachable sentinel).
     """
 
     code = "INV002"
-    autofixable = True
 
     def applies_to(self, path: str) -> bool:
         return _under(path, "src/repro/")
@@ -592,44 +475,17 @@ class INV002FloatCostEquality(Rule):
                     continue
                 if self._infinite(left) or self._infinite(right):
                     continue
-                yield self._violation(ctx, node, op, left, right)
-
-    def _violation(
-        self,
-        ctx: FileContext,
-        compare: ast.Compare,
-        op: ast.cmpop,
-        left: ast.expr,
-        right: ast.expr,
-    ) -> Violation:
-        fix: Fix | None = None
-        if len(compare.ops) == 1 and compare.end_lineno is not None:
-            left_seg = ctx.segment(left)
-            right_seg = ctx.segment(right)
-            if left_seg and right_seg:
-                call = f"costs_equal({left_seg}, {right_seg})"
-                if isinstance(op, ast.NotEq):
-                    call = f"not {call}"
-                fix = Fix(
-                    line=compare.lineno,
-                    col=compare.col_offset,
-                    end_line=compare.end_lineno,
-                    end_col=compare.end_col_offset or 0,
-                    replacement=call,
-                    imports=("from repro.numeric import costs_equal",),
+                symbol = "==" if isinstance(op, ast.Eq) else "!="
+                yield Violation(
+                    code=self.code,
+                    path=ctx.path,
+                    line=node.lineno,
+                    column=node.col_offset,
+                    message=(
+                        f"exact float `{symbol}` on a cost/weight expression; use "
+                        "repro.numeric.costs_equal/costs_differ (or math.isclose)"
+                    ),
                 )
-        symbol = "==" if isinstance(op, ast.Eq) else "!="
-        return Violation(
-            code=self.code,
-            path=ctx.path,
-            line=compare.lineno,
-            column=compare.col_offset,
-            message=(
-                f"exact float `{symbol}` on a cost/weight expression; use "
-                "repro.numeric.costs_equal/costs_differ (or math.isclose)"
-            ),
-            fix=fix,
-        )
 
 
 class STY001BroadExcept(Rule):
@@ -645,7 +501,6 @@ class STY001BroadExcept(Rule):
     """
 
     code = "STY001"
-    autofixable = False
 
     BROAD = frozenset({"Exception", "BaseException"})
 
@@ -699,7 +554,6 @@ class WVR001WaiverReason(Rule):
     """
 
     code = "WVR001"
-    autofixable = False
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         return iter(())
@@ -710,22 +564,12 @@ RULES: tuple[type[Rule], ...] = (
     DET001WallClock,
     DET002ModuleRandom,
     DET003SetIteration,
-    INV001CSRMutation,
     INV002FloatCostEquality,
     STY001BroadExcept,
     WVR001WaiverReason,
 )
 
 
-def rule_catalog() -> list[tuple[str, bool, str]]:
-    """(code, autofixable, summary) for every registered rule, sorted by code.
-
-    Merges the per-file rules above with the whole-program semantic rules
-    (imported lazily: :mod:`repro.analysis.semantic_rules` depends on this
-    module for :class:`FileContext`/:class:`Violation`).
-    """
-    from .semantic_rules import SEMANTIC_RULES
-
-    entries = [(rule.code, rule.autofixable, rule.summary()) for rule in RULES]
-    entries += [(rule.code, rule.autofixable, rule.summary()) for rule in SEMANTIC_RULES]
-    return sorted(entries)
+def rule_catalog() -> list[tuple[str, str]]:
+    """(code, summary) for every registered rule, sorted by code."""
+    return sorted((rule.code, rule.summary()) for rule in RULES)

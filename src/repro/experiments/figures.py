@@ -193,30 +193,12 @@ class SweepResult:
     parameter: str
     rows: list[ResultRow] = field(default_factory=list)
 
-    def algorithms(self) -> list[str]:
-        """Distinct algorithm names in insertion order."""
-        seen: dict[str, None] = {}
-        for row in self.rows:
-            seen.setdefault(row.algorithm, None)
-        return list(seen)
-
-    def values(self) -> list[float]:
-        """Distinct parameter values in ascending order."""
-        return sorted({row.value for row in self.rows})
-
     def series(self, metric: str) -> dict[str, list[tuple[float, float]]]:
         """Per-algorithm ``(value, metric)`` series, as plotted in the paper."""
         result: dict[str, list[tuple[float, float]]] = {}
         for row in sorted(self.rows, key=lambda r: r.value):
             result.setdefault(row.algorithm, []).append((row.value, row.metric(metric)))
         return result
-
-    def row_for(self, algorithm: str, value: float) -> ResultRow:
-        """The row of one (algorithm, value) cell."""
-        for row in self.rows:
-            if row.algorithm == algorithm and row.value == value:
-                return row
-        raise KeyError(f"no row for ({algorithm}, {value})")
 
 
 @dataclass

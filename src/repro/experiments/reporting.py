@@ -7,7 +7,7 @@ import io
 from pathlib import Path
 from collections.abc import Iterable, Sequence
 
-from .figures import ResultRow, SweepResult
+from .figures import ResultRow
 
 #: Metrics shown in the default reports (the three panels of every figure).
 DEFAULT_METRICS: tuple[str, ...] = ("unified_cost", "service_rate", "running_time")
@@ -36,36 +36,6 @@ def format_rows(
     rendered = []
     if title:
         rendered.append(title)
-    for index, line in enumerate(lines):
-        rendered.append("  ".join(cell.ljust(widths[col]) for col, cell in enumerate(line)))
-        if index == 0:
-            rendered.append("  ".join("-" * widths[col] for col in range(len(header))))
-    return "\n".join(rendered)
-
-
-def format_sweep(
-    sweep: SweepResult,
-    *,
-    metric: str = "service_rate",
-    title: str | None = None,
-) -> str:
-    """Render one sweep as an algorithms x parameter-values matrix."""
-    algorithms = sweep.algorithms()
-    values = sweep.values()
-    header = ["algorithm", *[_format_number(value) for value in values]]
-    lines = [header]
-    for algorithm in algorithms:
-        cells = [algorithm]
-        for value in values:
-            try:
-                row = sweep.row_for(algorithm, value)
-                cells.append(_format_number(row.metric(metric)))
-            except KeyError:
-                cells.append("-")
-        lines.append(cells)
-    widths = [max(len(line[col]) for line in lines) for col in range(len(header))]
-    rendered = []
-    rendered.append(title or f"{sweep.label} -- {metric} by {sweep.parameter}")
     for index, line in enumerate(lines):
         rendered.append("  ".join(cell.ljust(widths[col]) for col, cell in enumerate(line)))
         if index == 0:

@@ -288,7 +288,7 @@ class SpanTracer:
 #: The process-wide active tracer consulted by instrumented code.
 #: Deliberately process-local: executor workers must install their own
 #: tracer (revisit when the zone-sharded multiprocessing PR lands).
-_active: NullTracer | SpanTracer = NULL_TRACER  # repro-lint: disable=CONC001 process-local tracer singleton by design; workers install their own
+_active: NullTracer | SpanTracer = NULL_TRACER
 
 #: Union type of the two tracer implementations (instrumentation sites
 #: accept either).

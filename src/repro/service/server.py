@@ -167,7 +167,7 @@ class DispatchService:
         self._metrics = MetricsCollector()
         #: Start of the next batch window; aligned on the first tick.
         self._next_start: float | None = None
-        self._next_index = 0
+        #: Batches processed so far, which is also the next batch's index.
         self._batches = 0
         self._sim_time = 0.0
         #: Batch index stamped on streamed engine events (``None`` for the
@@ -376,7 +376,7 @@ class DispatchService:
             self._next_start = math.floor(first / period) * period
         start = self._next_start
         end = start + period
-        index = self._next_index
+        index = self._batches
         requests: list[Request] = []
         for ride in self._queue.take_due(end):
             converted = self._materialise(ride, index, end)
@@ -389,7 +389,6 @@ class DispatchService:
         self._streaming_batch = index
         record = self._sim.process_batch(batch)
         self._next_start = end
-        self._next_index += 1
         self._batches += 1
         self._sim_time = end
         return record

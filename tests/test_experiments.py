@@ -13,7 +13,7 @@ import pytest
 from repro.exceptions import ConfigurationError
 from repro.experiments import figures
 from repro.experiments.figures import InstanceScale, SweepResult, sweep
-from repro.experiments.reporting import format_rows, format_sweep, rows_to_csv
+from repro.experiments.reporting import format_rows, rows_to_csv
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_rows_nyc.json"
 TINY = InstanceScale(request_fraction=0.0006, vehicle_fraction=0.02, city_scale=0.3)
@@ -61,8 +61,9 @@ def gamma_sweep(sweeps) -> SweepResult:
 class TestRunner:
     def test_sweep_produces_row_per_algorithm_and_value(self, gamma_sweep: SweepResult):
         assert len(gamma_sweep.rows) == 4
-        assert gamma_sweep.algorithms() == ["pruneGDP", "SARD"]
-        assert gamma_sweep.values() == [1.3, 1.8]
+        assert [(row.algorithm, row.value) for row in gamma_sweep.rows] == [
+            ("pruneGDP", 1.3), ("SARD", 1.3), ("pruneGDP", 1.8), ("SARD", 1.8),
+        ]
 
     def test_rows_reproduce_the_golden_file(self, sweeps):
         """The non-timing fields of every row, exactly as the pre-``RunSpec``
@@ -99,12 +100,6 @@ class TestRunner:
         assert set(series) == {"pruneGDP", "SARD"}
         assert [value for value, _ in series["SARD"]] == [1.3, 1.8]
 
-    def test_row_lookup(self, gamma_sweep: SweepResult):
-        row = gamma_sweep.row_for("SARD", 1.8)
-        assert row.algorithm == "SARD"
-        with pytest.raises(KeyError):
-            gamma_sweep.row_for("SARD", 99.0)
-
     def test_metric_name_validation(self, gamma_sweep: SweepResult):
         row = gamma_sweep.rows[0]
         assert row.metric("memory") == float(row.peak_memory_bytes)
@@ -134,11 +129,6 @@ class TestReporting:
         assert "Gamma sweep" in text
         assert "SARD" in text and "pruneGDP" in text
         assert "service_rate" in text
-
-    def test_format_sweep_matrix(self, gamma_sweep: SweepResult):
-        text = format_sweep(gamma_sweep, metric="service_rate")
-        assert "SARD" in text
-        assert "1.3" in text and "1.8" in text
 
     def test_csv_round_trip(self, tmp_path, gamma_sweep: SweepResult):
         path = tmp_path / "rows.csv"
