@@ -41,7 +41,6 @@ or, for one-call experiment runs, the harness front door::
 from .config import (
     ChaosConfig,
     DemandSurge,
-    ExperimentConfig,
     ResilienceConfig,
     ScenarioConfig,
     ServiceConfig,
@@ -52,7 +51,6 @@ from .exceptions import (
     ConfigError,
     ConfigurationError,
     DispatchError,
-    InfeasibleInsertionError,
     InjectedFaultError,
     NetworkError,
     OracleBuildError,
@@ -177,7 +175,6 @@ __all__ = [
     # configuration
     "SimulationConfig",
     "WorkloadConfig",
-    "ExperimentConfig",
     "ScenarioConfig",
     "ServiceConfig",
     "ChaosConfig",
@@ -191,7 +188,6 @@ __all__ = [
     "NetworkError",
     "UnreachableError",
     "ScheduleError",
-    "InfeasibleInsertionError",
     "DispatchError",
     "WorkloadError",
     "ResilienceError",

@@ -17,7 +17,7 @@ The parameter names follow Table II / Table III of the paper:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any
 
 from .exceptions import ConfigurationError
@@ -87,8 +87,6 @@ class SimulationConfig:
     #: Hard cap on group size enumerated by batch dispatchers (defaults to
     #: the vehicle capacity when ``None``).
     max_group_size: int | None = None
-    #: Keep unassigned requests in the working pool until they expire.
-    retain_unassigned: bool = True
     #: Routing backend answering ``cost(u, v)`` queries: ``"dijkstra"``
     #: (per-query CSR search), ``"alt"`` (landmark-directed search),
     #: ``"ch"`` (contraction hierarchies) or ``"hub_label"`` (hub labels
@@ -552,21 +550,3 @@ class ResilienceConfig:
     def with_overrides(self, **overrides: Any) -> "ResilienceConfig":
         """Return a copy of this configuration with the given fields replaced."""
         return replace(self, **overrides)
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment = a workload, a simulation config and algorithm names."""
-
-    workload: WorkloadConfig = field(default_factory=WorkloadConfig)
-    simulation: SimulationConfig = field(default_factory=SimulationConfig)
-    algorithms: tuple[str, ...] = (
-        "pruneGDP",
-        "TicketAssign+",
-        "DARM+DPRS",
-        "RTV",
-        "GAS",
-        "SARD",
-    )
-    #: Human-readable label for reports ("Figure 8 (CHD)", ...).
-    label: str = "experiment"

@@ -36,10 +36,6 @@ class ScheduleError(ReproError):
     """Raised when a schedule violates a structural constraint."""
 
 
-class InfeasibleInsertionError(ScheduleError):
-    """Raised when a request cannot be inserted into a schedule feasibly."""
-
-
 class DispatchError(ReproError):
     """Raised when a dispatcher receives inconsistent simulation state."""
 

@@ -1,9 +1,10 @@
 """Routing backends: CSR graph, contraction hierarchies and hub labels.
 
-This package is the preprocessing layer below
-:class:`~repro.network.shortest_path.DistanceOracle`.  The facade picks one
-of the pluggable backends (``dijkstra`` | ``alt`` | ``ch`` | ``hub_label``,
-see :data:`BACKEND_NAMES`) and this package supplies the compiled structures:
+This package is everything below the cache and the counters of
+:class:`~repro.network.shortest_path.DistanceOracle`: the backends
+(``dijkstra`` | ``alt`` | ``ch`` | ``hub_label``, see :data:`BACKEND_NAMES`),
+which all implement :class:`~repro.network.routing.backends.RoutingBackend`,
+and the compiled structures they search:
 
 * :class:`~repro.network.routing.csr.CSRGraph` -- flat-array adjacency
   compiled once from the dict-based :class:`~repro.network.road_network.RoadNetwork`.

@@ -1,26 +1,29 @@
-"""Pluggable routing backends and the shared per-network routing data.
+"""Routing backends behind one protocol, and the shared per-network data.
 
-:class:`~repro.network.shortest_path.DistanceOracle` is a facade: caching and
-query accounting live there, while the actual distance computation is done by
-one of the backends in this module:
+:class:`~repro.network.shortest_path.DistanceOracle` is a cache and a
+counter; every distance comes from one of the backends in this module:
 
 ``dijkstra``
     CSR-based Dijkstra with early termination (the reference backend).
 ``alt``
     The same search goal-directed with landmark (A*, Landmarks, Triangle
-    inequality) potentials.
+    inequality) potentials: 4 landmarks, seed 13.
 ``ch``
     Bidirectional upward query over a contraction hierarchy.
 ``hub_label``
     Sorted-label merge over hub labels extracted from the hierarchy
     (the paper's oracle), with a bucket-join ``many_to_many``.
 
+All of them implement :class:`RoutingBackend`: node identifiers in (each
+backend validates them against its own CSR snapshot), exact distances out,
+together with the work the search cost and every other exact distance it
+established on the way.  How a batch is answered is the backend's business.
+
 Preprocessed structures (CSR arrays, the hierarchy, the labels) are expensive
 relative to a single query, so they are built lazily and shared across every
 oracle over the same :class:`RoadNetwork` through a weak-keyed cache keyed on
 the network's monotonic mutation counter, which invalidates on mutation in
-O(1).  The preprocessed backends also answer ``path`` queries natively via
-CH shortcut unpacking -- no fallback graph search.
+O(1).
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ import math
 import random
 import weakref
 from collections.abc import Sequence
+from typing import Protocol
 
 from ...exceptions import NetworkError
 from ..road_network import RoadNetwork
@@ -47,11 +51,7 @@ def network_fingerprint(network: RoadNetwork) -> tuple[int, int, int]:
     """O(1) staleness token used to invalidate shared routing data.
 
     Built on :attr:`RoadNetwork.mutation_count`, a monotonic counter bumped
-    on every mutation.  The previous implementation XOR-hashed all edge
-    triples, which was O(E) per oracle construction *and* unsound: mutation
-    sequences whose triple hashes cancel (e.g. removing and re-adding pairs
-    of identical edges around other changes) left the checksum unchanged and
-    served stale preprocessed structures.
+    on every mutation, so no sequence of mutations can leave it unchanged.
     """
     return network.num_nodes, network.num_edges, network.mutation_count
 
@@ -59,19 +59,21 @@ def network_fingerprint(network: RoadNetwork) -> tuple[int, int, int]:
 class RoutingData:
     """Lazily-built routing structures shared by every oracle on one network."""
 
-    __slots__ = (
-        "fingerprint", "csr", "record_repair_support",
-        "_hierarchy", "_labeling", "__weakref__",
-    )
+    __slots__ = ("fingerprint", "csr", "_hierarchy", "_labeling", "__weakref__")
 
     def __init__(
-        self, network: RoadNetwork, *, record_repair_support: bool = True
+        self,
+        network: RoadNetwork,
+        *,
+        csr: CSRGraph | None = None,
+        hierarchy: ContractionHierarchy | None = None,
+        labeling: HubLabeling | None = None,
     ) -> None:
+        """Snapshot ``network``; a repair passes the structures it derived."""
         self.fingerprint = network_fingerprint(network)
-        self.csr = CSRGraph.from_network(network)
-        self.record_repair_support = record_repair_support
-        self._hierarchy: ContractionHierarchy | None = None
-        self._labeling: HubLabeling | None = None
+        self.csr = csr if csr is not None else CSRGraph.from_network(network)
+        self._hierarchy = hierarchy
+        self._labeling = labeling
 
     @property
     def has_hierarchy(self) -> bool:
@@ -82,9 +84,7 @@ class RoutingData:
     def hierarchy(self) -> ContractionHierarchy:
         """The contraction hierarchy (built on first access)."""
         if self._hierarchy is None:
-            self._hierarchy = ContractionHierarchy(
-                self.csr, record_repair_support=self.record_repair_support
-            )
+            self._hierarchy = ContractionHierarchy(self.csr)
         return self._hierarchy
 
     @property
@@ -100,19 +100,11 @@ _ROUTING_DATA: "weakref.WeakKeyDictionary[RoadNetwork, RoutingData]" = (
 )
 
 
-def routing_data(
-    network: RoadNetwork, *, record_repair_support: bool = True
-) -> RoutingData:
-    """Shared :class:`RoutingData` for ``network`` (rebuilt when it changed).
-
-    ``record_repair_support`` only takes effect when this call *builds* the
-    data (first oracle over the network, or the network mutated): structures
-    are shared per network, so a cached state is served as-is whatever flag
-    it was built with.
-    """
+def routing_data(network: RoadNetwork) -> RoutingData:
+    """Shared :class:`RoutingData` for ``network`` (rebuilt when it changed)."""
     data = _ROUTING_DATA.get(network)
     if data is None or data.fingerprint != network_fingerprint(network):
-        data = RoutingData(network, record_repair_support=record_repair_support)
+        data = RoutingData(network)
         _ROUTING_DATA[network] = data
     return data
 
@@ -188,41 +180,76 @@ def repair_routing_data(
     if forked is None:
         return None
     hierarchy, stats = forked
-    repaired = RoutingData.__new__(RoutingData)
-    repaired.fingerprint = network_fingerprint(network)
-    repaired.csr = csr
-    repaired.record_repair_support = data.record_repair_support
-    repaired._hierarchy = hierarchy
-    repaired._labeling = (
-        HubLabeling(hierarchy) if data._labeling is not None else None
+    repaired = RoutingData(
+        network,
+        csr=csr,
+        hierarchy=hierarchy,
+        labeling=HubLabeling(hierarchy) if data._labeling is not None else None,
     )
     _ROUTING_DATA[network] = repaired
     return repaired, stats
 
 
 # ---------------------------------------------------------------------- #
-# graph-search backend (dijkstra / ALT)
+# the protocol
+# ---------------------------------------------------------------------- #
+#: Exact ``(source, target) -> travel time`` entries keyed by node
+#: identifiers; ``math.inf`` marks an unreachable pair.
+Distances = dict[tuple[int, int], float]
+
+
+class RoutingBackend(Protocol):
+    """What :class:`DistanceOracle` asks of whichever backend serves it.
+
+    Arguments and results speak node identifiers; an identifier missing from
+    ``data.csr`` raises :class:`NetworkError` before any search runs.  Every
+    query hands back, next to its answer, the number of nodes settled (label
+    entries scanned) and a :data:`Distances` table of everything the search
+    established exactly -- the asked pairs always, plus whatever came for
+    free (a Dijkstra's settled set, the bucket join's dense product).  The
+    oracle caches that table in iteration order.
+    """
+
+    name: str
+    #: The network snapshot this backend answers for.
+    data: RoutingData
+
+    def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
+        """``(distance, settled, learned)`` for one pair."""
+
+    def many_to_many(
+        self, pairs: Sequence[tuple[int, int]]
+    ) -> tuple[Distances, int, int]:
+        """``(learned, searches, settled)``; ``learned`` holds every pair asked."""
+
+    def path(
+        self, source: int, target: int
+    ) -> tuple[list[int] | None, int, Distances]:
+        """``(nodes, settled, learned)``; ``nodes`` is ``None`` when unreachable."""
+
+    def estimated_memory_bytes(self) -> int:
+        """Rough footprint of every structure the backend keeps alive."""
+
+
+# ---------------------------------------------------------------------- #
+# graph-search backends (dijkstra / ALT)
 # ---------------------------------------------------------------------- #
 class _LandmarkTable:
     """Forward/backward landmark distances over dense node indices."""
 
-    __slots__ = ("landmarks", "forward", "backward")
+    __slots__ = ("forward", "backward")
 
     def __init__(self, csr: CSRGraph, count: int, seed: int) -> None:
         n = csr.num_nodes
-        rng = random.Random(seed)
-        self.landmarks: list[int] = []
         self.forward: list[list[float]] = []
         self.backward: list[list[float]] = []
-        if n == 0 or count <= 0:
+        if n == 0:
             return
-        count = min(count, n)
         # Farthest-point selection: start random, then repeatedly pick the
         # node farthest (in forward distance) from the chosen set.
-        first = rng.randrange(n)
-        self.landmarks.append(first)
-        self.forward.append(csr.sssp(first)[0])
-        while len(self.landmarks) < count:
+        landmarks = [random.Random(seed).randrange(n)]
+        self.forward.append(csr.sssp(landmarks[0])[0])
+        while len(landmarks) < min(count, n):
             best_node, best_score = -1, -1.0
             for node in range(n):
                 score = min(table[node] for table in self.forward)
@@ -232,71 +259,141 @@ class _LandmarkTable:
                     best_node, best_score = node, score
             if best_node < 0:
                 break
-            self.landmarks.append(best_node)
+            landmarks.append(best_node)
             self.forward.append(csr.sssp(best_node)[0])
-        self.backward = [csr.sssp(lm, reverse=True)[0] for lm in self.landmarks]
+        self.backward = [csr.sssp(lm, reverse=True)[0] for lm in landmarks]
 
     def lower_bound(self, u: int, v: int) -> float:
-        """Triangle-inequality lower bound on ``dist(u, v)``."""
+        """Triangle-inequality lower bound on ``dist(u, v)``.
+
+        Infinite when a landmark proves ``v`` unreachable from ``u`` (it
+        reaches ``u`` but not ``v``, or ``v`` reaches it but ``u`` does not).
+        Skipping such nodes keeps the potential consistent over the ones a
+        search does settle, so their distances are exact, not just the
+        target's.
+        """
+        inf = math.inf
         best = 0.0
         for fwd, bwd in zip(self.forward, self.backward):
             dl_v, dl_u = fwd[v], fwd[u]
-            if dl_v < math.inf and dl_u < math.inf and dl_v - dl_u > best:
-                best = dl_v - dl_u
+            if dl_u < inf:
+                if dl_v == inf:
+                    return inf
+                if dl_v - dl_u > best:
+                    best = dl_v - dl_u
             du_l, dv_l = bwd[u], bwd[v]
-            if du_l < math.inf and dv_l < math.inf and du_l - dv_l > best:
-                best = du_l - dv_l
+            if dv_l < inf:
+                if du_l == inf:
+                    return inf
+                if du_l - dv_l > best:
+                    best = du_l - dv_l
         return best
 
 
 class GraphSearchBackend:
-    """Dijkstra (optionally ALT-directed) over the CSR arrays.
+    """Dijkstra over the CSR arrays; no preprocessing beyond the CSR.
 
-    Searches return their settled set so the facade can opportunistically
-    cache every ``(source, settled_node)`` distance, which amortises repeated
-    queries from popular locations (vehicle positions).
+    A search learns the exact distance of every node it settles, which
+    amortises repeated queries from popular locations (vehicle positions)
+    once the oracle has cached them.
     """
 
     name = "dijkstra"
 
-    def __init__(
-        self, data: RoutingData, *, num_landmarks: int = 0, seed: int = 13
-    ) -> None:
+    def __init__(self, data: RoutingData) -> None:
         self.data = data
-        self.csr = data.csr
         self._landmarks: _LandmarkTable | None = None
-        if num_landmarks > 0:
-            self.name = "alt"
-            self._landmarks = _LandmarkTable(data.csr, num_landmarks, seed)
 
-    # ------------------------------------------------------------------ #
-    def search(
-        self, source: int, target: int, *, want_parents: bool = False
-    ) -> tuple[float, dict[int, float], dict[int, int]]:
+    def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
+        """Early-terminating search; learns the settled set of ``source``."""
+        return self._search(source, target, None)
+
+    def many_to_many(
+        self, pairs: Sequence[tuple[int, int]]
+    ) -> tuple[Distances, int, int]:
+        """One multi-target search per distinct node of the smaller side.
+
+        Searching backwards when few targets serve many sources (candidate
+        vehicles converging on one pick-up) minimises the number of
+        searches; each one learns its whole settled set.
+        """
+        csr = self.data.csr
+        index = csr.require_index
+        by_source: dict[int, dict[int, None]] = {}
+        by_target: dict[int, dict[int, None]] = {}
+        for source, target in pairs:
+            s, t = index(source), index(target)
+            by_source.setdefault(s, {})[t] = None
+            by_target.setdefault(t, {})[s] = None
+        reverse = len(by_target) < len(by_source)
+        groups = by_target if reverse else by_source
+        ids = csr.node_ids
+        inf = math.inf
+        learned: Distances = {}
+        work = 0
+        for anchor_index, others in groups.items():
+            dist, settled = csr.sssp(anchor_index, targets=others, reverse=reverse)
+            work += len(settled)
+            # A target the exhausted search never reached is known too: inf.
+            settled.extend(i for i in others if dist[i] == inf)
+            anchor = ids[anchor_index]
+            if reverse:
+                for i in settled:
+                    learned[(ids[i], anchor)] = dist[i]
+            else:
+                for i in settled:
+                    learned[(anchor, ids[i])] = dist[i]
+        return learned, len(groups), work
+
+    def path(
+        self, source: int, target: int
+    ) -> tuple[list[int] | None, int, Distances]:
+        """The search of :meth:`one_to_one` with parent pointers kept."""
+        parents: dict[int, int] = {}
+        distance, work, learned = self._search(source, target, parents)
+        if distance == math.inf:
+            return None, work, learned
+        csr = self.data.csr
+        ids = csr.node_ids
+        first, node = csr.index_of[source], csr.index_of[target]
+        nodes = [target]
+        while node != first:
+            node = parents[node]
+            nodes.append(ids[node])
+        nodes.reverse()
+        return nodes, work, learned
+
+    def estimated_memory_bytes(self) -> int:
+        """The CSR arrays plus, for ``alt``, the landmark distance tables."""
+        csr = self.data.csr
+        tables = self._landmarks
+        rows = len(tables.forward) + len(tables.backward) if tables else 0
+        return csr.estimated_memory_bytes() + 32 * rows * csr.num_nodes
+
+    def _search(
+        self, source: int, target: int, parents: dict[int, int] | None
+    ) -> tuple[float, int, Distances]:
         """Point-to-point search with early termination at ``target``.
 
-        Returns ``(distance, settled, parents)``; ``settled`` maps dense node
-        indices to exact distances from ``source`` and ``parents`` is only
-        filled when ``want_parents`` is set.
+        Fills ``parents`` (dense index -> predecessor index) when given.
         """
-        csr = self.csr
+        csr = self.data.csr
+        first, last = csr.require_index(source), csr.require_index(target)
         indptr, indices, weights = csr.indptr, csr.indices, csr.weights
         landmarks = self._landmarks
         inf = math.inf
-        dist: dict[int, float] = {source: 0.0}
-        parents: dict[int, int] = {}
+        dist: dict[int, float] = {first: 0.0}
         settled: dict[int, float] = {}
-        potential = landmarks.lower_bound(source, target) if landmarks else 0.0
-        heap: list[tuple[float, int]] = [(potential, source)]
-        target_distance = inf
+        heap: list[tuple[float, int]] = [(0.0, first)]
+        distance = inf
         while heap:
             _, node = heapq.heappop(heap)
             if node in settled:
                 continue
             node_dist = dist[node]
             settled[node] = node_dist
-            if node == target:
-                target_distance = node_dist
+            if node == last:
+                distance = node_dist
                 break
             for e in range(indptr[node], indptr[node + 1]):
                 succ = indices[e]
@@ -305,33 +402,47 @@ class GraphSearchBackend:
                 candidate = node_dist + weights[e]
                 if candidate < dist.get(succ, inf):
                     dist[succ] = candidate
-                    if want_parents:
+                    if parents is not None:
                         parents[succ] = node
                     key = candidate
                     if landmarks is not None:
-                        key += landmarks.lower_bound(succ, target)
+                        key += landmarks.lower_bound(succ, last)
+                        if key == inf:
+                            continue  # proven unable to reach the target
                     heapq.heappush(heap, (key, succ))
-        return target_distance, settled, parents
+        ids = csr.node_ids
+        learned = {(source, ids[i]): d for i, d in settled.items()}
+        if distance == inf:
+            learned[(source, target)] = inf
+        return distance, len(settled), learned
 
-    def search_multi(
-        self, source: int, targets: set[int], *, reverse: bool = False
-    ) -> tuple[dict[int, float], dict[int, float]]:
-        """Plain Dijkstra from ``source`` until every target is settled.
 
-        Returns ``(target_distances, settled)``; unreached targets map to
-        ``math.inf``.  With ``reverse`` the distances run *to* ``source``
-        (used when one target is shared by many sources).
-        """
-        dist_list, settled_indices = self.csr.sssp(
-            source, targets=set(targets), reverse=reverse
-        )
-        settled = {index: dist_list[index] for index in settled_indices}
-        return {t: dist_list[t] for t in targets}, settled
+class _AltBackend(GraphSearchBackend):
+    """The same searches, goal-directed by landmark potentials."""
+
+    name = "alt"
+
+    def __init__(self, data: RoutingData) -> None:
+        super().__init__(data)
+        self._landmarks = _LandmarkTable(data.csr, count=4, seed=13)
 
 
 # ---------------------------------------------------------------------- #
 # preprocessed backends
 # ---------------------------------------------------------------------- #
+def _unpacked_path(
+    data: RoutingData, source: int, target: int
+) -> tuple[list[int] | None, int, Distances]:
+    """``path`` of both preprocessed backends: CH meeting node + unpacking."""
+    csr = data.csr
+    indices, distance, work = data.hierarchy.path_query(
+        csr.require_index(source), csr.require_index(target)
+    )
+    ids = csr.node_ids
+    nodes = None if indices is None else [ids[i] for i in indices]
+    return nodes, work, {(source, target): distance}
+
+
 class CHBackend:
     """Bidirectional upward queries over the contraction hierarchy."""
 
@@ -341,36 +452,43 @@ class CHBackend:
         self.data = data
         self.hierarchy = data.hierarchy
 
-    def one_to_one(self, source: int, target: int) -> tuple[float, int]:
-        """Return ``(distance, settled_count)`` for one index pair."""
-        return self.hierarchy.query(source, target)
+    def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
+        """One bidirectional query; learns the asked pair only."""
+        index = self.data.csr.require_index
+        distance, work = self.hierarchy.query(index(source), index(target))
+        return distance, work, {(source, target): distance}
 
     def many_to_many(
         self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[dict[tuple[int, int], float], int]:
-        """Answer exactly the requested index pairs, one query each.
+    ) -> tuple[Distances, int, int]:
+        """One query per distinct requested pair, never the dense product.
 
         CH has no cross-pair structure to share (unlike the hub-label bucket
-        join), so batching is a loop of bidirectional queries -- but over the
-        *requested* pairs only, never the dense cross product.
+        join), so batching is a loop of bidirectional queries.
         """
-        table: dict[tuple[int, int], float] = {}
-        work = 0
+        index = self.data.csr.require_index
+        index_pairs = [(index(s), index(t)) for s, t in pairs]
         query = self.hierarchy.query
-        for s, t in pairs:
-            if (s, t) in table:
-                continue
-            distance, settled = query(s, t)
-            table[(s, t)] = distance
-            work += settled
-        return table, work
+        learned: Distances = {}
+        work = 0
+        for pair, (s, t) in zip(pairs, index_pairs):
+            if pair not in learned:
+                learned[pair], settled = query(s, t)
+                work += settled
+        return learned, len(learned), work
 
-    def path(self, source: int, target: int) -> tuple[list[int] | None, float, int]:
-        """Shortest path as dense indices via shortcut unpacking."""
-        return self.hierarchy.path_query(source, target)
+    def path(
+        self, source: int, target: int
+    ) -> tuple[list[int] | None, int, Distances]:
+        """Shortest path via shortcut unpacking -- no graph search."""
+        return _unpacked_path(self.data, source, target)
 
     def estimated_memory_bytes(self) -> int:
-        return self.hierarchy.estimated_memory_bytes()
+        """The CSR arrays plus the hierarchy built over them."""
+        return (
+            self.data.csr.estimated_memory_bytes()
+            + self.hierarchy.estimated_memory_bytes()
+        )
 
 
 class HubLabelBackend:
@@ -382,60 +500,58 @@ class HubLabelBackend:
         self.data = data
         self.labeling = data.labeling
 
-    def one_to_one(self, source: int, target: int) -> tuple[float, int]:
-        """Return ``(distance, label_entries_scanned)`` for one index pair."""
-        return self.labeling.query(source, target)
+    def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
+        """One two-pointer label merge; learns the asked pair only."""
+        index = self.data.csr.require_index
+        distance, work = self.labeling.query(index(source), index(target))
+        return distance, work, {(source, target): distance}
 
     def many_to_many(
-        self, sources: Sequence[int], targets: Sequence[int]
-    ) -> tuple[dict[tuple[int, int], float], int]:
-        """Bucket join over the labels of all sources and targets."""
-        return self.labeling.many_to_many(sources, targets)
+        self, pairs: Sequence[tuple[int, int]]
+    ) -> tuple[Distances, int, int]:
+        """One bucket join over the labels of every source and target asked.
 
-    def path(self, source: int, target: int) -> tuple[list[int] | None, float, int]:
-        """Shortest path via the hierarchy the labels were extracted from.
-
-        Labels alone answer distances; the node sequence comes from the same
-        shared :class:`ContractionHierarchy` (already built as the labels'
-        substrate) through meeting-node extraction plus shortcut unpacking.
+        The join produces the dense sources x targets product, so all of it
+        is learned, not just the requested pairs; each requested pair counts
+        as one search.
         """
-        return self.data.hierarchy.path_query(source, target)
+        csr = self.data.csr
+        index = csr.require_index
+        dense, work = self.labeling.many_to_many(
+            sorted({index(source) for source, _ in pairs}),
+            sorted({index(target) for _, target in pairs}),
+        )
+        ids = csr.node_ids
+        learned = {(ids[s], ids[t]): d for (s, t), d in dense.items() if s != t}
+        learned.update((pair, 0.0) for pair in pairs if pair[0] == pair[1])
+        return learned, len(set(pairs)), work
+
+    def path(
+        self, source: int, target: int
+    ) -> tuple[list[int] | None, int, Distances]:
+        """Shortest path via the hierarchy the labels were extracted from."""
+        return _unpacked_path(self.data, source, target)
 
     def estimated_memory_bytes(self) -> int:
-        return self.labeling.estimated_memory_bytes()
-
-
-#: Union of the concrete backend types the facade can hold; the backends
-#: share a duck-typed protocol (cost/search/path/estimated_memory_bytes)
-#: rather than a base class, so annotations use this alias.
-RoutingBackend = GraphSearchBackend | CHBackend | HubLabelBackend
-
-
-def make_backend(
-    name: str,
-    data: RoutingData,
-    *,
-    num_landmarks: int = 0,
-    seed: int = 13,
-) -> "RoutingBackend":
-    """Instantiate the backend ``name`` over shared routing ``data``.
-
-    ``num_landmarks > 0`` upgrades ``dijkstra`` to ``alt`` for backward
-    compatibility with the pre-backend oracle constructor.
-    """
-    key = name.lower()
-    if key == "dijkstra" and num_landmarks > 0:
-        key = "alt"
-    if key == "dijkstra":
-        return GraphSearchBackend(data)
-    if key == "alt":
-        return GraphSearchBackend(
-            data, num_landmarks=max(num_landmarks, 4), seed=seed
+        """The labels plus the CSR and the hierarchy kept alive for ``path``."""
+        return (
+            self.data.csr.estimated_memory_bytes()
+            + self.data.hierarchy.estimated_memory_bytes()
+            + self.labeling.estimated_memory_bytes()
         )
-    if key == "ch":
-        return CHBackend(data)
-    if key == "hub_label":
-        return HubLabelBackend(data)
-    raise NetworkError(
-        f"unknown routing backend {name!r}; choose from {BACKEND_NAMES}"
-    )
+
+
+_BACKENDS: dict[str, type] = {
+    backend.name: backend
+    for backend in (GraphSearchBackend, _AltBackend, CHBackend, HubLabelBackend)
+}
+
+
+def make_backend(name: str, data: RoutingData) -> RoutingBackend:
+    """Instantiate the backend ``name`` over shared routing ``data``."""
+    backend = _BACKENDS.get(name.lower())
+    if backend is None:
+        raise NetworkError(
+            f"unknown routing backend {name!r}; choose from {BACKEND_NAMES}"
+        )
+    return backend(data)

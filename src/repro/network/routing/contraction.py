@@ -122,7 +122,6 @@ class ContractionHierarchy:
         "_reduced",
         "_witness_settled",
         "_witness_dependents",
-        "_support_recorded",
     )
 
     def __init__(
@@ -130,17 +129,9 @@ class ContractionHierarchy:
         csr: CSRGraph,
         *,
         witness_limit: int = DEFAULT_WITNESS_LIMIT,
-        record_repair_support: bool = True,
     ) -> None:
         self.csr = csr
         self._witness_limit = max(int(witness_limit), 1)
-        #: Whether the build recorded the repair-support structures (effect
-        #: lists + witness-support index).  Recording costs ~6% build time
-        #: and the support-index memory; without it :meth:`repair` is
-        #: unavailable and returns ``None`` (callers fall back to a full
-        #: rebuild), which suits static experiments that never mutate the
-        #: network.
-        self._support_recorded = bool(record_repair_support)
         n = csr.num_nodes
         #: Contraction order: ``rank[i] == 0`` is contracted first.
         self.rank: list[int] = [0] * n
@@ -235,19 +226,12 @@ class ContractionHierarchy:
         deleted_neighbors = [0] * n
         contracted = [False] * n
         dirty = [False] * n
-        record_support = self._support_recorded
         self._stored_fwd = [{} for _ in range(n)]
         self._stored_bwd = [{} for _ in range(n)]
-        if record_support:
-            self._added = [[] for _ in range(n)]
-            self._reduced = [[] for _ in range(n)]
-            self._witness_settled = [[] for _ in range(n)]
-            self._witness_dependents = [set() for _ in range(n)]
-        else:
-            self._added = []
-            self._reduced = []
-            self._witness_settled = []
-            self._witness_dependents = []
+        self._added = [[] for _ in range(n)]
+        self._reduced = [[] for _ in range(n)]
+        self._witness_settled = [[] for _ in range(n)]
+        self._witness_dependents = [set() for _ in range(n)]
 
         def estimate(v: int) -> int:
             """Edge-difference priority with a 1-hop witness *estimate*.
@@ -290,15 +274,13 @@ class ContractionHierarchy:
                     heapq.heappush(heap, (current, v))
                     continue
             added, reduced, witness, stored_fwd, stored_bwd = self._contract_node(
-                v, fwd, bwd, contracted, self.shortcut_middle,
-                record_support=record_support,
+                v, fwd, bwd, contracted, self.shortcut_middle
             )
-            if record_support:
-                self._added[v] = added
-                self._reduced[v] = reduced
-                self._witness_settled[v] = witness_list = sorted(witness)
-                for y in witness_list:
-                    self._witness_dependents[y].add(v)
+            self._added[v] = added
+            self._reduced[v] = reduced
+            self._witness_settled[v] = witness_list = sorted(witness)
+            for y in witness_list:
+                self._witness_dependents[y].add(v)
             self._stored_fwd[v] = stored_fwd
             self._stored_bwd[v] = stored_bwd
             self._contract_order.append(v)
@@ -457,8 +439,6 @@ class ContractionHierarchy:
         bwd: list[dict[int, float]],
         contracted: list[bool],
         middle: dict[tuple[int, int], int],
-        *,
-        record_support: bool = True,
     ) -> tuple[
         list[tuple[int, int, float]],
         list[tuple[int, int, float]],
@@ -485,8 +465,8 @@ class ContractionHierarchy:
         witness: set[int] = set()
         for u, needed in self._needed_shortcuts(
             v, fwd, bwd, contracted, reduce_edges=True,
-            reduced_out=reduced if record_support else None,
-            witness_out=witness if record_support else None,
+            reduced_out=reduced,
+            witness_out=witness,
             middle=middle,
         ):
             for x, through in needed:
@@ -534,13 +514,10 @@ class ContractionHierarchy:
         re-contracted cells) -- this hierarchy stays valid for the
         pre-mutation graph, which is what lets callers keep recent states
         around and swap them back when a mutation burst reverts.  Returns
-        ``None`` when the repair is not applicable (support records not kept
-        at build time, node set changed) or the affected set exceeds
+        ``None`` when the node set changed or the affected set exceeds
         ``max_fraction`` of all nodes, in which case the caller should fall
         back to a full rebuild.
         """
-        if not self._support_recorded:
-            return None
         old_csr = self.csr
         if csr.node_ids != old_csr.node_ids:
             return None
@@ -692,7 +669,6 @@ class ContractionHierarchy:
         fork = object.__new__(ContractionHierarchy)
         fork.csr = csr
         fork._witness_limit = self._witness_limit
-        fork._support_recorded = True  # forks only exist off recorded builds
         # Frozen across repairs (the whole point of the replay): the rank
         # permutation and contraction order are shared by reference.
         fork.rank = self.rank

@@ -4,12 +4,12 @@ The paper answers ``cost(u, v)`` queries with hub labeling [50] fronted by an
 LRU cache [40] and reports the number of shortest-path queries as one of the
 ablation metrics (Tables V and VI).  This module reproduces that interface:
 
-* :class:`DistanceOracle` -- a facade over the pluggable routing backends of
-  :mod:`repro.network.routing` (``dijkstra`` | ``alt`` | ``ch`` |
-  ``hub_label``), fronted by an LRU pair cache.  ``cost(u, v)`` /
+* :class:`DistanceOracle` -- an LRU pair cache and the query counters in
+  front of one :class:`~repro.network.routing.backends.RoutingBackend`
+  (``dijkstra`` | ``alt`` | ``ch`` | ``hub_label``).  ``cost(u, v)`` /
   ``path(u, v)`` answer point queries and :meth:`DistanceOracle.many_to_many`
-  answers batched source x target tables (hub labels use a bucket join there
-  instead of per-pair merges).
+  answers batched source x target tables; how a miss is computed, batched
+  and validated is the backend's business.
 * :class:`QueryStatistics` -- counts logical queries, cache hits and the
   number of backend searches, so experiments report the same
   "#Shortest Path Queries" column as the paper *uniformly across backends*:
@@ -19,18 +19,16 @@ ablation metrics (Tables V and VI).  This module reproduces that interface:
 
 from __future__ import annotations
 
-import math
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from ..exceptions import NetworkError, UnreachableError
 from .road_network import RoadNetwork
 from .routing.backends import (
     BACKEND_NAMES,
-    GraphSearchBackend,
-    HubLabelBackend,
+    Distances,
     RoutingBackend,
     RoutingData,
     csr_content,
@@ -91,21 +89,12 @@ class QueryStatistics:
 
     def reset(self) -> None:
         """Zero every counter."""
-        self.queries = 0
-        self.cache_hits = 0
-        self.searches = 0
-        self.settled_nodes = 0
-        self.fallback_queries = 0
+        for counter in fields(self):
+            setattr(self, counter.name, 0)
 
     def snapshot(self) -> dict[str, int]:
         """Return the counters as a plain dictionary (for reporting)."""
-        return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "searches": self.searches,
-            "settled_nodes": self.settled_nodes,
-            "fallback_queries": self.fallback_queries,
-        }
+        return {counter.name: getattr(self, counter.name) for counter in fields(self)}
 
 
 class DistanceOracle:
@@ -117,11 +106,9 @@ class DistanceOracle:
         The road network to query.
     cache_size:
         Maximum number of ``(source, target) -> cost`` entries kept in the
-        LRU cache.  When a graph search terminates, every settled node is
-        opportunistically cached for the same source, which amortises the
-        cost of repeated queries from popular locations (vehicle positions);
-        the preprocessed backends cache only the queried pair (their queries
-        are cheap enough not to need the amortisation).
+        LRU cache.  Every exact distance a backend search hands back is
+        cached, not just the asked pair: a Dijkstra's settled set amortises
+        repeated queries from popular locations (vehicle positions).
     backend:
         One of :data:`repro.network.routing.BACKEND_NAMES`.  ``dijkstra``
         searches the CSR graph per query; ``alt`` adds landmark potentials;
@@ -129,18 +116,6 @@ class DistanceOracle:
         bidirectional upward searches; ``hub_label`` additionally extracts
         hub labels and answers with sorted-label merges (the paper's setup).
         Preprocessing is shared between oracles over the same network.
-    num_landmarks:
-        Number of ALT landmarks.  Kept for backward compatibility: a positive
-        value upgrades the ``dijkstra`` backend to ``alt``.
-    seed:
-        Seed for the landmark selection.
-    record_repair_support:
-        Record the witness-support index the incremental CH repair layer
-        needs (adds ~6% build time and the support-index memory).  Static
-        experiments that never mutate the network can pass ``False``;
-        :meth:`repair` then always falls back to a full rebuild.  The
-        preprocessed structures are shared per network, so the flag only
-        takes effect for the oracle that builds them first.
     """
 
     def __init__(
@@ -148,10 +123,7 @@ class DistanceOracle:
         network: RoadNetwork,
         *,
         cache_size: int = 200_000,
-        num_landmarks: int = 0,
-        seed: int = 13,
         backend: str = "dijkstra",
-        record_repair_support: bool = True,
     ) -> None:
         if cache_size < 0:
             raise NetworkError("cache_size must be non-negative")
@@ -164,25 +136,15 @@ class DistanceOracle:
         #: queries compares it instead of registering for invalidation.
         self.generation = 0
         self.stats = QueryStatistics()
-        self._requested_backend = backend
-        self._num_landmarks = num_landmarks
-        self._seed = seed
-        self._record_repair_support = record_repair_support
-        self._data = routing_data(
-            network, record_repair_support=record_repair_support
-        )
-        self._backend = make_backend(
-            backend, self._data, num_landmarks=num_landmarks, seed=seed
-        )
+        self._backend: RoutingBackend = make_backend(backend, routing_data(network))
         #: Fresh-CSR Dijkstra serving queries while the preprocessed
         #: structures are dirty (``None`` outside scenario fallback windows).
-        self._fallback: GraphSearchBackend | None = None
-        self._fallback_data = None
+        self._fallback: RoutingBackend | None = None
         #: Content-addressed LRU of recent routing states (see
         #: :meth:`repair`): edge-content signature -> RoutingData.
-        self._snapshots: OrderedDict[tuple, object] = OrderedDict()
+        self._snapshots: OrderedDict[tuple, RoutingData] = OrderedDict()
         #: Query-trace sampling interval (observability).  0 disables; the
-        #: hot-path guard is a single falsy-int check so an untraced oracle
+        #: miss-path guard is a single falsy-int check so an untraced oracle
         #: pays no measurable per-query cost.  See :meth:`set_query_tracing`.
         self._trace_every = 0
         self._trace_countdown = 0
@@ -198,7 +160,7 @@ class DistanceOracle:
 
     @property
     def backend_name(self) -> str:
-        """Name of the active routing backend."""
+        """Name of the configured routing backend."""
         return self._backend.name
 
     # ------------------------------------------------------------------ #
@@ -212,8 +174,8 @@ class DistanceOracle:
         the fallback's CSR snapshot (the preprocessed structures are dirty by
         definition then, but queries are still answered exactly).
         """
-        active = self._fallback_data if self._fallback is not None else self._data
-        return active.fingerprint != network_fingerprint(self._network)
+        serving = self._fallback or self._backend
+        return serving.data.fingerprint != network_fingerprint(self._network)
 
     @property
     def serving_fallback(self) -> bool:
@@ -235,12 +197,7 @@ class DistanceOracle:
         unchanged -- the caller may retry or enter the fallback.
         """
         start = time.perf_counter()
-        self._adopt_data(
-            routing_data(
-                self._network,
-                record_repair_support=self._record_repair_support,
-            )
-        )
+        self._adopt_data(routing_data(self._network))
         return time.perf_counter() - start
 
     def repair(
@@ -280,7 +237,7 @@ class DistanceOracle:
         """
         start = time.perf_counter()
         network = self._network
-        data = self._data
+        data = self._backend.data
         if self._fallback is None and not self.is_stale:
             return RepairReport(mode="noop")
         # 1. Exact-reversion lookup.  The pre-mutation state is recoverable
@@ -310,12 +267,8 @@ class DistanceOracle:
         if repaired is None:
             # 3. Not absorbable: full rebuild; the fresh state is cached for
             # future reversions.
-            self._adopt_data(
-                routing_data(
-                    network, record_repair_support=self._record_repair_support
-                )
-            )
-            self._remember_snapshot(now_key, self._data)
+            self._adopt_data(routing_data(network))
+            self._remember_snapshot(now_key, self._backend.data)
             return RepairReport(
                 mode="rebuilt", seconds=time.perf_counter() - start
             )
@@ -338,16 +291,9 @@ class DistanceOracle:
         leave the oracle consistent on its previous structures, never
         half-initialised with a cleared cache and no backend.
         """
-        backend = make_backend(
-            self._requested_backend,
-            data,
-            num_landmarks=self._num_landmarks,
-            seed=self._seed,
-        )
+        backend = make_backend(self._backend.name, data)
         self.clear_cache()
         self._fallback = None
-        self._fallback_data = None
-        self._data = data
         self._backend = backend
 
     def _remember_snapshot(self, key: tuple, data: RoutingData) -> None:
@@ -366,20 +312,11 @@ class DistanceOracle:
         are counted in ``stats.fallback_queries``.  A no-op when the current
         fallback already matches the network.
         """
-        data = routing_data(
-            self._network, record_repair_support=self._record_repair_support
-        )
-        if self._fallback is not None and self._fallback_data is data:
+        data = routing_data(self._network)
+        if self._fallback is not None and self._fallback.data is data:
             return
         self.clear_cache()
-        self._fallback_data = data
-        self._fallback = GraphSearchBackend(data)
-
-    def _active(self) -> tuple[RoutingData, "RoutingBackend"]:
-        """The ``(routing_data, backend)`` pair answering queries right now."""
-        if self._fallback is not None:
-            return self._fallback_data, self._fallback
-        return self._data, self._backend
+        self._fallback = make_backend("dijkstra", data)
 
     def set_query_tracing(self, tracer: object | None, every: int = 100) -> None:
         """Sample every ``every``-th *computed* point query into ``tracer``.
@@ -397,14 +334,10 @@ class DistanceOracle:
         """
         if every < 0:
             raise NetworkError("query-trace sampling interval must be non-negative")
-        if tracer is None or every == 0 or not getattr(tracer, "enabled", False):
-            self._trace_every = 0
-            self._trace_countdown = 0
-            self._trace_tracer = None
-            return
-        self._trace_every = every
-        self._trace_countdown = every
-        self._trace_tracer = tracer
+        if tracer is None or not getattr(tracer, "enabled", False):
+            every = 0
+        self._trace_every = self._trace_countdown = every
+        self._trace_tracer = tracer if every else None
 
     def cost(self, source: int, target: int) -> float:
         """Minimum travel time from ``source`` to ``target`` in seconds.
@@ -415,7 +348,7 @@ class DistanceOracle:
         """
         self.stats.queries += 1
         if source == target:
-            self._active()[0].csr.require_index(source)
+            self._require(source)
             return 0.0
         cached = self._cache_get((source, target))
         if cached is not None:
@@ -427,42 +360,22 @@ class DistanceOracle:
         """Sequence of nodes of a shortest path from ``source`` to ``target``.
 
         Answered natively by every backend: the graph-search backends keep
-        parent pointers (with ALT potentials when the ``alt`` backend is
-        active), while ``ch`` and ``hub_label`` extract the meeting node of
-        the bidirectional upward query and unpack the shortcut edges of the
-        resulting up-down path -- no fallback graph search.  Raises
-        :class:`UnreachableError` if no path exists.
+        parent pointers, while ``ch`` and ``hub_label`` unpack the shortcut
+        edges of the bidirectional upward query -- no fallback graph search.
+        Always asks the backend (a cached distance has no node sequence) and
+        caches what the search learned.  Raises :class:`UnreachableError` if
+        no path exists.
         """
         self.stats.queries += 1
-        data, backend = self._active()
-        csr = data.csr
-        source_index = csr.require_index(source)
-        target_index = csr.require_index(target)
         if source == target:
+            self._require(source)
             return [source]
-        node_ids = csr.node_ids
-        self.stats.searches += 1
-        if backend is self._fallback:
-            self.stats.fallback_queries += 1
-        if isinstance(backend, GraphSearchBackend):
-            distance, settled, parents = backend.search(
-                source_index, target_index, want_parents=True
-            )
-            self.stats.settled_nodes += len(settled)
-            self._cache_settled(source, settled)
-            if math.isinf(distance):
-                raise UnreachableError(f"node {target} is unreachable from {source}")
-            indices = [target_index]
-            while indices[-1] != source_index:
-                indices.append(parents[indices[-1]])
-            indices.reverse()
-            return [node_ids[index] for index in indices]
-        indices, distance, work = backend.path(source_index, target_index)
-        self.stats.settled_nodes += work
-        self._cache_put((source, target), distance)
-        if indices is None:
+        backend = self._fallback or self._backend
+        nodes, settled, learned = backend.path(source, target)
+        self._account(backend, 1, settled, 1, learned)
+        if nodes is None:
             raise UnreachableError(f"node {target} is unreachable from {source}")
-        return [node_ids[index] for index in indices]
+        return nodes
 
     def many_to_many(
         self, sources: Sequence[int], targets: Sequence[int]
@@ -471,21 +384,20 @@ class DistanceOracle:
 
         Semantically identical to a nested ``cost`` loop -- every (deduped)
         pair counts as one logical query and cached pairs count as cache
-        hits -- but cache misses are answered in bulk: the ``hub_label``
-        backend runs one bucket join over all labels, ``ch`` loops its
-        bidirectional queries, and the graph-search backends run one
-        multi-target Dijkstra per distinct source.  Returns a dictionary
-        mapping ``(source, target)`` to travel time (``math.inf`` when
-        unreachable).
+        hits -- but the cache misses go to the backend as one batch, which
+        it answers its own way (see
+        :class:`~repro.network.routing.backends.RoutingBackend`).  Returns a
+        dictionary mapping ``(source, target)`` to travel time (``math.inf``
+        when unreachable).
         """
-        sources = list(dict.fromkeys(sources))
         targets = list(dict.fromkeys(targets))
         result: dict[tuple[int, int], float] = {}
         missing: list[tuple[int, int]] = []
-        for source in sources:
+        for source in dict.fromkeys(sources):
             for target in targets:
                 self.stats.queries += 1
                 if source == target:
+                    self._require(source)
                     result[(source, target)] = 0.0
                     continue
                 cached = self._cache_get((source, target))
@@ -495,7 +407,9 @@ class DistanceOracle:
                 else:
                     missing.append((source, target))
         if missing:
-            self._compute_many(missing, result)
+            learned = self._compute_many(missing)
+            for pair in missing:
+                result[pair] = learned[pair]
         return result
 
     def prefetch(self, sources: Sequence[int], targets: Sequence[int]) -> None:
@@ -510,14 +424,16 @@ class DistanceOracle:
         """
         if self._cache_size == 0:
             return
-        missing = [
-            (source, target)
-            for source in dict.fromkeys(sources)
-            for target in dict.fromkeys(targets)
-            if source != target and self._cache_get((source, target)) is None
-        ]
+        targets = list(dict.fromkeys(targets))
+        missing: list[tuple[int, int]] = []
+        for source in dict.fromkeys(sources):
+            for target in targets:
+                if source == target:
+                    self._require(source)
+                elif self._cache_get((source, target)) is None:
+                    missing.append((source, target))
         if missing:
-            self._compute_many(missing, {})
+            self._compute_many(missing)
 
     def route_cost(self, nodes: list[int]) -> float:
         """Total travel time of the node sequence ``nodes`` (consecutive legs)."""
@@ -537,15 +453,19 @@ class DistanceOracle:
         return len(self._cache)
 
     def estimated_memory_bytes(self) -> int:
-        """Rough memory footprint of the cache plus preprocessed structures."""
+        """Rough memory footprint of the cache plus the backend's structures."""
         # Each cache entry: two ints + a float + dict overhead, ~100 bytes is
         # a fair order-of-magnitude figure for CPython.
-        preprocessed = getattr(self._backend, "estimated_memory_bytes", lambda: 0)()
-        return 100 * len(self._cache) + preprocessed
+        return 100 * len(self._cache) + self._backend.estimated_memory_bytes()
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _require(self, node: int) -> None:
+        """Refuse an unknown ``node`` on the one answer (``node -> node``)
+        the oracle gives without asking the backend."""
+        (self._fallback or self._backend).data.csr.require_index(node)
+
     def _cache_get(self, key: tuple[int, int]) -> float | None:
         if self._cache_size == 0:
             return None
@@ -554,186 +474,65 @@ class DistanceOracle:
             self._cache.move_to_end(key)
         return value
 
-    def _cache_put(self, key: tuple[int, int], value: float) -> None:
-        if self._cache_size == 0:
-            return
-        self._cache[key] = value
-        self._cache.move_to_end(key)
-        while len(self._cache) > self._cache_size:
-            self._cache.popitem(last=False)
-
-    def _cache_settled(
-        self, anchor: int, settled: dict[int, float], *, reverse: bool = False
+    def _account(
+        self,
+        backend: RoutingBackend,
+        searches: int,
+        settled: int,
+        pairs: int,
+        learned: Distances,
     ) -> None:
-        node_ids = self._active()[0].csr.node_ids
-        if reverse:
-            for index, distance in settled.items():
-                self._cache_put((node_ids[index], anchor), distance)
-        else:
-            for index, distance in settled.items():
-                self._cache_put((anchor, node_ids[index]), distance)
+        """Book one backend call: the counters, then ``learned`` into the LRU
+        (in the backend's order, oldest entries evicted once over capacity)."""
+        stats = self.stats
+        stats.searches += searches
+        stats.settled_nodes += settled
+        if backend is self._fallback:
+            stats.fallback_queries += pairs
+        size = self._cache_size
+        if size:
+            cache = self._cache
+            for key, value in learned.items():
+                cache[key] = value
+                cache.move_to_end(key)
+            while len(cache) > size:
+                cache.popitem(last=False)
 
     def _compute(self, source: int, target: int) -> float:
+        backend = self._fallback or self._backend
+        start = None
         if self._trace_every:
-            return self._compute_sampled(source, target)
-        data, backend = self._active()
-        csr = data.csr
-        source_index = csr.require_index(source)
-        target_index = csr.require_index(target)
-        self.stats.searches += 1
-        if backend is self._fallback:
-            self.stats.fallback_queries += 1
-        if isinstance(backend, GraphSearchBackend):
-            distance, settled, _ = backend.search(source_index, target_index)
-            self.stats.settled_nodes += len(settled)
-            self._cache_settled(source, settled)
-            if math.isinf(distance):
-                self._cache_put((source, target), math.inf)
-        else:
-            distance, work = backend.one_to_one(source_index, target_index)
-            self.stats.settled_nodes += work
-            self._cache_put((source, target), distance)
-        return distance
-
-    def _compute_sampled(self, source: int, target: int) -> float:
-        """Traced variant of :meth:`_compute` (``_trace_every`` is non-zero).
-
-        Reuses :meth:`_compute` for the actual work by temporarily zeroing
-        the sampling flag, so the two paths cannot drift apart; only every
-        ``_trace_every``-th call pays for the two ``perf_counter`` reads.
-        """
-        every = self._trace_every
-        self._trace_countdown -= 1
-        if self._trace_countdown > 0:
-            self._trace_every = 0
-            try:
-                return self._compute(source, target)
-            finally:
-                self._trace_every = every
-        self._trace_countdown = every
-        settled_before = self.stats.settled_nodes
-        self._trace_every = 0
-        start = time.perf_counter()
-        try:
-            distance = self._compute(source, target)
-        finally:
-            self._trace_every = every
-        duration = time.perf_counter() - start
-        tracer = self._trace_tracer
-        if tracer is not None:
-            tracer.event(  # type: ignore[attr-defined]
+            self._trace_countdown -= 1
+            if self._trace_countdown <= 0:
+                self._trace_countdown = self._trace_every
+                start = time.perf_counter()
+        distance, settled, learned = backend.one_to_one(source, target)
+        self._account(backend, 1, settled, 1, learned)
+        if start is not None:
+            self._trace_tracer.event(  # type: ignore[union-attr]
                 "oracle.query",
-                duration=duration,
-                backend=self._active()[1].name,
-                settled=self.stats.settled_nodes - settled_before,
-                fallback=self._fallback is not None,
+                duration=time.perf_counter() - start,
+                backend=backend.name,
+                settled=settled,
+                fallback=backend is self._fallback,
             )
         return distance
 
-    def _compute_many(
-        self,
-        missing: list[tuple[int, int]],
-        result: dict[tuple[int, int], float],
-    ) -> None:
-        if self._trace_every:
-            return self._compute_many_traced(missing, result)
-        data, backend = self._active()
-        csr = data.csr
-        if backend is self._fallback:
-            self.stats.fallback_queries += len(missing)
-        if isinstance(backend, GraphSearchBackend):
-            # One multi-target search per group; searching from the smaller
-            # side (reverse Dijkstra when one target serves many sources,
-            # e.g. candidate vehicles converging on one pick-up) minimises
-            # the number of searches.
-            by_source: dict[int, list[int]] = {}
-            by_target: dict[int, list[int]] = {}
-            for source, target in missing:
-                by_source.setdefault(source, []).append(target)
-                by_target.setdefault(target, []).append(source)
-            reverse = len(by_target) < len(by_source)
-            groups = by_target if reverse else by_source
-            for anchor, others in groups.items():
-                anchor_index = csr.require_index(anchor)
-                index_of_other = {csr.require_index(o): o for o in others}
-                self.stats.searches += 1
-                distances, settled = backend.search_multi(
-                    anchor_index, set(index_of_other), reverse=reverse
-                )
-                self.stats.settled_nodes += len(settled)
-                self._cache_settled(anchor, settled, reverse=reverse)
-                for other_index, other in index_of_other.items():
-                    distance = distances[other_index]
-                    key = (other, anchor) if reverse else (anchor, other)
-                    result[key] = distance
-                    if math.isinf(distance):
-                        self._cache_put(key, math.inf)
-            return
-        if isinstance(backend, HubLabelBackend):
-            # One bucket join over all labels involved.  The join naturally
-            # produces the dense cross product, so every computed entry goes
-            # into the cache -- not just the requested pairs.
-            source_indices = {csr.require_index(s) for s, _ in missing}
-            target_indices = {csr.require_index(t) for _, t in missing}
-            table, work = backend.many_to_many(
-                sorted(source_indices), sorted(target_indices)
-            )
-            self.stats.searches += len(missing)
-            self.stats.settled_nodes += work
-            node_ids = csr.node_ids
-            for (source_index, target_index), distance in table.items():
-                if source_index != target_index:
-                    self._cache_put(
-                        (node_ids[source_index], node_ids[target_index]), distance
-                    )
-            for source, target in missing:
-                result[(source, target)] = table[
-                    (csr.index_of[source], csr.index_of[target])
-                ]
-            return
-        # CH: the backend batches over exactly the requested pairs (its
-        # many_to_many takes pairs, not a dense source x target product).
-        index_pairs = [
-            (csr.require_index(s), csr.require_index(t)) for s, t in missing
-        ]
-        table, work = backend.many_to_many(index_pairs)
-        self.stats.searches += len(missing)
-        self.stats.settled_nodes += work
-        for (source, target), index_pair in zip(missing, index_pairs):
-            distance = table[index_pair]
-            result[(source, target)] = distance
-            self._cache_put((source, target), distance)
-
-    def _compute_many_traced(
-        self,
-        missing: list[tuple[int, int]],
-        result: dict[tuple[int, int], float],
-    ) -> None:
-        """Traced variant of :meth:`_compute_many`: one event per batch fill.
-
-        Batched fills are orders of magnitude rarer than point queries, so
-        every one is recorded (no sampling).  The same zero-the-flag trick
-        as :meth:`_compute_sampled` reuses the plain implementation.
-        """
-        every = self._trace_every
-        settled_before = self.stats.settled_nodes
-        self._trace_every = 0
-        start = time.perf_counter()
-        try:
-            self._compute_many(missing, result)
-        finally:
-            self._trace_every = every
-        duration = time.perf_counter() - start
-        tracer = self._trace_tracer
-        if tracer is not None:
-            tracer.event(  # type: ignore[attr-defined]
+    def _compute_many(self, missing: list[tuple[int, int]]) -> Distances:
+        backend = self._fallback or self._backend
+        start = time.perf_counter() if self._trace_every else None
+        learned, searches, settled = backend.many_to_many(missing)
+        self._account(backend, searches, settled, len(missing), learned)
+        if start is not None:
+            self._trace_tracer.event(  # type: ignore[union-attr]
                 "oracle.many_to_many",
-                duration=duration,
-                backend=self._active()[1].name,
+                duration=time.perf_counter() - start,
+                backend=backend.name,
                 pairs=len(missing),
-                settled=self.stats.settled_nodes - settled_before,
-                fallback=self._fallback is not None,
+                settled=settled,
+                fallback=backend is self._fallback,
             )
+        return learned
 
 
 __all__ = ["DistanceOracle", "QueryStatistics", "RepairReport", "BACKEND_NAMES"]

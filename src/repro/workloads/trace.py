@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from ..exceptions import WorkloadError
 from ..model.request import Request
@@ -76,8 +76,3 @@ def load_requests_csv(path: str | Path) -> list[Request]:
             )
     requests.sort(key=lambda r: (r.release_time, r.request_id))
     return requests
-
-
-def iter_release_times(requests: Iterable[Request]) -> list[float]:
-    """Release times of a trace (helper for arrival-rate analysis)."""
-    return [request.release_time for request in requests]

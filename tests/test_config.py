@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.config import ExperimentConfig, SimulationConfig, WorkloadConfig
+from repro.config import SimulationConfig, WorkloadConfig
 from repro.exceptions import ConfigurationError
 
 
@@ -159,11 +159,3 @@ class TestScenarioConfig:
         other = base.with_overrides(refresh_policy="eager")
         assert other.refresh_policy == "eager"
         assert base.refresh_policy == "coalesce"
-
-
-class TestExperimentConfig:
-    def test_default_algorithm_lineup(self):
-        config = ExperimentConfig()
-        assert "SARD" in config.algorithms
-        assert "pruneGDP" in config.algorithms
-        assert len(config.algorithms) == 6

@@ -152,8 +152,9 @@ class TestNativePreprocessedPaths:
         def _boom(*args, **kwargs):  # pragma: no cover - defensive
             raise AssertionError("path() fell back to a graph search")
 
-        monkeypatch.setattr(GraphSearchBackend, "search", _boom)
-        monkeypatch.setattr(GraphSearchBackend, "search_multi", _boom)
+        for method in ("one_to_one", "many_to_many", "path"):
+            monkeypatch.setattr(GraphSearchBackend, method, _boom)
+        monkeypatch.setattr(CSRGraph, "sssp", _boom)
         path = oracle.path(0, 35)
         assert path[0] == 0 and path[-1] == 35
 

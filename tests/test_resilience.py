@@ -256,7 +256,7 @@ class TestFaultInjector:
 
 
 # --------------------------------------------------------------------- #
-# oracle seams: exception safety and opt-outs
+# oracle seams: exception safety
 # --------------------------------------------------------------------- #
 class TestOracleSeams:
     def test_rebuild_is_exception_safe(self, grid_network, monkeypatch):
@@ -275,33 +275,6 @@ class TestOracleSeams:
         monkeypatch.undo()
         oracle.rebuild()
         assert oracle.cost(0, 35) == pytest.approx(want)
-
-    def test_record_repair_support_opt_out(self, grid_network):
-        from repro.network.routing.backends import routing_data
-        from repro.network.routing.contraction import ContractionHierarchy
-
-        data = routing_data(grid_network, record_repair_support=False)
-        hierarchy = ContractionHierarchy(data.csr, record_repair_support=False)
-        assert hierarchy.repair(data.csr, [(0, 1)]) is None
-
-        oracle = DistanceOracle(
-            grid_network, backend="ch", record_repair_support=False
-        )
-        baseline = oracle.cost(0, 1)
-        grid_network.add_edge(0, 1, 123.0, bidirectional=True)
-        try:
-            report = oracle.repair()
-            # Without the support index an incremental splice is impossible;
-            # the repair ladder must land on a full rebuild, never a wrong
-            # answer.
-            assert report.mode in {"rebuilt", "snapshot"}
-            reference = DistanceOracle(
-                grid_network, cache_size=0, backend="dijkstra"
-            )
-            assert oracle.cost(0, 1) == pytest.approx(reference.cost(0, 1))
-            assert oracle.cost(0, 1) != pytest.approx(baseline)
-        finally:
-            grid_network.add_edge(0, 1, 10.0, bidirectional=True)
 
     def test_chaos_oracle_with_quiet_injector_is_exact(self, grid_network):
         injector = FaultInjector(ChaosConfig())

@@ -26,6 +26,7 @@ from repro.network.routing import (
     CSRGraph,
     ContractionHierarchy,
     HubLabeling,
+    make_backend,
     routing_data,
 )
 from repro.network.shortest_path import DistanceOracle
@@ -160,15 +161,15 @@ class TestBackendEquivalence:
             assert oracle.cost(0, 0) == 0.0
             assert oracle.path(0, 0) == [0]
 
-    def test_ch_many_to_many_answers_requested_pairs_only(self, grid_network):
+    def test_ch_many_to_many_answers_requested_pairs_only(
+        self, grid_network, monkeypatch
+    ):
         """The CH backend batches over exactly the requested pairs (not the
         dense cross product) and the facade actually routes through it."""
         from repro.network.routing import CHBackend
 
         reference = DistanceOracle(grid_network, cache_size=0)
         oracle = DistanceOracle(grid_network, cache_size=0, backend="ch")
-        backend = oracle._backend  # noqa: SLF001 - wiring under test
-        assert isinstance(backend, CHBackend)
 
         seen_pairs: list[tuple[int, int]] = []
         original = CHBackend.many_to_many
@@ -177,22 +178,19 @@ class TestBackendEquivalence:
             seen_pairs.extend(pairs)
             return original(self, pairs)
 
-        CHBackend.many_to_many = spy
-        try:
-            table = oracle.many_to_many([0, 1], [20, 21, 22])
-        finally:
-            CHBackend.many_to_many = original
+        monkeypatch.setattr(CHBackend, "many_to_many", spy)
+        table = oracle.many_to_many([0, 1], [20, 21, 22])
+        monkeypatch.undo()
         assert len(seen_pairs) == 6  # requested pairs, no dense blow-up
         assert len(set(seen_pairs)) == 6
         for (s, t), value in table.items():
             assert value == pytest.approx(reference.cost(s, t), abs=1e-9)
 
         # Direct backend call: duplicate pairs are answered once.
-        csr = oracle._data.csr  # noqa: SLF001
-        pair = (csr.require_index(0), csr.require_index(20))
-        t0, work = backend.many_to_many([pair, pair])
-        assert set(t0) == {pair}
-        assert work > 0
+        backend = make_backend("ch", routing_data(grid_network))
+        learned, searches, work = backend.many_to_many([(0, 20), (0, 20)])
+        assert set(learned) == {(0, 20)}
+        assert searches == 1 and work > 0
 
 
 class TestQueryStatistics:
@@ -273,12 +271,19 @@ class TestConfigurationAndSharing:
         assert workload.fresh_oracle().backend_name == "hub_label"
         assert workload.fresh_oracle(backend="ch").backend_name == "ch"
 
-    def test_preprocessing_shared_between_oracles(self, grid_network):
+    def test_preprocessing_shared_between_oracles(self, grid_network, monkeypatch):
+        builds: list[ContractionHierarchy] = []
+        build = ContractionHierarchy.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(self)
+            build(self, *args, **kwargs)
+
+        monkeypatch.setattr(ContractionHierarchy, "__init__", counting)
         first = DistanceOracle(grid_network, backend="ch")
-        second = DistanceOracle(grid_network, backend="ch")
-        first.cost(0, 20)
-        second.cost(0, 20)
-        assert first._data is second._data  # noqa: SLF001 - sharing is the contract
+        second = DistanceOracle(grid_network, backend="hub_label")
+        assert first.cost(0, 20) == pytest.approx(second.cost(0, 20))
+        assert builds == [routing_data(grid_network).hierarchy]
 
     def test_routing_data_invalidated_on_mutation(self, grid_network):
         data = routing_data(grid_network)
