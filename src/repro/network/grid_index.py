@@ -14,6 +14,7 @@ The same structure backs two different uses in this reproduction:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections.abc import Iterator
 
 from ..exceptions import NetworkError
@@ -24,8 +25,14 @@ class GridIndex:
     """A uniform grid over a planar bounding box storing point objects.
 
     Objects are identified by hashable keys and have an ``(x, y)`` position.
-    Insertion, removal and movement are O(1); range queries touch only the
-    cells overlapping the query disk.
+    Insertion, removal and movement cost the size of one cell; range queries
+    touch only the cells overlapping the query disk.
+
+    A query's answer is a function of the index's contents, never of the
+    insert / move / remove history that produced them: cells are visited in
+    ``(cx, cy)`` order and the keys of a cell in ascending order (callers
+    truncate and tie-break on the order of the result).  The keys of one
+    index must therefore be mutually orderable -- all ints, or all strings.
     """
 
     def __init__(
@@ -45,7 +52,8 @@ class GridIndex:
         self._cells_per_axis = int(cells_per_axis)
         self._cell_width = (self._max_x - self._min_x) / cells_per_axis
         self._cell_height = (self._max_y - self._min_y) / cells_per_axis
-        self._cells: dict[tuple[int, int], set] = {}
+        #: Keys per occupied cell, ascending.
+        self._cells: dict[tuple[int, int], list] = {}
         self._positions: dict[object, tuple[float, float]] = {}
 
     @classmethod
@@ -67,7 +75,7 @@ class GridIndex:
         if key in self._positions:
             self.remove(key)
         cell = self._cell_of(x, y)
-        self._cells.setdefault(cell, set()).add(key)
+        insort(self._cells.setdefault(cell, []), key)
         self._positions[key] = (float(x), float(y))
 
     def remove(self, key: int) -> None:
@@ -76,11 +84,10 @@ class GridIndex:
         if position is None:
             return
         cell = self._cell_of(*position)
-        members = self._cells.get(cell)
-        if members is not None:
-            members.discard(key)
-            if not members:
-                del self._cells[cell]
+        members = self._cells[cell]
+        del members[bisect_left(members, key)]
+        if not members:
+            del self._cells[cell]
 
     def move(self, key: int, x: float, y: float) -> None:
         """Update the position of ``key`` (inserting it if absent)."""
@@ -192,7 +199,7 @@ class GridIndex:
         cy = min(max(cy, 0), self._cells_per_axis - 1)
         return cx, cy
 
-    def _cells_overlapping(self, x: float, y: float, radius: float) -> list[set]:
+    def _cells_overlapping(self, x: float, y: float, radius: float) -> list[list]:
         """Occupied cells the query box overlaps, column by column."""
         cells = self._cells
         lo_x, lo_y = self._cell_of(x - radius, y - radius)

@@ -378,17 +378,31 @@ class TestPlanSnapshotsEqualFreshOnes:
 
 
 def _reference_query_radius(index: GridIndex, x: float, y: float, radius: float) -> list:
-    """The pre-PR-14 ``query_radius``: visit every cell the box overlaps."""
-    results = []
+    """``query_radius`` from the contents alone: every stored key whose cell
+    the query box overlaps and whose point is in the disk, by (cell, key)."""
     lo = index._cell_of(x - radius, y - radius)
     hi = index._cell_of(x + radius, y + radius)
-    for cx in range(lo[0], hi[0] + 1):
-        for cy in range(lo[1], hi[1] + 1):
-            for key in index._cells.get((cx, cy), ()):
-                px, py = index._positions[key]
-                if (px - x) ** 2 + (py - y) ** 2 <= radius * radius:
-                    results.append(key)
-    return results
+    hits = []
+    for key, (px, py) in index._positions.items():
+        cell = index._cell_of(px, py)
+        if (
+            lo[0] <= cell[0] <= hi[0] and lo[1] <= cell[1] <= hi[1]
+            and (px - x) ** 2 + (py - y) ** 2 <= radius * radius
+        ):
+            hits.append((cell, key))
+    return [key for _, key in sorted(hits)]
+
+
+_coordinate = st.floats(min_value=-50, max_value=550)
+_index_operations = st.lists(
+    st.tuples(
+        st.sampled_from(["insert", "move", "remove"]),
+        st.integers(min_value=0, max_value=23),
+        _coordinate,
+        _coordinate,
+    ),
+    max_size=40,
+)
 
 
 class TestGridIndexProperties:
@@ -445,6 +459,73 @@ class TestGridIndexProperties:
                 assert index.query_radius(x, y, radius) == _reference_query_radius(
                     index, x, y, radius
                 )
+
+    def test_keys_inserted_in_either_order_answer_alike(self):
+        """The concrete case: three keys that collide in a small ``set``."""
+        ascending = GridIndex((0, 0, 500, 500), cells_per_axis=8)
+        descending = GridIndex((0, 0, 500, 500), cells_per_axis=8)
+        for key in (0, 8, 16):
+            ascending.insert(key, 100.0, 100.0)
+        for key in (16, 8, 0):
+            descending.insert(key, 100.0, 100.0)
+        assert ascending.query_radius(100, 100, 10) == [0, 8, 16]
+        assert descending.query_radius(100, 100, 10) == [0, 8, 16]
+        assert descending.query_rectangle(90, 90, 110, 110) == [0, 8, 16]
+        assert descending.nearest(100, 100) == 0
+
+    @given(
+        cells_per_axis=st.sampled_from([1, 3, 8, 32]),
+        contents=st.dictionaries(
+            st.integers(min_value=0, max_value=23),
+            st.tuples(_coordinate, _coordinate),
+            max_size=24,
+        ),
+        history=_index_operations,
+        order=st.randoms(use_true_random=False),
+        refresh=st.booleans(),
+        queries=st.lists(
+            st.tuples(_coordinate, _coordinate, st.floats(min_value=0, max_value=400)),
+            min_size=1, max_size=5,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_answers_are_a_function_of_the_contents(
+        self, cells_per_axis, contents, history, order, refresh, queries
+    ):
+        """Two indexes holding the same ``key -> position`` map answer with
+        the same lists, whatever insert / move / remove history built them."""
+        direct = GridIndex((0, 0, 500, 500), cells_per_axis=cells_per_axis)
+        for key, (x, y) in sorted(contents.items()):
+            direct.insert(key, x, y)
+
+        travelled = GridIndex((0, 0, 500, 500), cells_per_axis=cells_per_axis)
+        for operation, key, x, y in history:
+            if operation == "remove":
+                travelled.remove(key)
+            else:
+                getattr(travelled, operation)(key, x, y)
+        keys = sorted(set(contents) | set(travelled.keys()))
+        order.shuffle(keys)
+        for key in keys:
+            if key in contents:
+                travelled.move(key, *contents[key])
+            else:
+                travelled.remove(key)
+        if refresh:
+            # The engine's old per-tick refresh: re-insert every key in place.
+            order.shuffle(keys)
+            for key in keys:
+                if key in contents:
+                    travelled.move(key, *contents[key])
+
+        assert dict(travelled._positions) == dict(direct._positions)
+        for x, y, radius in queries:
+            answer = direct.query_radius(x, y, radius)
+            assert travelled.query_radius(x, y, radius) == answer
+            assert answer == _reference_query_radius(direct, x, y, radius)
+            box = (x - radius, y - radius, x + radius, y + radius)
+            assert travelled.query_rectangle(*box) == direct.query_rectangle(*box)
+            assert travelled.nearest(x, y) == direct.nearest(x, y)
 
 
 def _graph_from_edge_bools(num_nodes: int, edge_bits: list[bool]) -> ShareabilityGraph:
