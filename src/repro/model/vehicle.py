@@ -17,6 +17,9 @@ if TYPE_CHECKING:
 #: Slack comparisons closer than this to a deadline are re-simulated exactly.
 _SLACK_MARGIN = 1e-6
 
+#: ``Vehicle.estimated_memory_bytes`` of a vehicle without a plan.
+IDLE_VEHICLE_BYTES = 200
+
 
 class RouteProfile(NamedTuple):
     """A route driven once, left to right, as flat read-only arrays.
@@ -382,19 +385,22 @@ class Vehicle:
             self._leg_arrival = None
         return completed_now
 
-    def next_event_time(self, oracle: DistanceOracle) -> float:
-        """Time at which the vehicle will service its next way-point."""
+    def next_event_time(self) -> float:
+        """Time at which the vehicle services its next way-point.
+
+        ``inf`` when idle.  Read from the leg under way, never from the
+        oracle: a plan assigned to an idle vehicle has no priced leg until
+        the next :meth:`advance_to`, so that vehicle is due at once (``-inf``).
+        """
         if not self.schedule:
             return math.inf
-        waypoint = self.schedule[0]
-        if self._leg_arrival is not None:
-            return max(self._leg_arrival, waypoint.earliest_service)
-        leg_cost = oracle.cost(self.location, waypoint.node)
-        return max(self._clock + leg_cost, waypoint.earliest_service)
+        if self._leg_arrival is None:
+            return -math.inf
+        return max(self._leg_arrival, self.schedule[0].earliest_service)
 
     def estimated_memory_bytes(self) -> int:
         """Rough memory footprint of the vehicle state (for the memory study)."""
-        return 200 + 80 * len(self.schedule) + 60 * len(self.active_requests)
+        return IDLE_VEHICLE_BYTES + 80 * len(self.schedule) + 60 * len(self.active_requests)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

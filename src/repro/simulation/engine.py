@@ -3,14 +3,16 @@
 One :class:`Simulator` instance runs one algorithm over one workload:
 
 1. requests are partitioned into batches of ``Delta`` seconds,
-2. at every batch boundary the vehicles advance along their schedules,
-   requests that can no longer be picked up expire (and incur the penalty),
+2. at every batch boundary the vehicles whose next way-point is due advance
+   along their schedules (and the ones that moved are re-indexed), requests
+   that can no longer be picked up expire (and incur the penalty),
 3. world events due at the boundary are applied (scenario engine): traffic
    waves, closures/reopenings, cancellations, vehicle shifts -- and the
    oracle refresh policy decides whether the mutation burst triggers a
    backend rebuild, a Dijkstra-fallback window or a coalesced rebuild later,
 4. the dispatcher is called with the pending pool and returns assignments,
-5. assignments are applied to the vehicles and the grid index is refreshed,
+5. assignments are applied to the vehicles; a vehicle that was idle becomes
+   due at the next boundary,
 6. after the last batch the refresh policy finalizes (no stale tail), the
    vehicles finish their remaining schedules and the final metrics are
    computed.
@@ -22,6 +24,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from types import SimpleNamespace
 
 from ..config import SimulationConfig
@@ -29,7 +32,7 @@ from ..dispatch.base import DispatchContext, Dispatcher
 from ..exceptions import DispatchError
 from ..model.batch import Batch, BatchStream
 from ..model.request import Request
-from ..model.vehicle import Vehicle
+from ..model.vehicle import IDLE_VEHICLE_BYTES, Vehicle
 from ..network.grid_index import GridIndex
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
@@ -87,6 +90,9 @@ class RunState:
     events: EventLog
     pending: dict[int, Request]
     vehicles_by_id: dict[int, Vehicle]
+    #: Min-heap of ``(next service time, fleet position)``: exactly the
+    #: vehicles that have a plan (see ``Simulator._advance_vehicles``).
+    due: list[tuple[float, int]]
     #: End time of the last processed batch (the scenario drain anchor).
     last_time: float
     start_wall: float
@@ -97,6 +103,9 @@ class RunState:
     #: (:class:`repro.service.DispatchService` streams from here).  A
     #: listener runs inside the batch it observes and must not raise.
     listeners: list[Callable[[Event], None]] = field(default_factory=list)
+    #: Vehicle id -> fleet position, brought up to date at every dispatch
+    #: (vehicles come on shift mid-run).
+    fleet_position: dict[int, int] = field(default_factory=dict)
 
 
 # The simulator rejects positional construction: every call site names its
@@ -196,6 +205,11 @@ class Simulator:
             events=EventLog(),
             pending={},
             vehicles_by_id=vehicles_by_id,
+            due=sorted(
+                (vehicle.next_event_time(), position)
+                for position, vehicle in enumerate(self.vehicles)
+                if not vehicle.is_idle
+            ),
             last_time=start_time,
             start_wall=start_wall,
             track_released=track_released,
@@ -410,6 +424,9 @@ class Simulator:
                     self.network, self.oracle, result.assignments, vehicles_by_id
                 )
 
+        due, positions = state.due, state.fleet_position
+        for position in range(len(positions), len(self.vehicles)):
+            positions[self.vehicles[position].vehicle_id] = position
         assigned_ids: set[int] = set()
         for assignment in result.assignments:
             vehicle = vehicles_by_id.get(assignment.vehicle_id)
@@ -425,7 +442,10 @@ class Simulator:
             ]
             if not new_requests:
                 continue
+            was_idle = vehicle.is_idle
             vehicle.assign_schedule(assignment.schedule, new_requests, batch.end_time)
+            if was_idle:  # a vehicle under way keeps the heap entry it has
+                heappush(due, (vehicle.next_event_time(), positions[vehicle.vehicle_id]))
             for request in new_requests:
                 assigned_ids.add(request.request_id)
                 del pending[request.request_id]
@@ -463,13 +483,30 @@ class Simulator:
     # bookkeeping
     # ------------------------------------------------------------------ #
     def _advance_vehicles(self, until: float) -> None:
-        for vehicle in self.vehicles:
+        """Advance the vehicles whose next way-point is due by ``until``.
+
+        Idle and mid-leg vehicles are not touched.  The due ones are visited
+        in fleet order (the order of their ``REQUEST_COMPLETED`` events), and
+        only one that changed node while on shift is re-indexed.
+        """
+        due = self.run_state.due
+        positions = []
+        while due and due[0][0] <= until:
+            positions.append(heappop(due)[1])
+        positions.sort()
+        for position in positions:
+            vehicle = self.vehicles[position]
+            node = vehicle.location
             for request, drop_time in vehicle.advance_to(until, self.oracle):
                 self._emit(
                     drop_time, EventKind.REQUEST_COMPLETED,
                     request.request_id, vehicle.vehicle_id,
                 )
-        self._refresh_vehicle_index()
+            if vehicle.location != node and vehicle.on_shift:
+                x, y = self.network.position(vehicle.location)
+                self._vehicle_index.move(vehicle.vehicle_id, x, y)
+            if not vehicle.is_idle:
+                heappush(due, (vehicle.next_event_time(), position))
 
     def _expire_pending(self, now: float) -> None:
         state = self.run_state
@@ -484,6 +521,8 @@ class Simulator:
             )
 
     def _refresh_vehicle_index(self) -> None:
+        """Place the fleet in the index when a run begins; from then on the
+        index is written by whoever moves a vehicle or changes its shift."""
         for vehicle in self.vehicles:
             if vehicle.on_shift:
                 x, y = self.network.position(vehicle.location)
@@ -492,9 +531,13 @@ class Simulator:
                 self._vehicle_index.remove(vehicle.vehicle_id)
 
     def _memory_estimate(self) -> int:
-        vehicles = sum(v.estimated_memory_bytes() for v in self.vehicles)
+        due = self.run_state.due
+        planned = sum(
+            self.vehicles[position].estimated_memory_bytes() for _, position in due
+        )
         return (
             self.dispatcher.estimated_memory_bytes()
             + self._vehicle_index.estimated_memory_bytes()
-            + vehicles
+            + planned
+            + IDLE_VEHICLE_BYTES * (len(self.vehicles) - len(due))
         )

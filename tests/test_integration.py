@@ -7,7 +7,13 @@ import pytest
 from repro import Simulator, make_dispatcher, make_workload
 from repro.dispatch.sard import SARDDispatcher
 from repro.experiments.harness import RunSpec, run
+from repro.model.batch import Batch
 from repro.model.vehicle import RouteState, Vehicle
+from repro.network.grid_index import GridIndex
+from repro.scenarios.events import VehicleShiftEnd, VehicleShiftStart
+from repro.scenarios.timeline import Scenario
+from repro.simulation.events import EventKind
+from repro.workloads.presets import Workload
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +148,194 @@ class TestPlanSnapshotReuseIsInvisible:
         assert fresh.unified_cost == kept.unified_cost
         # ... and the kept run did answer from its snapshots.
         assert kept.metrics.shortest_path_queries < fresh.metrics.shortest_path_queries
+
+
+def _advance_the_whole_fleet(simulator: Simulator, until: float) -> None:
+    """The obvious tick: every vehicle advances, every on-shift vehicle is
+    re-indexed, every off-shift one removed."""
+    for vehicle in simulator.vehicles:
+        for request, drop_time in vehicle.advance_to(until, simulator.oracle):
+            simulator._emit(
+                drop_time, EventKind.REQUEST_COMPLETED,
+                request.request_id, vehicle.vehicle_id,
+            )
+    for vehicle in simulator.vehicles:
+        if vehicle.on_shift:
+            x, y = simulator.network.position(vehicle.location)
+            simulator._vehicle_index.move(vehicle.vehicle_id, x, y)
+        else:
+            simulator._vehicle_index.remove(vehicle.vehicle_id)
+    # What the heap is documented to hold, recomputed from the fleet.
+    simulator.run_state.due[:] = sorted(
+        (vehicle.next_event_time(), position)
+        for position, vehicle in enumerate(simulator.vehicles)
+        if not vehicle.is_idle
+    )
+
+
+_SHIFT_IDS = (900_001, 900_002, 900_003)
+
+
+def _shift_spec(algorithm: str) -> tuple[RunSpec, float, set[int]]:
+    """A run whose fleet changes under it: three vehicles come on shift a
+    third of the way in, and half the fleet (busy or not) clocks out half-way."""
+    workload = make_workload("nyc", scale=0.1)
+    horizon = max(request.release_time for request in workload.requests)
+    starts = [
+        (vehicle_id, request.source, 4)
+        for vehicle_id, request in zip(_SHIFT_IDS, workload.requests[::7])
+    ]
+    ended = {vehicle.vehicle_id for vehicle in workload.fresh_vehicles()[::2]}
+    scenario = Scenario(
+        name="shifts",
+        horizon=horizon,
+        events_builder=lambda: [
+            VehicleShiftStart(0.3 * horizon, starts),
+            VehicleShiftEnd(0.5 * horizon, sorted(ended | {_SHIFT_IDS[0]})),
+        ],
+    )
+    spec = RunSpec(
+        mode="service", workload=workload, scenario=scenario, algorithm=algorithm
+    )
+    return spec, 0.5 * horizon, ended
+
+
+class TestTickCostsWhatChanged:
+    """Driving the fleet from a heap of next-service times and re-indexing
+    only the vehicles that moved is an optimisation: a run that advances and
+    re-indexes the whole fleet on every tick is event-for-event the same."""
+
+    @staticmethod
+    def _observe(spec: RunSpec, monkeypatch) -> tuple[list, dict, dict]:
+        oracles = []
+        fresh_oracle = Workload.fresh_oracle
+
+        def keeping(workload, **options):
+            oracles.append(fresh_oracle(workload, **options))
+            return oracles[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Workload, "fresh_oracle", keeping)
+            simulation = run(spec).simulation
+        summary = {
+            key: value for key, value in simulation.summary().items()
+            if not key.endswith("seconds")
+        }
+        return simulation.events.events, summary, oracles[-1].stats.snapshot()
+
+    def _assert_invisible(self, make_spec, monkeypatch) -> list:
+        events, summary, counters = self._observe(make_spec(), monkeypatch)
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulator, "_advance_vehicles", _advance_the_whole_fleet)
+            obvious = self._observe(make_spec(), monkeypatch)
+        assert obvious[0] == events
+        assert obvious[1] == summary
+        assert obvious[2] == counters
+        return events
+
+    @pytest.mark.parametrize("scenario", [None, "rush_hour"])
+    @pytest.mark.parametrize("algorithm", ["pruneGDP", "SARD", "DARM+DPRS"])
+    def test_event_stream_equals_the_whole_fleet_tick(
+        self, algorithm, scenario, monkeypatch
+    ):
+        dispatchers = []
+
+        def make_spec():
+            dispatchers.append(make_dispatcher(algorithm))
+            return RunSpec(
+                mode="service", preset="nyc", scale=0.1, scenario=scenario,
+                dispatcher=dispatchers[-1],
+            )
+
+        events = self._assert_invisible(make_spec, monkeypatch)
+        assert any(event.kind is EventKind.REQUEST_COMPLETED for event in events)
+        if algorithm == "DARM+DPRS":
+            # DARM moves idle vehicles (and the index) itself.
+            assert dispatchers[0].repositioned > 0
+            assert dispatchers[0].repositioned == dispatchers[1].repositioned
+
+    @pytest.mark.parametrize("algorithm", ["pruneGDP", "SARD", "DARM+DPRS"])
+    def test_shift_changes_are_followed(self, algorithm, monkeypatch):
+        _, shift_end, ended = _shift_spec(algorithm)
+        index_log: list = []
+        move, clock_out = GridIndex.move, VehicleShiftEnd.apply
+
+        def logged_move(index, key, x, y):
+            index_log.append(key)
+            move(index, key, x, y)
+
+        def logged_clock_out(event, world):
+            index_log.append("shift end")
+            return clock_out(event, world)
+
+        def make_spec():
+            index_log.append("run")
+            return _shift_spec(algorithm)[0]
+
+        monkeypatch.setattr(GridIndex, "move", logged_move)
+        monkeypatch.setattr(VehicleShiftEnd, "apply", logged_clock_out)
+        events = self._assert_invisible(make_spec, monkeypatch)
+        # A vehicle appended mid-run is dispatched to ...
+        assert any(
+            event.kind is EventKind.REQUEST_ASSIGNED and event.other in _SHIFT_IDS
+            for event in events
+        )
+        # ... and one that clocked out with riders aboard keeps driving
+        assert any(
+            event.kind is EventKind.REQUEST_COMPLETED
+            and event.other in ended and event.time > shift_end
+            for event in events
+        )
+        # without ever being indexed again, in either run.
+        assert index_log.count("run") == index_log.count("shift end") == 2
+        clocked_out = False
+        for entry in index_log:
+            if entry in ("run", "shift end"):
+                clocked_out = entry == "shift end"
+            elif clocked_out:
+                assert entry not in ended
+
+    def test_an_idle_fleet_costs_nothing(self, monkeypatch):
+        workload = make_workload("nyc", scale=0.1, workload_overrides={"num_vehicles": 200})
+        simulator = Simulator(
+            network=workload.network, oracle=workload.fresh_oracle(),
+            vehicles=workload.fresh_vehicles(), requests=[],
+            dispatcher=make_dispatcher("pruneGDP"), config=workload.simulation_config,
+        )
+        calls = {"move": 0, "advance_to": 0}
+        move, advance_to = GridIndex.move, Vehicle.advance_to
+
+        def counted_move(index, key, x, y):
+            calls["move"] += 1
+            move(index, key, x, y)
+
+        def counted_advance_to(vehicle, time, oracle):
+            calls["advance_to"] += 1
+            return advance_to(vehicle, time, oracle)
+
+        monkeypatch.setattr(GridIndex, "move", counted_move)
+        monkeypatch.setattr(Vehicle, "advance_to", counted_advance_to)
+        simulator.begin_run()
+        for index in range(50):
+            simulator.process_batch(Batch(index, 3.0 * index, 3.0 * index + 3.0, ()))
+        simulator.end_run()
+        assert calls == {"move": 200, "advance_to": 0}
+
+    @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP"])
+    def test_memory_estimate_equals_the_sum_over_the_fleet(self, algorithm, monkeypatch):
+        """Idle vehicles are counted, not walked."""
+        memory_estimate = Simulator._memory_estimate
+        estimates = []
+
+        def checked(simulator):
+            estimates.append(memory_estimate(simulator))
+            assert estimates[-1] == (
+                simulator.dispatcher.estimated_memory_bytes()
+                + simulator._vehicle_index.estimated_memory_bytes()
+                + sum(v.estimated_memory_bytes() for v in simulator.vehicles)
+            )
+            return estimates[-1]
+
+        monkeypatch.setattr(Simulator, "_memory_estimate", checked)
+        result = run(RunSpec(mode="service", preset="nyc", scale=0.1, algorithm=algorithm))
+        assert len(estimates) == result.simulation.metrics.num_batches + 1

@@ -278,11 +278,21 @@ class TestMovement:
         assert completed and completed[0][1] == pytest.approx(70.0)
 
     def test_next_event_time(self, make_line_request, line_oracle):
+        """The engine's heap key: read without an oracle query, so a leg
+        that ``advance_to`` has not priced yet is due at once."""
         vehicle = Vehicle(vehicle_id=1, location=0, capacity=3)
-        assert math.isinf(vehicle.next_event_time(line_oracle))
+        assert vehicle.next_event_time() == math.inf
         request = make_line_request(1, 2, 3)
         vehicle.assign_schedule(Schedule.direct(request), [request], current_time=0.0)
-        assert vehicle.next_event_time(line_oracle) == pytest.approx(20.0)
+        assert vehicle.next_event_time() == -math.inf
+        vehicle.advance_to(0.0, line_oracle)
+        queries = line_oracle.stats.queries
+        assert vehicle.next_event_time() == pytest.approx(20.0)
+        vehicle.advance_to(25.0, line_oracle)
+        assert vehicle.next_event_time() == pytest.approx(30.0)
+        vehicle.advance_to(30.0, line_oracle)
+        assert vehicle.next_event_time() == math.inf
+        assert line_oracle.stats.queries == queries + 1
 
     def test_advance_is_idempotent_when_idle(self, line_oracle):
         vehicle = Vehicle(vehicle_id=1, location=2)
