@@ -1,9 +1,10 @@
 """Micro-benchmarks of the core operators.
 
 These complement the figure reproductions: they time the individual building
-blocks (shortest-path queries, grid-index lookups, linear insertion, pairwise
-shareability tests, shareability-graph construction, shareability loss and
-group enumeration) so regressions in any substrate show up directly.
+blocks (shortest-path queries, grid-index lookups, the candidate-vehicle
+search, linear insertion, pairwise shareability tests, shareability-graph
+construction, shareability loss and group enumeration) so regressions in any
+substrate show up directly.
 """
 
 from __future__ import annotations
@@ -16,12 +17,14 @@ import pytest
 
 from _common import save_json, save_text
 from repro.config import SimulationConfig
+from repro.dispatch.base import DispatchContext, candidate_vehicles
 from repro.grouping.additive_tree import build_groups
 from repro.insertion.linear_insertion import best_insertion
 from repro.insertion.pair_schedules import are_shareable
+from repro.model.batch import Batch
 from repro.model.request import Request
 from repro.model.schedule import Schedule
-from repro.model.vehicle import RouteState
+from repro.model.vehicle import RouteState, Vehicle
 from repro.network.generators import grid_city
 from repro.network.grid_index import GridIndex
 from repro.network.shortest_path import DistanceOracle
@@ -84,6 +87,55 @@ def test_grid_index_radius_query(benchmark, city):
         return sum(len(index.query_radius(x, y, r)) for x, y, r in queries)
 
     benchmark(run)
+
+
+def test_grid_index_k_nearest(benchmark, city):
+    """The 24 nearest of 400 keys (about two per node), ties included."""
+    index = GridIndex.for_network(city, cells_per_axis=24)
+    rng = random.Random(2)
+    nodes = list(city.nodes())
+    for key in range(400):
+        index.insert(key, *city.position(rng.choice(nodes)))
+    queries = [(rng.uniform(0, 1800), rng.uniform(0, 1800)) for _ in range(200)]
+
+    def run():
+        return sum(len(index.k_nearest(x, y, 24)) for x, y in queries)
+
+    assert benchmark(run) >= 24 * len(queries)
+
+
+@pytest.mark.parametrize("reach", ["up to k", "more than k", "none"])
+def test_candidate_vehicles(benchmark, city, oracle, config, reach):
+    """One offer's candidate search over a 400-vehicle fleet, ``max_candidates``
+    24, by what the pick-up radius holds: at most 24 vehicles (returned as
+    found), more (cut to the 24 nearest) or none (the fallback: the 24 nearest
+    of the fleet)."""
+    rng = random.Random(3)
+    nodes = list(city.nodes())
+    sources = rng.sample(nodes, 40)
+    elsewhere = [node for node in nodes if node not in sources]
+    vehicles = [Vehicle(vehicle_id=i, location=rng.choice(elsewhere)) for i in range(400)]
+    index = GridIndex.for_network(city, cells_per_axis=config.grid_cells)
+    for vehicle in vehicles:
+        index.insert(vehicle.vehicle_id, *city.position(vehicle.location))
+    # The radius is 10 m/s times the waiting time left: 150 m, 600 m, 1 m.
+    max_wait = {"up to k": 15.0, "more than k": 60.0, "none": 0.0}[reach]
+    offers = [
+        Request(release_time=0.0, request_id=rid, source=source,
+                destination=elsewhere[0], max_wait=max_wait)
+        for rid, source in enumerate(sources)
+    ]
+    context = DispatchContext(
+        current_time=0.0, batch=Batch(0, 0.0, config.batch_period, tuple(offers)),
+        pending=offers, vehicles=vehicles, network=city, oracle=oracle,
+        vehicle_index=index, config=config, average_speed=10.0,
+    )
+
+    def run():
+        return [len(candidate_vehicles(offer, context, max_candidates=24)) for offer in offers]
+
+    found = benchmark(run)
+    assert max(found) <= 24 and (reach == "up to k" or min(found) == 24)
 
 
 def test_linear_insertion(benchmark, oracle, requests):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,6 +26,9 @@ class DispatchContext:
     must not mutate the vehicles; they return assignments and the simulator
     applies them.  They plan on :meth:`working_routes`, which snapshots the
     vehicles a candidate query actually names rather than the fleet.
+    ``vehicle_index`` holds exactly ``vehicles`` -- every one of them, keyed
+    by its id at its node's position, and nothing else -- so what the index
+    says is near is the fleet that is near.
     """
 
     current_time: float
@@ -46,6 +50,11 @@ class DispatchContext:
     def vehicles_by_id(self) -> dict[int, Vehicle]:
         """The fleet keyed by vehicle identifier (built on first use)."""
         return {vehicle.vehicle_id: vehicle for vehicle in self.vehicles}
+
+    @cached_property
+    def fleet_rank(self) -> dict[int, int]:
+        """Each vehicle's position in ``vehicles`` (built on first use)."""
+        return {vehicle.vehicle_id: rank for rank, vehicle in enumerate(self.vehicles)}
 
     def vehicle_by_id(self, vehicle_id: int) -> Vehicle:
         """Look up a vehicle by identifier."""
@@ -156,19 +165,34 @@ def candidate_vehicles(
 ) -> list[Vehicle]:
     """Vehicles that could plausibly pick ``request`` up before its deadline.
 
-    Uses the grid index to retrieve vehicles within the distance reachable in
-    the request's remaining pick-up slack, then falls back to the whole fleet
-    when the range query returns nothing (e.g. sparse fleets).
+    The grid index names the vehicles within the distance reachable in the
+    request's remaining pick-up slack, in its query order; when it names
+    none (e.g. sparse fleets) every vehicle is a candidate, in fleet order.
+    More than ``max_candidates`` of either are cut to the nearest ones by
+    straight-line distance, equally distant vehicles staying in the order
+    they were in -- for the fallback those come from the index's k-nearest
+    query, not from sorting the fleet.
     """
-    source_xy = context.network.position(request.source)
+    x, y = context.network.position(request.source)
     slack = max(request.latest_pickup - context.current_time, 0.0)
     radius = max(context.average_speed * slack, 1.0)
-    ids = context.vehicle_index.query_radius(source_xy[0], source_xy[1], radius)
+    index = context.vehicle_index
     by_id = context.vehicles_by_id
-    found = [by_id[vid] for vid in ids if vid in by_id]
+    found = [by_id[vid] for vid in index.query_radius(x, y, radius) if vid in by_id]
     if not found:
-        found = list(context.vehicles)
+        if max_candidates is None or len(context.vehicles) <= max_candidates:
+            return list(context.vehicles)
+        rank = context.fleet_rank
+        nearest = sorted(
+            (distance, rank[vid]) for distance, vid in index.k_nearest(x, y, max_candidates)
+        )
+        return [context.vehicles[position] for _, position in nearest[:max_candidates]]
     if max_candidates is not None and len(found) > max_candidates:
-        found.sort(key=lambda v: context.network.euclidean(v.location, request.source))
-        found = found[:max_candidates]
+        nearest = sorted(
+            (math.hypot(px - x, py - y), position)
+            for position, (px, py) in enumerate(
+                index.position(vehicle.vehicle_id) for vehicle in found
+            )
+        )
+        found = [found[position] for _, position in nearest[:max_candidates]]
     return found

@@ -27,11 +27,19 @@ from ..grouping.additive_tree import GroupingStatistics, build_groups
 from ..grouping.group import RequestGroup
 from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
+from ..model.vehicle import RouteState
 from ..observability.trace import get_tracer
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
 from ..shareability.loss import residual_shareability_loss, sharing_ratio
-from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
+from .base import (
+    Assignment,
+    DispatchContext,
+    DispatchResult,
+    Dispatcher,
+    WorkingRoutes,
+    candidate_vehicles,
+)
 
 
 @dataclass
@@ -150,45 +158,17 @@ class SARDDispatcher(Dispatcher):
             sync_span.tag("new_requests", len(new_requests))
             sync_span.tag("graph_edges", graph.num_edges)
 
-        # Candidate priority queues.  The paper proposes to the *worst*
-        # vehicle (largest insertion delta) first, leaving the cheap vehicles
-        # free for requests with fewer options; ``propose_worst_first=False``
-        # flips the order for the ablation study.
         with tracer.span(
             "sard.build_queues",
             pending=len(context.pending),
             vehicles=len(context.vehicles),
         ):
-            oracle = context.oracle
             routes = context.working_routes()
-            sign = -1.0 if self._propose_worst_first else 1.0
-            queues: dict[int, list[tuple[float, int]]] = {}
             assigned_to: dict[int, int] = {}
-            for request in context.pending:
-                queue: list[tuple[float, int]] = []
-                candidates = candidate_vehicles(
-                    request, context, max_candidates=self._max_candidates
-                )
-                offered = [routes[vehicle.vehicle_id] for vehicle in candidates]
-                # Batch the pick-up legs of the insertion tests still to be
-                # computed (vehicle position -> request source) into one
-                # oracle call: a reverse multi-source search for the graph
-                # backends, a bucket join for hub labels.  ``prefetch``
-                # leaves the logical query counters untouched.
-                unanswered = [
-                    route.origin for route in offered
-                    if request not in route.outcomes(oracle)
-                ]
-                if unanswered:
-                    oracle.prefetch(unanswered, (request.source,))
-                for vehicle, route in zip(candidates, offered):
-                    outcome = best_insertion(route, request, oracle)
-                    if not outcome.feasible:
-                        continue
-                    heapq.heappush(
-                        queue, (sign * outcome.delta_cost, vehicle.vehicle_id)
-                    )
-                queues[request.request_id] = queue
+            queues = {
+                request.request_id: self._candidate_queue(request, context, routes)
+                for request in context.pending
+            }
 
         # -------------------- proposal / acceptance rounds -------------- #
         # Every round pops at least one candidate vehicle from each live
@@ -302,6 +282,52 @@ class SARDDispatcher(Dispatcher):
                 average_speed=context.average_speed,
             )
         return self._builder
+
+    def _candidate_queue(
+        self, request: Request, context: DispatchContext, routes: WorkingRoutes
+    ) -> list[tuple[float, int]]:
+        """Heap of ``(signed insertion delta, vehicle id)`` over the candidate
+        vehicles that can take ``request``.
+
+        The paper proposes to the *worst* vehicle (largest insertion delta)
+        first, leaving the cheap vehicles free for requests with fewer
+        options; ``propose_worst_first=False`` flips the order for the
+        ablation study.
+
+        A driving vehicle's snapshot carries what it already answered, so one
+        probe of its table settles a repeated offer: a known "no" costs
+        nothing more, a known "yes" is queued as it stands, and only what is
+        left reaches the kernel.  An idle vehicle departs at the tick time,
+        so its snapshot is new and it is asked on every tick.
+        """
+        oracle = context.oracle
+        sign = -1.0 if self._propose_worst_first else 1.0
+        queue: list[tuple[float, int]] = []
+        unanswered: list[RouteState] = []
+        for vehicle in candidate_vehicles(
+            request, context, max_candidates=self._max_candidates
+        ):
+            route = routes[vehicle.vehicle_id]
+            if route.min_insert_position:
+                outcome = route.outcomes(oracle).get(request)
+                if outcome is not None:
+                    if outcome.feasible:
+                        queue.append((sign * outcome.delta_cost, route.vehicle_id))
+                    continue
+            unanswered.append(route)
+        # Batch the pick-up legs of the insertion tests still to be computed
+        # (vehicle position -> request source) into one oracle call: a
+        # reverse multi-source search for the graph backends, a bucket join
+        # for hub labels.  ``prefetch`` leaves the logical query counters
+        # untouched.
+        if unanswered:
+            oracle.prefetch([route.origin for route in unanswered], (request.source,))
+        for route in unanswered:
+            outcome = best_insertion(route, request, oracle)
+            if outcome.feasible:
+                queue.append((sign * outcome.delta_cost, route.vehicle_id))
+        heapq.heapify(queue)
+        return queue
 
     def _select_group(
         self, groups: list[RequestGroup], graph: ShareabilityGraph

@@ -86,11 +86,11 @@ def best_insertion(
         if clock < release:
             clock = release
         if clock > pickup_due or not 0 <= route.onboard <= capacity - riders:
-            return InsertionOutcome.infeasible(schedule)
+            return route.refusal(oracle)
         trip = cost(source, destination)
         total = to_pickup + trip
         if clock + trip > dropoff_due or total == inf:
-            return InsertionOutcome.infeasible(schedule)
+            return route.refusal(oracle)
         return InsertionOutcome(True, total, Schedule.direct(request), 0, 1, total)
 
     outcomes = route.outcomes(oracle)
@@ -102,7 +102,7 @@ def best_insertion(
         open_until, safe_by, late_after, request_ids,
     ) = route.profile(oracle)
     if request.request_id in request_ids:
-        return InsertionOutcome.infeasible(schedule)
+        return route.refusal(oracle)
     base_cost = travel_at[n]
     best_delta = best_total = inf
     best_pickup = best_dropoff = -1
@@ -153,7 +153,7 @@ def best_insertion(
             travel += leg
             here = node_at[d + 1]
     if best_pickup < 0:
-        outcome = InsertionOutcome.infeasible(schedule)
+        outcome = route.refusal(oracle)
     else:
         outcome = InsertionOutcome(
             True,

@@ -44,6 +44,12 @@ class Request:
     deadline: float = math.inf
     direct_cost: float = 0.0
     max_wait: float = math.inf
+    #: Latest feasible pick-up time: bounded by the drop-off deadline minus
+    #: the direct travel time (``ddl(o_k) = d_i - cost(s_i, e_i)`` in the
+    #: paper) and by the rider's maximum waiting time.  Derived once in
+    #: ``__post_init__`` and deliberately not a field (no annotation), so
+    #: equality, ordering, ``repr`` and ``asdict`` see the eight fields only.
+    latest_pickup = math.nan
 
     def __post_init__(self) -> None:
         if self.riders < 1:
@@ -62,20 +68,20 @@ class Request:
             raise ConfigurationError(
                 f"request {self.request_id} has a negative maximum waiting time"
             )
+        object.__setattr__(
+            self,
+            "latest_pickup",
+            min(self.release_time + self.max_wait, self.deadline - self.direct_cost),
+        )
+
+    def __hash__(self) -> int:
+        # Equal requests have equal ids; the outcome tables and pending pools
+        # keyed by requests hash one int instead of eight fields.
+        return self.request_id
 
     # ------------------------------------------------------------------ #
     # derived deadlines
     # ------------------------------------------------------------------ #
-    @property
-    def latest_pickup(self) -> float:
-        """Latest feasible pick-up time.
-
-        A pick-up is constrained both by the drop-off deadline minus the
-        direct travel time (``ddl(o_k) = d_i - cost(s_i, e_i)`` in the paper)
-        and by the rider's maximum waiting time.
-        """
-        return min(self.release_time + self.max_wait, self.deadline - self.direct_cost)
-
     @property
     def detour_budget(self) -> float:
         """Extra travel time the rider tolerates beyond the direct trip."""

@@ -153,7 +153,8 @@ class RouteState:
     onboard: int
     min_insert_position: int = 0
     #: What has been derived from this snapshot so far: ``[oracle,
-    #: oracle.generation, profile or None, insertion outcome per request]``.
+    #: oracle.generation, profile or None, insertion outcome per request,
+    #: the one infeasible outcome or None]``.
     _derived: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -164,7 +165,7 @@ class RouteState:
     def _derived_with(self, oracle: DistanceOracle) -> list:
         derived = self._derived
         if derived is None or derived[0] is not oracle or derived[1] != oracle.generation:
-            derived = [oracle, oracle.generation, None, {}]
+            derived = [oracle, oracle.generation, None, {}, None]
             object.__setattr__(self, "_derived", derived)
         return derived
 
@@ -190,6 +191,18 @@ class RouteState:
         valid exactly as long as :meth:`profile`.
         """
         return self._derived_with(oracle)[3]
+
+    def refusal(self, oracle: DistanceOracle) -> InsertionOutcome:
+        """The "no feasible placement" outcome every refusal by this snapshot
+        shares, built on the first one; kept exactly as long as :meth:`profile`.
+        """
+        derived = self._derived_with(oracle)
+        if derived[4] is None:
+            # The outcome type lives a layer up, next to the kernel.
+            from ..insertion.linear_insertion import InsertionOutcome
+
+            derived[4] = InsertionOutcome.infeasible(self.schedule)
+        return derived[4]
 
 
 @dataclass

@@ -14,8 +14,9 @@ The same structure backs two different uses in this reproduction:
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
+from operator import itemgetter
 
 from ..exceptions import NetworkError
 from .road_network import RoadNetwork
@@ -54,6 +55,8 @@ class GridIndex:
         self._cell_height = (self._max_y - self._min_y) / cells_per_axis
         #: Keys per occupied cell, ascending.
         self._cells: dict[tuple[int, int], list] = {}
+        #: The occupied cells, ascending: the order queries visit them in.
+        self._occupied: list[tuple[int, int]] = []
         self._positions: dict[object, tuple[float, float]] = {}
 
     @classmethod
@@ -75,7 +78,11 @@ class GridIndex:
         if key in self._positions:
             self.remove(key)
         cell = self._cell_of(x, y)
-        insort(self._cells.setdefault(cell, []), key)
+        members = self._cells.get(cell)
+        if members is None:
+            members = self._cells[cell] = []
+            insort(self._occupied, cell)
+        insort(members, key)
         self._positions[key] = (float(x), float(y))
 
     def remove(self, key: int) -> None:
@@ -88,6 +95,7 @@ class GridIndex:
         del members[bisect_left(members, key)]
         if not members:
             del self._cells[cell]
+            del self._occupied[bisect_left(self._occupied, cell)]
 
     def move(self, key: int, x: float, y: float) -> None:
         """Update the position of ``key`` (inserting it if absent)."""
@@ -96,6 +104,7 @@ class GridIndex:
     def clear(self) -> None:
         """Remove every object."""
         self._cells.clear()
+        self._occupied.clear()
         self._positions.clear()
 
     # ------------------------------------------------------------------ #
@@ -147,28 +156,48 @@ class GridIndex:
                         results.append(key)
         return results
 
-    def nearest(self, x: float, y: float, *, max_radius: float | None = None) -> int | None:
-        """Key closest to ``(x, y)`` or ``None`` if the index is empty.
+    def k_nearest(self, x: float, y: float, k: int) -> list[tuple[float, int]]:
+        """``(distance, key)`` of every key in a disk around ``(x, y)`` that
+        holds at least ``k`` keys (every key when the index holds fewer).
 
-        The search expands ring by ring, so it touches few cells when the
-        index is dense around the query point.
+        The disk starts at the radius that would hold ``k`` keys were they
+        spread evenly over the bounds and doubles until it does.  Whatever
+        lies within the final radius is returned, in query order, so the
+        ``k`` nearest keys *and every key as far away as the k-th* are among
+        the pairs; the caller sorts and breaks ties as it sees fit.
         """
-        if not self._positions:
-            return None
-        max_extent = max(self._max_x - self._min_x, self._max_y - self._min_y)
-        limit = max_radius if max_radius is not None else max_extent * 2
-        radius = max(self._cell_width, self._cell_height)
-        best_key, best_dist = None, math.inf
-        while radius <= limit * 2:
-            for key in self.query_radius(x, y, radius):
-                px, py = self._positions[key]
-                dist = math.hypot(px - x, py - y)
-                if dist < best_dist:
-                    best_key, best_dist = key, dist
-            if best_key is not None and best_dist <= radius:
-                return best_key
+        positions = self._positions
+        wanted = min(k, len(positions))
+        if wanted < 1:
+            return []
+        area = (self._max_x - self._min_x) * (self._max_y - self._min_y)
+        radius = 2 * math.sqrt(wanted * area / (math.pi * len(positions)))
+        hypot = math.hypot
+        while True:
+            found = []
+            for members in self._cells_overlapping(x, y, radius):
+                for key in members:
+                    px, py = positions[key]
+                    distance = hypot(px - x, py - y)
+                    if distance <= radius:
+                        found.append((distance, key))
+            if len(found) >= wanted:
+                return found
             radius *= 2
-        return best_key
+
+    def nearest(self, x: float, y: float, *, max_radius: float | None = None) -> int | None:
+        """Key closest to ``(x, y)``; ``None`` when the index is empty or
+        the closest key is farther away than ``max_radius``.
+
+        Among equally close keys the first in query order wins.
+        """
+        found = self.k_nearest(x, y, 1)
+        if not found:
+            return None
+        distance, key = min(found, key=itemgetter(0))
+        if max_radius is not None and distance > max_radius:
+            return None
+        return key
 
     def cell_counts(self) -> dict[tuple[int, int], int]:
         """Number of objects per non-empty cell (used by the DARM heuristic)."""
@@ -205,14 +234,15 @@ class GridIndex:
         lo_x, lo_y = self._cell_of(x - radius, y - radius)
         hi_x, hi_y = self._cell_of(x + radius, y + radius)
         if (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(cells):
-            # A box of mostly empty cells: pick the occupied ones out instead.
-            # Sorted (cx, cy) is the order of the nested ranges below, and
-            # callers truncate and tie-break on the order of the result.
-            inside = sorted(
-                cell for cell in cells
-                if lo_x <= cell[0] <= hi_x and lo_y <= cell[1] <= hi_y
-            )
-            return [cells[cell] for cell in inside]
+            # A box of mostly empty cells: pick the occupied ones out of the
+            # ascending list instead.  Ascending (cx, cy) is the order of
+            # the nested ranges below, and callers truncate and tie-break on
+            # the order of the result.
+            occupied = self._occupied
+            columns = occupied[
+                bisect_left(occupied, (lo_x, lo_y)):bisect_right(occupied, (hi_x, hi_y))
+            ]
+            return [cells[cell] for cell in columns if lo_y <= cell[1] <= hi_y]
         return [
             cells[cx, cy]
             for cx in range(lo_x, hi_x + 1)

@@ -97,6 +97,24 @@ class TestQueries:
     def test_nearest_empty_index(self, index: GridIndex):
         assert index.nearest(0, 0) is None
 
+    def test_nearest_ignores_keys_beyond_max_radius(self, index: GridIndex):
+        index.insert("a", 100, 100)
+        assert index.nearest(100, 400, max_radius=300) == "a"
+        assert index.nearest(100, 400, max_radius=299) is None
+
+    def test_k_nearest_returns_distances_and_the_ties_of_the_kth(self, index: GridIndex):
+        for key, (x, y) in {"a": (500, 500), "b": (500, 600), "c": (600, 500),
+                            "d": (400, 500), "e": (900, 900)}.items():
+            index.insert(key, x, y)
+        found = index.k_nearest(500, 500, 2)
+        # b, c and d are equally far: all three come with the second nearest.
+        assert {("a", 0.0), ("b", 100.0), ("c", 100.0), ("d", 100.0)} <= {
+            (key, distance) for distance, key in found
+        }
+        assert len(index.k_nearest(500, 500, 99)) == 5
+        assert index.k_nearest(500, 500, 0) == []
+        assert index.k_nearest(-4000, 9000, 1) != []
+
     def test_cell_counts_and_center(self, index: GridIndex):
         index.insert("a", 10, 10)
         index.insert("b", 20, 20)

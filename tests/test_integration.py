@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
 
 from repro import Simulator, make_dispatcher, make_workload
+from repro.dispatch import sard
+from repro.dispatch.base import DispatchContext, candidate_vehicles
 from repro.dispatch.sard import SARDDispatcher
 from repro.experiments.harness import RunSpec, run
 from repro.model.batch import Batch
+from repro.model.schedule import Schedule
 from repro.model.vehicle import RouteState, Vehicle
 from repro.network.grid_index import GridIndex
 from repro.scenarios.events import VehicleShiftEnd, VehicleShiftStart
 from repro.scenarios.timeline import Scenario
+from repro.simulation import engine
 from repro.simulation.events import EventKind
 from repro.workloads.presets import Workload
 
@@ -200,34 +206,53 @@ def _shift_spec(algorithm: str) -> tuple[RunSpec, float, set[int]]:
     return spec, 0.5 * horizon, ended
 
 
+def _observe(spec: RunSpec, monkeypatch) -> tuple[list, dict, dict]:
+    """Run ``spec``: its engine events, its summary without the wall-clock
+    rows and its oracle's counters (the index invariant is checked per tick)."""
+    oracles = []
+    fresh_oracle = Workload.fresh_oracle
+
+    def keeping(workload, **options):
+        oracles.append(fresh_oracle(workload, **options))
+        return oracles[-1]
+
+    ticks = []
+
+    def checked_context(**parts):
+        # What every candidate query relies on: the index holds exactly
+        # the context's fleet, each vehicle at its node's position.
+        context = DispatchContext(**parts)
+        index, network = context.vehicle_index, context.network
+        assert sorted(index.keys()) == sorted(v.vehicle_id for v in context.vehicles)
+        assert all(
+            index.position(v.vehicle_id) == network.position(v.location)
+            for v in context.vehicles
+        )
+        ticks.append(context.current_time)
+        return context
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Workload, "fresh_oracle", keeping)
+        patch.setattr(engine, "DispatchContext", checked_context)
+        simulation = run(spec).simulation
+    assert len(ticks) == simulation.metrics.num_batches > 0
+    summary = {
+        key: value for key, value in simulation.summary().items()
+        if not key.endswith("seconds")
+    }
+    return simulation.events.events, summary, oracles[-1].stats.snapshot()
+
+
 class TestTickCostsWhatChanged:
     """Driving the fleet from a heap of next-service times and re-indexing
     only the vehicles that moved is an optimisation: a run that advances and
     re-indexes the whole fleet on every tick is event-for-event the same."""
 
-    @staticmethod
-    def _observe(spec: RunSpec, monkeypatch) -> tuple[list, dict, dict]:
-        oracles = []
-        fresh_oracle = Workload.fresh_oracle
-
-        def keeping(workload, **options):
-            oracles.append(fresh_oracle(workload, **options))
-            return oracles[-1]
-
-        with monkeypatch.context() as patch:
-            patch.setattr(Workload, "fresh_oracle", keeping)
-            simulation = run(spec).simulation
-        summary = {
-            key: value for key, value in simulation.summary().items()
-            if not key.endswith("seconds")
-        }
-        return simulation.events.events, summary, oracles[-1].stats.snapshot()
-
     def _assert_invisible(self, make_spec, monkeypatch) -> list:
-        events, summary, counters = self._observe(make_spec(), monkeypatch)
+        events, summary, counters = _observe(make_spec(), monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(Simulator, "_advance_vehicles", _advance_the_whole_fleet)
-            obvious = self._observe(make_spec(), monkeypatch)
+            obvious = _observe(make_spec(), monkeypatch)
         assert obvious[0] == events
         assert obvious[1] == summary
         assert obvious[2] == counters
@@ -339,3 +364,120 @@ class TestTickCostsWhatChanged:
         monkeypatch.setattr(Simulator, "_memory_estimate", checked)
         result = run(RunSpec(mode="service", preset="nyc", scale=0.1, algorithm=algorithm))
         assert len(estimates) == result.simulation.metrics.num_batches + 1
+
+
+def _ask_every_candidate(dispatcher, request, context, routes):
+    """The obvious queue of one request: prefetch every candidate's position,
+    hand every candidate to the kernel."""
+    oracle = context.oracle
+    sign = -1.0 if dispatcher._propose_worst_first else 1.0
+    offered = [
+        routes[vehicle.vehicle_id]
+        for vehicle in candidate_vehicles(
+            request, context, max_candidates=dispatcher._max_candidates
+        )
+    ]
+    oracle.prefetch([route.origin for route in offered], (request.source,))
+    queue: list[tuple[float, int]] = []
+    for route in offered:
+        outcome = sard.best_insertion(route, request, oracle)
+        if outcome.feasible:
+            heapq.heappush(queue, (sign * outcome.delta_cost, route.vehicle_id))
+    return queue
+
+
+#: What the oracle did to answer; ``prefetch`` moves these, never an answer.
+_ORACLE_EFFORT = ("oracle_searches", "oracle_settled_nodes", "oracle_fallback_queries")
+
+
+class TestQueueBuildingAsksOnlyWhatItLacks:
+    """SARD answers a repeated offer from the driving vehicle's snapshot and
+    prefetches only the legs the kernel reads: a run that prefetches and asks
+    the kernel about every candidate is event-for-event the same."""
+
+    @pytest.mark.parametrize("world", ["static", "rush_hour", "shifts"])
+    def test_event_stream_equals_asking_every_candidate(self, world, monkeypatch):
+        def make_spec():
+            if world == "shifts":
+                return _shift_spec("SARD")[0]
+            return RunSpec(
+                mode="service", preset="nyc", scale=0.1, algorithm="SARD",
+                scenario=None if world == "static" else world,
+            )
+
+        asked = []
+        best_insertion = sard.best_insertion
+
+        def counted(route, request, oracle):
+            asked[-1] += 1
+            return best_insertion(route, request, oracle)
+
+        monkeypatch.setattr(sard, "best_insertion", counted)
+        asked.append(0)
+        events, summary, counters = _observe(make_spec(), monkeypatch)
+        asked.append(0)
+        with monkeypatch.context() as patch:
+            patch.setattr(SARDDispatcher, "_candidate_queue", _ask_every_candidate)
+            obvious = _observe(make_spec(), monkeypatch)
+        assert obvious[0] == events
+        for key in summary:
+            if key not in _ORACLE_EFFORT:
+                assert obvious[1][key] == summary[key], key
+        assert obvious[2]["queries"] == counters["queries"]
+        if world == "rush_hour":
+            assert summary["oracle_rebuilds"] > 0
+        # ... and it really is less: of the kernel and of the backend.
+        assert asked[0] < asked[1]
+        assert counters["searches"] <= obvious[2]["searches"]
+
+    def test_a_repeated_offer_to_an_unchanged_driving_fleet_asks_nothing(
+        self, make_request, make_context, oracle, monkeypatch
+    ):
+        # Two vehicles under way to a pick-up, each passing one request's
+        # trip; two idle ones that can reach nobody in time.
+        aboard = [make_request(90, 0, 5), make_request(91, 30, 35)]
+        vehicles = [
+            Vehicle(vehicle_id=0, location=6), Vehicle(vehicle_id=1, location=24),
+            Vehicle(vehicle_id=2, location=14), Vehicle(vehicle_id=3, location=20),
+        ]
+        for vehicle, rider in zip(vehicles, aboard):
+            vehicle.assign_schedule(Schedule.direct(rider), [rider], 0.0)
+            vehicle.advance_to(1.0, oracle)
+        pending = [
+            make_request(1, 1, 4, release_time=1.0, gamma=2.0),
+            make_request(2, 31, 34, release_time=1.0, gamma=2.0),
+            make_request(3, 2, 33, release_time=1.0, gamma=1.05),
+        ]
+        asked = []
+        best_insertion = sard.best_insertion
+
+        def logged(route, request, oracle):
+            asked.append((route.vehicle_id, request.request_id))
+            return best_insertion(route, request, oracle)
+
+        monkeypatch.setattr(sard, "best_insertion", logged)
+        dispatcher = SARDDispatcher()
+
+        def queues(now):
+            context = make_context(vehicles, pending, current_time=now)
+            routes = context.working_routes()
+            return [dispatcher._candidate_queue(r, context, routes) for r in pending]
+
+        first = queues(2.0)
+        refused_idle = [pair for pair in asked if pair[0] >= 2]
+        assert {(0, 1), (1, 2), (2, 1), (3, 2)} <= set(asked)
+        assert first == [[(0.0, 0)], [(0.0, 1)], []]
+        del asked[:]
+        before = oracle.stats.snapshot()
+        again = queues(3.0)
+        # The driving pair answers from its snapshots; the idle pair departs
+        # at the new tick time and is asked again (and refuses again), by design.
+        assert asked == refused_idle
+        assert oracle.stats.snapshot()["searches"] == before["searches"]
+        assert again == first
+
+        # With the idle pair off shift nothing reaches the kernel or the oracle.
+        del asked[:], vehicles[2:]
+        before = oracle.stats.snapshot()
+        assert queues(4.0) == first
+        assert asked == [] and oracle.stats.snapshot() == before

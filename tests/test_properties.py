@@ -9,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ChaosConfig
+from repro.config import ChaosConfig, SimulationConfig
+from repro.dispatch.base import DispatchContext, candidate_vehicles
 from repro.insertion.linear_insertion import InsertionOutcome, best_insertion
 from repro.insertion.pair_schedules import best_pair_schedule, pair_orderings
+from repro.model.batch import Batch
 from repro.model.request import Request
 from repro.model.schedule import Schedule
 from repro.model.vehicle import RouteState, Vehicle
@@ -394,6 +396,9 @@ def _reference_query_radius(index: GridIndex, x: float, y: float, radius: float)
 
 
 _coordinate = st.floats(min_value=-50, max_value=550)
+#: Points 50 apart, a ring of them outside the 500 x 500 bounds: equal
+#: distances and shared positions are the common case.
+_lattice = st.integers(min_value=-1, max_value=11).map(lambda step: step * 50.0)
 _index_operations = st.lists(
     st.tuples(
         st.sampled_from(["insert", "move", "remove"]),
@@ -526,6 +531,168 @@ class TestGridIndexProperties:
             box = (x - radius, y - radius, x + radius, y + radius)
             assert travelled.query_rectangle(*box) == direct.query_rectangle(*box)
             assert travelled.nearest(x, y) == direct.nearest(x, y)
+
+
+    @given(
+        cells_per_axis=st.sampled_from([1, 3, 8, 32]),
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(["insert", "move", "remove", "remove", "clear"]),
+                st.integers(min_value=0, max_value=11),
+                _coordinate,
+                _coordinate,
+            ),
+            max_size=60,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_occupied_cells_stay_in_ascending_order(self, cells_per_axis, operations):
+        """Queries pick the occupied cells out of a list kept ascending by
+        ``insert`` / ``remove``; it must name exactly the non-empty cells."""
+        index = GridIndex((0, 0, 500, 500), cells_per_axis=cells_per_axis)
+        for operation, key, x, y in operations:
+            if operation == "clear":
+                index.clear()
+            elif operation == "remove":
+                index.remove(key)
+            else:
+                getattr(index, operation)(key, x, y)
+            assert index._occupied == sorted(index._cells)
+            assert all(index._cells.values())
+            assert sorted(
+                key for members in index._cells.values() for key in members
+            ) == sorted(index._positions)
+
+    @given(
+        cells_per_axis=st.sampled_from([1, 3, 8, 32]),
+        contents=st.dictionaries(
+            st.integers(min_value=0, max_value=23), st.tuples(_lattice, _lattice),
+            max_size=24,
+        ),
+        point=st.one_of(
+            st.tuples(_lattice, _lattice),
+            st.tuples(_coordinate, _coordinate),
+            st.tuples(st.floats(min_value=-3000, max_value=3500),
+                      st.floats(min_value=-3000, max_value=3500)),
+        ),
+        how_many=st.sampled_from(["one", "a third", "half", "all", "more"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_k_nearest_holds_the_k_nearest_and_everything_tied_with_the_kth(
+        self, cells_per_axis, contents, point, how_many
+    ):
+        """On a lattice ties are the common case; the query point lies on a
+        key, inside, on the edge of or far outside the bounds."""
+        index = GridIndex((0, 0, 500, 500), cells_per_axis=cells_per_axis)
+        for key, (px, py) in contents.items():
+            index.insert(key, px, py)
+        size = len(contents)
+        k = {"one": 1, "a third": max(size // 3, 1), "half": max(size // 2, 1),
+             "all": size, "more": size + 3}[how_many]
+        x, y = point
+        event(f"k {'on an empty index' if not size else '< len' if k < size else '>= len'}")
+        truth = {
+            key: math.hypot(px - x, py - y) for key, (px, py) in contents.items()
+        }
+        found = index.k_nearest(x, y, k)
+        assert len({key for _, key in found}) == len(found)
+        assert all(truth[key] == distance for distance, key in found)
+        if not contents:
+            assert found == [] and index.nearest(x, y) is None
+            return
+        kth = sorted(truth.values())[min(k, len(truth)) - 1]
+        reach = max(distance for distance, _ in found)
+        assert reach >= kth
+        # A whole disk comes back, in the order every query answers in.
+        inside = [key for key, distance in truth.items() if distance <= reach]
+        assert [key for _, key in found] == sorted(
+            inside, key=lambda key: (index._cell_of(*contents[key]), key)
+        )
+        # ``nearest`` is the k = 1 case: the first of the closest in that order.
+        closest = min(truth.values())
+        assert index.nearest(x, y) == min(
+            (key for key in truth if truth[key] == closest),
+            key=lambda key: (index._cell_of(*contents[key]), key),
+        )
+        assert index.nearest(x, y, max_radius=closest) == index.nearest(x, y)
+        if closest > 0:
+            assert index.nearest(x, y, max_radius=closest * 0.99) is None
+
+
+def _reference_candidate_vehicles(request, context, *, max_candidates=None):
+    """``candidate_vehicles`` the obvious way: the range query, else the whole
+    fleet, then a stable sort by straight-line distance from the nodes."""
+    source_xy = context.network.position(request.source)
+    slack = max(request.latest_pickup - context.current_time, 0.0)
+    radius = max(context.average_speed * slack, 1.0)
+    ids = context.vehicle_index.query_radius(source_xy[0], source_xy[1], radius)
+    by_id = context.vehicles_by_id
+    found = [by_id[vid] for vid in ids if vid in by_id]
+    if not found:
+        found = list(context.vehicles)
+    if max_candidates is not None and len(found) > max_candidates:
+        found.sort(key=lambda v: context.network.euclidean(v.location, request.source))
+        found = found[:max_candidates]
+    return found
+
+
+#: (node, on shift): three vehicles in four are on shift.
+_placed_vehicle = st.tuples(node_ids, st.sampled_from([True, True, True, False]))
+
+
+class TestCandidateVehiclesEqualTheObviousOnes:
+    @given(
+        cells_per_axis=st.sampled_from([1, 3, 8, 32]),
+        fleet=st.one_of(
+            st.lists(_placed_vehicle, min_size=1, max_size=12),
+            st.lists(_placed_vehicle, min_size=26, max_size=40),
+        ),
+        order=st.randoms(use_true_random=False),
+        source=node_ids,
+        # 10 m/s: the disk holds the source's node, its neighbours, ... , the city.
+        slack=st.sampled_from([0.0, 5.0, 10.0, 15.0, 30.0, 80.0]),
+        max_candidates=st.sampled_from([None, 1, 3, 3, 24, 24, 50]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_same_vehicles_in_the_same_order(
+        self, cells_per_axis, fleet, order, source, slack, max_candidates
+    ):
+        """The city is a lattice and vehicles share nodes, so equal distances
+        are the common case and both tie orders (query order inside the
+        radius, fleet order in the fallback) decide the cut."""
+        vehicles = [
+            Vehicle(vehicle_id=vehicle_id, location=node, on_shift=on_shift)
+            for vehicle_id, (node, on_shift) in enumerate(fleet)
+        ]
+        order.shuffle(vehicles)
+        # Like the engine: off-shift vehicles are in neither the context's
+        # fleet nor the index.
+        on_shift = [vehicle for vehicle in vehicles if vehicle.on_shift]
+        index = GridIndex.for_network(_CITY, cells_per_axis)
+        for vehicle in on_shift:
+            index.insert(vehicle.vehicle_id, *_CITY.position(vehicle.location))
+        destination = _NODES[0] if source != _NODES[0] else _NODES[1]
+        request = Request(
+            release_time=0.0, request_id=1, source=source, destination=destination,
+            max_wait=slack,
+        )
+        context = DispatchContext(
+            current_time=0.0, batch=Batch(0, 0.0, 5.0, (request,)), pending=[request],
+            vehicles=on_shift, network=_CITY, oracle=_ORACLE, vehicle_index=index,
+            config=SimulationConfig(), average_speed=10.0,
+        )
+        expected = _reference_candidate_vehicles(
+            request, context, max_candidates=max_candidates
+        )
+        in_reach = len(index.query_radius(*_CITY.position(source), max(10.0 * slack, 1.0)))
+        pool = in_reach or len(on_shift)
+        event(
+            f"{'in reach' if in_reach else 'fallback'}, "
+            f"{'cut' if max_candidates and pool > max_candidates else 'whole'}"
+        )
+        found = candidate_vehicles(request, context, max_candidates=max_candidates)
+        assert [v.vehicle_id for v in found] == [v.vehicle_id for v in expected]
+        assert all(a is b for a, b in zip(found, expected))
 
 
 def _graph_from_edge_bools(num_nodes: int, edge_bits: list[bool]) -> ShareabilityGraph:

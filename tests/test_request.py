@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.config import SimulationConfig
@@ -79,6 +83,67 @@ class TestDeadlines:
         request = Request(release_time=0.0, request_id=1, source=0, destination=1,
                           deadline=100.0, direct_cost=60.0)
         assert request.latest_pickup == pytest.approx(40.0)
+
+
+class TestAsDictionaryKey:
+    """A request hashes as its id; everything else still sees the eight
+    fields and only them -- ``latest_pickup`` is stored, not a field."""
+
+    @staticmethod
+    def _request(**overrides) -> Request:
+        values = dict(release_time=3.0, request_id=7, source=0, destination=5, riders=2,
+                      deadline=100.0, direct_cost=20.0, max_wait=30.0)
+        return Request(**{**values, **overrides})
+
+    def test_hash_is_the_request_id(self):
+        request = self._request()
+        assert hash(request) == hash(7)
+        assert hash(self._request()) == hash(request)
+        assert {request: "kept"}[self._request()] == "kept"
+
+    def test_same_id_with_another_deadline_collides_and_stays_distinct(self):
+        request = self._request()
+        tighter = dataclasses.replace(request, deadline=40.0)
+        assert hash(tighter) == hash(request)
+        assert tighter != request
+        assert {request: "loose", tighter: "tight"} == {tighter: "tight", request: "loose"}
+        assert len({request, tighter}) == 2
+
+    def test_latest_pickup_is_stored_once_and_follows_replace(self):
+        request = self._request()
+        assert request.latest_pickup == 33.0
+        assert vars(request)["latest_pickup"] == 33.0
+        assert dataclasses.replace(request, deadline=40.0).latest_pickup == 20.0
+        assert dataclasses.replace(request, max_wait=5.0).latest_pickup == 8.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            request.latest_pickup = 0.0
+
+    def test_fields_equality_order_and_repr_are_unchanged(self):
+        request = self._request()
+        names = [field.name for field in dataclasses.fields(request)]
+        assert names == ["release_time", "request_id", "source", "destination",
+                         "riders", "deadline", "direct_cost", "max_wait"]
+        assert dataclasses.asdict(request) == dict(
+            release_time=3.0, request_id=7, source=0, destination=5, riders=2,
+            deadline=100.0, direct_cost=20.0, max_wait=30.0,
+        )
+        assert dataclasses.astuple(request) == (3.0, 7, 0, 5, 2, 100.0, 20.0, 30.0)
+        assert repr(request) == (
+            "Request(release_time=3.0, request_id=7, source=0, destination=5, "
+            "riders=2, deadline=100.0, direct_cost=20.0, max_wait=30.0)"
+        )
+        assert request == self._request()
+        assert request < self._request(request_id=8) < self._request(release_time=4.0)
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda request: pickle.loads(pickle.dumps(request)),
+    ])
+    def test_copies_and_pickles_round_trip(self, clone):
+        request = self._request()
+        twin = clone(request)
+        assert twin == request and hash(twin) == hash(request)
+        assert twin.latest_pickup == request.latest_pickup
+        assert vars(twin) == vars(request)
 
 
 class TestIntegrationWithConfig:
