@@ -304,6 +304,7 @@ class SARDDispatcher(Dispatcher):
         sign = -1.0 if self._propose_worst_first else 1.0
         queue: list[tuple[float, int]] = []
         unanswered: list[RouteState] = []
+        origins: list[int] = []
         for vehicle in candidate_vehicles(
             request, context, max_candidates=self._max_candidates
         ):
@@ -314,14 +315,17 @@ class SARDDispatcher(Dispatcher):
                     if outcome.feasible:
                         queue.append((sign * outcome.delta_cost, route.vehicle_id))
                     continue
+            else:
+                origins.append(route.origin)
             unanswered.append(route)
-        # Batch the pick-up legs of the insertion tests still to be computed
-        # (vehicle position -> request source) into one oracle call: a
-        # reverse multi-source search for the graph backends, a bucket join
-        # for hub labels.  ``prefetch`` leaves the logical query counters
-        # untouched.
-        if unanswered:
-            oracle.prefetch([route.origin for route in unanswered], (request.source,))
+        # Batch the pick-up legs the kernel is about to read into one oracle
+        # call (a reverse multi-source search for the graph backends, a
+        # bucket join for hub labels).  That is ``origin -> source`` of the
+        # routes open at position 0 only: behind a committed stop the kernel
+        # starts at that stop's node and never asks for the leg from the
+        # origin.  ``prefetch`` leaves the logical query counters untouched.
+        if origins:
+            oracle.prefetch(origins, (request.source,))
         for route in unanswered:
             outcome = best_insertion(route, request, oracle)
             if outcome.feasible:
