@@ -179,20 +179,19 @@ def candidate_vehicles(
     index = context.vehicle_index
     by_id = context.vehicles_by_id
     found = [by_id[vid] for vid in index.query_radius(x, y, radius) if vid in by_id]
-    if not found:
-        if max_candidates is None or len(context.vehicles) <= max_candidates:
-            return list(context.vehicles)
-        rank = context.fleet_rank
-        nearest = sorted(
-            (distance, rank[vid]) for distance, vid in index.k_nearest(x, y, max_candidates)
-        )
-        return [context.vehicles[position] for _, position in nearest[:max_candidates]]
-    if max_candidates is not None and len(found) > max_candidates:
-        nearest = sorted(
-            (math.hypot(px - x, py - y), position)
-            for position, (px, py) in enumerate(
-                index.position(vehicle.vehicle_id) for vehicle in found
-            )
-        )
-        found = [found[position] for _, position in nearest[:max_candidates]]
-    return found
+    pool = found or context.vehicles
+    if max_candidates is None or len(pool) <= max_candidates:
+        return list(pool)
+    if found:
+        positions = (index.position(vehicle.vehicle_id) for vehicle in found)
+        ranked = [
+            (math.hypot(px - x, py - y), rank) for rank, (px, py) in enumerate(positions)
+        ]
+    else:
+        fleet_rank = context.fleet_rank
+        ranked = [
+            (distance, fleet_rank[vid])
+            for distance, vid in index.k_nearest(x, y, max_candidates)
+        ]
+    ranked.sort()
+    return [pool[rank] for _, rank in ranked[:max_candidates]]

@@ -160,11 +160,14 @@ class GridIndex:
         """``(distance, key)`` of every key in a disk around ``(x, y)`` that
         holds at least ``k`` keys (every key when the index holds fewer).
 
-        The disk starts at the radius that would hold ``k`` keys were they
-        spread evenly over the bounds and doubles until it does.  Whatever
-        lies within the final radius is returned, in query order, so the
-        ``k`` nearest keys *and every key as far away as the k-th* are among
-        the pairs; the caller sorts and breaks ties as it sees fit.
+        Whatever lies within the final radius is returned, in query order,
+        so the ``k`` nearest keys *and every key as far away as the k-th* are
+        among the pairs; the caller sorts and breaks ties as it sees fit.
+
+        The disk starts at twice the radius that would hold ``k`` keys were
+        they spread evenly over the bounds and doubles until it holds them:
+        a disk that falls short is scanned again in full, one too large only
+        returns more pairs, and callers ask where the index is sparse.
         """
         positions = self._positions
         wanted = min(k, len(positions))
