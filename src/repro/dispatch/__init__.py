@@ -20,8 +20,6 @@ once per batch and receives back schedule assignments.
   DARM+DPRS [53].
 """
 
-from typing import Any
-
 from .base import (
     Assignment,
     DispatchContext,
@@ -48,7 +46,7 @@ DISPATCHER_REGISTRY = {
 }
 
 
-def make_dispatcher(name: str, **kwargs: Any) -> Dispatcher:
+def make_dispatcher(name: str) -> Dispatcher:
     """Instantiate a dispatcher by its paper name (case-sensitive)."""
     try:
         factory = DISPATCHER_REGISTRY[name]
@@ -56,7 +54,7 @@ def make_dispatcher(name: str, **kwargs: Any) -> Dispatcher:
         raise KeyError(
             f"unknown dispatcher {name!r}; choose from {sorted(DISPATCHER_REGISTRY)}"
         ) from exc
-    return factory(**kwargs)
+    return factory()
 
 
 __all__ = [

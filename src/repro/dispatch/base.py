@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import abc
 import math
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from ..config import SimulationConfig
+from ..insertion.linear_insertion import InsertionOutcome, best_insertion
 from ..model.batch import Batch
 from ..model.request import Request
 from ..model.schedule import Schedule
@@ -15,6 +17,7 @@ from ..model.vehicle import RouteState, Vehicle
 from ..network.grid_index import GridIndex
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
+from ..shareability.builder import DynamicShareabilityGraphBuilder
 
 
 @dataclass
@@ -46,6 +49,23 @@ class DispatchContext:
         """The routes one dispatch call plans on, snapshotted on first use."""
         return WorkingRoutes(self)
 
+    def shareability_builder(self, *, angle_pruning: bool) -> DynamicShareabilityGraphBuilder:
+        """A new graph builder over this context's network and oracle.
+
+        A batch dispatcher makes one on its first batch and keeps it; without
+        ``angle_pruning`` the graph holds every shareable pair (plain SARD,
+        GAS, RTV), with it the config's angle threshold applies (SARD-O).
+        """
+        config = self.config
+        if not angle_pruning:
+            config = config.with_overrides(angle_threshold=None)
+        return DynamicShareabilityGraphBuilder(
+            network=self.network,
+            oracle=self.oracle,
+            config=config,
+            average_speed=self.average_speed,
+        )
+
     @cached_property
     def vehicles_by_id(self) -> dict[int, Vehicle]:
         """The fleet keyed by vehicle identifier (built on first use)."""
@@ -68,19 +88,32 @@ class WorkingRoutes(dict[int, RouteState]):
     """The routes one dispatch call plans on, by vehicle identifier.
 
     An entry starts as the vehicle's planning snapshot at the context's
-    time, taken when the dispatcher first asks for it; a dispatcher that
-    extends a route overwrites the entry, so insertions within a batch
-    compound.
+    time, taken when the dispatcher first asks for it; :meth:`extend`
+    overwrites the entry, so insertions within a batch compound, and records
+    what the route was extended with for :meth:`assignments`.
     """
 
     def __init__(self, context: DispatchContext) -> None:
         super().__init__()
         self._fleet = context.vehicles_by_id
         self._now = context.current_time
+        self._extended: dict[int, list[Request]] = {}
 
     def __missing__(self, vehicle_id: int) -> RouteState:
         route = self[vehicle_id] = self._fleet[vehicle_id].route_state(self._now)
         return route
+
+    def extend(self, vehicle_id: int, schedule: Schedule, requests: Iterable[Request]) -> None:
+        """Plan ``schedule`` for the vehicle; it newly serves ``requests``."""
+        self[vehicle_id] = replace(self[vehicle_id], schedule=schedule)
+        self._extended.setdefault(vehicle_id, []).extend(requests)
+
+    def assignments(self) -> list[Assignment]:
+        """One assignment per extended vehicle, in the order first extended."""
+        return [
+            Assignment(vehicle_id, self[vehicle_id].schedule, tuple(requests))
+            for vehicle_id, requests in self._extended.items()
+        ]
 
 
 @dataclass(frozen=True)
@@ -139,10 +172,7 @@ class Dispatcher(abc.ABC):
 
 
 def requests_by_vehicle(
-    context: DispatchContext,
-    requests: list[Request],
-    *,
-    max_candidates: int | None = None,
+    context: DispatchContext, requests: list[Request]
 ) -> dict[int, list[Request]]:
     """Invert :func:`candidate_vehicles`: which requests could each vehicle serve.
 
@@ -152,7 +182,7 @@ def requests_by_vehicle(
     """
     mapping: dict[int, list[Request]] = {vehicle.vehicle_id: [] for vehicle in context.vehicles}
     for request in requests:
-        for vehicle in candidate_vehicles(request, context, max_candidates=max_candidates):
+        for vehicle in candidate_vehicles(request, context):
             mapping[vehicle.vehicle_id].append(request)
     return mapping
 
@@ -195,3 +225,78 @@ def candidate_vehicles(
         ]
     ranked.sort()
     return [pool[rank] for _, rank in ranked[:max_candidates]]
+
+
+def nearest_requests(
+    vehicle: Vehicle, requests: list[Request], context: DispatchContext, limit: int
+) -> list[Request]:
+    """At most ``limit`` of ``requests``: those picked up nearest the vehicle.
+
+    Straight-line distance, equally distant requests staying in the order
+    they were in.  Enumerating groups over a whole city's pool would be
+    intractable in pure Python -- and the paper's point about GAS and RTV is
+    exactly that they enumerate too much.
+    """
+    if len(requests) <= limit:
+        return requests
+    euclidean = context.network.euclidean
+    return sorted(requests, key=lambda r: euclidean(vehicle.location, r.source))[:limit]
+
+
+def feasible_insertions(
+    request: Request,
+    context: DispatchContext,
+    routes: WorkingRoutes,
+    max_candidates: int | None,
+) -> list[tuple[InsertionOutcome, int]]:
+    """``(outcome, vehicle id)`` of every candidate vehicle that can take
+    ``request`` on its working route, in :func:`candidate_vehicles` order.
+
+    This is the one place a dispatcher asks a vehicle.  A driving vehicle's
+    snapshot carries what it already answered, so one probe of its table
+    settles a repeated offer: a known "no" costs nothing more, a known "yes"
+    is returned as it stands, and only what is left reaches the kernel.  An
+    idle vehicle departs at the tick time, so its snapshot is new and it is
+    asked on every tick.
+    """
+    oracle = context.oracle
+    asked: list[tuple[RouteState, InsertionOutcome | None]] = []
+    origins: list[int] = []
+    for vehicle in candidate_vehicles(request, context, max_candidates=max_candidates):
+        route = routes[vehicle.vehicle_id]
+        known = None
+        if route.min_insert_position:
+            known = route.outcomes(oracle).get(request)
+        else:
+            origins.append(route.origin)
+        asked.append((route, known))
+    # Batch the pick-up legs the kernel is about to read into one oracle
+    # call (a reverse multi-source search for the graph backends, a bucket
+    # join for hub labels).  That is ``origin -> source`` of the routes open
+    # at position 0 only: behind a committed stop the kernel starts at that
+    # stop's node and never asks for the leg from the origin.  ``prefetch``
+    # leaves the logical query counters untouched.
+    if origins:
+        oracle.prefetch(origins, (request.source,))
+    found: list[tuple[InsertionOutcome, int]] = []
+    for route, outcome in asked:
+        if outcome is None:
+            outcome = best_insertion(route, request, oracle)
+        if outcome.feasible:
+            found.append((outcome, route.vehicle_id))
+    return found
+
+
+def cheapest_insertion(
+    request: Request,
+    context: DispatchContext,
+    routes: WorkingRoutes,
+    max_candidates: int | None,
+) -> tuple[InsertionOutcome, int] | None:
+    """The :func:`feasible_insertions` entry whose schedule grows the least,
+    the earlier candidate winning a tie; ``None`` when no vehicle can."""
+    best = None
+    for found in feasible_insertions(request, context, routes, max_candidates):
+        if best is None or found[0].delta_cost < best[0].delta_cost:
+            best = found
+    return best

@@ -22,36 +22,25 @@ cost -- which this heuristic reproduces.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from ..insertion.linear_insertion import best_insertion
-from ..model.request import Request
 from ..network.grid_index import GridIndex
-from .base import Assignment, DispatchContext, DispatchResult, Dispatcher, candidate_vehicles
+from .base import DispatchContext, DispatchResult, Dispatcher
+from .prunegdp import insert_greedily
 
 
 class DARMDispatcher(Dispatcher):
     """Demand-anticipating repositioning with greedy insertion matching."""
 
     name = "DARM+DPRS"
+    #: Weight of the newest batch in the per-cell demand average, in (0, 1].
+    smoothing = 0.3
+    #: Share of the idle vehicles sent toward demand per repositioning.
+    reposition_fraction = 0.1
+    #: Simulated seconds between two repositionings.
+    reposition_period = 30.0
+    #: Cap on the candidate vehicles each request evaluates.
+    max_candidates = 32
 
-    def __init__(
-        self,
-        *,
-        smoothing: float = 0.3,
-        reposition_fraction: float = 0.1,
-        reposition_period: float = 30.0,
-        max_candidates: int | None = 32,
-        reject_unassigned: bool = True,
-    ) -> None:
-        if not 0 < smoothing <= 1:
-            raise ValueError("smoothing must be in (0, 1]")
-        self._smoothing = smoothing
-        self._reposition_fraction = reposition_fraction
-        self._reposition_period = reposition_period
-        self._max_candidates = max_candidates
-        # Online semantics: unplaceable requests are rejected immediately.
-        self._reject_unassigned = reject_unassigned
+    def __init__(self) -> None:
         self._demand: dict[tuple[int, int], float] = {}
         self._last_reposition = float("-inf")
         self.repositioned = 0
@@ -70,7 +59,10 @@ class DARMDispatcher(Dispatcher):
     # ------------------------------------------------------------------ #
     def dispatch(self, context: DispatchContext) -> DispatchResult:
         self._update_demand(context)
-        result = self._match(context)
+        # Online semantics: unplaceable requests are rejected immediately.
+        result = insert_greedily(
+            context, max_candidates=self.max_candidates, reject_unassigned=True
+        )
         self._reposition(context, result)
         return result
 
@@ -87,41 +79,8 @@ class DARMDispatcher(Dispatcher):
             previous = self._demand.get(cell, 0.0)
             observed = float(arrivals.get(cell, 0))
             self._demand[cell] = (
-                (1.0 - self._smoothing) * previous + self._smoothing * observed
+                (1.0 - self.smoothing) * previous + self.smoothing * observed
             )
-
-    def _match(self, context: DispatchContext) -> DispatchResult:
-        routes = context.working_routes()
-        accepted: dict[int, list[Request]] = {}
-        rejected: list[Request] = []
-        for request in sorted(context.pending, key=lambda r: (r.release_time, r.request_id)):
-            best_vehicle_id = None
-            best_outcome = None
-            for vehicle in candidate_vehicles(
-                request, context, max_candidates=self._max_candidates
-            ):
-                route = routes[vehicle.vehicle_id]
-                outcome = best_insertion(route, request, context.oracle)
-                if not outcome.feasible:
-                    continue
-                if best_outcome is None or outcome.delta_cost < best_outcome.delta_cost:
-                    best_outcome = outcome
-                    best_vehicle_id = vehicle.vehicle_id
-            if best_vehicle_id is None or best_outcome is None:
-                if self._reject_unassigned:
-                    rejected.append(request)
-                continue
-            routes[best_vehicle_id] = replace(routes[best_vehicle_id], schedule=best_outcome.schedule)
-            accepted.setdefault(best_vehicle_id, []).append(request)
-        assignments = [
-            Assignment(
-                vehicle_id=vehicle_id,
-                schedule=routes[vehicle_id].schedule,
-                new_requests=tuple(requests),
-            )
-            for vehicle_id, requests in accepted.items()
-        ]
-        return DispatchResult(assignments=assignments, rejected=rejected)
 
     def _reposition(self, context: DispatchContext, result: DispatchResult) -> None:
         """Send a fraction of the idle vehicles toward high-demand cells.
@@ -133,7 +92,7 @@ class DARMDispatcher(Dispatcher):
         """
         if not self._demand:
             return
-        if context.current_time - self._last_reposition < self._reposition_period:
+        if context.current_time - self._last_reposition < self.reposition_period:
             return
         self._last_reposition = context.current_time
         assigned_vehicles = {a.vehicle_id for a in result.assignments}
@@ -144,7 +103,7 @@ class DARMDispatcher(Dispatcher):
         ]
         if not idle:
             return
-        budget = max(int(len(idle) * self._reposition_fraction), 0)
+        budget = max(int(len(idle) * self.reposition_fraction), 0)
         if budget == 0:
             return
         hot_cells = sorted(self._demand.items(), key=lambda kv: kv[1], reverse=True)

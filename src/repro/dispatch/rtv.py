@@ -23,6 +23,7 @@ from .base import (
     DispatchContext,
     DispatchResult,
     Dispatcher,
+    nearest_requests,
     requests_by_vehicle,
 )
 
@@ -31,17 +32,14 @@ class RTVDispatcher(Dispatcher):
     """Integer-programming batch dispatcher over enumerated trips."""
 
     name = "RTV"
+    #: Cap on the requests one vehicle enumerates trips over.
+    max_pool = 250
+    #: Largest trip count handed to the solver; more are rounded greedily.
+    max_variables = 20_000
+    #: Solver wall-clock limit per batch, in seconds.
+    time_limit = 10.0
 
-    def __init__(
-        self,
-        *,
-        max_pool: int | None = 250,
-        max_variables: int = 20_000,
-        time_limit: float = 10.0,
-    ) -> None:
-        self._max_pool = max_pool
-        self._max_variables = max_variables
-        self._time_limit = time_limit
+    def __init__(self) -> None:
         self._builder: DynamicShareabilityGraphBuilder | None = None
         self.grouping_stats = GroupingStatistics()
         self.ilp_solved = 0
@@ -64,27 +62,16 @@ class RTVDispatcher(Dispatcher):
 
     # ------------------------------------------------------------------ #
     def dispatch(self, context: DispatchContext) -> DispatchResult:
-        config = context.config.with_overrides(angle_threshold=None)
-        if self._builder is None:
-            self._builder = DynamicShareabilityGraphBuilder(
-                network=context.network,
-                oracle=context.oracle,
-                config=config,
-                average_speed=context.average_speed,
-            )
         builder = self._builder
-        pending_by_id = {request.request_id: request for request in context.pending}
-        stale = [rid for rid in list(builder.graph.request_ids()) if rid not in pending_by_id]
-        builder.remove(stale)
-        builder.update(
-            [r for r in context.pending if r.request_id not in builder.graph]
-        )
+        if builder is None:
+            builder = self._builder = context.shareability_builder(angle_pruning=False)
+        builder.sync(context.pending)
         graph = builder.graph
 
         # ----------------- enumerate feasible trips per vehicle ---------- #
         # RV edges: a vehicle only considers requests whose pick-up it can
         # plausibly reach before the waiting deadline.
-        reachable = requests_by_vehicle(context, list(pending_by_id.values()))
+        reachable = requests_by_vehicle(context, list(context.pending))
         candidates: list[tuple[int, RequestGroup]] = []
         routes = context.working_routes()
         for vehicle in context.vehicles:
@@ -94,17 +81,12 @@ class RTVDispatcher(Dispatcher):
             pool = reachable.get(vehicle.vehicle_id, [])
             if not pool:
                 continue
-            if self._max_pool is not None and len(pool) > self._max_pool:
-                pool = sorted(
-                    pool,
-                    key=lambda r: context.network.euclidean(vehicle.location, r.source),
-                )[: self._max_pool]
             groups = build_groups(
-                pool,
+                nearest_requests(vehicle, pool, context, self.max_pool),
                 graph,
                 route,
                 context.oracle,
-                max_group_size=config.group_size_limit,
+                max_group_size=context.config.group_size_limit,
                 stats=self.grouping_stats,
             )
             for group in groups:
@@ -114,8 +96,9 @@ class RTVDispatcher(Dispatcher):
         self._last_variable_count = len(candidates)
 
         penalty = context.config.penalty_coefficient
-        if len(candidates) <= self._max_variables:
-            chosen = self._solve_ilp(candidates, list(pending_by_id), penalty)
+        if len(candidates) <= self.max_variables:
+            request_ids = [request.request_id for request in context.pending]
+            chosen = self._solve_ilp(candidates, request_ids, penalty)
             if chosen is None:
                 self.ilp_fallbacks += 1
                 chosen = self._solve_greedy(candidates)
@@ -176,7 +159,7 @@ class RTVDispatcher(Dispatcher):
                 constraints=constraints,
                 integrality=integrality,
                 bounds=bounds,
-                options={"time_limit": self._time_limit, "presolve": True},
+                options={"time_limit": self.time_limit, "presolve": True},
             )
         except Exception:  # pragma: no cover  # repro-lint: disable=STY001 scipy.optimize.milp raises version-dependent types; any failure falls back to greedy rounding
             return None

@@ -4,10 +4,9 @@ SARD is the paper's contribution.  Per batch it:
 
 1. updates the dynamic shareability graph with the newly released requests
    (Algorithm 1, with angle pruning),
-2. builds, for every pending request, a priority queue of candidate vehicles
-   ordered by *descending* additional travel cost -- requests propose to
-   their worst vehicle first, leaving the cheap vehicles free for requests
-   with fewer options,
+2. builds, for every pending request, a priority queue of the candidate
+   vehicles that can take it, ordered by *ascending* additional travel cost
+   -- requests propose to their cheapest vehicle first,
 3. runs proposal / acceptance rounds: each vehicle enumerates feasible
    groups among the requests that proposed to it (Algorithm 2) and accepts
    the group with the smallest *shareability loss* (Definition 6), returning
@@ -20,14 +19,10 @@ from __future__ import annotations
 import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
 
-from ..config import SimulationConfig
 from ..grouping.additive_tree import GroupingStatistics, build_groups
 from ..grouping.group import RequestGroup
-from ..insertion.linear_insertion import best_insertion
 from ..model.request import Request
-from ..model.vehicle import RouteState
 from ..observability.trace import get_tracer
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
@@ -37,8 +32,7 @@ from .base import (
     DispatchContext,
     DispatchResult,
     Dispatcher,
-    WorkingRoutes,
-    candidate_vehicles,
+    feasible_insertions,
 )
 
 
@@ -59,40 +53,19 @@ class SARDDispatcher(Dispatcher):
 
     Parameters
     ----------
-    angle_threshold:
-        Override for the angle pruning threshold.  ``None`` keeps the value
-        from the simulation config; pass ``float('nan')`` via
-        :meth:`without_angle_pruning` to disable pruning (the plain "SARD"
-        row of Tables V/VI, versus "SARD-O" with pruning).
-    max_candidates:
-        Cap on the number of candidate vehicles per request (keeps the
-        proposal queues short on large fleets).
-    propose_worst_first:
-        The paper describes requests proposing to their *most expensive*
-        candidate vehicle first.  On the compressed synthetic workloads of
-        this reproduction that ordering wastes fleet time and flattens
-        SARD's advantage, so the default proposes cheapest-first; the
-        paper-literal ordering is kept as an option and exercised by the
-        proposal-order ablation benchmark (see DESIGN.md).
-    prefer_larger_groups:
-        Ablation switch: rank candidate groups primarily by size instead of
-        by shareability loss.
+    angle_pruning:
+        Build the shareability graph with the config's angle pruning rule
+        ("SARD-O" in Tables V/VI) or, when false, without it (the plain
+        "SARD" row).
     """
 
     name = "SARD"
+    #: Cap on the number of candidate vehicles per request (keeps the
+    #: proposal queues short on large fleets).
+    max_candidates = 24
 
-    def __init__(
-        self,
-        *,
-        angle_threshold: float | None | str = "config",
-        max_candidates: int | None = 24,
-        propose_worst_first: bool = False,
-        prefer_larger_groups: bool = False,
-    ) -> None:
-        self._angle_override = angle_threshold
-        self._max_candidates = max_candidates
-        self._propose_worst_first = propose_worst_first
-        self._prefer_larger_groups = prefer_larger_groups
+    def __init__(self, *, angle_pruning: bool = True) -> None:
+        self._angle_pruning = angle_pruning
         self._builder: DynamicShareabilityGraphBuilder | None = None
         self.grouping_stats = GroupingStatistics()
         self.rounds_executed = 0
@@ -102,18 +75,16 @@ class SARDDispatcher(Dispatcher):
     # configuration helpers
     # ------------------------------------------------------------------ #
     @classmethod
-    def with_angle_pruning(cls, threshold: float | None = None, **kwargs: Any) -> "SARDDispatcher":
+    def with_angle_pruning(cls) -> "SARDDispatcher":
         """SARD-O: the variant with the angle pruning rule enabled."""
-        dispatcher = cls(angle_threshold="config" if threshold is None else threshold, **kwargs)
+        dispatcher = cls(angle_pruning=True)
         dispatcher.name = "SARD-O"
         return dispatcher
 
     @classmethod
-    def without_angle_pruning(cls, **kwargs: Any) -> "SARDDispatcher":
+    def without_angle_pruning(cls) -> "SARDDispatcher":
         """Plain SARD: shareability graph built without angle pruning."""
-        dispatcher = cls(angle_threshold=None, **kwargs)
-        dispatcher.name = "SARD"
-        return dispatcher
+        return cls(angle_pruning=False)
 
     def reset(self) -> None:
         self._builder = None
@@ -140,22 +111,19 @@ class SARDDispatcher(Dispatcher):
         # Four contiguous stage spans cover the whole dispatch body, so a
         # traced batch decomposes its recorded latency without gaps.
         tracer = get_tracer()
-        config = self._effective_config(context.config)
-        builder = self._ensure_builder(context, config)
+        builder = self._builder
+        if builder is None:
+            builder = self._builder = context.shareability_builder(
+                angle_pruning=self._angle_pruning
+            )
 
         # Synchronise the graph with the pending pool: assigned / expired
         # requests disappear, new ones are probed for shareable partners.
         with tracer.span("sard.sync_graph") as sync_span:
-            pending_by_id = {request.request_id: request for request in context.pending}
-            stale = [
-                rid for rid in list(builder.graph.request_ids()) if rid not in pending_by_id
-            ]
-            builder.remove(stale)
-            new_requests = [r for r in context.pending if r.request_id not in builder.graph]
-            builder.update(new_requests)
+            stale, new_requests = builder.sync(context.pending)
             graph = builder.graph
-            sync_span.tag("stale", len(stale))
-            sync_span.tag("new_requests", len(new_requests))
+            sync_span.tag("stale", stale)
+            sync_span.tag("new_requests", new_requests)
             sync_span.tag("graph_edges", graph.num_edges)
 
         with tracer.span(
@@ -164,11 +132,21 @@ class SARDDispatcher(Dispatcher):
             vehicles=len(context.vehicles),
         ):
             routes = context.working_routes()
+            pending_by_id = {request.request_id: request for request in context.pending}
             assigned_to: dict[int, int] = {}
-            queues = {
-                request.request_id: self._candidate_queue(request, context, routes)
-                for request in context.pending
-            }
+            # Heaps of ``(insertion delta, vehicle id)``.  The paper proposes
+            # to the most expensive vehicle first; on the compressed synthetic
+            # workloads of this reproduction that wastes fleet time and
+            # flattens SARD's advantage, so requests propose cheapest-first.
+            queues: dict[int, list[tuple[float, int]]] = {}
+            for request in context.pending:
+                queue = queues[request.request_id] = [
+                    (outcome.delta_cost, vehicle_id)
+                    for outcome, vehicle_id in feasible_insertions(
+                        request, context, routes, self.max_candidates
+                    )
+                ]
+                heapq.heapify(queue)
 
         # -------------------- proposal / acceptance rounds -------------- #
         # Every round pops at least one candidate vehicle from each live
@@ -178,7 +156,7 @@ class SARDDispatcher(Dispatcher):
             rounds_before = self.rounds_executed
             states: defaultdict[int, _VehicleState] = defaultdict(_VehicleState)
             batch_group_count = 0
-            max_rounds = (self._max_candidates or len(context.vehicles)) * 2 + 10
+            max_rounds = self.max_candidates * 2 + 10
             for _ in range(max_rounds):
                 proposing = [
                     rid
@@ -189,7 +167,7 @@ class SARDDispatcher(Dispatcher):
                     break
                 self.rounds_executed += 1
                 # Proposal phase: each unassigned request proposes to its
-                # current worst remaining candidate vehicle.  Proposals
+                # cheapest remaining candidate vehicle.  Proposals
                 # accumulate in the vehicle's pool R_wx across rounds
                 # (Algorithm 3 only removes the accepted requests from it),
                 # so later rounds can regroup earlier rejects with fresh
@@ -217,7 +195,7 @@ class SARDDispatcher(Dispatcher):
                         graph,
                         routes[vehicle_id],
                         context.oracle,
-                        max_group_size=config.group_size_limit,
+                        max_group_size=context.config.group_size_limit,
                         stats=self.grouping_stats,
                     )
                     batch_group_count = max(batch_group_count, len(groups))
@@ -266,73 +244,6 @@ class SARDDispatcher(Dispatcher):
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _effective_config(self, config: SimulationConfig) -> SimulationConfig:
-        if self._angle_override == "config":
-            return config
-        return config.with_overrides(angle_threshold=self._angle_override)
-
-    def _ensure_builder(
-        self, context: DispatchContext, config: SimulationConfig
-    ) -> DynamicShareabilityGraphBuilder:
-        if self._builder is None:
-            self._builder = DynamicShareabilityGraphBuilder(
-                network=context.network,
-                oracle=context.oracle,
-                config=config,
-                average_speed=context.average_speed,
-            )
-        return self._builder
-
-    def _candidate_queue(
-        self, request: Request, context: DispatchContext, routes: WorkingRoutes
-    ) -> list[tuple[float, int]]:
-        """Heap of ``(signed insertion delta, vehicle id)`` over the candidate
-        vehicles that can take ``request``.
-
-        The paper proposes to the *worst* vehicle (largest insertion delta)
-        first, leaving the cheap vehicles free for requests with fewer
-        options; ``propose_worst_first=False`` flips the order for the
-        ablation study.
-
-        A driving vehicle's snapshot carries what it already answered, so one
-        probe of its table settles a repeated offer: a known "no" costs
-        nothing more, a known "yes" is queued as it stands, and only what is
-        left reaches the kernel.  An idle vehicle departs at the tick time,
-        so its snapshot is new and it is asked on every tick.
-        """
-        oracle = context.oracle
-        sign = -1.0 if self._propose_worst_first else 1.0
-        queue: list[tuple[float, int]] = []
-        unanswered: list[RouteState] = []
-        origins: list[int] = []
-        for vehicle in candidate_vehicles(
-            request, context, max_candidates=self._max_candidates
-        ):
-            route = routes[vehicle.vehicle_id]
-            if route.min_insert_position:
-                outcome = route.outcomes(oracle).get(request)
-                if outcome is not None:
-                    if outcome.feasible:
-                        queue.append((sign * outcome.delta_cost, route.vehicle_id))
-                    continue
-            else:
-                origins.append(route.origin)
-            unanswered.append(route)
-        # Batch the pick-up legs the kernel is about to read into one oracle
-        # call (a reverse multi-source search for the graph backends, a
-        # bucket join for hub labels).  That is ``origin -> source`` of the
-        # routes open at position 0 only: behind a committed stop the kernel
-        # starts at that stop's node and never asks for the leg from the
-        # origin.  ``prefetch`` leaves the logical query counters untouched.
-        if origins:
-            oracle.prefetch(origins, (request.source,))
-        for route in unanswered:
-            outcome = best_insertion(route, request, oracle)
-            if outcome.feasible:
-                queue.append((sign * outcome.delta_cost, route.vehicle_id))
-        heapq.heapify(queue)
-        return queue
-
     def _select_group(
         self, groups: list[RequestGroup], graph: ShareabilityGraph
     ) -> RequestGroup | None:
@@ -354,10 +265,7 @@ class SARDDispatcher(Dispatcher):
             else:
                 loss = 0.0
             ratio = sharing_ratio(graph, members, group.total_cost) if members else 0.0
-            if self._prefer_larger_groups:
-                key = (-group.size, loss, ratio)
-            else:
-                key = (loss, ratio, -group.size)
+            key = (loss, ratio, -group.size)
             if best_key is None or key < best_key:
                 best, best_key = group.with_loss(loss), key
         return best

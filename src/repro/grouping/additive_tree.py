@@ -12,8 +12,7 @@ shareability-ordered linear insertion of Section IV-A.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 
 from ..insertion.linear_insertion import best_insertion, base_route_cost
 from ..model.request import Request
@@ -152,31 +151,3 @@ def build_groups(
     for level in levels:
         groups.extend(level.values())
     return groups
-
-
-def best_group_by(
-    groups: Iterable[RequestGroup],
-    key: Callable[[RequestGroup], Any],
-    *,
-    prefer_larger: bool = True,
-) -> RequestGroup | None:
-    """Select the group minimising ``key`` (ties broken by size).
-
-    Utility shared by the dispatchers: SARD minimises shareability loss, GAS
-    maximises profit (pass a negated key).  With ``prefer_larger`` the larger
-    group wins ties, which favours serving more requests.
-    """
-    best: RequestGroup | None = None
-    best_key = None
-    for group in groups:
-        group_key = key(group)
-        if best is None:
-            best, best_key = group, group_key
-            continue
-        if group_key < best_key or (
-            group_key == best_key
-            and prefer_larger
-            and group.size > best.size
-        ):
-            best, best_key = group, group_key
-    return best

@@ -160,7 +160,6 @@ class ResilienceManager:
         *,
         config: ResilienceConfig | None = None,
         chaos: ChaosConfig | None = None,
-        degraded_dispatcher: Dispatcher | None = None,
     ) -> None:
         self.config = config if config is not None else ResilienceConfig()
         self.chaos = chaos
@@ -175,10 +174,8 @@ class ResilienceManager:
         #: The degraded rung of the dispatcher ladder: greedy linear
         #: insertion over few candidates, batch semantics (unassigned
         #: requests stay pending instead of being rejected outright).
-        self.degraded_dispatcher = (
-            degraded_dispatcher
-            if degraded_dispatcher is not None
-            else PruneGDPDispatcher(max_candidates=8, reject_unassigned=False)
+        self.degraded_dispatcher = PruneGDPDispatcher(
+            max_candidates=8, reject_unassigned=False
         )
         self.probe = InvariantProbe(
             pairs=self.config.probe_pairs, seed=self.config.probe_seed

@@ -114,6 +114,21 @@ class DynamicShareabilityGraphBuilder:
                 self.graph.remove_request(rid)
             self._source_index.remove(rid)
 
+    def sync(self, pending: Iterable[Request]) -> tuple[int, int]:
+        """Make the graph hold exactly ``pending``.
+
+        Assigned and expired requests are dropped (:meth:`remove`), requests
+        not seen yet are probed for shareable partners (:meth:`update`).
+        Returns how many went out and how many came in.
+        """
+        pending = list(pending)
+        pending_ids = {request.request_id for request in pending}
+        stale = [rid for rid in self.graph.request_ids() if rid not in pending_ids]
+        self.remove(stale)
+        new_requests = [r for r in pending if r.request_id not in self.graph]
+        self.update(new_requests)
+        return len(stale), len(new_requests)
+
     def reset(self) -> None:
         """Forget every request (used between independent experiments)."""
         self.graph = ShareabilityGraph()

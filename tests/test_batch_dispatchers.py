@@ -70,9 +70,9 @@ class TestGAS:
 
     def test_deterministic_given_seed(self, small_scene, make_context):
         requests, vehicles = small_scene
-        first = GASDispatcher(seed=5).dispatch(make_context(vehicles, requests, current_time=7.0))
+        first = GASDispatcher().dispatch(make_context(vehicles, requests, current_time=7.0))
         vehicles2 = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=31)]
-        second = GASDispatcher(seed=5).dispatch(make_context(vehicles2, requests, current_time=7.0))
+        second = GASDispatcher().dispatch(make_context(vehicles2, requests, current_time=7.0))
         assert first.assigned_request_ids == second.assigned_request_ids
 
 
@@ -89,10 +89,13 @@ class TestRTV:
         vehicle_ids = [a.vehicle_id for a in result.assignments]
         assert len(vehicle_ids) == len(set(vehicle_ids))
 
-    def test_greedy_fallback_used_when_instance_too_large(self, small_scene, make_context):
+    def test_greedy_fallback_used_when_instance_too_large(
+        self, small_scene, make_context, monkeypatch
+    ):
         requests, vehicles = small_scene
         context = make_context(vehicles, requests, current_time=7.0)
-        dispatcher = RTVDispatcher(max_variables=0)
+        monkeypatch.setattr(RTVDispatcher, "max_variables", 0)
+        dispatcher = RTVDispatcher()
         result = dispatcher.dispatch(context)
         _assert_valid(result, context)
         assert dispatcher.ilp_fallbacks == 1
@@ -112,9 +115,10 @@ class TestRTV:
         dispatcher.reset()
         assert dispatcher.ilp_solved == 0
 
-    def test_greedy_fallback_respects_uniqueness(self, make_request, make_context):
+    def test_greedy_fallback_respects_uniqueness(self, make_request, make_context, monkeypatch):
         requests = [make_request(i, 0, 4, release_time=5.0) for i in (1, 2, 3, 4)]
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=1)]
         context = make_context(vehicles, requests, current_time=6.0)
-        result = RTVDispatcher(max_variables=0).dispatch(context)
+        monkeypatch.setattr(RTVDispatcher, "max_variables", 0)
+        result = RTVDispatcher().dispatch(context)
         _assert_valid(result, context)

@@ -3,11 +3,25 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.config import SimulationConfig
 from repro.dispatch import DISPATCHER_REGISTRY, make_dispatcher
-from repro.dispatch.base import Assignment, DispatchResult, candidate_vehicles, requests_by_vehicle
+from repro.dispatch.base import (
+    Assignment,
+    DispatchResult,
+    candidate_vehicles,
+    cheapest_insertion,
+    feasible_insertions,
+    requests_by_vehicle,
+)
+from repro.model.request import Request
 from repro.model.schedule import Schedule
 from repro.model.vehicle import Vehicle
+from repro.network.generators import grid_city
+from repro.network.shortest_path import DistanceOracle
+from repro.shareability.builder import DynamicShareabilityGraphBuilder
 
 
 class TestRegistry:
@@ -110,6 +124,112 @@ class TestCandidateVehicles:
         for request in requests:
             for vehicle in candidate_vehicles(request, context):
                 assert request in mapping[vehicle.vehicle_id]
+
+
+class TestAskingVehicles:
+    def test_feasible_insertions_keep_the_candidates_order(
+        self, make_request, make_context, oracle
+    ):
+        # An idle vehicle either side of one under way to a pick-up whose trip
+        # passes the request's.
+        rider = make_request(90, 6, 11, gamma=2.5)
+        vehicles = [
+            Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=12),
+            Vehicle(vehicle_id=2, location=2),
+        ]
+        vehicles[1].assign_schedule(Schedule.direct(rider), [rider], 0.0)
+        vehicles[1].advance_to(1.0, oracle)
+        request = make_request(1, 7, 10, release_time=1.0, gamma=2.0)
+        answers = []
+        for now in (2.0, 3.0):
+            context = make_context(vehicles, [request], current_time=now)
+            assert [v.vehicle_id for v in candidate_vehicles(request, context)] == [0, 1, 2]
+            found = feasible_insertions(request, context, context.working_routes(), None)
+            assert all(outcome.feasible for outcome, _ in found)
+            answers.append([(outcome.delta_cost, vehicle_id) for outcome, vehicle_id in found])
+        # The second time the driving vehicle's answer is known before the
+        # idle ones are asked; it still comes back in its place.
+        assert request in vehicles[1].route_state(3.0).outcomes(oracle)
+        assert answers[0] == answers[1] == [(50.0, 0), (0.0, 1), (50.0, 2)]
+
+    def test_cheapest_insertion_gives_a_tie_to_the_earlier_candidate(
+        self, make_request, make_context
+    ):
+        vehicles = [Vehicle(vehicle_id=7, location=0), Vehicle(vehicle_id=3, location=2)]
+        request = make_request(1, 7, 10, release_time=1.0, gamma=2.0)
+        context = make_context(vehicles, [request], current_time=2.0)
+        routes = context.working_routes()
+        found = feasible_insertions(request, context, routes, None)
+        assert [vehicle_id for _, vehicle_id in found] == [7, 3]
+        assert found[0][0].delta_cost == found[1][0].delta_cost
+        outcome, vehicle_id = cheapest_insertion(request, context, routes, None)
+        assert vehicle_id == 7 and outcome == found[0][0]
+
+    def test_cheapest_insertion_without_a_feasible_vehicle(self, make_request, make_context):
+        vehicles = [Vehicle(vehicle_id=0, location=35)]
+        request = make_request(1, 0, 4, release_time=0.0, max_wait=0.0)
+        context = make_context(vehicles, [request], current_time=0.0)
+        assert cheapest_insertion(request, context, context.working_routes(), None) is None
+
+    def test_working_routes_list_what_they_were_extended_with(
+        self, make_request, make_context
+    ):
+        vehicles = [Vehicle(vehicle_id=i, location=0) for i in (2, 5, 9)]
+        first, second, third = (make_request(i, 0, 4, release_time=5.0) for i in (1, 2, 3))
+        context = make_context(vehicles, [first, second, third], current_time=6.0)
+        routes = context.working_routes()
+        assert routes.assignments() == []
+        routes.extend(5, Schedule.direct(first), (first,))
+        routes.extend(2, Schedule.direct(second), [second])
+        compounded = routes[5].schedule.with_insertion(third, 1, 2)
+        routes.extend(5, compounded, (third,))
+        # Vehicles in the order first extended, each with its latest schedule
+        # and everything it took; a route only read is not an assignment.
+        assert routes[9].schedule == Schedule.empty()
+        assert routes.assignments() == [
+            Assignment(5, compounded, (first, third)),
+            Assignment(2, Schedule.direct(second), (second,)),
+        ]
+        assert routes[5].schedule is compounded
+
+
+_CITY = grid_city(6, 6, block_length=100.0, speed=10.0, perturbation=0.0, seed=1)
+_ORACLE = DistanceOracle(_CITY)
+_CONFIG = SimulationConfig(gamma=1.5, max_wait=120.0, capacity=3, batch_period=5.0)
+_POOL = [
+    Request.create(
+        request_id=rid, source=source, destination=destination, release_time=float(rid),
+        direct_cost=_ORACLE.cost(source, destination), gamma=1.8, max_wait=120.0,
+    )
+    for rid, (source, destination) in enumerate(
+        [(0, 4), (1, 5), (6, 10), (7, 11), (30, 34), (31, 35), (2, 33), (12, 16)]
+    )
+]
+
+
+class TestBuilderSync:
+    @given(pools=st.lists(st.lists(st.sampled_from(_POOL), unique=True), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_sync_is_remove_stale_then_update_new(self, pools):
+        synced, by_hand = (
+            DynamicShareabilityGraphBuilder(network=_CITY, oracle=_ORACLE, config=_CONFIG)
+            for _ in range(2)
+        )
+        for pending in pools:
+            held = set(by_hand.graph.request_ids())
+            wanted = {request.request_id for request in pending}
+            stale = sorted(held - wanted)
+            new = [request for request in pending if request.request_id not in held]
+            by_hand.remove(stale)
+            by_hand.update(new)
+            assert synced.sync(pending) == (len(stale), len(new))
+            assert set(synced.graph.request_ids()) == wanted
+            assert sorted(synced.graph.edges()) == sorted(by_hand.graph.edges())
+            assert synced.stats == by_hand.stats
+            # Asked again with the same pool, nothing moves.
+            assert synced.sync(pending) == (0, 0)
+            assert sorted(synced.graph.edges()) == sorted(by_hand.graph.edges())
+            assert synced.stats == by_hand.stats
 
 
 class TestResultTypes:

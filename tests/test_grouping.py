@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.grouping.additive_tree import GroupingStatistics, best_group_by, build_groups
+from repro.grouping.additive_tree import GroupingStatistics, build_groups
 from repro.grouping.group import RequestGroup
 from repro.model.schedule import Schedule
 from repro.model.vehicle import RouteState
@@ -118,13 +118,3 @@ class TestRequestGroup:
         assert group.riders == 3
         assert group.direct_cost == pytest.approx(a.direct_cost + b.direct_cost)
         assert group.with_loss(4.0).loss == 4.0
-
-    def test_best_group_by_prefers_minimum_key_then_size(self, make_request):
-        a = make_request(1, 0, 4)
-        b = make_request(2, 1, 5)
-        single = RequestGroup(frozenset({1}), (a,), Schedule.direct(a), 10.0, 10.0)
-        pair = RequestGroup(frozenset({1, 2}), (a, b),
-                            Schedule.direct(a).with_insertion(b, 1, 2), 10.0, 10.0)
-        chosen = best_group_by([single, pair], key=lambda g: g.delta_cost)
-        assert chosen is pair
-        assert best_group_by([], key=lambda g: g.delta_cost) is None

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import heapq
+import sys
 
 import pytest
 
 from repro import Simulator, make_dispatcher, make_workload
-from repro.dispatch import sard
-from repro.dispatch.base import DispatchContext, candidate_vehicles
+from repro.dispatch import base
+from repro.dispatch.base import DispatchContext, candidate_vehicles, feasible_insertions
 from repro.dispatch.sard import SARDDispatcher
 from repro.experiments.harness import RunSpec, run
 from repro.model.batch import Batch
@@ -366,24 +366,31 @@ class TestTickCostsWhatChanged:
         assert len(estimates) == result.simulation.metrics.num_batches + 1
 
 
-def _ask_every_candidate(dispatcher, request, context, routes):
-    """The obvious queue of one request: prefetch every candidate's position,
-    hand every candidate to the kernel."""
+def _ask_every_candidate(request, context, routes, max_candidates):
+    """The obvious ``feasible_insertions``: prefetch every candidate's
+    position, hand every candidate to the kernel."""
     oracle = context.oracle
-    sign = -1.0 if dispatcher._propose_worst_first else 1.0
     offered = [
         routes[vehicle.vehicle_id]
-        for vehicle in candidate_vehicles(
-            request, context, max_candidates=dispatcher._max_candidates
-        )
+        for vehicle in candidate_vehicles(request, context, max_candidates=max_candidates)
     ]
     oracle.prefetch([route.origin for route in offered], (request.source,))
-    queue: list[tuple[float, int]] = []
+    found = []
     for route in offered:
-        outcome = sard.best_insertion(route, request, oracle)
+        outcome = base.best_insertion(route, request, oracle)
         if outcome.feasible:
-            heapq.heappush(queue, (sign * outcome.delta_cost, route.vehicle_id))
-    return queue
+            found.append((outcome, route.vehicle_id))
+    return found
+
+
+def _replace_everywhere(patch, original, replacement) -> None:
+    """Dispatchers import the shared functions by name, so every
+    ``repro.dispatch`` module attribute that is ``original`` is replaced."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro.dispatch"):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    patch.setattr(module, attr, replacement)
 
 
 #: What the oracle did to answer; ``prefetch`` moves these, never an answer.
@@ -391,33 +398,35 @@ _ORACLE_EFFORT = ("oracle_searches", "oracle_settled_nodes", "oracle_fallback_qu
 
 
 class TestQueueBuildingAsksOnlyWhatItLacks:
-    """SARD answers a repeated offer from the driving vehicle's snapshot and
-    prefetches only the legs the kernel reads: a run that prefetches and asks
-    the kernel about every candidate is event-for-event the same."""
+    """``feasible_insertions`` answers a repeated offer from the driving
+    vehicle's snapshot and prefetches only the legs the kernel reads: a run
+    that prefetches and asks the kernel about every candidate is
+    event-for-event the same, for every dispatcher that inserts."""
 
     @pytest.mark.parametrize("world", ["static", "rush_hour", "shifts"])
-    def test_event_stream_equals_asking_every_candidate(self, world, monkeypatch):
+    @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP", "TicketAssign+", "DARM+DPRS"])
+    def test_event_stream_equals_asking_every_candidate(self, algorithm, world, monkeypatch):
         def make_spec():
             if world == "shifts":
-                return _shift_spec("SARD")[0]
+                return _shift_spec(algorithm)[0]
             return RunSpec(
-                mode="service", preset="nyc", scale=0.1, algorithm="SARD",
+                mode="service", preset="nyc", scale=0.1, algorithm=algorithm,
                 scenario=None if world == "static" else world,
             )
 
         asked = []
-        best_insertion = sard.best_insertion
+        best_insertion = base.best_insertion
 
         def counted(route, request, oracle):
             asked[-1] += 1
             return best_insertion(route, request, oracle)
 
-        monkeypatch.setattr(sard, "best_insertion", counted)
+        monkeypatch.setattr(base, "best_insertion", counted)
         asked.append(0)
         events, summary, counters = _observe(make_spec(), monkeypatch)
         asked.append(0)
         with monkeypatch.context() as patch:
-            patch.setattr(SARDDispatcher, "_candidate_queue", _ask_every_candidate)
+            _replace_everywhere(patch, base.feasible_insertions, _ask_every_candidate)
             obvious = _observe(make_spec(), monkeypatch)
         assert obvious[0] == events
         for key in summary:
@@ -426,9 +435,14 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
         assert obvious[2]["queries"] == counters["queries"]
         if world == "rush_hour":
             assert summary["oracle_rebuilds"] > 0
-        # ... and it really is less: of the kernel and of the backend.
-        assert asked[0] < asked[1]
-        assert counters["searches"] <= obvious[2]["searches"]
+        # ... and it really is less of the kernel wherever a request is
+        # offered twice (pruneGDP and DARM answer each request once), and for
+        # SARD's many repeated offers less of the backend too.
+        assert asked[0] <= asked[1]
+        if algorithm in ("SARD", "TicketAssign+"):
+            assert asked[0] < asked[1]
+        if algorithm == "SARD":
+            assert counters["searches"] <= obvious[2]["searches"]
 
     def test_a_repeated_offer_to_an_unchanged_driving_fleet_asks_nothing(
         self, make_request, make_context, oracle, monkeypatch
@@ -449,19 +463,24 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
             make_request(3, 2, 33, release_time=1.0, gamma=1.05),
         ]
         asked = []
-        best_insertion = sard.best_insertion
+        best_insertion = base.best_insertion
 
         def logged(route, request, oracle):
             asked.append((route.vehicle_id, request.request_id))
             return best_insertion(route, request, oracle)
 
-        monkeypatch.setattr(sard, "best_insertion", logged)
-        dispatcher = SARDDispatcher()
+        monkeypatch.setattr(base, "best_insertion", logged)
 
         def queues(now):
             context = make_context(vehicles, pending, current_time=now)
             routes = context.working_routes()
-            return [dispatcher._candidate_queue(r, context, routes) for r in pending]
+            return [
+                [
+                    (outcome.delta_cost, vehicle_id)
+                    for outcome, vehicle_id in feasible_insertions(r, context, routes, None)
+                ]
+                for r in pending
+            ]
 
         first = queues(2.0)
         refused_idle = [pair for pair in asked if pair[0] >= 2]

@@ -120,18 +120,18 @@ class TestDARM:
         dispatcher.reset()
         assert dispatcher.repositioned == 0
 
-    def test_repositioning_moves_idle_vehicle_and_charges_cost(self, make_request, make_context):
+    def test_repositioning_moves_idle_vehicle_and_charges_cost(
+        self, make_request, make_context, monkeypatch
+    ):
         # One busy area (requests around node 0) and one idle vehicle far away.
         idle = Vehicle(vehicle_id=7, location=35)
         vehicles = [Vehicle(vehicle_id=0, location=0), idle]
         requests = [make_request(i, 0, 4, release_time=5.0) for i in (1, 2, 3, 4)]
-        dispatcher = DARMDispatcher(reposition_fraction=1.0, reposition_period=0.0)
+        monkeypatch.setattr(DARMDispatcher, "reposition_fraction", 1.0)
+        monkeypatch.setattr(DARMDispatcher, "reposition_period", 0.0)
+        dispatcher = DARMDispatcher()
         context = make_context(vehicles, requests, current_time=6.0)
         dispatcher.dispatch(context)
         assert dispatcher.repositioned >= 1
         assert idle.total_travel_time > 0
         assert idle.location != 35
-
-    def test_invalid_smoothing(self):
-        with pytest.raises(ValueError):
-            DARMDispatcher(smoothing=0.0)

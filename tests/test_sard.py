@@ -118,16 +118,6 @@ class TestVariants:
         plain.dispatch(context)
         assert plain.builder.config.angle_threshold is None
 
-    def test_proposal_order_option_changes_behaviour_not_validity(self, scene, make_context):
-        requests, vehicles = scene
-        for worst_first in (False, True):
-            dispatcher = SARDDispatcher(propose_worst_first=worst_first)
-            vehicles_copy = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=31)]
-            context = make_context(vehicles_copy, requests, current_time=7.0)
-            result = dispatcher.dispatch(context)
-            _assert_valid(result, context)
-            assert result.assigned_request_ids == {1, 2, 3}
-
     def test_reset_clears_state(self, scene, make_context):
         requests, vehicles = scene
         dispatcher = SARDDispatcher()
