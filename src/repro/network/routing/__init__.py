@@ -10,11 +10,12 @@ and the compiled structures they search:
   compiled once from the dict-based :class:`~repro.network.road_network.RoadNetwork`.
 * :class:`~repro.network.routing.contraction.ContractionHierarchy` --
   shortcut overlay with edge-difference ordering and witness searches;
-  pruned bidirectional queries (stall-on-demand) and exact paths via
-  recursive shortcut unpacking.
-* :class:`~repro.network.routing.hub_labels.HubLabeling` -- stall-pruned
-  label extraction from the hierarchy with sorted-merge and bucket-join
-  queries.
+  stall-pruned upward search spaces (a node's hub labels) and exact paths
+  via a pruned bidirectional search plus recursive shortcut unpacking.
+  ``ch`` builds this up front and sweeps a node's labels on first touch.
+* :class:`~repro.network.routing.hub_labels.HubLabeling` -- the same labels
+  extracted for every node at set-up, with sorted-merge and bucket-join
+  queries (``hub_label``: slower set-up, no first-touch cost).
 """
 
 from .backends import (

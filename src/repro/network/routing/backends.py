@@ -9,10 +9,14 @@ counter; every distance comes from one of the backends in this module:
     The same search goal-directed with landmark (A*, Landmarks, Triangle
     inequality) potentials: 4 landmarks, seed 13.
 ``ch``
-    Bidirectional upward query over a contraction hierarchy.
+    A contraction hierarchy built up front; a node's hub labels (its
+    stall-pruned upward search spaces) are swept on first touch and kept on
+    the backend, and a distance is a join of two of them.
 ``hub_label``
-    Sorted-label merge over hub labels extracted from the hierarchy
-    (the paper's oracle), with a bucket-join ``many_to_many``.
+    Sorted-label merge over hub labels extracted from the hierarchy for
+    every node at set-up (the paper's oracle), with a bucket-join
+    ``many_to_many``: the same distances as ``ch`` bit for bit, a slower
+    set-up and rebuild instead of a first-touch cost.
 
 All of them implement :class:`RoutingBackend`: node identifiers in (each
 backend validates them against its own CSR snapshot), exact distances out,
@@ -444,36 +448,74 @@ def _unpacked_path(
 
 
 class CHBackend:
-    """Bidirectional upward queries over the contraction hierarchy."""
+    """Hub-label joins over upward search spaces swept on first touch.
+
+    The hierarchy is built up front; a node's stall-pruned forward
+    (backward) search space -- its hub label, the same dict
+    :class:`HubLabeling` extracts eagerly for every node -- is swept the
+    first time the node is asked as a source (target) and kept for the life
+    of the backend.  A pair's distance is the minimum of ``d_f(h) + d_b(h)``
+    over the hubs the two spaces share, so ``ch`` and ``hub_label`` agree bit
+    for bit.  A rebuilt or repaired oracle gets a fresh backend, hence an
+    empty memo.
+
+    ``settled`` counts the entries of every space a call had to sweep (the
+    nodes the sweep settled unstalled) plus the label entries it walked.
+    """
 
     name = "ch"
 
     def __init__(self, data: RoutingData) -> None:
         self.data = data
         self.hierarchy = data.hierarchy
+        #: Dense node index -> its pruned upward search space, per direction.
+        self._forward: dict[int, dict[int, float]] = {}
+        self._backward: dict[int, dict[int, float]] = {}
+
+    def _join(self, source_index: int, target_index: int) -> tuple[float, int]:
+        """``(distance, settled)`` of one pair of dense indices."""
+        work = 0
+        forward = self._forward.get(source_index)
+        if forward is None:
+            forward = self._forward[source_index] = (
+                self.hierarchy.forward_search_space(source_index, prune=True)
+            )
+            work += len(forward)
+        backward = self._backward.get(target_index)
+        if backward is None:
+            backward = self._backward[target_index] = (
+                self.hierarchy.backward_search_space(target_index, prune=True)
+            )
+            work += len(backward)
+        # Walk the smaller label, probe the larger.
+        if len(backward) < len(forward):
+            forward, backward = backward, forward
+        best = math.inf
+        probe = backward.get
+        for hub, near in forward.items():
+            far = probe(hub)
+            if far is not None and near + far < best:
+                best = near + far
+        return best, work + len(forward)
 
     def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
-        """One bidirectional query; learns the asked pair only."""
+        """One label join; learns the asked pair only."""
         index = self.data.csr.require_index
-        distance, work = self.hierarchy.query(index(source), index(target))
+        distance, work = self._join(index(source), index(target))
         return distance, work, {(source, target): distance}
 
     def many_to_many(
         self, pairs: Sequence[tuple[int, int]]
     ) -> tuple[Distances, int, int]:
-        """One query per distinct requested pair, never the dense product.
-
-        CH has no cross-pair structure to share (unlike the hub-label bucket
-        join), so batching is a loop of bidirectional queries.
-        """
+        """One join per distinct requested pair, never the dense product."""
         index = self.data.csr.require_index
         index_pairs = [(index(s), index(t)) for s, t in pairs]
-        query = self.hierarchy.query
+        join = self._join
         learned: Distances = {}
         work = 0
         for pair, (s, t) in zip(pairs, index_pairs):
             if pair not in learned:
-                learned[pair], settled = query(s, t)
+                learned[pair], settled = join(s, t)
                 work += settled
         return learned, len(learned), work
 
@@ -484,10 +526,14 @@ class CHBackend:
         return _unpacked_path(self.data, source, target)
 
     def estimated_memory_bytes(self) -> int:
-        """The CSR arrays plus the hierarchy built over them."""
+        """The CSR arrays, the hierarchy over them and the spaces swept so far."""
+        spaces = [*self._forward.values(), *self._backward.values()]
         return (
             self.data.csr.estimated_memory_bytes()
             + self.hierarchy.estimated_memory_bytes()
+            # A dict slot plus a float object per entry, a dict header per space.
+            + 72 * sum(map(len, spaces))
+            + 64 * len(spaces)
         )
 
 

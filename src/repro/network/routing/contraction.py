@@ -1,4 +1,4 @@
-"""Contraction Hierarchies (CH) preprocessor, bidirectional query and repair.
+"""Contraction Hierarchies (CH) preprocessor, upward searches and repair.
 
 The preprocessor contracts nodes one by one in increasing "importance",
 inserting *shortcut* edges that preserve shortest-path distances among the
@@ -22,22 +22,23 @@ Every shortcut records the contracted *middle* node it bypasses, so a query
 path through the hierarchy can be expanded ("unpacked") into the original
 node sequence without any graph search.
 
-Queries run an interleaved bidirectional Dijkstra that only relaxes edges
-leading to higher-ranked nodes, with mutual pruning (a side stops once its
-queue minimum reaches the best meeting distance) and stall-on-demand (a node
-whose upward distance is beaten via an edge from a higher-ranked node cannot
-lie on a shortest up-down path, so its edges are not relaxed).  The answer is
-the minimum of ``d_f(m) + d_b(m)`` over all meeting nodes ``m``; keeping the
-argmin meeting node plus parent pointers yields the shortest path itself via
-:meth:`ContractionHierarchy.path_query`.  The exhaustive (non-pruned) upward
-searches, run to completion with stalling, produce the hub labels of
-:mod:`repro.network.routing.hub_labels`.
+Searches only relax edges leading to higher-ranked nodes, with
+stall-on-demand (a node whose upward distance is beaten via an edge from a
+higher-ranked node cannot lie on a shortest up-down path, so its edges are
+not relaxed).  A distance is the minimum of ``d_f(m) + d_b(m)`` over all
+meeting nodes ``m`` of the forward search from the source and the backward
+search from the target.  The exhaustive upward searches, run to completion
+with stalling, are a node's *search spaces*: the hub labels that
+:mod:`repro.network.routing.hub_labels` extracts for every node and that the
+``ch`` backend sweeps per node on first touch -- every distance is a join of
+two of them.  :meth:`ContractionHierarchy.path_query` interleaves the two
+searches instead, with mutual pruning (a side stops once its queue minimum
+reaches the best meeting distance), and keeps the argmin meeting node plus
+parent pointers, which yield the shortest path itself.
 
-The upward adjacency is flattened after preprocessing: CSR-style index /
-weight arrays (plus per-node tuple views for the interactive query loops)
-replace the build-time lists of lists, and all per-query state -- distances,
-parents, visited marks -- lives in persistent version-stamped flat arrays,
-so the per-settle stall check does list indexing only.
+There is one upward adjacency: the per-node dicts of contraction-time
+incident edges, which the sweeps and path queries walk and repair replays
+against.
 
 Incremental repair (dynamic worlds)
 -----------------------------------
@@ -55,9 +56,9 @@ graph: clean nodes re-apply their recorded effects verbatim (dict writes,
 no searches), while *dirty* nodes -- seeded from the endpoints and support
 sets of the mutated edges, and cascaded through recorded-vs-recomputed
 effect diffs -- are re-contracted with fresh witness searches.  The result
-is a *forked* hierarchy whose per-node adjacencies are flattened back into
-CSR upward arrays; unchanged records are shared with the source hierarchy
-by reference, which keeps the source valid for the pre-mutation graph (so
+is a *forked* hierarchy; unchanged records are shared with the source
+hierarchy by reference, which keeps the source valid for the pre-mutation
+graph (so
 recent states can be cached and swapped back when a burst reverts).
 Reusing the frozen order can only cost hierarchy *quality* (a few extra
 shortcuts after many repairs), never correctness: replayed effects are
@@ -97,24 +98,9 @@ class ContractionHierarchy:
     __slots__ = (
         "csr",
         "rank",
-        "fwd_indptr",
-        "fwd_indices",
-        "fwd_weights",
-        "bwd_indptr",
-        "bwd_indices",
-        "bwd_weights",
         "num_shortcuts",
         "shortcut_middle",
-        "fwd_view",
-        "bwd_view",
         "_witness_limit",
-        "_dist_f",
-        "_dist_b",
-        "_parent_f",
-        "_parent_b",
-        "_seen_f",
-        "_seen_b",
-        "_query_id",
         "_contract_order",
         "_stored_fwd",
         "_stored_bwd",
@@ -135,37 +121,18 @@ class ContractionHierarchy:
         n = csr.num_nodes
         #: Contraction order: ``rank[i] == 0`` is contracted first.
         self.rank: list[int] = [0] * n
-        #: CSR-style upward adjacency: ``fwd_indptr[i] : fwd_indptr[i + 1]``
-        #: bounds the slice of ``fwd_indices`` / ``fwd_weights`` holding the
-        #: outgoing edges of ``i`` into higher-ranked nodes; the ``bwd``
-        #: triple holds the incoming edges from higher-ranked nodes.  Flat
-        #: lists keep the per-settle stall check and relaxation loops free of
-        #: per-node list objects and tuple unpacking (ROADMAP open item).
-        self.fwd_indptr: list[int] = [0] * (n + 1)
-        self.fwd_indices: list[int] = []
-        self.fwd_weights: list[float] = []
-        self.bwd_indptr: list[int] = [0] * (n + 1)
-        self.bwd_indices: list[int] = []
-        self.bwd_weights: list[float] = []
         self.num_shortcuts = 0
         #: ``(u, x) -> v`` for every shortcut edge ``u -> x`` bypassing the
         #: contracted node ``v``; original edges have no entry.  Unpacking a
         #: shortcut recurses into ``(u, v)`` and ``(v, x)``.
         self.shortcut_middle: dict[tuple[int, int], int] = {}
-        #: Per-node tuple views over the CSR arrays, used by the interactive
-        #: bidirectional query: CPython iterates a tuple of ``(node, weight)``
-        #: pairs (C-level FOR_ITER + 2-tuple unpack) measurably faster than an
-        #: index range over the flat arrays, and the stall check + relaxation
-        #: run once per settled node.  The flat arrays stay authoritative for
-        #: the label-extraction scans, where Python-level overhead amortises.
-        self.fwd_view: list[tuple[tuple[int, float], ...]] = []
-        self.bwd_view: list[tuple[tuple[int, float], ...]] = []
         # --- repair-support records (see the module docstring) --------- #
         #: Node indices in contraction order (``rank`` inverted).
         self._contract_order: list[int] = []
-        #: Contraction-time incident overlay edges of every node -- the
-        #: authoritative per-node upward adjacency (flattened into the CSR
-        #: arrays / tuple views above) *and* the replay comparison anchor.
+        #: Contraction-time incident overlay edges of every node: the upward
+        #: adjacency (``_stored_fwd[i]`` maps the higher-ranked heads of
+        #: ``i``'s outgoing edges to weights, ``_stored_bwd[i]`` the tails of
+        #: its incoming ones) *and* the replay comparison anchor.
         self._stored_fwd: list[dict[int, float]] = []
         self._stored_bwd: list[dict[int, float]] = []
         #: Per-node contraction effects: overlay assignments ``(u, x, w)``
@@ -175,22 +142,11 @@ class ContractionHierarchy:
         self._added: list[list[tuple[int, int, float]]] = []
         self._reduced: list[list[tuple[int, int, float]]] = []
         #: Nodes settled by the node's witness searches, plus the inverted
-        #: support index ``settled node -> {contractions that searched it}``.
+        #: support index ``settled node -> {contractions that searched it}``,
+        #: which only :meth:`repair` reads and inverts on its first call.
         self._witness_settled: list[list[int]] = []
-        self._witness_dependents: list[set[int]] = []
+        self._witness_dependents: list[set[int]] | None = None
         self._build()
-        # Persistent query scratch: distances, parents and per-direction
-        # version stamps indexed by dense node id.  An entry is valid only
-        # when its stamp equals the current query id, so queries touch no
-        # hash tables and pay no per-query reinitialisation.  This makes
-        # queries non-reentrant (fine: the simulator is single-threaded).
-        self._dist_f = [0.0] * n
-        self._dist_b = [0.0] * n
-        self._parent_f = [-1] * n
-        self._parent_b = [-1] * n
-        self._seen_f = [0] * n
-        self._seen_b = [0] * n
-        self._query_id = 0
 
     # ------------------------------------------------------------------ #
     # preprocessing
@@ -231,7 +187,6 @@ class ContractionHierarchy:
         self._added = [[] for _ in range(n)]
         self._reduced = [[] for _ in range(n)]
         self._witness_settled = [[] for _ in range(n)]
-        self._witness_dependents = [set() for _ in range(n)]
 
         def estimate(v: int) -> int:
             """Edge-difference priority with a 1-hop witness *estimate*.
@@ -278,9 +233,7 @@ class ContractionHierarchy:
             )
             self._added[v] = added
             self._reduced[v] = reduced
-            self._witness_settled[v] = witness_list = sorted(witness)
-            for y in witness_list:
-                self._witness_dependents[y].add(v)
+            self._witness_settled[v] = sorted(witness)
             self._stored_fwd[v] = stored_fwd
             self._stored_bwd[v] = stored_bwd
             self._contract_order.append(v)
@@ -293,32 +246,6 @@ class ContractionHierarchy:
                 deleted_neighbors[u] += 1
                 dirty[u] = True
         self.num_shortcuts = len(self.shortcut_middle)
-        self._flatten()
-
-    def _flatten(self) -> None:
-        """Compile the per-node adjacency dicts into flat CSR-style arrays."""
-        n = len(self._stored_fwd)
-        for direction, lists in (("fwd", self._stored_fwd), ("bwd", self._stored_bwd)):
-            indptr = [0] * (n + 1)
-            indices: list[int] = []
-            weights: list[float] = []
-            cursor = 0
-            for i, edges in enumerate(lists):
-                cursor += len(edges)
-                indptr[i + 1] = cursor
-                for other, weight in edges.items():
-                    indices.append(other)
-                    weights.append(weight)
-            if direction == "fwd":
-                self.fwd_indptr, self.fwd_indices, self.fwd_weights = (
-                    indptr, indices, weights,
-                )
-            else:
-                self.bwd_indptr, self.bwd_indices, self.bwd_weights = (
-                    indptr, indices, weights,
-                )
-        self.fwd_view = [tuple(edges.items()) for edges in self._stored_fwd]
-        self.bwd_view = [tuple(edges.items()) for edges in self._stored_bwd]
 
     def _needed_shortcuts(
         self,
@@ -524,6 +451,11 @@ class ContractionHierarchy:
         n = csr.num_nodes
         limit = n if max_fraction >= 1.0 else max(int(n * max_fraction), 1)
         deps = self._witness_dependents
+        if deps is None:
+            deps = self._witness_dependents = [set() for _ in range(n)]
+            for v in self._contract_order:
+                for y in self._witness_settled[v]:
+                    deps[y].add(v)
         rank = self.rank
         index_of = csr.index_of
         # Dirty-set seeding is direction- and rank-aware.  A weight
@@ -681,14 +613,6 @@ class ContractionHierarchy:
         fork._stored_bwd = bwd_store
         fork._witness_settled = witness_store
         fork._witness_dependents = deps_store
-        fork._flatten()
-        fork._dist_f = [0.0] * n
-        fork._dist_b = [0.0] * n
-        fork._parent_f = [-1] * n
-        fork._parent_b = [-1] * n
-        fork._seen_f = [0] * n
-        fork._seen_b = [0] * n
-        fork._query_id = 0
         return fork, CHRepairStats(
             nodes_recontracted=recontracted,
             shortcuts_replaced=shortcuts_replaced,
@@ -698,11 +622,6 @@ class ContractionHierarchy:
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
-    def query(self, source_index: int, target_index: int) -> tuple[float, int]:
-        """Bidirectional upward Dijkstra; returns ``(distance, settled)``."""
-        distance, settled, _, _, _ = self._bidirectional(source_index, target_index)
-        return distance, settled
-
     def path_query(
         self, source_index: int, target_index: int
     ) -> tuple[list[int] | None, float, int]:
@@ -714,13 +633,13 @@ class ContractionHierarchy:
         pointers of both searches and every shortcut edge on it is unpacked
         recursively into the original edges it bypasses.
         """
+        if source_index == target_index:
+            return [source_index], 0.0, 0
         distance, settled, meeting, fwd_parents, bwd_parents = self._bidirectional(
-            source_index, target_index, need_parents=True
+            source_index, target_index
         )
         if math.isinf(distance):
             return None, distance, settled
-        if source_index == target_index:
-            return [source_index], 0.0, settled
         # Upward chain source -> meeting (edges taken from up_fwd) ...
         chain = [meeting]
         while chain[-1] != source_index:
@@ -750,105 +669,69 @@ class ContractionHierarchy:
                 stack.append((x, m))
 
     def _bidirectional(
-        self, source_index: int, target_index: int, *, need_parents: bool = False
-    ) -> tuple[float, int, int, list[int], list[int]]:
-        """Interleaved pruned bidirectional upward search.
+        self, source_index: int, target_index: int
+    ) -> tuple[float, int, int, dict[int, int], dict[int, int]]:
+        """Interleaved pruned bidirectional upward search (``path_query`` only).
 
-        Returns ``(distance, settled, meeting, fwd_parents, bwd_parents)``;
-        the parent lists are the persistent scratch arrays, whose entries are
-        only meaningful along the meeting chain of *this* query.  Both
-        directions share the termination bound: a side is abandoned once its
-        queue minimum reaches the best meeting distance (``d >= best`` holds
-        for everything it could still settle), and stalled nodes -- whose
-        upward distance is beaten through a higher-ranked node -- are settled
-        but not relaxed.  All per-node query state (distances, parents,
-        visited marks) lives in flat version-stamped arrays, so the hot loop
-        does list indexing only -- no hashing, no per-query allocation.
+        Returns ``(distance, settled, meeting, fwd_parents, bwd_parents)``.
+        Both directions share the termination bound: a side is abandoned
+        once its queue minimum reaches the best meeting distance (``d >=
+        best`` holds for everything it could still settle), and stalled
+        nodes -- whose upward distance is beaten through a higher-ranked
+        node -- are settled but not relaxed.
         """
         inf = math.inf
-        if source_index == target_index:
-            return 0.0, 0, source_index, self._parent_f, self._parent_b
-        fwd_view, bwd_view = self.fwd_view, self.bwd_view
-        dist_f, dist_b = self._dist_f, self._dist_b
-        parent_f, parent_b = self._parent_f, self._parent_b
-        seen_f, seen_b = self._seen_f, self._seen_b
-        qid = self._query_id = self._query_id + 1
-        heappush, heappop = heapq.heappush, heapq.heappop
-        dist_f[source_index] = 0.0
-        seen_f[source_index] = qid
-        dist_b[target_index] = 0.0
-        seen_b[target_index] = qid
-        heap_f = [(0.0, source_index)]
-        heap_b = [(0.0, target_index)]
+        # Per side: heap, tentative distances, parents, the upward adjacency
+        # it relaxes and the opposite one its stall check scans.
+        forward = (
+            [(0.0, source_index)], {source_index: 0.0}, {},
+            self._stored_fwd, self._stored_bwd,
+        )
+        backward = (
+            [(0.0, target_index)], {target_index: 0.0}, {},
+            self._stored_bwd, self._stored_fwd,
+        )
+        heap_f, heap_b = forward[0], backward[0]
         best = inf
         meeting = -1
         settled = 0
-        while heap_f or heap_b:
+        while True:
             # Mutual pruning: drop a side whose frontier cannot improve best.
             if heap_f and heap_f[0][0] >= best:
-                heap_f = []
+                heap_f.clear()
             if heap_b and heap_b[0][0] >= best:
-                heap_b = []
+                heap_b.clear()
             if not heap_f and not heap_b:
-                break
-            forward = bool(heap_f) and (not heap_b or heap_f[0][0] <= heap_b[0][0])
-            if forward:
-                d, node = heappop(heap_f)
-                if d > dist_f[node]:
-                    continue  # superseded entry; first pop settles the node
-                settled += 1
-                if seen_b[node] == qid and d + dist_b[node] < best:
-                    best = d + dist_b[node]
-                    meeting = node
-                # Stall-on-demand: an edge from a higher-ranked node that
-                # reaches ``node`` cheaper proves ``node`` is off every
-                # shortest up-down path -- do not relax its edges.
-                stalled = False
-                for m, w in bwd_view[node]:
-                    if seen_f[m] == qid and dist_f[m] + w < d:
-                        stalled = True
-                        break
-                if stalled:
-                    continue
-                for succ, w in fwd_view[node]:
-                    candidate = d + w
-                    if seen_f[succ] != qid or candidate < dist_f[succ]:
-                        dist_f[succ] = candidate
-                        seen_f[succ] = qid
-                        if need_parents:
-                            parent_f[succ] = node
-                        heappush(heap_f, (candidate, succ))
+                return best, settled, meeting, forward[2], backward[2]
+            if heap_f and (not heap_b or heap_f[0][0] <= heap_b[0][0]):
+                (heap, dist, parent, relax, stall), other = forward, backward[1]
             else:
-                d, node = heappop(heap_b)
-                if d > dist_b[node]:
-                    continue  # superseded entry; first pop settles the node
-                settled += 1
-                if seen_f[node] == qid and d + dist_f[node] < best:
-                    best = d + dist_f[node]
-                    meeting = node
-                stalled = False
-                for m, w in fwd_view[node]:
-                    if seen_b[m] == qid and dist_b[m] + w < d:
-                        stalled = True
-                        break
-                if stalled:
-                    continue
-                for pred, w in bwd_view[node]:
-                    candidate = d + w
-                    if seen_b[pred] != qid or candidate < dist_b[pred]:
-                        dist_b[pred] = candidate
-                        seen_b[pred] = qid
-                        if need_parents:
-                            parent_b[pred] = node
-                        heappush(heap_b, (candidate, pred))
-        return best, settled, meeting, parent_f, parent_b
+                (heap, dist, parent, relax, stall), other = backward, forward[1]
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue  # superseded entry; first pop settles the node
+            settled += 1
+            if d + other.get(node, inf) < best:
+                best = d + other[node]
+                meeting = node
+            # Stall-on-demand: an edge from a higher-ranked node that
+            # reaches ``node`` cheaper proves ``node`` is off every
+            # shortest up-down path -- do not relax its edges.
+            if any(dist.get(m, inf) + w < d for m, w in stall[node].items()):
+                continue
+            for succ, w in relax[node].items():
+                candidate = d + w
+                if candidate < dist.get(succ, inf):
+                    dist[succ] = candidate
+                    parent[succ] = node
+                    heapq.heappush(heap, (candidate, succ))
 
     def _upward_scan(
         self, start: int, *, backward: bool, prune: bool
     ) -> dict[int, float]:
         """Exhaustive upward Dijkstra from ``start`` (the CH search space).
 
-        With ``prune`` the opposite-direction upward arrays drive a stall
+        With ``prune`` the opposite-direction upward edges drive a stall
         check: stalled nodes -- provably farther than their true distance --
         are omitted from the result and not relaxed, which prunes the search
         space without losing the cover property: the maximum-rank node of a
@@ -856,37 +739,31 @@ class ContractionHierarchy:
         non-stalled nodes.
         """
         if backward:
-            indptr, indices, weights = self.bwd_indptr, self.bwd_indices, self.bwd_weights
-            sptr, sidx, swts = self.fwd_indptr, self.fwd_indices, self.fwd_weights
+            relax, stall = self._stored_bwd, self._stored_fwd
         else:
-            indptr, indices, weights = self.fwd_indptr, self.fwd_indices, self.fwd_weights
-            sptr, sidx, swts = self.bwd_indptr, self.bwd_indices, self.bwd_weights
+            relax, stall = self._stored_fwd, self._stored_bwd
+        if not prune:
+            stall = [{}] * len(relax)  # nothing stalls
         inf = math.inf
+        heappop, heappush = heapq.heappop, heapq.heappush
         dist = {start: 0.0}
+        tentative = dist.get
         out: dict[int, float] = {}
-        done: set[int] = set()
         heap = [(0.0, start)]
         while heap:
-            d, node = heapq.heappop(heap)
-            if node in done:
-                continue
-            done.add(node)
-            if prune:
-                stalled = False
-                for e in range(sptr[node], sptr[node + 1]):
-                    dm = dist.get(sidx[e])
-                    if dm is not None and dm + swts[e] < d:
-                        stalled = True
-                        break
-                if stalled:
-                    continue
-            out[node] = d
-            for e in range(indptr[node], indptr[node + 1]):
-                succ = indices[e]
-                candidate = d + weights[e]
-                if candidate < dist.get(succ, inf):
-                    dist[succ] = candidate
-                    heapq.heappush(heap, (candidate, succ))
+            d, node = heappop(heap)
+            if d > dist[node]:
+                continue  # superseded entry; first pop settles the node
+            for m, w in stall[node].items():
+                if tentative(m, inf) + w < d:
+                    break  # stalled
+            else:
+                out[node] = d
+                for succ, w in relax[node].items():
+                    candidate = d + w
+                    if candidate < tentative(succ, inf):
+                        dist[succ] = candidate
+                        heappush(heap, (candidate, succ))
         return out
 
     def forward_search_space(
@@ -902,21 +779,18 @@ class ContractionHierarchy:
         return self._upward_scan(index, backward=True, prune=prune)
 
     def estimated_memory_bytes(self) -> int:
-        """Rough footprint of the upward adjacencies (arrays + tuple views)."""
-        entries = len(self.fwd_indices) + len(self.bwd_indices)
+        """Rough footprint of the upward adjacencies and the repair records."""
+        entries = sum(map(len, self._stored_fwd)) + sum(map(len, self._stored_bwd))
         support = sum(len(s) for s in self._witness_settled)
-        # The CSR arrays cost ~16 bytes per entry; the per-node tuple views
-        # duplicate every entry as a 2-tuple (~72 bytes with the pair tuple)
-        # plus a tuple header per node.  The repair-support records keep the
-        # incident dicts, effect lists and witness sets (forward + inverted).
+        indexes = 1 if self._witness_dependents is None else 2
+        # Incident dicts (the upward adjacency), shortcut middles, and the
+        # repair-support records: effect lists and witness sets (forward, and
+        # inverted once a repair has asked for it).
         return (
-            88 * entries
-            + 16 * (len(self.fwd_indptr) + len(self.bwd_indptr))
-            + 56 * (len(self.fwd_view) + len(self.bwd_view))
-            + 8 * len(self.rank)
+            64 * entries
+            + 128 * len(self.rank)
             + 72 * len(self.shortcut_middle)
-            + 64 * entries  # stored incident dicts
-            + 2 * 64 * support  # witness records + inverted support index
+            + indexes * 64 * support
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -76,7 +76,7 @@ class QueryStatistics:
     queries: int = 0
     #: Queries answered directly from the LRU pair cache.
     cache_hits: int = 0
-    #: Backend searches actually executed (graph searches, CH queries or
+    #: Backend searches actually executed (graph searches, label joins or
     #: label merges, depending on the backend).
     searches: int = 0
     #: Total number of node settlements / label entries scanned across all
@@ -112,9 +112,12 @@ class DistanceOracle:
     backend:
         One of :data:`repro.network.routing.BACKEND_NAMES`.  ``dijkstra``
         searches the CSR graph per query; ``alt`` adds landmark potentials;
-        ``ch`` preprocesses a contraction hierarchy and answers with
-        bidirectional upward searches; ``hub_label`` additionally extracts
-        hub labels and answers with sorted-label merges (the paper's setup).
+        ``ch`` preprocesses a contraction hierarchy up front and joins two
+        hub labels per query, sweeping a node's label the first time it is
+        asked and keeping it for the life of the backend; ``hub_label``
+        extracts every label at set-up and answers with sorted-label merges
+        (the paper's setup) -- the same distances bit for bit, a slower
+        set-up and rebuild against ``ch``'s first-touch cost.
         Preprocessing is shared between oracles over the same network.
     """
 
@@ -361,7 +364,7 @@ class DistanceOracle:
 
         Answered natively by every backend: the graph-search backends keep
         parent pointers, while ``ch`` and ``hub_label`` unpack the shortcut
-        edges of the bidirectional upward query -- no fallback graph search.
+        edges of a bidirectional upward search -- no fallback graph search.
         Always asks the backend (a cached distance has no node sequence) and
         caches what the search learned.  Raises :class:`UnreachableError` if
         no path exists.

@@ -7,6 +7,11 @@ ring-radial cities, random directed networks and tie-heavy equal-weight
 graphs: the returned node sequence starts at ``u``, ends at ``v``, follows
 only real network edges, and its summed edge cost equals ``cost(u, v)``
 exactly -- with ``UnreachableError`` raised uniformly for unreachable pairs.
+
+On the same network families, ``ch`` *distances* -- joins of per-node upward
+search spaces that the backend sweeps on first touch and keeps -- equal a
+fresh Dijkstra and equal ``hub_label`` bit for bit, whatever was asked
+before, and no space outlives a ``rebuild()`` / ``repair()``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,13 @@ from hypothesis import strategies as st
 from repro.exceptions import UnreachableError
 from repro.network.generators import grid_city, ring_radial_city
 from repro.network.road_network import RoadNetwork
-from repro.network.routing import CSRGraph, GraphSearchBackend
+from repro.network.routing import (
+    ContractionHierarchy,
+    CSRGraph,
+    GraphSearchBackend,
+    make_backend,
+    routing_data,
+)
 from repro.network.shortest_path import DistanceOracle
 
 ALL_BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
@@ -206,3 +217,89 @@ class TestCSRSettledGuard:
         oracle = DistanceOracle(network, cache_size=0)
         oracle.many_to_many([0], [15])
         assert oracle.stats.settled_nodes <= network.num_nodes
+
+
+def _with_isolated_node(network: RoadNetwork) -> RoadNetwork:
+    network.add_node(network.num_nodes, -50.0, -50.0)
+    return network
+
+
+#: One network per family of the path tests above, plus unreachable pairs.
+FAMILIES = {
+    "grid": lambda: grid_city(5, 5, block_length=120.0, perturbation=0.3, seed=17),
+    "ring_radial": lambda: ring_radial_city(3, 8),
+    "random": lambda: _random_network(20, 0.15, 4),
+    "tie_heavy": lambda: _tie_grid(5),
+    "unreachable": lambda: _with_isolated_node(_random_network(14, 0.08, 9)),
+}
+
+
+def _all_pairs(network: RoadNetwork) -> list[tuple[int, int]]:
+    nodes = sorted(network.nodes())
+    return [(u, v) for u in nodes for v in nodes]
+
+
+def _fresh(network: RoadNetwork, name: str, pairs) -> dict[tuple[int, int], float]:
+    """``pairs`` answered by a new backend ``name`` (a cold memo for ``ch``)."""
+    learned, _, _ = make_backend(name, routing_data(network)).many_to_many(pairs)
+    return {pair: learned[pair] for pair in pairs}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestChDistancesAreLabelJoins:
+    def test_all_pairs_equal_dijkstra_and_hub_label_bit_for_bit(self, family):
+        network = FAMILIES[family]()
+        pairs = _all_pairs(network)
+        got = _fresh(network, "ch", pairs)
+        assert got == _fresh(network, "hub_label", pairs)  # inf and s == t too
+        reference = _fresh(network, "dijkstra", pairs)
+        for pair in pairs:  # approx(inf) matches inf only
+            assert got[pair] == pytest.approx(reference[pair], abs=1e-9), pair
+        assert all(got[(u, v)] == 0.0 for u, v in pairs if u == v)
+        if family == "unreachable":
+            assert any(math.isinf(d) for d in got.values())
+
+    def test_answers_do_not_depend_on_what_was_asked_before(self, family):
+        network = FAMILIES[family]()
+        pairs = _all_pairs(network)
+        shuffled = random.Random(3).sample(pairs, len(pairs))
+        warm = _fresh(network, "ch", pairs)
+        assert _fresh(network, "ch", shuffled) == warm
+        backend = make_backend("ch", routing_data(network))
+        for source, target in shuffled[:40]:
+            cold, _, _ = make_backend("ch", backend.data).one_to_one(source, target)
+            assert cold == warm[(source, target)]
+            assert backend.one_to_one(source, target)[0] == cold
+
+    def test_each_endpoint_is_swept_once_per_direction(self, family, monkeypatch):
+        network = FAMILIES[family]()
+        sweeps: list[tuple[int, bool]] = []
+        scan = ContractionHierarchy._upward_scan
+
+        def counting(self, start, *, backward, prune):
+            sweeps.append((start, backward))
+            return scan(self, start, backward=backward, prune=prune)
+
+        backend = make_backend("ch", routing_data(network))
+        monkeypatch.setattr(ContractionHierarchy, "_upward_scan", counting)
+        endpoints = sorted(network.nodes())[:6]
+        pairs = [(u, v) for u in endpoints for v in endpoints] * 2
+        backend.many_to_many(pairs)
+        for source, target in pairs:
+            backend.one_to_one(source, target)
+        # Every endpoint was asked as a source and as a target: 2k, not N.
+        assert len(sweeps) == len(set(sweeps)) == 2 * len(endpoints)
+
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
+    def test_no_search_space_survives_a_refresh(self, family, refresh):
+        network = FAMILIES[family]()
+        nodes = sorted(network.nodes())
+        oracle = DistanceOracle(network, backend="ch")
+        before = oracle.many_to_many(nodes, nodes)
+        u, v, cost = max(network.edges(), key=lambda edge: edge[2])
+        network.add_edge(u, v, cost / 50.0)  # now a shortcut for many pairs
+        getattr(oracle, refresh)()
+        after = oracle.many_to_many(nodes, nodes)
+        assert after != before
+        for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
+            assert after[pair] == pytest.approx(want, abs=1e-9), pair
