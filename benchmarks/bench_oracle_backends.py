@@ -78,6 +78,12 @@ HISTORY = (
     "sweeps against the old single pruned search: ch 92.3 us (the parent's "
     "ch row read 88-94 us/query in the same session, at dijkstra 238-243; on "
     "this city a cold pair costs what every ask used to cost).",
+    "  PR 23: hub_label is ch over a shared store swept at set-up (dict "
+    "labels, one join; sorted-list merge and bucket join deleted): "
+    "hub_label 4.5-5.3 -> 2.4-3.1 us/query, first 8.6-9.2 -> 4.0-5.6 us, "
+    "settled/q 35.6 (entries merged) -> 20.4 (entries walked, as ch), build "
+    "90-103 -> 86-117 ms, unresolved (parent run three times, this tree five, "
+    "one session, dijkstra 165-198).",
 )
 
 #: Fixed-seed scenario used by the cross-backend assignment check.

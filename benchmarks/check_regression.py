@@ -53,15 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         "--summary", type=Path, default=None,
         help="append the markdown report to this file (CI job summary)",
     )
-    parser.add_argument(
-        "--metric", default="us/query",
-        help="label of the compared quantity in the report "
-        "(e.g. 'us/request' for the service-throughput gate)",
-    )
-    parser.add_argument(
-        "--title", default="Oracle-backend benchmark regression gate",
-        help="report title (names the gate in the CI job summary)",
-    )
     args = parser.parse_args(argv)
     try:
         # A sibling .json with the same stem wins over the text table (see
@@ -75,8 +66,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = format_markdown(
-        deltas, threshold=args.threshold, normalize=args.normalize,
-        metric=args.metric, title=args.title,
+        deltas, threshold=args.threshold, normalize=args.normalize
     )
     print(report)
     if args.summary is not None:

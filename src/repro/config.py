@@ -368,9 +368,9 @@ class ServiceConfig:
     #: (0 keeps streaming to live subscribers but retains no history).
     event_history: int = 10_000
     #: Service-rate objective: the fraction of accepted requests that must
-    #: be assigned for the service to report a healthy SLO.  The sustained
-    #: requests/s number of ``bench_service_throughput`` is only meaningful
-    #: at this SLO -- throughput with unbounded rejections is free.
+    #: be assigned for the service to report a healthy SLO.  A sustained
+    #: requests/s number is only meaningful at this SLO -- throughput with
+    #: unbounded rejections is free.
     slo_service_rate: float = 0.75
     #: Drain queued requests (give each one a dispatch opportunity) before
     #: shutdown completes; ``False`` rejects everything still queued.

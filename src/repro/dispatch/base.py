@@ -271,11 +271,11 @@ def feasible_insertions(
             origins.append(route.origin)
         asked.append((route, known))
     # Batch the pick-up legs the kernel is about to read into one oracle
-    # call (a reverse multi-source search for the graph backends, a bucket
-    # join for hub labels).  That is ``origin -> source`` of the routes open
-    # at position 0 only: behind a committed stop the kernel starts at that
-    # stop's node and never asks for the leg from the origin.  ``prefetch``
-    # leaves the logical query counters untouched.
+    # call (a reverse multi-source search for the graph backends, one join
+    # per pair for hub labels).  That is ``origin -> source`` of the routes
+    # open at position 0 only: behind a committed stop the kernel starts at
+    # that stop's node and never asks for the leg from the origin.
+    # ``prefetch`` leaves the logical query counters untouched.
     if origins:
         oracle.prefetch(origins, (request.source,))
     found: list[tuple[InsertionOutcome, int]] = []

@@ -163,26 +163,19 @@ def format_markdown(
     *,
     threshold: float = DEFAULT_THRESHOLD,
     normalize: str | None = None,
-    metric: str = "us/query",
-    title: str = "Oracle-backend benchmark regression gate",
 ) -> str:
-    """Render the before/after table for the CI job summary.
-
-    ``metric`` labels the compared quantity (the service-throughput gate
-    passes ``"us/request"``); ``title`` names the gate.  Neither changes the
-    comparison itself -- the numbers come from :class:`BackendDelta`.
-    """
+    """Render the before/after table for the CI job summary."""
     mode = (
-        f"{metric} normalised by `{normalize}` (cross-machine baseline)"
+        f"us/query normalised by `{normalize}` (cross-machine baseline)"
         if normalize
-        else f"absolute {metric} (same-runner baseline)"
+        else "absolute us/query (same-runner baseline)"
     )
     lines = [
-        f"### {title}",
+        "### Oracle-backend benchmark regression gate",
         "",
         f"Metric: {mode}; failure threshold: +{threshold:.0%}.",
         "",
-        f"| backend | baseline {metric} | fresh {metric} | delta | status |",
+        "| backend | baseline us/query | fresh us/query | delta | status |",
         "|---|---|---|---|---|",
     ]
     for d in sorted(deltas, key=lambda d: d.backend):

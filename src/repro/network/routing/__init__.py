@@ -12,10 +12,10 @@ and the compiled structures they search:
   shortcut overlay with edge-difference ordering and witness searches;
   stall-pruned upward search spaces (a node's hub labels) and exact paths
   via a pruned bidirectional search plus recursive shortcut unpacking.
-  ``ch`` builds this up front and sweeps a node's labels on first touch.
-* :class:`~repro.network.routing.hub_labels.HubLabeling` -- the same labels
-  extracted for every node at set-up, with sorted-merge and bucket-join
-  queries (``hub_label``: slower set-up, no first-touch cost).
+* :class:`~repro.network.routing.hub_labels.HubLabeling` -- the label store
+  and the join that answers a pair for both ``ch`` (private, swept on first
+  touch) and ``hub_label`` (shared, swept at set-up: slower set-up, no
+  first-touch cost).
 """
 
 from .backends import (

@@ -9,14 +9,14 @@ counter; every distance comes from one of the backends in this module:
     The same search goal-directed with landmark (A*, Landmarks, Triangle
     inequality) potentials: 4 landmarks, seed 13.
 ``ch``
-    A contraction hierarchy built up front; a node's hub labels (its
-    stall-pruned upward search spaces) are swept on first touch and kept on
-    the backend, and a distance is a join of two of them.
+    A contraction hierarchy built up front; a distance is a join of two hub
+    labels (:class:`HubLabeling`), each swept the first time its node is
+    asked and kept in a store private to the backend.
 ``hub_label``
-    Sorted-label merge over hub labels extracted from the hierarchy for
-    every node at set-up (the paper's oracle), with a bucket-join
-    ``many_to_many``: the same distances as ``ch`` bit for bit, a slower
-    set-up and rebuild instead of a first-touch cost.
+    ``ch`` over the store every oracle on the network shares, with every
+    node's labels swept at set-up (the paper's oracle): the same code and
+    the same distances, a slower set-up and rebuild instead of a first-touch
+    cost.
 
 All of them implement :class:`RoutingBackend`: node identifiers in (each
 backend validates them against its own CSR snapshot), exact distances out,
@@ -71,13 +71,12 @@ class RoutingData:
         *,
         csr: CSRGraph | None = None,
         hierarchy: ContractionHierarchy | None = None,
-        labeling: HubLabeling | None = None,
     ) -> None:
         """Snapshot ``network``; a repair passes the structures it derived."""
         self.fingerprint = network_fingerprint(network)
         self.csr = csr if csr is not None else CSRGraph.from_network(network)
         self._hierarchy = hierarchy
-        self._labeling = labeling
+        self._labeling: HubLabeling | None = None
 
     @property
     def has_hierarchy(self) -> bool:
@@ -93,9 +92,9 @@ class RoutingData:
 
     @property
     def labeling(self) -> HubLabeling:
-        """The hub labeling (built on first access, on top of the hierarchy)."""
+        """Every node's hub labels (swept on first access, off the hierarchy)."""
         if self._labeling is None:
-            self._labeling = HubLabeling(self.hierarchy)
+            self._labeling = HubLabeling(self.hierarchy, eager=True)
         return self._labeling
 
 
@@ -169,9 +168,9 @@ def repair_routing_data(
     Compiles a fresh CSR and asks the held contraction hierarchy to
     re-contract only the nodes affected by ``mutated_edges`` (see
     :meth:`ContractionHierarchy.repair`; the result is a copy-on-write fork,
-    so ``data`` stays valid for the pre-mutation network state).  Hub
-    labels, when previously extracted, are re-derived from the repaired
-    hierarchy.  The repaired data is installed in the shared cache and
+    so ``data`` stays valid for the pre-mutation network state).  The
+    repaired data starts without labels -- a ``hub_label`` backend built
+    over it sweeps them -- and is installed in the shared cache and
     returned with the repair statistics; ``None`` means the hierarchy could
     not absorb the mutation set (no hierarchy built yet, node set changed,
     or the affected set exceeds ``max_fraction``) and the caller must fall
@@ -184,12 +183,7 @@ def repair_routing_data(
     if forked is None:
         return None
     hierarchy, stats = forked
-    repaired = RoutingData(
-        network,
-        csr=csr,
-        hierarchy=hierarchy,
-        labeling=HubLabeling(hierarchy) if data._labeling is not None else None,
-    )
+    repaired = RoutingData(network, csr=csr, hierarchy=hierarchy)
     _ROUTING_DATA[network] = repaired
     return repaired, stats
 
@@ -210,8 +204,8 @@ class RoutingBackend(Protocol):
     query hands back, next to its answer, the number of nodes settled (label
     entries scanned) and a :data:`Distances` table of everything the search
     established exactly -- the asked pairs always, plus whatever came for
-    free (a Dijkstra's settled set, the bucket join's dense product).  The
-    oracle caches that table in iteration order.
+    free (a Dijkstra's settled set).  The oracle caches that table in
+    iteration order.
     """
 
     name: str
@@ -434,32 +428,16 @@ class _AltBackend(GraphSearchBackend):
 # ---------------------------------------------------------------------- #
 # preprocessed backends
 # ---------------------------------------------------------------------- #
-def _unpacked_path(
-    data: RoutingData, source: int, target: int
-) -> tuple[list[int] | None, int, Distances]:
-    """``path`` of both preprocessed backends: CH meeting node + unpacking."""
-    csr = data.csr
-    indices, distance, work = data.hierarchy.path_query(
-        csr.require_index(source), csr.require_index(target)
-    )
-    ids = csr.node_ids
-    nodes = None if indices is None else [ids[i] for i in indices]
-    return nodes, work, {(source, target): distance}
-
-
 class CHBackend:
-    """Hub-label joins over upward search spaces swept on first touch.
+    """Hub-label joins over a private store that starts empty.
 
-    The hierarchy is built up front; a node's stall-pruned forward
-    (backward) search space -- its hub label, the same dict
-    :class:`HubLabeling` extracts eagerly for every node -- is swept the
-    first time the node is asked as a source (target) and kept for the life
-    of the backend.  A pair's distance is the minimum of ``d_f(h) + d_b(h)``
-    over the hubs the two spaces share, so ``ch`` and ``hub_label`` agree bit
-    for bit.  A rebuilt or repaired oracle gets a fresh backend, hence an
-    empty memo.
+    The hierarchy is built up front and shared; the backend's own
+    :class:`HubLabeling` sweeps a node's forward (backward) label the first
+    time the node is asked as a source (target) and keeps it for the life of
+    the backend.  A rebuilt or repaired oracle gets a fresh backend, hence an
+    empty store.
 
-    ``settled`` counts the entries of every space a call had to sweep (the
+    ``settled`` counts the entries of every label a call had to sweep (the
     nodes the sweep settled unstalled) plus the label entries it walked.
     """
 
@@ -467,41 +445,12 @@ class CHBackend:
 
     def __init__(self, data: RoutingData) -> None:
         self.data = data
-        self.hierarchy = data.hierarchy
-        #: Dense node index -> its pruned upward search space, per direction.
-        self._forward: dict[int, dict[int, float]] = {}
-        self._backward: dict[int, dict[int, float]] = {}
-
-    def _join(self, source_index: int, target_index: int) -> tuple[float, int]:
-        """``(distance, settled)`` of one pair of dense indices."""
-        work = 0
-        forward = self._forward.get(source_index)
-        if forward is None:
-            forward = self._forward[source_index] = (
-                self.hierarchy.forward_search_space(source_index, prune=True)
-            )
-            work += len(forward)
-        backward = self._backward.get(target_index)
-        if backward is None:
-            backward = self._backward[target_index] = (
-                self.hierarchy.backward_search_space(target_index, prune=True)
-            )
-            work += len(backward)
-        # Walk the smaller label, probe the larger.
-        if len(backward) < len(forward):
-            forward, backward = backward, forward
-        best = math.inf
-        probe = backward.get
-        for hub, near in forward.items():
-            far = probe(hub)
-            if far is not None and near + far < best:
-                best = near + far
-        return best, work + len(forward)
+        self.labeling = HubLabeling(data.hierarchy, eager=False)
 
     def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
         """One label join; learns the asked pair only."""
         index = self.data.csr.require_index
-        distance, work = self._join(index(source), index(target))
+        distance, work = self.labeling.query(index(source), index(target))
         return distance, work, {(source, target): distance}
 
     def many_to_many(
@@ -510,7 +459,7 @@ class CHBackend:
         """One join per distinct requested pair, never the dense product."""
         index = self.data.csr.require_index
         index_pairs = [(index(s), index(t)) for s, t in pairs]
-        join = self._join
+        join = self.labeling.query
         learned: Distances = {}
         work = 0
         for pair, (s, t) in zip(pairs, index_pairs):
@@ -522,69 +471,32 @@ class CHBackend:
     def path(
         self, source: int, target: int
     ) -> tuple[list[int] | None, int, Distances]:
-        """Shortest path via shortcut unpacking -- no graph search."""
-        return _unpacked_path(self.data, source, target)
+        """Shortest path via CH meeting node + shortcut unpacking."""
+        csr = self.data.csr
+        indices, distance, work = self.data.hierarchy.path_query(
+            csr.require_index(source), csr.require_index(target)
+        )
+        ids = csr.node_ids
+        nodes = None if indices is None else [ids[i] for i in indices]
+        return nodes, work, {(source, target): distance}
 
     def estimated_memory_bytes(self) -> int:
-        """The CSR arrays, the hierarchy over them and the spaces swept so far."""
-        spaces = [*self._forward.values(), *self._backward.values()]
+        """The CSR arrays, the hierarchy over them and the labels swept so far."""
         return (
             self.data.csr.estimated_memory_bytes()
-            + self.hierarchy.estimated_memory_bytes()
-            # A dict slot plus a float object per entry, a dict header per space.
-            + 72 * sum(map(len, spaces))
-            + 64 * len(spaces)
+            + self.data.hierarchy.estimated_memory_bytes()
+            + self.labeling.estimated_memory_bytes()
         )
 
 
-class HubLabelBackend:
-    """Sorted-label-merge queries over the extracted hub labels."""
+class HubLabelBackend(CHBackend):
+    """The same joins over the network's shared store, swept at set-up."""
 
     name = "hub_label"
 
     def __init__(self, data: RoutingData) -> None:
         self.data = data
         self.labeling = data.labeling
-
-    def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
-        """One two-pointer label merge; learns the asked pair only."""
-        index = self.data.csr.require_index
-        distance, work = self.labeling.query(index(source), index(target))
-        return distance, work, {(source, target): distance}
-
-    def many_to_many(
-        self, pairs: Sequence[tuple[int, int]]
-    ) -> tuple[Distances, int, int]:
-        """One bucket join over the labels of every source and target asked.
-
-        The join produces the dense sources x targets product, so all of it
-        is learned, not just the requested pairs; each requested pair counts
-        as one search.
-        """
-        csr = self.data.csr
-        index = csr.require_index
-        dense, work = self.labeling.many_to_many(
-            sorted({index(source) for source, _ in pairs}),
-            sorted({index(target) for _, target in pairs}),
-        )
-        ids = csr.node_ids
-        learned = {(ids[s], ids[t]): d for (s, t), d in dense.items() if s != t}
-        learned.update((pair, 0.0) for pair in pairs if pair[0] == pair[1])
-        return learned, len(set(pairs)), work
-
-    def path(
-        self, source: int, target: int
-    ) -> tuple[list[int] | None, int, Distances]:
-        """Shortest path via the hierarchy the labels were extracted from."""
-        return _unpacked_path(self.data, source, target)
-
-    def estimated_memory_bytes(self) -> int:
-        """The labels plus the CSR and the hierarchy kept alive for ``path``."""
-        return (
-            self.data.csr.estimated_memory_bytes()
-            + self.data.hierarchy.estimated_memory_bytes()
-            + self.labeling.estimated_memory_bytes()
-        )
 
 
 _BACKENDS: dict[str, type] = {

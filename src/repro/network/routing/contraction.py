@@ -29,10 +29,10 @@ not relaxed).  A distance is the minimum of ``d_f(m) + d_b(m)`` over all
 meeting nodes ``m`` of the forward search from the source and the backward
 search from the target.  The exhaustive upward searches, run to completion
 with stalling, are a node's *search spaces*: the hub labels that
-:mod:`repro.network.routing.hub_labels` extracts for every node and that the
-``ch`` backend sweeps per node on first touch -- every distance is a join of
-two of them.  :meth:`ContractionHierarchy.path_query` interleaves the two
-searches instead, with mutual pruning (a side stops once its queue minimum
+:mod:`repro.network.routing.hub_labels` keeps and joins for the ``ch`` and
+``hub_label`` backends -- every distance is a join of two of them.
+:meth:`ContractionHierarchy.path_query` interleaves the two searches
+instead, with mutual pruning (a side stops once its queue minimum
 reaches the best meeting distance), and keeps the argmin meeting node plus
 parent pointers, which yield the shortest path itself.
 
@@ -726,15 +726,13 @@ class ContractionHierarchy:
                     parent[succ] = node
                     heapq.heappush(heap, (candidate, succ))
 
-    def _upward_scan(
-        self, start: int, *, backward: bool, prune: bool
-    ) -> dict[int, float]:
+    def _upward_scan(self, start: int, *, backward: bool) -> dict[int, float]:
         """Exhaustive upward Dijkstra from ``start`` (the CH search space).
 
-        With ``prune`` the opposite-direction upward edges drive a stall
-        check: stalled nodes -- provably farther than their true distance --
-        are omitted from the result and not relaxed, which prunes the search
-        space without losing the cover property: the maximum-rank node of a
+        The opposite-direction upward edges drive a stall check: stalled
+        nodes -- provably farther than their true distance -- are omitted
+        from the result and not relaxed, which prunes the search space
+        without losing the cover property: the maximum-rank node of a
         shortest path is always reached at its exact distance through
         non-stalled nodes.
         """
@@ -742,8 +740,6 @@ class ContractionHierarchy:
             relax, stall = self._stored_bwd, self._stored_fwd
         else:
             relax, stall = self._stored_fwd, self._stored_bwd
-        if not prune:
-            stall = [{}] * len(relax)  # nothing stalls
         inf = math.inf
         heappop, heappush = heapq.heappop, heapq.heappush
         dist = {start: 0.0}
@@ -766,17 +762,13 @@ class ContractionHierarchy:
                         heappush(heap, (candidate, succ))
         return out
 
-    def forward_search_space(
-        self, index: int, *, prune: bool = False
-    ) -> dict[int, float]:
-        """Upward distances from ``index`` (basis of its forward hub label)."""
-        return self._upward_scan(index, backward=False, prune=prune)
+    def forward_search_space(self, index: int) -> dict[int, float]:
+        """Stall-pruned upward distances from ``index``: its forward hub label."""
+        return self._upward_scan(index, backward=False)
 
-    def backward_search_space(
-        self, index: int, *, prune: bool = False
-    ) -> dict[int, float]:
-        """Upward distances *to* ``index`` (basis of its backward hub label)."""
-        return self._upward_scan(index, backward=True, prune=prune)
+    def backward_search_space(self, index: int) -> dict[int, float]:
+        """Stall-pruned upward distances *to* ``index``: its backward hub label."""
+        return self._upward_scan(index, backward=True)
 
     def estimated_memory_bytes(self) -> int:
         """Rough footprint of the upward adjacencies and the repair records."""

@@ -1,132 +1,96 @@
-"""Hub labeling extracted from a contraction hierarchy.
+"""Hub labels over a contraction hierarchy: one store, one join.
 
 The forward label of a node ``s`` is its CH upward search space -- every node
 reachable from ``s`` along edges of increasing rank, with the corresponding
 upward distance; the backward label of ``t`` mirrors it on the reverse graph.
-Search spaces are extracted with stall-on-demand pruning: entries whose
-upward distance exceeds the true shortest-path distance (witnessed by an
-edge from a higher-ranked node) can never be the covering hub of any pair,
-so dropping them shrinks the labels without breaking correctness.
-The CH cover property guarantees that for every reachable pair the minimum of
+Search spaces are swept with stall-on-demand pruning: entries whose upward
+distance exceeds the true shortest-path distance (witnessed by an edge from a
+higher-ranked node) can never be the covering hub of any pair, so dropping
+them shrinks the labels without breaking correctness.  The CH cover property
+guarantees that for every reachable pair the minimum of
 ``d_f(h) + d_b(h)`` over *common hubs* ``h`` equals the true shortest-path
-distance, so a ``cost(u, v)`` query reduces to a sorted-label merge: both
-labels are stored sorted by hub index and scanned with two pointers, no
-priority queue and no graph traversal at query time.
+distance, so a ``cost(u, v)`` query is a join of two labels: no priority
+queue and no graph traversal once both are in the store.
 
-``many_to_many`` implements the standard bucket join: the backward labels of
-all targets are inverted into per-hub buckets once, then each source's
-forward label is scanned a single time, touching only hubs the two sides
-share.  This is what the batched dispatcher paths call instead of looping
-``cost`` per pair.
+:class:`HubLabeling` is that store for both preprocessed backends.  A label
+is a ``{hub index: distance}`` dict kept per node and direction, swept the
+first time the node is asked -- or, for the store every ``hub_label`` oracle
+over one network shares, for every node at construction (the paper's setup).
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .contraction import ContractionHierarchy
 
 
 class HubLabeling:
-    """Per-node forward/backward labels with sorted-merge queries."""
+    """Per-node forward / backward labels and the join that answers a pair."""
 
-    __slots__ = ("fwd_labels", "bwd_labels")
+    __slots__ = ("hierarchy", "forward", "backward")
 
-    def __init__(self, hierarchy: ContractionHierarchy) -> None:
+    def __init__(self, hierarchy: ContractionHierarchy, *, eager: bool) -> None:
+        """An empty store over ``hierarchy``; ``eager`` sweeps every node now."""
+        self.hierarchy = hierarchy
         n = hierarchy.csr.num_nodes
-        #: ``fwd_labels[i]`` -- sorted ``[(hub_index, distance), ...]``.
-        self.fwd_labels: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        self.bwd_labels: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for index in range(n):
-            self.fwd_labels[index] = sorted(
-                hierarchy.forward_search_space(index, prune=True).items()
-            )
-            self.bwd_labels[index] = sorted(
-                hierarchy.backward_search_space(index, prune=True).items()
-            )
+        #: ``forward[i]`` -- ``{hub index: distance}``, ``None`` until swept.
+        self.forward: list[dict[int, float] | None] = [None] * n
+        self.backward: list[dict[int, float] | None] = [None] * n
+        if eager:
+            for index in range(n):
+                self.forward[index] = hierarchy.forward_search_space(index)
+                self.backward[index] = hierarchy.backward_search_space(index)
 
-    # ------------------------------------------------------------------ #
     def query(self, source_index: int, target_index: int) -> tuple[float, int]:
-        """Distance via sorted-label merge; returns ``(distance, scanned)``."""
-        forward = self.fwd_labels[source_index]
-        backward = self.bwd_labels[target_index]
-        best = math.inf
-        i = j = 0
-        len_f, len_b = len(forward), len(backward)
-        scanned = 0
-        while i < len_f and j < len_b:
-            scanned += 1
-            hub_f, dist_f = forward[i]
-            hub_b, dist_b = backward[j]
-            if hub_f == hub_b:
-                total = dist_f + dist_b
-                if total < best:
-                    best = total
-                i += 1
-                j += 1
-            elif hub_f < hub_b:
-                i += 1
-            else:
-                j += 1
-        return best, scanned
+        """``(distance, settled)`` of one pair of dense indices.
 
-    def many_to_many(
-        self, source_indices: Sequence[int], target_indices: Sequence[int]
-    ) -> tuple[dict[tuple[int, int], float], int]:
-        """Batched distances via hub buckets; returns ``(table, scanned)``.
-
-        The table maps ``(source_index, target_index)`` to the shortest-path
-        distance (``math.inf`` for unreachable pairs).
+        ``settled`` counts the entries of every label the call had to sweep
+        (the nodes the sweep settled unstalled) plus the entries it walked.
         """
-        buckets: dict[int, list[tuple[int, float]]] = {}
-        scanned = 0
-        targets = list(dict.fromkeys(target_indices))
-        sources = list(dict.fromkeys(source_indices))
-        for t in targets:
-            for hub, dist in self.bwd_labels[t]:
-                buckets.setdefault(hub, []).append((t, dist))
-                scanned += 1
-        table: dict[tuple[int, int], float] = {
-            (s, t): math.inf for s in sources for t in targets
-        }
-        for s in sources:
-            for hub, dist_f in self.fwd_labels[s]:
-                bucket = buckets.get(hub)
-                if bucket is None:
-                    continue
-                for t, dist_b in bucket:
-                    scanned += 1
-                    total = dist_f + dist_b
-                    key = (s, t)
-                    if total < table[key]:
-                        table[key] = total
-        for s in sources:
-            if (s, s) in table:
-                table[(s, s)] = 0.0
-        return table, scanned
+        work = 0
+        forward = self.forward[source_index]
+        if forward is None:
+            forward = self.forward[source_index] = (
+                self.hierarchy.forward_search_space(source_index)
+            )
+            work += len(forward)
+        backward = self.backward[target_index]
+        if backward is None:
+            backward = self.backward[target_index] = (
+                self.hierarchy.backward_search_space(target_index)
+            )
+            work += len(backward)
+        # Walk the smaller label, probe the larger.
+        if len(backward) < len(forward):
+            forward, backward = backward, forward
+        best = math.inf
+        probe = backward.get
+        for hub, near in forward.items():
+            far = probe(hub)
+            if far is not None and near + far < best:
+                best = near + far
+        return best, work + len(forward)
 
     # ------------------------------------------------------------------ #
-    @property
-    def num_entries(self) -> int:
-        """Total label entries across all nodes and both directions."""
-        return sum(len(label) for label in self.fwd_labels) + sum(
-            len(label) for label in self.bwd_labels
-        )
+    def _swept(self) -> list[dict[int, float]]:
+        return [
+            label for label in (*self.forward, *self.backward) if label is not None
+        ]
 
     def average_label_size(self) -> float:
-        """Mean entries per label (the classic hub-labeling quality metric)."""
-        n = len(self.fwd_labels)
-        if n == 0:
-            return 0.0
-        return self.num_entries / (2 * n)
+        """Mean entries per swept label (the classic hub-labeling quality metric)."""
+        swept = self._swept()
+        return sum(map(len, swept)) / len(swept) if swept else 0.0
 
     def estimated_memory_bytes(self) -> int:
-        """Rough footprint of the label lists."""
-        return 48 * self.num_entries + 16 * len(self.fwd_labels)
+        """Rough footprint of the labels swept so far."""
+        swept = self._swept()
+        # A dict slot plus a float object per entry, a dict header per label.
+        return 72 * sum(map(len, swept)) + 64 * len(swept)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"HubLabeling(nodes={len(self.fwd_labels)}, "
+            f"HubLabeling(nodes={len(self.forward)}, "
             f"avg_label={self.average_label_size():.1f})"
         )

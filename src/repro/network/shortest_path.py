@@ -76,8 +76,8 @@ class QueryStatistics:
     queries: int = 0
     #: Queries answered directly from the LRU pair cache.
     cache_hits: int = 0
-    #: Backend searches actually executed (graph searches, label joins or
-    #: label merges, depending on the backend).
+    #: Backend searches actually executed (graph searches or label joins,
+    #: depending on the backend).
     searches: int = 0
     #: Total number of node settlements / label entries scanned across all
     #: searches (work proxy).
@@ -114,11 +114,12 @@ class DistanceOracle:
         searches the CSR graph per query; ``alt`` adds landmark potentials;
         ``ch`` preprocesses a contraction hierarchy up front and joins two
         hub labels per query, sweeping a node's label the first time it is
-        asked and keeping it for the life of the backend; ``hub_label``
-        extracts every label at set-up and answers with sorted-label merges
-        (the paper's setup) -- the same distances bit for bit, a slower
-        set-up and rebuild against ``ch``'s first-touch cost.
-        Preprocessing is shared between oracles over the same network.
+        asked and keeping it for the life of the backend; ``hub_label`` is
+        the same join over labels swept for every node at set-up and shared
+        by every oracle on the network (the paper's setup) -- the same
+        distances bit for bit, a slower set-up and rebuild against ``ch``'s
+        first-touch cost.  The CSR arrays and the hierarchy are shared
+        between oracles over the same network.
     """
 
     def __init__(
@@ -189,10 +190,11 @@ class DistanceOracle:
         """Rebuild the routing structures against the current network.
 
         Drops the pair cache and the Dijkstra fallback, re-resolves the
-        shared :func:`routing_data` (CSR now; hierarchy / labels are forced
-        eagerly by the backend constructor so the rebuild cost is paid here,
-        not smeared over the next queries) and returns the wall-clock seconds
-        spent -- the scenario refresh policies account it as rebuild time.
+        shared :func:`routing_data` (CSR now; the backend constructor builds
+        the hierarchy and, for ``hub_label``, sweeps every label, so that
+        cost is paid here -- ``ch`` sweeps its labels over the next queries)
+        and returns the wall-clock seconds spent -- the scenario refresh
+        policies account it as rebuild time.
 
         Exception-safe: the new structures (and the backend over them) are
         fully constructed before any held state is dropped, so a build that
@@ -223,8 +225,8 @@ class DistanceOracle:
            or, when ``None``, the network's own mutation journal since this
            oracle's snapshot) seeds an affected node set that is re-contracted
            in the frozen rank order and spliced into the held hierarchy (see
-           :meth:`ContractionHierarchy.repair`); hub labels, when extracted,
-           are re-derived from the repaired hierarchy.
+           :meth:`ContractionHierarchy.repair`); a ``hub_label`` backend
+           sweeps its labels again off the repaired hierarchy.
         3. **Full rebuild** -- when the journal does not cover the mutations,
            the backend holds no hierarchy (``dijkstra``/``alt``), the node
            set changed, or the affected set exceeds ``max_affected_fraction``

@@ -199,8 +199,8 @@ class DynamicShareabilityGraphBuilder:
         Instead of letting every candidate schedule issue its ``cost`` legs
         one by one, all legs incident to the anchor's endpoints are answered
         by two :meth:`DistanceOracle.prefetch` calls -- one multi-target
-        search (or hub-label bucket join) per direction -- so the feasibility
-        tests below run almost entirely against the warm cache.  Only the
+        search (or one batch of hub-label joins) per direction -- so the
+        feasibility tests below run almost entirely against the warm cache.  Only the
         per-candidate direct leg (source -> destination) stays a point
         query.  Prefetching is invisible to the logical query counters, so
         the reported "#Shortest Path Queries" column is unchanged.

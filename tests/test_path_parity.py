@@ -8,15 +8,17 @@ graphs: the returned node sequence starts at ``u``, ends at ``v``, follows
 only real network edges, and its summed edge cost equals ``cost(u, v)``
 exactly -- with ``UnreachableError`` raised uniformly for unreachable pairs.
 
-On the same network families, ``ch`` *distances* -- joins of per-node upward
-search spaces that the backend sweeps on first touch and keeps -- equal a
-fresh Dijkstra and equal ``hub_label`` bit for bit, whatever was asked
-before, and no space outlives a ``rebuild()`` / ``repair()``.
+On the same network families, ``ch`` and ``hub_label`` *distances* -- joins
+of per-node hub labels from one ``HubLabeling`` store, which ``ch`` keeps
+privately and sweeps on first touch and ``hub_label`` shares and sweeps at
+set-up -- equal a fresh Dijkstra and each other bit for bit, whatever was
+asked before, and no label outlives a ``rebuild()`` / ``repair()``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 import pytest
@@ -240,9 +242,22 @@ def _all_pairs(network: RoadNetwork) -> list[tuple[int, int]]:
 
 
 def _fresh(network: RoadNetwork, name: str, pairs) -> dict[tuple[int, int], float]:
-    """``pairs`` answered by a new backend ``name`` (a cold memo for ``ch``)."""
+    """``pairs`` answered by a new backend ``name`` (an empty store for ``ch``)."""
     learned, _, _ = make_backend(name, routing_data(network)).many_to_many(pairs)
     return {pair: learned[pair] for pair in pairs}
+
+
+def _count_sweeps(monkeypatch) -> list[tuple[int, bool]]:
+    """Record ``(node index, backward)`` of every upward sweep from now on."""
+    sweeps: list[tuple[int, bool]] = []
+    scan = ContractionHierarchy._upward_scan
+
+    def counting(self, start, *, backward):
+        sweeps.append((start, backward))
+        return scan(self, start, backward=backward)
+
+    monkeypatch.setattr(ContractionHierarchy, "_upward_scan", counting)
+    return sweeps
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -273,15 +288,8 @@ class TestChDistancesAreLabelJoins:
 
     def test_each_endpoint_is_swept_once_per_direction(self, family, monkeypatch):
         network = FAMILIES[family]()
-        sweeps: list[tuple[int, bool]] = []
-        scan = ContractionHierarchy._upward_scan
-
-        def counting(self, start, *, backward, prune):
-            sweeps.append((start, backward))
-            return scan(self, start, backward=backward, prune=prune)
-
         backend = make_backend("ch", routing_data(network))
-        monkeypatch.setattr(ContractionHierarchy, "_upward_scan", counting)
+        sweeps = _count_sweeps(monkeypatch)
         endpoints = sorted(network.nodes())[:6]
         pairs = [(u, v) for u in endpoints for v in endpoints] * 2
         backend.many_to_many(pairs)
@@ -290,11 +298,55 @@ class TestChDistancesAreLabelJoins:
         # Every endpoint was asked as a source and as a target: 2k, not N.
         assert len(sweeps) == len(set(sweeps)) == 2 * len(endpoints)
 
-    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
-    def test_no_search_space_survives_a_refresh(self, family, refresh):
+    def test_hub_label_oracles_share_one_store_swept_at_set_up(
+        self, family, monkeypatch
+    ):
+        network = FAMILIES[family]()
+        sweeps = _count_sweeps(monkeypatch)
+        nodes = sorted(network.nodes())
+        first = DistanceOracle(network, backend="hub_label")
+        # Every node, both directions, before the first question.
+        assert len(sweeps) == len(set(sweeps)) == 2 * len(nodes)
+        second = DistanceOracle(network, backend="hub_label")
+        assert first.many_to_many(nodes, nodes) == second.many_to_many(nodes, nodes)
+        assert len(sweeps) == 2 * len(nodes)
+
+    def test_ch_store_is_private_and_sweeps_only_what_it_is_asked(
+        self, family, monkeypatch
+    ):
+        network = FAMILIES[family]()
+        data = routing_data(network)
+        shared = data.labeling
+        labels = [*shared.forward, *shared.backward]
+        sweeps = _count_sweeps(monkeypatch)
+        oracle = DistanceOracle(network, backend="ch")
+        nodes = sorted(network.nodes())
+        sources, targets = nodes[:3], nodes[3:7]
+        oracle.many_to_many(sources, targets)
+        index = data.csr.index_of
+        assert sorted(sweeps) == sorted(
+            [(index[s], False) for s in sources] + [(index[t], True) for t in targets]
+        )
+        # Same label objects as before: the shared store was not written.
+        assert all(map(operator.is_, labels, [*shared.forward, *shared.backward]))
+
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    def test_a_batch_learns_exactly_the_asked_pairs(self, family, backend):
         network = FAMILIES[family]()
         nodes = sorted(network.nodes())
-        oracle = DistanceOracle(network, backend="ch")
+        # A sparse batch: neither the sources x targets product nor a diagonal.
+        pairs = [(nodes[0], nodes[5]), (nodes[1], nodes[6]), (nodes[2], nodes[2])]
+        learned, searches, _ = make_backend(
+            backend, routing_data(network)
+        ).many_to_many(pairs + pairs[:1])
+        assert list(learned) == pairs and searches == len(pairs)
+
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
+    def test_no_search_space_survives_a_refresh(self, family, refresh, backend):
+        network = FAMILIES[family]()
+        nodes = sorted(network.nodes())
+        oracle = DistanceOracle(network, backend=backend)
         before = oracle.many_to_many(nodes, nodes)
         u, v, cost = max(network.edges(), key=lambda edge: edge[2])
         network.add_edge(u, v, cost / 50.0)  # now a shortcut for many pairs

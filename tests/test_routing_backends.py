@@ -348,9 +348,10 @@ class TestConfigurationAndSharing:
         assert isinstance(hierarchy, ContractionHierarchy)
         assert isinstance(labels, HubLabeling)
         assert labels.average_label_size() >= 1.0
-        # Every node's forward label contains itself at distance zero.
+        # Every label is swept and holds its own node as a hub at distance zero.
         for index in range(data.csr.num_nodes):
-            assert (index, 0.0) in labels.fwd_labels[index]
+            assert labels.forward[index][index] == 0.0
+            assert labels.backward[index][index] == 0.0
 
 
 class TestDispatchParity:
