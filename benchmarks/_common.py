@@ -51,8 +51,9 @@ def save_figure(name: str, figure: FigureResult) -> str:
 def save_json(name: str, payload: dict) -> Path:
     """Persist a machine-readable result next to the text table.
 
-    The JSON twin is what downstream tooling (``check_regression.py``, CI
-    summaries) should parse; the ``.txt`` table remains the human copy.
+    The JSON twin is what tooling should parse (``bench_oracle_backends.py``
+    compares its counts with the committed one); the ``.txt`` table remains
+    the human copy.
     """
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.json"

@@ -94,9 +94,8 @@ class DET001WallClock(Rule):
     ``resilience.retry`` and event timestamps must come from the batch
     clock.  ``time.perf_counter()`` stays legal -- it only ever measures
     durations for reporting (``wall_clock_seconds``) and never feeds
-    simulation logic.  Wall-clock timestamps for run reports go through the
-    allowlisted shim ``repro.experiments.timing``; tests and benchmarks are
-    outside the rule's scope entirely.
+    simulation logic.  Tests and benchmarks are outside the rule's scope
+    entirely.
     """
 
     code = "DET001"
@@ -105,10 +104,9 @@ class DET001WallClock(Rule):
         {"time", "time_ns", "sleep", "monotonic", "monotonic_ns", "localtime", "ctime"}
     )
     BANNED_DATETIME = frozenset({"now", "utcnow", "today"})
-    ALLOWLIST = frozenset({"src/repro/experiments/timing.py"})
 
     def applies_to(self, path: str) -> bool:
-        return _under(path, "src/repro/") and path not in self.ALLOWLIST
+        return _under(path, "src/repro/")
 
     def check(self, ctx: FileContext) -> Iterator[Violation]:
         # Names bound by `from time import ...` / `from datetime import ...`.
@@ -150,8 +148,7 @@ class DET001WallClock(Rule):
                     column=node.col_offset,
                     message=(
                         f"wall-clock call `{banned}` in simulation code; use the "
-                        "virtual clock / retry waits, or repro.experiments.timing "
-                        "for report timestamps"
+                        "virtual clock / retry waits"
                     ),
                 )
 

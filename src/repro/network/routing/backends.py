@@ -471,14 +471,9 @@ class CHBackend:
     def path(
         self, source: int, target: int
     ) -> tuple[list[int] | None, int, Distances]:
-        """Shortest path via CH meeting node + shortcut unpacking."""
-        csr = self.data.csr
-        indices, distance, work = self.data.hierarchy.path_query(
-            csr.require_index(source), csr.require_index(target)
-        )
-        ids = csr.node_ids
-        nodes = None if indices is None else [ids[i] for i in indices]
-        return nodes, work, {(source, target): distance}
+        """:meth:`GraphSearchBackend.path` over the CSR; learns the asked pair only."""
+        nodes, work, learned = GraphSearchBackend(self.data).path(source, target)
+        return nodes, work, {(source, target): learned[(source, target)]}
 
     def estimated_memory_bytes(self) -> int:
         """The CSR arrays, the hierarchy over them and the labels swept so far."""

@@ -1,4 +1,4 @@
-"""Contraction Hierarchies (CH) preprocessor, upward searches and repair.
+"""Contraction Hierarchies (CH) preprocessor, upward sweeps and repair.
 
 The preprocessor contracts nodes one by one in increasing "importance",
 inserting *shortcut* edges that preserve shortest-path distances among the
@@ -18,27 +18,19 @@ same witness distances drive on-the-fly *edge reduction*: an overlay edge
 ``u -> x`` that a witness proves longer than an alternative path is deleted,
 shrinking both later witness searches and the final hierarchy.
 
-Every shortcut records the contracted *middle* node it bypasses, so a query
-path through the hierarchy can be expanded ("unpacked") into the original
-node sequence without any graph search.
-
-Searches only relax edges leading to higher-ranked nodes, with
-stall-on-demand (a node whose upward distance is beaten via an edge from a
-higher-ranked node cannot lie on a shortest up-down path, so its edges are
-not relaxed).  A distance is the minimum of ``d_f(m) + d_b(m)`` over all
-meeting nodes ``m`` of the forward search from the source and the backward
-search from the target.  The exhaustive upward searches, run to completion
-with stalling, are a node's *search spaces*: the hub labels that
+The hierarchy is read in one way: an exhaustive *upward sweep* from a node,
+relaxing only edges that lead to higher-ranked nodes, with stall-on-demand
+(a node whose upward distance is beaten via an edge from a higher-ranked
+node cannot lie on a shortest up-down path, so its edges are not relaxed).
+A sweep is the node's *search space*: the hub label that
 :mod:`repro.network.routing.hub_labels` keeps and joins for the ``ch`` and
-``hub_label`` backends -- every distance is a join of two of them.
-:meth:`ContractionHierarchy.path_query` interleaves the two searches
-instead, with mutual pruning (a side stops once its queue minimum
-reaches the best meeting distance), and keeps the argmin meeting node plus
-parent pointers, which yield the shortest path itself.
+``hub_label`` backends -- every distance is the minimum of ``d_f(m) +
+d_b(m)`` over the hubs ``m`` two labels share.  Shortest *paths* are not
+read off the hierarchy (it records no shortcut middles): every backend's
+``path()`` is the CSR Dijkstra of ``GraphSearchBackend``.
 
 There is one upward adjacency: the per-node dicts of contraction-time
-incident edges, which the sweeps and path queries walk and repair replays
-against.
+incident edges, which the sweeps walk and repair replays against.
 
 Incremental repair (dynamic worlds)
 -----------------------------------
@@ -58,8 +50,7 @@ sets of the mutated edges, and cascaded through recorded-vs-recomputed
 effect diffs -- are re-contracted with fresh witness searches.  The result
 is a *forked* hierarchy; unchanged records are shared with the source
 hierarchy by reference, which keeps the source valid for the pre-mutation
-graph (so
-recent states can be cached and swapped back when a burst reverts).
+graph (so recent states can be cached and swapped back when a burst reverts).
 Reusing the frozen order can only cost hierarchy *quality* (a few extra
 shortcuts after many repairs), never correctness: replayed effects are
 re-validated against the replay overlay, so distances stay exact.
@@ -69,7 +60,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .csr import CSRGraph
@@ -88,8 +79,6 @@ class CHRepairStats:
     #: Overlay-edge effects (shortcut insertions / reductions) that differ
     #: from the recorded build -- the size of the splice into the hierarchy.
     shortcuts_replaced: int
-    #: ``nodes_recontracted / num_nodes`` (the repair locality measure).
-    affected_fraction: float
 
 
 class ContractionHierarchy:
@@ -98,9 +87,6 @@ class ContractionHierarchy:
     __slots__ = (
         "csr",
         "rank",
-        "num_shortcuts",
-        "shortcut_middle",
-        "_witness_limit",
         "_contract_order",
         "_stored_fwd",
         "_stored_bwd",
@@ -110,22 +96,11 @@ class ContractionHierarchy:
         "_witness_dependents",
     )
 
-    def __init__(
-        self,
-        csr: CSRGraph,
-        *,
-        witness_limit: int = DEFAULT_WITNESS_LIMIT,
-    ) -> None:
+    def __init__(self, csr: CSRGraph) -> None:
         self.csr = csr
-        self._witness_limit = max(int(witness_limit), 1)
         n = csr.num_nodes
         #: Contraction order: ``rank[i] == 0`` is contracted first.
         self.rank: list[int] = [0] * n
-        self.num_shortcuts = 0
-        #: ``(u, x) -> v`` for every shortcut edge ``u -> x`` bypassing the
-        #: contracted node ``v``; original edges have no entry.  Unpacking a
-        #: shortcut recurses into ``(u, v)`` and ``(v, x)``.
-        self.shortcut_middle: dict[tuple[int, int], int] = {}
         # --- repair-support records (see the module docstring) --------- #
         #: Node indices in contraction order (``rank`` inverted).
         self._contract_order: list[int] = []
@@ -229,7 +204,7 @@ class ContractionHierarchy:
                     heapq.heappush(heap, (current, v))
                     continue
             added, reduced, witness, stored_fwd, stored_bwd = self._contract_node(
-                v, fwd, bwd, contracted, self.shortcut_middle
+                v, fwd, bwd, contracted
             )
             self._added[v] = added
             self._reduced[v] = reduced
@@ -245,62 +220,6 @@ class ContractionHierarchy:
             for u in stored_bwd:
                 deleted_neighbors[u] += 1
                 dirty[u] = True
-        self.num_shortcuts = len(self.shortcut_middle)
-
-    def _needed_shortcuts(
-        self,
-        v: int,
-        fwd: list[dict[int, float]],
-        bwd: list[dict[int, float]],
-        contracted: list[bool],
-        *,
-        reduce_edges: bool = False,
-        reduced_out: list[tuple[int, int, float]] | None = None,
-        witness_out: set[int] | None = None,
-        middle: dict[tuple[int, int], int] | None = None,
-    ) -> Iterator[tuple[int, list[tuple[int, float]]]]:
-        """Yield ``(u, [(x, weight), ...])`` shortcut groups for contracting ``v``.
-
-        With ``reduce_edges`` overlay edges ``u -> x`` that the witness
-        search proves non-shortest are deleted on the fly (safe: a witnessed
-        edge is not on any shortest path, so removing it keeps the overlay
-        distance-preserving).  ``reduced_out`` collects the deleted edges and
-        ``witness_out`` every node settled by the witness searches -- the
-        repair records.
-        """
-        out_edges = [(x, w) for x, w in fwd[v].items() if not contracted[x]]
-        if not out_edges:
-            return
-        max_out = max(w for _, w in out_edges)
-        for u, w_in in list(bwd[v].items()):
-            if contracted[u] or u == v:
-                continue
-            targets = {x: x != u for x, _ in out_edges}
-            witness = self._witness_search(
-                u, v, w_in + max_out, fwd, contracted, targets, record=witness_out
-            )
-            needed = []
-            for x, w_out in out_edges:
-                if x == u:
-                    continue
-                through = w_in + w_out
-                witness_dist = witness.get(x, math.inf)
-                if witness_dist > through:
-                    needed.append((x, through))
-                elif reduce_edges:
-                    existing = fwd[u].get(x)
-                    if existing is not None and witness_dist < existing:
-                        # The witness path (avoiding v) beats the direct
-                        # overlay edge: the edge is not a shortest path and
-                        # can be dropped without changing overlay distances.
-                        del fwd[u][x]
-                        del bwd[x][u]
-                        if middle is not None:
-                            middle.pop((u, x), None)
-                        if reduced_out is not None:
-                            reduced_out.append((u, x, existing))
-            if needed:
-                yield u, needed
 
     def _witness_search(
         self,
@@ -309,44 +228,36 @@ class ContractionHierarchy:
         cap: float,
         fwd: list[dict[int, float]],
         contracted: list[bool],
-        targets: dict[int, bool] | None = None,
-        *,
-        record: set[int] | None = None,
+        targets: set[int],
+        record: set[int],
     ) -> dict[int, float]:
         """Bounded Dijkstra from ``source`` in the overlay, avoiding ``skip``.
 
-        ``targets`` marks the shortcut endpoints the caller will inspect
-        (value ``True`` when relevant from this source); the search stops as
-        soon as every relevant target is settled -- its distance is final by
-        then -- instead of always running to the settle limit or cost cap.
-        ``record`` accumulates every settled node (the source included): the
-        search outcome depends only on out-edges of settled nodes, so this
-        set is exactly what the repair support index needs.
+        ``targets`` holds the shortcut endpoints the caller will inspect
+        (never the source); the search stops as soon as every one of them is
+        settled -- its distance is final by then -- instead of always running
+        to the settle limit or cost cap.  ``record`` accumulates every
+        settled node (the source included): the search outcome depends only
+        on out-edges of settled nodes, so this set is exactly what the repair
+        support index needs.
         """
         inf = math.inf
         dist = {source: 0.0}
-        if record is not None:
-            record.add(source)
+        record.add(source)
+        remaining = len(targets)
+        if remaining == 0:
+            return dist
         heap = [(0.0, source)]
         settled = 0
-        limit = self._witness_limit
-        remaining = 0
-        if targets is not None:
-            for x, relevant in targets.items():
-                if relevant and x != source:
-                    remaining += 1
-            if remaining == 0:
-                return dist
-        while heap and settled < limit:
+        while heap and settled < DEFAULT_WITNESS_LIMIT:
             d, node = heapq.heappop(heap)
             if d > dist.get(node, inf):
                 continue
             if d > cap:
                 break
             settled += 1
-            if record is not None:
-                record.add(node)
-            if targets is not None and node != source and targets.get(node, False):
+            record.add(node)
+            if node in targets:
                 remaining -= 1
                 if remaining == 0:
                     break
@@ -365,7 +276,6 @@ class ContractionHierarchy:
         fwd: list[dict[int, float]],
         bwd: list[dict[int, float]],
         contracted: list[bool],
-        middle: dict[tuple[int, int], int],
     ) -> tuple[
         list[tuple[int, int, float]],
         list[tuple[int, int, float]],
@@ -375,34 +285,56 @@ class ContractionHierarchy:
     ]:
         """Contract ``v`` against the overlay and record its effects.
 
-        Materialises the needed shortcuts *before* removing ``v``.  This
-        always re-runs the witness searches against the *current* overlay: a
-        witness observed earlier may have run through a since-contracted
-        node whose own contraction shifted the shortcut burden onto ``v``,
-        so shortcut decisions cannot be cached across contractions.
+        Materialises the needed shortcuts *before* removing ``v``, one
+        in-neighbour at a time: its shortcuts are written before the next
+        in-neighbour's witness search runs.  This always re-runs the witness
+        searches against the *current* overlay: a witness observed earlier
+        may have run through a since-contracted node whose own contraction
+        shifted the shortcut burden onto ``v``, so shortcut decisions cannot
+        be cached across contractions.  An overlay edge ``u -> x`` that the
+        witness search proves non-shortest is deleted on the fly (safe: a
+        witnessed edge is not on any shortest path, so removing it keeps the
+        overlay distance-preserving).
 
         Returns ``(added, reduced, witness, incident_fwd, incident_bwd)``:
-        the overlay assignments performed, the overlay edges reduced, every
-        witness-settled node, and ``v``'s contraction-time incident edges
-        (which become its upward adjacency: every surviving endpoint
-        outranks ``v`` by construction).
+        the overlay assignments performed, the overlay edges reduced (with
+        the deleted weight), every witness-settled node, and ``v``'s
+        contraction-time incident edges (which become its upward adjacency:
+        every surviving endpoint outranks ``v`` by construction).
         """
         added: list[tuple[int, int, float]] = []
-        reduced: list[tuple[int, int]] = []
+        reduced: list[tuple[int, int, float]] = []
         witness: set[int] = set()
-        for u, needed in self._needed_shortcuts(
-            v, fwd, bwd, contracted, reduce_edges=True,
-            reduced_out=reduced,
-            witness_out=witness,
-            middle=middle,
-        ):
-            for x, through in needed:
-                old = fwd[u].get(x)
-                if old is None or through < old:
-                    fwd[u][x] = through
-                    bwd[x][u] = through
-                    middle[(u, x)] = v
-                    added.append((u, x, through))
+        out_edges = [(x, w) for x, w in fwd[v].items() if not contracted[x]]
+        # Without an out-edge there is nothing to bypass and nobody to search.
+        in_edges = list(bwd[v].items()) if out_edges else []
+        max_out = max((w for _, w in out_edges), default=0.0)
+        heads = {x for x, _ in out_edges}
+        for u, w_in in in_edges:
+            if contracted[u] or u == v:
+                continue
+            fwd_u = fwd[u]
+            dist = self._witness_search(
+                u, v, w_in + max_out, fwd, contracted, heads - {u}, witness
+            )
+            for x, w_out in out_edges:
+                if x == u:
+                    continue
+                through = w_in + w_out
+                witness_dist = dist.get(x, math.inf)
+                existing = fwd_u.get(x)
+                if witness_dist > through:
+                    if existing is None or through < existing:
+                        fwd_u[x] = through
+                        bwd[x][u] = through
+                        added.append((u, x, through))
+                elif existing is not None and witness_dist < existing:
+                    # The witness path (avoiding v) beats the direct overlay
+                    # edge: the edge is not a shortest path and can be
+                    # dropped without changing overlay distances.
+                    del fwd_u[x]
+                    del bwd[x][u]
+                    reduced.append((u, x, existing))
         incident_fwd = {x: w for x, w in fwd[v].items() if not contracted[x]}
         incident_bwd = {u: w for u, w in bwd[v].items() if not contracted[u]}
         for x in fwd[v]:
@@ -516,7 +448,6 @@ class ContractionHierarchy:
 
         fwd, bwd = self._overlay_from_csr(csr)
         contracted = [False] * n
-        middle: dict[tuple[int, int], int] = {}
         recontracted = 0
         shortcuts_replaced = 0
         for v in self._contract_order:
@@ -525,7 +456,7 @@ class ContractionHierarchy:
                 if recontracted > limit:
                     return None
                 added, reduced, witness, sf, sb = self._contract_node(
-                    v, fwd, bwd, contracted, middle
+                    v, fwd, bwd, contracted
                 )
                 # Cascade: every overlay edge whose effect differs from the
                 # recorded build can invalidate later witness decisions that
@@ -583,13 +514,11 @@ class ContractionHierarchy:
                     if fwd[u].get(x) == w:
                         del fwd[u][x]
                         del bwd[x][u]
-                        middle.pop((u, x), None)
                 for u, x, w in added_store[v]:
                     cur = fwd[u].get(x)
                     if cur is None or w <= cur:
                         fwd[u][x] = w
                         bwd[x][u] = w
-                        middle[(u, x)] = v
                 for x in fwd[v]:
                     bwd[x].pop(v, None)
                 for u in bwd[v]:
@@ -600,13 +529,10 @@ class ContractionHierarchy:
 
         fork = object.__new__(ContractionHierarchy)
         fork.csr = csr
-        fork._witness_limit = self._witness_limit
         # Frozen across repairs (the whole point of the replay): the rank
         # permutation and contraction order are shared by reference.
         fork.rank = self.rank
         fork._contract_order = self._contract_order
-        fork.shortcut_middle = middle
-        fork.num_shortcuts = len(middle)
         fork._added = added_store
         fork._reduced = reduced_store
         fork._stored_fwd = fwd_store
@@ -616,116 +542,11 @@ class ContractionHierarchy:
         return fork, CHRepairStats(
             nodes_recontracted=recontracted,
             shortcuts_replaced=shortcuts_replaced,
-            affected_fraction=recontracted / n if n else 0.0,
         )
 
     # ------------------------------------------------------------------ #
-    # queries
+    # upward sweeps (hub labels)
     # ------------------------------------------------------------------ #
-    def path_query(
-        self, source_index: int, target_index: int
-    ) -> tuple[list[int] | None, float, int]:
-        """Shortest path as dense indices, via meeting-node extraction.
-
-        Returns ``(indices, distance, settled)``; ``indices`` is ``None``
-        (and the distance infinite) when the target is unreachable.  The
-        up-down path through the hierarchy is recovered from the parent
-        pointers of both searches and every shortcut edge on it is unpacked
-        recursively into the original edges it bypasses.
-        """
-        if source_index == target_index:
-            return [source_index], 0.0, 0
-        distance, settled, meeting, fwd_parents, bwd_parents = self._bidirectional(
-            source_index, target_index
-        )
-        if math.isinf(distance):
-            return None, distance, settled
-        # Upward chain source -> meeting (edges taken from up_fwd) ...
-        chain = [meeting]
-        while chain[-1] != source_index:
-            chain.append(fwd_parents[chain[-1]])
-        chain.reverse()
-        # ... then meeting -> target (up_bwd edges point toward the target).
-        node = meeting
-        while node != target_index:
-            node = bwd_parents[node]
-            chain.append(node)
-        path = [source_index]
-        for a, b in zip(chain, chain[1:]):
-            self._unpack(a, b, path)
-        return path, distance, settled
-
-    def _unpack(self, a: int, b: int, out: list[int]) -> None:
-        """Append the expansion of edge ``a -> b`` to ``out`` (excluding ``a``)."""
-        middle = self.shortcut_middle
-        stack = [(a, b)]
-        while stack:
-            x, y = stack.pop()
-            m = middle.get((x, y))
-            if m is None:
-                out.append(y)
-            else:
-                stack.append((m, y))
-                stack.append((x, m))
-
-    def _bidirectional(
-        self, source_index: int, target_index: int
-    ) -> tuple[float, int, int, dict[int, int], dict[int, int]]:
-        """Interleaved pruned bidirectional upward search (``path_query`` only).
-
-        Returns ``(distance, settled, meeting, fwd_parents, bwd_parents)``.
-        Both directions share the termination bound: a side is abandoned
-        once its queue minimum reaches the best meeting distance (``d >=
-        best`` holds for everything it could still settle), and stalled
-        nodes -- whose upward distance is beaten through a higher-ranked
-        node -- are settled but not relaxed.
-        """
-        inf = math.inf
-        # Per side: heap, tentative distances, parents, the upward adjacency
-        # it relaxes and the opposite one its stall check scans.
-        forward = (
-            [(0.0, source_index)], {source_index: 0.0}, {},
-            self._stored_fwd, self._stored_bwd,
-        )
-        backward = (
-            [(0.0, target_index)], {target_index: 0.0}, {},
-            self._stored_bwd, self._stored_fwd,
-        )
-        heap_f, heap_b = forward[0], backward[0]
-        best = inf
-        meeting = -1
-        settled = 0
-        while True:
-            # Mutual pruning: drop a side whose frontier cannot improve best.
-            if heap_f and heap_f[0][0] >= best:
-                heap_f.clear()
-            if heap_b and heap_b[0][0] >= best:
-                heap_b.clear()
-            if not heap_f and not heap_b:
-                return best, settled, meeting, forward[2], backward[2]
-            if heap_f and (not heap_b or heap_f[0][0] <= heap_b[0][0]):
-                (heap, dist, parent, relax, stall), other = forward, backward[1]
-            else:
-                (heap, dist, parent, relax, stall), other = backward, forward[1]
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
-                continue  # superseded entry; first pop settles the node
-            settled += 1
-            if d + other.get(node, inf) < best:
-                best = d + other[node]
-                meeting = node
-            # Stall-on-demand: an edge from a higher-ranked node that
-            # reaches ``node`` cheaper proves ``node`` is off every
-            # shortest up-down path -- do not relax its edges.
-            if any(dist.get(m, inf) + w < d for m, w in stall[node].items()):
-                continue
-            for succ, w in relax[node].items():
-                candidate = d + w
-                if candidate < dist.get(succ, inf):
-                    dist[succ] = candidate
-                    parent[succ] = node
-                    heapq.heappush(heap, (candidate, succ))
-
     def _upward_scan(self, start: int, *, backward: bool) -> dict[int, float]:
         """Exhaustive upward Dijkstra from ``start`` (the CH search space).
 
@@ -775,18 +596,7 @@ class ContractionHierarchy:
         entries = sum(map(len, self._stored_fwd)) + sum(map(len, self._stored_bwd))
         support = sum(len(s) for s in self._witness_settled)
         indexes = 1 if self._witness_dependents is None else 2
-        # Incident dicts (the upward adjacency), shortcut middles, and the
-        # repair-support records: effect lists and witness sets (forward, and
-        # inverted once a repair has asked for it).
-        return (
-            64 * entries
-            + 128 * len(self.rank)
-            + 72 * len(self.shortcut_middle)
-            + indexes * 64 * support
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"ContractionHierarchy(nodes={self.csr.num_nodes}, "
-            f"shortcuts={self.num_shortcuts})"
-        )
+        # Incident dicts (the upward adjacency) and the repair-support
+        # records: effect lists and witness sets (forward, and inverted once
+        # a repair has asked for it).
+        return 64 * entries + 128 * len(self.rank) + indexes * 64 * support

@@ -60,12 +60,6 @@ class RepairReport:
     seconds: float = 0.0
     nodes_recontracted: int = 0
     shortcuts_replaced: int = 0
-    affected_fraction: float = 0.0
-
-    @property
-    def full_rebuild(self) -> bool:
-        """True when the repair fell back to a full rebuild."""
-        return self.mode == "rebuilt"
 
 
 @dataclass
@@ -205,12 +199,7 @@ class DistanceOracle:
         self._adopt_data(routing_data(self._network))
         return time.perf_counter() - start
 
-    def repair(
-        self,
-        mutated_edges: Sequence[tuple[int, int]] | None = None,
-        *,
-        max_affected_fraction: float = 1.0,
-    ) -> RepairReport:
+    def repair(self, *, max_affected_fraction: float = 1.0) -> RepairReport:
         """Follow network mutations incrementally instead of rebuilding.
 
         The repair layer tries, in order:
@@ -221,10 +210,10 @@ class DistanceOracle:
            road reopening at its recorded cost -- swap the cached CSR /
            hierarchy / labels back in O(E log E) signature time, with zero
            preprocessing.
-        2. **Incremental CH repair** -- the mutated edge set (``mutated_edges``
-           or, when ``None``, the network's own mutation journal since this
-           oracle's snapshot) seeds an affected node set that is re-contracted
-           in the frozen rank order and spliced into the held hierarchy (see
+        2. **Incremental CH repair** -- the mutated edge set (the network's
+           mutation journal since this oracle's snapshot) seeds an affected
+           node set that is re-contracted in the frozen rank order and
+           spliced into the held hierarchy (see
            :meth:`ContractionHierarchy.repair`); a ``hub_label`` backend
            sweeps its labels again off the repaired hierarchy.
         3. **Full rebuild** -- when the journal does not cover the mutations,
@@ -262,8 +251,7 @@ class DistanceOracle:
         # 2. Incremental repair of the held hierarchy.  The repaired state
         # is a copy-on-write fork, so ``data`` -- and its snapshot entry
         # taken above -- stays valid for the pre-mutation network.
-        if mutated_edges is None:
-            mutated_edges = network.edge_mutations_since(data.fingerprint[2])
+        mutated_edges = network.edge_mutations_since(data.fingerprint[2])
         repaired = None
         if mutated_edges is not None:
             repaired = repair_routing_data(
@@ -285,7 +273,6 @@ class DistanceOracle:
             seconds=time.perf_counter() - start,
             nodes_recontracted=stats.nodes_recontracted,
             shortcuts_replaced=stats.shortcuts_replaced,
-            affected_fraction=stats.affected_fraction,
         )
 
     def _adopt_data(self, data: RoutingData) -> None:
@@ -364,11 +351,12 @@ class DistanceOracle:
     def path(self, source: int, target: int) -> list[int]:
         """Sequence of nodes of a shortest path from ``source`` to ``target``.
 
-        Answered natively by every backend: the graph-search backends keep
-        parent pointers, while ``ch`` and ``hub_label`` unpack the shortcut
-        edges of a bidirectional upward search -- no fallback graph search.
-        Always asks the backend (a cached distance has no node sequence) and
-        caches what the search learned.  Raises :class:`UnreachableError` if
+        One search on every backend: a CSR Dijkstra that keeps parent
+        pointers (goal-directed on ``alt``; ``ch`` and ``hub_label`` run it
+        too, their hierarchy records no paths).  Always asks the backend (a
+        cached distance has no node sequence) and caches what the backend
+        hands back -- the settled set on ``dijkstra`` / ``alt``, the asked
+        pair on ``ch`` / ``hub_label``.  Raises :class:`UnreachableError` if
         no path exists.
         """
         self.stats.queries += 1

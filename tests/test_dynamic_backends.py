@@ -211,7 +211,7 @@ class TestIncrementalRepair:
         for u, v, cost in sorted(network.edges())[:30]:
             network.add_edge(u, v, cost * 2.0)
         report = oracle.repair(max_affected_fraction=0.02)
-        assert report.mode == "rebuilt" and report.full_rebuild
+        assert report.mode == "rebuilt"
         assert not oracle.is_stale
 
     def test_repair_snapshot_swap_on_exact_reversion(self):
@@ -267,17 +267,6 @@ class TestIncrementalRepair:
         report = oracle.repair()
         assert report.mode == "rebuilt"
         assert not oracle.is_stale
-
-    def test_repair_with_explicit_edge_list(self):
-        network = _city(seed=17)
-        oracle = DistanceOracle(network, backend="ch")
-        oracle.cost(0, 5)
-        u, v, cost = next(iter(network.edges()))
-        network.add_edge(u, v, cost * 2.0)
-        report = oracle.repair([(u, v)])
-        assert report.mode == "repaired"
-        want = DistanceOracle(network, cache_size=0).cost(u, v)
-        assert oracle.cost(u, v) == pytest.approx(want, abs=1e-9)
 
     def test_repair_decrease_below_recorded_shortcut(self):
         """Regression: a base edge dropping below a recorded parallel

@@ -1,12 +1,15 @@
 """Backend path-parity suite: exact ``path()`` on every routing backend.
 
-The preprocessed backends answer ``path(u, v)`` natively (CH meeting-node
-extraction + recursive shortcut unpacking) instead of falling back to a graph
-search.  The contract, checked against the ``dijkstra`` reference on grid and
-ring-radial cities, random directed networks and tie-heavy equal-weight
-graphs: the returned node sequence starts at ``u``, ends at ``v``, follows
-only real network edges, and its summed edge cost equals ``cost(u, v)``
-exactly -- with ``UnreachableError`` raised uniformly for unreachable pairs.
+There is one path search -- the CSR Dijkstra with parent pointers of
+``GraphSearchBackend`` -- and the preprocessed backends run it too (their
+hierarchy records no paths), learning the asked pair only.  The contract,
+checked against the ``dijkstra`` reference on grid and ring-radial cities,
+random directed networks and tie-heavy equal-weight graphs: the returned
+node sequence starts at ``u``, ends at ``v``, follows only real network
+edges, and its summed edge cost equals ``cost(u, v)`` exactly -- with
+``UnreachableError`` raised uniformly for unreachable pairs; ``dijkstra``,
+``ch`` and ``hub_label`` return the *same* sequence, a preprocessed
+``path()`` sweeps no label, and it follows a ``rebuild()`` / ``repair()``.
 
 On the same network families, ``ch`` and ``hub_label`` *distances* -- joins
 of per-node hub labels from one ``HubLabeling`` store, which ``ch`` keeps
@@ -31,7 +34,6 @@ from repro.network.road_network import RoadNetwork
 from repro.network.routing import (
     ContractionHierarchy,
     CSRGraph,
-    GraphSearchBackend,
     make_backend,
     routing_data,
 )
@@ -156,21 +158,6 @@ class TestPathParity:
 
 
 class TestNativePreprocessedPaths:
-    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
-    def test_no_graph_search_fallback(self, grid_network, backend, monkeypatch):
-        """Regression: ``path()`` on preprocessed backends must not re-run a
-        CSR graph search (the pre-unpacking fallback)."""
-        oracle = DistanceOracle(grid_network, backend=backend)
-
-        def _boom(*args, **kwargs):  # pragma: no cover - defensive
-            raise AssertionError("path() fell back to a graph search")
-
-        for method in ("one_to_one", "many_to_many", "path"):
-            monkeypatch.setattr(GraphSearchBackend, method, _boom)
-        monkeypatch.setattr(CSRGraph, "sssp", _boom)
-        path = oracle.path(0, 35)
-        assert path[0] == 0 and path[-1] == 35
-
     def test_path_distance_lands_in_pair_cache(self, grid_network):
         oracle = DistanceOracle(grid_network, backend="ch")
         path = oracle.path(0, 35)
@@ -181,22 +168,6 @@ class TestNativePreprocessedPaths:
         assert cost == pytest.approx(
             sum(grid_network.edge_cost(a, b) for a, b in zip(path, path[1:]))
         )
-
-    def test_shortcut_middles_recorded(self):
-        from repro.network.routing import routing_data
-
-        # Jittered weights: a uniform grid needs no shortcuts at all
-        # (every candidate has an equal-cost witness).
-        city = grid_city(7, 7, block_length=120.0, perturbation=0.3, seed=17)
-        hierarchy = routing_data(city).hierarchy
-        assert hierarchy.num_shortcuts > 0
-        assert len(hierarchy.shortcut_middle) >= 1
-        n = hierarchy.csr.num_nodes
-        for (u, x), m in hierarchy.shortcut_middle.items():
-            assert 0 <= m < n and m != u and m != x
-            # The middle was contracted before both endpoints.
-            assert hierarchy.rank[m] < hierarchy.rank[u]
-            assert hierarchy.rank[m] < hierarchy.rank[x]
 
 
 class TestCSRSettledGuard:
@@ -355,3 +326,71 @@ class TestChDistancesAreLabelJoins:
         assert after != before
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
             assert after[pair] == pytest.approx(want, abs=1e-9), pair
+
+
+def _path_or_none(oracle: DistanceOracle, u: int, v: int) -> list[int] | None:
+    try:
+        return oracle.path(u, v)
+    except UnreachableError:
+        return None
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+class TestOnePathSearch:
+    def test_three_backends_return_the_identical_node_sequence(self, family):
+        network = FAMILIES[family]()
+        reference = DistanceOracle(network, cache_size=0)
+        oracles = [DistanceOracle(network, backend=b) for b in ("ch", "hub_label")]
+        reachable = 0
+        for u, v in _all_pairs(network):
+            want = _path_or_none(reference, u, v)
+            reachable += want is not None
+            for oracle in oracles:
+                assert _path_or_none(oracle, u, v) == want, (oracle.backend_name, u, v)
+        assert reachable > network.num_nodes  # more than the s == t diagonal
+
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    def test_path_sweeps_no_label_and_learns_the_asked_pair(
+        self, family, backend, monkeypatch
+    ):
+        network = FAMILIES[family]()
+        oracle = DistanceOracle(network, backend=backend)
+        reference = DistanceOracle(network, cache_size=0)
+        sweeps = _count_sweeps(monkeypatch)  # after hub_label's set-up sweeps
+        for u, v in random.Random(11).sample(_all_pairs(network), 30):
+            if u == v or math.isinf(reference.cost(u, v)):
+                continue
+            cached, searches = oracle.cache_len, oracle.stats.searches
+            path = oracle.path(u, v)
+            assert oracle.cache_len == cached + 1
+            # The one new entry is the asked pair, at the path's edge sum.
+            total = 0.0
+            for a, b in zip(path, path[1:]):
+                total += network.edge_cost(a, b)
+            assert oracle.cost(u, v) == total
+            assert oracle.stats.searches == searches + 1  # the path's; cost() hit
+        assert sweeps == []
+
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
+    def test_path_avoids_an_edge_closed_before_a_refresh(
+        self, family, refresh, backend
+    ):
+        network = FAMILIES[family]()
+        oracle = DistanceOracle(network, backend=backend)
+        nodes = sorted(network.nodes())
+        u, v = next(
+            (u, v)
+            for u in nodes
+            for v in reversed(nodes)
+            if len(_path_or_none(oracle, u, v) or ()) > 2
+        )
+        before = oracle.path(u, v)
+        a, b = before[0], before[1]
+        network.remove_edge(a, b)
+        getattr(oracle, refresh)()
+        after = _path_or_none(oracle, u, v)
+        assert after == _path_or_none(DistanceOracle(network, cache_size=0), u, v)
+        assert after != before
+        if after is not None:
+            assert (a, b) not in zip(after, after[1:])

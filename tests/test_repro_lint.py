@@ -27,7 +27,6 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 #: Virtual paths used to lint fixture sources in and out of rule scope.
 IN_SCOPE = "src/repro/fake/fixture.py"
 TEST_SCOPE = "tests/fixture.py"
-TIMING_SHIM = "src/repro/experiments/timing.py"
 
 
 def lint_fixture(name: str, virtual_path: str = IN_SCOPE) -> FileReport:
@@ -55,9 +54,6 @@ class TestDET001:
     def test_out_of_scope_paths_are_exempt(self) -> None:
         # The rule only covers simulation code under src/repro/.
         assert hits(lint_fixture("det001_violating.py", TEST_SCOPE)) == []
-
-    def test_timing_shim_is_allowlisted(self) -> None:
-        assert hits(lint_fixture("det001_violating.py", TIMING_SHIM)) == []
 
 
 class TestDET002:
