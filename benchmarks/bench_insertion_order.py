@@ -1,10 +1,11 @@
 """Section IV-A study: shareability-ordered insertion versus release order.
 
 The paper reports that inserting requests in ascending order of shareability
-raises the probability that linear insertion reaches the optimal
-(kinetic-tree) schedule from 89%/85% to 91%/90% for the third and fourth
-request.  This benchmark reproduces the study on the synthetic NYC preset and
-also reproduces the Section III-B expected-sharing-probability computation.
+raises the probability that linear insertion reaches the optimal schedule
+(the paper's kinetic tree; here the cheapest of every feasible stop order)
+from 89%/85% to 91%/90% for the third and fourth request.  This benchmark
+reproduces the study on the synthetic NYC preset and also reproduces the
+Section III-B expected-sharing-probability computation.
 """
 
 from __future__ import annotations

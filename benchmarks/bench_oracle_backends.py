@@ -15,6 +15,10 @@ each backend is what gets measured.  Asserted alongside the timings:
   that repeats exactly -- equals the committed ``oracle_backends.json`` on
   every backend, so a node-ordering or stall-on-demand regression in the CH
   preprocessor fails the run instead of hiding in wall-clock noise;
+* the shape of the ``ch`` build -- shortcuts inserted and nodes settled by
+  all witness searches, counts that repeat exactly -- equals the committed
+  file too, so a build change that moves a single shortcut or witness fails
+  here (``build ms`` is reported, never gated);
 * every dispatcher produces *identical assignments* across all four backends
   on a fixed-seed scenario, so switching backends is purely a performance
   decision.
@@ -37,6 +41,7 @@ import time
 
 from repro.dispatch import make_dispatcher
 from repro.network.generators import make_city
+from repro.network.routing.backends import routing_data
 from repro.network.shortest_path import DistanceOracle
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
@@ -90,6 +95,12 @@ HISTORY = (
     "differs from the committed oracle_backends.json.  Seven runs in one "
     "session on identical code: dijkstra 184-302 us/query, hub_label speedup "
     "43-84x, settled/q identical every time.",
+    "  PR 25: witness searches and upward sweeps on one flat dist list "
+    "(reset per search), no per-edge skip / contracted tests, nothing above "
+    "the cost cap pushed or written: ch build 57-105 -> 42-50 ms (medians of "
+    "7 oracle builds, three alternating rounds per tree, one session); the "
+    "build shape (shortcuts, witness-settled) is now gated like settled/q; "
+    "settled/q equal on all four rows.",
 )
 
 #: Fixed-seed scenario used by the cross-backend assignment check.
@@ -135,17 +146,20 @@ def measure_backends() -> list[dict]:
             path = oracle.path(u, v)
             total = sum(city.edge_cost(a, b) for a, b in zip(path, path[1:]))
             assert abs(total - reference[(u, v)]) < 1e-6, (name, u, v)
-        rows.append(
-            {
-                "backend": name,
-                "build_ms": build_seconds * 1e3,
-                "first_touch_us": first_seconds / NUM_PAIRS * 1e6,
-                "query_us": query_seconds / (REPEATS * NUM_PAIRS) * 1e6,
-                "queries_per_s": REPEATS * NUM_PAIRS / query_seconds,
-                "settled_per_query": settled_per_query,
-                "max_error": max_error,
-            }
-        )
+        row = {
+            "backend": name,
+            "build_ms": build_seconds * 1e3,
+            "first_touch_us": first_seconds / NUM_PAIRS * 1e6,
+            "query_us": query_seconds / (REPEATS * NUM_PAIRS) * 1e6,
+            "queries_per_s": REPEATS * NUM_PAIRS / query_seconds,
+            "settled_per_query": settled_per_query,
+            "max_error": max_error,
+        }
+        if name == "ch":
+            hierarchy = routing_data(city).hierarchy
+            row["shortcuts"] = sum(map(len, hierarchy._added))
+            row["witness_settled"] = sum(map(len, hierarchy._witness_settled))
+        rows.append(row)
     baseline = rows[0]["query_us"]
     for row in rows:
         row["speedup"] = baseline / row["query_us"]
@@ -155,8 +169,9 @@ def measure_backends() -> list[dict]:
 def results_payload(rows: list[dict]) -> dict:
     """Machine-readable twin of the text table (``oracle_backends.json``).
 
-    ``rows[*].settled_per_query`` is what :func:`test_backend_speedup`
-    compares with the committed file; the timings ride along.
+    ``rows[*].settled_per_query`` and the ``ch`` row's ``shortcuts`` /
+    ``witness_settled`` are what :func:`test_backend_speedup` compares with
+    the committed file; the timings ride along.
     """
     return {
         "benchmark": "oracle_backends",
@@ -183,6 +198,11 @@ def format_table(rows: list[dict]) -> str:
             f"{row['queries_per_s']:10.0f} {row['speedup']:7.1f}x "
             f"{row['settled_per_query']:10.1f} {row['max_error']:10.2e}"
         )
+    ch = next(row for row in rows if row["backend"] == "ch")
+    lines.append(
+        f"ch build shape: {ch['shortcuts']} shortcuts, "
+        f"{ch['witness_settled']} witness-settled"
+    )
     lines.append("")
     lines.extend(HISTORY)
     return "\n".join(lines)
@@ -232,9 +252,12 @@ def test_backend_speedup():
     committed = json.loads((RESULTS_DIR / "oracle_backends.json").read_text())
     rows = measure_backends()
     by_name = {row["backend"]: row for row in rows}
-    assert {
-        row["backend"]: row["settled_per_query"] for row in committed["rows"]
-    } == {name: row["settled_per_query"] for name, row in by_name.items()}
+    counted = ("settled_per_query", "shortcuts", "witness_settled")
+
+    def counts(table: list[dict]) -> dict:
+        return {row["backend"]: [row.get(key) for key in counted] for row in table}
+
+    assert counts(committed["rows"]) == counts(rows)
     assert all(row["max_error"] < 1e-6 for row in rows)
     assert by_name["hub_label"]["speedup"] >= REQUIRED_SPEEDUP, (
         f"hub_label only {by_name['hub_label']['speedup']:.1f}x faster "

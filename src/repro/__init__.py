@@ -86,7 +86,6 @@ from .model import (
 )
 from .insertion import (
     InsertionOutcome,
-    KineticTreeScheduler,
     are_shareable,
     best_insertion,
     best_pair_schedule,
@@ -218,7 +217,6 @@ __all__ = [
     "InsertionOutcome",
     "best_insertion",
     "insert_sequence",
-    "KineticTreeScheduler",
     "are_shareable",
     "best_pair_schedule",
     # shareability graph

@@ -26,9 +26,8 @@ from collections.abc import Iterable, Sequence
 
 from ..dispatch.sard import SARDDispatcher
 from ..exceptions import ConfigurationError
-from ..insertion.kinetic_tree import KineticTreeScheduler
 from ..insertion.linear_insertion import insert_sequence
-from ..model.schedule import Schedule
+from ..model.schedule import Schedule, Waypoint, WaypointKind
 from ..model.vehicle import RouteState
 from ..shareability.angle_pruning import expected_sharing_probability, fit_lognormal
 from ..shareability.builder import DynamicShareabilityGraphBuilder
@@ -409,7 +408,7 @@ def insertion_order_study(
 ) -> list[InsertionOrderStudy]:
     """Reproduce the Section IV-A claim: ordering insertions by ascending
     shareability raises the probability that linear insertion reaches the
-    optimal (kinetic-tree) schedule."""
+    optimal schedule (the cheapest of every feasible stop order)."""
     workload = make_workload(
         preset, city_scale=0.7, workload_overrides={"num_requests": num_requests}
     )
@@ -420,7 +419,6 @@ def insertion_order_study(
     )
     builder.update(workload.requests)
     graph = builder.graph
-    kinetic = KineticTreeScheduler(oracle)
     rng = random.Random(seed)
     results: list[InsertionOrderStudy] = []
     request_by_id = {r.request_id: r for r in workload.requests}
@@ -445,7 +443,7 @@ def insertion_order_study(
                 capacity=config.capacity,
                 onboard=0,
             )
-            optimal = kinetic.optimal_cost(route, requests)
+            optimal = _optimal_cost(route, requests, oracle)
             if math.isinf(optimal):
                 continue
             by_release = sorted(requests, key=lambda r: r.release_time)
@@ -472,6 +470,32 @@ def insertion_order_study(
             )
         )
     return results
+
+
+def _optimal_cost(route: RouteState, requests: Sequence, oracle) -> float:
+    """Cheapest feasible order of the requests' stops, each pick-up before
+    its drop-off, every order priced by ``Schedule.evaluate`` as the
+    insertion kernel prices; ``inf`` when no order is feasible."""
+    best = math.inf
+
+    def walk(order: list[Waypoint], available: list[Waypoint]) -> None:
+        nonlocal best
+        if not available:
+            evaluation = Schedule(order).evaluate(
+                oracle, route.origin, route.departure_time,
+                capacity=route.capacity, initial_load=route.onboard,
+            )
+            if evaluation.feasible and evaluation.travel_cost < best:
+                best = evaluation.travel_cost
+            return
+        for index, stop in enumerate(available):
+            rest = available[:index] + available[index + 1:]
+            if stop.kind is WaypointKind.PICKUP:
+                rest.append(Waypoint(stop.request, WaypointKind.DROPOFF))
+            walk(order + [stop], rest)
+
+    walk([], [Waypoint(request, WaypointKind.PICKUP) for request in requests])
+    return best
 
 
 def _sample_clique(

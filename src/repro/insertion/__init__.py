@@ -1,28 +1,20 @@
 """Schedule maintenance operators.
 
-Two strategies from the literature are implemented (Section IV-A of the
-paper):
-
 * :mod:`~repro.insertion.linear_insertion` -- the linear insertion operator
-  of Tong et al. [37]: insert a request's pick-up and drop-off into the
-  current schedule without reordering existing stops, minimising the added
-  travel cost.
-* :mod:`~repro.insertion.kinetic_tree` -- the kinetic-tree style exhaustive
-  scheduler of Huang et al. [7]: enumerate every feasible stop ordering and
-  return the optimal schedule (used as the exact reference).
+  of Tong et al. [37] that the paper adopts (Section IV-A): insert a
+  request's pick-up and drop-off into the current schedule without
+  reordering existing stops, minimising the added travel cost.
 * :mod:`~repro.insertion.pair_schedules` -- the two-request feasibility test
   that defines edges of the shareability graph.
 """
 
 from .linear_insertion import InsertionOutcome, best_insertion, insert_sequence
-from .kinetic_tree import KineticTreeScheduler
 from .pair_schedules import are_shareable, best_pair_schedule, pair_orderings
 
 __all__ = [
     "InsertionOutcome",
     "best_insertion",
     "insert_sequence",
-    "KineticTreeScheduler",
     "are_shareable",
     "best_pair_schedule",
     "pair_orderings",

@@ -14,6 +14,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from typing import Any
 
+import numpy as np
+
 from ..exceptions import NetworkError
 
 #: Edge mutations remembered by the journal before it gives up and reports
@@ -45,6 +47,9 @@ class RoadNetwork:
         # a changed node set cannot be repaired, only rebuilt.
         self._journal: deque[tuple[int, int]] = deque()
         self._journal_base = 0
+        # ``nearest_node``'s view of the positions: node ids plus x and y
+        # arrays in insertion order; dropped whenever a node is added or moved.
+        self._coords: tuple[list[int], np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -54,6 +59,7 @@ class RoadNetwork:
         self._mutations += 1
         self._journal.clear()
         self._journal_base = self._mutations
+        self._coords = None
         if node in self._positions:
             self._positions[node] = (float(x), float(y))
             return
@@ -209,12 +215,30 @@ class RoadNetwork:
         return min(xs), min(ys), max(xs), max(ys)
 
     def nearest_node(self, x: float, y: float) -> int:
-        """Node whose coordinates are closest to ``(x, y)`` (linear scan)."""
+        """Node whose coordinates are closest to ``(x, y)``.
+
+        The answer is the linear scan's: the first node, in insertion order,
+        with the smallest ``(nx - x) ** 2 + (ny - y) ** 2``.  numpy scores
+        every node at once and shortlists those within a relative ``1e-9``
+        of the minimum; only the shortlist is re-scored with that Python
+        expression (strict ``<``, insertion order), because libm's
+        ``v ** 2`` and numpy's ``v * v`` can differ in the last bit and the
+        tie-break must not move.
+        """
         if not self._positions:
             raise NetworkError("nearest_node on an empty network is undefined")
+        if self._coords is None:
+            xy = np.array(list(self._positions.values()), dtype=float)
+            self._coords = (list(self._positions), xy[:, 0], xy[:, 1])
+        nodes, xs, ys = self._coords
+        squared = (xs - x) ** 2 + (ys - y) ** 2
+        shortlist = np.flatnonzero(squared <= squared.min() * (1 + 1e-9) + 1e-300)
+        positions = self._positions
         best_node = -1
         best_dist = math.inf
-        for node, (nx, ny) in self._positions.items():
+        for index in shortlist.tolist():
+            node = nodes[index]
+            nx, ny = positions[node]
             dist = (nx - x) ** 2 + (ny - y) ** 2
             if dist < best_dist:
                 best_dist = dist

@@ -32,6 +32,19 @@ read off the hierarchy (it records no shortcut middles): every backend's
 There is one upward adjacency: the per-node dicts of contraction-time
 incident edges, which the sweeps walk and repair replays against.
 
+Search state is flat: the hierarchy owns one ``dist`` list of ``n`` floats,
+``inf`` everywhere between searches, that every witness search and upward
+sweep writes its tentative distances into.  A search lists the entries it
+wrote and resets only those, so a search costs what it touches, not ``n``;
+a :meth:`~ContractionHierarchy.repair` fork shares the list (same node set).
+While ``v`` is contracted ``dist[v]`` holds ``-1.0``: no candidate distance
+is below it, so the witness searches never relax into ``v`` and need no
+per-edge test.  No overlay edge ever leads into a contracted node (contracting
+``v`` pops every edge into it), so none needs a ``contracted`` test either.
+A candidate above the search's cost cap is dropped outright (no push, no
+write): the contraction compares every distance it reads with a bound no
+larger than the cap, on which such a value decides as ``inf`` does.
+
 Incremental repair (dynamic worlds)
 -----------------------------------
 
@@ -94,6 +107,7 @@ class ContractionHierarchy:
         "_reduced",
         "_witness_settled",
         "_witness_dependents",
+        "_dist",
     )
 
     def __init__(self, csr: CSRGraph) -> None:
@@ -121,6 +135,8 @@ class ContractionHierarchy:
         #: which only :meth:`repair` reads and inverts on its first call.
         self._witness_settled: list[list[int]] = []
         self._witness_dependents: list[set[int]] | None = None
+        #: Shared search scratch: ``inf`` everywhere between searches.
+        self._dist: list[float] = [math.inf] * n
         self._build()
 
     # ------------------------------------------------------------------ #
@@ -204,8 +220,9 @@ class ContractionHierarchy:
                     heapq.heappush(heap, (current, v))
                     continue
             added, reduced, witness, stored_fwd, stored_bwd = self._contract_node(
-                v, fwd, bwd, contracted
+                v, fwd, bwd
             )
+            contracted[v] = True
             self._added[v] = added
             self._reduced[v] = reduced
             self._witness_settled[v] = sorted(witness)
@@ -224,15 +241,22 @@ class ContractionHierarchy:
     def _witness_search(
         self,
         source: int,
-        skip: int,
         cap: float,
         fwd: list[dict[int, float]],
-        contracted: list[bool],
         targets: set[int],
         record: set[int],
-    ) -> dict[int, float]:
-        """Bounded Dijkstra from ``source`` in the overlay, avoiding ``skip``.
+    ) -> list[int]:
+        """Bounded Dijkstra from ``source`` in the overlay, avoiding the
+        node being contracted (whose ``dist`` entry the caller holds at
+        ``-1.0``, so no edge into it ever relaxes).
 
+        Tentative distances land in ``self._dist``; the returned list names
+        every entry written, which the caller resets to ``inf`` once it has
+        read the distances it needs.  A candidate above ``cap`` is neither
+        pushed nor written: it could never be settled, and the caller
+        compares each distance with a ``through = w_in + w_out <= cap``, on
+        which such a value decides exactly as ``inf`` does (shortcut kept,
+        no reduction).
         ``targets`` holds the shortcut endpoints the caller will inspect
         (never the source); the search stops as soon as every one of them is
         settled -- its distance is final by then -- instead of always running
@@ -242,19 +266,20 @@ class ContractionHierarchy:
         support index needs.
         """
         inf = math.inf
-        dist = {source: 0.0}
+        dist = self._dist
+        dist[source] = 0.0
+        touched = [source]
         record.add(source)
         remaining = len(targets)
         if remaining == 0:
-            return dist
+            return touched
+        heappop, heappush = heapq.heappop, heapq.heappush
         heap = [(0.0, source)]
         settled = 0
         while heap and settled < DEFAULT_WITNESS_LIMIT:
-            d, node = heapq.heappop(heap)
-            if d > dist.get(node, inf):
+            d, node = heappop(heap)
+            if d > dist[node]:
                 continue
-            if d > cap:
-                break
             settled += 1
             record.add(node)
             if node in targets:
@@ -262,20 +287,21 @@ class ContractionHierarchy:
                 if remaining == 0:
                     break
             for succ, w in fwd[node].items():
-                if succ == skip or contracted[succ]:
-                    continue
                 candidate = d + w
-                if candidate < dist.get(succ, inf):
-                    dist[succ] = candidate
-                    heapq.heappush(heap, (candidate, succ))
-        return dist
+                if candidate <= cap:
+                    old = dist[succ]
+                    if candidate < old:
+                        if old == inf:
+                            touched.append(succ)
+                        dist[succ] = candidate
+                        heappush(heap, (candidate, succ))
+        return touched
 
     def _contract_node(
         self,
         v: int,
         fwd: list[dict[int, float]],
         bwd: list[dict[int, float]],
-        contracted: list[bool],
     ) -> tuple[
         list[tuple[int, int, float]],
         list[tuple[int, int, float]],
@@ -302,26 +328,27 @@ class ContractionHierarchy:
         contraction-time incident edges (which become its upward adjacency:
         every surviving endpoint outranks ``v`` by construction).
         """
+        inf = math.inf
+        dist = self._dist
         added: list[tuple[int, int, float]] = []
         reduced: list[tuple[int, int, float]] = []
         witness: set[int] = set()
-        out_edges = [(x, w) for x, w in fwd[v].items() if not contracted[x]]
+        out_edges = list(fwd[v].items())
         # Without an out-edge there is nothing to bypass and nobody to search.
         in_edges = list(bwd[v].items()) if out_edges else []
         max_out = max((w for _, w in out_edges), default=0.0)
-        heads = {x for x, _ in out_edges}
+        heads = set(fwd[v])
+        dist[v] = -1.0
         for u, w_in in in_edges:
-            if contracted[u] or u == v:
+            if u == v:
                 continue
             fwd_u = fwd[u]
-            dist = self._witness_search(
-                u, v, w_in + max_out, fwd, contracted, heads - {u}, witness
-            )
+            touched = self._witness_search(u, w_in + max_out, fwd, heads - {u}, witness)
             for x, w_out in out_edges:
                 if x == u:
                     continue
                 through = w_in + w_out
-                witness_dist = dist.get(x, math.inf)
+                witness_dist = dist[x]
                 existing = fwd_u.get(x)
                 if witness_dist > through:
                     if existing is None or through < existing:
@@ -335,15 +362,19 @@ class ContractionHierarchy:
                     del fwd_u[x]
                     del bwd[x][u]
                     reduced.append((u, x, existing))
-        incident_fwd = {x: w for x, w in fwd[v].items() if not contracted[x]}
-        incident_bwd = {u: w for u, w in bwd[v].items() if not contracted[u]}
-        for x in fwd[v]:
-            bwd[x].pop(v, None)
-        for u in bwd[v]:
-            fwd[u].pop(v, None)
+            for node in touched:
+                dist[node] = inf
+        dist[v] = inf
+        # Compact copies: the overlay dicts may carry slots of reduced edges,
+        # and the sweeps iterate these for the hierarchy's lifetime.
+        incident_fwd = dict(fwd[v])
+        incident_bwd = dict(bwd[v])
+        for x in incident_fwd:
+            del bwd[x][v]
+        for u in incident_bwd:
+            del fwd[u][v]
         fwd[v] = {}
         bwd[v] = {}
-        contracted[v] = True
         return added, reduced, witness, incident_fwd, incident_bwd
 
     # ------------------------------------------------------------------ #
@@ -447,7 +478,6 @@ class ContractionHierarchy:
             return deps_store[y]
 
         fwd, bwd = self._overlay_from_csr(csr)
-        contracted = [False] * n
         recontracted = 0
         shortcuts_replaced = 0
         for v in self._contract_order:
@@ -455,9 +485,7 @@ class ContractionHierarchy:
                 recontracted += 1
                 if recontracted > limit:
                     return None
-                added, reduced, witness, sf, sb = self._contract_node(
-                    v, fwd, bwd, contracted
-                )
+                added, reduced, witness, sf, sb = self._contract_node(v, fwd, bwd)
                 # Cascade: every overlay edge whose effect differs from the
                 # recorded build can invalidate later witness decisions that
                 # relaxed it, i.e. the recorded dependents of its tail --
@@ -525,7 +553,6 @@ class ContractionHierarchy:
                     fwd[u].pop(v, None)
                 fwd[v] = {}
                 bwd[v] = {}
-                contracted[v] = True
 
         fork = object.__new__(ContractionHierarchy)
         fork.csr = csr
@@ -539,6 +566,7 @@ class ContractionHierarchy:
         fork._stored_bwd = bwd_store
         fork._witness_settled = witness_store
         fork._witness_dependents = deps_store
+        fork._dist = self._dist
         return fork, CHRepairStats(
             nodes_recontracted=recontracted,
             shortcuts_replaced=shortcuts_replaced,
@@ -555,7 +583,8 @@ class ContractionHierarchy:
         from the result and not relaxed, which prunes the search space
         without losing the cover property: the maximum-rank node of a
         shortest path is always reached at its exact distance through
-        non-stalled nodes.
+        non-stalled nodes.  Tentative distances (which the stall test
+        reads) live in the shared ``dist`` list and are reset on return.
         """
         if backward:
             relax, stall = self._stored_bwd, self._stored_fwd
@@ -563,8 +592,9 @@ class ContractionHierarchy:
             relax, stall = self._stored_fwd, self._stored_bwd
         inf = math.inf
         heappop, heappush = heapq.heappop, heapq.heappush
-        dist = {start: 0.0}
-        tentative = dist.get
+        dist = self._dist
+        dist[start] = 0.0
+        touched = [start]
         out: dict[int, float] = {}
         heap = [(0.0, start)]
         while heap:
@@ -572,15 +602,20 @@ class ContractionHierarchy:
             if d > dist[node]:
                 continue  # superseded entry; first pop settles the node
             for m, w in stall[node].items():
-                if tentative(m, inf) + w < d:
+                if dist[m] + w < d:
                     break  # stalled
             else:
                 out[node] = d
                 for succ, w in relax[node].items():
                     candidate = d + w
-                    if candidate < tentative(succ, inf):
+                    old = dist[succ]
+                    if candidate < old:
+                        if old == inf:
+                            touched.append(succ)
                         dist[succ] = candidate
                         heappush(heap, (candidate, succ))
+        for node in touched:
+            dist[node] = inf
         return out
 
     def forward_search_space(self, index: int) -> dict[int, float]:
@@ -592,11 +627,15 @@ class ContractionHierarchy:
         return self._upward_scan(index, backward=True)
 
     def estimated_memory_bytes(self) -> int:
-        """Rough footprint of the upward adjacencies and the repair records."""
+        """Rough footprint of the upward adjacencies, the repair records and
+        the search scratch."""
         entries = sum(map(len, self._stored_fwd)) + sum(map(len, self._stored_bwd))
         support = sum(len(s) for s in self._witness_settled)
         indexes = 1 if self._witness_dependents is None else 2
-        # Incident dicts (the upward adjacency) and the repair-support
-        # records: effect lists and witness sets (forward, and inverted once
-        # a repair has asked for it).
-        return 64 * entries + 128 * len(self.rank) + indexes * 64 * support
+        # Incident dicts (the upward adjacency), the repair-support records:
+        # effect lists and witness sets (forward, and inverted once a repair
+        # has asked for it), and the flat ``dist`` list (8 bytes a slot).
+        return (
+            64 * entries + 128 * len(self.rank) + indexes * 64 * support
+            + 8 * len(self._dist)
+        )

@@ -7,9 +7,10 @@ import math
 
 import pytest
 
-from repro.insertion.kinetic_tree import KineticTreeScheduler
 from repro.model.schedule import Schedule, Waypoint, WaypointKind
 from repro.model.vehicle import RouteState
+
+from test_properties import KineticTreeScheduler
 
 
 def _route(location: int, *, capacity: int = 4, schedule: Schedule | None = None,

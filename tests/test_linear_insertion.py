@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.insertion.kinetic_tree import KineticTreeScheduler
 from repro.insertion import linear_insertion
 from repro.insertion.linear_insertion import (
     InsertionOutcome,
@@ -21,6 +20,8 @@ from repro.model.vehicle import RouteState
 from repro.network.generators import grid_city
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+
+from test_properties import KineticTreeScheduler
 
 
 def _route(location: int, *, time: float = 0.0, capacity: int = 3,

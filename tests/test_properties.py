@@ -15,7 +15,7 @@ from repro.insertion.linear_insertion import InsertionOutcome, best_insertion
 from repro.insertion.pair_schedules import best_pair_schedule, pair_orderings
 from repro.model.batch import Batch
 from repro.model.request import Request
-from repro.model.schedule import Schedule
+from repro.model.schedule import Schedule, Waypoint, WaypointKind
 from repro.model.vehicle import RouteState, Vehicle
 from repro.network.generators import grid_city
 from repro.network.grid_index import GridIndex
@@ -143,6 +143,108 @@ def _reference_best_insertion(route, request, oracle) -> InsertionOutcome:
                     total_cost=evaluation.travel_cost,
                 )
     return best
+
+
+class KineticTreeScheduler:
+    """Exact reference scheduler: depth-first branch-and-bound over every
+    feasible ordering of a vehicle's stops plus new requests' stops.
+
+    Huang et al. keep every feasible stop ordering in a "kinetic tree" so
+    that an insertion always yields the optimal schedule; this enumerates
+    the same orderings.  It is exponential in the number of stops, so it
+    refuses more than ``max_stops``.  Existing stops may be reordered
+    freely (pick-up before drop-off); a committed next stop stays first.
+    """
+
+    def __init__(self, oracle: DistanceOracle, *, max_stops: int = 14) -> None:
+        self._oracle = oracle
+        self._max_stops = max_stops
+
+    def optimal_schedule(self, route: RouteState, new_requests) -> Schedule | None:
+        """Best feasible ordering, or ``None`` when no ordering is feasible."""
+        pending: list[Waypoint] = list(route.schedule.waypoints)
+        for request in new_requests:
+            pending.append(Waypoint(request, WaypointKind.PICKUP))
+            pending.append(Waypoint(request, WaypointKind.DROPOFF))
+        if len(pending) > self._max_stops:
+            raise ValueError(
+                f"kinetic-tree search limited to {self._max_stops} stops, "
+                f"got {len(pending)}"
+            )
+        if not pending:
+            return Schedule.empty()
+
+        committed: list[Waypoint] = []
+        if route.min_insert_position > 0 and route.schedule:
+            committed = [route.schedule[0]]
+            pending.remove(route.schedule[0])
+
+        oracle = self._oracle
+        best_cost = math.inf
+        best_order: list[Waypoint] | None = None
+        # Drop-offs without a pending pick-up belong to onboard riders.
+        pickup_pending = {
+            wp.request.request_id for wp in pending if wp.kind is WaypointKind.PICKUP
+        }
+
+        def recurse(order, remaining, node, clock, load, cost, picked) -> None:
+            nonlocal best_cost, best_order
+            if cost >= best_cost:
+                return
+            if not remaining:
+                best_cost = cost
+                best_order = list(order)
+                return
+            for index, wp in enumerate(remaining):
+                rid = wp.request.request_id
+                if (
+                    wp.kind is WaypointKind.DROPOFF
+                    and rid in pickup_pending
+                    and rid not in picked
+                ):
+                    continue
+                leg = oracle.cost(node, wp.node)
+                if math.isinf(leg):
+                    continue
+                arrival = max(clock + leg, wp.earliest_service)
+                if arrival > wp.deadline + 1e-9:
+                    continue
+                new_load = load + wp.load_delta
+                if new_load > route.capacity or new_load < 0:
+                    continue
+                next_picked = picked | {rid} if wp.kind is WaypointKind.PICKUP else picked
+                order.append(wp)
+                recurse(order, remaining[:index] + remaining[index + 1:], wp.node,
+                        arrival, new_load, cost + leg, next_picked)
+                order.pop()
+
+        # Prime the search with the committed stop (if any) already serviced.
+        node, clock, load, cost = route.origin, route.departure_time, route.onboard, 0.0
+        picked: set[int] = set()
+        for wp in committed:
+            leg = oracle.cost(node, wp.node)
+            clock = max(clock + leg, wp.earliest_service)
+            load += wp.load_delta
+            if (
+                math.isinf(leg) or clock > wp.deadline + 1e-9
+                or load > route.capacity or load < 0
+            ):
+                return None
+            cost += leg
+            node = wp.node
+            if wp.kind is WaypointKind.PICKUP:
+                picked.add(wp.request.request_id)
+        recurse(list(committed), pending, node, clock, load, cost, picked)
+        if best_order is None:
+            return None
+        return Schedule(best_order)
+
+    def optimal_cost(self, route: RouteState, new_requests) -> float:
+        """Travel cost of the optimal schedule, or ``inf`` when infeasible."""
+        schedule = self.optimal_schedule(route, new_requests)
+        if schedule is None:
+            return math.inf
+        return schedule.travel_cost(self._oracle, route.origin)
 
 
 def _reference_best_pair_schedule(first, second, oracle, *, capacity=None):

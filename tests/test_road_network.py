@@ -6,6 +6,8 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NetworkError
 from repro.network.road_network import RoadNetwork
@@ -137,6 +139,92 @@ class TestQueries:
         assert triangle.out_degree(0) == 1
         assert triangle.out_degree(1) == 1
         assert triangle.out_degree(2) == 1
+
+
+def _linear_scan(network: RoadNetwork, x: float, y: float) -> int:
+    """The reference ``nearest_node``: one Python pass in insertion order."""
+    best_node = -1
+    best_dist = math.inf
+    for node in network.nodes():
+        nx_, ny_ = network.position(node)
+        dist = (nx_ - x) ** 2 + (ny_ - y) ** 2
+        if dist < best_dist:
+            best_dist = dist
+            best_node = node
+    return best_node
+
+
+def _network(points, ids) -> RoadNetwork:
+    network = RoadNetwork()
+    for node, (x, y) in zip(ids, points):
+        network.add_node(node, x, y)
+    return network
+
+
+_coordinate = st.floats(-1e4, 1e4, allow_nan=False)
+_far = st.floats(-1e7, 1e7, allow_nan=False)
+_lattice = st.integers(-4, 4).map(lambda i: i * 37.5)
+_half_lattice = st.integers(-10, 10).map(lambda i: i * 18.75)
+
+
+@st.composite
+def _nodes(draw, coordinate, min_size=1, max_size=40):
+    points = draw(st.lists(st.tuples(coordinate, coordinate), min_size=min_size,
+                           max_size=max_size))
+    ids = draw(st.permutations(range(1000, 1000 + len(points))))
+    return points, ids
+
+
+class TestNearestNode:
+    """``nearest_node`` answers exactly what the linear scan answers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_nodes(_coordinate), _far, _far)
+    def test_random_points_and_far_queries(self, nodes, x, y):
+        network = _network(*nodes)
+        assert network.nearest_node(x, y) == _linear_scan(network, x, y)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_nodes(_lattice), _half_lattice, _half_lattice)
+    def test_lattice_ties_and_duplicates_go_to_the_earliest_node(self, nodes, x, y):
+        # Lattice nodes (often duplicated) queried on and between lattice
+        # points: many exact ties, which the earliest-added node must win.
+        network = _network(*nodes)
+        assert network.nearest_node(x, y) == _linear_scan(network, x, y)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_nodes(_lattice, min_size=2), st.data())
+    def test_moving_a_node_after_a_lookup_refreshes_the_answer(self, nodes, data):
+        network = _network(*nodes)
+        x, y = data.draw(_half_lattice), data.draw(_half_lattice)
+        assert network.nearest_node(x, y) == _linear_scan(network, x, y)
+        moved = data.draw(st.sampled_from(nodes[1]))
+        network.add_node(moved, x + 0.5, y - 0.5)
+        assert network.nearest_node(x, y) == _linear_scan(network, x, y)
+        network.add_node(moved, x, y)
+        assert network.nearest_node(x, y) == _linear_scan(network, x, y)
+        network.add_node(-1, x, y)
+        assert network.nearest_node(x, y) == _linear_scan(network, x, y)
+
+    def test_python_squares_break_ties_not_numpy_squares(self):
+        # libm's a ** 2 is one ulp above a * a here: the Python expression
+        # ranks node 2 strictly first, numpy's squares tie the two nodes
+        # (where an argmin would answer node 1).
+        network = _network([(-5573.367140105487, 0.0), (5573.367050393112, 1.0)], [1, 2])
+        assert _linear_scan(network, 0.0, 0.0) == 2
+        assert network.nearest_node(0.0, 0.0) == 2
+
+    def test_new_node_at_the_query_point_wins_after_a_lookup(self, triangle: RoadNetwork):
+        # (50, 50) is equidistant from all three nodes: the first one wins.
+        assert triangle.nearest_node(50.0, 50.0) == 0
+        triangle.add_node(7, 50.0, 50.0)
+        assert triangle.nearest_node(50.0, 50.0) == 7
+        triangle.add_node(7, 500.0, 500.0)
+        assert triangle.nearest_node(50.0, 50.0) == 0
+
+    def test_empty_network_raises(self):
+        with pytest.raises(NetworkError):
+            RoadNetwork().nearest_node(0.0, 0.0)
 
 
 class TestInterop:
