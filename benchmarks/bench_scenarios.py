@@ -131,7 +131,10 @@ def test_repair_beats_eager_rebuild():
     cells) with fewer from-scratch rebuilds than eager's rebuild-per-burst
     -- and any incremental re-contraction stays under 20% of the nodes per
     burst (the policy's fraction cap guarantees it).  Counts, not wall time:
-    the refresh times are a few ms each and their order flips on a busy host."""
+    the refresh times are a few ms each and their order flips on a busy host.
+    A rebuild that adopts a held state (eager's last ``rush_hour`` burst
+    returns to the set-up network) still counts in ``rebuilds``: the count
+    records refresh decisions, ``rebuild_ms`` what they cost."""
     for scenario in SCENARIOS:
         eager = _case(
             scenario, "ch", "eager",

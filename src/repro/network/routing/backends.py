@@ -63,7 +63,7 @@ def network_fingerprint(network: RoadNetwork) -> tuple[int, int, int]:
 class RoutingData:
     """Lazily-built routing structures shared by every oracle on one network."""
 
-    __slots__ = ("fingerprint", "csr", "_hierarchy", "_labeling", "__weakref__")
+    __slots__ = ("fingerprint", "csr", "repaired", "_hierarchy", "_labeling", "__weakref__")
 
     def __init__(
         self,
@@ -75,6 +75,8 @@ class RoutingData:
         """Snapshot ``network``; a repair passes the structures it derived."""
         self.fingerprint = network_fingerprint(network)
         self.csr = csr if csr is not None else CSRGraph.from_network(network)
+        #: A repair's fork: exact, but not what a build of ``csr`` contracts.
+        self.repaired = hierarchy is not None
         self._hierarchy = hierarchy
         self._labeling: HubLabeling | None = None
 
@@ -97,6 +99,11 @@ class RoutingData:
             self._labeling = HubLabeling(self.hierarchy, eager=True)
         return self._labeling
 
+    def estimated_memory_bytes(self) -> int:
+        """The CSR arrays plus the hierarchy and the shared labels, if built."""
+        built = [part for part in (self.csr, self._hierarchy, self._labeling) if part is not None]
+        return sum(part.estimated_memory_bytes() for part in built)
+
 
 _ROUTING_DATA: "weakref.WeakKeyDictionary[RoadNetwork, RoutingData]" = (
     weakref.WeakKeyDictionary()
@@ -115,42 +122,31 @@ def routing_data(network: RoadNetwork) -> RoutingData:
 # ---------------------------------------------------------------------- #
 # dynamic worlds: content signatures + incremental repair
 # ---------------------------------------------------------------------- #
-def network_content(
-    network: RoadNetwork,
-) -> tuple[tuple[int, ...], tuple[tuple[int, int, float], ...]]:
-    """Canonical (order-insensitive) signature of a network's routing content.
-
-    Covers the node set *and* the weighted edge set (node positions do not
-    affect routing).  Two networks with equal signatures produce identical
-    routing structures, whatever mutation path led there -- which is what
-    lets the repair layer recognise exact reversions (a wave receding, a
-    road reopening at its old cost) and swap a cached state back instead of
-    re-preprocessing.
-    """
-    return tuple(sorted(network.nodes())), tuple(sorted(network.edges()))
-
-
 def csr_content(
     csr: CSRGraph,
 ) -> tuple[tuple[int, ...], tuple[tuple[int, int, float], ...]]:
-    """The :func:`network_content` signature of a compiled CSR snapshot."""
-    node_ids = csr.node_ids
-    return tuple(node_ids), tuple(
-        sorted(
-            (node_ids[u], node_ids[csr.indices[e]], csr.weights[e])
-            for u in range(csr.num_nodes)
-            for e in range(csr.indptr[u], csr.indptr[u + 1])
-        )
-    )
+    """Canonical (order-insensitive) node and weighted-edge set of a CSR.
+
+    Equal signatures mean equal distances, which lets a refresh recognise an
+    exact reversion (a wave receding, a road reopening at its old cost).
+    They do not mean equal CSRs: rows follow adjacency insertion order, so a
+    reopened road moves to the end of its row, and a hierarchy contracted
+    from the new rows may differ from one contracted from the old.
+    """
+    ids, indptr, indices, weights = csr.node_ids, csr.indptr, csr.indices, csr.weights
+    return tuple(ids), tuple(sorted(
+        (ids[u], ids[indices[e]], weights[e])
+        for u in range(csr.num_nodes)
+        for e in range(indptr[u], indptr[u + 1])
+    ))
 
 
 def install_routing_data(network: RoadNetwork, data: RoutingData) -> None:
-    """Re-register ``data`` as current for ``network``.
+    """Register ``data`` as the routing state ``network`` is served from.
 
-    Only valid when ``data`` was built from a network state whose edge
-    content equals the current one (snapshot swap): the fingerprint is
-    refreshed to the network's current mutation counter so staleness checks
-    clear, and the shared cache serves ``data`` to every later oracle.
+    Only valid when ``data`` answers for the network's current content: the
+    fingerprint moves to the current mutation counter so staleness checks
+    clear, and :func:`routing_data` serves ``data`` to every later oracle.
     """
     data.fingerprint = network_fingerprint(network)
     _ROUTING_DATA[network] = data
@@ -165,27 +161,24 @@ def repair_routing_data(
 ) -> tuple[RoutingData, CHRepairStats] | None:
     """Derive a repaired :class:`RoutingData` for ``network`` from ``data``.
 
-    Compiles a fresh CSR and asks the held contraction hierarchy to
-    re-contract only the nodes affected by ``mutated_edges`` (see
+    Asks the held contraction hierarchy to re-contract, over the network's
+    current CSR, only the nodes affected by ``mutated_edges`` (see
     :meth:`ContractionHierarchy.repair`; the result is a copy-on-write fork,
     so ``data`` stays valid for the pre-mutation network state).  The
     repaired data starts without labels -- a ``hub_label`` backend built
-    over it sweeps them -- and is installed in the shared cache and
-    returned with the repair statistics; ``None`` means the hierarchy could
-    not absorb the mutation set (no hierarchy built yet, node set changed,
-    or the affected set exceeds ``max_fraction``) and the caller must fall
-    back to a full rebuild.
+    over it sweeps them -- and is returned, unregistered, with the repair
+    statistics; ``None`` means the hierarchy could not absorb the mutation
+    set (no hierarchy built yet, node set changed, or the affected set
+    exceeds ``max_fraction``) and the caller must fall back to a rebuild.
     """
     if not data.has_hierarchy:
         return None
-    csr = CSRGraph.from_network(network)
+    csr = routing_data(network).csr
     forked = data.hierarchy.repair(csr, mutated_edges, max_fraction=max_fraction)
     if forked is None:
         return None
     hierarchy, stats = forked
-    repaired = RoutingData(network, csr=csr, hierarchy=hierarchy)
-    _ROUTING_DATA[network] = repaired
-    return repaired, stats
+    return RoutingData(network, csr=csr, hierarchy=hierarchy), stats
 
 
 # ---------------------------------------------------------------------- #

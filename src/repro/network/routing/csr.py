@@ -163,6 +163,12 @@ class CSRGraph:
                     heapq.heappush(heap, (candidate, succ))
         return dist, settled
 
+    def __eq__(self, other: object) -> bool:
+        """Same nodes and the same arrays, row order included."""
+        if not isinstance(other, CSRGraph):
+            return NotImplemented
+        return all(getattr(self, s) == getattr(other, s) for s in self.__slots__)
+
     def estimated_memory_bytes(self) -> int:
         """Rough footprint of the compiled arrays (ints + floats, CPython)."""
         return 8 * (2 * (self.num_nodes + 1) + 4 * self.num_edges) + 32 * self.num_nodes

@@ -34,13 +34,12 @@ from .routing.backends import (
     csr_content,
     install_routing_data,
     make_backend,
-    network_content,
     network_fingerprint,
     repair_routing_data,
     routing_data,
 )
 
-#: Recent routing states the repair layer keeps for exact-reversion swaps.
+#: Recent routing states an oracle keeps for refreshes that return to one.
 SNAPSHOT_CAPACITY = 4
 
 
@@ -138,8 +137,8 @@ class DistanceOracle:
         #: Fresh-CSR Dijkstra serving queries while the preprocessed
         #: structures are dirty (``None`` outside scenario fallback windows).
         self._fallback: RoutingBackend | None = None
-        #: Content-addressed LRU of recent routing states (see
-        #: :meth:`repair`): edge-content signature -> RoutingData.
+        #: Content-addressed LRU of recent routing states (see :meth:`rebuild`
+        #: / :meth:`repair`): edge-content signature -> RoutingData.
         self._snapshots: OrderedDict[tuple, RoutingData] = OrderedDict()
         #: Query-trace sampling interval (observability).  0 disables; the
         #: miss-path guard is a single falsy-int check so an untraced oracle
@@ -183,20 +182,30 @@ class DistanceOracle:
     def rebuild(self) -> float:
         """Rebuild the routing structures against the current network.
 
-        Drops the pair cache and the Dijkstra fallback, re-resolves the
-        shared :func:`routing_data` (CSR now; the backend constructor builds
-        the hierarchy and, for ``hub_label``, sweeps every label, so that
-        cost is paid here -- ``ch`` sweeps its labels over the next queries)
-        and returns the wall-clock seconds spent -- the scenario refresh
-        policies account it as rebuild time.
+        Drops the pair cache and the Dijkstra fallback, serves the shared
+        :func:`routing_data` (the backend constructor builds the hierarchy
+        and, for ``hub_label``, sweeps every label; ``ch`` sweeps over the
+        next queries) and returns the wall-clock seconds spent, which the
+        scenario refresh policies account as rebuild time.
 
-        Exception-safe: the new structures (and the backend over them) are
-        fully constructed before any held state is dropped, so a build that
-        raises partway leaves the oracle serving its previous structures
-        unchanged -- the caller may retry or enter the fallback.
+        A held state a build would reproduce bit for bit is adopted instead
+        (its CSR equals the fresh compile, row order included, and its
+        hierarchy was built, not repaired): a receded traffic wave returns to
+        one, a reopened road does not (its edge moves to the end of its row).
+        Backends without a hierarchy (``dijkstra``, ``alt``) skip the lookup.
+
+        Exception-safe: the new backend is fully constructed before any held
+        state is dropped, so a build that raises leaves the oracle serving
+        its previous structures -- the caller may retry or enter the fallback.
         """
         start = time.perf_counter()
-        self._adopt_data(routing_data(self._network))
+        data = routing_data(self._network)
+        key = None
+        if self._backend.data.has_hierarchy:
+            key, held = self._held(data)
+            if held is not None and not held.repaired and held.csr == data.csr:
+                data = held
+        self._serve(data, key)
         return time.perf_counter() - start
 
     def repair(self, *, max_affected_fraction: float = 1.0) -> RepairReport:
@@ -205,11 +214,11 @@ class DistanceOracle:
         The repair layer tries, in order:
 
         1. **Snapshot swap** -- the mutated network's edge content is looked
-           up in a small LRU of recent routing states (kept across repair
-           calls).  Exact reversions -- a traffic wave receding, a closed
-           road reopening at its recorded cost -- swap the cached CSR /
-           hierarchy / labels back in O(E log E) signature time, with zero
-           preprocessing.
+           up in the LRU of recent routing states :meth:`rebuild` adopts
+           from (row order is not compared).  Exact reversions -- a wave
+           receding, a closed road reopening at its recorded cost -- swap
+           the held CSR / hierarchy / labels back in O(E log E) signature
+           time, with zero preprocessing.
         2. **Incremental CH repair** -- the mutated edge set (the network's
            mutation journal since this oracle's snapshot) seeds an affected
            node set that is re-contracted in the frozen rank order and
@@ -221,36 +230,22 @@ class DistanceOracle:
            set changed, or the affected set exceeds ``max_affected_fraction``
            of all nodes.
 
-        Like :meth:`rebuild` this drops the pair cache and the Dijkstra
-        fallback, and the resulting state is installed in the shared
-        per-network cache (later oracles and rebuilds resolve to it).  The
-        pre-mutation state itself survives as a copy-on-write snapshot, so
-        repeated back-and-forth bursts (rush-hour waves rolling in and out)
-        settle into pure swaps.  Returns a :class:`RepairReport` describing
-        what happened.
+        Drops the pair cache and the fallback and registers the new state
+        like :meth:`rebuild`.  The pre-mutation state survives as a
+        copy-on-write fork, so back-and-forth bursts settle into pure swaps.
+        Returns a :class:`RepairReport` describing what happened.
         """
         start = time.perf_counter()
         network = self._network
         data = self._backend.data
         if self._fallback is None and not self.is_stale:
             return RepairReport(mode="noop")
-        # 1. Exact-reversion lookup.  The pre-mutation state is recoverable
-        # from the held CSR (the network itself has already moved on), and
-        # is worth caching only when expensive preprocessing hangs off it.
-        now_key = network_content(network)
-        if data.has_hierarchy:
-            self._remember_snapshot(csr_content(data.csr), data)
-        hit = self._snapshots.get(now_key)
+        key, hit = self._held(routing_data(network))
         if hit is not None:
-            self._snapshots.move_to_end(now_key)
-            install_routing_data(network, hit)
-            self._adopt_data(hit)
-            return RepairReport(
-                mode="snapshot", seconds=time.perf_counter() - start
-            )
-        # 2. Incremental repair of the held hierarchy.  The repaired state
-        # is a copy-on-write fork, so ``data`` -- and its snapshot entry
-        # taken above -- stays valid for the pre-mutation network.
+            self._serve(hit, key)
+            return RepairReport(mode="snapshot", seconds=time.perf_counter() - start)
+        # The repaired state is a copy-on-write fork, so ``data`` -- and its
+        # snapshot entry -- stays valid for the pre-mutation network.
         mutated_edges = network.edge_mutations_since(data.fingerprint[2])
         repaired = None
         if mutated_edges is not None:
@@ -258,16 +253,10 @@ class DistanceOracle:
                 network, data, mutated_edges, max_fraction=max_affected_fraction
             )
         if repaired is None:
-            # 3. Not absorbable: full rebuild; the fresh state is cached for
-            # future reversions.
-            self._adopt_data(routing_data(network))
-            self._remember_snapshot(now_key, self._backend.data)
-            return RepairReport(
-                mode="rebuilt", seconds=time.perf_counter() - start
-            )
+            self._serve(routing_data(network), key)
+            return RepairReport(mode="rebuilt", seconds=time.perf_counter() - start)
         new_data, stats = repaired
-        self._adopt_data(new_data)
-        self._remember_snapshot(now_key, new_data)
+        self._serve(new_data, key)
         return RepairReport(
             mode="repaired",
             seconds=time.perf_counter() - start,
@@ -275,20 +264,32 @@ class DistanceOracle:
             shortcuts_replaced=stats.shortcuts_replaced,
         )
 
-    def _adopt_data(self, data: RoutingData) -> None:
-        """Serve queries from ``data``: drop cache + fallback, rebind backend.
+    def _held(self, data: RoutingData) -> tuple[tuple, RoutingData | None]:
+        """The content of ``data`` and the state held for it; first holds the
+        state the constructor served (:meth:`_serve` holds the rest)."""
+        serving = self._backend.data
+        held = self._snapshots.values()
+        if serving.has_hierarchy and all(state is not serving for state in held):
+            self._remember(csr_content(serving.csr), serving)
+        key = csr_content(data.csr)
+        return key, self._snapshots.get(key)
+
+    def _serve(self, data: RoutingData, key: tuple | None = None) -> None:
+        """Serve ``data`` as the network's routing state, held under ``key``
+        if a hierarchy hangs off it.
 
         The backend is constructed *before* any held state is dropped: a
-        build that raises partway (out of memory, an injected fault) must
-        leave the oracle consistent on its previous structures, never
-        half-initialised with a cleared cache and no backend.
-        """
+        build that raises partway must leave the oracle on its previous
+        structures, never with a cleared cache and no backend."""
         backend = make_backend(self._backend.name, data)
+        install_routing_data(self._network, data)
         self.clear_cache()
         self._fallback = None
         self._backend = backend
+        if key is not None and data.has_hierarchy:
+            self._remember(key, data)
 
-    def _remember_snapshot(self, key: tuple, data: RoutingData) -> None:
+    def _remember(self, key: tuple, data: RoutingData) -> None:
         self._snapshots[key] = data
         self._snapshots.move_to_end(key)
         while len(self._snapshots) > SNAPSHOT_CAPACITY:
@@ -446,10 +447,14 @@ class DistanceOracle:
         return len(self._cache)
 
     def estimated_memory_bytes(self) -> int:
-        """Rough memory footprint of the cache plus the backend's structures."""
+        """Rough memory footprint of the cache, the backend's structures and
+        every other routing state held for a reversion."""
+        held = [d for d in self._snapshots.values() if d is not self._backend.data]
         # Each cache entry: two ints + a float + dict overhead, ~100 bytes is
         # a fair order-of-magnitude figure for CPython.
-        return 100 * len(self._cache) + self._backend.estimated_memory_bytes()
+        return 100 * len(self._cache) + sum(
+            part.estimated_memory_bytes() for part in (self._backend, *held)
+        )
 
     # ------------------------------------------------------------------ #
     # internals

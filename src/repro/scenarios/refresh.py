@@ -20,22 +20,16 @@ rebuild is a real scheduling decision.  Three policies are provided:
     with no further events due -- consecutive bursts (a traffic wave
     rolling over adjacent zones) collapse into a single rebuild.
 ``repair``
-    Repair instead of rebuilding: every burst is absorbed immediately via
-    :meth:`~repro.network.shortest_path.DistanceOracle.repair` -- a
-    content-addressed snapshot swap for exact reversions (waves receding,
-    roads reopening), incremental re-contraction of the affected cells of
-    the contraction hierarchy otherwise, and a full rebuild only when the
-    affected set exceeds ``max_affected_fraction`` of all nodes.  Queries
-    are never served stale and never fall back, like ``eager``, at a
-    fraction of the refresh cost.
+    Absorb every burst immediately via
+    :meth:`~repro.network.shortest_path.DistanceOracle.repair` (see
+    :class:`RepairRefreshPolicy`).
 
-Every policy records its decisions in :class:`RefreshStats`; the simulator
-copies them into the run metrics (``oracle_rebuilds``,
-``oracle_rebuild_seconds``, ``oracle_stale_seconds``,
-``oracle_fallback_queries``, plus the ``repair`` policy's
-``oracle_repairs`` / ``oracle_repair_seconds`` /
-``oracle_nodes_recontracted`` / ``oracle_shortcuts_replaced``) so refresh
-overhead is a first-class experimental output.
+A rebuild that returns to a routing state the oracle still holds (a receded
+wave) adopts it instead of building; it still counts in
+``RefreshStats.rebuilds`` -- the count records decisions, ``rebuild_seconds``
+their cost.  The simulator copies :class:`RefreshStats` into the run metrics
+(``oracle_rebuilds``, ``oracle_rebuild_seconds``, ...), so refresh overhead
+is a first-class experimental output.
 """
 
 from __future__ import annotations

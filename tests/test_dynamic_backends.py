@@ -4,8 +4,10 @@ The dynamic-world scenario engine reweights and removes edges while oracles
 hold preprocessed structures.  The load-bearing properties:
 
 * after every mutation burst, a rebuilt (or fallback-serving) oracle of any
-  backend agrees with a fresh Dijkstra over the mutated network, and
-* closed edges never appear in returned paths.
+  backend agrees with a fresh Dijkstra over the mutated network,
+* closed edges never appear in returned paths, and
+* a rebuild adopts a routing state the oracle holds only where a fresh build
+  would reproduce it bit for bit.
 """
 
 from __future__ import annotations
@@ -16,14 +18,25 @@ from dataclasses import replace
 
 import pytest
 
+from test_ch_hierarchy import hierarchy_digest
+
 from repro.config import ChaosConfig
-from repro.exceptions import UnreachableError
+from repro.exceptions import InjectedFaultError, UnreachableError
 from repro.insertion.linear_insertion import best_insertion
 from repro.model.request import Request
 from repro.model.schedule import Schedule
 from repro.model.vehicle import RouteState
+from repro.network import shortest_path
 from repro.network.generators import grid_city
 from repro.network.road_network import RoadNetwork
+from repro.network.routing import (
+    ContractionHierarchy,
+    CSRGraph,
+    RoutingData,
+    make_backend,
+    routing_data,
+)
+from repro.network.routing.backends import csr_content
 from repro.network.shortest_path import DistanceOracle
 from repro.resilience.faults import ChaosOracle, FaultInjector
 
@@ -426,3 +439,170 @@ class TestGeneration:
         after = best_insertion(route, newcomer, oracle)
         assert not after.feasible
         assert after == best_insertion(replace(route), newcomer, oracle)
+
+
+def _count_builds(monkeypatch) -> list[None]:
+    """One entry per full contraction from now on (forks build none)."""
+    builds: list[None] = []
+    build = ContractionHierarchy._build
+
+    def counting(self):
+        builds.append(None)
+        build(self)
+
+    monkeypatch.setattr(ContractionHierarchy, "_build", counting)
+    return builds
+
+
+def _scale(network, edges, factor: float) -> None:
+    for u, v, cost in edges:
+        network.add_edge(u, v, cost * factor)
+
+
+class TestRebuildAdoption:
+    """``rebuild()`` looks in the states ``repair()`` keeps before it builds,
+    and adopts one only when a fresh build would reproduce it bit for bit."""
+
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    def test_a_restored_zone_serves_the_state_it_started_on(self, backend, monkeypatch):
+        network = _city(seed=31)
+        oracle = DistanceOracle(network, backend=backend)
+        initial = routing_data(network)
+        zone = sorted(network.edges())[:40]
+        _scale(network, zone, 3.0)
+        oracle.rebuild()  # the wave arrives: a build
+        _scale(network, zone, 1.0)  # ...and recedes
+        oracle.cost(0, 5)
+        generation = oracle.generation
+        builds = _count_builds(monkeypatch)
+        oracle.rebuild()
+        assert builds == []
+        assert routing_data(network) is initial
+        assert oracle.generation != generation and oracle.cache_len == 0
+        assert not oracle.is_stale and not oracle.serving_fallback
+        fresh = ContractionHierarchy(CSRGraph.from_network(network))
+        assert hierarchy_digest(fresh) == hierarchy_digest(initial.hierarchy)
+        nodes = sorted(network.nodes())
+        pairs = [(s, t) for s in nodes for t in nodes if s != t]
+        want, _, _ = make_backend(backend, RoutingData(network)).many_to_many(pairs)
+        got = oracle.many_to_many(nodes, nodes)
+        assert all(got[pair] == distance for pair, distance in want.items())
+
+    def test_a_repair_fork_is_never_adopted(self, monkeypatch):
+        network = _city(seed=32)
+        oracle = DistanceOracle(network, backend="hub_label")
+        edge = sorted(network.edges())[7:8]
+        _scale(network, edge, 4.0)
+        assert oracle.repair().mode == "repaired"
+        fork = routing_data(network)
+        assert fork.repaired
+        _scale(network, edge, 1.0)
+        assert oracle.repair().mode == "snapshot"
+        _scale(network, edge, 4.0)  # the fork's content and rows again
+        assert CSRGraph.from_network(network) == fork.csr
+        builds = _count_builds(monkeypatch)
+        oracle.rebuild()
+        assert len(builds) == 1
+        assert routing_data(network) is not fork
+        assert not routing_data(network).repaired
+
+    def test_a_reopened_road_restores_the_content_but_not_the_rows(self, monkeypatch):
+        """Closing and reopening a road moves it to the end of its row: the
+        content signature is back, the CSR is not.  ``rebuild()`` builds
+        fresh there; ``repair()``, whose held hierarchy answers the content
+        exactly, still swaps."""
+        builds = _count_builds(monkeypatch)
+        for refresh in ("rebuild", "repair"):
+            network = _city(seed=33)
+            oracle = DistanceOracle(network, backend="ch")
+            initial = routing_data(network)
+            u, v, cost = next(iter(network.edges()))
+            assert network.out_degree(u) > 1
+            network.remove_edge(u, v)
+            getattr(oracle, refresh)()
+            network.add_edge(u, v, cost)
+            now = CSRGraph.from_network(network)
+            assert csr_content(now) == csr_content(initial.csr)
+            assert now != initial.csr
+            built = len(builds)
+            if refresh == "rebuild":
+                oracle.rebuild()
+                assert len(builds) == built + 1
+                assert routing_data(network) is not initial
+            else:
+                assert oracle.repair().mode == "snapshot"
+                assert len(builds) == built
+                assert routing_data(network) is initial
+
+    def test_a_failed_rebuild_leaves_the_old_structures(self, monkeypatch):
+        network = _city(seed=34)
+        oracle = ChaosOracle(
+            network,
+            injector=FaultInjector(ChaosConfig(rebuild_failure_rate=1.0)),
+            backend="hub_label",
+        )
+        initial = routing_data(network)
+        before = oracle.cost(0, 5)
+        zone = sorted(network.edges())[:40]
+        _scale(network, zone, 3.0)
+        generation = oracle.generation
+        with pytest.raises(InjectedFaultError):
+            oracle.rebuild()
+        assert oracle.generation == generation and oracle.is_stale
+        assert oracle.cost(0, 5) == before  # the stale structures still answer
+        # A build that raises partway leaves the oracle -- and what it holds
+        # -- as it was: once the zone is restored, the next rebuild adopts.
+        network = _city(seed=36)
+        oracle = DistanceOracle(network, backend="hub_label")
+        initial = routing_data(network)
+        zone = sorted(network.edges())[:40]
+        generation = oracle.generation
+
+        def crash(self):
+            raise MemoryError("build crashed")
+
+        monkeypatch.setattr(ContractionHierarchy, "_build", crash)
+        _scale(network, zone, 3.0)
+        with pytest.raises(MemoryError):
+            oracle.rebuild()
+        assert oracle.generation == generation and oracle.is_stale
+        monkeypatch.undo()
+        _scale(network, zone, 1.0)
+        oracle.rebuild()
+        assert routing_data(network) is initial
+
+    @pytest.mark.parametrize("backend", ("dijkstra", "alt", "ch", "hub_label"))
+    def test_a_rebuild_signs_only_the_fresh_content(self, backend, monkeypatch):
+        """A backend without a hierarchy signs nothing (the fresh CSR is all
+        it could adopt); a hierarchy backend signs the state the constructor
+        served once, then only the content each rebuild arrives at."""
+        signed: list[None] = []
+        sign = shortest_path.csr_content
+
+        def counting(csr):
+            signed.append(None)
+            return sign(csr)
+
+        monkeypatch.setattr(shortest_path, "csr_content", counting)
+        network = _city(seed=37)
+        oracle = DistanceOracle(network, backend=backend)
+        zone = sorted(network.edges())[:40]
+        hierarchy = backend in ("ch", "hub_label")
+        for factor, signatures in ((3.0, 2), (1.0, 1), (2.0, 1)):
+            _scale(network, zone, factor)
+            signed.clear()
+            oracle.rebuild()
+            assert len(signed) == (signatures if hierarchy else 0)
+
+    @pytest.mark.parametrize("capacity", (shortest_path.SNAPSHOT_CAPACITY, 0))
+    def test_the_memory_estimate_counts_the_held_states(self, capacity, monkeypatch):
+        monkeypatch.setattr(shortest_path, "SNAPSHOT_CAPACITY", capacity)
+        network = _city(seed=35)
+        oracle = DistanceOracle(network, backend="hub_label")
+        initial = routing_data(network)
+        _scale(network, sorted(network.edges())[:40], 3.0)
+        oracle.rebuild()
+        serving = routing_data(network)
+        held = initial.estimated_memory_bytes() if capacity else 0
+        assert oracle.cache_len == 0
+        assert oracle.estimated_memory_bytes() == serving.estimated_memory_bytes() + held

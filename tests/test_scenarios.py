@@ -20,7 +20,9 @@ from repro.exceptions import ConfigurationError, ScenarioError
 from repro.model.request import Request
 from repro.model.vehicle import Vehicle
 from repro.network.generators import grid_city
+from repro.network import shortest_path
 from repro.network.grid_index import GridIndex
+from repro.network.routing import ContractionHierarchy, routing_data
 from repro.network.shortest_path import DistanceOracle
 from repro.scenarios import (
     CancelRequests,
@@ -564,3 +566,68 @@ class TestSimulatorIntegration:
             if mutations_before is not None:
                 assert workload.network.mutation_count > mutations_before
             mutations_before = workload.network.mutation_count
+
+
+class TestRebuildAdoptionEndToEnd:
+    """A rebuild that adopts a held routing state changes no outcome and no
+    oracle counter: against a run that holds nothing
+    (``SNAPSHOT_CAPACITY = 0``), only the hierarchy builds differ, by
+    exactly the number of adoptions.  A receding wave (``rush_hour``,
+    ``stadium_surge``) is adopted; a reopened road (``bridge_closure``)
+    comes back at the end of its row, so it is built again."""
+
+    @staticmethod
+    def _observe(scenario, backend, policy, capacity, monkeypatch) -> dict:
+        monkeypatch.setattr(shortest_path, "SNAPSHOT_CAPACITY", capacity)
+        counts = {"builds": 0, "adoptions": 0}
+        build, rebuild = ContractionHierarchy._build, DistanceOracle.rebuild
+
+        def counting_build(self):
+            counts["builds"] += 1
+            build(self)
+
+        def counting_rebuild(self):
+            compiled = routing_data(self.network)  # what a build would serve
+            seconds = rebuild(self)
+            counts["adoptions"] += routing_data(self.network) is not compiled
+            return seconds
+
+        monkeypatch.setattr(ContractionHierarchy, "_build", counting_build)
+        monkeypatch.setattr(DistanceOracle, "rebuild", counting_rebuild)
+        workload, built = make_scenario_workload(
+            "nyc", scenario, scale=0.05, city_scale=0.35,
+            simulation_overrides={"routing_backend": backend},
+        )
+        oracle = workload.fresh_oracle()
+        result = Simulator(
+            network=workload.network,
+            oracle=oracle,
+            vehicles=workload.fresh_vehicles(),
+            requests=list(workload.requests),
+            dispatcher=make_dispatcher("pruneGDP"),
+            config=workload.simulation_config,
+            timeline=built.make_timeline(),
+            refresh_policy=policy,
+        ).run()
+        monkeypatch.undo()
+        return {
+            "events": [(e.time, e.kind.value, e.subject, e.other) for e in result.events],
+            "unified_cost": result.unified_cost,
+            "stats": oracle.stats.snapshot(),
+            "rebuilds": result.metrics.oracle_rebuilds,
+            **counts,
+        }
+
+    @pytest.mark.parametrize("scenario", ("rush_hour", "bridge_closure", "stadium_surge"))
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    @pytest.mark.parametrize("policy", ("eager", "deferred", "coalesce"))
+    def test_adoption_changes_only_the_builds(self, scenario, backend, policy, monkeypatch):
+        held = self._observe(
+            scenario, backend, policy, shortest_path.SNAPSHOT_CAPACITY, monkeypatch
+        )
+        plain = self._observe(scenario, backend, policy, 0, monkeypatch)
+        for name in ("events", "unified_cost", "stats", "rebuilds"):
+            assert held[name] == plain[name], name
+        assert plain["adoptions"] == 0
+        assert plain["builds"] - held["builds"] == held["adoptions"]
+        assert (held["adoptions"] > 0) == (scenario != "bridge_closure")
