@@ -21,21 +21,16 @@ from dataclasses import dataclass, replace
 from typing import Any
 
 from .exceptions import ConfigurationError
+from .network.routing import BACKEND_NAMES
 
 #: Default maximum waiting time for a pick-up, in seconds (5 minutes).
 DEFAULT_MAX_WAIT = 300.0
 
-#: Routing backends accepted by ``SimulationConfig.routing_backend`` (must
-#: match :data:`repro.network.routing.BACKEND_NAMES`; duplicated here so the
-#: config layer stays import-free of the network package).
-ROUTING_BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
-
 #: Default angle pruning threshold, in radians (pi / 2 as used in the paper).
 DEFAULT_ANGLE_THRESHOLD = math.pi / 2.0
 
-#: Oracle refresh policies accepted by ``ScenarioConfig.refresh_policy``
-#: (must match :data:`repro.scenarios.refresh.POLICY_NAMES`; duplicated here
-#: so the config layer stays import-free of the scenario package).
+#: Oracle refresh policies accepted by ``ScenarioConfig.refresh_policy`` and
+#: :func:`repro.scenarios.refresh.make_refresh_policy`.
 REFRESH_POLICIES = ("eager", "deferred", "coalesce", "repair")
 
 #: Admission policies accepted by ``ServiceConfig.admission_policy``:
@@ -121,9 +116,9 @@ class SimulationConfig:
             raise ConfigurationError("grid_cells must be at least 1")
         if self.max_group_size is not None and self.max_group_size < 1:
             raise ConfigurationError("max_group_size must be at least 1 or None")
-        if self.routing_backend not in ROUTING_BACKENDS:
+        if self.routing_backend not in BACKEND_NAMES:
             raise ConfigurationError(
-                f"routing_backend must be one of {ROUTING_BACKENDS} "
+                f"routing_backend must be one of {BACKEND_NAMES} "
                 f"(got {self.routing_backend!r})"
             )
 
@@ -276,7 +271,7 @@ class ScenarioConfig:
     """Knobs of the dynamic-world scenario presets and the refresh policy.
 
     The scenario presets (:mod:`repro.scenarios.presets`) derive their event
-    timelines from these intensities; the refresh fields configure how the
+    timelines from these intensities; the refresh policy picks how the
     routing oracle is kept consistent with the mutating network (see
     :mod:`repro.scenarios.refresh`).
     """
@@ -288,17 +283,6 @@ class ScenarioConfig:
     #: boundary, ``"repair"`` re-contracts only the affected cells of the
     #: contraction hierarchy (with snapshot swaps for exact reversions).
     refresh_policy: str = "coalesce"
-    #: Deferred policy: rebuild after this many batches served stale.
-    max_stale_batches: int = 3
-    #: Repair policy: fall back to a full rebuild when the affected node
-    #: set of a mutation burst exceeds this fraction of all nodes (past
-    #: that point a rebuild is cheaper than splicing the repairs in).
-    repair_max_fraction: float = 0.2
-    #: Deferred policy: rebuild once this many queries were served by the
-    #: Dijkstra fallback since the preprocessed structures went stale (the
-    #: budget bounds the *total* stale-serving work, across bursts that land
-    #: inside one fallback window).
-    fallback_query_budget: int = 2_000
     #: Travel-time multiplier of rush-hour slowdown waves (> 1 slows down).
     slowdown_factor: float = 1.8
     #: Arrival-intensity multiplier of demand-surge windows.
@@ -313,21 +297,12 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in (
             "slowdown_factor", "surge_multiplier", "closure_start", "closure_end",
-            "repair_max_fraction",
         ):
             _require_finite(name, getattr(self, name))
         if self.refresh_policy not in REFRESH_POLICIES:
             raise ConfigurationError(
                 f"refresh_policy must be one of {REFRESH_POLICIES} "
                 f"(got {self.refresh_policy!r})"
-            )
-        if self.max_stale_batches < 1:
-            raise ConfigurationError("max_stale_batches must be at least 1")
-        if self.fallback_query_budget < 0:
-            raise ConfigurationError("fallback_query_budget must be non-negative")
-        if not 0.0 < self.repair_max_fraction <= 1.0:
-            raise ConfigurationError(
-                f"repair_max_fraction must be in (0, 1] (got {self.repair_max_fraction})"
             )
         if self.slowdown_factor <= 0:
             raise ConfigurationError(
@@ -473,31 +448,15 @@ class ChaosConfig:
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs of the retry/backoff, circuit-breaker and probe machinery.
+    """Knobs of the batch time budget and the probe machinery.
 
-    The defaults are conservative: retries with exponential backoff on
-    refresh failures, breakers that trip after two consecutive failures and
-    probe for recovery two batches later, no batch time budget (the
-    dispatcher never degrades) and no invariant probes.  Chaos harnesses
-    turn the budget and probes on explicitly.
+    The defaults are conservative: no batch time budget (the dispatcher
+    never degrades) and no invariant probes.  Chaos harnesses turn the
+    budget and probes on explicitly.  Retry/backoff and breaker settings are
+    constants of :class:`~repro.resilience.retry.RetryPolicy` and
+    :class:`~repro.resilience.degrade.CircuitBreaker`.
     """
 
-    #: Total attempts (first try + retries) per rebuild/repair.
-    max_attempts: int = 3
-    #: First backoff pause in (virtual) seconds.
-    backoff_base: float = 0.05
-    #: Multiplier applied to the pause after every failed attempt.
-    backoff_multiplier: float = 2.0
-    #: Relative jitter applied to each pause: the pause is scaled by a
-    #: factor drawn uniformly from ``[1 - jitter, 1 + jitter]``.
-    backoff_jitter: float = 0.25
-    #: Deadline budget in seconds (real operation time + virtual backoff)
-    #: after which retrying stops even if attempts remain.
-    retry_deadline: float = 30.0
-    #: Consecutive failures that trip a breaker open.
-    breaker_threshold: int = 2
-    #: Batches a tripped breaker stays open before a half-open recovery probe.
-    recovery_interval: int = 2
     #: Per-batch dispatch time budget in seconds; overrunning it counts a
     #: breaker failure and eventually degrades the dispatcher.  ``None``
     #: disables the budget entirely.
@@ -508,44 +467,20 @@ class ResilienceConfig:
     count_real_dispatch_time: bool = True
     #: Random oracle-vs-Dijkstra cost probes per batch (0 disables probing).
     probe_pairs: int = 0
-    #: Seed of the probe pair sampler and the backoff jitter stream.
-    probe_seed: int = 23
-    #: Self-healing rebuild attempts before probing falls back to the exact
-    #: fresh-CSR Dijkstra rung.
-    max_heal_attempts: int = 2
     #: Re-check every accepted assignment's leg costs against a fresh
     #: Dijkstra oracle after each dispatch (the chaos acceptance gate;
     #: expensive, so off by default).
     verify_assignments: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("backoff_base", "backoff_multiplier", "backoff_jitter",
-                     "retry_deadline"):
-            _require_finite(name, getattr(self, name))
         if self.batch_time_budget is not None:
             _require_finite("batch_time_budget", self.batch_time_budget)
             if self.batch_time_budget <= 0:
                 raise ConfigurationError(
                     "batch_time_budget must be positive or None to disable"
                 )
-        if self.max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
-        if self.backoff_base < 0:
-            raise ConfigurationError("backoff_base must be non-negative")
-        if self.backoff_multiplier < 1.0:
-            raise ConfigurationError("backoff_multiplier must be at least 1")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ConfigurationError("backoff_jitter must be in [0, 1]")
-        if self.retry_deadline <= 0:
-            raise ConfigurationError("retry_deadline must be positive")
-        if self.breaker_threshold < 1:
-            raise ConfigurationError("breaker_threshold must be at least 1")
-        if self.recovery_interval < 1:
-            raise ConfigurationError("recovery_interval must be at least 1")
         if self.probe_pairs < 0:
             raise ConfigurationError("probe_pairs must be non-negative")
-        if self.max_heal_attempts < 1:
-            raise ConfigurationError("max_heal_attempts must be at least 1")
 
     def with_overrides(self, **overrides: Any) -> "ResilienceConfig":
         """Return a copy of this configuration with the given fields replaced."""

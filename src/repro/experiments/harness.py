@@ -527,8 +527,6 @@ CHAOS_RESILIENCE = ResilienceConfig(
     count_real_dispatch_time=False,
     probe_pairs=4,
     verify_assignments=True,
-    breaker_threshold=2,
-    recovery_interval=2,
 )
 
 

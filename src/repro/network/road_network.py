@@ -8,19 +8,13 @@ shareability-graph builder.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from collections.abc import Iterable, Iterator
 from typing import Any
 
 import numpy as np
 
 from ..exceptions import NetworkError
-
-#: Edge mutations remembered by the journal before it gives up and reports
-#: "unknown history" (incremental consumers then fall back to a rebuild).
-JOURNAL_LIMIT = 100_000
 
 
 class RoadNetwork:
@@ -40,13 +34,6 @@ class RoadNetwork:
         self._reverse: dict[int, dict[int, float]] = {}
         self._num_edges = 0
         self._mutations = 0
-        # Bounded edge-mutation journal: one ``(u, v)`` entry per edge
-        # add/reweight/removal, aligned with ``mutation_count`` so holders
-        # of preprocessed structures can ask "which edges changed since my
-        # snapshot?" (incremental CH repair).  Node mutations invalidate it:
-        # a changed node set cannot be repaired, only rebuilt.
-        self._journal: deque[tuple[int, int]] = deque()
-        self._journal_base = 0
         # ``nearest_node``'s view of the positions: node ids plus x and y
         # arrays in insertion order; dropped whenever a node is added or moved.
         self._coords: tuple[list[int], np.ndarray, np.ndarray] | None = None
@@ -57,8 +44,6 @@ class RoadNetwork:
     def add_node(self, node: int, x: float, y: float) -> None:
         """Add (or move) a node with planar coordinates ``(x, y)``."""
         self._mutations += 1
-        self._journal.clear()
-        self._journal_base = self._mutations
         self._coords = None
         if node in self._positions:
             self._positions[node] = (float(x), float(y))
@@ -86,7 +71,6 @@ class RoadNetwork:
         self._adjacency[u][v] = float(cost)
         self._reverse[v][u] = float(cost)
         self._mutations += 1
-        self._journal_append(u, v)
         if bidirectional:
             self.add_edge(v, u, cost, bidirectional=False)
 
@@ -99,13 +83,6 @@ class RoadNetwork:
         del self._reverse[v][u]
         self._num_edges -= 1
         self._mutations += 1
-        self._journal_append(u, v)
-
-    def _journal_append(self, u: int, v: int) -> None:
-        self._journal.append((u, v))
-        if len(self._journal) > JOURNAL_LIMIT:
-            self._journal.popleft()
-            self._journal_base += 1
 
     # ------------------------------------------------------------------ #
     # queries
@@ -131,20 +108,6 @@ class RoadNetwork:
         never cancel out.
         """
         return self._mutations
-
-    def edge_mutations_since(self, count: int) -> list[tuple[int, int]] | None:
-        """Directed edges mutated since ``mutation_count`` was ``count``.
-
-        Returns the complete ``(u, v)`` list (duplicates preserved, in
-        application order) when the bounded journal still covers the range,
-        or ``None`` when it does not -- the journal overflowed, ``count``
-        predates the last node mutation, or ``count`` is out of range --
-        in which case incremental consumers must fall back to a rebuild.
-        """
-        if count < self._journal_base or count > self._mutations:
-            return None
-        offset = count - self._journal_base
-        return list(itertools.islice(self._journal, offset, None))
 
     def nodes(self) -> Iterator[int]:
         """Iterate over node identifiers."""

@@ -43,7 +43,7 @@ from typing import Protocol
 
 from ...exceptions import NetworkError
 from ..road_network import RoadNetwork
-from .contraction import CHRepairStats, ContractionHierarchy
+from .contraction import ContractionHierarchy
 from .csr import CSRGraph
 from .hub_labels import HubLabeling
 
@@ -120,7 +120,7 @@ def routing_data(network: RoadNetwork) -> RoutingData:
 
 
 # ---------------------------------------------------------------------- #
-# dynamic worlds: content signatures + incremental repair
+# dynamic worlds: content signatures
 # ---------------------------------------------------------------------- #
 def csr_content(
     csr: CSRGraph,
@@ -150,35 +150,6 @@ def install_routing_data(network: RoadNetwork, data: RoutingData) -> None:
     """
     data.fingerprint = network_fingerprint(network)
     _ROUTING_DATA[network] = data
-
-
-def repair_routing_data(
-    network: RoadNetwork,
-    data: RoutingData,
-    mutated_edges: Sequence[tuple[int, int]],
-    *,
-    max_fraction: float = 1.0,
-) -> tuple[RoutingData, CHRepairStats] | None:
-    """Derive a repaired :class:`RoutingData` for ``network`` from ``data``.
-
-    Asks the held contraction hierarchy to re-contract, over the network's
-    current CSR, only the nodes affected by ``mutated_edges`` (see
-    :meth:`ContractionHierarchy.repair`; the result is a copy-on-write fork,
-    so ``data`` stays valid for the pre-mutation network state).  The
-    repaired data starts without labels -- a ``hub_label`` backend built
-    over it sweeps them -- and is returned, unregistered, with the repair
-    statistics; ``None`` means the hierarchy could not absorb the mutation
-    set (no hierarchy built yet, node set changed, or the affected set
-    exceeds ``max_fraction``) and the caller must fall back to a rebuild.
-    """
-    if not data.has_hierarchy:
-        return None
-    csr = routing_data(network).csr
-    forked = data.hierarchy.repair(csr, mutated_edges, max_fraction=max_fraction)
-    if forked is None:
-        return None
-    hierarchy, stats = forked
-    return RoutingData(network, csr=csr, hierarchy=hierarchy), stats
 
 
 # ---------------------------------------------------------------------- #

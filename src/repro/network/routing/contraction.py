@@ -59,11 +59,12 @@ changed, or (b) an out-edge of one of its recorded witness nodes changed.
 Repair therefore replays the frozen contraction order against the mutated
 graph: clean nodes re-apply their recorded effects verbatim (dict writes,
 no searches), while *dirty* nodes -- seeded from the endpoints and support
-sets of the mutated edges, and cascaded through recorded-vs-recomputed
-effect diffs -- are re-contracted with fresh witness searches.  The result
-is a *forked* hierarchy; unchanged records are shared with the source
-hierarchy by reference, which keeps the source valid for the pre-mutation
-graph (so recent states can be cached and swapped back when a burst reverts).
+sets of the edges whose weight differs between the old and the new CSR,
+and cascaded through recorded-vs-recomputed effect diffs -- are
+re-contracted with fresh witness searches.  The result is a *forked*
+hierarchy; unchanged records are shared with the source hierarchy by
+reference, which keeps the source valid for the pre-mutation graph (so
+recent states can be cached and swapped back when a burst reverts).
 Reusing the frozen order can only cost hierarchy *quality* (a few extra
 shortcuts after many repairs), never correctness: replayed effects are
 re-validated against the replay overlay, so distances stay exact.
@@ -73,7 +74,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .csr import CSRGraph
@@ -81,6 +81,11 @@ from .csr import CSRGraph
 #: Witness searches stop after settling this many nodes; a smaller limit
 #: speeds preprocessing up at the price of a few redundant shortcuts.
 DEFAULT_WITNESS_LIMIT = 80
+
+#: A repair whose affected set exceeds this fraction of all nodes gives up
+#: (the caller rebuilds): past that point a rebuild is cheaper than
+#: splicing the repairs in.
+REPAIR_MAX_FRACTION = 0.2
 
 
 @dataclass(frozen=True)
@@ -381,22 +386,18 @@ class ContractionHierarchy:
     # incremental repair
     # ------------------------------------------------------------------ #
     def repair(
-        self,
-        csr: CSRGraph,
-        changed_edges: Sequence[tuple[int, int]],
-        *,
-        max_fraction: float = 1.0,
+        self, csr: CSRGraph
     ) -> tuple["ContractionHierarchy", CHRepairStats] | None:
         """Follow a mutated graph by re-contracting only the affected nodes.
 
         ``csr`` is the freshly compiled CSR of the mutated network (same
-        node set as the current hierarchy) and ``changed_edges`` the
-        *complete* set of ``(u, v)`` node-id pairs whose base edges were
-        reweighted, removed or (re)added since this hierarchy was built.
-        The frozen contraction order is replayed against the new overlay:
-        nodes outside the dirty set re-apply their recorded effects, dirty
-        nodes re-run their witness searches, and effect diffs cascade
-        through the support index (see the module docstring).
+        node set as the current hierarchy).  The edges whose weight differs
+        between this hierarchy's CSR and ``csr`` (reweighted, removed or
+        added) seed the dirty set.  The frozen contraction order is replayed
+        against the new overlay: nodes outside the dirty set re-apply their
+        recorded effects, dirty nodes re-run their witness searches, and
+        effect diffs cascade through the support index (see the module
+        docstring).
 
         Returns ``(repaired, stats)`` where ``repaired`` is a *new*
         hierarchy sharing every unchanged per-node structure with this one
@@ -405,14 +406,14 @@ class ContractionHierarchy:
         pre-mutation graph, which is what lets callers keep recent states
         around and swap them back when a mutation burst reverts.  Returns
         ``None`` when the node set changed or the affected set exceeds
-        ``max_fraction`` of all nodes, in which case the caller should fall
-        back to a full rebuild.
+        :data:`REPAIR_MAX_FRACTION` of all nodes, in which case the caller
+        should fall back to a full rebuild.
         """
         old_csr = self.csr
         if csr.node_ids != old_csr.node_ids:
             return None
         n = csr.num_nodes
-        limit = n if max_fraction >= 1.0 else max(int(n * max_fraction), 1)
+        limit = max(int(n * REPAIR_MAX_FRACTION), 1)
         deps = self._witness_dependents
         if deps is None:
             deps = self._witness_dependents = [set() for _ in range(n)]
@@ -420,7 +421,6 @@ class ContractionHierarchy:
                 for y in self._witness_settled[v]:
                     deps[y].add(v)
         rank = self.rank
-        index_of = csr.index_of
         # Dirty-set seeding is direction- and rank-aware.  A weight
         # *decrease* only shortens recorded witnesses, which keeps every
         # recorded omission/reduction valid and merely leaves redundant
@@ -442,20 +442,19 @@ class ContractionHierarchy:
         }
         inf = math.inf
         dirty: set[int] = set()
-        for u_id, v_id in changed_edges:
-            a = index_of.get(u_id)
-            b = index_of.get(v_id)
-            if a is None or b is None:
-                return None
-            w_old = old_weights.get((a, b), inf)
+        for (a, b), w_old in old_weights.items():
             w_new = new_weights.get((a, b), inf)
             if w_new == w_old:
-                continue  # e.g. closed and reopened within one burst
+                continue
             dirty.add(a)
             dirty.add(b)
             if w_new > w_old:
                 rank_b = rank[b]
                 dirty.update(z for z in deps[a] if rank[z] < rank_b)
+        for a, b in new_weights:
+            if (a, b) not in old_weights:  # added: a decrease from inf
+                dirty.add(a)
+                dirty.add(b)
         if len(dirty) > limit:
             return None
 

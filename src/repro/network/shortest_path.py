@@ -35,7 +35,6 @@ from .routing.backends import (
     install_routing_data,
     make_backend,
     network_fingerprint,
-    repair_routing_data,
     routing_data,
 )
 
@@ -208,7 +207,7 @@ class DistanceOracle:
         self._serve(data, key)
         return time.perf_counter() - start
 
-    def repair(self, *, max_affected_fraction: float = 1.0) -> RepairReport:
+    def repair(self) -> RepairReport:
         """Follow network mutations incrementally instead of rebuilding.
 
         The repair layer tries, in order:
@@ -219,15 +218,15 @@ class DistanceOracle:
            receding, a closed road reopening at its recorded cost -- swap
            the held CSR / hierarchy / labels back in O(E log E) signature
            time, with zero preprocessing.
-        2. **Incremental CH repair** -- the mutated edge set (the network's
-           mutation journal since this oracle's snapshot) seeds an affected
-           node set that is re-contracted in the frozen rank order and
-           spliced into the held hierarchy (see
+        2. **Incremental CH repair** -- the edges whose weight differs
+           between the held hierarchy's CSR and the network's current one
+           seed an affected node set that is re-contracted in the frozen
+           rank order and spliced into the held hierarchy (see
            :meth:`ContractionHierarchy.repair`); a ``hub_label`` backend
            sweeps its labels again off the repaired hierarchy.
-        3. **Full rebuild** -- when the journal does not cover the mutations,
-           the backend holds no hierarchy (``dijkstra``/``alt``), the node
-           set changed, or the affected set exceeds ``max_affected_fraction``
+        3. **Full rebuild** -- when the backend holds no hierarchy
+           (``dijkstra``/``alt``), the node set changed, or the affected set
+           exceeds :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION`
            of all nodes.
 
         Drops the pair cache and the fallback and registers the new state
@@ -236,27 +235,22 @@ class DistanceOracle:
         Returns a :class:`RepairReport` describing what happened.
         """
         start = time.perf_counter()
-        network = self._network
-        data = self._backend.data
         if self._fallback is None and not self.is_stale:
             return RepairReport(mode="noop")
-        key, hit = self._held(routing_data(network))
+        fresh = routing_data(self._network)
+        key, hit = self._held(fresh)
         if hit is not None:
             self._serve(hit, key)
             return RepairReport(mode="snapshot", seconds=time.perf_counter() - start)
-        # The repaired state is a copy-on-write fork, so ``data`` -- and its
-        # snapshot entry -- stays valid for the pre-mutation network.
-        mutated_edges = network.edge_mutations_since(data.fingerprint[2])
-        repaired = None
-        if mutated_edges is not None:
-            repaired = repair_routing_data(
-                network, data, mutated_edges, max_fraction=max_affected_fraction
-            )
-        if repaired is None:
-            self._serve(routing_data(network), key)
+        # The repaired state is a copy-on-write fork, so the serving state --
+        # and its snapshot entry -- stays valid for the pre-mutation network.
+        data = self._backend.data
+        forked = data.hierarchy.repair(fresh.csr) if data.has_hierarchy else None
+        if forked is None:
+            self._serve(fresh, key)
             return RepairReport(mode="rebuilt", seconds=time.perf_counter() - start)
-        new_data, stats = repaired
-        self._serve(new_data, key)
+        hierarchy, stats = forked
+        self._serve(RoutingData(self._network, csr=fresh.csr, hierarchy=hierarchy), key)
         return RepairReport(
             mode="repaired",
             seconds=time.perf_counter() - start,

@@ -33,7 +33,7 @@ from __future__ import annotations
 from .degrade import BreakerState, CircuitBreaker, ResilienceManager, ResilienceStats
 from .faults import ChaosOracle, FaultInjector
 from .probes import InvariantProbe, ProbeFailure
-from .retry import RetryOutcome, RetryPolicy
+from .retry import RetryPolicy
 
 __all__ = [
     "BreakerState",
@@ -44,6 +44,5 @@ __all__ = [
     "ProbeFailure",
     "ResilienceManager",
     "ResilienceStats",
-    "RetryOutcome",
     "RetryPolicy",
 ]

@@ -7,14 +7,16 @@ The :class:`ResilienceManager` orchestrates two breakers:
   a breaker failure and drops the oracle onto its exact fresh-CSR Dijkstra
   fallback (correctness is never traded away -- the fallback is exact, just
   slower).  While the breaker is open, refresh requests short-circuit to the
-  fallback; after ``recovery_interval`` batches a half-open probe attempts
-  one full rebuild and closes the breaker on success.
+  fallback; after :attr:`CircuitBreaker.RECOVERY_INTERVAL` batches a
+  half-open probe attempts one full rebuild and closes the breaker on
+  success.
 * **Dispatch breaker** -- guards the batch time budget.  A dispatch batch
   whose charged time (injected virtual latency, plus real wall-clock when
-  configured) overruns the budget counts a failure; ``breaker_threshold``
-  consecutive overruns trip the breaker and subsequent batches run a
-  degraded dispatcher (greedy linear insertion, no clique enumeration)
-  until a half-open probe batch finishes inside the budget again.
+  configured) overruns the budget counts a failure;
+  :attr:`CircuitBreaker.FAILURE_THRESHOLD` consecutive overruns trip the
+  breaker and subsequent batches run a degraded dispatcher (greedy linear
+  insertion, no clique enumeration) until a half-open probe batch finishes
+  inside the budget again.
 
 Sampled invariant probes (see :mod:`~repro.resilience.probes`) run before
 every dispatch: a mismatch against fresh Dijkstra triggers the self-healing
@@ -36,7 +38,6 @@ from ..config import ChaosConfig, ResilienceConfig
 from ..dispatch.base import Assignment, Dispatcher
 from ..dispatch.prunegdp import PruneGDPDispatcher
 from ..exceptions import (
-    ConfigurationError,
     OracleBuildError,
     OracleRepairError,
     ReproError,
@@ -63,6 +64,10 @@ EVENT_SELF_HEALED = "oracle_self_healed"
 ORACLE_BREAKER = 0
 DISPATCH_BREAKER = 1
 
+#: Self-healing rebuild attempts before probing falls back to the exact
+#: fresh-CSR Dijkstra rung.
+MAX_HEAL_ATTEMPTS = 2
+
 
 class BreakerState(enum.Enum):
     """Classic circuit-breaker states."""
@@ -77,19 +82,16 @@ class CircuitBreaker:
 
     Time is measured in *batches*, not wall-clock: :meth:`tick` is called
     once per batch while open and moves the breaker to half-open after
-    ``recovery_interval`` ticks.  A success in half-open closes it; a
+    :attr:`RECOVERY_INTERVAL` ticks.  A success in half-open closes it; a
     failure re-opens it (counted as another trip).
     """
 
-    def __init__(
-        self, *, failure_threshold: int = 2, recovery_interval: int = 2
-    ) -> None:
-        if failure_threshold < 1 or recovery_interval < 1:
-            raise ConfigurationError(
-                "failure_threshold and recovery_interval must be at least 1"
-            )
-        self.failure_threshold = failure_threshold
-        self.recovery_interval = recovery_interval
+    #: Consecutive failures that trip the breaker open.
+    FAILURE_THRESHOLD = 2
+    #: Batches a tripped breaker stays open before a half-open recovery probe.
+    RECOVERY_INTERVAL = 2
+
+    def __init__(self) -> None:
         self.state = BreakerState.CLOSED
         self.trips = 0
         self._consecutive_failures = 0
@@ -100,10 +102,10 @@ class CircuitBreaker:
         self._consecutive_failures += 1
         if self.state is BreakerState.HALF_OPEN or (
             self.state is BreakerState.CLOSED
-            and self._consecutive_failures >= self.failure_threshold
+            and self._consecutive_failures >= self.FAILURE_THRESHOLD
         ):
             self.state = BreakerState.OPEN
-            self._cooldown = self.recovery_interval
+            self._cooldown = self.RECOVERY_INTERVAL
             self.trips += 1
             return True
         return False
@@ -164,34 +166,15 @@ class ResilienceManager:
         self.config = config if config is not None else ResilienceConfig()
         self.chaos = chaos
         self.injector = FaultInjector(chaos) if chaos is not None else None
-        self.retry = RetryPolicy(
-            max_attempts=self.config.max_attempts,
-            base_delay=self.config.backoff_base,
-            multiplier=self.config.backoff_multiplier,
-            jitter=self.config.backoff_jitter,
-            deadline=self.config.retry_deadline,
-        )
+        self.retry = RetryPolicy()
         #: The degraded rung of the dispatcher ladder: greedy linear
         #: insertion over few candidates, batch semantics (unassigned
         #: requests stay pending instead of being rejected outright).
         self.degraded_dispatcher = PruneGDPDispatcher(
             max_candidates=8, reject_unassigned=False
         )
-        self.probe = InvariantProbe(
-            pairs=self.config.probe_pairs, seed=self.config.probe_seed
-        )
-        self.oracle_breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            recovery_interval=self.config.recovery_interval,
-        )
-        self.dispatch_breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            recovery_interval=self.config.recovery_interval,
-        )
-        self.stats = ResilienceStats()
-        self._jitter_rng = Random(f"{self.config.probe_seed}:jitter")
-        self._recorder: Callable[[float, str, int, int | None], None] | None = None
-        self._now = 0.0
+        self.probe = InvariantProbe(pairs=self.config.probe_pairs)
+        self.begin_run()
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -212,16 +195,10 @@ class ResilienceManager:
             self.injector.reset()
         self.probe.reset()
         self.degraded_dispatcher.reset()
-        self.oracle_breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            recovery_interval=self.config.recovery_interval,
-        )
-        self.dispatch_breaker = CircuitBreaker(
-            failure_threshold=self.config.breaker_threshold,
-            recovery_interval=self.config.recovery_interval,
-        )
-        self._jitter_rng = Random(f"{self.config.probe_seed}:jitter")
-        self._recorder = recorder
+        self.oracle_breaker = CircuitBreaker()
+        self.dispatch_breaker = CircuitBreaker()
+        self._jitter_rng = Random(f"{InvariantProbe.SEED}:jitter")
+        self._recorder: Callable[[float, str, int, int | None], None] | None = recorder
         self._now = 0.0
 
     @property
@@ -268,7 +245,7 @@ class ResilienceManager:
             self.stats.fallback_activations += 1
             return time.perf_counter() - start, False
         try:
-            _, outcome = self.retry.call(
+            _, seconds = self.retry.call(
                 oracle.rebuild,
                 rng=self._jitter_rng,
                 error_type=OracleBuildError,
@@ -285,11 +262,9 @@ class ResilienceManager:
             return elapsed, False
         if breaker.record_success():
             self._emit(EVENT_BREAKER_CLOSED, ORACLE_BREAKER)
-        return outcome.seconds, True
+        return seconds, True
 
-    def guarded_repair(
-        self, oracle: DistanceOracle, *, max_affected_fraction: float = 1.0
-    ) -> RepairReport:
+    def guarded_repair(self, oracle: DistanceOracle) -> RepairReport:
         """Repair with retry; exhaustion climbs the ladder to a rebuild.
 
         Returns the backend's :class:`RepairReport` on success.  When the
@@ -308,7 +283,7 @@ class ResilienceManager:
             )
         try:
             report, _ = self.retry.call(
-                lambda: oracle.repair(max_affected_fraction=max_affected_fraction),
+                oracle.repair,
                 rng=self._jitter_rng,
                 error_type=OracleRepairError,
                 describe="oracle repair",
@@ -378,7 +353,7 @@ class ResilienceManager:
         self._emit(EVENT_PROBE_FAILED, len(failures))
         start = time.perf_counter()
         healed = False
-        for _ in range(self.config.max_heal_attempts):
+        for _ in range(MAX_HEAL_ATTEMPTS):
             if isinstance(oracle, ChaosOracle):
                 oracle.heal()
             self.guarded_rebuild(oracle)

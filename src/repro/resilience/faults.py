@@ -148,11 +148,11 @@ class ChaosOracle(DistanceOracle):
             self._set_corruption(injector.config.corruption_factor)
         return seconds
 
-    def repair(self, *, max_affected_fraction: float = 1.0) -> RepairReport:
+    def repair(self) -> RepairReport:
         injector = self.injector
         if injector.fail_repair():
             raise InjectedFaultError("injected fault: incremental repair crashed")
-        report = super().repair(max_affected_fraction=max_affected_fraction)
+        report = super().repair()
         if report.mode != "noop" and injector.corrupt_refresh():
             self._set_corruption(injector.config.corruption_factor)
         return report

@@ -32,18 +32,19 @@ class ProbeFailure:
 class InvariantProbe:
     """Seeded sampler comparing oracle costs against a Dijkstra reference."""
 
-    def __init__(
-        self, *, pairs: int = 4, seed: int = 23, tolerance: float = 1e-6
-    ) -> None:
+    #: Seed of the pair sampler (the retry jitter stream derives from it too).
+    SEED = 23
+    #: Relative deviation from fresh Dijkstra that counts as a failure.
+    TOLERANCE = 1e-6
+
+    def __init__(self, *, pairs: int = 4) -> None:
         self.pairs = max(int(pairs), 0)
-        self.seed = seed
-        self.tolerance = tolerance
         self.checks = 0
         self.reset()
 
     def reset(self) -> None:
         """Rewind the pair sampler to the seed state (one stream per run)."""
-        self._rng = Random(f"{self.seed}:probe")
+        self._rng = Random(f"{self.SEED}:probe")
         self.checks = 0
 
     def check(
@@ -62,7 +63,7 @@ class InvariantProbe:
             return []
         reference = DistanceOracle(network, cache_size=0, backend="dijkstra")
         failures: list[ProbeFailure] = []
-        tolerance = self.tolerance
+        tolerance = self.TOLERANCE
         for _ in range(self.pairs):
             source, target = self._rng.sample(nodes, 2)
             self.checks += 1

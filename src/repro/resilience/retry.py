@@ -11,27 +11,12 @@ from __future__ import annotations
 
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
 from random import Random
 from typing import Any, TypeVar
 
-from ..exceptions import ConfigurationError, ReproError
+from ..exceptions import ReproError
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class RetryOutcome:
-    """Accounting of one retried operation that eventually succeeded."""
-
-    #: Attempts performed (1 = first try succeeded).
-    attempts: int
-    #: Retries performed (``attempts - 1``).
-    retries: int
-    #: Total virtual backoff charged between attempts, in seconds.
-    backoff_seconds: float
-    #: Real operation time plus virtual backoff, in seconds.
-    seconds: float
 
 
 class RetryPolicy:
@@ -45,28 +30,18 @@ class RetryPolicy:
     :class:`~repro.exceptions.OracleRepairError`).
     """
 
-    def __init__(
-        self,
-        *,
-        max_attempts: int = 3,
-        base_delay: float = 0.05,
-        multiplier: float = 2.0,
-        jitter: float = 0.25,
-        deadline: float = 30.0,
-    ) -> None:
-        if max_attempts < 1:
-            raise ConfigurationError("max_attempts must be at least 1")
-        if base_delay < 0 or multiplier < 1.0 or deadline <= 0:
-            raise ConfigurationError(
-                "base_delay must be >= 0, multiplier >= 1 and deadline > 0"
-            )
-        if not 0.0 <= jitter <= 1.0:
-            raise ConfigurationError("jitter must be in [0, 1]")
-        self.max_attempts = max_attempts
-        self.base_delay = base_delay
-        self.multiplier = multiplier
-        self.jitter = jitter
-        self.deadline = deadline
+    #: Total attempts (first try + retries) per operation.
+    MAX_ATTEMPTS = 3
+    #: First backoff pause in (virtual) seconds.
+    BASE_DELAY = 0.05
+    #: Multiplier applied to the pause after every failed attempt.
+    MULTIPLIER = 2.0
+    #: Relative jitter: each pause is scaled by a factor drawn uniformly
+    #: from ``[1 - JITTER, 1 + JITTER]``.
+    JITTER = 0.25
+    #: Deadline budget in seconds (real operation time + virtual backoff)
+    #: after which retrying stops even if attempts remain.
+    DEADLINE = 30.0
 
     def call(
         self,
@@ -76,46 +51,40 @@ class RetryPolicy:
         error_type: type[ReproError],
         describe: str,
         on_retry: Callable[[int, float, ReproError], Any] | None = None,
-    ) -> tuple[T, RetryOutcome]:
+    ) -> tuple[T, float]:
         """Run ``op`` until it succeeds, retry budget allowing.
 
         ``on_retry(attempt, pause, error)`` fires before each retry (for
-        event recording).  Returns ``(result, outcome)`` on success; raises
+        event recording).  Returns ``(result, seconds)`` on success, where
+        ``seconds`` is the real operation time plus the virtual backoff; raises
         ``error_type`` chained to the last failure when attempts or the
         deadline budget are exhausted.
         """
         start = time.perf_counter()
         backoff_total = 0.0
-        delay = self.base_delay
-        for attempt in range(1, self.max_attempts + 1):
+        delay = self.BASE_DELAY
+        for attempt in range(1, self.MAX_ATTEMPTS + 1):
             try:
                 result = op()
             except ReproError as error:
-                pause = delay
-                if self.jitter > 0:
-                    pause *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
+                pause = delay * (1.0 + self.JITTER * (2.0 * rng.random() - 1.0))
                 elapsed = time.perf_counter() - start + backoff_total
-                if attempt >= self.max_attempts:
+                if attempt >= self.MAX_ATTEMPTS:
                     raise error_type(
                         f"{describe} failed after {attempt} attempts: {error}"
                     ) from error
-                if elapsed + pause > self.deadline:
+                if elapsed + pause > self.DEADLINE:
                     raise error_type(
-                        f"{describe} exceeded its {self.deadline:.3f}s deadline "
+                        f"{describe} exceeded its {self.DEADLINE:.3f}s deadline "
                         f"budget after {attempt} attempts: {error}"
                     ) from error
                 backoff_total += pause
                 if on_retry is not None:
                     on_retry(attempt, pause, error)
-                delay *= self.multiplier
+                delay *= self.MULTIPLIER
             else:
-                return result, RetryOutcome(
-                    attempts=attempt,
-                    retries=attempt - 1,
-                    backoff_seconds=backoff_total,
-                    seconds=time.perf_counter() - start + backoff_total,
-                )
+                return result, time.perf_counter() - start + backoff_total
         raise AssertionError("unreachable: the loop returns or raises")
 
 
-__all__ = ["RetryOutcome", "RetryPolicy"]
+__all__ = ["RetryPolicy"]

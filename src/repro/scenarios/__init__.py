@@ -40,7 +40,6 @@ from .presets import (
     zone_edges,
 )
 from .refresh import (
-    POLICY_NAMES,
     CoalescingRefreshPolicy,
     DeferredRefreshPolicy,
     EagerRefreshPolicy,
@@ -72,7 +71,6 @@ __all__ = [
     "RepairRefreshPolicy",
     "RefreshStats",
     "make_refresh_policy",
-    "POLICY_NAMES",
     "SCENARIO_PRESETS",
     "CHAOS_PRESETS",
     "make_chaos_config",

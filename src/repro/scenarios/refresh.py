@@ -12,8 +12,8 @@ rebuild is a real scheduling decision.  Three policies are provided:
 ``deferred``
     Switch the oracle to its fresh-CSR Dijkstra fallback (exact, just
     slower per query) and rebuild only once a staleness budget runs out:
-    either ``max_stale_batches`` batch boundaries served on the fallback or
-    ``fallback_query_budget`` fallback queries, whichever comes first.
+    either ``MAX_STALE_BATCHES`` batch boundaries served on the fallback or
+    ``FALLBACK_QUERY_BUDGET`` fallback queries, whichever comes first.
     Amortises rebuilds over clustered events at a bounded query-time cost.
 ``coalesce``
     Like ``deferred``, but the rebuild happens at the first batch boundary
@@ -41,10 +41,6 @@ from ..config import REFRESH_POLICIES, ScenarioConfig
 from ..exceptions import ConfigurationError
 from ..network.shortest_path import DistanceOracle
 from ..observability.trace import get_tracer
-
-#: Policy names accepted by :func:`make_refresh_policy` (mirrored by
-#: :data:`repro.config.REFRESH_POLICIES` for the config layer).
-POLICY_NAMES = REFRESH_POLICIES
 
 
 @dataclass
@@ -133,20 +129,9 @@ class OracleRefreshPolicy:
     # -- shared helpers ------------------------------------------------- #
     def _rebuild(self, oracle: DistanceOracle) -> None:
         manager = self.resilience
-        if manager is None:
-            seconds = oracle.rebuild()
-            self.stats.rebuild_seconds += seconds
-            self.stats.rebuilds += 1
-            self.stats.clear_stale()
-            get_tracer().event(
-                "oracle.rebuild",
-                duration=seconds,
-                policy=self.name,
-                backend=oracle.backend_name,
-                succeeded=True,
-            )
-            return
-        seconds, rebuilt = manager.guarded_rebuild(oracle)
+        seconds, rebuilt = (
+            manager.guarded_rebuild(oracle) if manager else (oracle.rebuild(), True)
+        )
         self.stats.rebuild_seconds += seconds
         get_tracer().event(
             "oracle.rebuild",
@@ -185,17 +170,16 @@ class DeferredRefreshPolicy(OracleRefreshPolicy):
     """Serve dirty windows on the Dijkstra fallback under a staleness budget."""
 
     name = "deferred"
+    #: Rebuild after this many batch boundaries served stale.
+    MAX_STALE_BATCHES = 3
+    #: Rebuild once this many queries were served by the Dijkstra fallback
+    #: since the preprocessed structures went stale (the budget bounds the
+    #: *total* stale-serving work, across bursts that land inside one
+    #: fallback window).
+    FALLBACK_QUERY_BUDGET = 2_000
 
-    def __init__(
-        self, *, max_stale_batches: int = 3, fallback_query_budget: int = 2_000
-    ) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        if max_stale_batches < 1:
-            raise ConfigurationError("max_stale_batches must be at least 1")
-        if fallback_query_budget < 0:
-            raise ConfigurationError("fallback_query_budget must be non-negative")
-        self.max_stale_batches = max_stale_batches
-        self.fallback_query_budget = fallback_query_budget
         self._batches_stale = 0
         self._fallback_baseline = 0
 
@@ -207,8 +191,8 @@ class DeferredRefreshPolicy(OracleRefreshPolicy):
             return
         self._batches_stale += 1
         served = oracle.stats.fallback_queries - self._fallback_baseline
-        if self._batches_stale >= self.max_stale_batches or (
-            served >= self.fallback_query_budget
+        if self._batches_stale >= self.MAX_STALE_BATCHES or (
+            served >= self.FALLBACK_QUERY_BUDGET
         ):
             self._rebuild(oracle)
             self._batches_stale = 0
@@ -228,20 +212,12 @@ class RepairRefreshPolicy(OracleRefreshPolicy):
     never on the fallback -- but pays per burst only for the affected cells
     of the hierarchy (or an O(E log E) snapshot swap when the burst reverts
     to a recently seen network state).  Bursts whose affected set exceeds
-    ``max_affected_fraction`` of all nodes fall back to a full rebuild,
-    recorded under the ordinary rebuild counters.
+    :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION` of all
+    nodes fall back to a full rebuild, recorded under the ordinary rebuild
+    counters.
     """
 
     name = "repair"
-
-    def __init__(self, *, max_affected_fraction: float = 0.2) -> None:
-        super().__init__()
-        if not 0.0 < max_affected_fraction <= 1.0:
-            raise ConfigurationError(
-                "max_affected_fraction must be in (0, 1] "
-                f"(got {max_affected_fraction})"
-            )
-        self.max_affected_fraction = max_affected_fraction
 
     def on_mutations(self, oracle: DistanceOracle, now: float, mutations: int) -> None:
         self.stats.mutation_bursts += 1
@@ -253,14 +229,7 @@ class RepairRefreshPolicy(OracleRefreshPolicy):
 
     def _repair(self, oracle: DistanceOracle) -> None:
         manager = self.resilience
-        if manager is None:
-            report = oracle.repair(
-                max_affected_fraction=self.max_affected_fraction
-            )
-        else:
-            report = manager.guarded_repair(
-                oracle, max_affected_fraction=self.max_affected_fraction
-            )
+        report = manager.guarded_repair(oracle) if manager else oracle.repair()
         if report.mode != "noop":
             get_tracer().event(
                 "oracle.repair",
@@ -307,30 +276,26 @@ class CoalescingRefreshPolicy(OracleRefreshPolicy):
         self._defer(oracle)
 
 
+_POLICIES: dict[str, type[OracleRefreshPolicy]] = {
+    policy.name: policy
+    for policy in (
+        EagerRefreshPolicy,
+        DeferredRefreshPolicy,
+        CoalescingRefreshPolicy,
+        RepairRefreshPolicy,
+    )
+}
+
+
 def make_refresh_policy(
     name: str | None = None, *, config: ScenarioConfig | None = None
 ) -> OracleRefreshPolicy:
-    """Instantiate a refresh policy by name (or from a scenario config)."""
+    """Instantiate a refresh policy by name (or by a scenario config's name)."""
     if config is not None and name is None:
         name = config.refresh_policy
-    key = (name or "coalesce").lower()
-    if key == "eager":
-        return EagerRefreshPolicy()
-    if key == "deferred":
-        if config is not None:
-            return DeferredRefreshPolicy(
-                max_stale_batches=config.max_stale_batches,
-                fallback_query_budget=config.fallback_query_budget,
-            )
-        return DeferredRefreshPolicy()
-    if key == "coalesce":
-        return CoalescingRefreshPolicy()
-    if key == "repair":
-        if config is not None:
-            return RepairRefreshPolicy(
-                max_affected_fraction=config.repair_max_fraction
-            )
-        return RepairRefreshPolicy()
-    raise ConfigurationError(
-        f"unknown refresh policy {name!r}; choose from {POLICY_NAMES}"
-    )
+    policy = _POLICIES.get((name or "coalesce").lower())
+    if policy is None:
+        raise ConfigurationError(
+            f"unknown refresh policy {name!r}; choose from {REFRESH_POLICIES}"
+        )
+    return policy()

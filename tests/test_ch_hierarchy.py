@@ -21,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.network.generators import make_city, ring_radial_city
+from repro.network.routing import contraction
 from repro.network.routing.contraction import ContractionHierarchy
 from repro.network.routing.csr import CSRGraph
 
@@ -75,11 +76,13 @@ def close_burst(network, *, count: int = 12, seed: int = 0) -> list[tuple[int, i
 
 @pytest.fixture(scope="module", params=sorted(CITIES))
 def built(request):
-    """``(name, hierarchy, repaired fork)`` of one city."""
+    """``(name, hierarchy, repaired fork)`` of one city (repair uncapped)."""
     network = CITIES[request.param]()
     ch = ContractionHierarchy(CSRGraph.from_network(network))
-    closed = close_burst(network)
-    repaired = ch.repair(CSRGraph.from_network(network), closed)
+    close_burst(network)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+        repaired = ch.repair(CSRGraph.from_network(network))
     assert repaired is not None
     return request.param, ch, repaired[0]
 
@@ -98,13 +101,14 @@ def test_hierarchy_matches_golden(built):
     assert json.loads(GOLDEN.read_text())[name] == got
 
 
-def test_search_scratch_is_all_inf_between_searches():
+def test_search_scratch_is_all_inf_between_searches(monkeypatch):
+    monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
     network = ring_radial_city(4, 9, seed=3)
     ch = ContractionHierarchy(CSRGraph.from_network(network))
     n = ch.csr.num_nodes
     assert ch._dist == [math.inf] * n
-    closed = close_burst(network, count=4)
-    repaired, stats = ch.repair(CSRGraph.from_network(network), closed)
+    close_burst(network, count=4)
+    repaired, stats = ch.repair(CSRGraph.from_network(network))
     assert stats.nodes_recontracted > 0
     assert repaired._dist is ch._dist
     assert ch._dist == [math.inf] * n

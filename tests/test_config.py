@@ -135,10 +135,6 @@ class TestScenarioConfig:
         with pytest.raises(ConfigurationError):
             ScenarioConfig(refresh_policy="maybe")
         with pytest.raises(ConfigurationError):
-            ScenarioConfig(max_stale_batches=0)
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(fallback_query_budget=-1)
-        with pytest.raises(ConfigurationError):
             ScenarioConfig(slowdown_factor=0.0)
         with pytest.raises(ConfigurationError):
             ScenarioConfig(surge_multiplier=-0.5)

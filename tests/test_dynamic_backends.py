@@ -33,6 +33,7 @@ from repro.network.routing import (
     ContractionHierarchy,
     CSRGraph,
     RoutingData,
+    contraction,
     make_backend,
     routing_data,
 )
@@ -162,7 +163,13 @@ class TestMutationParity:
 
 
 class TestIncrementalRepair:
-    """DistanceOracle.repair: exact parity with fresh builds, cheaper."""
+    """DistanceOracle.repair: exact parity with fresh builds, cheaper.
+
+    Repair is uncapped here unless a test sets the cap itself."""
+
+    @pytest.fixture(autouse=True)
+    def uncapped(self, monkeypatch):
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
 
     @pytest.mark.parametrize("backend", ("ch", "hub_label"))
     def test_repair_matches_fresh_build_after_each_burst(self, backend):
@@ -217,20 +224,22 @@ class TestIncrementalRepair:
         assert report.mode == "repaired"
         assert report.nodes_recontracted < network.num_nodes
 
-    def test_repair_fraction_cap_falls_back_to_rebuild(self):
+    def test_repair_fraction_cap_falls_back_to_rebuild(self, monkeypatch):
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.02)
         network = _city(seed=12)
         oracle = DistanceOracle(network, backend="ch")
         oracle.cost(0, 5)
         for u, v, cost in sorted(network.edges())[:30]:
             network.add_edge(u, v, cost * 2.0)
-        report = oracle.repair(max_affected_fraction=0.02)
+        report = oracle.repair()
         assert report.mode == "rebuilt"
         assert not oracle.is_stale
 
-    def test_repair_snapshot_swap_on_exact_reversion(self):
+    def test_repair_snapshot_swap_on_exact_reversion(self, monkeypatch):
         """A burst that exceeds the cap rebuilds but keeps the pre-burst
         state; reverting the mutation then swaps it back without any
         preprocessing."""
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.05)
         network = _city(seed=13)
         rng = random.Random(3)
         nodes = list(network.nodes())
@@ -240,7 +249,7 @@ class TestIncrementalRepair:
         scaled = sorted(network.edges())[:40]
         for u, v, cost in scaled:
             network.add_edge(u, v, cost * 3.0)
-        assert oracle.repair(max_affected_fraction=0.05).mode == "rebuilt"
+        assert oracle.repair().mode == "rebuilt"
         for u, v, cost in scaled:
             network.add_edge(u, v, cost)
         report = oracle.repair()
@@ -255,19 +264,27 @@ class TestIncrementalRepair:
         oracle.cost(0, 5)
         assert oracle.repair().mode == "noop"
 
-    def test_repair_rebuilds_when_journal_does_not_cover(self):
-        """Node mutations invalidate the edge journal: repair must detect
-        the uncovered history and rebuild."""
+    def test_repair_survives_a_node_move_between_bursts(self):
+        """A node move changes no distance: repair diffs the held CSR against
+        the current one, so the burst after the move is still repaired, and
+        exactly."""
         network = _city(seed=15)
+        rng = random.Random(15)
+        nodes = list(network.nodes())
+        pairs = [tuple(rng.sample(nodes, 2)) for _ in range(60)]
         oracle = DistanceOracle(network, backend="ch")
-        oracle.cost(0, 5)
-        u, v, cost = next(iter(network.edges()))
+        edges = sorted(network.edges())
+        u, v, cost = edges[7]
         network.add_edge(u, v, cost * 2.0)
+        assert oracle.repair().mode == "repaired"
         x, y = network.position(u)
-        network.add_node(u, x, y)  # node move: journal reset
+        network.add_node(u, x + 25.0, y)  # node move
+        a, b, other = edges[20]
+        network.add_edge(a, b, other * 3.0)
         report = oracle.repair()
-        assert report.mode == "rebuilt"
+        assert report.mode == "repaired"
         assert not oracle.is_stale
+        _assert_parity(oracle, network, pairs)
 
     def test_repair_on_graph_search_backend_rebuilds(self):
         """dijkstra/alt hold no hierarchy; repair degenerates to the (cheap)
@@ -307,17 +324,18 @@ class TestIncrementalRepair:
         assert report.mode == "repaired"
         assert oracle.cost(0, 2) == 4.0
 
-    def test_repair_node_addition_never_swaps_a_snapshot(self):
+    def test_repair_node_addition_never_swaps_a_snapshot(self, monkeypatch):
         """Regression: the snapshot signature covers the node set, so adding
         a node (edge content unchanged) must rebuild, not swap in routing
         data for the wrong node set."""
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.05)
         network = _city(seed=22)
         oracle = DistanceOracle(network, backend="ch")
         oracle.cost(0, 5)
         scaled = sorted(network.edges())[:40]
         for u, v, cost in scaled:
             network.add_edge(u, v, cost * 3.0)
-        assert oracle.repair(max_affected_fraction=0.05).mode == "rebuilt"
+        assert oracle.repair().mode == "rebuilt"
         for u, v, cost in scaled:
             network.add_edge(u, v, cost)  # content now matches a snapshot...
         new_node = max(network.nodes()) + 1
@@ -327,22 +345,6 @@ class TestIncrementalRepair:
         assert not oracle.is_stale
         assert oracle.cost(0, 5) > 0.0
         assert oracle.cost(new_node, new_node) == 0.0
-
-    def test_journal_reports_edge_mutations(self):
-        network = _city(seed=18)
-        mark = network.mutation_count
-        u, v, cost = next(iter(network.edges()))
-        network.add_edge(u, v, cost * 2.0)
-        network.remove_edge(u, v)
-        network.add_edge(u, v, cost)
-        assert network.edge_mutations_since(mark) == [(u, v)] * 3
-        assert network.edge_mutations_since(mark + 2) == [(u, v)]
-        assert network.edge_mutations_since(network.mutation_count) == []
-        assert network.edge_mutations_since(network.mutation_count + 1) is None
-        x, y = network.position(u)
-        network.add_node(u, x, y)
-        assert network.edge_mutations_since(mark) is None
-        assert network.edge_mutations_since(network.mutation_count) == []
 
 
 class TestGeneration:
@@ -489,6 +491,7 @@ class TestRebuildAdoption:
         assert all(got[pair] == distance for pair, distance in want.items())
 
     def test_a_repair_fork_is_never_adopted(self, monkeypatch):
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
         network = _city(seed=32)
         oracle = DistanceOracle(network, backend="hub_label")
         edge = sorted(network.edges())[7:8]

@@ -69,11 +69,7 @@ class TestChaosConfig:
 
     def test_resilience_config_validation(self):
         with pytest.raises(ConfigurationError):
-            ResilienceConfig(max_attempts=0)
-        with pytest.raises(ConfigurationError):
             ResilienceConfig(batch_time_budget=-1.0)
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(breaker_threshold=0)
 
     def test_chaos_presets(self):
         assert set(CHAOS_PRESETS) == {"flaky_oracle", "oracle_meltdown"}
@@ -89,7 +85,8 @@ class TestChaosConfig:
 # retry policy
 # --------------------------------------------------------------------- #
 class TestRetryPolicy:
-    def test_succeeds_after_transient_failures(self):
+    def test_succeeds_after_transient_failures(self, monkeypatch):
+        monkeypatch.setattr(RetryPolicy, "BASE_DELAY", 0.5)
         calls = {"n": 0}
 
         def flaky():
@@ -98,22 +95,29 @@ class TestRetryPolicy:
                 raise InjectedFaultError("transient")
             return "ok"
 
-        policy = RetryPolicy(max_attempts=3, base_delay=0.5, jitter=0.25)
-        result, outcome = policy.call(
-            flaky, rng=Random(7), error_type=OracleBuildError, describe="op"
+        pauses = []
+        result, seconds = RetryPolicy().call(
+            flaky,
+            rng=Random(7),
+            error_type=OracleBuildError,
+            describe="op",
+            on_retry=lambda a, p, e: pauses.append(p),
         )
         assert result == "ok"
-        assert outcome.attempts == 3
-        assert outcome.retries == 2
-        # Backoff is virtual: charged to the outcome, never slept.
-        assert outcome.backoff_seconds > 0.5
-        assert outcome.seconds >= outcome.backoff_seconds
+        assert calls["n"] == 3
+        assert len(pauses) == 2
+        # Backoff is virtual: charged to the seconds, never slept.
+        assert sum(pauses) > 0.5
+        assert seconds >= sum(pauses)
 
-    def test_exhaustion_raises_typed_error(self):
+    def test_exhaustion_raises_typed_error(self, monkeypatch):
+        monkeypatch.setattr(RetryPolicy, "MAX_ATTEMPTS", 2)
+        monkeypatch.setattr(RetryPolicy, "BASE_DELAY", 0.0)
+
         def always_fails():
             raise InjectedFaultError("down")
 
-        policy = RetryPolicy(max_attempts=2, base_delay=0.0)
+        policy = RetryPolicy()
         with pytest.raises(OracleBuildError) as excinfo:
             policy.call(
                 always_fails,
@@ -131,17 +135,18 @@ class TestRetryPolicy:
                 describe="repair",
             )
 
-    def test_deadline_budget_cuts_retries_short(self):
+    def test_deadline_budget_cuts_retries_short(self, monkeypatch):
         def always_fails():
             raise InjectedFaultError("down")
 
         # The first virtual pause alone blows the 1s deadline.
-        policy = RetryPolicy(
-            max_attempts=10, base_delay=5.0, jitter=0.0, deadline=1.0
-        )
+        monkeypatch.setattr(RetryPolicy, "MAX_ATTEMPTS", 10)
+        monkeypatch.setattr(RetryPolicy, "BASE_DELAY", 5.0)
+        monkeypatch.setattr(RetryPolicy, "JITTER", 0.0)
+        monkeypatch.setattr(RetryPolicy, "DEADLINE", 1.0)
         attempts = []
         with pytest.raises(OracleBuildError, match="deadline"):
-            policy.call(
+            RetryPolicy().call(
                 always_fails,
                 rng=Random(1),
                 error_type=OracleBuildError,
@@ -150,13 +155,14 @@ class TestRetryPolicy:
             )
         assert attempts == []  # never got to a second attempt
 
-    def test_non_repro_errors_propagate_immediately(self):
+    def test_non_repro_errors_propagate_immediately(self, monkeypatch):
+        monkeypatch.setattr(RetryPolicy, "MAX_ATTEMPTS", 5)
+
         def broken():
             raise ValueError("a genuine bug")
 
-        policy = RetryPolicy(max_attempts=5)
         with pytest.raises(ValueError):
-            policy.call(
+            RetryPolicy().call(
                 broken, rng=Random(1), error_type=OracleBuildError, describe="op"
             )
 
@@ -164,9 +170,15 @@ class TestRetryPolicy:
 # --------------------------------------------------------------------- #
 # circuit breaker
 # --------------------------------------------------------------------- #
+def _breaker(monkeypatch, *, threshold: int, interval: int) -> CircuitBreaker:
+    monkeypatch.setattr(CircuitBreaker, "FAILURE_THRESHOLD", threshold)
+    monkeypatch.setattr(CircuitBreaker, "RECOVERY_INTERVAL", interval)
+    return CircuitBreaker()
+
+
 class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures(self):
-        breaker = CircuitBreaker(failure_threshold=2, recovery_interval=2)
+    def test_trips_after_consecutive_failures(self, monkeypatch):
+        breaker = _breaker(monkeypatch, threshold=2, interval=2)
         assert breaker.state is BreakerState.CLOSED
         assert not breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED
@@ -174,15 +186,15 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.OPEN
         assert breaker.trips == 1
 
-    def test_success_resets_consecutive_count(self):
-        breaker = CircuitBreaker(failure_threshold=2, recovery_interval=1)
+    def test_success_resets_consecutive_count(self, monkeypatch):
+        breaker = _breaker(monkeypatch, threshold=2, interval=1)
         breaker.record_failure()
         breaker.record_success()
         breaker.record_failure()
         assert breaker.state is BreakerState.CLOSED  # streak was broken
 
-    def test_recovery_cycle_closes_on_success(self):
-        breaker = CircuitBreaker(failure_threshold=1, recovery_interval=2)
+    def test_recovery_cycle_closes_on_success(self, monkeypatch):
+        breaker = _breaker(monkeypatch, threshold=1, interval=2)
         assert breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert not breaker.tick()  # cooldown 2 -> 1
@@ -192,8 +204,8 @@ class TestCircuitBreaker:
         assert breaker.state is BreakerState.CLOSED
         assert breaker.trips == 1
 
-    def test_half_open_failure_reopens_and_counts_a_trip(self):
-        breaker = CircuitBreaker(failure_threshold=2, recovery_interval=1)
+    def test_half_open_failure_reopens_and_counts_a_trip(self, monkeypatch):
+        breaker = _breaker(monkeypatch, threshold=2, interval=1)
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.tick()
@@ -202,10 +214,6 @@ class TestCircuitBreaker:
         assert breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert breaker.trips == 2
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(failure_threshold=0)
 
 
 # --------------------------------------------------------------------- #
@@ -301,21 +309,23 @@ class TestOracleSeams:
 # invariant probes and the self-healing rung
 # --------------------------------------------------------------------- #
 class TestProbesAndSelfHealing:
-    def test_probe_detects_corruption(self, grid_network):
+    def test_probe_detects_corruption(self, grid_network, monkeypatch):
+        monkeypatch.setattr(InvariantProbe, "SEED", 5)
         injector = FaultInjector(
             ChaosConfig(corruption_rate=1.0, corruption_factor=1.1)
         )
         oracle = ChaosOracle(grid_network, injector=injector, backend="ch")
-        probe = InvariantProbe(pairs=4, seed=5)
+        probe = InvariantProbe(pairs=4)
         assert probe.check(grid_network, oracle) == []
         oracle.rebuild()
         failures = probe.check(grid_network, oracle)
         assert failures
         assert all(f.got == pytest.approx(1.1 * f.want) for f in failures)
 
-    def test_probe_sampling_is_seeded(self, grid_network, oracle):
-        a = InvariantProbe(pairs=6, seed=9)
-        b = InvariantProbe(pairs=6, seed=9)
+    def test_probe_sampling_is_seeded(self, grid_network, oracle, monkeypatch):
+        monkeypatch.setattr(InvariantProbe, "SEED", 9)
+        a = InvariantProbe(pairs=6)
+        b = InvariantProbe(pairs=6)
         a.check(grid_network, oracle)
         b.check(grid_network, oracle)
         assert a._rng.getstate() == b._rng.getstate()
@@ -362,11 +372,13 @@ class TestProbesAndSelfHealing:
 # degradation ladder through the refresh policies
 # --------------------------------------------------------------------- #
 class TestGuardedRefresh:
+    @pytest.fixture(autouse=True)
+    def hair_trigger_breakers(self, monkeypatch):
+        monkeypatch.setattr(CircuitBreaker, "FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr(CircuitBreaker, "RECOVERY_INTERVAL", 1)
+
     def _manager(self, **chaos_kwargs):
-        return ResilienceManager(
-            config=ResilienceConfig(breaker_threshold=1, recovery_interval=1),
-            chaos=ChaosConfig(**chaos_kwargs),
-        )
+        return ResilienceManager(chaos=ChaosConfig(**chaos_kwargs))
 
     def test_rebuild_failure_drops_to_exact_fallback(self, grid_network):
         manager = self._manager(rebuild_failure_rate=1.0)

@@ -22,11 +22,12 @@ from repro.model.vehicle import Vehicle
 from repro.network.generators import grid_city
 from repro.network import shortest_path
 from repro.network.grid_index import GridIndex
-from repro.network.routing import ContractionHierarchy, routing_data
+from repro.network.routing import ContractionHierarchy, contraction, routing_data
 from repro.network.shortest_path import DistanceOracle
 from repro.scenarios import (
     CancelRequests,
     CloseEdges,
+    DeferredRefreshPolicy,
     ReopenEdges,
     RestoreEdges,
     ScaleEdges,
@@ -228,12 +229,11 @@ class TestRefreshPolicies:
         assert policy.stats.rebuilds == 1 and not oracle.is_stale
         assert not oracle.serving_fallback
 
-    def test_deferred_respects_batch_budget(self, city):
+    def test_deferred_respects_batch_budget(self, city, monkeypatch):
+        monkeypatch.setattr(DeferredRefreshPolicy, "MAX_STALE_BATCHES", 2)
+        monkeypatch.setattr(DeferredRefreshPolicy, "FALLBACK_QUERY_BUDGET", 10_000)
         policy = make_refresh_policy(
-            "deferred", config=ScenarioConfig(
-                refresh_policy="deferred", max_stale_batches=2,
-                fallback_query_budget=10_000,
-            )
+            "deferred", config=ScenarioConfig(refresh_policy="deferred")
         )
         oracle = self._mutated(city)
         policy.on_mutations(oracle, 10.0, 1)
@@ -245,12 +245,11 @@ class TestRefreshPolicies:
         assert policy.stats.stale_batches == 2
         assert policy.stats.stale_seconds > 0.0
 
-    def test_deferred_respects_query_budget(self, city):
+    def test_deferred_respects_query_budget(self, city, monkeypatch):
+        monkeypatch.setattr(DeferredRefreshPolicy, "MAX_STALE_BATCHES", 99)
+        monkeypatch.setattr(DeferredRefreshPolicy, "FALLBACK_QUERY_BUDGET", 5)
         policy = make_refresh_policy(
-            "deferred", config=ScenarioConfig(
-                refresh_policy="deferred", max_stale_batches=99,
-                fallback_query_budget=5,
-            )
+            "deferred", config=ScenarioConfig(refresh_policy="deferred")
         )
         oracle = self._mutated(city)
         policy.on_mutations(oracle, 10.0, 1)
@@ -335,13 +334,12 @@ class TestRefreshPolicies:
             DistanceOracle(city, cache_size=0).cost(u, v), abs=1e-9
         )
 
-    def test_repair_falls_back_beyond_fraction_cap(self, city):
-        """A burst whose affected set exceeds the configurable fraction cap
-        is absorbed by a full rebuild instead."""
+    def test_repair_falls_back_beyond_fraction_cap(self, city, monkeypatch):
+        """A burst whose affected set exceeds the fraction cap is absorbed by
+        a full rebuild instead."""
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.01)
         policy = make_refresh_policy(
-            "repair", config=ScenarioConfig(
-                refresh_policy="repair", repair_max_fraction=0.01,
-            )
+            "repair", config=ScenarioConfig(refresh_policy="repair")
         )
         oracle = DistanceOracle(city, backend="ch")
         oracle.cost(0, 7)
@@ -350,13 +348,6 @@ class TestRefreshPolicies:
         policy.on_mutations(oracle, 10.0, 20)
         assert policy.stats.rebuilds == 1 and policy.stats.repairs == 0
         assert not oracle.is_stale
-
-    def test_repair_fraction_validation(self):
-        with pytest.raises(ConfigurationError):
-            make_refresh_policy(
-                "repair",
-                config=ScenarioConfig(refresh_policy="repair", repair_max_fraction=0.0),
-            )
 
 
 class TestSurgeModulation:
