@@ -286,6 +286,27 @@ class TestIncrementalRepair:
         assert not oracle.is_stale
         _assert_parity(oracle, network, pairs)
 
+    def test_repair_seeds_its_dirty_set_from_the_csr_diff(self):
+        """Repair keeps no record of the mutations: it diffs the held CSR
+        against the new one.  An identical CSR, or a closure undone at the
+        old weight before repair, seeds nothing and replays the hierarchy
+        unchanged; a real reweight re-contracts nodes."""
+        network = _city(seed=23)
+        ch = ContractionHierarchy(CSRGraph.from_network(network))
+        digest = hierarchy_digest(ch)
+        same, stats = ch.repair(CSRGraph.from_network(network))
+        assert (stats.nodes_recontracted, stats.shortcuts_replaced) == (0, 0)
+        assert hierarchy_digest(same) == digest
+        u, v, cost = sorted(network.edges())[9]
+        network.remove_edge(u, v)
+        network.add_edge(u, v, cost)
+        undone, stats = ch.repair(CSRGraph.from_network(network))
+        assert (stats.nodes_recontracted, stats.shortcuts_replaced) == (0, 0)
+        assert hierarchy_digest(undone) == digest
+        network.add_edge(u, v, cost * 2.0)
+        _, stats = ch.repair(CSRGraph.from_network(network))
+        assert stats.nodes_recontracted > 0
+
     def test_repair_on_graph_search_backend_rebuilds(self):
         """dijkstra/alt hold no hierarchy; repair degenerates to the (cheap)
         CSR rebuild."""

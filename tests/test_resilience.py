@@ -155,6 +155,24 @@ class TestRetryPolicy:
             )
         assert attempts == []  # never got to a second attempt
 
+    def test_first_try_success_charges_no_backoff(self):
+        """A first-try success never retries and draws no jitter, so the
+        seeded jitter stream only moves on failures."""
+        rng = Random(3)
+        state = rng.getstate()
+        pauses = []
+        result, seconds = RetryPolicy().call(
+            lambda: 42,
+            rng=rng,
+            error_type=OracleBuildError,
+            describe="op",
+            on_retry=lambda a, p, e: pauses.append(p),
+        )
+        assert result == 42
+        assert pauses == []
+        assert 0.0 <= seconds < RetryPolicy.BASE_DELAY
+        assert rng.getstate() == state
+
     def test_non_repro_errors_propagate_immediately(self, monkeypatch):
         monkeypatch.setattr(RetryPolicy, "MAX_ATTEMPTS", 5)
 
@@ -214,6 +232,19 @@ class TestCircuitBreaker:
         assert breaker.record_failure()
         assert breaker.state is BreakerState.OPEN
         assert breaker.trips == 2
+
+    def test_begin_run_builds_fresh_breakers(self, monkeypatch):
+        """The manager builds its breakers in begin_run alone, so a trip in
+        one run never carries into the next."""
+        monkeypatch.setattr(CircuitBreaker, "FAILURE_THRESHOLD", 1)
+        manager = ResilienceManager()
+        assert manager.oracle_breaker.record_failure()
+        assert manager.dispatch_breaker.record_failure()
+        assert manager.breaker_trips == 2
+        manager.begin_run()
+        assert manager.breaker_trips == 0
+        assert manager.oracle_breaker.state is BreakerState.CLOSED
+        assert manager.dispatch_breaker.state is BreakerState.CLOSED
 
 
 # --------------------------------------------------------------------- #

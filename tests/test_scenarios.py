@@ -14,7 +14,13 @@ import random
 
 import pytest
 
-from repro.config import DemandSurge, ScenarioConfig, SimulationConfig, WorkloadConfig
+from repro.config import (
+    REFRESH_POLICIES,
+    DemandSurge,
+    ScenarioConfig,
+    SimulationConfig,
+    WorkloadConfig,
+)
 from repro.dispatch import make_dispatcher
 from repro.exceptions import ConfigurationError, ScenarioError
 from repro.model.request import Request
@@ -228,6 +234,14 @@ class TestRefreshPolicies:
         policy.on_mutations(oracle, 10.0, 1)
         assert policy.stats.rebuilds == 1 and not oracle.is_stale
         assert not oracle.serving_fallback
+
+    def test_every_configured_name_builds_its_policy(self):
+        """``REFRESH_POLICIES`` is the one list of policy names: each builds
+        the policy that reports it, by name or through a scenario config."""
+        for name in REFRESH_POLICIES:
+            assert make_refresh_policy(name).name == name
+            config = ScenarioConfig(refresh_policy=name)
+            assert make_refresh_policy(config=config).name == name
 
     def test_deferred_respects_batch_budget(self, city, monkeypatch):
         monkeypatch.setattr(DeferredRefreshPolicy, "MAX_STALE_BATCHES", 2)
