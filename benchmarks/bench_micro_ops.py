@@ -104,12 +104,13 @@ def test_grid_index_k_nearest(benchmark, city):
     assert benchmark(run) >= 24 * len(queries)
 
 
-@pytest.mark.parametrize("reach", ["up to k", "more than k", "none"])
+@pytest.mark.parametrize("reach", ["up to k", "more than k", "none", "none, some in time"])
 def test_candidate_vehicles(benchmark, city, oracle, config, reach):
     """One offer's candidate search over a 400-vehicle fleet, ``max_candidates``
     24, by what the pick-up radius holds: at most 24 vehicles (returned as
-    found), more (cut to the 24 nearest) or none (the fallback: the 24 nearest
-    of the fleet)."""
+    found), more (cut to the 24 nearest) or none (the fallback: those of the
+    24 nearest of the fleet that make the pick-up at the city's top speed --
+    none of them at no waiting time, the adjacent nodes' at 14 s)."""
     rng = random.Random(3)
     nodes = list(city.nodes())
     sources = rng.sample(nodes, 40)
@@ -118,11 +119,12 @@ def test_candidate_vehicles(benchmark, city, oracle, config, reach):
     index = GridIndex.for_network(city, cells_per_axis=config.grid_cells)
     for vehicle in vehicles:
         index.insert(vehicle.vehicle_id, *city.position(vehicle.location))
-    # The radius is 10 m/s times the waiting time left: 150 m, 600 m, 1 m.
-    max_wait = {"up to k": 15.0, "more than k": 60.0, "none": 0.0}[reach]
+    # The radius is 10 m/s times the waiting time left: 150 m, 600 m, 1 m,
+    # 140 m (a block is 150 m; the top speed is 12.5 m/s).
+    max_wait = {"up to k": 15.0, "more than k": 60.0, "none": 0.0, "none, some in time": 14.0}
     offers = [
         Request(release_time=0.0, request_id=rid, source=source,
-                destination=elsewhere[0], max_wait=max_wait)
+                destination=elsewhere[0], max_wait=max_wait[reach])
         for rid, source in enumerate(sources)
     ]
     context = DispatchContext(
@@ -132,10 +134,25 @@ def test_candidate_vehicles(benchmark, city, oracle, config, reach):
     )
 
     def run():
-        return [len(candidate_vehicles(offer, context, max_candidates=24)) for offer in offers]
+        return [candidate_vehicles(offer, context, max_candidates=24) for offer in offers]
 
-    found = benchmark(run)
-    assert max(found) <= 24 and (reach == "up to k" or min(found) == 24)
+    found = [len(candidates) for candidates in benchmark(run)]
+    assert max(found) <= 24
+    if reach == "more than k":
+        assert min(found) == 24
+    elif reach.startswith("none"):
+        # The reach rule on the 24 nearest, sorted stably from fleet order.
+        speed = oracle.top_speed()
+        kept = []
+        for offer in offers:
+            nearest = sorted(vehicles, key=lambda v: city.euclidean(v.location, offer.source))
+            kept.append(sum(
+                city.euclidean(v.location, offer.source) / speed <= offer.latest_pickup + 1e-9
+                for v in nearest[:24]
+            ))
+        assert found == kept
+        assert (sum(found) > 0) == (reach == "none, some in time")
+        assert max(found) < 24
 
 
 def test_linear_insertion(benchmark, oracle, requests):

@@ -201,10 +201,12 @@ def candidate_vehicles(
     More than ``max_candidates`` of either are cut to the nearest ones by
     straight-line distance, equally distant vehicles staying in the order
     they were in -- for the fallback those come from the index's k-nearest
-    query, not from sorting the fleet.
+    query, not from sorting the fleet, and only those that make the pick-up
+    at ``oracle.top_speed()`` (no route is faster) are kept.
     """
     x, y = context.network.position(request.source)
-    slack = max(request.latest_pickup - context.current_time, 0.0)
+    now = context.current_time
+    slack = max(request.latest_pickup - now, 0.0)
     radius = max(context.average_speed * slack, 1.0)
     index = context.vehicle_index
     by_id = context.vehicles_by_id
@@ -224,7 +226,11 @@ def candidate_vehicles(
             for distance, vid in index.k_nearest(x, y, max_candidates)
         ]
     ranked.sort()
-    return [pool[rank] for _, rank in ranked[:max_candidates]]
+    cut = [pool[rank] for _, rank in ranked[:max_candidates]]
+    if found:
+        return cut
+    speed, due = context.oracle.top_speed(), request.latest_pickup + 1e-9
+    return [v for (d, _), v in zip(ranked, cut) if v.departure_time(now) + d / speed <= due]
 
 
 def nearest_requests(

@@ -252,13 +252,14 @@ class Vehicle:
         describe the vehicle -- and with it what was derived from it.  An
         idle vehicle departs at ``current_time`` and gets a new one per call.
         """
+        departure = self.departure_time(current_time)
         if self.schedule and self._leg_arrival is not None:
             # Driving: the first remaining way-point is committed.
             snapshot = self._snapshot
             if (
                 snapshot is None
                 or snapshot.schedule is not self.schedule
-                or snapshot.departure_time != self._clock
+                or snapshot.departure_time != departure
                 or snapshot.origin != self.location
                 or snapshot.onboard != self.onboard
                 or snapshot.capacity != self.capacity
@@ -266,7 +267,7 @@ class Vehicle:
                 snapshot = self._snapshot = RouteState(
                     vehicle_id=self.vehicle_id,
                     origin=self.location,
-                    departure_time=self._clock,
+                    departure_time=departure,
                     schedule=self.schedule,
                     capacity=self.capacity,
                     onboard=self.onboard,
@@ -277,12 +278,17 @@ class Vehicle:
         return RouteState(
             vehicle_id=self.vehicle_id,
             origin=self.location,
-            departure_time=max(self._clock, current_time),
+            departure_time=departure,
             schedule=self.schedule,
             capacity=self.capacity,
             onboard=self.onboard,
             min_insert_position=0,
         )
+
+    def departure_time(self, current_time: float) -> float:
+        """When a plan made at ``current_time`` leaves :attr:`location`."""
+        driving = self.schedule and self._leg_arrival is not None
+        return self._clock if driving else max(self._clock, current_time)
 
     @property
     def is_idle(self) -> bool:

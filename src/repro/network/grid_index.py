@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
-from operator import itemgetter
 
 from ..exceptions import NetworkError
 from .road_network import RoadNetwork
@@ -141,21 +140,6 @@ class GridIndex:
                     results.append(key)
         return results
 
-    def query_rectangle(
-        self, min_x: float, min_y: float, max_x: float, max_y: float
-    ) -> list:
-        """All keys inside the axis-aligned rectangle (inclusive bounds)."""
-        results = []
-        lo = self._cell_of(min_x, min_y)
-        hi = self._cell_of(max_x, max_y)
-        for cx in range(lo[0], hi[0] + 1):
-            for cy in range(lo[1], hi[1] + 1):
-                for key in self._cells.get((cx, cy), ()):
-                    px, py = self._positions[key]
-                    if min_x <= px <= max_x and min_y <= py <= max_y:
-                        results.append(key)
-        return results
-
     def k_nearest(self, x: float, y: float, k: int) -> list[tuple[float, int]]:
         """``(distance, key)`` of every key in a disk around ``(x, y)`` that
         holds at least ``k`` keys (every key when the index holds fewer).
@@ -187,24 +171,6 @@ class GridIndex:
             if len(found) >= wanted:
                 return found
             radius *= 2
-
-    def nearest(self, x: float, y: float, *, max_radius: float | None = None) -> int | None:
-        """Key closest to ``(x, y)``; ``None`` when the index is empty or
-        the closest key is farther away than ``max_radius``.
-
-        Among equally close keys the first in query order wins.
-        """
-        found = self.k_nearest(x, y, 1)
-        if not found:
-            return None
-        distance, key = min(found, key=itemgetter(0))
-        if max_radius is not None and distance > max_radius:
-            return None
-        return key
-
-    def cell_counts(self) -> dict[tuple[int, int], int]:
-        """Number of objects per non-empty cell (used by the DARM heuristic)."""
-        return {cell: len(members) for cell, members in self._cells.items() if members}
 
     def cell_of_point(self, x: float, y: float) -> tuple[int, int]:
         """Cell coordinates containing ``(x, y)`` (clamped to the grid)."""

@@ -19,6 +19,7 @@ ablation metrics (Tables V and VI).  This module reproduces that interface:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import OrderedDict
 from collections.abc import Sequence
@@ -139,6 +140,8 @@ class DistanceOracle:
         #: Content-addressed LRU of recent routing states (see :meth:`rebuild`
         #: / :meth:`repair`): edge-content signature -> RoutingData.
         self._snapshots: OrderedDict[tuple, RoutingData] = OrderedDict()
+        #: :meth:`top_speed` of the routing state it was worked out on.
+        self._top_speed: tuple[RoutingData | None, float] = (None, 0.0)
         #: Query-trace sampling interval (observability).  0 disables; the
         #: miss-path guard is a single falsy-int check so an untraced oracle
         #: pays no measurable per-query cost.  See :meth:`set_query_tracing`.
@@ -304,6 +307,19 @@ class DistanceOracle:
             return
         self.clear_cache()
         self._fallback = make_backend("dijkstra", data)
+
+    def top_speed(self) -> float:
+        """``max(euclidean(u, v) / w)`` over the edges of the serving routing
+        state, plus a 1e-9 relative margin (``inf`` if no edge bounds it): no
+        cost is below ``euclidean(source, target) / top_speed()``.  Worked out
+        on first use per state, so it follows a refresh or the fallback."""
+        data = (self._fallback or self._backend).data
+        if self._top_speed[0] is not data:
+            csr, euclidean, ids = data.csr, self._network.euclidean, data.csr.node_ids
+            speeds = (euclidean(ids[u], ids[v]) / w if w > 0 else math.inf
+                      for u in range(csr.num_nodes) for v, w in csr.out_edges(u))
+            self._top_speed = (data, max(speeds, default=0.0) * (1 + 1e-9) or math.inf)
+        return self._top_speed[1]
 
     def set_query_tracing(self, tracer: object | None, every: int = 100) -> None:
         """Sample every ``every``-th *computed* point query into ``tracer``.

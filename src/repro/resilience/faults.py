@@ -19,6 +19,7 @@ whose refresh and query seams consult the injector:
   weights were perturbed) until :meth:`ChaosOracle.heal` clears it.  The
   scaling is applied at the query layer on every finite nonzero cost, so any
   invariant probe pair detects it.
+* ``top_speed`` is divided by the factor, so it still bounds the costs.
 * ``cost`` / ``many_to_many`` draw latency spikes, accumulated as *virtual*
   seconds the simulator charges against its per-batch time budget.
 """
@@ -160,6 +161,9 @@ class ChaosOracle(DistanceOracle):
     # ------------------------------------------------------------------ #
     # query seams
     # ------------------------------------------------------------------ #
+    def top_speed(self) -> float:
+        return super().top_speed() / (self._corruption or 1.0)
+
     def cost(self, source: int, target: int) -> float:
         self.injector.query_spike()
         value = super().cost(source, target)

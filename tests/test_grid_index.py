@@ -81,26 +81,19 @@ class TestQueries:
         with pytest.raises(NetworkError):
             index.query_radius(0, 0, -1)
 
-    def test_rectangle_query(self, index: GridIndex):
-        index.insert("a", 100, 100)
-        index.insert("b", 300, 300)
-        index.insert("c", 800, 800)
-        found = set(index.query_rectangle(50, 50, 350, 350))
-        assert found == {"a", "b"}
-
-    def test_nearest(self, index: GridIndex):
+    def test_k_nearest_one(self, index: GridIndex):
         index.insert("a", 100, 100)
         index.insert("b", 900, 900)
-        assert index.nearest(120, 120) == "a"
-        assert index.nearest(850, 880) == "b"
+        assert [key for _, key in index.k_nearest(120, 120, 1)] == ["a"]
+        assert min(index.k_nearest(850, 880, 1))[1] == "b"
 
-    def test_nearest_empty_index(self, index: GridIndex):
-        assert index.nearest(0, 0) is None
+    def test_k_nearest_empty_index(self, index: GridIndex):
+        assert index.k_nearest(0, 0, 1) == []
 
-    def test_nearest_ignores_keys_beyond_max_radius(self, index: GridIndex):
+    def test_radius_query_ignores_keys_beyond_the_radius(self, index: GridIndex):
         index.insert("a", 100, 100)
-        assert index.nearest(100, 400, max_radius=300) == "a"
-        assert index.nearest(100, 400, max_radius=299) is None
+        assert index.query_radius(100, 400, 300) == ["a"]
+        assert index.query_radius(100, 400, 299) == []
 
     def test_k_nearest_returns_distances_and_the_ties_of_the_kth(self, index: GridIndex):
         for key, (x, y) in {"a": (500, 500), "b": (500, 600), "c": (600, 500),
@@ -115,12 +108,9 @@ class TestQueries:
         assert index.k_nearest(500, 500, 0) == []
         assert index.k_nearest(-4000, 9000, 1) != []
 
-    def test_cell_counts_and_center(self, index: GridIndex):
-        index.insert("a", 10, 10)
-        index.insert("b", 20, 20)
-        counts = index.cell_counts()
+    def test_cell_of_point_and_center(self, index: GridIndex):
         cell = index.cell_of_point(15, 15)
-        assert counts[cell] == 2
+        assert cell == index.cell_of_point(10, 10) == index.cell_of_point(20, 20)
         cx, cy = index.cell_center(cell)
         assert 0 <= cx <= 100 and 0 <= cy <= 100
 

@@ -367,20 +367,38 @@ class TestTickCostsWhatChanged:
 
 
 def _ask_every_candidate(request, context, routes, max_candidates):
-    """The obvious ``feasible_insertions``: prefetch every candidate's
-    position, hand every candidate to the kernel."""
+    """The obvious ``feasible_insertions``: prefetch the pick-up leg of every
+    candidate route open at position 0 (the legs production prefetches),
+    hand every candidate to the kernel.
+
+    Not every candidate's leg: ``dijkstra`` learns a prefetched pair from a
+    reverse search, whose sums may differ in the last ulp from the forward
+    point query that would otherwise answer a pair the kernel reads later.
+    """
     oracle = context.oracle
     offered = [
         routes[vehicle.vehicle_id]
         for vehicle in candidate_vehicles(request, context, max_candidates=max_candidates)
     ]
-    oracle.prefetch([route.origin for route in offered], (request.source,))
+    oracle.prefetch(
+        [route.origin for route in offered if not route.min_insert_position], (request.source,)
+    )
     found = []
     for route in offered:
         outcome = base.best_insertion(route, request, oracle)
         if outcome.feasible:
             found.append((outcome, route.vehicle_id))
     return found
+
+
+def _prefetch_every_candidate(request, context, routes, max_candidates):
+    """``feasible_insertions`` after warming every candidate's pick-up leg,
+    the driving routes' too (which the kernel never reads)."""
+    offered = candidate_vehicles(request, context, max_candidates=max_candidates)
+    context.oracle.prefetch(
+        [routes[vehicle.vehicle_id].origin for vehicle in offered], (request.source,)
+    )
+    return feasible_insertions(request, context, routes, max_candidates)
 
 
 def _replace_everywhere(patch, original, replacement) -> None:
@@ -443,6 +461,31 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
             assert asked[0] < asked[1]
         if algorithm == "SARD":
             assert counters["searches"] <= obvious[2]["searches"]
+
+    @pytest.mark.parametrize("backend", ["ch", "hub_label"])
+    @pytest.mark.parametrize("algorithm", ["SARD", "TicketAssign+"])
+    def test_prefetching_every_candidate_is_invisible_on_label_joins(
+        self, algorithm, backend, monkeypatch
+    ):
+        """A label join reads the same two labels whichever search filled
+        the cache, so warming legs nobody reads changes no answer; on
+        ``dijkstra`` / ``alt`` it may (see :func:`_ask_every_candidate`)."""
+        def make_spec():
+            return RunSpec(
+                mode="service", preset="nyc", scale=0.1, algorithm=algorithm, backend=backend
+            )
+
+        events, summary, counters = _observe(make_spec(), monkeypatch)
+        with monkeypatch.context() as patch:
+            _replace_everywhere(patch, feasible_insertions, _prefetch_every_candidate)
+            warmed = _observe(make_spec(), monkeypatch)
+        assert warmed[0] == events
+        for key in summary:
+            if key not in _ORACLE_EFFORT:
+                assert warmed[1][key] == summary[key], key
+        assert warmed[2]["queries"] == counters["queries"]
+        # The driving routes' legs were really asked of the backend.
+        assert warmed[2]["searches"] > counters["searches"]
 
     def test_a_repeated_offer_to_an_unchanged_driving_fleet_asks_nothing(
         self, make_request, make_context, oracle, monkeypatch

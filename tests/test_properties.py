@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import HealthCheck, event, given, settings
+from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from repro.config import ChaosConfig, SimulationConfig
@@ -577,8 +577,7 @@ class TestGridIndexProperties:
             descending.insert(key, 100.0, 100.0)
         assert ascending.query_radius(100, 100, 10) == [0, 8, 16]
         assert descending.query_radius(100, 100, 10) == [0, 8, 16]
-        assert descending.query_rectangle(90, 90, 110, 110) == [0, 8, 16]
-        assert descending.nearest(100, 100) == 0
+        assert descending.k_nearest(100, 100, 1) == [(0.0, 0), (0.0, 8), (0.0, 16)]
 
     @given(
         cells_per_axis=st.sampled_from([1, 3, 8, 32]),
@@ -630,9 +629,8 @@ class TestGridIndexProperties:
             answer = direct.query_radius(x, y, radius)
             assert travelled.query_radius(x, y, radius) == answer
             assert answer == _reference_query_radius(direct, x, y, radius)
-            box = (x - radius, y - radius, x + radius, y + radius)
-            assert travelled.query_rectangle(*box) == direct.query_rectangle(*box)
-            assert travelled.nearest(x, y) == direct.nearest(x, y)
+            for k in (1, 5):
+                assert travelled.k_nearest(x, y, k) == direct.k_nearest(x, y, k)
 
 
     @given(
@@ -700,7 +698,7 @@ class TestGridIndexProperties:
         assert len({key for _, key in found}) == len(found)
         assert all(truth[key] == distance for distance, key in found)
         if not contents:
-            assert found == [] and index.nearest(x, y) is None
+            assert found == []
             return
         kth = sorted(truth.values())[min(k, len(truth)) - 1]
         reach = max(distance for distance, _ in found)
@@ -710,36 +708,112 @@ class TestGridIndexProperties:
         assert [key for _, key in found] == sorted(
             inside, key=lambda key: (index._cell_of(*contents[key]), key)
         )
-        # ``nearest`` is the k = 1 case: the first of the closest in that order.
+        # k = 1 holds every closest key; a disk short of them holds nothing.
         closest = min(truth.values())
-        assert index.nearest(x, y) == min(
-            (key for key in truth if truth[key] == closest),
-            key=lambda key: (index._cell_of(*contents[key]), key),
-        )
-        assert index.nearest(x, y, max_radius=closest) == index.nearest(x, y)
+        assert {key for key in truth if truth[key] == closest} <= {
+            key for _, key in index.k_nearest(x, y, 1)
+        }
         if closest > 0:
-            assert index.nearest(x, y, max_radius=closest * 0.99) is None
+            assert index.query_radius(x, y, closest * 0.99) == []
+
+
+_EXPRESS_ROADS = ((_NODES[7], _NODES[28]), (_NODES[25], _NODES[10]))
+
+
+def _express_city():
+    """``_CITY``'s lattice plus two diagonal express roads at 25 m/s, so the
+    network's top speed is not the lattice's 10 m/s.  Both end inside the
+    city: a vehicle at one end is not the farthest from the other."""
+    city = grid_city(6, 6, block_length=100.0, speed=10.0, perturbation=0.0, seed=0)
+    for u, v in _EXPRESS_ROADS:
+        city.add_edge(u, v, city.euclidean(u, v) / 25.0, bidirectional=True)
+    return city
+
+
+_EXPRESS = _express_city()
+_EXPRESS_ORACLE = DistanceOracle(_EXPRESS)
 
 
 def _reference_candidate_vehicles(request, context, *, max_candidates=None):
     """``candidate_vehicles`` the obvious way: the range query, else the whole
-    fleet, then a stable sort by straight-line distance from the nodes."""
-    source_xy = context.network.position(request.source)
-    slack = max(request.latest_pickup - context.current_time, 0.0)
+    fleet, then a stable sort by straight-line distance from the nodes and a
+    cut; a cut fallback keeps the vehicles whose snapshots reach the pick-up
+    in time at the fastest edge's speed."""
+    network, now = context.network, context.current_time
+    source_xy = network.position(request.source)
+    slack = max(request.latest_pickup - now, 0.0)
     radius = max(context.average_speed * slack, 1.0)
     ids = context.vehicle_index.query_radius(source_xy[0], source_xy[1], radius)
     by_id = context.vehicles_by_id
     found = [by_id[vid] for vid in ids if vid in by_id]
-    if not found:
+    fallback = not found
+    if fallback:
         found = list(context.vehicles)
     if max_candidates is not None and len(found) > max_candidates:
-        found.sort(key=lambda v: context.network.euclidean(v.location, request.source))
+        found.sort(key=lambda v: network.euclidean(v.location, request.source))
         found = found[:max_candidates]
+        if fallback:
+            speed = max(network.euclidean(u, v) / w for u, v, w in network.edges())
+            speed *= 1 + 1e-9
+            found = [
+                v for v in found
+                if v.route_state(now).departure_time
+                + network.euclidean(v.location, request.source) / speed
+                <= request.latest_pickup + 1e-9
+            ]
     return found
 
 
-#: (node, on shift): three vehicles in four are on shift.
-_placed_vehicle = st.tuples(node_ids, st.sampled_from([True, True, True, False]))
+def _placed(nodes):
+    """(node, on shift, plan, clock): three vehicles in four are on shift; a
+    plan is none, assigned at ``clock`` but not yet under way, or under way
+    since."""
+    return st.tuples(
+        nodes,
+        st.sampled_from([True, True, True, False]),
+        st.sampled_from(["idle", "assigned", "driving"]),
+        st.sampled_from([0.0, 20.0, 45.0]),
+    )
+
+
+_placed_vehicle = _placed(node_ids)
+#: Half at an end of an express road, where the top speed is a tight bound.
+_near_express = st.one_of(st.sampled_from([n for road in _EXPRESS_ROADS for n in road]), node_ids)
+
+
+def _fleet(placed, oracle):
+    """Vehicles for ``placed``; a planned one carries a rider from seven
+    nodes on to its own node."""
+    vehicles = []
+    for vehicle_id, (node, on_shift, plan, clock) in enumerate(placed):
+        vehicle = Vehicle(vehicle_id=vehicle_id, location=node, on_shift=on_shift, _clock=clock)
+        if plan != "idle":
+            pickup = _NODES[(_NODES.index(node) + 7) % len(_NODES)]
+            rider = Request(
+                release_time=0.0, request_id=1000 + vehicle_id, source=pickup,
+                destination=node, max_wait=1e6,
+            )
+            vehicle.assign_schedule(Schedule.direct(rider), [rider], clock)
+            if plan == "driving":
+                vehicle.advance_to(clock, oracle)
+        vehicles.append(vehicle)
+    return vehicles
+
+
+def _candidate_context(network, oracle, placed, order, cells_per_axis, request, now, speed):
+    """A context like the engine's: off-shift vehicles are in neither the
+    fleet nor the index, which holds the rest at their nodes."""
+    vehicles = _fleet(placed, oracle)
+    order.shuffle(vehicles)
+    on_shift = [vehicle for vehicle in vehicles if vehicle.on_shift]
+    index = GridIndex.for_network(network, cells_per_axis)
+    for vehicle in on_shift:
+        index.insert(vehicle.vehicle_id, *network.position(vehicle.location))
+    return DispatchContext(
+        current_time=now, batch=Batch(0, now, now + 5.0, (request,)), pending=[request],
+        vehicles=on_shift, network=network, oracle=oracle, vehicle_index=index,
+        config=SimulationConfig(), average_speed=speed,
+    )
 
 
 class TestCandidateVehiclesEqualTheObviousOnes:
@@ -751,50 +825,128 @@ class TestCandidateVehiclesEqualTheObviousOnes:
         ),
         order=st.randoms(use_true_random=False),
         source=node_ids,
+        now=st.sampled_from([0.0, 30.0]),
         # 10 m/s: the disk holds the source's node, its neighbours, ... , the city.
         slack=st.sampled_from([0.0, 5.0, 10.0, 15.0, 30.0, 80.0]),
         max_candidates=st.sampled_from([None, 1, 3, 3, 24, 24, 50]),
     )
+    # Vehicles under way since before ``now`` depart at their clock, not at ``now``.
+    @example(
+        cells_per_axis=8, fleet=[(node, True, "driving", 0.0) for node in _NODES[3:33]],
+        order=random.Random(0), source=_NODES[0], now=30.0, slack=0.0, max_candidates=24,
+    )
     @settings(max_examples=400, deadline=None)
     def test_same_vehicles_in_the_same_order(
-        self, cells_per_axis, fleet, order, source, slack, max_candidates
+        self, cells_per_axis, fleet, order, source, now, slack, max_candidates
     ):
         """The city is a lattice and vehicles share nodes, so equal distances
         are the common case and both tie orders (query order inside the
-        radius, fleet order in the fallback) decide the cut."""
-        vehicles = [
-            Vehicle(vehicle_id=vehicle_id, location=node, on_shift=on_shift)
-            for vehicle_id, (node, on_shift) in enumerate(fleet)
-        ]
-        order.shuffle(vehicles)
-        # Like the engine: off-shift vehicles are in neither the context's
-        # fleet nor the index.
-        on_shift = [vehicle for vehicle in vehicles if vehicle.on_shift]
-        index = GridIndex.for_network(_CITY, cells_per_axis)
-        for vehicle in on_shift:
-            index.insert(vehicle.vehicle_id, *_CITY.position(vehicle.location))
+        radius, fleet order in the fallback) decide the cut; the express
+        roads set the top speed the fallback's reach rule uses."""
         destination = _NODES[0] if source != _NODES[0] else _NODES[1]
         request = Request(
-            release_time=0.0, request_id=1, source=source, destination=destination,
+            release_time=now, request_id=1, source=source, destination=destination,
             max_wait=slack,
         )
-        context = DispatchContext(
-            current_time=0.0, batch=Batch(0, 0.0, 5.0, (request,)), pending=[request],
-            vehicles=on_shift, network=_CITY, oracle=_ORACLE, vehicle_index=index,
-            config=SimulationConfig(), average_speed=10.0,
+        context = _candidate_context(
+            _EXPRESS, _EXPRESS_ORACLE, fleet, order, cells_per_axis, request, now, 10.0
         )
         expected = _reference_candidate_vehicles(
             request, context, max_candidates=max_candidates
         )
-        in_reach = len(index.query_radius(*_CITY.position(source), max(10.0 * slack, 1.0)))
-        pool = in_reach or len(on_shift)
-        event(
-            f"{'in reach' if in_reach else 'fallback'}, "
-            f"{'cut' if max_candidates and pool > max_candidates else 'whole'}"
-        )
+        index = context.vehicle_index
+        in_reach = len(index.query_radius(*_EXPRESS.position(source), max(10.0 * slack, 1.0)))
+        pool = in_reach or len(context.vehicles)
+        cut = max_candidates and pool > max_candidates
+        event(f"{'in reach' if in_reach else 'fallback'}, {'cut' if cut else 'whole'}")
+        if cut and not in_reach:
+            event(f"fallback keeps {'all' if len(expected) == max_candidates else 'some'}")
         found = candidate_vehicles(request, context, max_candidates=max_candidates)
         assert [v.vehicle_id for v in found] == [v.vehicle_id for v in expected]
         assert all(a is b for a, b in zip(found, expected))
+
+
+def _built_oracle(backend, network):
+    return DistanceOracle(network, backend=backend)
+
+
+def _sped_up_oracle(backend, network):
+    """A ``backend`` oracle that answers from a Dijkstra fallback after the
+    first express road got three times faster; its top speed follows."""
+    oracle = DistanceOracle(network, backend=backend)
+    built = oracle.top_speed()
+    u, v = _EXPRESS_ROADS[0]
+    network.add_edge(u, v, network.edge_cost(u, v) / 3.0, bidirectional=True)
+    oracle.enable_fallback()
+    assert oracle.top_speed() == pytest.approx(3 * built)
+    return oracle
+
+
+def _corrupted_oracle(backend, network):
+    """A ``backend`` oracle whose every cost is 0.6 of the truth."""
+    injector = FaultInjector(ChaosConfig(corruption_rate=1.0, corruption_factor=0.6))
+    oracle = ChaosOracle(network, injector=injector, backend=backend)
+    oracle.rebuild()
+    assert oracle.corrupted
+    return oracle
+
+
+_EXPRESS_EXAMPLE = [
+    (node, True, "idle", 0.0) for node in (_EXPRESS_ROADS[0][0], _NODES[0], _NODES[1])
+]
+
+
+class TestTheReachRuleDropsOnlyRefusals:
+    @given(
+        backend=st.sampled_from(["dijkstra", "ch", "hub_label"]),
+        serving=st.sampled_from(["built", "fallback", "corrupted"]),
+        fleet=st.lists(_placed(_near_express), min_size=4, max_size=16),
+        order=st.randoms(use_true_random=False),
+        source=_near_express,
+        now=st.sampled_from([0.0, 30.0]),
+        slack=st.sampled_from([0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 45.0]),
+        cut=st.sampled_from([1, 3, 5, 24, "all but one"]),
+    )
+    # A vehicle at one end of an express road the request starts at the other
+    # end of, in time only at the sped-up (or scaled-down) cost.
+    @example(
+        backend="ch", serving="corrupted", fleet=_EXPRESS_EXAMPLE, order=random.Random(0),
+        source=_EXPRESS_ROADS[0][1], now=0.0, slack=15.0, cut=2,
+    )
+    @example(
+        backend="dijkstra", serving="fallback", fleet=_EXPRESS_EXAMPLE, order=random.Random(0),
+        source=_EXPRESS_ROADS[0][1], now=0.0, slack=10.0, cut=2,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_no_dropped_vehicle_has_a_feasible_insertion(
+        self, backend, serving, fleet, order, source, now, slack, cut
+    ):
+        """A slow 1 m/s radius makes the fallback common; the kernel must
+        refuse every vehicle of the cut the reach rule dropped -- with the
+        top speed of the state the oracle serves, and of the costs it returns."""
+        network = _express_city()
+        make = {"built": _built_oracle, "fallback": _sped_up_oracle,
+                "corrupted": _corrupted_oracle}[serving]
+        oracle = make(backend, network)
+        destination = _NODES[0] if source != _NODES[0] else _NODES[1]
+        request = Request(
+            release_time=now, request_id=1, source=source, destination=destination,
+            max_wait=slack,
+        )
+        context = _candidate_context(network, oracle, fleet, order, 8, request, now, 1.0)
+        x, y = network.position(source)
+        assume(not context.vehicle_index.query_radius(x, y, max(slack, 1.0)))
+        max_candidates = max(len(context.vehicles) - 1, 1) if cut == "all but one" else cut
+        kept = candidate_vehicles(request, context, max_candidates=max_candidates)
+        kept_ids = {vehicle.vehicle_id for vehicle in kept}
+        nearest = sorted(
+            context.vehicles, key=lambda v: network.euclidean(v.location, source)
+        )[:max_candidates]
+        dropped = [v for v in nearest if v.vehicle_id not in kept_ids]
+        event(f"{serving}: {'drops' if dropped else 'keeps all'}")
+        for vehicle in dropped:
+            route = vehicle.route_state(now)
+            assert not best_insertion(route, request, oracle).feasible
 
 
 def _graph_from_edge_bools(num_nodes: int, edge_bits: list[bool]) -> ShareabilityGraph:

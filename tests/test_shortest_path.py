@@ -141,3 +141,42 @@ class TestLandmarks:
         plain.cost(0, 24)
         alt.cost(0, 24)
         assert alt.stats.settled_nodes <= plain.stats.settled_nodes
+
+
+class TestTopSpeed:
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub_label"])
+    def test_the_fastest_edge_of_the_serving_state_worked_out_on_first_use(
+        self, jittered_city: RoadNetwork, monkeypatch, backend
+    ):
+        measured = []
+        euclidean = jittered_city.euclidean
+        monkeypatch.setattr(
+            jittered_city, "euclidean", lambda u, v: measured.append(1) or euclidean(u, v)
+        )
+        oracle = DistanceOracle(jittered_city, backend=backend)
+        assert not measured
+        fastest = max(euclidean(u, v) / w for u, v, w in jittered_city.edges())
+        assert oracle.top_speed() == fastest * (1 + 1e-9)
+        assert len(measured) == jittered_city.num_edges
+        assert oracle.top_speed() == fastest * (1 + 1e-9)
+        assert len(measured) == jittered_city.num_edges
+        # No path beats it.
+        for target in jittered_city.nodes():
+            assert oracle.cost(0, target) >= euclidean(0, target) / oracle.top_speed()
+
+        # A faster road counts once the oracle serves a state that has it.
+        jittered_city.add_edge(0, 24, euclidean(0, 24) / (3 * fastest))
+        assert oracle.top_speed() == fastest * (1 + 1e-9)
+        refresh = oracle.repair if backend != "dijkstra" else oracle.rebuild
+        refresh()
+        assert oracle.top_speed() == pytest.approx(3 * fastest, rel=1e-8)
+        jittered_city.remove_edge(0, 24)
+        oracle.rebuild()
+        assert oracle.top_speed() == fastest * (1 + 1e-9)
+
+    def test_a_network_without_a_bounding_edge_bounds_nothing(self):
+        network = RoadNetwork.from_edge_list({0: (0.0, 0.0), 1: (0.0, 0.0)}, [(0, 1, 5.0)])
+        assert DistanceOracle(network).top_speed() == math.inf
+        network.add_node(2, 3.0, 4.0)
+        network.add_edge(1, 2, 0.0)
+        assert DistanceOracle(network).top_speed() == math.inf
