@@ -1,7 +1,7 @@
 """Microbenchmark of the pluggable routing backends.
 
 Times every backend of :class:`repro.network.shortest_path.DistanceOracle`
-(``dijkstra`` | ``alt`` | ``ch`` | ``hub_label``) on the same batch of
+(``dijkstra`` | ``ch`` | ``hub_label``) on the same batch of
 repeated ``cost(u, v)`` queries over the NYC synthetic city at the default
 workload scale, with the LRU pair cache disabled so the raw per-query rate of
 each backend is what gets measured.  Asserted alongside the timings:
@@ -19,7 +19,7 @@ each backend is what gets measured.  Asserted alongside the timings:
   all witness searches, counts that repeat exactly -- equals the committed
   file too, so a build change that moves a single shortcut or witness fails
   here (``build ms`` is reported, never gated);
-* every dispatcher produces *identical assignments* across all four backends
+* every dispatcher produces *identical assignments* across all three backends
   on a fixed-seed scenario, so switching backends is purely a performance
   decision.
 
@@ -50,7 +50,7 @@ from repro.workloads.presets import make_workload
 from _common import RESULTS_DIR, save_json, save_text
 
 #: All routing backends, reference (``dijkstra``) first.
-BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
+BACKENDS = ("dijkstra", "ch", "hub_label")
 #: The default city scale of :func:`repro.workloads.presets.make_workload`.
 CITY_SCALE = 0.7
 #: Number of distinct (source, target) pairs and repetitions per backend.

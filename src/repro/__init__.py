@@ -41,7 +41,6 @@ or, for one-call experiment runs, the harness front door::
 from .config import (
     ChaosConfig,
     DemandSurge,
-    ResilienceConfig,
     ScenarioConfig,
     ServiceConfig,
     SimulationConfig,
@@ -137,7 +136,6 @@ from .observability import (
     MetricRegistry,
     SpanRecord,
     SpanTracer,
-    TraceConfig,
     get_tracer,
     markdown_report,
     prometheus_text,
@@ -177,7 +175,6 @@ __all__ = [
     "ScenarioConfig",
     "ServiceConfig",
     "ChaosConfig",
-    "ResilienceConfig",
     "DemandSurge",
     # exceptions
     "ReproError",
@@ -268,7 +265,6 @@ __all__ = [
     # observability
     "SpanTracer",
     "SpanRecord",
-    "TraceConfig",
     "MetricRegistry",
     "tracing",
     "get_tracer",

@@ -83,9 +83,9 @@ class SimulationConfig:
     #: the vehicle capacity when ``None``).
     max_group_size: int | None = None
     #: Routing backend answering ``cost(u, v)`` queries: ``"dijkstra"``
-    #: (per-query CSR search), ``"alt"`` (landmark-directed search),
-    #: ``"ch"`` (contraction hierarchies) or ``"hub_label"`` (hub labels
-    #: extracted from the hierarchy -- the paper's oracle).
+    #: (per-query CSR search, the reference), ``"ch"`` (contraction
+    #: hierarchies) or ``"hub_label"`` (hub labels extracted from the
+    #: hierarchy -- the paper's oracle).
     routing_backend: str = "dijkstra"
 
     def __post_init__(self) -> None:
@@ -442,46 +442,5 @@ class ChaosConfig:
         )
 
     def with_overrides(self, **overrides: Any) -> "ChaosConfig":
-        """Return a copy of this configuration with the given fields replaced."""
-        return replace(self, **overrides)
-
-
-@dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs of the batch time budget and the probe machinery.
-
-    The defaults are conservative: no batch time budget (the dispatcher
-    never degrades) and no invariant probes.  Chaos harnesses turn the
-    budget and probes on explicitly.  Retry/backoff and breaker settings are
-    constants of :class:`~repro.resilience.retry.RetryPolicy` and
-    :class:`~repro.resilience.degrade.CircuitBreaker`.
-    """
-
-    #: Per-batch dispatch time budget in seconds; overrunning it counts a
-    #: breaker failure and eventually degrades the dispatcher.  ``None``
-    #: disables the budget entirely.
-    batch_time_budget: float | None = None
-    #: Charge real dispatch wall-clock against the budget.  Chaos harnesses
-    #: set this to False so breaker decisions depend only on injected
-    #: (virtual) latency and stay reproducible across machines.
-    count_real_dispatch_time: bool = True
-    #: Random oracle-vs-Dijkstra cost probes per batch (0 disables probing).
-    probe_pairs: int = 0
-    #: Re-check every accepted assignment's leg costs against a fresh
-    #: Dijkstra oracle after each dispatch (the chaos acceptance gate;
-    #: expensive, so off by default).
-    verify_assignments: bool = False
-
-    def __post_init__(self) -> None:
-        if self.batch_time_budget is not None:
-            _require_finite("batch_time_budget", self.batch_time_budget)
-            if self.batch_time_budget <= 0:
-                raise ConfigurationError(
-                    "batch_time_budget must be positive or None to disable"
-                )
-        if self.probe_pairs < 0:
-            raise ConfigurationError("probe_pairs must be non-negative")
-
-    def with_overrides(self, **overrides: Any) -> "ResilienceConfig":
         """Return a copy of this configuration with the given fields replaced."""
         return replace(self, **overrides)

@@ -24,24 +24,13 @@ from typing import Any
 
 from pathlib import Path
 
-from ..config import (
-    ChaosConfig,
-    ResilienceConfig,
-    ScenarioConfig,
-    ServiceConfig,
-    SimulationConfig,
-)
+from ..config import ChaosConfig, ScenarioConfig, ServiceConfig, SimulationConfig
 from ..dispatch import make_dispatcher
 from ..dispatch.base import Dispatcher
 from ..exceptions import ConfigurationError, ScenarioError
-from ..network.shortest_path import DistanceOracle
-from ..observability import (
-    LATENCY_BUCKETS_S,
-    TraceConfig,
-    tracing,
-    write_run_artifacts,
-)
+from ..observability import LATENCY_BUCKETS_S, tracing, write_run_artifacts
 from ..resilience.degrade import ResilienceManager
+from ..resilience.probes import exact_cost_failures
 from ..scenarios.presets import make_chaos_config, make_scenario_workload
 from ..scenarios.events import WorldView
 from ..scenarios.refresh import make_refresh_policy
@@ -59,9 +48,7 @@ RUN_MODES = ("single", "scenario", "chaos", "traced", "service")
 _MODE_ONLY_FIELDS: dict[str, tuple[str, ...]] = {
     "parity_pairs": ("scenario",),
     "chaos": ("chaos",),
-    "resilience": ("chaos",),
     "out_dir": ("traced",),
-    "trace_config": ("traced",),
     "service_config": ("service",),
 }
 
@@ -118,14 +105,11 @@ class RunSpec:
     refresh_policy: str | None = None
     scenario_config: ScenarioConfig | None = None
     parity_pairs: int = 0
-    parity_seed: int = 99
     # -- chaos ----------------------------------------------------------- #
     chaos: str | ChaosConfig | None = None
-    resilience: ResilienceConfig | None = None
     # -- traced ---------------------------------------------------------- #
     out_dir: str | Path | None = None
     name: str = "traced_run"
-    trace_config: TraceConfig | None = None
     # -- service --------------------------------------------------------- #
     service_config: ServiceConfig | None = None
 
@@ -391,7 +375,7 @@ def _traced_impl(spec: RunSpec) -> RunResult:
     workload, scenario = _build_workload(spec)
     simulator = _make_simulator(spec, workload, scenario)
     oracle = simulator.oracle
-    with tracing(oracle=oracle, config=spec.trace_config) as tracer:
+    with tracing(oracle=oracle) as tracer:
         result = simulator.run()
     metrics = result.metrics
     registry = metrics.as_registry()
@@ -425,46 +409,44 @@ def _traced_impl(spec: RunSpec) -> RunResult:
 # ---------------------------------------------------------------------- #
 # dynamic-world scenario grid (shared by benchmarks, experiments and CI)
 # ---------------------------------------------------------------------- #
-def _parity_probe(
-    context: dict[str, int], pairs: int, seed: int
-) -> Callable[[WorldView], None]:
+#: Seed of the parity probe's pair sampler.
+PARITY_SEED = 99
+
+
+def _parity_probe(context: dict[str, int], pairs: int) -> Callable[[WorldView], None]:
     """Build the after-every-burst exactness probe for a scenario run.
 
     The probe compares the scenario oracle against a fresh Dijkstra over the
-    *mutated* network on random pairs and checks that every returned path
-    only uses edges that currently exist; any divergence raises
-    :class:`ScenarioError` (not ``assert``, so the gate also holds under
-    ``python -O``).
+    *mutated* network on random pairs (see
+    :func:`~repro.resilience.probes.exact_cost_failures`) and checks that the
+    path of every reachable pair only uses edges that currently exist; any
+    divergence raises :class:`ScenarioError` (not ``assert``, so the gate
+    also holds under ``python -O``).
     """
-    rng = random.Random(seed)
+    rng = random.Random(PARITY_SEED)
 
     def probe(world: WorldView) -> None:
         context["bursts"] += 1
-        network = world.network
+        network, oracle = world.network, world.oracle
         nodes = list(network.nodes())
-        reference = DistanceOracle(network, cache_size=0, backend="dijkstra")
-        for _ in range(pairs):
-            u, v = rng.sample(nodes, 2)
-            want = reference.cost(u, v)
-            got = world.oracle.cost(u, v)
-            if math.isinf(want):
-                if not math.isinf(got):
-                    raise ScenarioError(
-                        f"parity violation: {u}->{v} reachable ({got}) on the "
-                        f"scenario oracle but not for fresh Dijkstra"
-                    )
-                continue
-            if abs(got - want) > 1e-6:
-                raise ScenarioError(
-                    f"parity violation: cost({u}, {v}) = {got} on the scenario "
-                    f"oracle vs {want} for fresh Dijkstra"
-                )
-            path = world.oracle.path(u, v)
+
+        def check_path(u: int, v: int, cost: float) -> None:
+            if math.isinf(cost):
+                return
+            path = oracle.path(u, v)
             for a, b in zip(path, path[1:]):
                 if not network.has_edge(a, b):
                     raise ScenarioError(
                         f"path({u}, {v}) uses the missing edge {a}->{b}"
                     )
+
+        draws = (rng.sample(nodes, 2) for _ in range(pairs))
+        for failure in exact_cost_failures(network, oracle, draws, on_exact=check_path):
+            raise ScenarioError(
+                f"parity violation: cost({failure.source}, {failure.target}) = "
+                f"{failure.got} on the scenario oracle vs {failure.want} for "
+                "fresh Dijkstra"
+            )
 
     return probe
 
@@ -481,7 +463,7 @@ def _scenario_impl(spec: RunSpec) -> RunResult:
     workload, scenario = _build_workload(spec)
     context = {"bursts": 0}
     on_applied = (
-        _parity_probe(context, spec.parity_pairs, spec.parity_seed)
+        _parity_probe(context, spec.parity_pairs)
         if spec.parity_pairs
         else None
     )
@@ -517,26 +499,13 @@ def _scenario_impl(spec: RunSpec) -> RunResult:
 # ---------------------------------------------------------------------- #
 # chaos grid (resilience layer under fault injection)
 # ---------------------------------------------------------------------- #
-#: Resilience knobs the chaos grid runs under.  The batch budget is charged
-#: with *virtual* injected latency only (``count_real_dispatch_time=False``)
-#: so breaker decisions -- and therefore the whole run -- are independent of
-#: the host's wall clock; every accepted assignment is re-verified against
-#: fresh Dijkstra.
-CHAOS_RESILIENCE = ResilienceConfig(
-    batch_time_budget=0.05,
-    count_real_dispatch_time=False,
-    probe_pairs=4,
-    verify_assignments=True,
-)
-
-
 def _chaos_impl(spec: RunSpec) -> RunResult:
     """Run one (scenario, backend, refresh-policy) cell under fault injection.
 
     The run is wrapped in a :class:`~repro.resilience.degrade.ResilienceManager`
     with the ``chaos`` preset's fault rates; it must complete without an
-    unhandled exception and -- because ``verify_assignments`` is on -- with
-    every accepted assignment's leg costs exact against fresh Dijkstra.
+    unhandled exception and -- because the manager verifies every accepted
+    assignment -- with every leg cost exact against fresh Dijkstra.
     The row carries the resilience counters next to the dispatch metrics.
     Deterministic: two identical specs inject the identical fault sequence
     and produce identical non-timing metrics (see
@@ -544,10 +513,7 @@ def _chaos_impl(spec: RunSpec) -> RunResult:
     """
     chaos = spec.chaos if spec.chaos is not None else "flaky_oracle"
     manager = ResilienceManager(
-        config=(
-            spec.resilience if spec.resilience is not None else CHAOS_RESILIENCE
-        ),
-        chaos=make_chaos_config(chaos) if isinstance(chaos, str) else chaos,
+        chaos=make_chaos_config(chaos) if isinstance(chaos, str) else chaos
     )
     workload, scenario = _build_workload(spec)
     result = _make_simulator(

@@ -10,7 +10,7 @@ from scratch:
 * :class:`~repro.network.shortest_path.DistanceOracle` -- cached
   shortest-path (travel-time) oracle with query statistics, a facade over
   the pluggable routing backends of :mod:`repro.network.routing`
-  (plain/ALT Dijkstra on a CSR graph, contraction hierarchies, hub labels).
+  (Dijkstra on a CSR graph, contraction hierarchies, hub labels).
 * :class:`~repro.network.grid_index.GridIndex` -- the n x n grid spatial
   index used to retrieve nearby vehicles and requests in constant time.
 * :mod:`~repro.network.generators` -- synthetic city generators standing in

@@ -2,7 +2,7 @@
 
 This package is everything below the cache and the counters of
 :class:`~repro.network.shortest_path.DistanceOracle`: the backends
-(``dijkstra`` | ``alt`` | ``ch`` | ``hub_label``, see :data:`BACKEND_NAMES`),
+(``dijkstra`` | ``ch`` | ``hub_label``, see :data:`BACKEND_NAMES`),
 which all implement :class:`~repro.network.routing.backends.RoutingBackend`,
 and the compiled structures they search:
 
@@ -10,8 +10,8 @@ and the compiled structures they search:
   compiled once from the dict-based :class:`~repro.network.road_network.RoadNetwork`.
 * :class:`~repro.network.routing.contraction.ContractionHierarchy` --
   shortcut overlay with edge-difference ordering and witness searches;
-  stall-pruned upward search spaces (a node's hub labels) and exact paths
-  via a pruned bidirectional search plus recursive shortcut unpacking.
+  stall-pruned upward search spaces (a node's hub labels); it records no
+  paths (``path()`` is a CSR Dijkstra on every backend).
 * :class:`~repro.network.routing.hub_labels.HubLabeling` -- the label store
   and the join that answers a pair for both ``ch`` (private, swept on first
   touch) and ``hub_label`` (shared, swept at set-up: slower set-up, no

@@ -5,9 +5,6 @@ counter; every distance comes from one of the backends in this module:
 
 ``dijkstra``
     CSR-based Dijkstra with early termination (the reference backend).
-``alt``
-    The same search goal-directed with landmark (A*, Landmarks, Triangle
-    inequality) potentials: 4 landmarks, seed 13.
 ``ch``
     A contraction hierarchy built up front; a distance is a join of two hub
     labels (:class:`HubLabeling`), each swept the first time its node is
@@ -34,9 +31,6 @@ from __future__ import annotations
 
 import heapq
 import math
-# DET002 audit: every draw below flows through a seeded random.Random
-# stream; the module-global generator is never called (repro-lint enforced).
-import random
 import weakref
 from collections.abc import Sequence
 from typing import Protocol
@@ -48,7 +42,7 @@ from .csr import CSRGraph
 from .hub_labels import HubLabeling
 
 #: Names accepted by :func:`make_backend` and ``SimulationConfig.routing_backend``.
-BACKEND_NAMES = ("dijkstra", "alt", "ch", "hub_label")
+BACKEND_NAMES = ("dijkstra", "ch", "hub_label")
 
 
 def network_fingerprint(network: RoadNetwork) -> tuple[int, int, int]:
@@ -194,64 +188,8 @@ class RoutingBackend(Protocol):
 
 
 # ---------------------------------------------------------------------- #
-# graph-search backends (dijkstra / ALT)
+# graph search (dijkstra)
 # ---------------------------------------------------------------------- #
-class _LandmarkTable:
-    """Forward/backward landmark distances over dense node indices."""
-
-    __slots__ = ("forward", "backward")
-
-    def __init__(self, csr: CSRGraph, count: int, seed: int) -> None:
-        n = csr.num_nodes
-        self.forward: list[list[float]] = []
-        self.backward: list[list[float]] = []
-        if n == 0:
-            return
-        # Farthest-point selection: start random, then repeatedly pick the
-        # node farthest (in forward distance) from the chosen set.
-        landmarks = [random.Random(seed).randrange(n)]
-        self.forward.append(csr.sssp(landmarks[0])[0])
-        while len(landmarks) < min(count, n):
-            best_node, best_score = -1, -1.0
-            for node in range(n):
-                score = min(table[node] for table in self.forward)
-                if math.isinf(score):
-                    continue
-                if score > best_score:
-                    best_node, best_score = node, score
-            if best_node < 0:
-                break
-            landmarks.append(best_node)
-            self.forward.append(csr.sssp(best_node)[0])
-        self.backward = [csr.sssp(lm, reverse=True)[0] for lm in landmarks]
-
-    def lower_bound(self, u: int, v: int) -> float:
-        """Triangle-inequality lower bound on ``dist(u, v)``.
-
-        Infinite when a landmark proves ``v`` unreachable from ``u`` (it
-        reaches ``u`` but not ``v``, or ``v`` reaches it but ``u`` does not).
-        Skipping such nodes keeps the potential consistent over the ones a
-        search does settle, so their distances are exact, not just the
-        target's.
-        """
-        inf = math.inf
-        best = 0.0
-        for fwd, bwd in zip(self.forward, self.backward):
-            dl_v, dl_u = fwd[v], fwd[u]
-            if dl_u < inf:
-                if dl_v == inf:
-                    return inf
-                if dl_v - dl_u > best:
-                    best = dl_v - dl_u
-            du_l, dv_l = bwd[u], bwd[v]
-            if dv_l < inf:
-                if du_l == inf:
-                    return inf
-                if du_l - dv_l > best:
-                    best = du_l - dv_l
-        return best
-
-
 class GraphSearchBackend:
     """Dijkstra over the CSR arrays; no preprocessing beyond the CSR.
 
@@ -264,7 +202,6 @@ class GraphSearchBackend:
 
     def __init__(self, data: RoutingData) -> None:
         self.data = data
-        self._landmarks: _LandmarkTable | None = None
 
     def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
         """Early-terminating search; learns the settled set of ``source``."""
@@ -326,11 +263,8 @@ class GraphSearchBackend:
         return nodes, work, learned
 
     def estimated_memory_bytes(self) -> int:
-        """The CSR arrays plus, for ``alt``, the landmark distance tables."""
-        csr = self.data.csr
-        tables = self._landmarks
-        rows = len(tables.forward) + len(tables.backward) if tables else 0
-        return csr.estimated_memory_bytes() + 32 * rows * csr.num_nodes
+        """The CSR arrays (a search keeps nothing alive)."""
+        return self.data.csr.estimated_memory_bytes()
 
     def _search(
         self, source: int, target: int, parents: dict[int, int] | None
@@ -342,7 +276,6 @@ class GraphSearchBackend:
         csr = self.data.csr
         first, last = csr.require_index(source), csr.require_index(target)
         indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-        landmarks = self._landmarks
         inf = math.inf
         dist: dict[int, float] = {first: 0.0}
         settled: dict[int, float] = {}
@@ -366,27 +299,12 @@ class GraphSearchBackend:
                     dist[succ] = candidate
                     if parents is not None:
                         parents[succ] = node
-                    key = candidate
-                    if landmarks is not None:
-                        key += landmarks.lower_bound(succ, last)
-                        if key == inf:
-                            continue  # proven unable to reach the target
-                    heapq.heappush(heap, (key, succ))
+                    heapq.heappush(heap, (candidate, succ))
         ids = csr.node_ids
         learned = {(source, ids[i]): d for i, d in settled.items()}
         if distance == inf:
             learned[(source, target)] = inf
         return distance, len(settled), learned
-
-
-class _AltBackend(GraphSearchBackend):
-    """The same searches, goal-directed by landmark potentials."""
-
-    name = "alt"
-
-    def __init__(self, data: RoutingData) -> None:
-        super().__init__(data)
-        self._landmarks = _LandmarkTable(data.csr, count=4, seed=13)
 
 
 # ---------------------------------------------------------------------- #
@@ -460,7 +378,7 @@ class HubLabelBackend(CHBackend):
 
 _BACKENDS: dict[str, type] = {
     backend.name: backend
-    for backend in (GraphSearchBackend, _AltBackend, CHBackend, HubLabelBackend)
+    for backend in (GraphSearchBackend, CHBackend, HubLabelBackend)
 }
 
 

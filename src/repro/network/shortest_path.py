@@ -6,7 +6,7 @@ ablation metrics (Tables V and VI).  This module reproduces that interface:
 
 * :class:`DistanceOracle` -- an LRU pair cache and the query counters in
   front of one :class:`~repro.network.routing.backends.RoutingBackend`
-  (``dijkstra`` | ``alt`` | ``ch`` | ``hub_label``).  ``cost(u, v)`` /
+  (``dijkstra`` | ``ch`` | ``hub_label``).  ``cost(u, v)`` /
   ``path(u, v)`` answer point queries and :meth:`DistanceOracle.many_to_many`
   answers batched source x target tables; how a miss is computed, batched
   and validated is the backend's business.
@@ -104,9 +104,8 @@ class DistanceOracle:
         repeated queries from popular locations (vehicle positions).
     backend:
         One of :data:`repro.network.routing.BACKEND_NAMES`.  ``dijkstra``
-        searches the CSR graph per query; ``alt`` adds landmark potentials;
-        ``ch`` preprocesses a contraction hierarchy up front and joins two
-        hub labels per query, sweeping a node's label the first time it is
+        searches the CSR graph per query; ``ch`` preprocesses a contraction
+        hierarchy up front and joins two hub labels per query, sweeping a node's label the first time it is
         asked and keeping it for the life of the backend; ``hub_label`` is
         the same join over labels swept for every node at set-up and shared
         by every oracle on the network (the paper's setup) -- the same
@@ -194,7 +193,7 @@ class DistanceOracle:
         (its CSR equals the fresh compile, row order included, and its
         hierarchy was built, not repaired): a receded traffic wave returns to
         one, a reopened road does not (its edge moves to the end of its row).
-        Backends without a hierarchy (``dijkstra``, ``alt``) skip the lookup.
+        ``dijkstra``, which holds no hierarchy, skips the lookup.
 
         Exception-safe: the new backend is fully constructed before any held
         state is dropped, so a build that raises leaves the oracle serving
@@ -228,7 +227,7 @@ class DistanceOracle:
            :meth:`ContractionHierarchy.repair`); a ``hub_label`` backend
            sweeps its labels again off the repaired hierarchy.
         3. **Full rebuild** -- when the backend holds no hierarchy
-           (``dijkstra``/``alt``), the node set changed, or the affected set
+           (``dijkstra``), the node set changed, or the affected set
            exceeds :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION`
            of all nodes.
 
@@ -363,12 +362,11 @@ class DistanceOracle:
         """Sequence of nodes of a shortest path from ``source`` to ``target``.
 
         One search on every backend: a CSR Dijkstra that keeps parent
-        pointers (goal-directed on ``alt``; ``ch`` and ``hub_label`` run it
-        too, their hierarchy records no paths).  Always asks the backend (a
-        cached distance has no node sequence) and caches what the backend
-        hands back -- the settled set on ``dijkstra`` / ``alt``, the asked
-        pair on ``ch`` / ``hub_label``.  Raises :class:`UnreachableError` if
-        no path exists.
+        pointers (``ch`` and ``hub_label`` run it too, their hierarchy
+        records no paths).  Always asks the backend (a cached distance has
+        no node sequence) and caches what the backend hands back -- the
+        settled set on ``dijkstra``, the asked pair on ``ch`` /
+        ``hub_label``.  Raises :class:`UnreachableError` if no path exists.
         """
         self.stats.queries += 1
         if source == target:

@@ -44,15 +44,16 @@ def costs_differ(
     return not costs_equal(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
 
 
-def costs_close(
-    a: float, b: float, *, rel_tol: float = 1e-6, abs_tol: float = 0.0
-) -> bool:
-    """Looser comparison used by parity probes and assignment verification.
+def costs_close(a: float, b: float) -> bool:
+    """The one "exact against fresh Dijkstra" rule: absolute error <= 1e-6 s.
 
-    The probes compare costs computed by *different algorithms* (hub-label
-    merge vs fresh Dijkstra), where accumulated error is larger than the
-    within-backend tolerance of :func:`costs_equal`.
+    The invariant probes, assignment verification and the scenario parity
+    probe (see :func:`repro.resilience.probes.exact_cost_failures`) compare
+    costs computed by *different algorithms* (hub-label joins, a repaired
+    hierarchy, a fresh Dijkstra), whose summation order differs, so the
+    within-backend tolerance of :func:`costs_equal` is too tight.  Infinity
+    is compared exactly; NaN is never close.
     """
     if math.isinf(a) or math.isinf(b):
         return a == b
-    return math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol)
+    return abs(a - b) <= 1e-6

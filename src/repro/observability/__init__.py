@@ -26,7 +26,6 @@ from .export import (
 )
 from .instrument import (
     DEFAULT_ORACLE_SAMPLE_EVERY,
-    TraceConfig,
     instrument_oracle,
     tracing,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SpanRecord",
     "SpanTracer",
     "TagValue",
-    "TraceConfig",
     "Tracer",
     "aggregate_spans",
     "get_tracer",

@@ -22,10 +22,9 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .trace import DEFAULT_CAPACITY, SpanTracer, Tracer, use_tracer
+from .trace import SpanTracer, Tracer, use_tracer
 
 if TYPE_CHECKING:
     from ..network.shortest_path import DistanceOracle
@@ -34,24 +33,6 @@ if TYPE_CHECKING:
 #: N computed ones.  Dispatch issues thousands of queries per batch, so
 #: even 1-in-100 sampling gives a dense latency picture per batch.
 DEFAULT_ORACLE_SAMPLE_EVERY = 100
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """Knobs for :func:`tracing` (kept small on purpose).
-
-    ``oracle_sample_every=0`` keeps span tracing on but leaves the oracle
-    hot path completely untouched.
-    """
-
-    capacity: int = DEFAULT_CAPACITY
-    oracle_sample_every: int = DEFAULT_ORACLE_SAMPLE_EVERY
-
-    def __post_init__(self) -> None:
-        if self.capacity < 1:
-            raise ValueError("TraceConfig.capacity must be at least 1")
-        if self.oracle_sample_every < 0:
-            raise ValueError("TraceConfig.oracle_sample_every must be non-negative")
 
 
 def instrument_oracle(
@@ -65,24 +46,24 @@ def instrument_oracle(
 def tracing(
     *,
     oracle: DistanceOracle | None = None,
-    config: TraceConfig | None = None,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Iterator[SpanTracer]:
     """Run a block with span tracing active; yields the collecting tracer.
 
     Installs a fresh :class:`SpanTracer` as the process-wide active tracer
     (every instrumented site in the simulator, dispatchers, refresh
-    policies and resilience manager reports to it), and -- when ``oracle``
-    is given -- enables sampled query tracing on it.  Both are restored /
-    disabled on exit, so the tracer handed back is a finished, stable
-    artifact ready for export.
+    policies and resilience manager reports to it, keeping the newest
+    :data:`~repro.observability.trace.DEFAULT_CAPACITY` records), and --
+    when ``oracle`` is given -- samples one in
+    :data:`DEFAULT_ORACLE_SAMPLE_EVERY` of its computed queries.  Both are
+    restored / disabled on exit, so the tracer handed back is a finished,
+    stable artifact ready for export.
     """
-    cfg = config or TraceConfig()
-    tracer = SpanTracer(cfg.capacity, clock=clock)
+    tracer = SpanTracer(clock=clock)
     try:
         with use_tracer(tracer):
-            if oracle is not None and cfg.oracle_sample_every:
-                instrument_oracle(oracle, tracer, every=cfg.oracle_sample_every)
+            if oracle is not None:
+                instrument_oracle(oracle, tracer)
             yield tracer
     finally:
         if oracle is not None:
@@ -91,7 +72,6 @@ def tracing(
 
 __all__ = [
     "DEFAULT_ORACLE_SAMPLE_EVERY",
-    "TraceConfig",
     "instrument_oracle",
     "tracing",
 ]

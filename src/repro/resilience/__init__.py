@@ -20,8 +20,9 @@ oracle/dispatch pipeline survive when they do not:
   rebuilds trip to the exact fresh-CSR Dijkstra fallback, and batches that
   overrun their time budget degrade the dispatcher until a recovery probe
   closes the breaker.
-* :mod:`~repro.resilience.probes` -- sampled oracle-vs-Dijkstra invariant
-  probes detecting silent corruption and triggering self-healing rebuilds.
+* :mod:`~repro.resilience.probes` -- the one serving-oracle-vs-fresh-Dijkstra
+  cost check, run by sampled invariant probes (silent corruption triggers
+  self-healing rebuilds) and by the verification of accepted assignments.
 
 The invariant the ladder enforces: under any injected fault sequence the
 simulation completes, every accepted assignment's costs are exact at

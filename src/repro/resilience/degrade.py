@@ -11,8 +11,10 @@ The :class:`ResilienceManager` orchestrates two breakers:
   half-open probe attempts one full rebuild and closes the breaker on
   success.
 * **Dispatch breaker** -- guards the batch time budget.  A dispatch batch
-  whose charged time (injected virtual latency, plus real wall-clock when
-  configured) overruns the budget counts a failure;
+  whose injected virtual latency overruns
+  :attr:`ResilienceManager.BATCH_TIME_BUDGET` counts a failure (real
+  wall-clock is never charged, so breaker decisions and the whole run repeat
+  on any host);
   :attr:`CircuitBreaker.FAILURE_THRESHOLD` consecutive overruns trip the
   breaker and subsequent batches run a degraded dispatcher (greedy linear
   insertion, no clique enumeration) until a half-open probe batch finishes
@@ -21,20 +23,20 @@ The :class:`ResilienceManager` orchestrates two breakers:
 Sampled invariant probes (see :mod:`~repro.resilience.probes`) run before
 every dispatch: a mismatch against fresh Dijkstra triggers the self-healing
 rung (heal + rebuild, then the exact fallback as last resort), so dispatch
-always prices insertions on a probe-verified oracle.
+always prices insertions on a probe-verified oracle.  After every dispatch
+each accepted assignment's legs are checked against fresh Dijkstra too.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 import time
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 from random import Random
 
-from ..config import ChaosConfig, ResilienceConfig
+from ..config import ChaosConfig
 from ..dispatch.base import Assignment, Dispatcher
 from ..dispatch.prunegdp import PruneGDPDispatcher
 from ..exceptions import (
@@ -43,11 +45,12 @@ from ..exceptions import (
     ReproError,
     ResilienceError,
 )
+from ..model.vehicle import Vehicle
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle, RepairReport
 from ..observability.trace import get_tracer
 from .faults import ChaosOracle, FaultInjector
-from .probes import InvariantProbe
+from .probes import InvariantProbe, exact_cost_failures
 from .retry import RetryPolicy
 
 #: Event-kind strings emitted through the recorder (they match the values of
@@ -157,14 +160,11 @@ class ResilienceManager:
     :meth:`guarded_repair` when a manager is attached to them.
     """
 
-    def __init__(
-        self,
-        *,
-        config: ResilienceConfig | None = None,
-        chaos: ChaosConfig | None = None,
-    ) -> None:
-        self.config = config if config is not None else ResilienceConfig()
-        self.chaos = chaos
+    #: Per-batch budget, in injected virtual seconds; overrunning it counts
+    #: a dispatch-breaker failure and eventually degrades the dispatcher.
+    BATCH_TIME_BUDGET = 0.05
+
+    def __init__(self, *, chaos: ChaosConfig | None = None) -> None:
         self.injector = FaultInjector(chaos) if chaos is not None else None
         self.retry = RetryPolicy()
         #: The degraded rung of the dispatcher ladder: greedy linear
@@ -173,7 +173,7 @@ class ResilienceManager:
         self.degraded_dispatcher = PruneGDPDispatcher(
             max_candidates=8, reject_unassigned=False
         )
-        self.probe = InvariantProbe(pairs=self.config.probe_pairs)
+        self.probe = InvariantProbe()
         self.begin_run()
 
     # ------------------------------------------------------------------ #
@@ -337,14 +337,12 @@ class ResilienceManager:
 
     def _run_probes(self, network: RoadNetwork, oracle: DistanceOracle) -> None:
         """Invariant probes; mismatches trigger the self-healing rung."""
-        if self.config.probe_pairs <= 0:
-            return
         probe_start = time.perf_counter()
         failures = self.probe.check(network, oracle)
         get_tracer().event(
             "resilience.probe",
             duration=time.perf_counter() - probe_start,
-            pairs=self.config.probe_pairs,
+            pairs=self.probe.PAIRS,
             failures=len(failures),
         )
         if not failures:
@@ -390,8 +388,6 @@ class ResilienceManager:
         following :meth:`observe_batch` decides whether the breaker closes
         (within budget) or re-opens.
         """
-        if self.config.batch_time_budget is None:
-            return primary, False
         breaker = self.dispatch_breaker
         if breaker.state is BreakerState.OPEN:
             if breaker.tick():
@@ -404,38 +400,24 @@ class ResilienceManager:
         if self.injector is not None:
             self.injector.drain_latency()
 
-    def observe_batch(
-        self, dispatch_seconds: float, *, degraded: bool, now: float
-    ) -> tuple[float, bool]:
-        """Charge one dispatched batch against the time budget.
-
-        Returns ``(charged_seconds, overrun)`` where the charge is the
-        injected virtual latency drained from the injector plus -- when
-        ``count_real_dispatch_time`` is set -- the real dispatch wall-clock.
-        """
+    def observe_batch(self, *, degraded: bool, now: float) -> None:
+        """Charge one dispatched batch's injected virtual latency against
+        :attr:`BATCH_TIME_BUDGET` (a degraded batch is counted, not judged)."""
         self._now = now
-        injected = (
+        charged = (
             self.injector.drain_latency() if self.injector is not None else 0.0
         )
-        charged = injected
-        if self.config.count_real_dispatch_time:
-            charged += dispatch_seconds
         if degraded:
             self.stats.degraded_batches += 1
             self._emit(EVENT_DISPATCH_DEGRADED, DISPATCH_BREAKER)
-            return charged, False
-        budget = self.config.batch_time_budget
-        if budget is None:
-            return charged, False
-        overrun = charged > budget
+            return
         breaker = self.dispatch_breaker
-        if overrun:
+        if charged > self.BATCH_TIME_BUDGET:
             self.stats.batch_overruns += 1
             if breaker.record_failure():
                 self._emit(EVENT_BREAKER_OPENED, DISPATCH_BREAKER)
         elif breaker.record_success():
             self._emit(EVENT_BREAKER_CLOSED, DISPATCH_BREAKER)
-        return charged, overrun
 
     def finalize(
         self, network: RoadNetwork, oracle: DistanceOracle, now: float
@@ -452,42 +434,27 @@ class ResilienceManager:
         network: RoadNetwork,
         oracle: DistanceOracle,
         assignments: Sequence[Assignment],
-        vehicles_by_id: Mapping[int, object] | None = None,
-        *,
-        tolerance: float = 1e-6,
+        vehicles_by_id: Mapping[int, Vehicle],
     ) -> None:
         """Check every accepted assignment's leg costs against fresh Dijkstra.
 
         Verifies the invariant the resilience layer promises: whatever
         faults were injected, the costs dispatch committed to are exact.
-        Raises :class:`ResilienceError` on any deviation.
+        Raises :class:`ResilienceError` on the first deviation.
         """
-        if not assignments:
-            return
-        reference = DistanceOracle(network, cache_size=0, backend="dijkstra")
         for assignment in assignments:
             nodes = list(assignment.schedule.nodes())
-            if vehicles_by_id is not None:
-                vehicle = vehicles_by_id.get(assignment.vehicle_id)
-                if vehicle is not None:
-                    nodes = [vehicle.location, *nodes]
-            for u, v in zip(nodes, nodes[1:]):
-                if u == v:
-                    continue
-                got = oracle.cost(u, v)
-                want = reference.cost(u, v)
-                if math.isinf(got) and math.isinf(want):
-                    continue
-                if (
-                    math.isinf(got)
-                    or math.isinf(want)
-                    or abs(got - want) > tolerance * max(1.0, abs(want))
-                ):
-                    raise ResilienceError(
-                        f"accepted assignment for vehicle {assignment.vehicle_id} "
-                        f"priced leg ({u}, {v}) at {got} but fresh Dijkstra "
-                        f"says {want} -- the oracle served an inexact cost"
-                    )
+            vehicle = vehicles_by_id.get(assignment.vehicle_id)
+            if vehicle is not None:
+                nodes = [vehicle.location, *nodes]
+            legs = [(u, v) for u, v in zip(nodes, nodes[1:]) if u != v]
+            for failure in exact_cost_failures(network, oracle, legs):
+                raise ResilienceError(
+                    f"accepted assignment for vehicle {assignment.vehicle_id} "
+                    f"priced leg ({failure.source}, {failure.target}) at "
+                    f"{failure.got} but fresh Dijkstra says {failure.want} -- "
+                    "the oracle served an inexact cost"
+                )
 
 
 __all__ = [

@@ -1,27 +1,33 @@
-"""Sampled invariant probes: oracle costs vs a fresh Dijkstra reference.
+"""Serving-oracle costs against a fresh Dijkstra reference.
 
-Each batch, ``k`` random node pairs are costed through the serving oracle
-and through a cache-less Dijkstra oracle compiled from the *current* network
-(always exact, whatever state the preprocessed structures are in).  Any
-mismatch means the oracle is silently wrong -- a corrupted snapshot, a buggy
-repair splice -- and triggers the self-healing rung of the degradation
-ladder.  The probe pair sampler is seeded, so two runs with the same
-configuration probe the same pairs.
+:func:`exact_cost_failures` is the one check behind every exactness gate:
+it costs node pairs through the serving oracle and through a cache-less
+Dijkstra oracle compiled from the *current* network (always exact, whatever
+state the preprocessed structures are in) and reports the pairs that are
+not :func:`~repro.numeric.costs_close`.  Three callers share it: the
+:class:`InvariantProbe` (seeded random pairs before every dispatch), the
+resilience manager's assignment verification (every accepted leg) and the
+scenario harness's parity probe (random pairs after every event burst).
+
+Any mismatch means the oracle is silently wrong -- a corrupted snapshot, a
+buggy repair splice -- and, for the probe, triggers the self-healing rung of
+the degradation ladder.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from random import Random
 
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
+from ..numeric import costs_close
 
 
 @dataclass(frozen=True)
 class ProbeFailure:
-    """One probe pair whose oracle cost deviated from fresh Dijkstra."""
+    """One pair whose serving-oracle cost deviated from fresh Dijkstra."""
 
     source: int
     target: int
@@ -29,54 +35,63 @@ class ProbeFailure:
     want: float
 
 
+def exact_cost_failures(
+    network: RoadNetwork,
+    oracle: DistanceOracle,
+    pairs: Iterable[Sequence[int]],
+    *,
+    on_exact: Callable[[int, int, float], None] | None = None,
+) -> Iterator[ProbeFailure]:
+    """Yield every ``(source, target)`` of ``pairs`` whose ``oracle.cost``
+    is not close to a fresh cache-less Dijkstra over ``network``.
+
+    Lazy and in order: each pair costs one ``oracle.cost`` call, made when
+    the caller asks for the next failure, so a caller that stops at the first
+    failure makes no call past it.  The serving oracle sees exactly the calls
+    of a plain loop over ``pairs`` -- which matters, because a
+    :class:`~repro.resilience.faults.ChaosOracle` draws a latency spike per
+    call and the LRU sees every one.  ``on_exact(source, target, cost)`` runs
+    right after each pair that passed, before the next pair is costed.
+    """
+    reference = DistanceOracle(network, cache_size=0, backend="dijkstra")
+    for source, target in pairs:
+        want = reference.cost(source, target)
+        got = oracle.cost(source, target)
+        if not costs_close(got, want):
+            yield ProbeFailure(source, target, got, want)
+        elif on_exact is not None:
+            on_exact(source, target, got)
+
+
 class InvariantProbe:
-    """Seeded sampler comparing oracle costs against a Dijkstra reference."""
+    """Seeded pair sampler checking the serving oracle before every dispatch."""
 
     #: Seed of the pair sampler (the retry jitter stream derives from it too).
     SEED = 23
-    #: Relative deviation from fresh Dijkstra that counts as a failure.
-    TOLERANCE = 1e-6
+    #: Random node pairs probed per check.
+    PAIRS = 4
 
-    def __init__(self, *, pairs: int = 4) -> None:
-        self.pairs = max(int(pairs), 0)
-        self.checks = 0
+    def __init__(self) -> None:
         self.reset()
 
     def reset(self) -> None:
         """Rewind the pair sampler to the seed state (one stream per run)."""
         self._rng = Random(f"{self.SEED}:probe")
-        self.checks = 0
 
     def check(
         self, network: RoadNetwork, oracle: DistanceOracle
     ) -> list[ProbeFailure]:
-        """Probe ``pairs`` random node pairs; return the mismatches.
+        """Probe :attr:`PAIRS` random node pairs; return the mismatches.
 
-        The reference oracle is rebuilt from the current network on every
-        check: probing must stay exact even while the serving oracle's
-        preprocessed structures are dirty or corrupted.
+        The reference is compiled from the current network on every check:
+        probing must stay exact even while the serving oracle's preprocessed
+        structures are dirty or corrupted.
         """
-        if self.pairs == 0:
-            return []
         nodes = sorted(network.nodes())
         if len(nodes) < 2:
             return []
-        reference = DistanceOracle(network, cache_size=0, backend="dijkstra")
-        failures: list[ProbeFailure] = []
-        tolerance = self.TOLERANCE
-        for _ in range(self.pairs):
-            source, target = self._rng.sample(nodes, 2)
-            self.checks += 1
-            want = reference.cost(source, target)
-            got = oracle.cost(source, target)
-            if math.isinf(want) and math.isinf(got):
-                continue
-            if math.isinf(want) or math.isinf(got):
-                failures.append(ProbeFailure(source, target, got, want))
-                continue
-            if abs(got - want) > tolerance * max(1.0, abs(want)):
-                failures.append(ProbeFailure(source, target, got, want))
-        return failures
+        pairs = [self._rng.sample(nodes, 2) for _ in range(self.PAIRS)]
+        return list(exact_cost_failures(network, oracle, pairs))
 
 
-__all__ = ["InvariantProbe", "ProbeFailure"]
+__all__ = ["InvariantProbe", "ProbeFailure", "exact_cost_failures"]

@@ -126,14 +126,14 @@ class Simulator:
     #: Dynamic-world scenario: timed events applied at batch boundaries.
     timeline: ScenarioTimeline | None = None
     #: How the oracle follows network mutations; a policy name or instance
-    #: (defaults to ``coalesce`` whenever a timeline is present).  A bare
-    #: name uses that policy's *default* knobs -- to apply a
-    #: ``ScenarioConfig``'s staleness budgets / repair fraction cap, pass
-    #: ``make_refresh_policy(config=scenario.config)`` instead.
+    #: (defaults to ``coalesce`` whenever a timeline is present).  A policy
+    #: has no knobs: ``make_refresh_policy(config=scenario.config)`` only
+    #: picks the scenario's own policy by name.
     refresh_policy: OracleRefreshPolicy | str | None = None
-    #: Resilience layer: retries, circuit breakers, invariant probes and
-    #: dispatcher degradation (see :mod:`repro.resilience`).  ``None`` runs
-    #: the classic unguarded pipeline.
+    #: Resilience layer: retries, circuit breakers, invariant probes,
+    #: assignment verification and dispatcher degradation (see
+    #: :mod:`repro.resilience`).  Setting it is the only switch; ``None``
+    #: runs the classic unguarded pipeline.
     resilience: ResilienceManager | None = None
     _vehicle_index: GridIndex = field(init=False)
     _run: RunState | None = field(init=False, default=None, repr=False)
@@ -416,13 +416,10 @@ class Simulator:
             result = dispatcher.dispatch(context)
         dispatch_seconds = time.perf_counter() - dispatch_start
         if self.resilience is not None:
-            self.resilience.observe_batch(
-                dispatch_seconds, degraded=degraded, now=batch.end_time
+            self.resilience.observe_batch(degraded=degraded, now=batch.end_time)
+            self.resilience.verify_assignments(
+                self.network, self.oracle, result.assignments, vehicles_by_id
             )
-            if self.resilience.config.verify_assignments:
-                self.resilience.verify_assignments(
-                    self.network, self.oracle, result.assignments, vehicles_by_id
-                )
 
         due, positions = state.due, state.fleet_position
         for position in range(len(positions), len(self.vehicles)):

@@ -1,9 +1,9 @@
 """Shared fixtures for the test suite.
 
 The fixtures build small, fully deterministic instances: a jitter-free grid
-city, a distance oracle over it, request/vehicle factories and a helper that
+city, a distance oracle over it, request/vehicle factories, a helper that
 assembles a :class:`~repro.dispatch.base.DispatchContext` the way the
-simulator does.
+simulator does and the one checker of a dispatcher's assignments.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SimulationConfig
-from repro.dispatch.base import DispatchContext
+from repro.dispatch.base import DispatchContext, DispatchResult
 from repro.model.batch import Batch
 from repro.model.request import Request
 from repro.model.vehicle import Vehicle
@@ -148,3 +148,25 @@ def make_context(grid_network: RoadNetwork, oracle: DistanceOracle, config: Simu
         )
 
     return _make
+
+
+@pytest.fixture()
+def check_assignments():
+    """Checker of one dispatch: every new schedule is feasible from its
+    vehicle's route state and no request is assigned twice."""
+
+    def _check(result: DispatchResult, context: DispatchContext) -> None:
+        seen: set[int] = set()
+        for assignment in result.assignments:
+            vehicle = context.vehicle_by_id(assignment.vehicle_id)
+            state = vehicle.route_state(context.current_time)
+            evaluation = assignment.schedule.evaluate(
+                context.oracle, state.origin, state.departure_time,
+                capacity=vehicle.capacity, initial_load=vehicle.onboard,
+            )
+            assert evaluation.feasible
+            ids = assignment.new_request_ids
+            assert not (ids & seen), "a request was assigned to two vehicles"
+            seen |= ids
+
+    return _check

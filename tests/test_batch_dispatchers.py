@@ -21,27 +21,12 @@ def small_scene(make_request):
     return requests, vehicles
 
 
-def _assert_valid(result, context):
-    seen: set[int] = set()
-    for assignment in result.assignments:
-        vehicle = context.vehicle_by_id(assignment.vehicle_id)
-        state = vehicle.route_state(context.current_time)
-        evaluation = assignment.schedule.evaluate(
-            context.oracle, state.origin, state.departure_time,
-            capacity=vehicle.capacity, initial_load=vehicle.onboard,
-        )
-        assert evaluation.feasible
-        ids = assignment.new_request_ids
-        assert not (ids & seen), "a request was assigned to two vehicles"
-        seen |= ids
-
-
 class TestGAS:
-    def test_serves_shareable_pair_together(self, small_scene, make_context):
+    def test_serves_shareable_pair_together(self, small_scene, make_context, check_assignments):
         requests, vehicles = small_scene
         context = make_context(vehicles, requests, current_time=7.0)
         result = GASDispatcher().dispatch(context)
-        _assert_valid(result, context)
+        check_assignments(result, context)
         assert {1, 2, 3} <= result.assigned_request_ids
         by_vehicle = {a.vehicle_id: a.new_request_ids for a in result.assignments}
         assert {1, 2} <= by_vehicle[0]
@@ -77,12 +62,12 @@ class TestGAS:
 
 
 class TestRTV:
-    def test_ilp_assignment_is_consistent(self, small_scene, make_context):
+    def test_ilp_assignment_is_consistent(self, small_scene, make_context, check_assignments):
         requests, vehicles = small_scene
         context = make_context(vehicles, requests, current_time=7.0)
         dispatcher = RTVDispatcher()
         result = dispatcher.dispatch(context)
-        _assert_valid(result, context)
+        check_assignments(result, context)
         assert {1, 2, 3} <= result.assigned_request_ids
         assert dispatcher.ilp_solved + dispatcher.ilp_fallbacks >= 1
         # At most one trip per vehicle.
@@ -90,14 +75,14 @@ class TestRTV:
         assert len(vehicle_ids) == len(set(vehicle_ids))
 
     def test_greedy_fallback_used_when_instance_too_large(
-        self, small_scene, make_context, monkeypatch
+        self, small_scene, make_context, check_assignments, monkeypatch
     ):
         requests, vehicles = small_scene
         context = make_context(vehicles, requests, current_time=7.0)
         monkeypatch.setattr(RTVDispatcher, "max_variables", 0)
         dispatcher = RTVDispatcher()
         result = dispatcher.dispatch(context)
-        _assert_valid(result, context)
+        check_assignments(result, context)
         assert dispatcher.ilp_fallbacks == 1
         assert result.assigned_request_ids
 
@@ -115,10 +100,12 @@ class TestRTV:
         dispatcher.reset()
         assert dispatcher.ilp_solved == 0
 
-    def test_greedy_fallback_respects_uniqueness(self, make_request, make_context, monkeypatch):
+    def test_greedy_fallback_respects_uniqueness(
+        self, make_request, make_context, check_assignments, monkeypatch
+    ):
         requests = [make_request(i, 0, 4, release_time=5.0) for i in (1, 2, 3, 4)]
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=1)]
         context = make_context(vehicles, requests, current_time=6.0)
         monkeypatch.setattr(RTVDispatcher, "max_variables", 0)
         result = RTVDispatcher().dispatch(context)
-        _assert_valid(result, context)
+        check_assignments(result, context)

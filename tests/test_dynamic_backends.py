@@ -41,7 +41,7 @@ from repro.network.routing.backends import csr_content
 from repro.network.shortest_path import DistanceOracle
 from repro.resilience.faults import ChaosOracle, FaultInjector
 
-ALL_BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
+ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
 
 
 def _city(seed: int = 3):
@@ -308,8 +308,8 @@ class TestIncrementalRepair:
         assert stats.nodes_recontracted > 0
 
     def test_repair_on_graph_search_backend_rebuilds(self):
-        """dijkstra/alt hold no hierarchy; repair degenerates to the (cheap)
-        CSR rebuild."""
+        """dijkstra holds no hierarchy; repair degenerates to the (cheap) CSR
+        rebuild."""
         network = _city(seed=16)
         oracle = DistanceOracle(network, backend="dijkstra")
         oracle.cost(0, 5)
@@ -595,7 +595,7 @@ class TestRebuildAdoption:
         oracle.rebuild()
         assert routing_data(network) is initial
 
-    @pytest.mark.parametrize("backend", ("dijkstra", "alt", "ch", "hub_label"))
+    @pytest.mark.parametrize("backend", ALL_BACKENDS)
     def test_a_rebuild_signs_only_the_fresh_content(self, backend, monkeypatch):
         """A backend without a hierarchy signs nothing (the fresh CSR is all
         it could adopt); a hierarchy backend signs the state the constructor

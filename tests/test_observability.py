@@ -24,7 +24,6 @@ from repro.observability import (
     MetricError,
     MetricRegistry,
     SpanTracer,
-    TraceConfig,
     get_tracer,
     set_tracer,
     tracing,
@@ -417,7 +416,7 @@ def traced_sard_run():
         config=workload.simulation_config,
         record_events=False,
     )
-    with tracing(oracle=oracle, config=TraceConfig(oracle_sample_every=10)) as tracer:
+    with tracing(oracle=oracle) as tracer:
         result = simulator.run()
     return result, tracer
 

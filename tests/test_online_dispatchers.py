@@ -20,34 +20,25 @@ def corridor_requests(make_request):
     ]
 
 
-def _check_assignments_feasible(result, context):
-    for assignment in result.assignments:
-        vehicle = context.vehicle_by_id(assignment.vehicle_id)
-        state = vehicle.route_state(context.current_time)
-        evaluation = assignment.schedule.evaluate(
-            context.oracle, state.origin, state.departure_time,
-            capacity=vehicle.capacity, initial_load=vehicle.onboard,
-        )
-        assert evaluation.feasible
-
-
 class TestPruneGDP:
-    def test_assigns_to_cheapest_vehicle(self, make_request, make_context):
+    def test_assigns_to_cheapest_vehicle(self, make_request, make_context, check_assignments):
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=10)]
         request = make_request(1, 0, 4, release_time=5.0)
         context = make_context(vehicles, [request], current_time=6.0)
         result = PruneGDPDispatcher().dispatch(context)
         assert result.assigned_request_ids == {1}
         assert result.assignments[0].vehicle_id == 0
-        _check_assignments_feasible(result, context)
+        check_assignments(result, context)
 
-    def test_can_pool_shareable_requests_on_one_vehicle(self, corridor_requests, make_context):
+    def test_can_pool_shareable_requests_on_one_vehicle(
+        self, corridor_requests, make_context, check_assignments
+    ):
         vehicles = [Vehicle(vehicle_id=0, location=0)]
         context = make_context(vehicles, corridor_requests[:2], current_time=7.0)
         result = PruneGDPDispatcher().dispatch(context)
         assert result.assigned_request_ids == {1, 2}
         assert len(result.assignments) == 1
-        _check_assignments_feasible(result, context)
+        check_assignments(result, context)
 
     def test_rejects_unreachable_request(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=0, location=35)]
@@ -73,7 +64,9 @@ class TestPruneGDP:
 
 
 class TestTicketAssign:
-    def test_contention_resolved_by_cheapest_bid(self, make_request, make_context):
+    def test_contention_resolved_by_cheapest_bid(
+        self, make_request, make_context, check_assignments
+    ):
         # Two requests whose best vehicle is the same one: the closer request
         # wins the ticket in round one, the other retries.
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=3)]
@@ -85,7 +78,7 @@ class TestTicketAssign:
         assert 1 in result.assigned_request_ids
         by_vehicle = {a.vehicle_id: a.new_request_ids for a in result.assignments}
         assert 1 in by_vehicle.get(0, set())
-        _check_assignments_feasible(result, context)
+        check_assignments(result, context)
 
     def test_contention_counter_increases(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=0, location=0)]
@@ -104,12 +97,12 @@ class TestTicketAssign:
 
 
 class TestDARM:
-    def test_matching_assigns_requests(self, corridor_requests, make_context):
+    def test_matching_assigns_requests(self, corridor_requests, make_context, check_assignments):
         vehicles = [Vehicle(vehicle_id=0, location=0), Vehicle(vehicle_id=1, location=32)]
         context = make_context(vehicles, corridor_requests, current_time=7.0)
         result = DARMDispatcher().dispatch(context)
         assert {1, 2} <= result.assigned_request_ids
-        _check_assignments_feasible(result, context)
+        check_assignments(result, context)
 
     def test_demand_table_updates(self, corridor_requests, make_context):
         vehicles = [Vehicle(vehicle_id=0, location=0)]

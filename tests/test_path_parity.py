@@ -39,7 +39,7 @@ from repro.network.routing import (
 )
 from repro.network.shortest_path import DistanceOracle
 
-ALL_BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
+ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
 
 
 def _random_network(num_nodes: int, density: float, seed: int) -> RoadNetwork:

@@ -14,20 +14,28 @@ from random import Random
 
 import pytest
 
-from repro.config import ChaosConfig, ResilienceConfig
+from repro.config import ChaosConfig
+from repro.dispatch.base import Assignment
 from repro.exceptions import (
     ConfigurationError,
     InjectedFaultError,
     OracleBuildError,
     OracleRepairError,
+    ResilienceError,
+    ScenarioError,
 )
 from repro.experiments.harness import (
-    CHAOS_RESILIENCE,
     RunSpec,
+    _parity_probe,
     deterministic_summary,
     run,
 )
+from repro.model.request import Request
+from repro.model.schedule import Schedule
+from repro.model.vehicle import Vehicle
+from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import costs_close
 from repro.resilience import (
     BreakerState,
     ChaosOracle,
@@ -37,6 +45,7 @@ from repro.resilience import (
     ResilienceManager,
     RetryPolicy,
 )
+from repro.scenarios.events import WorldView
 from repro.scenarios.presets import CHAOS_PRESETS, make_chaos_config
 
 
@@ -66,10 +75,6 @@ class TestChaosConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ConfigurationError):
             ChaosConfig(**kwargs)
-
-    def test_resilience_config_validation(self):
-        with pytest.raises(ConfigurationError):
-            ResilienceConfig(batch_time_budget=-1.0)
 
     def test_chaos_presets(self):
         assert set(CHAOS_PRESETS) == {"flaky_oracle", "oracle_meltdown"}
@@ -346,7 +351,7 @@ class TestProbesAndSelfHealing:
             ChaosConfig(corruption_rate=1.0, corruption_factor=1.1)
         )
         oracle = ChaosOracle(grid_network, injector=injector, backend="ch")
-        probe = InvariantProbe(pairs=4)
+        probe = InvariantProbe()
         assert probe.check(grid_network, oracle) == []
         oracle.rebuild()
         failures = probe.check(grid_network, oracle)
@@ -355,8 +360,9 @@ class TestProbesAndSelfHealing:
 
     def test_probe_sampling_is_seeded(self, grid_network, oracle, monkeypatch):
         monkeypatch.setattr(InvariantProbe, "SEED", 9)
-        a = InvariantProbe(pairs=6)
-        b = InvariantProbe(pairs=6)
+        monkeypatch.setattr(InvariantProbe, "PAIRS", 6)
+        a = InvariantProbe()
+        b = InvariantProbe()
         a.check(grid_network, oracle)
         b.check(grid_network, oracle)
         assert a._rng.getstate() == b._rng.getstate()
@@ -368,7 +374,6 @@ class TestProbesAndSelfHealing:
         # the ladder only via ChaosOracle.heal before the rebuild, so the
         # re-check passes because heal clears the flag set by that rebuild.
         manager = ResilienceManager(
-            config=ResilienceConfig(probe_pairs=4),
             chaos=ChaosConfig(corruption_rate=1.0, corruption_factor=1.2),
         )
         oracle = manager.make_oracle(grid_network, backend="ch")
@@ -385,7 +390,6 @@ class TestProbesAndSelfHealing:
 
     def test_manager_events_reach_the_recorder(self, grid_network):
         manager = ResilienceManager(
-            config=ResilienceConfig(probe_pairs=4),
             chaos=ChaosConfig(corruption_rate=1.0, corruption_factor=1.2),
         )
         oracle = manager.make_oracle(grid_network, backend="ch")
@@ -397,6 +401,120 @@ class TestProbesAndSelfHealing:
         manager.before_dispatch(grid_network, oracle, now=5.0)
         assert "probe_failed" in recorded
         assert "oracle_self_healed" in recorded
+
+
+# --------------------------------------------------------------------- #
+# one exact-cost check: the probe, the verifier and the scenario parity probe
+# --------------------------------------------------------------------- #
+def _probe_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
+    return bool(InvariantProbe().check(network, oracle))
+
+
+def _verifier_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
+    """Verify one assignment: the vehicle at the first node drives to the
+    second, picks up and drops off at the last (two legs)."""
+    nodes = sorted(network.nodes())
+    request = Request.create(
+        1, nodes[1], nodes[-1], 0.0,
+        direct_cost=DistanceOracle(network).cost(nodes[1], nodes[-1]), gamma=2.0,
+    )
+    vehicle = Vehicle(vehicle_id=0, location=nodes[0])
+    assignment = Assignment(0, Schedule.direct(request), (request,))
+    try:
+        ResilienceManager().verify_assignments(network, oracle, [assignment], {0: vehicle})
+    except ResilienceError:
+        return True
+    return False
+
+
+def _parity_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
+    context = {"bursts": 0}
+    world = WorldView(
+        now=0.0, network=network, oracle=oracle, vehicles=[], vehicles_by_id={},
+        pending={}, vehicle_index=None, metrics=None,
+    )
+    try:
+        _parity_probe(context, 4)(world)
+    except ScenarioError:
+        return True
+    assert context["bursts"] == 1
+    return False
+
+
+CHECKERS = {"probe": _probe_flags, "verifier": _verifier_flags, "parity": _parity_flags}
+
+
+def _serving(network: RoadNetwork, backend: str, state: str) -> DistanceOracle:
+    """The oracle under check: as built, on its Dijkstra fallback, or a
+    chaos oracle whose refresh left it corrupted by the factor ``state``."""
+    if state in ("built", "fallback"):
+        oracle = DistanceOracle(network, backend=backend)
+        if state == "fallback":
+            oracle.enable_fallback()
+        return oracle
+    chaos = ChaosConfig(corruption_rate=1.0, corruption_factor=float(state))
+    oracle = ChaosOracle(network, injector=FaultInjector(chaos), backend=backend)
+    oracle.rebuild()
+    assert oracle.corrupted
+    return oracle
+
+
+class TestExactCostCheck:
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    @pytest.mark.parametrize("state", ["built", "fallback", "0.6", "1.07"])
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub_label"])
+    def test_passes_exact_and_flags_corrupted(self, grid_network, backend, state, checker):
+        oracle = _serving(grid_network, backend, state)
+        corrupted = state not in ("built", "fallback")
+        assert CHECKERS[checker](grid_network, oracle) is corrupted
+
+    @pytest.mark.parametrize("checker", sorted(CHECKERS))
+    def test_two_microseconds_on_ten_thousand_seconds_is_flagged(self, checker):
+        """One rule, absolute 1e-6 s: a relative tolerance would let a
+        2e-6 s error on a 1e4 s cost through."""
+
+        class Drifting(DistanceOracle):
+            def cost(self, source: int, target: int) -> float:
+                value = super().cost(source, target)
+                return value + 2e-6 if value > 0 else value
+
+        network = RoadNetwork()
+        for node in range(2):
+            network.add_node(node, node * 1e5, 0.0)
+        network.add_edge(0, 1, 1e4, bidirectional=True)
+        assert not CHECKERS[checker](network, DistanceOracle(network))
+        assert CHECKERS[checker](network, Drifting(network))
+
+    def test_parity_probe_checks_the_path_of_each_exact_pair(self, grid_network):
+        class Teleporting(DistanceOracle):
+            def path(self, source: int, target: int) -> list[int]:
+                super().path(source, target)
+                return [source, target]
+
+        world = WorldView(
+            now=0.0, network=grid_network, oracle=Teleporting(grid_network),
+            vehicles=[], vehicles_by_id={}, pending={}, vehicle_index=None, metrics=None,
+        )
+        with pytest.raises(ScenarioError, match="missing edge"):
+            _parity_probe({"bursts": 0}, 4)(world)
+
+    def test_an_attached_manager_verifies_every_dispatch(self, monkeypatch):
+        verified: list[int] = []
+        monkeypatch.setattr(
+            ResilienceManager, "verify_assignments",
+            lambda self, network, oracle, assignments, vehicles: verified.append(
+                len(assignments)
+            ),
+        )
+        row = _chaos_row("eager", chaos="flaky_oracle")
+        assert verified and sum(verified) > 0 and row["service_rate"] > 0
+
+    def test_costs_close(self):
+        assert costs_close(1e4, 1e4 + 5e-7)
+        assert not costs_close(1e4, 1e4 + 2e-6)
+        assert costs_close(math.inf, math.inf)
+        assert not costs_close(math.inf, 1e300)
+        assert not costs_close(math.nan, math.nan)
 
 
 # --------------------------------------------------------------------- #
@@ -479,7 +597,7 @@ class TestChaosRuns:
     @pytest.mark.parametrize("policy", ["eager", "deferred", "coalesce", "repair"])
     def test_stadium_surge_survives_meltdown(self, policy):
         # The hard invariant: the run completes, assignments are verified
-        # exact (CHAOS_RESILIENCE turns verify_assignments on, so a single
+        # exact (the manager verifies every accepted assignment, so a single
         # inexact accepted cost raises), and the resilience machinery
         # actually engaged.
         row = _chaos_row(policy, chaos="oracle_meltdown")
@@ -505,7 +623,21 @@ class TestChaosRuns:
         assert "breaker_trips" not in row  # plain grid stays chaos-free
 
     def test_chaos_resilience_defaults_are_deterministic(self):
-        # Breaker decisions must not depend on the host's wall clock.
-        assert CHAOS_RESILIENCE.count_real_dispatch_time is False
-        assert CHAOS_RESILIENCE.verify_assignments is True
-        assert CHAOS_RESILIENCE.batch_time_budget is not None
+        """The fixed behaviour: a 0.05 s budget charged with injected
+        virtual latency only (breaker decisions never depend on the host's
+        wall clock), four probe pairs per check."""
+        assert ResilienceManager.BATCH_TIME_BUDGET == 0.05
+        assert InvariantProbe.PAIRS == 4
+        manager = ResilienceManager(
+            chaos=ChaosConfig(query_spike_rate=1.0, spike_seconds=0.03)
+        )
+        # No injected latency: within budget, however long dispatch took.
+        manager.observe_batch(degraded=False, now=0.0)
+        assert manager.stats.batch_overruns == 0
+        manager.injector.query_spike()
+        manager.observe_batch(degraded=False, now=1.0)
+        assert manager.stats.batch_overruns == 0  # 0.03 s <= 0.05 s
+        manager.injector.query_spike()
+        manager.injector.query_spike()
+        manager.observe_batch(degraded=False, now=2.0)
+        assert manager.stats.batch_overruns == 1  # 0.06 s > 0.05 s

@@ -32,7 +32,7 @@ from repro.network.routing import (
 from repro.network.shortest_path import DistanceOracle
 from repro.workloads.presets import make_workload
 
-ALL_BACKENDS = ("dijkstra", "alt", "ch", "hub_label")
+ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
 
 
 def _random_network(num_nodes: int, density: float, seed: int) -> RoadNetwork:
@@ -111,7 +111,7 @@ class TestBackendEquivalence:
         rng = random.Random(4)
         nodes = list(city.nodes())
         pairs = [tuple(rng.sample(nodes, 2)) for _ in range(150)]
-        for backend in ("alt", "ch", "hub_label"):
+        for backend in ("ch", "hub_label"):
             oracle = DistanceOracle(city, cache_size=0, backend=backend)
             for u, v in pairs:
                 assert oracle.cost(u, v) == pytest.approx(plain.cost(u, v), abs=1e-6)

@@ -131,15 +131,6 @@ class TestProtocolConformance:
             legs = [network.edge_cost(a, b) for a, b in zip(nodes, nodes[1:])]
             assert sum(legs) == pytest.approx(want, abs=1e-6)
 
-    def test_alt_learns_exact_distances_around_dead_ends(self):
-        """Regression: the landmark potential was inconsistent at nodes that
-        cannot reach the target, so an ``alt`` search settled -- and the
-        oracle cached -- too long a distance for them (141.3 for 97.2 here)."""
-        network = _sparse_network(22)
-        oracle = DistanceOracle(network, backend="alt")
-        oracle.cost(2, 0)
-        assert oracle.cost(2, 10) == pytest.approx(_dijkstra(network, 2)[10])
-
     @pytest.mark.parametrize("serving", SERVING)
     @settings(
         max_examples=15, deadline=None,
@@ -225,15 +216,14 @@ class TestUnknownNodes:
 
 class TestMemoryEstimate:
     def test_every_backend_reports_what_it_holds(self):
-        """Regression: ``alt`` reported 0 bytes for its landmark tables and
-        ``hub_label`` less than ``ch``, whose hierarchy it keeps for repairs."""
+        """Regression: ``hub_label`` reported less than ``ch``, whose
+        hierarchy it keeps for repairs."""
         network = grid_city(4, 4)
         held = {
             name: DistanceOracle(network, backend=name).estimated_memory_bytes()
             for name in BACKEND_NAMES
         }
-        assert 0 < held["dijkstra"] < held["alt"]
-        assert held["dijkstra"] < held["ch"] < held["hub_label"]
+        assert 0 < held["dijkstra"] < held["ch"] < held["hub_label"]
 
 
 # ---------------------------------------------------------------------- #

@@ -19,27 +19,13 @@ def scene(make_request):
     return requests, vehicles
 
 
-def _assert_valid(result, context):
-    seen: set[int] = set()
-    for assignment in result.assignments:
-        vehicle = context.vehicle_by_id(assignment.vehicle_id)
-        state = vehicle.route_state(context.current_time)
-        evaluation = assignment.schedule.evaluate(
-            context.oracle, state.origin, state.departure_time,
-            capacity=vehicle.capacity, initial_load=vehicle.onboard,
-        )
-        assert evaluation.feasible
-        assert not (assignment.new_request_ids & seen)
-        seen |= assignment.new_request_ids
-
-
 class TestDispatch:
-    def test_serves_all_requests_in_easy_scene(self, scene, make_context):
+    def test_serves_all_requests_in_easy_scene(self, scene, make_context, check_assignments):
         requests, vehicles = scene
         dispatcher = SARDDispatcher()
         context = make_context(vehicles, requests, current_time=7.0)
         result = dispatcher.dispatch(context)
-        _assert_valid(result, context)
+        check_assignments(result, context)
         assert result.assigned_request_ids == {1, 2, 3}
 
     def test_groups_form_cliques_of_the_shareability_graph(self, scene, make_context):
@@ -79,13 +65,13 @@ class TestDispatch:
         for rid in result.assigned_request_ids:
             assert rid not in dispatcher.builder.graph
 
-    def test_respects_capacity(self, make_request, make_context):
+    def test_respects_capacity(self, make_request, make_context, check_assignments):
         requests = [make_request(i, 0, 4, release_time=5.0, riders=2) for i in (1, 2, 3)]
         vehicles = [Vehicle(vehicle_id=0, location=0, capacity=3)]
         dispatcher = SARDDispatcher()
         context = make_context(vehicles, requests, current_time=6.0)
         result = dispatcher.dispatch(context)
-        _assert_valid(result, context)
+        check_assignments(result, context)
         # Only one two-rider request fits at a time along the shared corridor.
         assert len(result.assigned_request_ids) >= 1
 

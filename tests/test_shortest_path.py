@@ -128,21 +128,6 @@ class TestCachingAndStats:
         assert oracle.estimated_memory_bytes() > empty
 
 
-class TestLandmarks:
-    def test_landmark_oracle_matches_plain_dijkstra(self, jittered_city: RoadNetwork):
-        plain = DistanceOracle(jittered_city)
-        alt = DistanceOracle(jittered_city, backend="alt")
-        for source, target in [(0, 24), (3, 20), (12, 7), (24, 0)]:
-            assert alt.cost(source, target) == pytest.approx(plain.cost(source, target))
-
-    def test_landmark_search_settles_fewer_nodes(self, jittered_city: RoadNetwork):
-        plain = DistanceOracle(jittered_city, cache_size=0)
-        alt = DistanceOracle(jittered_city, cache_size=0, backend="alt")
-        plain.cost(0, 24)
-        alt.cost(0, 24)
-        assert alt.stats.settled_nodes <= plain.stats.settled_nodes
-
-
 class TestTopSpeed:
     @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub_label"])
     def test_the_fastest_edge_of_the_serving_state_worked_out_on_first_use(
