@@ -59,8 +59,11 @@ def best_insertion(
     before ``route.min_insert_position`` are skipped because the vehicle has
     already committed to its next stop.
 
-    For each pick-up position the route is walked forward once from the
-    route profile's state at that position; the walk ends at the first stop
+    The scan over pick-up positions ends at the first one whose
+    straight-line bound (:meth:`DistanceOracle.lower_bound`) to the pick-up
+    is late, before that leg is priced.  For each other pick-up position the
+    route is walked forward once from the route profile's state at that
+    position; the walk ends at the first stop
     the detour makes late or overfull, since every later drop-off position
     drives through it too.  A drop-off position is settled by comparing the
     arrival at the stop behind it with that stop's slack; only an arrival
@@ -106,7 +109,12 @@ def best_insertion(
     base_cost = travel_at[n]
     best_delta = best_total = inf
     best_pickup = best_dropoff = -1
+    bound = oracle.lower_bound
     for i in range(route.min_insert_position, min(n, open_until) + 1):
+        # ``clock_at[i] + bound(node_at[i], source)`` never falls as ``i``
+        # grows (triangle inequality), so no later pick-up is on time either.
+        if clock_at[i] + bound(node_at[i], source) > pickup_due:
+            break
         leg = cost(node_at[i], source)
         clock = clock_at[i] + leg
         if clock < release:

@@ -58,8 +58,9 @@ def best_pair_schedule(
     requests cannot share a trip in this orientation.  The vehicle starts
     empty at ``first``'s source when ``first`` is released, so with both
     parties fitting the seats only the deadlines can fail; each ordering is
-    driven in ``Schedule.evaluate``'s arithmetic and only the winner is
-    built.
+    driven in ``Schedule.evaluate``'s arithmetic, ends before pricing a leg
+    whose :meth:`~DistanceOracle.lower_bound` is already late, and only the
+    winner is built.
     """
     seats = capacity if capacity is not None else first.riders + second.riders
     start = first.release_time
@@ -69,7 +70,7 @@ def best_pair_schedule(
         or start > first.latest_pickup + 1e-9
     ):
         return None, math.inf
-    cost = oracle.cost
+    cost, bound = oracle.cost, oracle.lower_bound
     # (node, earliest service, deadline plus tolerance) of s_a, e_a, s_b, e_b.
     stops = (
         (first.source, start, math.inf),
@@ -83,6 +84,9 @@ def best_pair_schedule(
         here, clock, travel = first.source, start, 0.0
         for k in order[1:]:
             node, release, due = stops[k]
+            if clock + bound(here, node) > due:
+                travel = math.inf
+                break
             leg = cost(here, node)
             travel += leg
             clock += leg

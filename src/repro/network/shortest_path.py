@@ -320,6 +320,13 @@ class DistanceOracle:
             self._top_speed = (data, max(speeds, default=0.0) * (1 + 1e-9) or math.inf)
         return self._top_speed[1]
 
+    def lower_bound(self, source: int, target: int) -> float:
+        """No :meth:`cost` from ``source`` to ``target`` is below this: the
+        straight-line distance driven at :meth:`top_speed`.  A check that
+        refuses on it before pricing a leg refuses exactly what the leg's
+        cost would have refused."""
+        return self._network.euclidean(source, target) / self.top_speed()
+
     def set_query_tracing(self, tracer: object | None, every: int = 100) -> None:
         """Sample every ``every``-th *computed* point query into ``tracer``.
 

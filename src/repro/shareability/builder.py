@@ -39,7 +39,9 @@ class BuilderStatistics:
     pairs_tested: int = 0
     edges_added: int = 0
     #: Shortest-path queries issued while testing pairs (difference of the
-    #: oracle counter around the feasibility tests).
+    #: oracle counter around the feasibility tests).  A leg the test refuses
+    #: on the straight-line bound is never asked, so this "#SP queries"
+    #: column is below that of a test that prices every leg.
     shortest_path_queries: int = 0
 
     def merge(self, other: "BuilderStatistics") -> None:
@@ -176,8 +178,6 @@ class DynamicShareabilityGraphBuilder:
                 self.stats.pruned_by_angle += 1
                 continue
             survivors.append(candidate)
-        if survivors:
-            self._prefetch_pair_legs(request, survivors)
         for candidate in survivors:
             if self._test_pair(request, candidate):
                 graph.add_edge(request.request_id, candidate.request_id)
@@ -192,26 +192,6 @@ class DynamicShareabilityGraphBuilder:
             first_window[0] <= second_window[1] + 1e-9
             and second_window[0] <= first_window[1] + 1e-9
         )
-
-    def _prefetch_pair_legs(self, request: Request, survivors: list[Request]) -> None:
-        """Batch the distance legs the pairwise tests are about to evaluate.
-
-        Instead of letting every candidate schedule issue its ``cost`` legs
-        one by one, all legs incident to the anchor's endpoints are answered
-        by two :meth:`DistanceOracle.prefetch` calls -- one multi-target
-        search (or one batch of hub-label joins) per direction -- so the
-        feasibility tests below run almost entirely against the warm cache.  Only the
-        per-candidate direct leg (source -> destination) stays a point
-        query.  Prefetching is invisible to the logical query counters, so
-        the reported "#Shortest Path Queries" column is unchanged.
-        """
-        endpoints: list[int] = []
-        for candidate in survivors:
-            endpoints.append(candidate.source)
-            endpoints.append(candidate.destination)
-        anchor = (request.source, request.destination)
-        self.oracle.prefetch(anchor, (*endpoints, request.destination))
-        self.oracle.prefetch(endpoints, anchor)
 
     def _test_pair(self, anchor: Request, candidate: Request) -> bool:
         """Run the pairwise feasibility test, charging shortest-path queries."""

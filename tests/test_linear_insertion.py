@@ -114,7 +114,8 @@ class TestSingleInsertion:
 
 
 class _CountingOracle:
-    """Counts the ``cost`` calls it forwards."""
+    """Counts the ``cost`` calls it forwards; its straight-line bound refuses
+    nothing, so every leg the kernel considers is priced."""
 
     def __init__(self, oracle) -> None:
         self._oracle = oracle
@@ -127,6 +128,16 @@ class _CountingOracle:
     def cost(self, source: int, target: int) -> float:
         self.calls += 1
         return self._oracle.cost(source, target)
+
+    def lower_bound(self, source: int, target: int) -> float:
+        return 0.0
+
+
+class _BoundedCountingOracle(_CountingOracle):
+    """A :class:`_CountingOracle` that forwards the straight-line bound."""
+
+    def lower_bound(self, source: int, target: int) -> float:
+        return self._oracle.lower_bound(source, target)
 
 
 class TestKernelWork:
@@ -157,16 +168,39 @@ class TestKernelWork:
         request = make_request(1, 6, 8, release_time=0.0, max_wait=10.0)
         assert not best_insertion(route, request, counting).feasible
         assert counting.calls <= 2 * stops + 2
-        # The route is priced once per snapshot: another request only costs
-        # the pick-up leg of every position, the same one again nothing
-        # (an idle route keeps no outcomes: it is two look-ups either way).
+        # The route is priced once per snapshot; every pick-up clock is late
+        # before a leg is added, so another request costs nothing, and the
+        # same one again nothing (an idle route keeps no outcomes: it is one
+        # look-up either way).
         counting.calls = 0
         other = replace(request, request_id=2)
         assert not best_insertion(route, other, counting).feasible
-        assert counting.calls <= stops + 1
+        assert counting.calls == (0 if stops else 1)
         counting.calls = 0
         assert not best_insertion(route, request, counting).feasible
         assert counting.calls == (0 if stops else 1)
+
+    @pytest.mark.parametrize("stops", [2, 4, 6, 8])
+    def test_no_oracle_calls_when_every_pickup_is_late_by_the_bound(
+        self, make_request, oracle, stops
+    ):
+        """Every pick-up position is on time by its clock alone, but not
+        after the straight-line leg to the far corner at the top speed."""
+        counting = _BoundedCountingOracle(oracle)
+        route = _route(0, capacity=9, schedule=self._chain(make_request, stops))
+        request = make_request(1, 35, 30, gamma=50.0, max_wait=40.0)
+        profile = route.profile(counting)
+        due = request.latest_pickup
+        assert all(
+            profile.clock_at[i] <= due < profile.clock_at[i] + oracle.lower_bound(
+                profile.node_at[i], request.source
+            )
+            for i in range(stops + 1)
+        )
+        counting.calls = 0
+        assert best_insertion(route, request, counting) == route.refusal(counting)
+        assert counting.calls == 0
+        assert best_insertion(route, request, _CountingOracle(oracle)) == route.refusal(counting)
 
     def test_profile_is_not_reused_under_another_oracle(self, make_request, grid_network, oracle):
         slow_city = grid_city(6, 6, block_length=100.0, speed=2.0, perturbation=0.0, seed=1)

@@ -281,6 +281,10 @@ class _TableOracle:
     def cost(self, source: int, target: int) -> float:
         return 0.0 if source == target else self._cost[source, target]
 
+    def lower_bound(self, source: int, target: int) -> float:
+        """Without geometry or a triangle inequality nothing is refused early."""
+        return 0.0
+
 
 _TABLES = [_TableOracle(seed) for seed in range(2)]
 # Jittered legs: routes through the same streets in a different order cost the
@@ -290,14 +294,15 @@ _JITTERED = DistanceOracle(grid_city(6, 6, block_length=100.0, speed=10.0,
 
 
 @st.composite
-def insertion_cases(draw):
+def insertion_cases(draw, oracles=(_ORACLE, _JITTERED, *_TABLES)):
     """``(oracle, route, request)`` over 0-8 stops: onboard riders, a
     committed first stop, pick-ups that wait for their release, routes that
     are already late, unreachable legs and exact-deadline ties."""
-    oracle = draw(st.sampled_from([_ORACLE, _JITTERED, *_TABLES]))
+    oracle = draw(st.sampled_from(oracles))
     nodes = _TableOracle.nodes if oracle in _TABLES else _NODES
-    if oracle is _JITTERED and draw(st.booleans()):
-        # One street: detours cost nothing, up to the order of the additions.
+    if nodes is _NODES and oracle is not _ORACLE and draw(st.booleans()):
+        # One street: detours cost nothing, up to the order of the additions,
+        # and the straight-line bound is as tight as it gets.
         nodes = _NODES[:6]
     # Multiples of 10 s on the grid oracle (whose legs are multiples of 10 s
     # too) put arrivals exactly on deadlines; fractions exercise rounding.
@@ -353,33 +358,38 @@ def insertion_cases(draw):
     return oracle, route, request(draw(st.sampled_from([1, 9, 9, 9, 9, 9, 9, 9])))
 
 
+def _assert_kernel_is_the_reference(oracle, route, request):
+    expected = _reference_best_insertion(route, request, oracle)
+    outcome = best_insertion(route, request, oracle)
+    assert outcome.feasible == expected.feasible
+    assert outcome.delta_cost == expected.delta_cost
+    assert outcome.total_cost == expected.total_cost
+    assert outcome.pickup_position == expected.pickup_position
+    assert outcome.dropoff_position == expected.dropoff_position
+    assert outcome.schedule == expected.schedule
+    # A second request against the same snapshot reuses its profile.
+    assert best_insertion(route, request, oracle) == outcome
+
+
+def _assert_pair_test_is_the_reference(oracle, route, second, capacity):
+    for first in route.schedule.requests():
+        for a, b in ((first, second), (second, first)):
+            expected = _reference_best_pair_schedule(a, b, oracle, capacity=capacity)
+            assert best_pair_schedule(a, b, oracle, capacity=capacity) == expected
+
+
 class TestInsertionKernelEqualsBruteForce:
     @given(case=insertion_cases())
     @settings(max_examples=600, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     def test_best_insertion(self, case):
-        oracle, route, request = case
-        expected = _reference_best_insertion(route, request, oracle)
-        outcome = best_insertion(route, request, oracle)
-        assert outcome.feasible == expected.feasible
-        assert outcome.delta_cost == expected.delta_cost
-        assert outcome.total_cost == expected.total_cost
-        assert outcome.pickup_position == expected.pickup_position
-        assert outcome.dropoff_position == expected.dropoff_position
-        assert outcome.schedule == expected.schedule
-        # A second request against the same snapshot reuses its profile.
-        assert best_insertion(route, request, oracle) == outcome
+        _assert_kernel_is_the_reference(*case)
 
     @given(case=insertion_cases(), capacity=st.sampled_from([None, 1, 2, 3, 4]))
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
     def test_best_pair_schedule(self, case, capacity):
-        oracle, route, second = case
-        for first in route.schedule.requests():
-            expected = _reference_best_pair_schedule(first, second, oracle, capacity=capacity)
-            assert best_pair_schedule(first, second, oracle, capacity=capacity) == expected
-            expected = _reference_best_pair_schedule(second, first, oracle, capacity=capacity)
-            assert best_pair_schedule(second, first, oracle, capacity=capacity) == expected
+        _assert_pair_test_is_the_reference(*case, capacity)
 
     def test_route_that_violates_the_order_constraint_takes_nothing(self):
         a = _request(1, _NODES[0], _NODES[5], 0.0, 2.0)
@@ -882,9 +892,9 @@ def _sped_up_oracle(backend, network):
     return oracle
 
 
-def _corrupted_oracle(backend, network):
-    """A ``backend`` oracle whose every cost is 0.6 of the truth."""
-    injector = FaultInjector(ChaosConfig(corruption_rate=1.0, corruption_factor=0.6))
+def _corrupted_oracle(backend, network, factor=0.6):
+    """A ``backend`` oracle whose every cost is ``factor`` of the truth."""
+    injector = FaultInjector(ChaosConfig(corruption_rate=1.0, corruption_factor=factor))
     oracle = ChaosOracle(network, injector=injector, backend=backend)
     oracle.rebuild()
     assert oracle.corrupted
@@ -947,6 +957,82 @@ class TestTheReachRuleDropsOnlyRefusals:
         for vehicle in dropped:
             route = vehicle.route_state(now)
             assert not best_insertion(route, request, oracle).feasible
+
+
+def _twice_as_fast_oracle(backend, network):
+    """A ``backend`` oracle that answers from a Dijkstra fallback after every
+    street got twice as fast: a bound at the built top speed refuses in time."""
+    oracle = DistanceOracle(network, backend=backend)
+    built = oracle.top_speed()
+    for u, v, cost in list(network.edges()):
+        network.add_edge(u, v, cost / 2.0)
+    oracle.enable_fallback()
+    assert oracle.serving_fallback and oracle.top_speed() == pytest.approx(2 * built)
+    return oracle
+
+
+#: Every backend as built, serving a fallback and corrupted below and above
+#: the truth, each over its own copy of ``_CITY``: every street drives at the
+#: top speed, so ``lower_bound`` is the cost of a leg along one street.
+_BOUNDED = {
+    (backend, serving): make(
+        backend, grid_city(6, 6, block_length=100.0, speed=10.0, perturbation=0.0, seed=0)
+    )
+    for backend in ("dijkstra", "ch", "hub_label")
+    for serving, make in (
+        ("built", _built_oracle),
+        ("fallback", _twice_as_fast_oracle),
+        ("corrupted 0.6", lambda backend, city: _corrupted_oracle(backend, city, 0.6)),
+        ("corrupted 1.07", lambda backend, city: _corrupted_oracle(backend, city, 1.07)),
+    )
+}
+
+
+class TestTheBoundRefusesOnlyRefusals:
+    """The kernel and the pair test refuse on ``oracle.lower_bound`` before
+    pricing a leg, and still answer what the unpruned references answer."""
+
+    @given(case=insertion_cases(tuple(_BOUNDED.values())))
+    @settings(max_examples=600, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_best_insertion(self, case):
+        oracle, route, request = case
+        profile = route.profile(oracle)
+        due = request.latest_pickup + 1e-9
+        opened = range(route.min_insert_position, min(len(route.schedule), profile.open_until) + 1)
+        bites = len(route.schedule) > 0 and any(
+            profile.clock_at[i] <= due
+            < profile.clock_at[i] + oracle.lower_bound(profile.node_at[i], request.source)
+            for i in opened
+        )
+        event("bound refuses" if bites else "bound idle")
+        _assert_kernel_is_the_reference(oracle, route, request)
+
+    @pytest.mark.parametrize("key", sorted(_BOUNDED), ids=" ".join)
+    def test_a_pickup_due_on_arrival_along_one_street_is_taken(self, key):
+        """Along one street a leg costs exactly the straight line at the top
+        speed: only the margin keeps the bound of an arrival right on the
+        deadline below it."""
+        oracle = _BOUNDED[key]
+        street = _NODES[:6]
+        due = oracle.cost(street[0], street[5])
+        rider = Request(release_time=0.0, request_id=1, source=street[0],
+                        destination=street[1])
+        newcomer = Request(release_time=0.0, request_id=2, source=street[5],
+                           destination=street[4], max_wait=due)
+        route = RouteState(0, street[0], 0.0, Schedule.direct(rider), 4, 0)
+        assert due - oracle.lower_bound(street[0], street[5]) < 1e-6
+        _assert_kernel_is_the_reference(oracle, route, newcomer)
+        _assert_pair_test_is_the_reference(oracle, route, newcomer, None)
+        assert best_insertion(route, newcomer, oracle).feasible
+        assert best_pair_schedule(rider, newcomer, oracle)[0] is not None
+
+    @given(case=insertion_cases(tuple(_BOUNDED.values())),
+           capacity=st.sampled_from([None, 1, 2, 3, 4]))
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+    def test_best_pair_schedule(self, case, capacity):
+        _assert_pair_test_is_the_reference(*case, capacity)
 
 
 def _graph_from_edge_bools(num_nodes: int, edge_bits: list[bool]) -> ShareabilityGraph:
