@@ -116,7 +116,7 @@ def test_candidate_vehicles(benchmark, city, oracle, config, reach):
     sources = rng.sample(nodes, 40)
     elsewhere = [node for node in nodes if node not in sources]
     vehicles = [Vehicle(vehicle_id=i, location=rng.choice(elsewhere)) for i in range(400)]
-    index = GridIndex.for_network(city, cells_per_axis=config.grid_cells)
+    index = GridIndex.for_network(city)
     for vehicle in vehicles:
         index.insert(vehicle.vehicle_id, *city.position(vehicle.location))
     # The radius is 10 m/s times the waiting time left: 150 m, 600 m, 1 m,

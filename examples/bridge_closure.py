@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro import SARDDispatcher, Simulator, make_scenario_workload
 from repro.scenarios import make_refresh_policy
+from repro.scenarios.presets import CLOSURE_WINDOW
 from repro.simulation.events import EventKind
 
 
@@ -34,9 +35,9 @@ def main() -> None:
     print(f"  road net : {workload.network.num_nodes} nodes / "
           f"{workload.network.num_edges} edges")
     timeline = scenario.make_timeline()
+    closes, reopens = CLOSURE_WINDOW
     print(f"  events   : {len(timeline)} scheduled "
-          f"(closure at {scenario.config.closure_start:.0%} of the horizon, "
-          f"reopening at {scenario.config.closure_end:.0%})")
+          f"(closure at {closes:.0%} of the horizon, reopening at {reopens:.0%})")
 
     simulator = Simulator(
         network=workload.network,
@@ -46,9 +47,8 @@ def main() -> None:
         dispatcher=SARDDispatcher(),
         config=workload.simulation_config,
         timeline=timeline,
-        # Built from the scenario's config so its policy knobs (staleness
-        # budgets, repair fraction cap) apply; a bare name string would use
-        # that policy's defaults instead.
+        # The policy the scenario names (``coalesce`` by default); a policy
+        # has no knobs, so this equals passing that name as a string.
         refresh_policy=make_refresh_policy(config=scenario.config),
     )
     result = simulator.run()

@@ -75,13 +75,6 @@ class SimulationConfig:
     max_wait: float = DEFAULT_MAX_WAIT
     #: Angle pruning threshold delta in radians; ``None`` disables pruning.
     angle_threshold: float | None = DEFAULT_ANGLE_THRESHOLD
-    #: Side length (number of cells per axis) of the grid index.
-    grid_cells: int = 32
-    #: Random seed used by stochastic components (tie-breaking, baselines).
-    seed: int = 42
-    #: Hard cap on group size enumerated by batch dispatchers (defaults to
-    #: the vehicle capacity when ``None``).
-    max_group_size: int | None = None
     #: Routing backend answering ``cost(u, v)`` queries: ``"dijkstra"``
     #: (per-query CSR search, the reference), ``"ch"`` (contraction
     #: hierarchies) or ``"hub_label"`` (hub labels extracted from the
@@ -112,22 +105,11 @@ class SimulationConfig:
             raise ConfigurationError(
                 "angle_threshold must be in (0, pi] radians or None to disable"
             )
-        if self.grid_cells < 1:
-            raise ConfigurationError("grid_cells must be at least 1")
-        if self.max_group_size is not None and self.max_group_size < 1:
-            raise ConfigurationError("max_group_size must be at least 1 or None")
         if self.routing_backend not in BACKEND_NAMES:
             raise ConfigurationError(
                 f"routing_backend must be one of {BACKEND_NAMES} "
                 f"(got {self.routing_backend!r})"
             )
-
-    @property
-    def group_size_limit(self) -> int:
-        """Largest request group a batch dispatcher will enumerate."""
-        if self.max_group_size is None:
-            return self.capacity
-        return min(self.max_group_size, self.capacity)
 
     def with_overrides(self, **overrides: Any) -> "SimulationConfig":
         """Return a copy of this configuration with the given fields replaced."""
@@ -268,12 +250,11 @@ class DemandSurge:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Knobs of the dynamic-world scenario presets and the refresh policy.
+    """The refresh policy a dynamic-world scenario runs under.
 
-    The scenario presets (:mod:`repro.scenarios.presets`) derive their event
-    timelines from these intensities; the refresh policy picks how the
-    routing oracle is kept consistent with the mutating network (see
-    :mod:`repro.scenarios.refresh`).
+    The policy picks how the routing oracle is kept consistent with the
+    mutating network (see :mod:`repro.scenarios.refresh`); the presets'
+    intensities are constants of :mod:`repro.scenarios.presets`.
     """
 
     #: Oracle refresh policy: ``"eager"`` rebuilds after every mutation
@@ -283,41 +264,13 @@ class ScenarioConfig:
     #: boundary, ``"repair"`` re-contracts only the affected cells of the
     #: contraction hierarchy (with snapshot swaps for exact reversions).
     refresh_policy: str = "coalesce"
-    #: Travel-time multiplier of rush-hour slowdown waves (> 1 slows down).
-    slowdown_factor: float = 1.8
-    #: Arrival-intensity multiplier of demand-surge windows.
-    surge_multiplier: float = 2.5
-    #: Closure window of the ``bridge_closure`` preset, as fractions of the
-    #: request horizon.
-    closure_start: float = 0.25
-    closure_end: float = 0.75
-    #: Seed for stochastic scenario components (cancellation sampling, ...).
-    seed: int = 5
 
     def __post_init__(self) -> None:
-        for name in (
-            "slowdown_factor", "surge_multiplier", "closure_start", "closure_end",
-        ):
-            _require_finite(name, getattr(self, name))
         if self.refresh_policy not in REFRESH_POLICIES:
             raise ConfigurationError(
                 f"refresh_policy must be one of {REFRESH_POLICIES} "
                 f"(got {self.refresh_policy!r})"
             )
-        if self.slowdown_factor <= 0:
-            raise ConfigurationError(
-                f"slowdown_factor must be positive (got {self.slowdown_factor})"
-            )
-        if self.surge_multiplier < 0:
-            raise ConfigurationError("surge_multiplier must be non-negative")
-        if not 0.0 <= self.closure_start < self.closure_end <= 1.0:
-            raise ConfigurationError(
-                "closure window must satisfy 0 <= closure_start < closure_end <= 1"
-            )
-
-    def with_overrides(self, **overrides: Any) -> "ScenarioConfig":
-        """Return a copy of this configuration with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)
@@ -328,8 +281,7 @@ class ServiceConfig:
     queue admits typed ride requests, a virtual-clock batch tick drains the
     queue into the dispatcher, and assignment events stream out to
     subscribers.  These knobs size the queue, pick the overload behaviour
-    and state the service-rate objective the throughput benchmark reports
-    against.
+    and bound the retained event history.
     """
 
     #: Capacity of the ingestion queue.  A full queue either rejects new
@@ -342,20 +294,8 @@ class ServiceConfig:
     #: Assignment events buffered for late subscribers / post-hoc queries
     #: (0 keeps streaming to live subscribers but retains no history).
     event_history: int = 10_000
-    #: Service-rate objective: the fraction of accepted requests that must
-    #: be assigned for the service to report a healthy SLO.  A sustained
-    #: requests/s number is only meaningful at this SLO -- throughput with
-    #: unbounded rejections is free.
-    slo_service_rate: float = 0.75
-    #: Drain queued requests (give each one a dispatch opportunity) before
-    #: shutdown completes; ``False`` rejects everything still queued.
-    drain_on_shutdown: bool = True
-    #: Hard cap on the batches a shutdown drain may tick -- a defence
-    #: against a misconfigured virtual clock never reaching the queue tail.
-    max_drain_batches: int = 100_000
 
     def __post_init__(self) -> None:
-        _require_finite("slo_service_rate", self.slo_service_rate)
         if self.queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be at least 1 (got {self.queue_capacity})"
@@ -367,16 +307,6 @@ class ServiceConfig:
             )
         if self.event_history < 0:
             raise ConfigurationError("event_history must be non-negative")
-        if not 0.0 <= self.slo_service_rate <= 1.0:
-            raise ConfigurationError(
-                f"slo_service_rate must be in [0, 1] (got {self.slo_service_rate})"
-            )
-        if self.max_drain_batches < 1:
-            raise ConfigurationError("max_drain_batches must be at least 1")
-
-    def with_overrides(self, **overrides: Any) -> "ServiceConfig":
-        """Return a copy of this configuration with the given fields replaced."""
-        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)

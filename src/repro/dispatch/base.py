@@ -76,13 +76,6 @@ class DispatchContext:
         """Each vehicle's position in ``vehicles`` (built on first use)."""
         return {vehicle.vehicle_id: rank for rank, vehicle in enumerate(self.vehicles)}
 
-    def vehicle_by_id(self, vehicle_id: int) -> Vehicle:
-        """Look up a vehicle by identifier."""
-        try:
-            return self.vehicles_by_id[vehicle_id]
-        except KeyError:
-            raise KeyError(f"unknown vehicle {vehicle_id}") from None
-
 
 class WorkingRoutes(dict[int, RouteState]):
     """The routes one dispatch call plans on, by vehicle identifier.

@@ -103,7 +103,7 @@ class GASDispatcher(Dispatcher):
                         graph,
                         route,
                         context.oracle,
-                        max_group_size=context.config.group_size_limit,
+                        max_group_size=context.config.capacity,
                         stats=self.grouping_stats,
                     )
                     self._last_group_count = max(self._last_group_count, len(groups))

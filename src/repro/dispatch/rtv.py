@@ -86,7 +86,7 @@ class RTVDispatcher(Dispatcher):
                 graph,
                 route,
                 context.oracle,
-                max_group_size=context.config.group_size_limit,
+                max_group_size=context.config.capacity,
                 stats=self.grouping_stats,
             )
             for group in groups:

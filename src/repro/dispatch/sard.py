@@ -195,7 +195,7 @@ class SARDDispatcher(Dispatcher):
                         graph,
                         routes[vehicle_id],
                         context.oracle,
-                        max_group_size=context.config.group_size_limit,
+                        max_group_size=context.config.capacity,
                         stats=self.grouping_stats,
                     )
                     batch_group_count = max(batch_group_count, len(groups))

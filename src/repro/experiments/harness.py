@@ -24,7 +24,7 @@ from typing import Any
 
 from pathlib import Path
 
-from ..config import ChaosConfig, ScenarioConfig, ServiceConfig, SimulationConfig
+from ..config import ChaosConfig, ServiceConfig, SimulationConfig
 from ..dispatch import make_dispatcher
 from ..dispatch.base import Dispatcher
 from ..exceptions import ConfigurationError, ScenarioError
@@ -103,7 +103,6 @@ class RunSpec:
     #: How the oracle follows the scenario's network mutations (``None``:
     #: the scenario's own policy); meaningless without a scenario.
     refresh_policy: str | None = None
-    scenario_config: ScenarioConfig | None = None
     parity_pairs: int = 0
     # -- chaos ----------------------------------------------------------- #
     chaos: str | ChaosConfig | None = None
@@ -239,12 +238,7 @@ def _build_workload(spec: RunSpec) -> tuple[Workload, Scenario | None]:
         ),
     }
     if isinstance(spec.scenario, str):
-        return make_scenario_workload(
-            spec.preset,
-            spec.scenario,
-            scenario_config=spec.scenario_config,
-            **shape,
-        )
+        return make_scenario_workload(spec.preset, spec.scenario, **shape)
     return spec.workload or make_workload(spec.preset, **shape), spec.scenario
 
 
@@ -313,7 +307,8 @@ def _service_impl(spec: RunSpec) -> RunResult:
 
     The service drives the simulator's stepwise interface, so the returned
     assignments are parity-exact with mode ``single`` over the same
-    workload (events are recorded here -- the service streams them).
+    workload; the events are the service's streamed ones
+    (``RunResult.service.events``).
     """
     workload, scenario = _build_workload(spec)
     service = DispatchService(

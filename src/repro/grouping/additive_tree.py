@@ -31,13 +31,6 @@ class GroupingStatistics:
     pruned_not_clique: int = 0
     pruned_infeasible: int = 0
 
-    def merge(self, other: "GroupingStatistics") -> None:
-        """Accumulate another statistics object into this one."""
-        self.groups_generated += other.groups_generated
-        self.merges_attempted += other.merges_attempted
-        self.pruned_not_clique += other.pruned_not_clique
-        self.pruned_infeasible += other.pruned_infeasible
-
 
 def build_groups(
     requests: Sequence[Request],

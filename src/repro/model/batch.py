@@ -30,38 +30,23 @@ class Batch:
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
 
-    @property
-    def is_empty(self) -> bool:
-        """True when no request was released during this period."""
-        return not self.requests
-
 
 class BatchStream:
     """Partition a request trace into batches of length ``batch_period``.
 
     Requests are assigned to the batch covering their release time; batch
     boundaries are multiples of ``batch_period`` starting at the release time
-    of the earliest request (or at ``start_time`` when provided).  Empty
-    batches between two non-empty ones are emitted so that the simulator's
-    clock advances uniformly, matching the paper's tumbling-window model.
+    of the earliest request.  Empty batches between two non-empty ones are
+    emitted so that the simulator's clock advances uniformly, matching the
+    paper's tumbling-window model.
     """
 
-    def __init__(
-        self,
-        requests: Sequence[Request],
-        batch_period: float,
-        *,
-        start_time: float | None = None,
-        emit_empty: bool = True,
-    ) -> None:
+    def __init__(self, requests: Sequence[Request], batch_period: float) -> None:
         if batch_period <= 0:
             raise ConfigurationError("batch_period must be positive")
         self._batch_period = float(batch_period)
         self._requests = sorted(requests, key=lambda r: (r.release_time, r.request_id))
-        self._emit_empty = emit_empty
-        if start_time is not None:
-            self._start = float(start_time)
-        elif self._requests:
+        if self._requests:
             self._start = math.floor(
                 self._requests[0].release_time / batch_period
             ) * batch_period
@@ -78,11 +63,6 @@ class BatchStream:
         """Start of the first batch."""
         return self._start
 
-    @property
-    def num_requests(self) -> int:
-        """Total number of requests in the stream."""
-        return len(self._requests)
-
     def __iter__(self) -> Iterator[Batch]:
         if not self._requests:
             return
@@ -97,16 +77,11 @@ class BatchStream:
             while cursor < n and self._requests[cursor].release_time < batch_end:
                 members.append(self._requests[cursor])
                 cursor += 1
-            if members or self._emit_empty:
-                yield Batch(
-                    index=index,
-                    start_time=batch_start,
-                    end_time=batch_end,
-                    requests=tuple(members),
-                )
-                index += 1
+            yield Batch(
+                index=index,
+                start_time=batch_start,
+                end_time=batch_end,
+                requests=tuple(members),
+            )
+            index += 1
             batch_start = batch_end
-
-    def batches(self) -> list[Batch]:
-        """Materialise every batch into a list."""
-        return list(self)

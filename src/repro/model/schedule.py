@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
 
 from ..exceptions import ScheduleError
@@ -158,20 +158,6 @@ class Schedule:
             seen.setdefault(wp.request.request_id, wp.request)
         return list(seen.values())
 
-    def onboard_request_ids(self) -> set[int]:
-        """Requests with a drop-off but no pick-up (already picked up)."""
-        pickups = {
-            wp.request.request_id
-            for wp in self._waypoints
-            if wp.kind is WaypointKind.PICKUP
-        }
-        dropoffs = {
-            wp.request.request_id
-            for wp in self._waypoints
-            if wp.kind is WaypointKind.DROPOFF
-        }
-        return dropoffs - pickups
-
     # ------------------------------------------------------------------ #
     # structural checks
     # ------------------------------------------------------------------ #
@@ -291,13 +277,6 @@ class Schedule:
         extended.insert(pickup_position, pickup)
         extended.insert(dropoff_position, dropoff)
         return Schedule(extended)
-
-    def without_request(self, request_id: int) -> "Schedule":
-        """Return a new schedule with every way-point of ``request_id`` removed."""
-        remaining = [
-            wp for wp in self._waypoints if wp.request.request_id != request_id
-        ]
-        return Schedule(remaining)
 
     def extended(self, waypoints: Sequence[Waypoint]) -> "Schedule":
         """Return a new schedule with ``waypoints`` appended."""

@@ -127,16 +127,20 @@ class GridIndex:
         return iter(self._positions)
 
     def query_radius(self, x: float, y: float, radius: float) -> list:
-        """All keys within Euclidean distance ``radius`` of ``(x, y)``."""
+        """All keys within Euclidean distance ``radius`` of ``(x, y)``.
+
+        The distance is ``math.hypot``, the one :meth:`k_nearest` uses: a
+        sum of squares underflows for subnormal offsets, so the two would
+        disagree on which keys a disk holds."""
         if radius < 0:
             raise NetworkError("radius must be non-negative")
         results = []
-        radius_sq = radius * radius
+        hypot = math.hypot
         positions = self._positions
         for members in self._cells_overlapping(x, y, radius):
             for key in members:
                 px, py = positions[key]
-                if (px - x) ** 2 + (py - y) ** 2 <= radius_sq:
+                if hypot(px - x, py - y) <= radius:
                     results.append(key)
         return results
 

@@ -7,9 +7,9 @@ ablation metrics (Tables V and VI).  This module reproduces that interface:
 * :class:`DistanceOracle` -- an LRU pair cache and the query counters in
   front of one :class:`~repro.network.routing.backends.RoutingBackend`
   (``dijkstra`` | ``ch`` | ``hub_label``).  ``cost(u, v)`` /
-  ``path(u, v)`` answer point queries and :meth:`DistanceOracle.many_to_many`
-  answers batched source x target tables; how a miss is computed, batched
-  and validated is the backend's business.
+  ``path(u, v)`` answer point queries and :meth:`DistanceOracle.prefetch`
+  warms the cache for a source x target table in one backend batch; how a
+  miss is computed, batched and validated is the backend's business.
 * :class:`QueryStatistics` -- counts logical queries, cache hits and the
   number of backend searches, so experiments report the same
   "#Shortest Path Queries" column as the paper *uniformly across backends*:
@@ -65,7 +65,7 @@ class RepairReport:
 class QueryStatistics:
     """Counters describing how the oracle has been used."""
 
-    #: Logical ``cost``/``path``/``many_to_many`` queries issued by callers.
+    #: Logical ``cost``/``path`` queries issued by callers.
     queries: int = 0
     #: Queries answered directly from the LRU pair cache.
     cache_hits: int = 0
@@ -332,7 +332,7 @@ class DistanceOracle:
 
         Each sampled query becomes an ``oracle.query`` trace event tagged
         with the serving backend, the settled-node work it caused and its
-        wall-clock latency; batched ``many_to_many`` fills additionally
+        wall-clock latency; batched :meth:`prefetch` fills additionally
         record one ``oracle.many_to_many`` event per backend batch (those
         are coarse enough not to need sampling).  Cache hits are never
         sampled -- the point is backend latency, not dict lookups.
@@ -386,48 +386,14 @@ class DistanceOracle:
             raise UnreachableError(f"node {target} is unreachable from {source}")
         return nodes
 
-    def many_to_many(
-        self, sources: Sequence[int], targets: Sequence[int]
-    ) -> dict[tuple[int, int], float]:
-        """Batched ``cost`` table over ``sources`` x ``targets``.
-
-        Semantically identical to a nested ``cost`` loop -- every (deduped)
-        pair counts as one logical query and cached pairs count as cache
-        hits -- but the cache misses go to the backend as one batch, which
-        it answers its own way (see
-        :class:`~repro.network.routing.backends.RoutingBackend`).  Returns a
-        dictionary mapping ``(source, target)`` to travel time (``math.inf``
-        when unreachable).
-        """
-        targets = list(dict.fromkeys(targets))
-        result: dict[tuple[int, int], float] = {}
-        missing: list[tuple[int, int]] = []
-        for source in dict.fromkeys(sources):
-            for target in targets:
-                self.stats.queries += 1
-                if source == target:
-                    self._require(source)
-                    result[(source, target)] = 0.0
-                    continue
-                cached = self._cache_get((source, target))
-                if cached is not None:
-                    self.stats.cache_hits += 1
-                    result[(source, target)] = cached
-                else:
-                    missing.append((source, target))
-        if missing:
-            learned = self._compute_many(missing)
-            for pair in missing:
-                result[pair] = learned[pair]
-        return result
-
     def prefetch(self, sources: Sequence[int], targets: Sequence[int]) -> None:
         """Warm the pair cache for ``sources`` x ``targets`` in bulk.
 
-        Unlike :meth:`many_to_many` this is an optimisation hint, not caller
-        demand: the backend work is batched exactly the same way (and counted
-        in ``searches`` / ``settled_nodes``), but the ``queries`` /
-        ``cache_hits`` counters are left untouched so the paper's
+        An optimisation hint, not caller demand: the cache misses go to the
+        backend as one batch, which it answers its own way (see
+        :class:`~repro.network.routing.backends.RoutingBackend`), and the
+        work is counted in ``searches`` / ``settled_nodes``, but the
+        ``queries`` / ``cache_hits`` counters are left untouched so the paper's
         "#Shortest Path Queries" column keeps reflecting the *logical* query
         pattern of the dispatch algorithms, independent of cache warming.
         """
@@ -441,15 +407,21 @@ class DistanceOracle:
                     self._require(source)
                 elif self._cache_get((source, target)) is None:
                     missing.append((source, target))
-        if missing:
-            self._compute_many(missing)
-
-    def route_cost(self, nodes: list[int]) -> float:
-        """Total travel time of the node sequence ``nodes`` (consecutive legs)."""
-        total = 0.0
-        for u, v in zip(nodes, nodes[1:]):
-            total += self.cost(u, v)
-        return total
+        if not missing:
+            return
+        backend = self._fallback or self._backend
+        start = time.perf_counter() if self._trace_every else None
+        learned, searches, settled = backend.many_to_many(missing)
+        self._account(backend, searches, settled, len(missing), learned)
+        if start is not None:
+            self._trace_tracer.event(  # type: ignore[union-attr]
+                "oracle.many_to_many",
+                duration=time.perf_counter() - start,
+                backend=backend.name,
+                pairs=len(missing),
+                settled=settled,
+                fallback=backend is self._fallback,
+            )
 
     def clear_cache(self) -> None:
         """Drop every cached distance and start a new :attr:`generation`."""
@@ -530,22 +502,6 @@ class DistanceOracle:
                 fallback=backend is self._fallback,
             )
         return distance
-
-    def _compute_many(self, missing: list[tuple[int, int]]) -> Distances:
-        backend = self._fallback or self._backend
-        start = time.perf_counter() if self._trace_every else None
-        learned, searches, settled = backend.many_to_many(missing)
-        self._account(backend, searches, settled, len(missing), learned)
-        if start is not None:
-            self._trace_tracer.event(  # type: ignore[union-attr]
-                "oracle.many_to_many",
-                duration=time.perf_counter() - start,
-                backend=backend.name,
-                pairs=len(missing),
-                settled=settled,
-                fallback=backend is self._fallback,
-            )
-        return learned
 
 
 __all__ = ["DistanceOracle", "QueryStatistics", "RepairReport", "BACKEND_NAMES"]

@@ -26,7 +26,6 @@ from .export import (
 )
 from .instrument import (
     DEFAULT_ORACLE_SAMPLE_EVERY,
-    instrument_oracle,
     tracing,
 )
 from .registry import (
@@ -75,7 +74,6 @@ __all__ = [
     "Tracer",
     "aggregate_spans",
     "get_tracer",
-    "instrument_oracle",
     "markdown_report",
     "prometheus_text",
     "set_tracer",

@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
-from .trace import SpanTracer, Tracer, use_tracer
+from .trace import SpanTracer, use_tracer
 
 if TYPE_CHECKING:
     from ..network.shortest_path import DistanceOracle
@@ -33,13 +33,6 @@ if TYPE_CHECKING:
 #: N computed ones.  Dispatch issues thousands of queries per batch, so
 #: even 1-in-100 sampling gives a dense latency picture per batch.
 DEFAULT_ORACLE_SAMPLE_EVERY = 100
-
-
-def instrument_oracle(
-    oracle: DistanceOracle, tracer: Tracer, *, every: int = DEFAULT_ORACLE_SAMPLE_EVERY
-) -> None:
-    """Switch sampled query tracing on for ``oracle`` (off if disabled tracer)."""
-    oracle.set_query_tracing(tracer, every)
 
 
 @contextmanager
@@ -63,7 +56,7 @@ def tracing(
     try:
         with use_tracer(tracer):
             if oracle is not None:
-                instrument_oracle(oracle, tracer)
+                oracle.set_query_tracing(tracer, DEFAULT_ORACLE_SAMPLE_EVERY)
             yield tracer
     finally:
         if oracle is not None:
@@ -72,6 +65,5 @@ def tracing(
 
 __all__ = [
     "DEFAULT_ORACLE_SAMPLE_EVERY",
-    "instrument_oracle",
     "tracing",
 ]

@@ -84,10 +84,6 @@ class Gauge:
         if value > self.peak:
             self.peak = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        """Adjust the gauge by ``amount`` (may be negative)."""
-        self.set(self.value + amount)
-
 
 class Histogram:
     """Observations against fixed finite bucket bounds.

@@ -268,10 +268,6 @@ class SpanTracer:
         self._buffer.clear()
         self.evicted = 0
 
-    def children_of(self, span_id: int) -> list[SpanRecord]:
-        """Direct children of one span, in completion order."""
-        return [record for record in self._buffer if record.parent_id == span_id]
-
     # -- internals ------------------------------------------------------ #
     def _allocate_id(self) -> int:
         span_id = self._next_id

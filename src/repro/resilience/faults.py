@@ -20,14 +20,13 @@ whose refresh and query seams consult the injector:
   scaling is applied at the query layer on every finite nonzero cost, so any
   invariant probe pair detects it.
 * ``top_speed`` is divided by the factor, so it still bounds the costs.
-* ``cost`` / ``many_to_many`` draw latency spikes, accumulated as *virtual*
+* ``cost`` draws latency spikes, accumulated as *virtual*
   seconds the simulator charges against its per-batch time budget.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import Any
 from random import Random
 
@@ -171,21 +170,6 @@ class ChaosOracle(DistanceOracle):
         if scale is not None and value > 0.0 and math.isfinite(value):
             return value * scale
         return value
-
-    def many_to_many(
-        self, sources: Sequence[int], targets: Sequence[int]
-    ) -> dict[tuple[int, int], float]:
-        self.injector.query_spike()
-        table = super().many_to_many(sources, targets)
-        scale = self._corruption
-        if scale is None:
-            return table
-        return {
-            pair: value * scale
-            if value > 0.0 and math.isfinite(value)
-            else value
-            for pair, value in table.items()
-        }
 
 
 __all__ = ["ChaosOracle", "FaultInjector"]

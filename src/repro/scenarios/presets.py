@@ -2,9 +2,8 @@
 
 Each preset is a factory deriving a :class:`~repro.scenarios.timeline.Scenario`
 from a concrete road network and request horizon: geographic zones become
-edge sets, horizon fractions become event times, and the intensity knobs come
-from a :class:`~repro.config.ScenarioConfig`.  The presets exercise every
-event type of the engine:
+edge sets, horizon fractions become event times, and the intensities are the
+constants below.  The presets exercise every event type of the engine:
 
 * ``rush_hour`` -- a traffic wave rolling outward from downtown (core zone
   slows first and hardest, the midtown ring follows milder) plus an inbound
@@ -51,6 +50,17 @@ if TYPE_CHECKING:
 #: Vehicle ids of scenario-spawned shift vehicles start here, far above any
 #: workload-generated fleet.
 SHIFT_VEHICLE_ID_BASE = 100_000
+
+#: Travel-time multiplier of rush-hour slowdown waves (> 1 slows down).
+SLOWDOWN_FACTOR = 1.8
+#: Arrival-intensity multiplier of demand-surge windows.
+SURGE_MULTIPLIER = 2.5
+#: Closure window of the ``bridge_closure`` preset, as fractions of the
+#: request horizon.
+CLOSURE_WINDOW = (0.25, 0.75)
+#: Seed of the stadium preset's stochastic parts (shift-vehicle placement,
+#: cancellation sampling).
+SCENARIO_SEED = 5
 
 
 def zone_edges(
@@ -123,16 +133,15 @@ def _rush_hour(
     core = zone_edges(network, cx, cy, 0.25 * extent)
     ring = ring_edges(network, cx, cy, 0.25 * extent, 0.45 * extent)
     center_node = network.nearest_node(cx, cy)
-    factor = config.slowdown_factor
 
     def build() -> list[WorldEvent]:
         events: list[WorldEvent] = []
         # The wave rolls outward: the core congests first and hardest, the
         # ring follows a little later at a milder factor, and both recover
         # in the same order.
-        events += traffic_wave(core, factor, 0.15 * horizon, 0.60 * horizon)
+        events += traffic_wave(core, SLOWDOWN_FACTOR, 0.15 * horizon, 0.60 * horizon)
         events += traffic_wave(
-            ring, math.sqrt(factor), 0.25 * horizon, 0.70 * horizon
+            ring, math.sqrt(SLOWDOWN_FACTOR), 0.25 * horizon, 0.70 * horizon
         )
         return events
 
@@ -140,7 +149,7 @@ def _rush_hour(
         DemandSurge(
             start=0.15 * horizon,
             end=0.60 * horizon,
-            rate_multiplier=config.surge_multiplier * 0.7,
+            rate_multiplier=SURGE_MULTIPLIER * 0.7,
             center=center_node,
             attraction=0.5,
             direction="inbound",
@@ -166,8 +175,7 @@ def _bridge_closure(
     num_requests: int,
 ) -> Scenario:
     corridor = corridor_edges(network)
-    start = config.closure_start * horizon
-    end = config.closure_end * horizon
+    start, end = (fraction * horizon for fraction in CLOSURE_WINDOW)
 
     def build() -> list[WorldEvent]:
         return road_closure(corridor, start, end)
@@ -197,14 +205,13 @@ def _stadium_surge(
     stadium_x, stadium_y = network.position(stadium)
     _, _, extent = _geometry(network)
     around = zone_edges(network, stadium_x, stadium_y, 0.2 * extent)
-    rng_seed = config.seed
 
     def build() -> list[WorldEvent]:
-        rng = random.Random(rng_seed)
+        rng = random.Random(SCENARIO_SEED)
         events: list[WorldEvent] = []
         # Congestion around the venue while the crowd pours out.
         events += traffic_wave(
-            around, config.slowdown_factor, 0.42 * horizon, 0.78 * horizon
+            around, SLOWDOWN_FACTOR, 0.42 * horizon, 0.78 * horizon
         )
         # Reinforcement vehicles on a temporary shift near the stadium.
         specs = []
@@ -234,7 +241,7 @@ def _stadium_surge(
         DemandSurge(
             start=0.40 * horizon,
             end=0.75 * horizon,
-            rate_multiplier=config.surge_multiplier,
+            rate_multiplier=SURGE_MULTIPLIER,
             center=stadium,
             attraction=0.8,
             direction="outbound",

@@ -130,10 +130,13 @@ class RideRequest:
             raise SchemaError(
                 f"request {self.request_id} must carry at least one rider"
             )
-        if not math.isfinite(self.release_time):
-            raise SchemaError(
-                f"request {self.request_id}: release_time must be finite"
-            )
+        # NaN passes every range check below, so finiteness comes first.
+        for name in ("release_time", "max_wait", "deadline"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise SchemaError(
+                    f"request {self.request_id}: {name} must be finite"
+                )
         if self.max_wait is not None and self.max_wait < 0:
             raise SchemaError(
                 f"request {self.request_id}: max_wait must be non-negative"

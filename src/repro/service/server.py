@@ -6,8 +6,9 @@ into a request/response service: clients submit typed
 :class:`~repro.service.queue.IngestionQueue`, a virtual-clock batch tick
 drains everything due into the dispatcher, and typed
 :class:`~repro.service.schemas.AssignmentEvent` records stream to
-subscribers.  The service listens on the engine's event sink, so what it
-streams does not depend on what the engine's log retains.  Health and stats
+subscribers.  The service listens on the engine's event sink and keeps its
+own bounded history, so its simulator retains no event log of its own
+(``ServiceResult.simulation.events`` is empty).  Health and stats
 endpoints expose the run through the metrics tables and the resilience
 breaker states.
 
@@ -70,6 +71,16 @@ _EVENT_MAP: dict[
     EventKind.REQUEST_CANCELLED: (AssignmentEventKind.CANCELLED, None, False),
 }
 
+#: Service-rate objective: the fraction of accepted requests that must be
+#: assigned for the service to report a healthy SLO.  A sustained requests/s
+#: number is only meaningful at this SLO -- throughput with unbounded
+#: rejections is free.
+SLO_SERVICE_RATE = 0.75
+
+#: Hard cap on the batches a shutdown drain may tick -- a defence against a
+#: virtual clock that would take forever to reach the queue tail.
+MAX_DRAIN_BATCHES = 100_000
+
 _M = MetricSpec
 #: The ``service.*`` registry rows, keyed by :class:`ServiceStats` field.
 SERVICE_METRICS: tuple[MetricSpec, ...] = (
@@ -87,14 +98,12 @@ SERVICE_METRICS: tuple[MetricSpec, ...] = (
 class ServiceResult:
     """Everything a service run produced, returned by ``shutdown``/``serve``."""
 
-    #: The underlying simulation result (metrics, event log, config).
+    #: The underlying simulation result (metrics, config; no event log).
     simulation: SimulationResult
     #: Final admission/throughput snapshot.
     stats: ServiceStats
     #: Retained assignment-event history (bounded by ``event_history``).
     events: tuple[AssignmentEvent, ...]
-    #: The service-rate objective the run was held to.
-    slo_service_rate: float
 
     @property
     def unified_cost(self) -> float:
@@ -108,8 +117,8 @@ class ServiceResult:
 
     @property
     def slo_met(self) -> bool:
-        """True when the run's service rate reached the configured SLO."""
-        return self.stats.service_rate >= self.slo_service_rate
+        """True when the run's service rate reached :data:`SLO_SERVICE_RATE`."""
+        return self.stats.service_rate >= SLO_SERVICE_RATE
 
 
 class DispatchService:
@@ -136,7 +145,6 @@ class DispatchService:
         refresh_policy: OracleRefreshPolicy | str | None = None,
         resilience: ResilienceManager | None = None,
         average_speed: float = 10.0,
-        record_events: bool = True,
     ) -> None:
         self.network = network
         self.oracle = oracle
@@ -150,7 +158,7 @@ class DispatchService:
             dispatcher=dispatcher,
             config=config,
             average_speed=average_speed,
-            record_events=record_events,
+            record_events=False,
             timeline=timeline,
             refresh_policy=refresh_policy,
             resilience=resilience,
@@ -223,36 +231,23 @@ class DispatchService:
         self._started = True
 
     def shutdown(self) -> ServiceResult:
-        """Stop admitting, drain (per config), close the run, total up.
+        """Stop admitting, drain, close the run, total up.
 
-        With ``drain_on_shutdown`` every queued request still gets its
-        dispatch opportunity (the virtual clock ticks forward until the
-        queue is empty, capped at ``max_drain_batches``); otherwise the
-        queue's remainder is rejected with
-        :attr:`RejectionReason.SHUTTING_DOWN`.
+        Every queued request still gets its dispatch opportunity: the
+        virtual clock ticks forward until the queue is empty, capped at
+        :data:`MAX_DRAIN_BATCHES`.
         """
         self._require_running()
         self._queue.close()
-        if self.service_config.drain_on_shutdown:
-            drained = 0
-            while self._queue.depth > 0:
-                if drained >= self.service_config.max_drain_batches:
-                    raise ServiceError(
-                        f"shutdown drain exceeded max_drain_batches="
-                        f"{self.service_config.max_drain_batches} with "
-                        f"{self._queue.depth} request(s) still queued"
-                    )
-                self.tick()
-                drained += 1
-        else:
-            for ride in self._queue.take_due(math.inf):
-                self._queue.counters.reject(RejectionReason.SHUTTING_DOWN)
-                self._emit(AssignmentEvent(
-                    event=AssignmentEventKind.REJECTED,
-                    time=max(self._sim_time, ride.release_time),
-                    request_id=ride.request_id,
-                    reason=RejectionReason.SHUTTING_DOWN,
-                ))
+        for _ in range(MAX_DRAIN_BATCHES):
+            if self._queue.depth == 0:
+                break
+            self.tick()
+        if self._queue.depth > 0:
+            raise ServiceError(
+                f"shutdown drain exceeded {MAX_DRAIN_BATCHES} batches with "
+                f"{self._queue.depth} request(s) still queued"
+            )
         self._streaming_batch = None
         simulation = self._sim.end_run()
         self._stopped = True
@@ -260,7 +255,6 @@ class DispatchService:
             simulation=simulation,
             stats=self.stats(),
             events=tuple(self._history),
-            slo_service_rate=self.service_config.slo_service_rate,
         )
         return self._result
 
@@ -568,10 +562,8 @@ class DispatchService:
             "batches": self._batches,
             "sim_time": self._sim_time,
             "service_rate": stats.service_rate,
-            "slo_service_rate": self.service_config.slo_service_rate,
-            "slo_met": (
-                stats.service_rate >= self.service_config.slo_service_rate
-            ),
+            "slo_service_rate": SLO_SERVICE_RATE,
+            "slo_met": stats.service_rate >= SLO_SERVICE_RATE,
         }
         if breakers:
             payload["breakers"] = breakers

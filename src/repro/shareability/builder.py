@@ -44,15 +44,6 @@ class BuilderStatistics:
     #: column is below that of a test that prices every leg.
     shortest_path_queries: int = 0
 
-    def merge(self, other: "BuilderStatistics") -> None:
-        """Accumulate another statistics object into this one."""
-        self.candidates_considered += other.candidates_considered
-        self.pruned_by_spatial += other.pruned_by_spatial
-        self.pruned_by_angle += other.pruned_by_angle
-        self.pairs_tested += other.pairs_tested
-        self.edges_added += other.edges_added
-        self.shortest_path_queries += other.shortest_path_queries
-
 
 @dataclass
 class DynamicShareabilityGraphBuilder:
@@ -83,9 +74,7 @@ class DynamicShareabilityGraphBuilder:
 
     def __post_init__(self) -> None:
         if self._source_index is None:
-            self._source_index = GridIndex.for_network(
-                self.network, self.config.grid_cells
-            )
+            self._source_index = GridIndex.for_network(self.network)
 
     # ------------------------------------------------------------------ #
     # public API
@@ -134,9 +123,7 @@ class DynamicShareabilityGraphBuilder:
     def reset(self) -> None:
         """Forget every request (used between independent experiments)."""
         self.graph = ShareabilityGraph()
-        self._source_index = GridIndex.for_network(
-            self.network, self.config.grid_cells
-        )
+        self._source_index = GridIndex.for_network(self.network)
         self.stats = BuilderStatistics()
 
     # ------------------------------------------------------------------ #

@@ -147,7 +147,7 @@ class Simulator:
             self.refresh_policy = make_refresh_policy(self.refresh_policy)
         if self.refresh_policy is None and self.timeline is not None:
             self.refresh_policy = make_refresh_policy("coalesce")
-        self._vehicle_index = GridIndex.for_network(self.network, self.config.grid_cells)
+        self._vehicle_index = GridIndex.for_network(self.network)
 
     # ------------------------------------------------------------------ #
     @property

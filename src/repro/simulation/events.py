@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 from collections.abc import Iterator
 
 
@@ -60,16 +61,17 @@ class Event:
 class EventLog:
     """Append-only list of events with small query helpers."""
 
+    #: Hard cap to keep memory bounded on large runs.
+    MAX_EVENTS: ClassVar[int] = 200_000
+
     events: list[Event] = field(default_factory=list)
-    #: Hard cap to keep memory bounded on large runs; ``None`` disables it.
-    max_events: int | None = 200_000
     #: Events rejected because the cap was reached -- so a truncated log is
     #: detectable (a zero count for some kind may just mean it was dropped).
     dropped: int = 0
 
     def record(self, event: Event) -> None:
         """Append an event (counted in :attr:`dropped` once the cap is hit)."""
-        if self.max_events is not None and len(self.events) >= self.max_events:
+        if len(self.events) >= self.MAX_EVENTS:
             self.dropped += 1
             return
         self.events.append(event)
@@ -94,22 +96,9 @@ class EventLog:
             and (end is None or event.time <= end)
         ]
 
-    def in_window(self, start: float, end: float) -> list[Event]:
-        """Every event with ``start <= time <= end``, in record order."""
-        if end < start:
-            raise ValueError(f"empty window: start={start} > end={end}")
-        return [event for event in self.events if start <= event.time <= end]
-
     def count(self, kind: EventKind) -> int:
         """Number of recorded events of one kind."""
         return sum(1 for event in self.events if event.kind is kind)
-
-    def counts_by_kind(self) -> dict[EventKind, int]:
-        """Histogram of recorded events over the kinds actually present."""
-        counts: dict[EventKind, int] = {}
-        for event in self.events:
-            counts[event.kind] = counts.get(event.kind, 0) + 1
-        return counts
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)

@@ -125,7 +125,7 @@ def make_context(grid_network: RoadNetwork, oracle: DistanceOracle, config: Simu
         sim_config: SimulationConfig | None = None,
     ) -> DispatchContext:
         cfg = sim_config or config
-        index = GridIndex.for_network(grid_network, cfg.grid_cells)
+        index = GridIndex.for_network(grid_network)
         for vehicle in vehicles:
             x, y = grid_network.position(vehicle.location)
             index.insert(vehicle.vehicle_id, x, y)
@@ -158,7 +158,7 @@ def check_assignments():
     def _check(result: DispatchResult, context: DispatchContext) -> None:
         seen: set[int] = set()
         for assignment in result.assignments:
-            vehicle = context.vehicle_by_id(assignment.vehicle_id)
+            vehicle = context.vehicles_by_id[assignment.vehicle_id]
             state = vehicle.route_state(context.current_time)
             evaluation = assignment.schedule.evaluate(
                 context.oracle, state.origin, state.departure_time,

@@ -17,7 +17,7 @@ def _request(rid: int, release: float) -> Request:
 class TestBatchStream:
     def test_partitions_by_release_time(self):
         requests = [_request(i, t) for i, t in enumerate([0.5, 1.0, 3.5, 4.0, 9.9])]
-        batches = BatchStream(requests, batch_period=3.0).batches()
+        batches = list(BatchStream(requests, batch_period=3.0))
         assert [len(b) for b in batches] == [2, 2, 0, 1]
         assert batches[0].start_time == 0.0
         assert batches[0].end_time == 3.0
@@ -25,41 +25,25 @@ class TestBatchStream:
 
     def test_requests_sorted_within_batch(self):
         requests = [_request(2, 1.0), _request(1, 0.2), _request(3, 0.2)]
-        batches = BatchStream(requests, batch_period=5.0).batches()
+        batches = list(BatchStream(requests, batch_period=5.0))
         assert [r.request_id for r in batches[0]] == [1, 3, 2]
-
-    def test_empty_batches_can_be_suppressed(self):
-        requests = [_request(0, 0.0), _request(1, 10.0)]
-        with_empty = BatchStream(requests, batch_period=3.0).batches()
-        without_empty = BatchStream(requests, batch_period=3.0, emit_empty=False).batches()
-        assert len(with_empty) == 4
-        assert len(without_empty) == 2
-        assert all(not b.is_empty for b in without_empty)
 
     def test_start_time_alignment(self):
         requests = [_request(0, 7.2)]
         stream = BatchStream(requests, batch_period=3.0)
         assert stream.start_time == pytest.approx(6.0)
-        batch = stream.batches()[0]
+        batch = next(iter(stream))
         assert batch.start_time <= 7.2 < batch.end_time
-
-    def test_explicit_start_time(self):
-        requests = [_request(0, 7.2)]
-        stream = BatchStream(requests, batch_period=3.0, start_time=0.0)
-        batches = stream.batches()
-        assert batches[0].start_time == 0.0
-        assert sum(len(b) for b in batches) == 1
 
     def test_every_request_appears_exactly_once(self):
         requests = [_request(i, i * 0.7) for i in range(50)]
-        batches = BatchStream(requests, batch_period=2.0).batches()
+        batches = list(BatchStream(requests, batch_period=2.0))
         seen = [r.request_id for batch in batches for r in batch]
         assert sorted(seen) == list(range(50))
 
     def test_empty_stream(self):
         stream = BatchStream([], batch_period=3.0)
-        assert stream.batches() == []
-        assert stream.num_requests == 0
+        assert list(stream) == []
 
     def test_invalid_period(self):
         with pytest.raises(ConfigurationError):
@@ -67,7 +51,7 @@ class TestBatchStream:
 
     def test_batch_index_is_sequential(self):
         requests = [_request(i, i * 2.0) for i in range(10)]
-        batches = BatchStream(requests, batch_period=3.0).batches()
+        batches = list(BatchStream(requests, batch_period=3.0))
         assert [b.index for b in batches] == list(range(len(batches)))
 
 
@@ -77,4 +61,3 @@ class TestBatch:
         batch = Batch(index=0, start_time=0.0, end_time=3.0, requests=requests)
         assert len(batch) == 2
         assert list(batch) == list(requests)
-        assert not batch.is_empty

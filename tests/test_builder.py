@@ -96,13 +96,3 @@ class TestPruning:
         assert stats.pairs_tested >= 1
         assert stats.edges_added == builder.graph.num_edges
         assert stats.shortest_path_queries > 0
-
-    def test_stats_merge(self):
-        from repro.shareability.builder import BuilderStatistics
-
-        a = BuilderStatistics(pairs_tested=2, edges_added=1)
-        b = BuilderStatistics(pairs_tested=3, edges_added=2, pruned_by_angle=4)
-        a.merge(b)
-        assert a.pairs_tested == 5
-        assert a.edges_added == 3
-        assert a.pruned_by_angle == 4

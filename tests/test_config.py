@@ -45,11 +45,6 @@ class TestSimulationConfig:
         with pytest.raises(ConfigurationError):
             SimulationConfig(angle_threshold=4.0)
 
-    def test_group_size_limit_defaults_to_capacity(self):
-        assert SimulationConfig(capacity=4).group_size_limit == 4
-        assert SimulationConfig(capacity=4, max_group_size=2).group_size_limit == 2
-        assert SimulationConfig(capacity=2, max_group_size=5).group_size_limit == 2
-
     def test_with_overrides_returns_new_object(self):
         base = SimulationConfig()
         other = base.with_overrides(gamma=2.0)
@@ -134,24 +129,8 @@ class TestScenarioConfig:
 
         with pytest.raises(ConfigurationError):
             ScenarioConfig(refresh_policy="maybe")
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(slowdown_factor=0.0)
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(surge_multiplier=-0.5)
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(closure_start=0.8, closure_end=0.2)
-        with pytest.raises(ConfigurationError):
-            ScenarioConfig(slowdown_factor=math.nan)
 
     def test_config_error_alias(self):
         from repro.exceptions import ConfigError
 
         assert ConfigError is ConfigurationError
-
-    def test_with_overrides(self):
-        from repro.config import ScenarioConfig
-
-        base = ScenarioConfig()
-        other = base.with_overrides(refresh_policy="eager")
-        assert other.refresh_policy == "eager"
-        assert base.refresh_policy == "coalesce"

@@ -251,6 +251,4 @@ class TestResultTypes:
     def test_context_vehicle_lookup(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=4, location=0)]
         context = make_context(vehicles, [])
-        assert context.vehicle_by_id(4) is vehicles[0]
-        with pytest.raises(KeyError):
-            context.vehicle_by_id(99)
+        assert context.vehicles_by_id == {4: vehicles[0]}

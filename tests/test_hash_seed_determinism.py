@@ -5,7 +5,7 @@ so one ``for x in some_set:`` on a decision path makes two equal runs diverge
 -- but only between interpreters whose hash seeds differ, which no in-process
 test can see.  This is the runtime counterpart of repro-lint's DET003: every
 registered dispatcher replays the same service workload in one child process
-per ``PYTHONHASHSEED``, and both the event log the engine retains and the
+per ``PYTHONHASHSEED``, and both every event the engine emits and the
 event list the service streams must come out identical.
 """
 
@@ -28,19 +28,28 @@ CHILD = """
 import hashlib, json, sys
 from repro.dispatch import DISPATCHER_REGISTRY
 from repro.experiments.harness import RunSpec, run
+from repro.simulation.engine import Simulator
+from repro.simulation.events import EventKind
 
 def sha(rows):
     return hashlib.sha256(repr(rows).encode()).hexdigest()
 
+# A service run's simulator retains no log, so the engine's sink is tapped.
+emitted = []
+emit = Simulator._emit
+def recording(simulator, when, kind, subject, other=None):
+    emitted.append((when, EventKind(kind).value, subject, other))
+    emit(simulator, when, kind, subject, other)
+Simulator._emit = recording
+
 digests = {}
 for name in sorted(DISPATCHER_REGISTRY):
+    emitted.clear()
     result = run(RunSpec(mode="service", preset="nyc", algorithm=name,
                          backend="hub_label", scale=float(sys.argv[1])))
-    retained = result.simulation.events
     streamed = result.service.events
     digests[name] = {
-        "retained": [len(retained),
-                     sha([(e.time, e.kind.value, e.subject, e.other) for e in retained])],
+        "emitted": [len(emitted), sha(emitted)],
         "streamed": [len(streamed), sha([e.to_dict() for e in streamed])],
     }
 json.dump(digests, sys.stdout)
@@ -73,5 +82,6 @@ def test_event_streams_are_identical_across_hash_seeds() -> None:
     first, second = (json.loads(stdout) for stdout, _stderr in outputs)
     assert sorted(first) == sorted(DISPATCHER_REGISTRY)
     assert all(entry["streamed"][0] > 0 for entry in first.values())
+    assert all(entry["emitted"][0] > entry["streamed"][0] for entry in first.values())
     diverged = {name: (first[name], second[name]) for name in first if first[name] != second[name]}
     assert not diverged, f"event streams differ between PYTHONHASHSEED=0 and =1: {diverged}"

@@ -18,7 +18,7 @@ from repro.network.grid_index import GridIndex
 from repro.scenarios.events import VehicleShiftEnd, VehicleShiftStart
 from repro.scenarios.timeline import Scenario
 from repro.simulation import engine
-from repro.simulation.events import EventKind
+from repro.simulation.events import Event, EventKind
 from repro.workloads.presets import Workload
 
 
@@ -127,6 +127,20 @@ class TestFullPipeline:
         assert result.service_rate >= 0.5
 
 
+def _engine_events(monkeypatch) -> list[Event]:
+    """Every event the engine emits while ``monkeypatch`` holds: a service
+    run's simulator retains no log (the service keeps its own history)."""
+    events: list[Event] = []
+    emit = Simulator._emit
+
+    def recording(simulator, when, kind, subject, other=None):
+        events.append(Event(when, EventKind(kind), subject, other))
+        emit(simulator, when, kind, subject, other)
+
+    monkeypatch.setattr(Simulator, "_emit", recording)
+    return events
+
+
 class TestPlanSnapshotReuseIsInvisible:
     """Keeping a vehicle's snapshot, profile and insertion outcomes across
     ticks is an optimisation: a run that never keeps any is event-for-event
@@ -138,7 +152,9 @@ class TestPlanSnapshotReuseIsInvisible:
             mode="service", preset="nyc", scale=0.1, scenario="rush_hour",
             algorithm=algorithm,
         )
-        kept = run(spec).simulation
+        with monkeypatch.context() as patch:
+            kept_events = _engine_events(patch)
+            kept = run(spec).simulation
         assert kept.metrics.oracle_rebuilds > 0
 
         route_state = Vehicle.route_state
@@ -149,8 +165,11 @@ class TestPlanSnapshotReuseIsInvisible:
 
         monkeypatch.setattr(Vehicle, "route_state", always_fresh)
         monkeypatch.setattr(RouteState, "outcomes", lambda route, oracle: {})
-        fresh = run(spec).simulation
-        assert fresh.events.events == kept.events.events
+        with monkeypatch.context() as patch:
+            fresh_events = _engine_events(patch)
+            fresh = run(spec).simulation
+        assert fresh_events == kept_events
+        assert any(event.kind is EventKind.REQUEST_COMPLETED for event in kept_events)
         assert fresh.unified_cost == kept.unified_cost
         # ... and the kept run did answer from its snapshots.
         assert kept.metrics.shortest_path_queries < fresh.metrics.shortest_path_queries
@@ -234,13 +253,14 @@ def _observe(spec: RunSpec, monkeypatch) -> tuple[list, dict, dict]:
     with monkeypatch.context() as patch:
         patch.setattr(Workload, "fresh_oracle", keeping)
         patch.setattr(engine, "DispatchContext", checked_context)
+        events = _engine_events(patch)
         simulation = run(spec).simulation
     assert len(ticks) == simulation.metrics.num_batches > 0
     summary = {
         key: value for key, value in simulation.summary().items()
         if not key.endswith("seconds")
     }
-    return simulation.events.events, summary, oracles[-1].stats.snapshot()
+    return events, summary, oracles[-1].stats.snapshot()
 
 
 class TestTickCostsWhatChanged:

@@ -188,7 +188,7 @@ class TestCSRSettledGuard:
     def test_settled_count_not_inflated_through_oracle(self):
         network = _tie_grid(4)
         oracle = DistanceOracle(network, cache_size=0)
-        oracle.many_to_many([0], [15])
+        oracle.cost(0, 15)
         assert oracle.stats.settled_nodes <= network.num_nodes
 
 
@@ -216,6 +216,11 @@ def _fresh(network: RoadNetwork, name: str, pairs) -> dict[tuple[int, int], floa
     """``pairs`` answered by a new backend ``name`` (an empty store for ``ch``)."""
     learned, _, _ = make_backend(name, routing_data(network)).many_to_many(pairs)
     return {pair: learned[pair] for pair in pairs}
+
+
+def _table(oracle: DistanceOracle, nodes) -> dict[tuple[int, int], float]:
+    """Every ``nodes`` x ``nodes`` cost, asked of ``oracle`` one pair at a time."""
+    return {(u, v): oracle.cost(u, v) for u in nodes for v in nodes}
 
 
 def _count_sweeps(monkeypatch) -> list[tuple[int, bool]]:
@@ -279,7 +284,7 @@ class TestChDistancesAreLabelJoins:
         # Every node, both directions, before the first question.
         assert len(sweeps) == len(set(sweeps)) == 2 * len(nodes)
         second = DistanceOracle(network, backend="hub_label")
-        assert first.many_to_many(nodes, nodes) == second.many_to_many(nodes, nodes)
+        assert _table(first, nodes) == _table(second, nodes)
         assert len(sweeps) == 2 * len(nodes)
 
     def test_ch_store_is_private_and_sweeps_only_what_it_is_asked(
@@ -293,7 +298,7 @@ class TestChDistancesAreLabelJoins:
         oracle = DistanceOracle(network, backend="ch")
         nodes = sorted(network.nodes())
         sources, targets = nodes[:3], nodes[3:7]
-        oracle.many_to_many(sources, targets)
+        oracle.prefetch(sources, targets)
         index = data.csr.index_of
         assert sorted(sweeps) == sorted(
             [(index[s], False) for s in sources] + [(index[t], True) for t in targets]
@@ -318,11 +323,11 @@ class TestChDistancesAreLabelJoins:
         network = FAMILIES[family]()
         nodes = sorted(network.nodes())
         oracle = DistanceOracle(network, backend=backend)
-        before = oracle.many_to_many(nodes, nodes)
+        before = _table(oracle, nodes)
         u, v, cost = max(network.edges(), key=lambda edge: edge[2])
         network.add_edge(u, v, cost / 50.0)  # now a shortcut for many pairs
         getattr(oracle, refresh)()
-        after = oracle.many_to_many(nodes, nodes)
+        after = _table(oracle, nodes)
         assert after != before
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
             assert after[pair] == pytest.approx(want, abs=1e-9), pair

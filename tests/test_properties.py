@@ -501,7 +501,7 @@ def _reference_query_radius(index: GridIndex, x: float, y: float, radius: float)
         cell = index._cell_of(px, py)
         if (
             lo[0] <= cell[0] <= hi[0] and lo[1] <= cell[1] <= hi[1]
-            and (px - x) ** 2 + (py - y) ** 2 <= radius * radius
+            and math.hypot(px - x, py - y) <= radius
         ):
             hits.append((cell, key))
     return [key for _, key in sorted(hits)]
@@ -534,16 +534,19 @@ class TestGridIndexProperties:
                         st.floats(min_value=0, max_value=300)),
     )
     @settings(max_examples=50, deadline=None)
+    # A subnormal offset, whose square underflows to 0.0: a zero-radius disk
+    # must not hold the key.
+    @example(points=[(0.0, 4.157126055068387e-228)], query=(0.0, 0.0, 0.0))
     def test_radius_query_equals_brute_force(self, points, query):
         index = GridIndex((0, 0, 500, 500), cells_per_axis=7)
         for key, (x, y) in enumerate(points):
             index.insert(key, x, y)
         qx, qy, radius = query
-        # Compare with the same squared-distance predicate the index documents
-        # (avoids spurious mismatches from subnormal-float underflow).
+        # Compare with the same ``math.hypot`` predicate the index documents
+        # (a sum of squares underflows for subnormal offsets).
         expected = {
             key for key, (x, y) in enumerate(points)
-            if (x - qx) ** 2 + (y - qy) ** 2 <= radius * radius
+            if math.hypot(x - qx, y - qy) <= radius
         }
         assert set(index.query_radius(qx, qy, radius)) == expected
 
@@ -688,6 +691,12 @@ class TestGridIndexProperties:
         how_many=st.sampled_from(["one", "a third", "half", "all", "more"]),
     )
     @settings(max_examples=300, deadline=None)
+    # A subnormal offset, whose square underflows to 0.0: a disk just short
+    # of the nearest key must not hold it.
+    @example(
+        cells_per_axis=1, contents={0: (0.0, 0.0)}, point=(0.0, 1.11e-308),
+        how_many="one",
+    )
     def test_k_nearest_holds_the_k_nearest_and_everything_tied_with_the_kth(
         self, cells_per_axis, contents, point, how_many
     ):

@@ -116,7 +116,7 @@ class TestBackendEquivalence:
             for u, v in pairs:
                 assert oracle.cost(u, v) == pytest.approx(plain.cost(u, v), abs=1e-6)
 
-    def test_many_to_many_matches_point_queries(self):
+    def test_prefetch_matches_point_queries(self):
         network = _random_network(24, 0.1, seed=3)
         rng = random.Random(9)
         sources = rng.sample(range(24), 6)
@@ -124,8 +124,10 @@ class TestBackendEquivalence:
         reference = DistanceOracle(network, cache_size=0)
         for backend in ALL_BACKENDS:
             oracle = DistanceOracle(network, backend=backend)
-            table = oracle.many_to_many(sources, targets)
-            assert set(table) == {(s, t) for s in sources for t in targets}
+            oracle.prefetch(sources, targets)
+            table = {(s, t): oracle.cost(s, t) for s in sources for t in targets}
+            # Every pair but a self pair is answered from the batch.
+            assert oracle.stats.cache_hits == sum(s != t for s, t in table)
             for (s, t), value in table.items():
                 expected = reference.cost(s, t)
                 if math.isinf(expected):
@@ -169,7 +171,7 @@ class TestBackendEquivalence:
         from repro.network.routing import CHBackend
 
         reference = DistanceOracle(grid_network, cache_size=0)
-        oracle = DistanceOracle(grid_network, cache_size=0, backend="ch")
+        oracle = DistanceOracle(grid_network, backend="ch")
 
         seen_pairs: list[tuple[int, int]] = []
         original = CHBackend.many_to_many
@@ -179,8 +181,9 @@ class TestBackendEquivalence:
             return original(self, pairs)
 
         monkeypatch.setattr(CHBackend, "many_to_many", spy)
-        table = oracle.many_to_many([0, 1], [20, 21, 22])
+        oracle.prefetch([0, 1], [20, 21, 22])
         monkeypatch.undo()
+        table = {(s, t): oracle.cost(s, t) for s in (0, 1) for t in (20, 21, 22)}
         assert len(seen_pairs) == 6  # requested pairs, no dense blow-up
         assert len(set(seen_pairs)) == 6
         for (s, t), value in table.items():
@@ -207,7 +210,7 @@ class TestQueryStatistics:
             oracle = DistanceOracle(grid_network, backend=backend)
             for u, v in calls:
                 oracle.cost(u, v)
-            oracle.many_to_many(nodes[:4], nodes[10:13])
+            oracle.prefetch(nodes[:4], nodes[10:13])
             snapshots[backend] = oracle.stats.snapshot()
         reference = snapshots["dijkstra"]
         assert set(reference) == {
@@ -218,15 +221,6 @@ class TestQueryStatistics:
             assert set(snapshot) == set(reference)
             assert snapshot["queries"] == reference["queries"], backend
             assert snapshot["searches"] > 0, backend
-
-    def test_many_to_many_counts_logical_queries_and_hits(self, grid_network):
-        oracle = DistanceOracle(grid_network, backend="hub_label")
-        oracle.cost(0, 7)
-        before = oracle.stats.snapshot()
-        oracle.many_to_many([0, 1], [7, 8])
-        after = oracle.stats.snapshot()
-        assert after["queries"] - before["queries"] == 4
-        assert after["cache_hits"] - before["cache_hits"] >= 1  # (0, 7) was cached
 
     def test_prefetch_is_invisible_to_logical_counters(self, grid_network):
         """Cache warming must not distort the reported query column."""

@@ -161,9 +161,9 @@ class TestProtocolConformance:
                         oracle.path(source, target)
                 else:
                     assert oracle.path(source, target)[-1] == target
-            table = oracle.many_to_many(
-                [s for s, _ in pairs], [t for _, t in pairs]
-            )
+            sources, targets = [s for s, _ in pairs], [t for _, t in pairs]
+            oracle.prefetch(sources, targets)
+            table = {(s, t): oracle.cost(s, t) for s in sources for t in targets}
         _assert_exact(network, table)
         if serving == "fallback":
             assert oracle.stats.fallback_queries > 0 or not returned
@@ -192,13 +192,14 @@ ENTRY_POINTS = {
     "cost_self": lambda oracle: oracle.cost(UNKNOWN, UNKNOWN),
     "cost_from": lambda oracle: oracle.cost(UNKNOWN, 0),
     "cost_to": lambda oracle: oracle.cost(0, UNKNOWN),
+    "lower_bound_from": lambda oracle: oracle.lower_bound(UNKNOWN, 0),
+    "lower_bound_to": lambda oracle: oracle.lower_bound(0, UNKNOWN),
     "path_self": lambda oracle: oracle.path(UNKNOWN, UNKNOWN),
+    "path_from": lambda oracle: oracle.path(UNKNOWN, 0),
     "path_to": lambda oracle: oracle.path(0, UNKNOWN),
-    "many_to_many_self": lambda oracle: oracle.many_to_many([UNKNOWN], [UNKNOWN]),
-    "many_to_many_from": lambda oracle: oracle.many_to_many([UNKNOWN], [0, 1]),
     "prefetch_self": lambda oracle: oracle.prefetch([UNKNOWN], [UNKNOWN]),
+    "prefetch_from": lambda oracle: oracle.prefetch([UNKNOWN], [0, 1]),
     "prefetch_to": lambda oracle: oracle.prefetch([0, 1], [UNKNOWN]),
-    "route_cost": lambda oracle: oracle.route_cost([UNKNOWN, UNKNOWN]),
 }
 
 
@@ -206,8 +207,8 @@ class TestUnknownNodes:
     @pytest.mark.parametrize("serving", SERVING)
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
     def test_every_entry_point_refuses_an_unknown_node(self, entry, serving):
-        """Regression: ``many_to_many([x], [x])`` and ``prefetch([x], [x])``
-        used to answer ``x -> x`` for a node that is not in the network."""
+        """Regression: ``prefetch([x], [x])`` used to answer ``x -> x`` for
+        a node that is not in the network."""
         oracle = _oracle(grid_city(4, 4), serving)
         with pytest.raises(NetworkError, match="unknown node 9999"):
             ENTRY_POINTS[entry](oracle)

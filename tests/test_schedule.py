@@ -31,7 +31,6 @@ class TestStructure:
         request = make_line_request(1, 0, 3)
         schedule = Schedule((Waypoint(request, WaypointKind.DROPOFF),))
         assert schedule.satisfies_order()
-        assert schedule.onboard_request_ids() == {1}
 
     def test_requests_and_equality(self, make_line_request):
         a = make_line_request(1, 0, 2)
@@ -129,12 +128,6 @@ class TestEditing:
             schedule.with_insertion(b, 3, 4)
         with pytest.raises(ScheduleError):
             schedule.with_insertion(b, 1, 1)
-
-    def test_without_request(self, make_line_request):
-        a = make_line_request(1, 0, 4)
-        b = make_line_request(2, 1, 3)
-        schedule = Schedule.direct(a).with_insertion(b, 1, 2)
-        assert schedule.without_request(2) == Schedule.direct(a)
 
     def test_extended(self, make_line_request):
         a = make_line_request(1, 0, 4)

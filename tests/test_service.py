@@ -10,6 +10,8 @@ package-level surface of the ``run(RunSpec)`` front door.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
+import math
 import warnings
 from pathlib import Path
 
@@ -18,9 +20,8 @@ import pytest
 import repro
 from repro.config import ServiceConfig
 from repro.dispatch import make_dispatcher
-from repro.exceptions import ConfigurationError, SchemaError, ServiceError
+from repro.exceptions import ConfigurationError, SchemaError, ServiceError, UnreachableError
 from repro.experiments.harness import RunSpec, run
-from repro.model.request import Request
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
@@ -35,6 +36,7 @@ from repro.service import (
     ServiceStats,
 )
 from repro.service.schemas import SCHEMA_VERSION, check_schema_version
+from repro.service.server import SLO_SERVICE_RATE
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
 from repro.workloads.presets import make_workload
@@ -46,6 +48,16 @@ def _ride(request_id: int, release_time: float = 0.0, **kwargs) -> RideRequest:
     return RideRequest(
         request_id=request_id, release_time=release_time, **defaults
     )
+
+
+#: Each of these used to be admitted: NaN passes every ``<`` check, and an
+#: infinite time can overflow the grid index on the first tick.
+NON_FINITE_TIMES = [
+    pytest.param({"max_wait": math.nan}, id="max_wait-nan"),
+    pytest.param({"max_wait": math.inf}, id="max_wait-inf"),
+    pytest.param({"deadline": math.nan}, id="deadline-nan"),
+    pytest.param({"deadline": math.inf}, id="deadline-inf"),
+]
 
 
 # --------------------------------------------------------------------- #
@@ -70,6 +82,7 @@ class TestRideRequestSchema:
         dict(release_time=10.0, deadline=5.0),
         dict(direct_cost=float("nan")),
         dict(schema_version=99),
+        *NON_FINITE_TIMES,
     ])
     def test_validation_rejects(self, overrides):
         fields = dict(request_id=1, origin=0, destination=7,
@@ -77,6 +90,12 @@ class TestRideRequestSchema:
         fields.update(overrides)
         with pytest.raises(SchemaError):
             RideRequest(**fields)
+
+    @pytest.mark.parametrize("field", NON_FINITE_TIMES)
+    def test_from_dict_rejects_non_finite_times(self, field):
+        payload = _ride(1).to_dict() | field
+        with pytest.raises(SchemaError, match="must be finite"):
+            RideRequest.from_dict(payload)
 
     def test_unknown_fields_rejected(self):
         payload = _ride(1).to_dict() | {"surge_multiplier": 2.0}
@@ -118,7 +137,7 @@ class TestRideRequestSchema:
         network.add_node(1, 100.0, 0.0)  # no edges: unroutable pair
         oracle = DistanceOracle(network)
         ride = _ride(7, origin=0, destination=1)
-        with pytest.raises(repro.UnreachableError):
+        with pytest.raises(UnreachableError):
             ride.to_request(oracle=oracle, config=config)
 
 
@@ -361,20 +380,18 @@ class TestDispatchServiceLifecycle:
         assert terminal == 5  # nothing silently vanished in the drain
         assert result.stats.assigned > 0
 
-    def test_shutdown_without_drain_rejects_remainder(
-        self, make_service, make_request
+    @pytest.mark.parametrize("field", NON_FINITE_TIMES)
+    def test_submit_refuses_non_finite_times(
+        self, field, make_service, make_request
     ):
-        service = make_service(
-            service_config=ServiceConfig(drain_on_shutdown=False)
-        )
+        service = make_service()
         service.start()
-        for i in range(3):
-            service.submit(make_request(i, 0, 7, float(i)))
-        result = service.shutdown()
-        assert result.stats.rejected["shutting_down"] == 3
-        assert result.stats.assigned == 0
-        reasons = [e.reason for e in result.events]
-        assert reasons.count(RejectionReason.SHUTTING_DOWN) == 3
+        request = dataclasses.replace(make_request(1, 0, 7, 0.0), **field)
+        with pytest.raises(SchemaError, match="must be finite"):
+            service.submit(request)
+        assert service.stats().received == 0
+        assert service.tick() is None
+        assert service.shutdown().stats.accepted == 0
 
     def test_unknown_node_refused_before_queueing(self, make_service):
         service = make_service()
@@ -438,13 +455,11 @@ class TestDispatchServiceLifecycle:
         health = service.health()
         assert health["status"] == "ok"
         assert health["queue_capacity"] == ServiceConfig().queue_capacity
-        assert health["slo_service_rate"] == ServiceConfig().slo_service_rate
+        assert health["slo_service_rate"] == SLO_SERVICE_RATE
         service.submit(make_request(1, 0, 7, 0.0))
         result = service.shutdown()
         assert service.health()["status"] == "stopped"
-        assert result.slo_met == (
-            result.service_rate >= ServiceConfig().slo_service_rate
-        )
+        assert result.slo_met == (result.service_rate >= SLO_SERVICE_RATE)
 
     def test_registry_carries_service_metrics(
         self, make_service, make_request
@@ -465,18 +480,11 @@ class TestServiceConfigValidation:
     @pytest.mark.parametrize("overrides", [
         dict(queue_capacity=0),
         dict(admission_policy="panic"),
-        dict(slo_service_rate=1.5),
         dict(event_history=-1),
-        dict(max_drain_batches=0),
     ])
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(ConfigurationError):
             ServiceConfig(**overrides)
-
-    def test_with_overrides(self):
-        config = ServiceConfig().with_overrides(queue_capacity=32)
-        assert config.queue_capacity == 32
-        assert config.admission_policy == ServiceConfig().admission_policy
 
 
 # --------------------------------------------------------------------- #
@@ -486,6 +494,14 @@ def _assignment_pairs(events) -> list[tuple[int, int]]:
     return sorted(
         (event.subject, event.other)
         for event in events.of_kind(EventKind.REQUEST_ASSIGNED)
+    )
+
+
+def _streamed_assignment_pairs(events) -> list[tuple[int, int]]:
+    return sorted(
+        (event.request_id, event.vehicle_id)
+        for event in events
+        if event.event is AssignmentEventKind.ASSIGNED
     )
 
 
@@ -511,7 +527,7 @@ class TestBatchParity:
         outcome = service.serve(
             RideRequest.from_request(r) for r in workload.requests
         )
-        assert _assignment_pairs(outcome.simulation.events) == (
+        assert _streamed_assignment_pairs(outcome.events) == (
             _assignment_pairs(batch.events)
         )
         assert outcome.unified_cost == batch.unified_cost
@@ -553,7 +569,7 @@ class TestBatchParity:
 # --------------------------------------------------------------------- #
 # one event sink, one metrics table
 # --------------------------------------------------------------------- #
-def _nyc_service(**kwargs) -> tuple[DispatchService, list[RideRequest]]:
+def _nyc_service() -> tuple[DispatchService, list[RideRequest]]:
     workload = make_workload("nyc", scale=0.05, city_scale=0.35)
     service = DispatchService(
         network=workload.network,
@@ -561,35 +577,24 @@ def _nyc_service(**kwargs) -> tuple[DispatchService, list[RideRequest]]:
         vehicles=workload.fresh_vehicles(),
         dispatcher=make_dispatcher("SARD"),
         config=workload.simulation_config,
-        **kwargs,
     )
     return service, [RideRequest.from_request(r) for r in workload.requests]
 
 
 class TestStreamIsIndependentOfRetention:
-    def test_unretained_and_capped_logs_stream_the_same_events(self):
-        """What the engine's log keeps (``record_events``, its cap) governs
-        retention only: the service streams every lifecycle event anyway."""
-        default, rides = _nyc_service()
-        expected = default.serve(rides)
-        assert expected.stats.assigned > 0
-
-        unretained, rides = _nyc_service(record_events=False)
-        capped, _ = _nyc_service()
-        capped.start()
-        capped._sim.run_state.events.max_events = 10
-        for service in (unretained, capped):
-            outcome = service.serve(rides)
-            assert [e.to_dict() for e in outcome.events] == [
-                e.to_dict() for e in expected.events
-            ]
-            streamed = sum(
-                event.event is AssignmentEventKind.ASSIGNED for event in outcome.events
-            )
-            assert outcome.stats.assigned == streamed
-        assert len(unretained.result.simulation.events) == 0
-        assert len(capped.result.simulation.events) == 10
-        assert capped.result.simulation.events.dropped > 0
+    def test_the_stream_needs_no_retained_log(self):
+        """The service listens on the engine's sink and keeps its own
+        history, so its simulator retains no log: every lifecycle event is
+        streamed anyway."""
+        service, rides = _nyc_service()
+        outcome = service.serve(rides)
+        assert outcome.stats.assigned > 0
+        assert len(outcome.simulation.events) == 0
+        assert outcome.simulation.events.dropped == 0
+        streamed = sum(
+            event.event is AssignmentEventKind.ASSIGNED for event in outcome.events
+        )
+        assert outcome.stats.assigned == streamed
 
 
 class TestLiveViewIsTheTruth:

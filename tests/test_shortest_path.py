@@ -63,11 +63,6 @@ class TestCorrectness:
         with pytest.raises(NetworkError):
             oracle.cost(0, 10_000)
 
-    def test_route_cost_sums_legs(self, oracle):
-        route = [0, 5, 10, 11]
-        expected = sum(oracle.cost(u, v) for u, v in zip(route, route[1:]))
-        assert oracle.route_cost(route) == pytest.approx(expected)
-
 
 class TestCachingAndStats:
     def test_cache_hit_counted(self, grid_network):

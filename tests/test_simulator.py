@@ -154,13 +154,15 @@ class TestMetricsCollector:
 
 
 class TestEventLog:
-    def test_event_cap(self):
+    def test_event_cap(self, monkeypatch):
         from repro.simulation.events import Event, EventLog
 
-        log = EventLog(max_events=2)
+        monkeypatch.setattr(EventLog, "MAX_EVENTS", 2)
+        log = EventLog()
         for i in range(5):
             log.record(Event(float(i), EventKind.REQUEST_RELEASED, i))
         assert len(log) == 2
+        assert log.dropped == 3
 
     def test_of_kind_filter(self):
         from repro.simulation.events import Event, EventLog
