@@ -1,7 +1,7 @@
 """Benchmark of the resilience layer under injected faults.
 
 Runs the ``stadium_surge`` and ``bridge_closure`` scenario presets on the
-preprocessed routing backends (``ch``, ``hub_label``) under all four
+preprocessed routing backends (``ch``, ``hub_label``) under both
 refresh policies with the ``flaky_oracle`` / ``oracle_meltdown`` chaos
 presets, and reports what the resilience machinery did: faults injected,
 refresh retries, breaker trips, batches run on the degraded dispatcher,
@@ -34,7 +34,7 @@ from repro.experiments.harness import (
 from _common import save_grid
 
 BACKENDS = ("ch", "hub_label")
-POLICIES = ("eager", "deferred", "coalesce", "repair")
+POLICIES = ("coalesce", "repair")
 SCENARIOS = ("stadium_surge", "bridge_closure")
 CHAOS = ("flaky_oracle", "oracle_meltdown")
 #: Workload scale of the full benchmark (the smoke run shrinks it further).
@@ -96,7 +96,7 @@ def full_rows() -> list[dict]:
 
 
 def smoke_rows() -> list[dict]:
-    """The CI grid: ``flaky_oracle`` on both backends x all four policies."""
+    """The CI grid: ``flaky_oracle`` on both backends x both policies."""
     return _grid(("flaky_oracle",), scale=0.04)
 
 
@@ -149,7 +149,7 @@ def test_degraded_batches_cost_less_dispatch_time():
     keeps serving (service rate stays positive) while the overrun accounting
     shows the budget pressure that tripped it."""
     row = _case(
-        "stadium_surge", "ch", "eager",
+        "stadium_surge", "ch", "coalesce",
         chaos="oracle_meltdown", scale=0.05, city_scale=0.35,
     )
     assert row["overruns"] >= row["breaker_trips"] // 2

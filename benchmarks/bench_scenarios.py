@@ -1,9 +1,8 @@
 """Benchmark of the dynamic-world scenario engine and oracle refresh policies.
 
 Runs the ``bridge_closure`` and ``rush_hour`` scenario presets on the
-preprocessed routing backends (``ch``, ``hub_label``) under all four
-refresh policies -- ``eager`` | ``deferred`` | ``coalesce`` | ``repair`` --
-and reports the refresh overhead per policy: backend rebuilds and their
+preprocessed routing backends (``ch``, ``hub_label``) under both
+refresh policies -- ``coalesce`` | ``repair`` -- and reports the refresh overhead per policy: backend rebuilds and their
 wall-clock cost, incremental repairs (nodes re-contracted, snapshot hits),
 queries served by the exact Dijkstra fallback while the structures were
 dirty, and the stale-window time.
@@ -32,7 +31,7 @@ from repro.experiments.harness import RunSpec, run, run_grid
 from _common import RESULTS_DIR, save_grid, save_json
 
 BACKENDS = ("ch", "hub_label")
-POLICIES = ("eager", "deferred", "coalesce", "repair")
+POLICIES = ("coalesce", "repair")
 SCENARIOS = ("bridge_closure", "rush_hour")
 #: Workload scale of the full benchmark (the smoke run shrinks it further).
 SCALE = 0.08
@@ -89,7 +88,7 @@ def full_rows() -> list[dict]:
 
 
 def smoke_rows() -> list[dict]:
-    """The CI grid: both scenarios x both backends x all four policies."""
+    """The CI grid: both scenarios x both backends x both policies."""
     return _grid_rows(
         scale=0.04, city_scale=CITY_SCALE,
         algorithm="pruneGDP", parity_pairs=12,
@@ -116,28 +115,29 @@ def test_scenario_refresh_overhead_smoke():
 
 
 def test_policies_trade_rebuilds_for_fallback():
-    """Deferred/coalesce must actually serve fallback queries where eager
-    never does, on the same bridge_closure scenario."""
-    eager = _case("bridge_closure", "ch", "eager", scale=0.05)
+    """Coalesce must actually serve fallback queries where repair never
+    does, on the same bridge_closure scenario."""
+    repair = _case("bridge_closure", "ch", "repair", scale=0.05)
     coalesce = _case("bridge_closure", "ch", "coalesce", scale=0.05)
-    assert eager["fallback_q"] == 0
+    assert repair["fallback_q"] == 0
     assert coalesce["fallback_q"] > 0
     assert coalesce["stale_ms"] > 0.0
 
 
-def test_repair_beats_eager_rebuild():
+def test_repair_beats_rebuild():
     """The acceptance gate of the repair policy: on both presets, at city
     scale, repair absorbs every burst exactly (the parity probe runs in both
-    cells) with fewer from-scratch rebuilds than eager's rebuild-per-burst
-    -- and any incremental re-contraction stays under 20% of the nodes per
-    burst (the policy's fraction cap guarantees it).  Counts, not wall time:
-    the refresh times are a few ms each and their order flips on a busy host.
-    A rebuild that adopts a held state (eager's last ``rush_hour`` burst
-    returns to the set-up network) still counts in ``rebuilds``: the count
-    records refresh decisions, ``rebuild_ms`` what they cost."""
+    cells) with fewer from-scratch rebuilds than coalesce's rebuild per
+    quiet boundary -- and any incremental re-contraction stays under 20% of
+    the nodes per burst (the policy's fraction cap guarantees it).  Counts,
+    not wall time: the refresh times are a few ms each and their order flips
+    on a busy host.  A rebuild that adopts a held state (coalesce's last
+    ``rush_hour`` rebuild returns to the set-up network) still counts in
+    ``rebuilds``: the count records refresh decisions, ``rebuild_ms`` what
+    they cost."""
     for scenario in SCENARIOS:
-        eager = _case(
-            scenario, "ch", "eager",
+        coalesce = _case(
+            scenario, "ch", "coalesce",
             scale=SCALE, city_scale=CITY_SCALE, parity_pairs=PARITY_PAIRS,
         )
         repair = _case(
@@ -145,7 +145,7 @@ def test_repair_beats_eager_rebuild():
             scale=SCALE, city_scale=CITY_SCALE, parity_pairs=PARITY_PAIRS,
         )
         assert repair["repairs"] >= 1, (scenario, repair)
-        assert repair["rebuilds"] < eager["rebuilds"], (scenario, repair, eager)
+        assert repair["rebuilds"] < coalesce["rebuilds"], (scenario, repair, coalesce)
 
 
 def main() -> None:

@@ -47,8 +47,8 @@ def main() -> None:
         dispatcher=SARDDispatcher(),
         config=workload.simulation_config,
         timeline=timeline,
-        # The policy the scenario names (``coalesce`` by default); a policy
-        # has no knobs, so this equals passing that name as a string.
+        # The policy the scenario names (``coalesce`` by default);
+        # ``make_refresh_policy`` is the one way from a name to a policy.
         refresh_policy=make_refresh_policy(config=scenario.config),
     )
     result = simulator.run()

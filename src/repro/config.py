@@ -31,7 +31,7 @@ DEFAULT_ANGLE_THRESHOLD = math.pi / 2.0
 
 #: Oracle refresh policies accepted by ``ScenarioConfig.refresh_policy`` and
 #: :func:`repro.scenarios.refresh.make_refresh_policy`.
-REFRESH_POLICIES = ("eager", "deferred", "coalesce", "repair")
+REFRESH_POLICIES = ("coalesce", "repair")
 
 #: Admission policies accepted by ``ServiceConfig.admission_policy``:
 #: ``reject`` refuses new requests while the ingestion queue is full
@@ -257,12 +257,11 @@ class ScenarioConfig:
     intensities are constants of :mod:`repro.scenarios.presets`.
     """
 
-    #: Oracle refresh policy: ``"eager"`` rebuilds after every mutation
-    #: burst, ``"deferred"`` serves dirty windows via a Dijkstra fallback
-    #: until a staleness budget runs out, ``"coalesce"`` folds all bursts
-    #: since the last rebuild into one rebuild at the next quiet batch
-    #: boundary, ``"repair"`` re-contracts only the affected cells of the
-    #: contraction hierarchy (with snapshot swaps for exact reversions).
+    #: Oracle refresh policy, and the one place its default is written:
+    #: ``"coalesce"`` folds all bursts since the last rebuild into one
+    #: rebuild at the next quiet batch boundary, ``"repair"`` re-contracts
+    #: only the affected cells of the contraction hierarchy (with snapshot
+    #: swaps for exact reversions).
     refresh_policy: str = "coalesce"
 
     def __post_init__(self) -> None:

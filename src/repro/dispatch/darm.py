@@ -44,13 +44,11 @@ class DARMDispatcher(Dispatcher):
         self._demand: dict[tuple[int, int], float] = {}
         self._last_reposition = float("-inf")
         self.repositioned = 0
-        self.reposition_cost = 0.0
 
     def reset(self) -> None:
         self._demand = {}
         self._last_reposition = float("-inf")
         self.repositioned = 0
-        self.reposition_cost = 0.0
 
     def estimated_memory_bytes(self) -> int:
         # Demand table plus (a stand-in for) the learned policy parameters.
@@ -122,4 +120,3 @@ class DARMDispatcher(Dispatcher):
             vehicle.reposition(target_node, travel, context.current_time)
             index.move(vehicle.vehicle_id, *context.network.position(target_node))
             self.repositioned += 1
-            self.reposition_cost += travel

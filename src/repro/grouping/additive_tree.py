@@ -28,7 +28,6 @@ class GroupingStatistics:
 
     groups_generated: int = 0
     merges_attempted: int = 0
-    pruned_not_clique: int = 0
     pruned_infeasible: int = 0
 
 
@@ -107,7 +106,6 @@ def build_groups(
                     continue
                 stats.merges_attempted += 1
                 if not graph.is_clique(union):
-                    stats.pruned_not_clique += 1
                     continue
                 # Insert the member with the highest shareability into the
                 # schedule of the parent group that excludes it.

@@ -8,7 +8,7 @@ actually use:
 
 >>> from repro.observability import tracing
 >>> with tracing(oracle=simulator.oracle) as tracer:
-...     metrics = simulator.run(requests)
+...     result = simulator.run()
 >>> len(tracer.records)  # doctest: +SKIP
 
 :func:`tracing` installs a fresh :class:`SpanTracer` for the block,

@@ -3,13 +3,13 @@
 The :class:`ResilienceManager` orchestrates two breakers:
 
 * **Oracle breaker** -- guards the refresh path.  Repeated repair failures
-  trip to an eager rebuild; a rebuild whose retry budget is exhausted counts
-  a breaker failure and drops the oracle onto its exact fresh-CSR Dijkstra
-  fallback (correctness is never traded away -- the fallback is exact, just
-  slower).  While the breaker is open, refresh requests short-circuit to the
-  fallback; after :attr:`CircuitBreaker.RECOVERY_INTERVAL` batches a
-  half-open probe attempts one full rebuild and closes the breaker on
-  success.
+  trip to an immediate rebuild; a rebuild whose retry budget is exhausted
+  counts a breaker failure and drops the oracle onto its exact fresh-CSR
+  Dijkstra fallback (correctness is never traded away -- the fallback is
+  exact, just slower).  While the breaker is open, refresh requests
+  short-circuit to the fallback; after :attr:`CircuitBreaker.RECOVERY_INTERVAL`
+  batches a half-open probe attempts one full rebuild and closes the breaker
+  on success.
 * **Dispatch breaker** -- guards the batch time budget.  A dispatch batch
   whose injected virtual latency overruns
   :attr:`ResilienceManager.BATCH_TIME_BUDGET` counts a failure (real
@@ -32,7 +32,7 @@ from __future__ import annotations
 import enum
 import time
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 from random import Random
 
@@ -141,13 +141,10 @@ class ResilienceStats:
     batch_overruns: int = 0
     probe_failures: int = 0
     self_heals: int = 0
-    fallback_activations: int = 0
     #: Wall-clock seconds spent inside failure handling: retry backoff
     #: excluded (virtual), rebuild-after-failure, healing and recovery
     #: probes included -- the "recovery latency" the benchmarks report.
     recovery_seconds: float = 0.0
-    #: Per-heal recovery latencies (probe failure detected -> exact again).
-    heal_seconds: list[float] = field(default_factory=list)
 
 
 class ResilienceManager:
@@ -242,7 +239,6 @@ class ResilienceManager:
         start = time.perf_counter()
         if breaker.state is BreakerState.OPEN:
             oracle.enable_fallback()
-            self.stats.fallback_activations += 1
             return time.perf_counter() - start, False
         try:
             _, seconds = self.retry.call(
@@ -256,7 +252,6 @@ class ResilienceManager:
             if breaker.record_failure():
                 self._emit(EVENT_BREAKER_OPENED, ORACLE_BREAKER)
             oracle.enable_fallback()
-            self.stats.fallback_activations += 1
             elapsed = time.perf_counter() - start
             self.stats.recovery_seconds += elapsed
             return elapsed, False
@@ -268,7 +263,7 @@ class ResilienceManager:
         """Repair with retry; exhaustion climbs the ladder to a rebuild.
 
         Returns the backend's :class:`RepairReport` on success.  When the
-        retry budget is exhausted the ladder trips to an eager rebuild
+        retry budget is exhausted the ladder trips to an immediate rebuild
         (itself guarded), reported as mode ``"rebuilt"`` -- or
         ``"fallback"`` when the rebuild failed too and the oracle is serving
         its exact Dijkstra fallback.
@@ -277,7 +272,6 @@ class ResilienceManager:
         start = time.perf_counter()
         if breaker.state is BreakerState.OPEN:
             oracle.enable_fallback()
-            self.stats.fallback_activations += 1
             return RepairReport(
                 mode="fallback", seconds=time.perf_counter() - start
             )
@@ -329,7 +323,6 @@ class ResilienceManager:
             if self.oracle_breaker.record_failure():
                 self._emit(EVENT_BREAKER_OPENED, ORACLE_BREAKER)
             oracle.enable_fallback()
-            self.stats.fallback_activations += 1
         else:
             if self.oracle_breaker.record_success():
                 self._emit(EVENT_BREAKER_CLOSED, ORACLE_BREAKER)
@@ -368,7 +361,6 @@ class ResilienceManager:
             if isinstance(oracle, ChaosOracle):
                 oracle.heal()
             oracle.enable_fallback()
-            self.stats.fallback_activations += 1
             failures = self.probe.check(network, oracle)
             if failures:
                 worst = failures[0]
@@ -377,9 +369,7 @@ class ResilienceManager:
                     f"exact fallback: cost({worst.source}, {worst.target}) = "
                     f"{worst.got} but fresh Dijkstra says {worst.want}"
                 )
-        elapsed = time.perf_counter() - start
-        self.stats.recovery_seconds += elapsed
-        self.stats.heal_seconds.append(elapsed)
+        self.stats.recovery_seconds += time.perf_counter() - start
 
     def select_dispatcher(self, primary: Dispatcher) -> tuple[Dispatcher, bool]:
         """The dispatcher for this batch and whether it is the degraded one.

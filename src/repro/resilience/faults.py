@@ -53,9 +53,6 @@ class FaultInjector:
         #: config produce identical logs.
         self.fault_log: list[tuple[str, int]] = []
         self.faults_injected = 0
-        self.faults_by_kind = {
-            "rebuild": 0, "repair": 0, "corruption": 0, "spike": 0,
-        }
         self._op_index = 0
         #: Virtual latency accrued since the last drain, in seconds.
         self.pending_latency = 0.0
@@ -68,7 +65,6 @@ class FaultInjector:
             return False
         self.fault_log.append((kind, self._op_index))
         self.faults_injected += 1
-        self.faults_by_kind[kind] += 1
         return True
 
     def fail_rebuild(self) -> bool:
@@ -92,7 +88,6 @@ class FaultInjector:
             return 0.0
         seconds = self.config.spike_seconds
         self.faults_injected += 1
-        self.faults_by_kind["spike"] += 1
         self.pending_latency += seconds
         self.total_latency += seconds
         return seconds

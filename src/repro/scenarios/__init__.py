@@ -7,13 +7,12 @@ traffic waves, road closures and reopenings, rider cancellations, vehicle
 shift starts and ends -- that a :class:`ScenarioTimeline` feeds into
 :class:`~repro.simulation.engine.Simulator` between dispatch batches.  An
 :class:`OracleRefreshPolicy` decides, per mutation burst, whether the
-preprocessed routing structures are rebuilt immediately (``eager``), served
-through an exact Dijkstra fallback under a staleness budget (``deferred``),
-coalesced into one rebuild at the next quiet batch boundary (``coalesce``)
-or absorbed incrementally -- snapshot swaps for exact reversions plus
-re-contraction of only the affected hierarchy cells (``repair``); the
-refresh overhead (rebuilds, repairs, fallback queries, stale-serving time)
-lands in the run metrics.
+preprocessed routing structures are served through an exact Dijkstra
+fallback and coalesced into one rebuild at the next quiet batch boundary
+(``coalesce``) or absorbed incrementally -- snapshot swaps for exact
+reversions plus re-contraction of only the affected hierarchy cells
+(``repair``); the refresh overhead (rebuilds, repairs, fallback queries,
+stale-serving time) lands in the run metrics.
 """
 
 from .events import (
@@ -41,8 +40,6 @@ from .presets import (
 )
 from .refresh import (
     CoalescingRefreshPolicy,
-    DeferredRefreshPolicy,
-    EagerRefreshPolicy,
     OracleRefreshPolicy,
     RefreshStats,
     RepairRefreshPolicy,
@@ -65,8 +62,6 @@ __all__ = [
     "Scenario",
     "ScenarioTimeline",
     "OracleRefreshPolicy",
-    "EagerRefreshPolicy",
-    "DeferredRefreshPolicy",
     "CoalescingRefreshPolicy",
     "RepairRefreshPolicy",
     "RefreshStats",

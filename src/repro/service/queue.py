@@ -9,7 +9,7 @@ explicit admission policy instead of unbounded buffering:
 * ``reject`` -- a full queue refuses the new request
   (:attr:`RejectionReason.QUEUE_FULL`); async submitters using
   :meth:`~IngestionQueue.put` *block* until space frees (backpressure).
-* ``drop_oldest`` -- a full queue shes the longest-queued request
+* ``drop_oldest`` -- a full queue sheds the longest-queued request
   (:attr:`RejectionReason.SHED_OLDEST`) so the freshest demand wins.
 
 Everything is deterministic: requests drain in ``(release_time,

@@ -142,9 +142,8 @@ class DispatchService:
         config: SimulationConfig,
         service_config: ServiceConfig | None = None,
         timeline: ScenarioTimeline | None = None,
-        refresh_policy: OracleRefreshPolicy | str | None = None,
+        refresh_policy: OracleRefreshPolicy | None = None,
         resilience: ResilienceManager | None = None,
-        average_speed: float = 10.0,
     ) -> None:
         self.network = network
         self.oracle = oracle
@@ -157,7 +156,6 @@ class DispatchService:
             requests=[],
             dispatcher=dispatcher,
             config=config,
-            average_speed=average_speed,
             record_events=False,
             timeline=timeline,
             refresh_policy=refresh_policy,

@@ -33,7 +33,6 @@ from .graph import ShareabilityGraph
 class BuilderStatistics:
     """Counters describing the pruning effectiveness of the builder."""
 
-    candidates_considered: int = 0
     pruned_by_spatial: int = 0
     pruned_by_angle: int = 0
     pairs_tested: int = 0
@@ -150,7 +149,6 @@ class DynamicShareabilityGraphBuilder:
             source_xy[0], source_xy[1], radius
         )
         total_existing = len(graph) - 1
-        self.stats.candidates_considered += total_existing
         self.stats.pruned_by_spatial += max(total_existing - len(candidate_ids), 0)
         threshold = self.config.angle_threshold
         survivors: list[Request] = []

@@ -8,8 +8,8 @@ One :class:`Simulator` instance runs one algorithm over one workload:
    that can no longer be picked up expire (and incur the penalty),
 3. world events due at the boundary are applied (scenario engine): traffic
    waves, closures/reopenings, cancellations, vehicle shifts -- and the
-   oracle refresh policy decides whether the mutation burst triggers a
-   backend rebuild, a Dijkstra-fallback window or a coalesced rebuild later,
+   oracle refresh policy either repairs the backend or serves a
+   Dijkstra-fallback window until a coalesced rebuild,
 4. the dispatcher is called with the pending pool and returns assignments,
 5. assignments are applied to the vehicles; a vehicle that was idle becomes
    due at the next boundary,
@@ -121,15 +121,14 @@ class Simulator:
     requests: list[Request]
     dispatcher: Dispatcher
     config: SimulationConfig
-    average_speed: float = 10.0
     record_events: bool = True
     #: Dynamic-world scenario: timed events applied at batch boundaries.
     timeline: ScenarioTimeline | None = None
-    #: How the oracle follows network mutations; a policy name or instance
-    #: (defaults to ``coalesce`` whenever a timeline is present).  A policy
-    #: has no knobs: ``make_refresh_policy(config=scenario.config)`` only
-    #: picks the scenario's own policy by name.
-    refresh_policy: OracleRefreshPolicy | str | None = None
+    #: How the oracle follows network mutations (``None`` with a timeline:
+    #: ``make_refresh_policy()``'s default).  A policy has no knobs:
+    #: ``make_refresh_policy(config=scenario.config)`` only picks the
+    #: scenario's own policy by name.
+    refresh_policy: OracleRefreshPolicy | None = None
     #: Resilience layer: retries, circuit breakers, invariant probes,
     #: assignment verification and dispatcher degradation (see
     #: :mod:`repro.resilience`).  Setting it is the only switch; ``None``
@@ -143,10 +142,8 @@ class Simulator:
             raise DispatchError("vehicle identifiers must be unique")
         if len({r.request_id for r in self.requests}) != len(self.requests):
             raise DispatchError("request identifiers must be unique")
-        if isinstance(self.refresh_policy, str):
-            self.refresh_policy = make_refresh_policy(self.refresh_policy)
         if self.refresh_policy is None and self.timeline is not None:
-            self.refresh_policy = make_refresh_policy("coalesce")
+            self.refresh_policy = make_refresh_policy()
         self._vehicle_index = GridIndex.for_network(self.network)
 
     # ------------------------------------------------------------------ #
@@ -344,7 +341,7 @@ class Simulator:
         if policy is not None and not drain:
             rebuilds_before = policy.stats.rebuilds
             more_due = timeline.has_due(now) if timeline is not None else False
-            policy.on_batch_start(self.oracle, now, more_due)
+            policy.on_batch_start(self.oracle, more_due)
             if policy.stats.rebuilds > rebuilds_before:
                 self._emit(now, EventKind.ORACLE_REBUILT, 0)
         if timeline is None:
@@ -372,7 +369,7 @@ class Simulator:
         if mutations and policy is not None:
             rebuilds_before = policy.stats.rebuilds
             repairs_before = policy.stats.repairs
-            policy.on_mutations(self.oracle, now, mutations)
+            policy.on_mutations(self.oracle)
             if policy.stats.rebuilds > rebuilds_before:
                 self._emit(now, EventKind.ORACLE_REBUILT, mutations)
             if policy.stats.repairs > repairs_before:
@@ -399,7 +396,6 @@ class Simulator:
             oracle=self.oracle,
             vehicle_index=self._vehicle_index,
             config=self.config,
-            average_speed=self.average_speed,
         )
         # The span brackets exactly the same window as ``dispatch_seconds``,
         # so the dispatcher's stage spans (its direct children) sum to the

@@ -14,7 +14,7 @@ from random import Random
 
 import pytest
 
-from repro.config import ChaosConfig
+from repro.config import REFRESH_POLICIES, ChaosConfig
 from repro.dispatch.base import Assignment
 from repro.exceptions import (
     ConfigurationError,
@@ -45,6 +45,7 @@ from repro.resilience import (
     ResilienceManager,
     RetryPolicy,
 )
+from repro.scenarios import make_refresh_policy
 from repro.scenarios.events import WorldView
 from repro.scenarios.presets import CHAOS_PRESETS, make_chaos_config
 
@@ -506,7 +507,7 @@ class TestExactCostCheck:
                 len(assignments)
             ),
         )
-        row = _chaos_row("eager", chaos="flaky_oracle")
+        row = _chaos_row("repair", chaos="flaky_oracle")
         assert verified and sum(verified) > 0 and row["service_rate"] > 0
 
     def test_costs_close(self):
@@ -571,6 +572,69 @@ class TestGuardedRefresh:
         assert manager.oracle_breaker.state is BreakerState.CLOSED
         assert not oracle.serving_fallback
 
+    def _guarded_policy(self, grid_network, backend, name, **chaos_kwargs):
+        """A policy guarded by a fresh manager, and the manager's oracle
+        right after a burst that slowed one street."""
+        manager = self._manager(**chaos_kwargs)
+        oracle = manager.make_oracle(grid_network, backend=backend)
+        manager.begin_run()
+        policy = make_refresh_policy(name)
+        policy.resilience = manager
+        grid_network.add_edge(6, 7, 55.0, bidirectional=True)
+        return policy, manager, oracle
+
+    @staticmethod
+    def _recover(grid_network, manager, oracle):
+        """Clear every fault, let the breaker's recovery probe close it and
+        revert the burst."""
+        oracle.injector.config = oracle.injector.config.with_overrides(
+            rebuild_failure_rate=0.0, repair_failure_rate=0.0
+        )
+        manager.before_dispatch(grid_network, oracle, now=10.0)
+        assert manager.oracle_breaker.state is BreakerState.CLOSED
+        grid_network.add_edge(6, 7, 10.0, bidirectional=True)
+
+    @pytest.mark.parametrize("backend", ["ch", "hub_label"])
+    def test_coalesce_stays_stale_until_a_rebuild_lands(self, grid_network, backend):
+        """A failed rebuild at the quiet boundary leaves ``coalesce`` on the
+        exact fallback with its stale clock running; the clock stops, and
+        books the whole window, when a later rebuild lands."""
+        policy, manager, oracle = self._guarded_policy(
+            grid_network, backend, "coalesce", rebuild_failure_rate=1.0
+        )
+        policy.on_mutations(oracle)
+        policy.on_batch_start(oracle, False)
+        assert policy.stats.rebuilds == 0 and oracle.serving_fallback
+        assert policy.stats.stale_seconds == 0.0  # still running
+        reference = DistanceOracle(grid_network, cache_size=0, backend="dijkstra")
+        assert oracle.cost(6, 7) == pytest.approx(reference.cost(6, 7))
+        self._recover(grid_network, manager, oracle)
+        policy.on_mutations(oracle)
+        policy.on_batch_start(oracle, False)
+        assert policy.stats.rebuilds == 1 and not oracle.serving_fallback
+        assert policy.stats.stale_seconds > 0.0
+
+    @pytest.mark.parametrize("backend", ["ch", "hub_label"])
+    def test_repair_waits_on_the_fallback_when_the_ladder_is_exhausted(
+        self, grid_network, backend
+    ):
+        """Repair and its rebuild both failing leave ``repair`` on the exact
+        fallback, stale, with nothing booked as a refresh; the next burst's
+        repair clears it."""
+        policy, manager, oracle = self._guarded_policy(
+            grid_network, backend, "repair",
+            repair_failure_rate=1.0, rebuild_failure_rate=1.0,
+        )
+        policy.on_mutations(oracle)
+        assert oracle.serving_fallback
+        assert policy.stats.repairs == 0 and policy.stats.rebuilds == 0
+        assert policy.stats.stale_seconds == 0.0  # still running
+        self._recover(grid_network, manager, oracle)
+        policy.on_mutations(oracle)
+        assert policy.stats.repairs == 1 and policy.stats.rebuilds == 0
+        assert not oracle.serving_fallback and not oracle.is_stale
+        assert policy.stats.stale_seconds > 0.0
+
 
 # --------------------------------------------------------------------- #
 # end-to-end chaos runs (the acceptance gate)
@@ -594,7 +658,7 @@ class TestChaosRuns:
         assert deterministic_summary(first) == deterministic_summary(second)
         assert first["faults"] > 0
 
-    @pytest.mark.parametrize("policy", ["eager", "deferred", "coalesce", "repair"])
+    @pytest.mark.parametrize("policy", REFRESH_POLICIES)
     def test_stadium_surge_survives_meltdown(self, policy):
         # The hard invariant: the run completes, assignments are verified
         # exact (the manager verifies every accepted assignment, so a single
@@ -609,7 +673,7 @@ class TestChaosRuns:
         assert deterministic_summary(row) == deterministic_summary(again)
 
     def test_degraded_dispatcher_engages_under_spikes(self):
-        row = _chaos_row("eager", chaos="oracle_meltdown")
+        row = _chaos_row("coalesce", chaos="oracle_meltdown")
         assert row["overruns"] > 0
         assert row["degraded"] > 0
 

@@ -18,13 +18,14 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.config import ServiceConfig
+from repro.config import REFRESH_POLICIES, ServiceConfig
 from repro.dispatch import make_dispatcher
 from repro.exceptions import ConfigurationError, SchemaError, ServiceError, UnreachableError
 from repro.experiments.harness import RunSpec, run
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.scenarios import ScaleEdges, ScenarioTimeline, make_refresh_policy
 from repro.service import (
     Admission,
     AssignmentEvent,
@@ -461,6 +462,36 @@ class TestDispatchServiceLifecycle:
         assert service.health()["status"] == "stopped"
         assert result.slo_met == (result.service_rate >= SLO_SERVICE_RATE)
 
+    @pytest.mark.parametrize("policy", REFRESH_POLICIES)
+    def test_health_is_degraded_only_inside_a_fallback_window(
+        self, grid_network, config, policy
+    ):
+        """A burst at the first boundary puts ``coalesce`` on the fallback
+        (``degraded``) until the next, quiet boundary rebuilds; ``repair``
+        absorbs it at once and stays ``ok``."""
+        u, v, _ = next(iter(grid_network.edges()))
+        service = DispatchService(
+            network=grid_network,
+            oracle=DistanceOracle(grid_network, backend="ch"),
+            vehicles=[Vehicle(vehicle_id=0, location=0)],
+            dispatcher=make_dispatcher("pruneGDP"),
+            config=config,
+            timeline=ScenarioTimeline([ScaleEdges(time=5.0, edges=[(u, v)], factor=2.0)]),
+            refresh_policy=make_refresh_policy(policy),
+        )
+        service.start()
+        for request_id, release_time in enumerate((1.0, 6.0, 11.0)):
+            service.submit(_ride(request_id, release_time))
+        service.tick()  # [0, 5): the burst lands at its end
+        health = service.health()
+        assert health["oracle_fallback"] == (policy == "coalesce")
+        assert health["status"] == ("degraded" if policy == "coalesce" else "ok")
+        service.tick()  # [5, 10): no event due, coalesce rebuilds
+        health = service.health()
+        assert not health["oracle_fallback"] and not health["oracle_stale"]
+        assert health["status"] == "ok"
+        service.shutdown()
+
     def test_registry_carries_service_metrics(
         self, make_service, make_request
     ):
@@ -655,7 +686,7 @@ class TestRunSpec:
     @pytest.mark.parametrize("mode", ["single", "service"])
     def test_refresh_policy_needs_a_scenario(self, mode):
         with pytest.raises(ConfigurationError, match="refresh_policy"):
-            RunSpec(mode=mode, refresh_policy="eager")
+            RunSpec(mode=mode, refresh_policy="repair")
 
     @pytest.mark.parametrize(
         "stray",
@@ -663,7 +694,7 @@ class TestRunSpec:
             {"backend": "ch"},
             {"num_requests": 10},
             {"num_vehicles": 3},
-            {"scenario": "bridge_closure", "refresh_policy": "eager"},
+            {"scenario": "bridge_closure", "refresh_policy": "repair"},
         ],
     )
     def test_built_workload_rejects_the_knobs_it_would_ignore(self, stray):
@@ -674,10 +705,10 @@ class TestRunSpec:
     def test_grid_builds_the_product(self):
         specs = RunSpec.grid(
             scenarios=("a", "b"), backends=("ch",),
-            policies=("eager", "repair"), mode="scenario",
+            policies=REFRESH_POLICIES, mode="scenario",
         )
         assert len(specs) == 4
-        assert {spec.refresh_policy for spec in specs} == {"eager", "repair"}
+        assert {spec.refresh_policy for spec in specs} == set(REFRESH_POLICIES)
 
     def test_with_overrides(self):
         spec = RunSpec(mode="single").with_overrides(algorithm="SARD")
@@ -711,7 +742,7 @@ class TestOneBuilderForEveryMode:
         workload and its timeline outside the grid modes too."""
         outcome = run(RunSpec(
             mode="single", scenario="bridge_closure", backend="ch",
-            refresh_policy="eager", scale=0.03, algorithm="pruneGDP",
+            refresh_policy="coalesce", scale=0.03, algorithm="pruneGDP",
         ))
         assert outcome.simulation is not None
         assert outcome.simulation.metrics.scenario_events > 0
