@@ -9,13 +9,9 @@ and the compiled structures they search:
 * :class:`~repro.network.routing.csr.CSRGraph` -- flat-array adjacency
   compiled once from the dict-based :class:`~repro.network.road_network.RoadNetwork`.
 * :class:`~repro.network.routing.contraction.ContractionHierarchy` --
-  shortcut overlay with edge-difference ordering and witness searches;
-  stall-pruned upward search spaces (a node's hub labels); it records no
-  paths (``path()`` is a CSR Dijkstra on every backend).
+  shortcut overlay read by upward sweeps (a node's hub labels).
 * :class:`~repro.network.routing.hub_labels.HubLabeling` -- the label store
-  and the join that answers a pair for both ``ch`` (private, swept on first
-  touch) and ``hub_label`` (shared, swept at set-up: slower set-up, no
-  first-touch cost).
+  and the join that answers a pair for ``ch`` and ``hub_label``.
 """
 
 from .backends import (

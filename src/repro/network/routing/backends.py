@@ -7,13 +7,12 @@ counter; every distance comes from one of the backends in this module:
     CSR-based Dijkstra with early termination (the reference backend).
 ``ch``
     A contraction hierarchy built up front; a distance is a join of two hub
-    labels (:class:`HubLabeling`), each swept the first time its node is
-    asked and kept in a store private to the backend.
+    labels (:class:`HubLabeling`) in a store private to the backend, each
+    swept only as far as the joins asked of it so far needed.
 ``hub_label``
     ``ch`` over the store every oracle on the network shares, with every
-    node's labels swept at set-up (the paper's oracle): the same code and
-    the same distances, a slower set-up and rebuild instead of a first-touch
-    cost.
+    node's labels swept in full at set-up (the paper's oracle): the same
+    distances, a slower set-up and rebuild instead of a first-touch cost.
 
 All of them implement :class:`RoutingBackend`: node identifiers in (each
 backend validates them against its own CSR snapshot), exact distances out,
@@ -29,7 +28,6 @@ O(1).
 
 from __future__ import annotations
 
-import heapq
 import math
 import weakref
 from collections.abc import Sequence
@@ -275,52 +273,22 @@ class GraphSearchBackend:
         """
         csr = self.data.csr
         first, last = csr.require_index(source), csr.require_index(target)
-        indptr, indices, weights = csr.indptr, csr.indices, csr.weights
-        inf = math.inf
-        dist: dict[int, float] = {first: 0.0}
-        settled: dict[int, float] = {}
-        heap: list[tuple[float, int]] = [(0.0, first)]
-        distance = inf
-        while heap:
-            _, node = heapq.heappop(heap)
-            if node in settled:
-                continue
-            node_dist = dist[node]
-            settled[node] = node_dist
-            if node == last:
-                distance = node_dist
-                break
-            for e in range(indptr[node], indptr[node + 1]):
-                succ = indices[e]
-                if succ in settled:
-                    continue
-                candidate = node_dist + weights[e]
-                if candidate < dist.get(succ, inf):
-                    dist[succ] = candidate
-                    if parents is not None:
-                        parents[succ] = node
-                    heapq.heappush(heap, (candidate, succ))
+        dist, settled = csr.sssp(first, targets={last}, parents=parents)
         ids = csr.node_ids
-        learned = {(source, ids[i]): d for i, d in settled.items()}
-        if distance == inf:
-            learned[(source, target)] = inf
-        return distance, len(settled), learned
+        learned = {(source, ids[i]): dist[i] for i in settled}
+        learned[(source, target)] = dist[last]  # an unreached target: inf
+        return dist[last], len(settled), learned
 
 
 # ---------------------------------------------------------------------- #
 # preprocessed backends
 # ---------------------------------------------------------------------- #
 class CHBackend:
-    """Hub-label joins over a private store that starts empty.
+    """Hub-label joins over a private :class:`HubLabeling` that starts empty.
 
-    The hierarchy is built up front and shared; the backend's own
-    :class:`HubLabeling` sweeps a node's forward (backward) label the first
-    time the node is asked as a source (target) and keeps it for the life of
-    the backend.  A rebuilt or repaired oracle gets a fresh backend, hence an
-    empty store.
-
-    ``settled`` counts the entries of every label a call had to sweep (the
-    nodes the sweep settled unstalled) plus the label entries it walked.
+    The hierarchy is built up front and shared.  A rebuilt or repaired oracle
+    gets a fresh backend, hence an empty store with nothing paused.
+    ``settled`` is :meth:`HubLabeling.query`'s.
     """
 
     name = "ch"
@@ -358,7 +326,7 @@ class CHBackend:
         return nodes, work, {(source, target): learned[(source, target)]}
 
     def estimated_memory_bytes(self) -> int:
-        """The CSR arrays, the hierarchy over them and the labels swept so far."""
+        """The CSR arrays, the hierarchy over them and the sweeps so far."""
         return (
             self.data.csr.estimated_memory_bytes()
             + self.data.hierarchy.estimated_memory_bytes()

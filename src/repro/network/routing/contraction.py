@@ -18,25 +18,20 @@ same witness distances drive on-the-fly *edge reduction*: an overlay edge
 ``u -> x`` that a witness proves longer than an alternative path is deleted,
 shrinking both later witness searches and the final hierarchy.
 
-The hierarchy is read in one way: an exhaustive *upward sweep* from a node,
-relaxing only edges that lead to higher-ranked nodes, with stall-on-demand
-(a node whose upward distance is beaten via an edge from a higher-ranked
-node cannot lie on a shortest up-down path, so its edges are not relaxed).
-A sweep is the node's *search space*: the hub label that
-:mod:`repro.network.routing.hub_labels` keeps and joins for the ``ch`` and
-``hub_label`` backends -- every distance is the minimum of ``d_f(m) +
-d_b(m)`` over the hubs ``m`` two labels share.  Shortest *paths* are not
-read off the hierarchy (it records no shortcut middles): every backend's
-``path()`` is the CSR Dijkstra of ``GraphSearchBackend``.
+The hierarchy is read in one way: a resumable stall-on-demand *upward sweep*
+from a node (:class:`UpwardSweep`), whose result is the node's hub label for
+:mod:`repro.network.routing.hub_labels`.  Shortest *paths* are not read off
+the hierarchy (it records no shortcut middles): every backend's ``path()`` is
+the CSR Dijkstra of ``GraphSearchBackend``.
 
 There is one upward adjacency: the per-node dicts of contraction-time
 incident edges, which the sweeps walk and repair replays against.
 
 Search state is flat: the hierarchy owns one ``dist`` list of ``n`` floats,
-``inf`` everywhere between searches, that every witness search and upward
-sweep writes its tentative distances into.  A search lists the entries it
-wrote and resets only those, so a search costs what it touches, not ``n``;
-a :meth:`~ContractionHierarchy.repair` fork shares the list (same node set).
+``inf`` between searches, for the witness searches (a label store owns one
+per sweep direction).  A search lists the entries it wrote and resets only
+those, so it costs what it touches, not ``n``; a
+:meth:`~ContractionHierarchy.repair` fork shares the list (same node set).
 While ``v`` is contracted ``dist[v]`` holds ``-1.0``: no candidate distance
 is below it, so the witness searches never relax into ``v`` and need no
 per-edge test.  No overlay edge ever leads into a contracted node (contracting
@@ -140,7 +135,7 @@ class ContractionHierarchy:
         #: which only :meth:`repair` reads and inverts on its first call.
         self._witness_settled: list[list[int]] = []
         self._witness_dependents: list[set[int]] | None = None
-        #: Shared search scratch: ``inf`` everywhere between searches.
+        #: Witness-search scratch: ``inf`` everywhere between searches.
         self._dist: list[float] = [math.inf] * n
         self._build()
 
@@ -571,60 +566,6 @@ class ContractionHierarchy:
             shortcuts_replaced=shortcuts_replaced,
         )
 
-    # ------------------------------------------------------------------ #
-    # upward sweeps (hub labels)
-    # ------------------------------------------------------------------ #
-    def _upward_scan(self, start: int, *, backward: bool) -> dict[int, float]:
-        """Exhaustive upward Dijkstra from ``start`` (the CH search space).
-
-        The opposite-direction upward edges drive a stall check: stalled
-        nodes -- provably farther than their true distance -- are omitted
-        from the result and not relaxed, which prunes the search space
-        without losing the cover property: the maximum-rank node of a
-        shortest path is always reached at its exact distance through
-        non-stalled nodes.  Tentative distances (which the stall test
-        reads) live in the shared ``dist`` list and are reset on return.
-        """
-        if backward:
-            relax, stall = self._stored_bwd, self._stored_fwd
-        else:
-            relax, stall = self._stored_fwd, self._stored_bwd
-        inf = math.inf
-        heappop, heappush = heapq.heappop, heapq.heappush
-        dist = self._dist
-        dist[start] = 0.0
-        touched = [start]
-        out: dict[int, float] = {}
-        heap = [(0.0, start)]
-        while heap:
-            d, node = heappop(heap)
-            if d > dist[node]:
-                continue  # superseded entry; first pop settles the node
-            for m, w in stall[node].items():
-                if dist[m] + w < d:
-                    break  # stalled
-            else:
-                out[node] = d
-                for succ, w in relax[node].items():
-                    candidate = d + w
-                    old = dist[succ]
-                    if candidate < old:
-                        if old == inf:
-                            touched.append(succ)
-                        dist[succ] = candidate
-                        heappush(heap, (candidate, succ))
-        for node in touched:
-            dist[node] = inf
-        return out
-
-    def forward_search_space(self, index: int) -> dict[int, float]:
-        """Stall-pruned upward distances from ``index``: its forward hub label."""
-        return self._upward_scan(index, backward=False)
-
-    def backward_search_space(self, index: int) -> dict[int, float]:
-        """Stall-pruned upward distances *to* ``index``: its backward hub label."""
-        return self._upward_scan(index, backward=True)
-
     def estimated_memory_bytes(self) -> int:
         """Rough footprint of the upward adjacencies, the repair records and
         the search scratch."""
@@ -638,3 +579,90 @@ class ContractionHierarchy:
             64 * entries + 128 * len(self.rank) + indexes * 64 * support
             + 8 * len(self._dist)
         )
+
+
+class UpwardSweep:
+    """The stall-on-demand upward Dijkstra from one node, resumable.
+
+    It relaxes only edges to higher-ranked nodes; a node some higher-ranked
+    node reaches more cheaply is *stalled* (settled, not labelled or relaxed:
+    it is no pair's covering hub).  ``label`` holds the nodes settled
+    unstalled, in settle order -- ``(distance, node)`` order, so a label
+    advanced in pieces is a prefix of the one-shot one.  While the sweep runs
+    its tentative distances live in a flat ``dist`` list of ``inf``, which
+    :meth:`resume` fills from the sweep and :meth:`pause` empties again.
+    """
+
+    __slots__ = ("relax", "stall", "label", "stalled", "heap", "floor")
+
+    def __init__(self, hierarchy: ContractionHierarchy, start: int, *, backward: bool) -> None:
+        up, down = hierarchy._stored_fwd, hierarchy._stored_bwd
+        self.relax, self.stall = (down, up) if backward else (up, down)
+        self.label: dict[int, float] = {}
+        self.stalled: dict[int, float] = {}
+        #: The frontier, superseded entries dropped while it is paused.
+        self.heap: list[tuple[float, int]] = [(0.0, start)]
+        #: No node the sweep has yet to label is closer than this.
+        self.floor = 0.0
+
+    def resume(self, dist: list[float]) -> None:
+        for held in (self.label, self.stalled):
+            for node, d in held.items():
+                dist[node] = d
+        for d, node in self.heap:
+            dist[node] = d
+
+    def pause(self, dist: list[float]) -> None:
+        inf = math.inf
+        if self.heap:
+            # Superseded entries (``d > dist[node]``) go: no pop changes.
+            heap = self.heap = [entry for entry in self.heap if entry[0] <= dist[entry[1]]]
+            heapq.heapify(heap)
+            self.floor = heap[0][0] if heap else inf
+            for _, node in heap:
+                dist[node] = inf
+        for node in self.label:
+            dist[node] = inf
+        for node in self.stalled:
+            dist[node] = inf
+
+    def advance(
+        self,
+        dist: list[float],
+        meet: dict[int, float] | None = None,
+        best: float = math.inf,
+        limit: float = math.inf,
+    ) -> float:
+        """Settle nodes until the next is at or above ``best`` or above
+        ``limit``; ``best`` (returned) falls to ``d_f + d_b`` when a node
+        labelled is in ``meet``, the other direction's label."""
+        heappop, heappush = heapq.heappop, heapq.heappush
+        relax, stall, label = self.relax, self.stall, self.label
+        stalled, heap = self.stalled, self.heap
+        # One test per pop: ``d >= stop`` iff ``d >= best or d > limit``.
+        stop = best if limit == math.inf else min(best, math.nextafter(limit, math.inf))
+        while heap:
+            d, node = heappop(heap)
+            if d > dist[node]:
+                continue  # superseded entry; first pop settles the node
+            if d >= stop:
+                heappush(heap, (d, node))
+                break
+            for m, w in stall[node].items():
+                if dist[m] + w < d:
+                    stalled[node] = d
+                    break
+            else:
+                label[node] = d
+                if meet is not None:
+                    far = meet.get(node)
+                    if far is not None and d + far < best:
+                        best = d + far
+                        stop = min(stop, best)
+                for succ, w in relax[node].items():
+                    candidate = d + w
+                    if candidate < dist[succ]:
+                        dist[succ] = candidate
+                        heappush(heap, (candidate, succ))
+        self.floor = heap[0][0] if heap else math.inf
+        return best

@@ -116,6 +116,7 @@ class CSRGraph:
         *,
         reverse: bool = False,
         targets: set[int] | None = None,
+        parents: dict[int, int] | None = None,
     ) -> tuple[list[float], list[int]]:
         """Single-source Dijkstra over the CSR arrays.
 
@@ -126,7 +127,8 @@ class CSRGraph:
         callers must only trust (and cache) the settled entries.  With
         ``targets`` the search terminates once every target index has been
         settled; with ``reverse`` the transposed adjacency is used, i.e.
-        distances *to* the source.
+        distances *to* the source.  ``parents`` (when given) receives each
+        reached node's predecessor on its shortest path.
         """
         if reverse:
             indptr, indices, weights = self.rindptr, self.rindices, self.rweights
@@ -160,6 +162,8 @@ class CSRGraph:
                 candidate = d + weights[e]
                 if candidate < dist[succ]:
                     dist[succ] = candidate
+                    if parents is not None:
+                        parents[succ] = node
                     heapq.heappush(heap, (candidate, succ))
         return dist, settled
 
@@ -172,6 +176,3 @@ class CSRGraph:
     def estimated_memory_bytes(self) -> int:
         """Rough footprint of the compiled arrays (ints + floats, CPython)."""
         return 8 * (2 * (self.num_nodes + 1) + 4 * self.num_edges) + 32 * self.num_nodes
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"CSRGraph(nodes={self.num_nodes}, edges={self.num_edges})"

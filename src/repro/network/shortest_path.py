@@ -103,15 +103,9 @@ class DistanceOracle:
         cached, not just the asked pair: a Dijkstra's settled set amortises
         repeated queries from popular locations (vehicle positions).
     backend:
-        One of :data:`repro.network.routing.BACKEND_NAMES`.  ``dijkstra``
-        searches the CSR graph per query; ``ch`` preprocesses a contraction
-        hierarchy up front and joins two hub labels per query, sweeping a node's label the first time it is
-        asked and keeping it for the life of the backend; ``hub_label`` is
-        the same join over labels swept for every node at set-up and shared
-        by every oracle on the network (the paper's setup) -- the same
-        distances bit for bit, a slower set-up and rebuild against ``ch``'s
-        first-touch cost.  The CSR arrays and the hierarchy are shared
-        between oracles over the same network.
+        One of :data:`repro.network.routing.BACKEND_NAMES` (described in
+        :mod:`repro.network.routing.backends`).  The CSR arrays and the
+        hierarchy are shared between oracles over the same network.
     """
 
     def __init__(

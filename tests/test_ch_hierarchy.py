@@ -24,6 +24,7 @@ from repro.network.generators import make_city, ring_radial_city
 from repro.network.routing import contraction
 from repro.network.routing.contraction import ContractionHierarchy
 from repro.network.routing.csr import CSRGraph
+from repro.network.routing.hub_labels import HubLabeling
 
 GOLDEN = Path(__file__).parent / "golden" / "ch_hierarchy.json"
 
@@ -53,10 +54,10 @@ def hierarchy_digest(ch: ContractionHierarchy) -> str:
 
 def labels_digest(ch: ContractionHierarchy) -> str:
     """sha256 over every node's forward and backward label, in settle order."""
-    n = ch.csr.num_nodes
+    labeling = HubLabeling(ch, eager=True)
     return _sha((
-        [list(ch.forward_search_space(i).items()) for i in range(n)],
-        [list(ch.backward_search_space(i).items()) for i in range(n)],
+        [list(label.items()) for label in labeling.forward],
+        [list(label.items()) for label in labeling.backward],
     ))
 
 
@@ -112,7 +113,8 @@ def test_search_scratch_is_all_inf_between_searches(monkeypatch):
     assert stats.nodes_recontracted > 0
     assert repaired._dist is ch._dist
     assert ch._dist == [math.inf] * n
-    for i in range(n):
-        assert repaired.forward_search_space(i)[i] == 0.0
-        assert ch.backward_search_space(i)[i] == 0.0
-    assert ch._dist == [math.inf] * n
+    for hierarchy in (ch, repaired):
+        labeling = HubLabeling(hierarchy, eager=True)
+        for i in range(n):
+            assert labeling.forward[i][i] == 0.0 == labeling.backward[i][i]
+        assert all(d == math.inf for dist in labeling._dist for d in dist)

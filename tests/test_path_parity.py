@@ -13,9 +13,11 @@ edges, and its summed edge cost equals ``cost(u, v)`` exactly -- with
 
 On the same network families, ``ch`` and ``hub_label`` *distances* -- joins
 of per-node hub labels from one ``HubLabeling`` store, which ``ch`` keeps
-privately and sweeps on first touch and ``hub_label`` shares and sweeps at
-set-up -- equal a fresh Dijkstra and each other bit for bit, whatever was
-asked before, and no label outlives a ``rebuild()`` / ``repair()``.
+privately and sweeps only as far as its joins need and ``hub_label`` shares
+and sweeps in full at set-up -- equal a fresh Dijkstra, each other and a
+reference join of two complete labels bit for bit, whatever was asked before;
+a sweep advanced in pieces equals the one-shot sweep, no node is settled
+twice, and no label or paused sweep outlives a ``rebuild()`` / ``repair()``.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from repro.exceptions import UnreachableError
 from repro.network.generators import grid_city, ring_radial_city
 from repro.network.road_network import RoadNetwork
 from repro.network.routing import (
-    ContractionHierarchy,
     CSRGraph,
+    contraction,
     make_backend,
     routing_data,
 )
+from repro.network.routing.contraction import UpwardSweep
 from repro.network.shortest_path import DistanceOracle
 
 ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
@@ -223,17 +226,78 @@ def _table(oracle: DistanceOracle, nodes) -> dict[tuple[int, int], float]:
     return {(u, v): oracle.cost(u, v) for u in nodes for v in nodes}
 
 
-def _count_sweeps(monkeypatch) -> list[tuple[int, bool]]:
-    """Record ``(node index, backward)`` of every upward sweep from now on."""
-    sweeps: list[tuple[int, bool]] = []
-    scan = ContractionHierarchy._upward_scan
+def _reference_label(hierarchy, index: int, *, backward: bool) -> dict[int, float]:
+    """A complete upward sweep the obvious way: a dict-backed Dijkstra over
+    the upward adjacency that settles in ``(distance, node)`` order and
+    leaves out (and does not relax) a node some higher-ranked node reaches
+    more cheaply."""
+    up, down = hierarchy._stored_fwd, hierarchy._stored_bwd
+    relax, stall = (down, up) if backward else (up, down)
+    dist = {index: 0.0}
+    settled: set[int] = set()
+    label: dict[int, float] = {}
+    while len(settled) < len(dist):
+        d, node = min((d, n) for n, d in dist.items() if n not in settled)
+        settled.add(node)
+        if any(m in dist and dist[m] + w < d for m, w in stall[node].items()):
+            continue
+        label[node] = d
+        for succ, w in relax[node].items():
+            if d + w < dist.get(succ, math.inf):
+                dist[succ] = d + w
+    return label
 
-    def counting(self, start, *, backward):
-        sweeps.append((start, backward))
-        return scan(self, start, backward=backward)
 
-    monkeypatch.setattr(ContractionHierarchy, "_upward_scan", counting)
-    return sweeps
+def _reference_join(hierarchy, source: int, target: int) -> float:
+    """The minimum of ``d_f(h) + d_b(h)`` over the hubs two complete labels
+    share."""
+    forward = _reference_label(hierarchy, source, backward=False)
+    backward = _reference_label(hierarchy, target, backward=True)
+    return min(
+        (d + backward[hub] for hub, d in forward.items() if hub in backward),
+        default=math.inf,
+    )
+
+
+class _SweepLog:
+    """Every upward sweep started from now on, and the nodes each settles."""
+
+    def __init__(self, monkeypatch) -> None:
+        #: ``(node index, backward)`` per sweep started, in order.
+        self.started: list[tuple[int, bool]] = []
+        #: Per sweep: every node it settled (labelled or stalled), in order.
+        self.settled: dict[UpwardSweep, list[int]] = {}
+        init, advance = UpwardSweep.__init__, UpwardSweep.advance
+
+        def starting(sweep, hierarchy, start, *, backward):
+            init(sweep, hierarchy, start, backward=backward)
+            self.started.append((start, backward))
+            self.settled[sweep] = []
+
+        def advancing(sweep, dist, *args):
+            labelled, stalled = len(sweep.label), len(sweep.stalled)
+            best = advance(sweep, dist, *args)
+            self.settled[sweep] += [*list(sweep.label)[labelled:], *list(sweep.stalled)[stalled:]]
+            return best
+
+        monkeypatch.setattr(UpwardSweep, "__init__", starting)
+        monkeypatch.setattr(UpwardSweep, "advance", advancing)
+
+
+def _one_shot(hierarchy, index: int, *, backward: bool) -> UpwardSweep:
+    dist = [math.inf] * hierarchy.csr.num_nodes
+    sweep = UpwardSweep(hierarchy, index, backward=backward)
+    sweep.resume(dist)
+    sweep.advance(dist)
+    sweep.pause(dist)
+    return sweep
+
+
+def _shortcut(network: RoadNetwork) -> None:
+    """Give the costliest edge a parallel at a fiftieth of its cost: a
+    shortcut for many pairs."""
+    u, v, cost = max(network.edges(), key=lambda edge: edge[2])
+    network.add_edge(u, v, cost / 50.0)
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -250,6 +314,22 @@ class TestChDistancesAreLabelJoins:
         if family == "unreachable":
             assert any(math.isinf(d) for d in got.values())
 
+    @pytest.mark.parametrize("order", ("sorted", "shuffled", "reversed"))
+    def test_every_pair_is_the_join_of_two_complete_labels(self, family, order):
+        network = FAMILIES[family]()
+        data = routing_data(network)
+        n = data.csr.num_nodes
+        pairs = [(s, t) for s in range(n) for t in range(n)]
+        if order == "shuffled":
+            pairs = random.Random(5).sample(pairs, len(pairs))
+        elif order == "reversed":
+            pairs.reverse()
+        labeling = make_backend("ch", data).labeling
+        for s, t in pairs:  # one store: every pair resumes what others paused
+            got = labeling.query(s, t)[0]
+            assert got == _reference_join(data.hierarchy, s, t), (s, t)
+        assert all(d == math.inf for dist in labeling._dist for d in dist)
+
     def test_answers_do_not_depend_on_what_was_asked_before(self, family):
         network = FAMILIES[family]()
         pairs = _all_pairs(network)
@@ -262,23 +342,85 @@ class TestChDistancesAreLabelJoins:
             assert cold == warm[(source, target)]
             assert backend.one_to_one(source, target)[0] == cold
 
-    def test_each_endpoint_is_swept_once_per_direction(self, family, monkeypatch):
+    @pytest.mark.parametrize("repaired", (False, True))
+    def test_a_sweep_advanced_in_pieces_equals_the_one_shot_sweep(
+        self, family, repaired, monkeypatch
+    ):
+        network = FAMILIES[family]()
+        hierarchy = routing_data(network).hierarchy
+        if repaired:
+            monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+            _shortcut(network)
+            hierarchy = hierarchy.repair(CSRGraph.from_network(network))[0]
+        n = hierarchy.csr.num_nodes
+        dist = [math.inf] * n
+        for index in range(n):
+            for backward in (False, True):
+                whole = _one_shot(hierarchy, index, backward=backward)
+                entries = list(whole.label.items())
+                reference = _reference_label(hierarchy, index, backward=backward)
+                assert entries == list(reference.items())
+                # Pause at every other distance of the label, alternating the
+                # two stopping rules, then run to completion.
+                sweep = UpwardSweep(hierarchy, index, backward=backward)
+                for k, (_, d) in enumerate(entries[1::2]):
+                    sweep.resume(dist)
+                    if k % 2:
+                        sweep.advance(dist, best=d)
+                    else:
+                        sweep.advance(dist, limit=d)
+                    sweep.pause(dist)
+                    assert list(sweep.label.items()) == entries[: len(sweep.label)]
+                sweep.resume(dist)
+                sweep.advance(dist)
+                sweep.pause(dist)
+                assert list(sweep.label.items()) == entries
+                assert list(sweep.stalled.items()) == list(whole.stalled.items())
+                assert sweep.floor == math.inf
+                assert dist == [math.inf] * n
+
+    def test_no_node_is_settled_twice_per_direction_per_store(
+        self, family, monkeypatch
+    ):
         network = FAMILIES[family]()
         backend = make_backend("ch", routing_data(network))
-        sweeps = _count_sweeps(monkeypatch)
+        log = _SweepLog(monkeypatch)
         endpoints = sorted(network.nodes())[:6]
-        pairs = [(u, v) for u in endpoints for v in endpoints] * 2
-        backend.many_to_many(pairs)
-        for source, target in pairs:
+        pairs = [(u, v) for u in endpoints for v in endpoints]
+        backend.many_to_many(pairs * 2)
+        for source, target in random.Random(7).sample(_all_pairs(network), 60):
             backend.one_to_one(source, target)
-        # Every endpoint was asked as a source and as a target: 2k, not N.
-        assert len(sweeps) == len(set(sweeps)) == 2 * len(endpoints)
+        # Each direction of a node is started once, and never settles a node
+        # it settled before.
+        assert len(log.started) == len(set(log.started))
+        assert all(len(nodes) == len(set(nodes)) for nodes in log.settled.values())
+        hierarchy = backend.data.hierarchy
+        for nodes, (index, backward) in list(zip(log.settled.values(), log.started)):
+            whole = _one_shot(hierarchy, index, backward=backward)
+            assert set(nodes) <= {*whole.label, *whole.stalled}
+
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
+    def test_a_refreshed_oracle_starts_with_nothing_paused(self, family, refresh):
+        network = FAMILIES[family]()
+        nodes = sorted(network.nodes())
+        oracle = DistanceOracle(network, backend="ch")
+        _table(oracle, nodes[:5])
+        _shortcut(network)
+        if refresh == "fallback":
+            oracle.enable_fallback()
+            _table(oracle, nodes[:5])  # answered by the fallback's Dijkstra
+            oracle.repair()
+        else:
+            getattr(oracle, refresh)()
+        labeling = oracle._backend.labeling
+        assert labeling.paused == ({}, {})
+        assert all(label is None for label in (*labeling.forward, *labeling.backward))
 
     def test_hub_label_oracles_share_one_store_swept_at_set_up(
         self, family, monkeypatch
     ):
         network = FAMILIES[family]()
-        sweeps = _count_sweeps(monkeypatch)
+        sweeps = _SweepLog(monkeypatch).started
         nodes = sorted(network.nodes())
         first = DistanceOracle(network, backend="hub_label")
         # Every node, both directions, before the first question.
@@ -294,7 +436,7 @@ class TestChDistancesAreLabelJoins:
         data = routing_data(network)
         shared = data.labeling
         labels = [*shared.forward, *shared.backward]
-        sweeps = _count_sweeps(monkeypatch)
+        sweeps = _SweepLog(monkeypatch).started
         oracle = DistanceOracle(network, backend="ch")
         nodes = sorted(network.nodes())
         sources, targets = nodes[:3], nodes[3:7]
@@ -361,7 +503,7 @@ class TestOnePathSearch:
         network = FAMILIES[family]()
         oracle = DistanceOracle(network, backend=backend)
         reference = DistanceOracle(network, cache_size=0)
-        sweeps = _count_sweeps(monkeypatch)  # after hub_label's set-up sweeps
+        sweeps = _SweepLog(monkeypatch).started  # after hub_label's set-up sweeps
         for u, v in random.Random(11).sample(_all_pairs(network), 30):
             if u == v or math.isinf(reference.cost(u, v)):
                 continue

@@ -341,7 +341,6 @@ class TestConfigurationAndSharing:
         labels = data.labeling
         assert isinstance(hierarchy, ContractionHierarchy)
         assert isinstance(labels, HubLabeling)
-        assert labels.average_label_size() >= 1.0
         # Every label is swept and holds its own node as a hub at distance zero.
         for index in range(data.csr.num_nodes):
             assert labels.forward[index][index] == 0.0
