@@ -9,7 +9,7 @@ invariant-probe failures with their self-healing rebuilds, and the recovery
 latency (wall-clock spent inside failure handling).
 
 Every cell goes through the harness front door
-(:func:`repro.experiments.harness.run` with ``mode="chaos"`` specs -- one
+(:func:`repro.experiments.harness.run` with specs that set ``chaos=`` -- one
 code path for experiments, this benchmark and CI).  Every run verifies
 each accepted assignment's leg costs against a fresh Dijkstra over the
 mutated network, so a row in the table is also a proof that the run stayed
@@ -70,8 +70,7 @@ VERIFY_NOTE = (
 
 def _case(scenario: str, backend: str, policy: str, **kwargs) -> dict:
     row = run(RunSpec(
-        mode="chaos", scenario=scenario, backend=backend,
-        refresh_policy=policy, **kwargs,
+        scenario=scenario, backend=backend, refresh_policy=policy, **kwargs
     )).row
     assert row is not None
     return row
@@ -82,7 +81,7 @@ def _grid(chaos_names, *, scale: float) -> list[dict]:
     for chaos in chaos_names:
         specs = RunSpec.grid(
             scenarios=SCENARIOS, backends=BACKENDS, policies=POLICIES,
-            mode="chaos", chaos=chaos, scale=scale, city_scale=CITY_SCALE,
+            chaos=chaos, scale=scale, city_scale=CITY_SCALE,
             algorithm=ALGORITHM,
         )
         for outcome in run_grid(specs):

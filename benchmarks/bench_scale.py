@@ -110,6 +110,7 @@ def _emit(payload: dict) -> None:
 
 def run_rung(rung: Rung) -> None:
     """Build and serve one rung, printing a JSON line after each phase."""
+    from repro.config import ServiceConfig
     from repro.experiments.harness import RunSpec, run
     from repro.network.routing import routing_data
     from repro.observability import SpanTracer, use_tracer
@@ -156,7 +157,9 @@ def run_rung(rung: Rung) -> None:
     clock = StageClock()
     start = time.perf_counter()
     with use_tracer(clock):
-        outcome = run(RunSpec(mode="service", workload=workload, algorithm="SARD"))
+        outcome = run(RunSpec(
+            workload=workload, algorithm="SARD", service_config=ServiceConfig()
+        ))
     run_s = time.perf_counter() - start
     summary = outcome.simulation.summary()
     service = outcome.service

@@ -8,11 +8,11 @@ queries served by the exact Dijkstra fallback while the structures were
 dirty, and the stale-window time.
 
 Every cell goes through the harness front door
-(:func:`repro.experiments.harness.run` with ``mode="scenario"`` specs --
-one code path for experiments, this benchmark and CI); every run here
-enables the harness parity probe, i.e. *after every world event burst* the
-scenario oracle is checked against a fresh Dijkstra over the mutated network
-and every returned path is checked to avoid closed edges.
+(:func:`repro.experiments.harness.run` with specs that set ``scenario=``
+-- one code path for experiments, this benchmark and CI); every run here
+sets ``parity_pairs=``, the harness parity probe: *after every world event
+burst* the scenario oracle is checked against a fresh Dijkstra over the
+mutated network and every returned path is checked to avoid closed edges.
 
 Run directly (``python benchmarks/bench_scenarios.py``) for the full table,
 ``--smoke`` for the short CI grid (both scenarios x both backends x all
@@ -65,16 +65,14 @@ PARITY_NOTE = (
 
 def _grid_rows(**common) -> list[dict]:
     specs = RunSpec.grid(
-        scenarios=SCENARIOS, backends=BACKENDS, policies=POLICIES,
-        mode="scenario", **common,
+        scenarios=SCENARIOS, backends=BACKENDS, policies=POLICIES, **common
     )
     return [outcome.row for outcome in run_grid(specs) if outcome.row]
 
 
 def _case(scenario: str, backend: str, policy: str, **kwargs) -> dict:
     row = run(RunSpec(
-        mode="scenario", scenario=scenario, backend=backend,
-        refresh_policy=policy, **kwargs,
+        scenario=scenario, backend=backend, refresh_policy=policy, **kwargs
     )).row
     assert row is not None
     return row
@@ -154,8 +152,7 @@ def main() -> None:
         # span trace, Prometheus snapshot and markdown report land next to
         # the benchmark tables (uploaded as CI artifacts / job summary).
         outcome = run(RunSpec(
-            mode="traced", out_dir=RESULTS_DIR, name="traced_run",
-            num_requests=80, num_vehicles=12,
+            out_dir=RESULTS_DIR, name="traced_run", num_requests=80, num_vehicles=12,
         ))
         assert outcome.artifacts is not None
         for kind, path in sorted(outcome.artifacts.items()):

@@ -29,7 +29,7 @@ or, for one-call experiment runs, the harness front door::
 
     from repro import RunSpec, run
 
-    outcome = run(RunSpec(mode="single", preset="nyc", algorithm="SARD"))
+    outcome = run(RunSpec(preset="nyc", algorithm="SARD"))
     print(outcome.simulation.service_rate)
 """
 

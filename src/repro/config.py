@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from typing import Any, ClassVar
 
 from .exceptions import ConfigurationError
 from .network.routing import BACKEND_NAMES
@@ -69,8 +69,9 @@ class SimulationConfig:
     batch_period: float = 3.0
     #: Vehicle capacity c (seats).  Per-vehicle overrides are possible.
     capacity: int = 3
-    #: Weight alpha of the travel-cost term in the unified cost (paper fixes 1).
-    alpha: float = 1.0
+    #: Weight alpha of the travel-cost term in the unified cost; the paper
+    #: fixes it to 1, so it is a constant rather than a field.
+    alpha: ClassVar[float] = 1.0
     #: Maximum rider waiting time before pick-up, in seconds.
     max_wait: float = DEFAULT_MAX_WAIT
     #: Angle pruning threshold delta in radians; ``None`` disables pruning.
@@ -82,7 +83,7 @@ class SimulationConfig:
     routing_backend: str = "dijkstra"
 
     def __post_init__(self) -> None:
-        for name in ("gamma", "penalty_coefficient", "batch_period", "alpha", "max_wait"):
+        for name in ("gamma", "penalty_coefficient", "batch_period", "max_wait"):
             _require_finite(name, getattr(self, name))
         if self.angle_threshold is not None:
             _require_finite("angle_threshold", self.angle_threshold)
@@ -97,8 +98,6 @@ class SimulationConfig:
             raise ConfigurationError("batch_period must be positive")
         if self.capacity < 1:
             raise ConfigurationError("capacity must be at least 1")
-        if self.alpha < 0:
-            raise ConfigurationError("alpha must be non-negative")
         if self.max_wait < 0:
             raise ConfigurationError("max_wait must be non-negative")
         if self.angle_threshold is not None and not 0 < self.angle_threshold <= math.pi:

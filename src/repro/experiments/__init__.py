@@ -2,12 +2,12 @@
 
 * :mod:`~repro.experiments.harness` -- the one way a simulation is launched:
   :func:`~repro.experiments.harness.run` over one typed
-  :class:`~repro.experiments.harness.RunSpec` (single, scenario, chaos,
-  traced and service runs), :func:`~repro.experiments.harness.run_grid` over
-  many.
+  :class:`~repro.experiments.harness.RunSpec` (whose fields add a scenario,
+  chaos, tracing or the service to the run),
+  :func:`~repro.experiments.harness.run_grid` over many.
 * :mod:`~repro.experiments.figures` -- the paper's artefacts in paper units
   (Figures 8-17 as one table of sweeps, Tables V-VI, the insertion-order
-  study), built on grids of ``single`` specs.
+  study), built on grids of plain specs.
 * :mod:`~repro.experiments.reporting` -- turns result rows into the text /
   CSV tables printed by the benchmark harness.
 """

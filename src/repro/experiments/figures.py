@@ -8,7 +8,7 @@ versus the authors' C++ testbed) but the comparison shape is preserved.
 Sweep values and defaults are stated in the paper's units (100K requests,
 3K vehicles); an :class:`InstanceScale` says how far below them a run is and
 :func:`paper_workload` is the only place that applies it.  A sweep is a grid
-of ``single`` :class:`~repro.experiments.harness.RunSpec` cells: one workload
+of plain :class:`~repro.experiments.harness.RunSpec` cells: one workload
 per swept value, shared by every algorithm.
 
 The paper's parameter grids are exposed as ``PAPER_*`` constants; benchmark

@@ -1,15 +1,15 @@
 """The one way a simulation is launched from :mod:`repro.experiments`.
 
-One typed :class:`RunSpec` describes any kind of run -- a plain single
-simulation, a dynamic-world scenario cell (with optional exact-parity
-probing), a chaos cell under fault injection, a span-traced run with
-observability artifacts, or a service-mode run through
-:class:`repro.service.DispatchService` -- and :func:`run` executes it.
-:func:`run_grid` runs a list of specs; :meth:`RunSpec.grid` builds the
-scenario x backend x refresh-policy product.  Every mode goes through the
-same workload builder and the same engine construction, so a field of the
-spec means the same thing in all of them.  The figure sweeps of
-:mod:`repro.experiments.figures` are grids of ``single`` specs.
+One typed :class:`RunSpec` describes a run by what it contains, and
+:func:`run` executes it: one workload, one engine, plus one layer for each
+field that is set -- a dynamic-world ``scenario`` (with optional
+exact-parity probing), ``chaos`` fault injection, span tracing into
+``out_dir``, or a replay through :class:`repro.service.DispatchService`
+(``service_config``).  The layers compose, and a field means the same thing
+whatever else is set.  :func:`run_grid` runs a list of specs;
+:meth:`RunSpec.grid` builds the scenario x backend x refresh-policy
+product.  The figure sweeps of :mod:`repro.experiments.figures` are grids
+of plain specs.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 # stream; the module-global generator is never called (repro-lint enforced).
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from collections.abc import Callable, Iterable, Sequence
 from typing import Any
 
@@ -38,45 +39,20 @@ from ..scenarios.timeline import Scenario
 from ..service.schemas import RideRequest
 from ..service.server import DispatchService, ServiceResult
 from ..simulation.engine import SimulationResult, Simulator
+from ..simulation.metrics import MetricsCollector
 from ..workloads.presets import Workload, make_workload
-
-#: Run kinds the front door understands.
-RUN_MODES = ("single", "scenario", "chaos", "traced", "service")
-
-#: RunSpec fields that only make sense for specific modes; validation
-#: rejects stray combinations so a typo'd spec fails loudly, not silently.
-_MODE_ONLY_FIELDS: dict[str, tuple[str, ...]] = {
-    "parity_pairs": ("scenario",),
-    "chaos": ("chaos",),
-    "out_dir": ("traced",),
-    "service_config": ("service",),
-}
 
 
 @dataclass(frozen=True, kw_only=True)
 class RunSpec:
     """One typed description of a harness run (the input of :func:`run`).
 
-    ``mode`` selects the run kind:
-
-    ``single``
-        One algorithm over one workload (a prebuilt :class:`Workload` via
-        ``workload=`` or a preset built from the size knobs).
-    ``scenario``
-        One (``scenario``, ``backend``, ``refresh_policy``) cell of the
-        dynamic-world grid, with optional exact-parity probing.
-    ``chaos``
-        The same cell wrapped in fault injection + the resilience ladder.
-    ``traced``
-        A span-traced run writing trace/Prometheus/markdown artifacts to
-        ``out_dir``.
-    ``service``
-        The workload's trace replayed through
-        :class:`repro.service.DispatchService` (assignments are
-        parity-exact with mode ``single`` on the same workload).
+    A plain spec runs one algorithm over one workload (a prebuilt
+    :class:`Workload` via ``workload=`` or a preset built from the size
+    knobs).  ``scenario=``, ``parity_pairs=``, ``chaos=``, ``out_dir=`` and
+    ``service_config=`` each add their layer to that run (see :func:`run`).
     """
 
-    mode: str = "single"
     # -- workload shape -------------------------------------------------- #
     preset: str = "nyc"
     #: Request-count scale for preset-built workloads.
@@ -84,25 +60,25 @@ class RunSpec:
     city_scale: float = 0.4
     num_requests: int | None = None
     num_vehicles: int | None = None
-    #: Routing backend override (``None`` keeps the preset's).
+    #: Routing backend override (``None`` keeps the preset's or ``simulation_config``'s).
     backend: str | None = None
     #: Prebuilt workload; replaces everything above, so it excludes
     #: ``backend=`` / ``num_requests=`` / ``num_vehicles=`` and scenario names.
     workload: Workload | None = None
     # -- algorithm / simulation ------------------------------------------ #
-    #: Dispatcher name; ``None`` picks the mode's default (``SARD``, or
-    #: ``pruneGDP`` for chaos runs).
+    #: Dispatcher name; ``None`` picks ``SARD``, or ``pruneGDP`` for a
+    #: ``chaos=`` run.
     algorithm: str | None = None
     dispatcher: Dispatcher | None = None
     simulation_config: SimulationConfig | None = None
     # -- dynamic world --------------------------------------------------- #
-    #: Scenario name (required by modes ``scenario`` / ``chaos``; builds the
-    #: surge-modulated workload with it) or a prebuilt
-    #: :class:`~repro.scenarios.timeline.Scenario`.
+    #: Scenario name (builds the surge-modulated workload with it) or a
+    #: prebuilt :class:`~repro.scenarios.timeline.Scenario`.
     scenario: str | Scenario | None = None
     #: How the oracle follows the scenario's network mutations (``None``:
     #: the scenario's own policy); meaningless without a scenario.
     refresh_policy: str | None = None
+    #: Random pairs the exactness probe checks after every event burst.
     parity_pairs: int = 0
     # -- chaos ----------------------------------------------------------- #
     chaos: str | ChaosConfig | None = None
@@ -113,10 +89,6 @@ class RunSpec:
     service_config: ServiceConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.mode not in RUN_MODES:
-            raise ConfigurationError(
-                f"mode must be one of {RUN_MODES} (got {self.mode!r})"
-            )
         if self.scale <= 0 or self.city_scale <= 0:
             raise ConfigurationError("scale and city_scale must be positive")
         if self.workload is not None and not isinstance(self.workload, Workload):
@@ -126,29 +98,17 @@ class RunSpec:
             )
         if self.parity_pairs < 0:
             raise ConfigurationError("parity_pairs must be non-negative")
-        for field_name, modes in _MODE_ONLY_FIELDS.items():
-            value = getattr(self, field_name)
-            if value not in (None, 0) and self.mode not in modes:
-                raise ConfigurationError(
-                    f"{field_name}= only applies to mode(s) {modes} "
-                    f"(spec has mode {self.mode!r})"
-                )
-        if self.mode in ("scenario", "chaos"):
-            if not isinstance(self.scenario, str):
-                raise ConfigurationError(
-                    f"mode {self.mode!r} needs a scenario *name* "
-                    f"(got {self.scenario!r})"
-                )
-            if not self.backend or not self.refresh_policy:
-                raise ConfigurationError(
-                    f"mode {self.mode!r} needs backend= and refresh_policy="
-                )
-        if self.mode == "traced" and self.out_dir is None:
-            raise ConfigurationError("mode 'traced' needs out_dir=")
+        # What is left refuses a field the run would ignore.
         if self.refresh_policy is not None and self.scenario is None:
             raise ConfigurationError(
                 "refresh_policy without a scenario has nothing to refresh; "
                 "pass the scenario whose timeline mutates the network"
+            )
+        if self.parity_pairs and (self.scenario is None or self.chaos is not None):
+            raise ConfigurationError(
+                "parity_pairs probes a scenario's oracle after each event "
+                "burst; it needs scenario= and no chaos= (whose faults the "
+                "resilience layer verifies instead)"
             )
         if self.workload is not None:
             # A built workload already fixed its size, backend and trace; a
@@ -180,8 +140,8 @@ class RunSpec:
     ) -> list["RunSpec"]:
         """Specs for the scenario x backend x refresh-policy product.
 
-        ``common`` (including ``mode="scenario"`` or ``mode="chaos"``) is
-        applied to every cell; feed the result to :func:`run_grid`.
+        ``common`` (``chaos=``, ``parity_pairs=``, sizes, ...) is applied to
+        every cell; feed the result to :func:`run_grid`.
         """
         return [
             cls(
@@ -198,25 +158,22 @@ class RunSpec:
 
 @dataclass(frozen=True)
 class RunResult:
-    """What :func:`run` produced; which fields are set depends on the mode.
+    """What :func:`run` produced.
 
-    ``simulation`` is set for every mode except ``service`` (which carries
-    the full :class:`~repro.service.ServiceResult` in ``service``, with the
-    simulation result nested inside it); ``row`` is the flat metric row of
-    grid cells; ``artifacts`` maps artifact kinds to written paths for
-    traced runs.
+    ``simulation`` is always set (for a ``service_config=`` run it is the
+    simulation nested in ``service``, the full
+    :class:`~repro.service.ServiceResult`); ``row`` is the flat metric row
+    of a scenario or chaos run; ``artifacts`` maps artifact kinds to the
+    paths an ``out_dir=`` run wrote.
     """
 
     spec: RunSpec
-    simulation: SimulationResult | None = None
+    simulation: SimulationResult
     row: dict[str, Any] | None = None
     artifacts: dict[str, Path] | None = None
     service: ServiceResult | None = None
 
 
-# ---------------------------------------------------------------------- #
-# what every mode shares: the workload and the engine built over it
-# ---------------------------------------------------------------------- #
 def _build_workload(spec: RunSpec) -> tuple[Workload, Scenario | None]:
     """The workload a spec describes and the scenario that mutates it, if any.
 
@@ -242,167 +199,77 @@ def _build_workload(spec: RunSpec) -> tuple[Workload, Scenario | None]:
     return spec.workload or make_workload(spec.preset, **shape), spec.scenario
 
 
-def _engine_arguments(
-    spec: RunSpec,
-    workload: Workload,
-    scenario: Scenario | None,
-    *,
-    on_applied: Callable[[WorldView], None] | None = None,
-    resilience: ResilienceManager | None = None,
+# ---------------------------------------------------------------------- #
+# the rows of scenario and chaos runs
+# ---------------------------------------------------------------------- #
+#: The closing columns of both rows.
+_OUTCOME_COLUMNS = {
+    "service_rate": "service_rate",
+    "unified_cost": "unified_cost",
+    "dispatch_s": "dispatch_seconds",
+}
+
+#: A scenario run's refresh-overhead columns: column -> the
+#: :class:`MetricsCollector` field(s) it sums; an ``_ms`` column reports
+#: its fields' seconds in milliseconds.
+_SCENARIO_COLUMNS = {
+    "events": "scenario_events",
+    "rebuilds": "oracle_rebuilds",
+    "rebuild_ms": "oracle_rebuild_seconds",
+    "repairs": "oracle_repairs",
+    "repair_ms": "oracle_repair_seconds",
+    "snapshot_hits": "oracle_snapshot_hits",
+    "recontracted": "oracle_nodes_recontracted",
+    "refresh_ms": "oracle_rebuild_seconds oracle_repair_seconds",
+    "fallback_q": "oracle_fallback_queries",
+    "stale_ms": "oracle_stale_seconds",
+    **_OUTCOME_COLUMNS,
+}
+
+#: A chaos run's resilience columns (read like :data:`_SCENARIO_COLUMNS`).
+_CHAOS_COLUMNS = {
+    "events": "scenario_events",
+    "faults": "faults_injected",
+    "retries": "oracle_retries",
+    "breaker_trips": "breaker_trips",
+    "degraded": "degraded_batches",
+    "overruns": "batch_overruns",
+    "probe_failures": "probe_failures",
+    "self_heals": "self_heals",
+    "recovery_ms": "recovery_seconds",
+    "rebuilds": "oracle_rebuilds",
+    "repairs": "oracle_repairs",
+    "fallback_q": "oracle_fallback_queries",
+    **_OUTCOME_COLUMNS,
+}
+
+
+def _row(
+    columns: dict[str, str], metrics: MetricsCollector, **cell: Any
 ) -> dict[str, Any]:
-    """The constructor arguments :class:`Simulator` and
-    :class:`DispatchService` have in common, fresh for one run.
+    """The ``cell`` coordinates followed by ``columns`` read off ``metrics``."""
+    row = dict(cell)
+    for column, fields in columns.items():
+        value = sum(getattr(metrics, field) for field in fields.split())
+        row[column] = value * 1e3 if column.endswith("_ms") else value
+    return row
 
-    With a ``resilience`` manager the oracle is the manager's (a chaos oracle
-    when faults are configured); otherwise a clean one over the workload's
-    network.  A scenario contributes a fresh event timeline and the refresh
-    policy the oracle follows the mutating network under (the scenario's own
-    policy when the spec names none).
+
+def deterministic_summary(row: dict) -> dict:
+    """Strip the timing-dependent columns from a chaos (or scenario) row.
+
+    What remains must be bit-identical across two same-seed runs -- the
+    reproducibility contract the chaos tests and the CI job assert.
     """
-    config = spec.simulation_config or workload.simulation_config
-    backend = config.routing_backend
-    default_algorithm = "pruneGDP" if spec.mode == "chaos" else "SARD"
-    arguments: dict[str, Any] = {
-        "network": workload.network,
-        "oracle": (
-            resilience.make_oracle(workload.network, backend=backend)
-            if resilience is not None
-            else workload.fresh_oracle(backend=backend)
-        ),
-        "vehicles": workload.fresh_vehicles(),
-        "dispatcher": (
-            spec.dispatcher or make_dispatcher(spec.algorithm or default_algorithm)
-        ),
-        "config": config,
-        "resilience": resilience,
+    return {
+        key: value
+        for key, value in row.items()
+        if key != "dispatch_s" and not key.endswith("_ms")
     }
-    if scenario is not None:
-        arguments["timeline"] = scenario.make_timeline(on_applied=on_applied)
-        arguments["refresh_policy"] = make_refresh_policy(
-            spec.refresh_policy, config=scenario.config
-        )
-    return arguments
-
-
-def _make_simulator(
-    spec: RunSpec, workload: Workload, scenario: Scenario | None, **options: Any
-) -> Simulator:
-    """A batch simulator over the whole trace (``options``: see
-    :func:`_engine_arguments`)."""
-    return Simulator(
-        requests=list(workload.requests),
-        record_events=False,
-        **_engine_arguments(spec, workload, scenario, **options),
-    )
-
-
-def _single_impl(spec: RunSpec) -> RunResult:
-    """One algorithm over one workload (optionally under a scenario)."""
-    simulator = _make_simulator(spec, *_build_workload(spec))
-    return RunResult(spec=spec, simulation=simulator.run())
-
-
-def _service_impl(spec: RunSpec) -> RunResult:
-    """Replay the workload's trace through the dispatch service.
-
-    The service drives the simulator's stepwise interface, so the returned
-    assignments are parity-exact with mode ``single`` over the same
-    workload; the events are the service's streamed ones
-    (``RunResult.service.events``).
-    """
-    workload, scenario = _build_workload(spec)
-    service = DispatchService(
-        service_config=spec.service_config,
-        **_engine_arguments(spec, workload, scenario),
-    )
-    result = service.serve(
-        RideRequest.from_request(request) for request in workload.requests
-    )
-    return RunResult(
-        spec=spec, simulation=result.simulation, service=result
-    )
-
-
-def run(spec: RunSpec) -> RunResult:
-    """Execute one :class:`RunSpec` -- the harness's single front door.
-
-    Every experiment, benchmark and CI job funnels through here, so the
-    five run kinds stay behaviourally consistent (one workload builder,
-    one simulator, one service).
-    """
-    impls: dict[str, Callable[[RunSpec], RunResult]] = {
-        "single": _single_impl,
-        "scenario": _scenario_impl,
-        "chaos": _chaos_impl,
-        "traced": _traced_impl,
-        "service": _service_impl,
-    }
-    return impls[spec.mode](spec)
-
-
-def run_grid(specs: Iterable[RunSpec]) -> list[RunResult]:
-    """Run every spec in order (see :meth:`RunSpec.grid`)."""
-    return [run(spec) for spec in specs]
 
 
 # ---------------------------------------------------------------------- #
-# traced runs (observability artifacts: JSONL trace, Prometheus, markdown)
-# ---------------------------------------------------------------------- #
-#: Summary keys pulled into the headline table of the traced-run report.
-TRACED_RUN_HIGHLIGHTS = (
-    "service_rate",
-    "unified_cost",
-    "dispatch_seconds",
-    "dispatch_p95_seconds",
-    "shortest_path_queries",
-)
-
-
-def _traced_impl(spec: RunSpec) -> RunResult:
-    """Run one workload with span tracing on and write all three exports.
-
-    Sampled query tracing attaches to the oracle the simulator actually
-    queries.  Emits ``<name>.trace.jsonl`` / ``<name>.prom`` /
-    ``<name>.report.md`` into ``spec.out_dir`` (the CI scenario job uploads
-    them as artifacts).
-    """
-    assert spec.out_dir is not None  # enforced by RunSpec validation
-    workload, scenario = _build_workload(spec)
-    simulator = _make_simulator(spec, workload, scenario)
-    oracle = simulator.oracle
-    with tracing(oracle=oracle) as tracer:
-        result = simulator.run()
-    metrics = result.metrics
-    registry = metrics.as_registry()
-    # Fold the sampled oracle query latencies from the trace into the
-    # registry so the Prometheus snapshot carries the full picture.
-    query_latency = registry.histogram(
-        "oracle.query_seconds",
-        "Sampled shortest-path query latency",
-        buckets=LATENCY_BUCKETS_S,
-    )
-    for record in tracer.records:
-        if record.name == "oracle.query":
-            query_latency.observe(record.duration)
-    paths = write_run_artifacts(
-        spec.out_dir,
-        spec.name,
-        title=(
-            f"Traced run: {simulator.dispatcher.name} on {workload.name} "
-            f"({metrics.total_requests} requests, "
-            f"{len(simulator.vehicles)} vehicles, "
-            f"{oracle.backend_name} oracle)"
-        ),
-        summary=metrics.summary(),
-        tracer=tracer,
-        registry=registry,
-        highlight_keys=TRACED_RUN_HIGHLIGHTS,
-    )
-    return RunResult(spec=spec, simulation=result, artifacts=paths)
-
-
-# ---------------------------------------------------------------------- #
-# dynamic-world scenario grid (shared by benchmarks, experiments and CI)
+# the parity probe of scenario runs
 # ---------------------------------------------------------------------- #
 #: Seed of the parity probe's pair sampler.
 PARITY_SEED = 99
@@ -446,107 +313,132 @@ def _parity_probe(context: dict[str, int], pairs: int) -> Callable[[WorldView], 
     return probe
 
 
-def _scenario_impl(spec: RunSpec) -> RunResult:
-    """Run one (scenario, backend, refresh-policy) cell of the grid.
+# ---------------------------------------------------------------------- #
+# the front door
+# ---------------------------------------------------------------------- #
+#: Summary keys pulled into the headline table of the traced-run report.
+TRACED_RUN_HIGHLIGHTS = (
+    "service_rate",
+    "unified_cost",
+    "dispatch_seconds",
+    "dispatch_p95_seconds",
+    "shortest_path_queries",
+)
 
-    The row carries the refresh-overhead columns (rebuilds, repair work,
-    fallback queries, stale time) next to the dispatch metrics.  With
-    ``parity_pairs > 0`` an exactness probe runs after every event burst
-    (once the refresh policy has made the oracle consistent) and raises on
-    any divergence from a fresh Dijkstra over the mutated network.
+
+def run(spec: RunSpec) -> RunResult:
+    """Execute one :class:`RunSpec` -- the harness's single front door.
+
+    Every experiment, benchmark and CI job funnels through here.  The run
+    is one workload and one engine; each set field adds its layer:
+
+    * ``scenario`` -- the event timeline and refresh policy, and the
+      refresh-overhead ``row``;
+    * ``parity_pairs`` -- the exactness probe after every event burst;
+    * ``chaos`` -- a :class:`~repro.resilience.degrade.ResilienceManager`
+      (whose oracle the run queries and which verifies every accepted
+      assignment), ``pruneGDP`` as the default algorithm, and the
+      resilience ``row`` in place of the scenario one;
+    * ``out_dir`` -- span tracing with sampled oracle queries around the
+      run, and ``<name>.trace.jsonl`` / ``<name>.prom`` /
+      ``<name>.report.md`` written there;
+    * ``service_config`` -- the trace replayed through
+      :class:`DispatchService` (assignments parity-exact with the batch
+      run; the streamed events are in ``RunResult.service.events``).
     """
     workload, scenario = _build_workload(spec)
-    context = {"bursts": 0}
-    on_applied = (
-        _parity_probe(context, spec.parity_pairs)
-        if spec.parity_pairs
-        else None
+    config = spec.simulation_config or workload.simulation_config
+    if spec.backend is not None:
+        config = config.with_overrides(routing_backend=spec.backend)
+    backend = config.routing_backend
+    chaos = make_chaos_config(spec.chaos) if isinstance(spec.chaos, str) else spec.chaos
+    manager = ResilienceManager(chaos=chaos) if chaos is not None else None
+    oracle = (
+        manager.make_oracle(workload.network, backend=backend)
+        if manager is not None
+        else workload.fresh_oracle(backend=backend)
     )
-    result = _make_simulator(
-        spec, workload, scenario, on_applied=on_applied
-    ).run()
-    metrics = result.metrics
+    default_algorithm = "pruneGDP" if manager is not None else "SARD"
+    engine: dict[str, Any] = {
+        "network": workload.network,
+        "oracle": oracle,
+        "vehicles": workload.fresh_vehicles(),
+        "dispatcher": (
+            spec.dispatcher or make_dispatcher(spec.algorithm or default_algorithm)
+        ),
+        "config": config,
+        "resilience": manager,
+    }
+    context = {"bursts": 0}
+    policy = None
+    if scenario is not None:
+        probe = _parity_probe(context, spec.parity_pairs) if spec.parity_pairs else None
+        policy = make_refresh_policy(spec.refresh_policy, config=scenario.config)
+        engine.update(
+            timeline=scenario.make_timeline(on_applied=probe), refresh_policy=policy
+        )
+
+    execute: Callable[[], SimulationResult | ServiceResult]
+    if spec.service_config is not None:
+        service = DispatchService(service_config=spec.service_config, **engine)
+        rides = (RideRequest.from_request(request) for request in workload.requests)
+        execute = partial(service.serve, rides)
+    else:
+        execute = Simulator(
+            requests=list(workload.requests), record_events=False, **engine
+        ).run
+    if spec.out_dir is None:
+        outcome = execute()
+    else:
+        with tracing(oracle=oracle) as tracer:
+            outcome = execute()
+    served = outcome if isinstance(outcome, ServiceResult) else None
+    result = outcome.simulation if isinstance(outcome, ServiceResult) else outcome
     if spec.parity_pairs and context["bursts"] == 0:
         raise ScenarioError(f"scenario {spec.scenario!r} applied no events")
-    row = {
-        "scenario": spec.scenario,
-        "backend": spec.backend,
-        "policy": spec.refresh_policy,
-        "events": metrics.scenario_events,
-        "rebuilds": metrics.oracle_rebuilds,
-        "rebuild_ms": metrics.oracle_rebuild_seconds * 1e3,
-        "repairs": metrics.oracle_repairs,
-        "repair_ms": metrics.oracle_repair_seconds * 1e3,
-        "snapshot_hits": metrics.oracle_snapshot_hits,
-        "recontracted": metrics.oracle_nodes_recontracted,
-        "refresh_ms": (
-            metrics.oracle_rebuild_seconds + metrics.oracle_repair_seconds
-        ) * 1e3,
-        "fallback_q": metrics.oracle_fallback_queries,
-        "stale_ms": metrics.oracle_stale_seconds * 1e3,
-        "service_rate": metrics.service_rate,
-        "unified_cost": metrics.unified_cost,
-        "dispatch_s": metrics.dispatch_seconds,
-    }
-    return RunResult(spec=spec, simulation=result, row=row)
 
-
-# ---------------------------------------------------------------------- #
-# chaos grid (resilience layer under fault injection)
-# ---------------------------------------------------------------------- #
-def _chaos_impl(spec: RunSpec) -> RunResult:
-    """Run one (scenario, backend, refresh-policy) cell under fault injection.
-
-    The run is wrapped in a :class:`~repro.resilience.degrade.ResilienceManager`
-    with the ``chaos`` preset's fault rates; it must complete without an
-    unhandled exception and -- because the manager verifies every accepted
-    assignment -- with every leg cost exact against fresh Dijkstra.
-    The row carries the resilience counters next to the dispatch metrics.
-    Deterministic: two identical specs inject the identical fault sequence
-    and produce identical non-timing metrics (see
-    :func:`deterministic_summary`).
-    """
-    chaos = spec.chaos if spec.chaos is not None else "flaky_oracle"
-    manager = ResilienceManager(
-        chaos=make_chaos_config(chaos) if isinstance(chaos, str) else chaos
-    )
-    workload, scenario = _build_workload(spec)
-    result = _make_simulator(
-        spec, workload, scenario, resilience=manager
-    ).run()
     metrics = result.metrics
-    row = {
-        "scenario": spec.scenario,
-        "backend": spec.backend,
-        "policy": spec.refresh_policy,
-        "events": metrics.scenario_events,
-        "faults": metrics.faults_injected,
-        "retries": metrics.oracle_retries,
-        "breaker_trips": metrics.breaker_trips,
-        "degraded": metrics.degraded_batches,
-        "overruns": metrics.batch_overruns,
-        "probe_failures": metrics.probe_failures,
-        "self_heals": metrics.self_heals,
-        "recovery_ms": metrics.recovery_seconds * 1e3,
-        "rebuilds": metrics.oracle_rebuilds,
-        "repairs": metrics.oracle_repairs,
-        "fallback_q": metrics.oracle_fallback_queries,
-        "service_rate": metrics.service_rate,
-        "unified_cost": metrics.unified_cost,
-        "dispatch_s": metrics.dispatch_seconds,
-    }
-    return RunResult(spec=spec, simulation=result, row=row)
+    row = None
+    if manager is not None or scenario is not None:
+        row = _row(
+            _CHAOS_COLUMNS if manager is not None else _SCENARIO_COLUMNS,
+            metrics,
+            scenario=scenario.name if scenario is not None else None,
+            backend=backend,
+            policy=policy.name if policy is not None else None,
+        )
+    artifacts = None
+    if spec.out_dir is not None:
+        registry = metrics.as_registry()
+        # Fold the sampled oracle query latencies from the trace into the
+        # registry so the Prometheus snapshot carries the full picture.
+        query_latency = registry.histogram(
+            "oracle.query_seconds",
+            "Sampled shortest-path query latency",
+            buckets=LATENCY_BUCKETS_S,
+        )
+        for record in tracer.records:
+            if record.name == "oracle.query":
+                query_latency.observe(record.duration)
+        artifacts = write_run_artifacts(
+            spec.out_dir,
+            spec.name,
+            title=(
+                f"Traced run: {engine['dispatcher'].name} on {workload.name} "
+                f"({metrics.total_requests} requests, "
+                f"{len(engine['vehicles'])} vehicles, "
+                f"{oracle.backend_name} oracle)"
+            ),
+            summary=metrics.summary(),
+            tracer=tracer,
+            registry=registry,
+            highlight_keys=TRACED_RUN_HIGHLIGHTS,
+        )
+    return RunResult(
+        spec=spec, simulation=result, row=row, artifacts=artifacts, service=served
+    )
 
 
-def deterministic_summary(row: dict) -> dict:
-    """Strip the timing-dependent columns from a chaos (or scenario) row.
-
-    What remains must be bit-identical across two same-seed runs -- the
-    reproducibility contract the chaos tests and the CI job assert.
-    """
-    timing = {"dispatch_s", "wall_clock_s"}
-    return {
-        key: value
-        for key, value in row.items()
-        if key not in timing and not key.endswith("_ms")
-    }
+def run_grid(specs: Iterable[RunSpec]) -> list[RunResult]:
+    """Run every spec in order (see :meth:`RunSpec.grid`)."""
+    return [run(spec) for spec in specs]

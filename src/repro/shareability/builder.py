@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from ..config import SimulationConfig
-from ..insertion.pair_schedules import best_pair_schedule
+from ..insertion.pair_schedules import are_shareable
 from ..model.request import Request
 from ..network.grid_index import GridIndex
 from ..network.road_network import RoadNetwork
@@ -182,11 +182,8 @@ class DynamicShareabilityGraphBuilder:
         """Run the pairwise feasibility test, charging shortest-path queries."""
         before = self.oracle.stats.queries
         self.stats.pairs_tested += 1
-        capacity = self.config.capacity
-        schedule, _ = best_pair_schedule(anchor, candidate, self.oracle, capacity=capacity)
-        shareable = schedule is not None
-        if not shareable:
-            schedule, _ = best_pair_schedule(candidate, anchor, self.oracle, capacity=capacity)
-            shareable = schedule is not None
+        shareable = are_shareable(
+            anchor, candidate, self.oracle, capacity=self.config.capacity
+        )
         self.stats.shortest_path_queries += self.oracle.stats.queries - before
         return shareable

@@ -135,36 +135,12 @@ class ShareabilityGraph:
                     return False
         return True
 
-    def common_neighbors(self, request_ids: Iterable[int]) -> set[int]:
-        """Nodes adjacent to every request in ``request_ids``."""
-        members = list(request_ids)
-        if not members:
-            return set()
-        common = set(self._adjacency.get(members[0], set()))
-        for rid in members[1:]:
-            common &= self._adjacency.get(rid, set())
-            if not common:
-                break
-        return common - set(members)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Iterate over undirected edges once each (``u < v``)."""
         for u, neighbours in self._adjacency.items():
             for v in neighbours:
                 if u < v:
                     yield u, v
-
-    def subgraph(self, request_ids: Iterable[int]) -> "ShareabilityGraph":
-        """Induced subgraph on the given request identifiers."""
-        keep = {rid for rid in request_ids if rid in self._requests}
-        sub = ShareabilityGraph()
-        for rid in sorted(keep):
-            sub.add_request(self._requests[rid])
-        for rid in sorted(keep):
-            for neighbour in self._adjacency[rid]:
-                if neighbour in keep and rid < neighbour:
-                    sub.add_edge(rid, neighbour)
-        return sub
 
     def copy(self) -> "ShareabilityGraph":
         """Deep copy of the graph structure (requests are shared, immutable)."""
@@ -173,24 +149,6 @@ class ShareabilityGraph:
         duplicate._adjacency = {rid: set(neigh) for rid, neigh in self._adjacency.items()}
         duplicate._num_edges = self._num_edges
         return duplicate
-
-    def connected_components(self) -> list[set[int]]:
-        """Connected components as sets of request identifiers."""
-        unvisited = set(self._requests)
-        components: list[set[int]] = []
-        while unvisited:
-            seed = unvisited.pop()
-            component = {seed}
-            frontier = [seed]
-            while frontier:
-                node = frontier.pop()
-                for neighbour in self._adjacency[node]:
-                    if neighbour in unvisited:
-                        unvisited.discard(neighbour)
-                        component.add(neighbour)
-                        frontier.append(neighbour)
-            components.append(component)
-        return components
 
     def to_networkx(self) -> Any:
         """Export as an undirected :class:`networkx.Graph` (tests / analysis)."""

@@ -9,7 +9,7 @@ time) plus the ablation counters (shortest-path queries, memory estimate).
 
 from .engine import RunState, SimulationResult, Simulator
 from .events import Event, EventKind, EventLog
-from .metrics import MetricsCollector, unified_cost
+from .metrics import MetricsCollector
 
 __all__ = [
     "Simulator",
@@ -19,5 +19,4 @@ __all__ = [
     "EventKind",
     "EventLog",
     "MetricsCollector",
-    "unified_cost",
 ]

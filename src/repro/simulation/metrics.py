@@ -5,7 +5,8 @@ The unified cost (Equation 3 of the paper) is::
     U(W, P) = alpha * sum_{w in W} travel_cost(w)  +  sum_{unserved r} p_r
 
 with ``p_r = pr * cost(r.source, r.destination)``, i.e. the penalty of an
-unserved request is proportional to its direct travel time.
+unserved request is proportional to its direct travel time, and ``alpha``
+fixed to 1 as in the paper (``SimulationConfig.alpha``).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from ..config import SimulationConfig
-from ..model.request import Request
 from ..observability.registry import LATENCY_BUCKETS_S, MetricRegistry
 
 
@@ -29,16 +28,6 @@ def _percentile(sorted_values: list[float], q: float) -> float:
     high = min(low + 1, len(sorted_values) - 1)
     fraction = rank - low
     return sorted_values[low] + (sorted_values[high] - sorted_values[low]) * fraction
-
-
-def unified_cost(
-    total_travel_time: float,
-    unserved: Iterable[Request],
-    config: SimulationConfig,
-) -> float:
-    """Equation 3: weighted travel cost plus penalties for unserved requests."""
-    penalty = config.penalty_coefficient * sum(r.direct_cost for r in unserved)
-    return config.alpha * total_travel_time + penalty
 
 
 @dataclass

@@ -9,7 +9,6 @@ request arrivals at the per-second rates reported in Section V-A.
 
 from .requests_gen import RequestGenerator, generate_vehicles
 from .presets import Workload, make_workload, WORKLOAD_PRESETS
-from .trace import load_requests_csv, save_requests_csv
 
 __all__ = [
     "RequestGenerator",
@@ -17,6 +16,4 @@ __all__ = [
     "Workload",
     "make_workload",
     "WORKLOAD_PRESETS",
-    "load_requests_csv",
-    "save_requests_csv",
 ]

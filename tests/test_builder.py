@@ -35,6 +35,35 @@ class TestConstruction:
         for u, v in builder.graph.edges():
             assert are_shareable(by_id[u], by_id[v], oracle, capacity=config.capacity)
 
+    def test_edges_are_complete_without_angle_pruning(
+        self, grid_network, oracle, config, make_request
+    ):
+        """With angle pruning off, every shareable pair in the (city-wide)
+        search radius becomes an edge."""
+        requests = [
+            make_request(i, (7 * i) % 36, (11 * i + 5) % 36) for i in range(1, 13)
+        ]
+        builder = DynamicShareabilityGraphBuilder(
+            network=grid_network, oracle=oracle,
+            config=config.with_overrides(angle_threshold=None),
+        )
+        builder.update(requests)
+        shareable = {
+            (a.request_id, b.request_id)
+            for i, a in enumerate(requests)
+            for b in requests[i + 1:]
+            if are_shareable(a, b, oracle, capacity=config.capacity)
+        }
+        assert shareable
+        assert {tuple(sorted(edge)) for edge in builder.graph.edges()} == shareable
+
+    def test_pair_tests_charge_every_query_they_make(self, builder, make_request, oracle):
+        requests = [make_request(i, i, 30 + i % 6) for i in range(1, 9)]
+        before = oracle.stats.queries
+        builder.update(requests)
+        assert builder.stats.pairs_tested > 0
+        assert builder.stats.shortest_path_queries == oracle.stats.queries - before > 0
+
     def test_colinear_requests_connected(self, builder, make_request):
         builder.update([make_request(1, 0, 4), make_request(2, 1, 5)])
         assert builder.graph.has_edge(1, 2)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -18,6 +19,13 @@ class TestSimulationConfig:
         assert config.batch_period == 3.0
         assert config.capacity == 3
         assert config.alpha == 1.0
+
+    def test_alpha_is_a_constant_not_a_setting(self):
+        """The paper fixes alpha to 1: it is readable, never settable."""
+        assert "alpha" not in {field.name for field in dataclasses.fields(SimulationConfig)}
+        assert SimulationConfig(capacity=2).alpha == SimulationConfig.alpha == 1.0
+        with pytest.raises(TypeError):
+            SimulationConfig(alpha=2.0)
 
     def test_gamma_must_exceed_one(self):
         with pytest.raises(ConfigurationError):

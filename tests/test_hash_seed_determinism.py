@@ -26,6 +26,7 @@ SCALE = 0.2
 
 CHILD = """
 import hashlib, json, sys
+from repro.config import ServiceConfig
 from repro.dispatch import DISPATCHER_REGISTRY
 from repro.experiments.harness import RunSpec, run
 from repro.simulation.engine import Simulator
@@ -45,8 +46,8 @@ Simulator._emit = recording
 digests = {}
 for name in sorted(DISPATCHER_REGISTRY):
     emitted.clear()
-    result = run(RunSpec(mode="service", preset="nyc", algorithm=name,
-                         backend="hub_label", scale=float(sys.argv[1])))
+    result = run(RunSpec(preset="nyc", algorithm=name, backend="hub_label",
+                         scale=float(sys.argv[1]), service_config=ServiceConfig()))
     streamed = result.service.events
     digests[name] = {
         "emitted": [len(emitted), sha(emitted)],

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from repro import Simulator, make_dispatcher, make_workload
+from repro.config import ServiceConfig
 from repro.dispatch import base
 from repro.dispatch.base import DispatchContext, candidate_vehicles, feasible_insertions
 from repro.dispatch.sard import SARDDispatcher
@@ -149,8 +150,8 @@ class TestPlanSnapshotReuseIsInvisible:
     @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP"])
     def test_event_stream_equals_a_run_without_reuse(self, algorithm, monkeypatch):
         spec = RunSpec(
-            mode="service", preset="nyc", scale=0.1, scenario="rush_hour",
-            algorithm=algorithm,
+            preset="nyc", scale=0.1, scenario="rush_hour", algorithm=algorithm,
+            service_config=ServiceConfig(),
         )
         with monkeypatch.context() as patch:
             kept_events = _engine_events(patch)
@@ -220,7 +221,8 @@ def _shift_spec(algorithm: str) -> tuple[RunSpec, float, set[int]]:
         ],
     )
     spec = RunSpec(
-        mode="service", workload=workload, scenario=scenario, algorithm=algorithm
+        workload=workload, scenario=scenario, algorithm=algorithm,
+        service_config=ServiceConfig(),
     )
     return spec, 0.5 * horizon, ended
 
@@ -288,8 +290,8 @@ class TestTickCostsWhatChanged:
         def make_spec():
             dispatchers.append(make_dispatcher(algorithm))
             return RunSpec(
-                mode="service", preset="nyc", scale=0.1, scenario=scenario,
-                dispatcher=dispatchers[-1],
+                preset="nyc", scale=0.1, scenario=scenario,
+                dispatcher=dispatchers[-1], service_config=ServiceConfig(),
             )
 
         events = self._assert_invisible(make_spec, monkeypatch)
@@ -382,7 +384,10 @@ class TestTickCostsWhatChanged:
             return estimates[-1]
 
         monkeypatch.setattr(Simulator, "_memory_estimate", checked)
-        result = run(RunSpec(mode="service", preset="nyc", scale=0.1, algorithm=algorithm))
+        result = run(RunSpec(
+            preset="nyc", scale=0.1, algorithm=algorithm,
+            service_config=ServiceConfig(),
+        ))
         assert len(estimates) == result.simulation.metrics.num_batches + 1
 
 
@@ -448,8 +453,9 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
             if world == "shifts":
                 return _shift_spec(algorithm)[0]
             return RunSpec(
-                mode="service", preset="nyc", scale=0.1, algorithm=algorithm,
+                preset="nyc", scale=0.1, algorithm=algorithm,
                 scenario=None if world == "static" else world,
+                service_config=ServiceConfig(),
             )
 
         asked = []
@@ -492,7 +498,8 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
         ``dijkstra`` / ``alt`` it may (see :func:`_ask_every_candidate`)."""
         def make_spec():
             return RunSpec(
-                mode="service", preset="nyc", scale=0.1, algorithm=algorithm, backend=backend
+                preset="nyc", scale=0.1, algorithm=algorithm, backend=backend,
+                service_config=ServiceConfig(),
             )
 
         events, summary, counters = _observe(make_spec(), monkeypatch)

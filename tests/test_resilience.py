@@ -644,7 +644,7 @@ SMALL = dict(scale=0.05, city_scale=0.35)
 
 def _chaos_row(policy: str, *, chaos: str) -> dict:
     outcome = run(RunSpec(
-        mode="chaos", scenario="stadium_surge", backend="ch",
+        scenario="stadium_surge", backend="ch",
         refresh_policy=policy, chaos=chaos, **SMALL,
     ))
     assert outcome.row is not None
@@ -679,7 +679,7 @@ class TestChaosRuns:
 
     def test_chaos_metrics_quiet_without_chaos(self):
         outcome = run(RunSpec(
-            mode="scenario", scenario="stadium_surge", backend="ch",
+            scenario="stadium_surge", backend="ch",
             refresh_policy="repair", **SMALL,
         ))
         row = outcome.row

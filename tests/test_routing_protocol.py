@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.config import ServiceConfig
 from repro.exceptions import NetworkError, UnreachableError
 from repro.experiments.harness import RunSpec, run
 from repro.network.generators import grid_city
@@ -246,6 +247,8 @@ def test_oracle_counters_match_the_golden_runs(name, monkeypatch):
         return oracles[-1]
 
     monkeypatch.setattr(Workload, "fresh_oracle", keeping)
-    run(RunSpec(mode="service", algorithm="SARD", **GOLDEN[name]["spec"]))
+    run(RunSpec(
+        algorithm="SARD", service_config=ServiceConfig(), **GOLDEN[name]["spec"]
+    ))
     counters = [oracle.stats.snapshot() for oracle in oracles]
     assert counters == [GOLDEN[name]["counters"]]

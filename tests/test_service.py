@@ -18,10 +18,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.config import REFRESH_POLICIES, ServiceConfig
+from repro.config import REFRESH_POLICIES, ScenarioConfig, ServiceConfig, SimulationConfig
 from repro.dispatch import make_dispatcher
 from repro.exceptions import ConfigurationError, SchemaError, ServiceError, UnreachableError
-from repro.experiments.harness import RunSpec, run
+from repro.experiments.harness import RunSpec, deterministic_summary, run
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
@@ -567,10 +567,10 @@ class TestBatchParity:
     def test_harness_service_mode_matches_single(self):
         workload = make_workload("nyc", scale=0.04, city_scale=0.35)
         single = run(RunSpec(
-            mode="single", workload=workload, algorithm="pruneGDP"
+            workload=workload, algorithm="pruneGDP"
         ))
         service = run(RunSpec(
-            mode="service", workload=workload, algorithm="pruneGDP"
+            service_config=ServiceConfig(), workload=workload, algorithm="pruneGDP"
         ))
         assert single.simulation is not None
         assert service.service is not None
@@ -656,37 +656,26 @@ class TestLiveViewIsTheTruth:
 
 
 # --------------------------------------------------------------------- #
-# RunSpec validation, traced mode and what replaced the shims
+# RunSpec validation, composed runs and what replaced the shims
 # --------------------------------------------------------------------- #
 class TestRunSpec:
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ConfigurationError, match="mode"):
-            RunSpec(mode="batch")
-
-    def test_rejects_mode_only_fields_on_wrong_mode(self):
-        with pytest.raises(ConfigurationError, match="chaos="):
-            RunSpec(mode="single", chaos="flaky_oracle")
-        with pytest.raises(ConfigurationError, match="service_config="):
-            RunSpec(mode="single", service_config=ServiceConfig())
-
     def test_rejects_preset_name_in_workload_field(self):
         with pytest.raises(ConfigurationError, match="preset="):
-            RunSpec(mode="service", workload="nyc")
+            RunSpec(workload="nyc")
 
-    def test_scenario_modes_need_cell_coordinates(self):
-        with pytest.raises(ConfigurationError, match="scenario"):
-            RunSpec(mode="scenario")
-        with pytest.raises(ConfigurationError, match="backend"):
-            RunSpec(mode="chaos", scenario="stadium_surge")
-
-    def test_traced_needs_out_dir(self):
-        with pytest.raises(ConfigurationError, match="out_dir"):
-            RunSpec(mode="traced")
-
-    @pytest.mark.parametrize("mode", ["single", "service"])
-    def test_refresh_policy_needs_a_scenario(self, mode):
+    @pytest.mark.parametrize(
+        "layer", [{}, {"service_config": ServiceConfig()}], ids=["single", "service"]
+    )
+    def test_refresh_policy_needs_a_scenario(self, layer):
         with pytest.raises(ConfigurationError, match="refresh_policy"):
-            RunSpec(mode=mode, refresh_policy="repair")
+            RunSpec(refresh_policy="repair", **layer)
+
+    def test_parity_pairs_needs_a_scenario_without_chaos(self):
+        with pytest.raises(ConfigurationError, match="parity_pairs"):
+            RunSpec(parity_pairs=4)
+        with pytest.raises(ConfigurationError, match="parity_pairs"):
+            RunSpec(scenario="stadium_surge", chaos="flaky_oracle", parity_pairs=4)
+        RunSpec(scenario="stadium_surge", parity_pairs=4)
 
     @pytest.mark.parametrize(
         "stray",
@@ -702,26 +691,74 @@ class TestRunSpec:
         with pytest.raises(ConfigurationError, match=next(iter(stray))):
             RunSpec(workload=workload, **stray)
 
+    @pytest.mark.parametrize("backend", ["ch", "hub_label"])
+    def test_backend_applies_to_a_given_simulation_config(self, backend):
+        """``backend=`` next to ``simulation_config=`` overrides that config's
+        backend instead of being dropped."""
+        outcome = run(RunSpec(
+            backend=backend, simulation_config=SimulationConfig(),
+            scenario="bridge_closure", scale=0.03, algorithm="pruneGDP",
+        ))
+        assert outcome.row is not None and outcome.row["backend"] == backend
+
+    def test_a_scenario_run_needs_no_backend_or_policy(self):
+        """Without ``backend=`` / ``refresh_policy=`` a scenario run keeps the
+        preset's backend and the scenario's own policy, and its row says so."""
+        outcome = run(RunSpec(
+            scenario="bridge_closure", scale=0.03, algorithm="pruneGDP"
+        ))
+        preset = make_workload("nyc", scale=0.02, city_scale=0.35)
+        assert outcome.row is not None
+        assert outcome.row["scenario"] == "bridge_closure"
+        assert outcome.row["backend"] == preset.simulation_config.routing_backend
+        assert outcome.row["policy"] == ScenarioConfig().refresh_policy
+        assert outcome.row["events"] > 0
+
     def test_grid_builds_the_product(self):
         specs = RunSpec.grid(
-            scenarios=("a", "b"), backends=("ch",),
-            policies=REFRESH_POLICIES, mode="scenario",
+            scenarios=("a", "b"), backends=("ch",), policies=REFRESH_POLICIES
         )
         assert len(specs) == 4
         assert {spec.refresh_policy for spec in specs} == set(REFRESH_POLICIES)
 
     def test_with_overrides(self):
-        spec = RunSpec(mode="single").with_overrides(algorithm="SARD")
+        spec = RunSpec().with_overrides(algorithm="SARD")
         assert spec.algorithm == "SARD"
 
 
-class TestOneBuilderForEveryMode:
+class TestOneBuilderForEveryRun:
+    def test_scenario_and_service_compose(self, monkeypatch):
+        """A scenario replayed through the service keeps the scenario row,
+        and the service streams the batch run's assignments."""
+        spec = RunSpec(
+            scenario="bridge_closure", backend="ch", refresh_policy="repair",
+            scale=0.03, algorithm="pruneGDP",
+        )
+        assigned = []
+        emit = Simulator._emit
+
+        def recording(simulator, when, kind, subject, other=None):
+            if EventKind(kind) is EventKind.REQUEST_ASSIGNED:
+                assigned.append((subject, other))
+            emit(simulator, when, kind, subject, other)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Simulator, "_emit", recording)
+            batch = run(spec)
+        served = run(spec.with_overrides(service_config=ServiceConfig()))
+        assert batch.row is not None and served.row is not None
+        assert deterministic_summary(served.row) == deterministic_summary(batch.row)
+        assert served.row["events"] > 0
+        assert served.service is not None
+        assert assigned
+        assert _streamed_assignment_pairs(served.service.events) == sorted(assigned)
+
     def test_traced_run_writes_artifacts_and_matches_single(self, tmp_path):
         shape = dict(
             num_requests=40, num_vehicles=8, city_scale=0.3, algorithm="pruneGDP"
         )
-        traced = run(RunSpec(mode="traced", out_dir=tmp_path, name="t", **shape))
-        single = run(RunSpec(mode="single", **shape))
+        traced = run(RunSpec(out_dir=tmp_path, name="t", **shape))
+        single = run(RunSpec(**shape))
         assert traced.artifacts is not None
         assert sorted(path.name for path in traced.artifacts.values()) == [
             "t.prom", "t.report.md", "t.trace.jsonl",
@@ -737,21 +774,71 @@ class TestOneBuilderForEveryMode:
             single.simulation.metrics.assigned_requests
         )
 
-    def test_scenario_name_means_the_same_in_every_mode(self):
+    def test_scenario_name_means_the_same_in_every_run(self, tmp_path):
         """One workload builder: a scenario name builds the surge-modulated
-        workload and its timeline outside the grid modes too."""
+        workload and its timeline under any other layer (here tracing)."""
         outcome = run(RunSpec(
-            mode="single", scenario="bridge_closure", backend="ch",
-            refresh_policy="coalesce", scale=0.03, algorithm="pruneGDP",
+            scenario="bridge_closure", backend="ch", refresh_policy="coalesce",
+            scale=0.03, algorithm="pruneGDP", out_dir=tmp_path,
         ))
-        assert outcome.simulation is not None
+        assert outcome.artifacts is not None and outcome.row is not None
         assert outcome.simulation.metrics.scenario_events > 0
         assert outcome.simulation.metrics.oracle_rebuilds > 0
+
+    @pytest.mark.parametrize(
+        "layer, algorithm",
+        [({}, "SARD"), ({"chaos": "flaky_oracle"}, "pruneGDP")],
+        ids=["plain", "chaos"],
+    )
+    def test_the_default_algorithm(self, tmp_path, layer, algorithm):
+        outcome = run(RunSpec(
+            num_requests=30, num_vehicles=6, city_scale=0.3,
+            out_dir=tmp_path, name="t", **layer,
+        ))
+        title = (tmp_path / "t.report.md").read_text().splitlines()[0]
+        assert title.startswith(f"# Traced run: {algorithm} on ")
+        assert (outcome.row is None) == (not layer)
+
+    @pytest.mark.parametrize(
+        "layer",
+        [
+            {"scenario": "bridge_closure", "backend": "ch"},
+            {"chaos": "flaky_oracle"},
+            {"service_config": ServiceConfig()},
+        ],
+        ids=["scenario", "chaos", "service"],
+    )
+    def test_out_dir_traces_any_layer_without_changing_it(self, tmp_path, layer):
+        spec = RunSpec(scale=0.03, city_scale=0.35, algorithm="pruneGDP", **layer)
+        plain = run(spec)
+        traced = run(spec.with_overrides(out_dir=tmp_path, name="t"))
+        assert plain.artifacts is None and traced.artifacts is not None
+        assert sorted(path.name for path in traced.artifacts.values()) == [
+            "t.prom", "t.report.md", "t.trace.jsonl",
+        ]
+        assert traced.simulation.unified_cost == plain.simulation.unified_cost
+        assert traced.simulation.metrics.assigned_requests == (
+            plain.simulation.metrics.assigned_requests
+        )
+        assert (traced.service is None) == (plain.service is None)
+        if plain.row is not None:
+            assert traced.row is not None
+            assert deterministic_summary(traced.row) == deterministic_summary(plain.row)
+
+    def test_chaos_and_service_compose(self):
+        """Chaos replayed through the service keeps the batch run's chaos row."""
+        spec = RunSpec(chaos="flaky_oracle", scale=0.03, city_scale=0.35)
+        batch = run(spec)
+        served = run(spec.with_overrides(service_config=ServiceConfig()))
+        assert batch.row is not None and served.row is not None
+        assert served.service is not None
+        assert served.row["faults"] > 0
+        assert deterministic_summary(served.row) == deterministic_summary(batch.row)
 
     def test_traced_honours_a_built_workload(self, tmp_path):
         workload = make_workload("nyc", scale=0.02, city_scale=0.35)
         traced = run(RunSpec(
-            mode="traced", out_dir=tmp_path, workload=workload, algorithm="pruneGDP"
+            out_dir=tmp_path, workload=workload, algorithm="pruneGDP"
         ))
         assert traced.simulation is not None
         assert traced.simulation.metrics.total_requests == len(workload.requests)
@@ -772,7 +859,6 @@ class TestDeprecationShims:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run(RunSpec(
-                mode="single",
                 workload=make_workload("nyc", scale=0.02, city_scale=0.35),
                 algorithm="pruneGDP",
             ))

@@ -85,11 +85,6 @@ class TestQueries:
         assert paper_graph.is_clique({1})
         assert paper_graph.is_clique(set())
 
-    def test_common_neighbors(self, paper_graph: ShareabilityGraph):
-        assert paper_graph.common_neighbors({1, 3}) == {2}
-        assert paper_graph.common_neighbors({1, 4}) == {2}
-        assert paper_graph.common_neighbors({1, 2, 3}) == set()
-
     def test_edges_listed_once(self, paper_graph: ShareabilityGraph):
         edges = list(paper_graph.edges())
         assert len(edges) == 4
@@ -98,26 +93,11 @@ class TestQueries:
     def test_degree_sum_equals_twice_edges(self, paper_graph: ShareabilityGraph):
         assert sum(paper_graph.degrees().values()) == 2 * paper_graph.num_edges
 
-    def test_subgraph(self, paper_graph: ShareabilityGraph):
-        sub = paper_graph.subgraph({1, 2, 4})
-        assert sub.num_nodes == 3
-        assert sub.num_edges == 2
-        assert sub.has_edge(1, 2) and sub.has_edge(2, 4)
-        # The original graph is untouched.
-        assert paper_graph.num_edges == 4
-
     def test_copy_is_independent(self, paper_graph: ShareabilityGraph):
         clone = paper_graph.copy()
         clone.remove_request(2)
         assert paper_graph.num_nodes == 4
         assert clone.num_nodes == 3
-
-    def test_connected_components(self, paper_graph: ShareabilityGraph):
-        assert paper_graph.connected_components() == [{1, 2, 3, 4}]
-        paper_graph.add_request(_request(9))
-        components = paper_graph.connected_components()
-        assert {9} in components
-        assert len(components) == 2
 
     def test_networkx_export(self, paper_graph: ShareabilityGraph):
         graph = paper_graph.to_networkx()

@@ -14,7 +14,7 @@ from repro.model.vehicle import Vehicle
 from repro.network.shortest_path import DistanceOracle
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
-from repro.simulation.metrics import MetricsCollector, unified_cost
+from repro.simulation.metrics import MetricsCollector
 
 
 class _RejectEverything(Dispatcher):
@@ -99,13 +99,6 @@ class TestAccounting:
         assert result.metrics.penalty == pytest.approx(expected_penalty)
         assert result.metrics.service_rate == 0.0
         assert result.metrics.total_travel_time == 0.0
-
-    def test_unified_cost_helper_matches_engine(self, small_world, small_sim_config):
-        network, vehicles, requests = small_world
-        result = _run(small_world, _RejectEverything(), small_sim_config)
-        assert result.unified_cost == pytest.approx(
-            unified_cost(0.0, requests, small_sim_config)
-        )
 
     def test_deterministic_across_runs(self, small_world, small_sim_config):
         first = _run(small_world, make_dispatcher("SARD"), small_sim_config)

@@ -1,4 +1,4 @@
-"""Tests for the synthetic workload generators, presets and trace IO."""
+"""Tests for the synthetic workload generators and presets."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.network.generators import grid_city
 from repro.network.shortest_path import DistanceOracle
 from repro.workloads.presets import WORKLOAD_PRESETS, make_workload
 from repro.workloads.requests_gen import RequestGenerator, generate_vehicles
-from repro.workloads.trace import load_requests_csv, save_requests_csv
 
 
 @pytest.fixture()
@@ -141,27 +140,3 @@ class TestPresets:
         workload = make_workload("nyc", scale=0.02, city_scale=0.3)
         oracle = workload.fresh_oracle()
         assert oracle.stats.queries == 0
-
-
-class TestTraceIO:
-    def test_round_trip(self, tmp_path, small_city, workload_config):
-        oracle = DistanceOracle(small_city)
-        requests = RequestGenerator(small_city, oracle, workload_config,
-                                    SimulationConfig()).generate()
-        path = tmp_path / "trace.csv"
-        save_requests_csv(requests, path)
-        loaded = load_requests_csv(path)
-        assert len(loaded) == len(requests)
-        assert loaded[0].request_id == requests[0].request_id
-        assert loaded[10].source == requests[10].source
-        assert loaded[10].deadline == pytest.approx(requests[10].deadline, abs=1e-3)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(WorkloadError):
-            load_requests_csv(tmp_path / "missing.csv")
-
-    def test_missing_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("request_id,source\n1,2\n")
-        with pytest.raises(WorkloadError):
-            load_requests_csv(path)
