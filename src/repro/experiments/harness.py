@@ -29,7 +29,7 @@ from ..config import ChaosConfig, ServiceConfig, SimulationConfig
 from ..dispatch import make_dispatcher
 from ..dispatch.base import Dispatcher
 from ..exceptions import ConfigurationError, ScenarioError
-from ..observability import LATENCY_BUCKETS_S, tracing, write_run_artifacts
+from ..observability import tracing, write_run_artifacts
 from ..resilience.degrade import ResilienceManager
 from ..resilience.probes import exact_cost_failures
 from ..scenarios.presets import make_chaos_config, make_scenario_workload
@@ -39,7 +39,7 @@ from ..scenarios.timeline import Scenario
 from ..service.schemas import RideRequest
 from ..service.server import DispatchService, ServiceResult
 from ..simulation.engine import SimulationResult, Simulator
-from ..simulation.metrics import MetricsCollector
+from ..simulation.metrics import METRICS, MetricsCollector, export_rows
 from ..workloads.presets import Workload, make_workload
 
 
@@ -409,17 +409,16 @@ def run(spec: RunSpec) -> RunResult:
         )
     artifacts = None
     if spec.out_dir is not None:
-        registry = metrics.as_registry()
-        # Fold the sampled oracle query latencies from the trace into the
-        # registry so the Prometheus snapshot carries the full picture.
-        query_latency = registry.histogram(
-            "oracle.query_seconds",
-            "Sampled shortest-path query latency",
-            buckets=LATENCY_BUCKETS_S,
-        )
-        for record in tracer.records:
-            if record.name == "oracle.query":
-                query_latency.observe(record.duration)
+        latencies = {
+            "dispatch.batch_seconds": (
+                "Per-batch dispatch latency",
+                [record.dispatch_seconds for record in metrics.batch_records],
+            ),
+            "oracle.query_seconds": (
+                "Sampled shortest-path query latency",
+                [record.duration for record in tracer.records if record.name == "oracle.query"],
+            ),
+        }
         artifacts = write_run_artifacts(
             spec.out_dir,
             spec.name,
@@ -431,7 +430,8 @@ def run(spec: RunSpec) -> RunResult:
             ),
             summary=metrics.summary(),
             tracer=tracer,
-            registry=registry,
+            rows=export_rows(METRICS, metrics),
+            latencies=latencies,
             highlight_keys=TRACED_RUN_HIGHLIGHTS,
         )
     return RunResult(

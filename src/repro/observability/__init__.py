@@ -1,17 +1,14 @@
 """End-to-end observability for the dispatch pipeline.
 
-Four pieces (see DESIGN.md "Observability"):
+Three pieces (see DESIGN.md "Observability"):
 
 * :mod:`.trace` -- nested span tracer with virtual sim-time, a bounded
   ring buffer, and a zero-allocation null tracer when disabled.
-* :mod:`.registry` -- typed metric registry (Counter / Gauge / Histogram
-  with fixed buckets), the export shape that
-  :class:`repro.simulation.MetricsCollector` and the dispatch service fill
-  from their metrics tables.
 * :mod:`.instrument` -- the front door: ``with tracing(oracle=...) as t:``
   activates every instrumented site in the pipeline for the block.
 * :mod:`.export` -- JSONL trace, Prometheus text exposition, and a
-  markdown run report; :func:`write_run_artifacts` bundles all three.
+  markdown run report, rendered straight from a metrics table's rows and
+  raw latency samples; :func:`write_run_artifacts` bundles all three.
 """
 
 from .export import (
@@ -27,15 +24,6 @@ from .export import (
 from .instrument import (
     DEFAULT_ORACLE_SAMPLE_EVERY,
     tracing,
-)
-from .registry import (
-    LATENCY_BUCKETS_S,
-    Counter,
-    Gauge,
-    Histogram,
-    Metric,
-    MetricError,
-    MetricRegistry,
 )
 from .trace import (
     DEFAULT_CAPACITY,
@@ -55,16 +43,9 @@ from .trace import (
 __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_ORACLE_SAMPLE_EVERY",
-    "LATENCY_BUCKETS_S",
     "NOOP_SPAN",
     "NULL_TRACER",
     "TRACE_SCHEMA_VERSION",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Metric",
-    "MetricError",
-    "MetricRegistry",
     "NoopSpan",
     "NullTracer",
     "SpanAggregate",

@@ -5,10 +5,11 @@ Three formats, three audiences:
 * **JSONL** (one span object per line) -- for trace tooling and ad-hoc
   ``jq``; append-friendly and streamable, unlike a single JSON array.
 * **Prometheus text exposition** -- for scraping a long-lived dispatch
-  service; rendered from a :class:`~repro.observability.registry.MetricRegistry`
-  so anything registered shows up without exporter changes.
+  service; rendered from the named ``(MetricSpec, value)`` rows of a
+  metrics table plus raw latency samples, so a new table row shows up
+  without exporter changes.
 * **Markdown run report** -- for humans and CI job summaries: headline
-  metrics, per-stage span aggregates, dispatch-latency percentiles.
+  metrics, per-stage span aggregates, exact latency percentiles.
 
 All three are pure functions of their inputs (deterministic given a
 deterministic tracer clock), which is what makes golden-file testing
@@ -18,21 +19,45 @@ bench scripts.
 
 from __future__ import annotations
 
+import bisect
 import json
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .registry import Histogram, MetricRegistry
 from .trace import SpanRecord
 
 if TYPE_CHECKING:
+    from ..simulation.metrics import MetricSpec
     from .trace import Tracer
 
 #: Schema version stamped on every exported span line so downstream
 #: consumers can detect format changes.
 TRACE_SCHEMA_VERSION = 1
+
+#: Histogram bounds for pipeline latencies, in seconds.  Spread log-ish
+#: from 50us to 30s so both a single oracle query and a full rebuild land
+#: in an interior bucket.
+LATENCY_BUCKETS_S: tuple[float, ...] = (
+    0.00005, 0.0002, 0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0, 30.0,
+)
+
+#: ``(row, value)`` pairs of a metrics table over a store (``export_rows``).
+MetricRows = Iterable[tuple["MetricSpec", float]]
+#: ``{dotted name: (help, raw samples in seconds)}``.
+Latencies = Mapping[str, tuple[str, Sequence[float]]]
+
+
+def percentile(sorted_values: Sequence[float], q: float) -> float:
+    """Linear-interpolated ``q``-th percentile of pre-sorted raw samples."""
+    if not sorted_values:
+        return 0.0
+    rank = (q / 100.0) * (len(sorted_values) - 1)
+    low = int(rank)
+    high = min(low + 1, len(sorted_values) - 1)
+    return sorted_values[low] + (sorted_values[high] - sorted_values[low]) * (rank - low)
 
 
 # --------------------------------------------------------------------- #
@@ -63,7 +88,7 @@ def spans_to_jsonl(records: Iterable[SpanRecord]) -> str:
 # Prometheus text exposition
 # --------------------------------------------------------------------- #
 def _prom_name(name: str) -> str:
-    """Map a dotted registry name onto the Prometheus charset."""
+    """Map a dotted metric name onto the Prometheus charset."""
     sanitised = "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in name)
     if sanitised and sanitised[0].isdigit():
         sanitised = "_" + sanitised
@@ -78,28 +103,36 @@ def _prom_value(value: float) -> str:
     return repr(value)
 
 
-def prometheus_text(registry: MetricRegistry, *, prefix: str = "repro") -> str:
-    """Render a registry in the Prometheus text exposition format (v0.0.4).
+def prometheus_text(rows: MetricRows, latencies: Latencies | None = None) -> str:
+    """Render metric rows and latency samples as Prometheus text (v0.0.4).
 
-    Metric names are ``<prefix>_<dotted name with dots as underscores>``;
-    histograms expand into ``_bucket{le=...}`` / ``_sum`` / ``_count``
-    series exactly as a Prometheus client library would.
+    Families come in sorted-name order, each named ``repro_<dotted name with
+    dots as underscores>``.  A row is one ``counter`` / ``gauge`` series; a
+    latency family is a ``histogram`` whose ``_bucket{le=...}`` counts are
+    taken against :data:`LATENCY_BUCKETS_S` here, at render time (a sample
+    equal to a bound counts in that bound's bucket).
     """
+    families: dict[str, tuple[str, str, list[tuple[str, str]]]] = {}
+    for spec, value in rows:
+        families[str(spec.name)] = (spec.help, spec.kind, [("", _prom_value(value))])
+    for dotted, (help_text, samples) in (latencies or {}).items():
+        counts = [0] * (len(LATENCY_BUCKETS_S) + 1)
+        for sample in samples:
+            counts[bisect.bisect_left(LATENCY_BUCKETS_S, sample)] += 1
+        bounds = (*LATENCY_BUCKETS_S, float("inf"))
+        series = [
+            (f'_bucket{{le="{_prom_value(bound)}"}}', str(cumulative))
+            for bound, cumulative in zip(bounds, accumulate(counts))
+        ]
+        series += [("_sum", _prom_value(sum(samples))), ("_count", str(len(samples)))]
+        families[dotted] = (help_text, "histogram", series)
     out: list[str] = []
-    for metric in registry:
-        name = _prom_name(metric.name)
-        if prefix:
-            name = f"{_prom_name(prefix)}_{name}"
-        if metric.description:
-            out.append(f"# HELP {name} {metric.description}")
-        out.append(f"# TYPE {name} {metric.kind}")
-        if isinstance(metric, Histogram):
-            for bound, cumulative in metric.cumulative():
-                out.append(f'{name}_bucket{{le="{_prom_value(bound)}"}} {cumulative}')
-            out.append(f"{name}_sum {_prom_value(metric.total_sum)}")
-            out.append(f"{name}_count {metric.total}")
-        else:
-            out.append(f"{name} {_prom_value(metric.value)}")
+    for dotted, (help_text, kind, series) in sorted(families.items()):
+        name = f"repro_{_prom_name(dotted)}"
+        if help_text:
+            out.append(f"# HELP {name} {help_text}")
+        out.append(f"# TYPE {name} {kind}")
+        out += [f"{name}{suffix} {value}" for suffix, value in series]
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -158,7 +191,7 @@ def markdown_report(
     *,
     summary: Mapping[str, object] | None = None,
     tracer: Tracer | None = None,
-    registry: MetricRegistry | None = None,
+    latencies: Latencies | None = None,
     highlight_keys: Iterable[str] = (),
 ) -> str:
     """Human-facing run report (also rendered into CI job summaries).
@@ -199,37 +232,21 @@ def markdown_report(
         if tracer.evicted:
             lines += [f"_{tracer.evicted} oldest spans evicted from the ring buffer._", ""]
 
-    if registry is not None:
-        histograms = [metric for metric in registry if isinstance(metric, Histogram)]
-        if histograms:
-            lines += [
-                "## Latency distributions",
-                "",
-                "| histogram | count | mean | p50 | p95 | max bucket |",
-                "| --- | --- | --- | --- | --- | --- |",
-            ]
-            for hist in histograms:
-                # Upper bound of the highest non-empty bucket (overflow
-                # observations clamp to the last finite bound).
-                if hist.counts[-1]:
-                    top = hist.bounds[-1]
-                else:
-                    top = next(
-                        (
-                            bound
-                            for bound, count in zip(
-                                reversed(hist.bounds), reversed(hist.counts[:-1])
-                            )
-                            if count
-                        ),
-                        0.0,
-                    )
-                lines.append(
-                    f"| {hist.name} | {hist.total} | {_fmt_seconds(hist.mean)}"
-                    f" | {_fmt_seconds(hist.percentile(50))}"
-                    f" | {_fmt_seconds(hist.percentile(95))} | {_fmt_seconds(top)} |"
-                )
-            lines.append("")
+    if latencies:
+        lines += [
+            "## Latency distributions",
+            "",
+            "| distribution | count | mean | p50 | p95 | max |",
+            "| --- | --- | --- | --- | --- | --- |",
+        ]
+        for dotted, (_, samples) in sorted(latencies.items()):
+            ordered = sorted(samples)
+            mean = sum(ordered) / len(ordered) if ordered else 0.0
+            cells = (
+                mean, percentile(ordered, 50.0), percentile(ordered, 95.0), max(ordered, default=0.0)
+            )
+            lines.append(f"| {dotted} | {len(ordered)} | {' | '.join(map(_fmt_seconds, cells))} |")
+        lines.append("")
 
     return "\n".join(lines).rstrip() + "\n"
 
@@ -244,13 +261,14 @@ def write_run_artifacts(
     title: str | None = None,
     summary: Mapping[str, object] | None = None,
     tracer: Tracer | None = None,
-    registry: MetricRegistry | None = None,
+    rows: MetricRows | None = None,
+    latencies: Latencies | None = None,
     highlight_keys: Iterable[str] = (),
 ) -> dict[str, Path]:
     """Write the three export formats for one run; returns ``{format: path}``.
 
     Emits ``<name>.trace.jsonl`` (when a tracer is given), ``<name>.prom``
-    (when a registry is given), and always ``<name>.report.md``.
+    (when metric rows are given), and always ``<name>.report.md``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -261,9 +279,9 @@ def write_run_artifacts(
         trace_path.write_text(spans_to_jsonl(tracer.records), encoding="utf-8")
         written["trace_jsonl"] = trace_path
 
-    if registry is not None:
+    if rows is not None:
         prom_path = out / f"{name}.prom"
-        prom_path.write_text(prometheus_text(registry), encoding="utf-8")
+        prom_path.write_text(prometheus_text(rows, latencies), encoding="utf-8")
         written["prometheus"] = prom_path
 
     report_path = out / f"{name}.report.md"
@@ -272,7 +290,7 @@ def write_run_artifacts(
             title or name,
             summary=summary,
             tracer=tracer,
-            registry=registry,
+            latencies=latencies,
             highlight_keys=highlight_keys,
         ),
         encoding="utf-8",
@@ -282,10 +300,12 @@ def write_run_artifacts(
 
 
 __all__ = [
+    "LATENCY_BUCKETS_S",
     "TRACE_SCHEMA_VERSION",
     "SpanAggregate",
     "aggregate_spans",
     "markdown_report",
+    "percentile",
     "prometheus_text",
     "span_to_dict",
     "spans_to_jsonl",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Any
 
 from ..config import SimulationConfig
@@ -45,16 +45,57 @@ def check_schema_version(payload: dict[str, Any], *, kind: str) -> None:
         )
 
 
+def _typed(value: Any, annotation: str, *, name: str, kind: str) -> Any:
+    """``value`` checked against a field's annotation (floats widened from ints).
+
+    ``bool`` is not an ``int`` here, and a float must be finite: NaN passes
+    every range check a model makes.  An enum field holds the member
+    ``AssignmentEvent.from_dict`` mapped its wire value to.
+    """
+    if value is None and annotation.endswith(" | None"):
+        return None
+    expected = annotation.removesuffix(" | None")
+    if expected == "int" and type(value) is int:
+        return value
+    if expected == "float" and type(value) in (int, float):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if not math.isfinite(number):
+            raise SchemaError(f"{kind}: {name} must be finite")
+        return number
+    if expected == "dict[str, int]" and type(value) is dict and all(
+        type(key) is str and type(count) is int for key, count in value.items()
+    ):
+        return value
+    if isinstance(value, enum.Enum) and type(value).__name__ == expected:
+        return value
+    raise SchemaError(f"{kind}: {name} must be {expected}, got {value!r}")
+
+
 def _from_payload(cls: type, payload: dict[str, Any], *, kind: str) -> Any:
-    """Shared ``from_dict`` body: version gate + unknown-key rejection."""
+    """Shared ``from_dict`` body: version gate, unknown and missing keys, field types.
+
+    A bad payload raises :class:`SchemaError`, never ``TypeError``.
+    """
     if not isinstance(payload, dict):
         raise SchemaError(f"{kind}: payload must be an object")
     check_schema_version(payload, kind=kind)
-    known = {field.name for field in fields(cls)}
+    known = {field.name: field for field in fields(cls)}
     unknown = [key for key in payload if key not in known]
     if unknown:
-        raise SchemaError(f"{kind}: unknown fields {sorted(unknown)!r}")
-    return cls(**payload)
+        raise SchemaError(f"{kind}: unknown fields {sorted(unknown, key=str)!r}")
+    missing = [
+        name for name, field in known.items()
+        if name not in payload and field.default is MISSING
+    ]
+    if missing:
+        raise SchemaError(f"{kind}: missing fields {missing!r}")
+    return cls(**{
+        name: _typed(value, str(known[name].type), name=name, kind=kind)
+        for name, value in payload.items()
+    })
 
 
 def _loads(text: str, *, kind: str) -> dict[str, Any]:

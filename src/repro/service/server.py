@@ -38,13 +38,12 @@ from ..model.request import Request
 from ..model.vehicle import Vehicle
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
-from ..observability.registry import MetricRegistry
 from ..resilience.degrade import BreakerState, ResilienceManager
 from ..scenarios.refresh import OracleRefreshPolicy
 from ..scenarios.timeline import ScenarioTimeline
 from ..simulation.engine import SimulationResult, Simulator
 from ..simulation.events import Event, EventKind
-from ..simulation.metrics import BatchRecord, MetricsCollector, MetricSpec, export_rows
+from ..simulation.metrics import METRICS, BatchRecord, MetricsCollector, MetricSpec, export_rows
 from .queue import Admission, IngestionQueue
 from .schemas import (
     AssignmentEvent,
@@ -82,7 +81,7 @@ SLO_SERVICE_RATE = 0.75
 MAX_DRAIN_BATCHES = 100_000
 
 _M = MetricSpec
-#: The ``service.*`` registry rows, keyed by :class:`ServiceStats` field.
+#: The ``service.*`` exported rows, keyed by :class:`ServiceStats` field.
 SERVICE_METRICS: tuple[MetricSpec, ...] = (
     _M("received", "Requests offered to the service", "service.received"),
     _M("accepted", "Requests admitted into the queue", "service.accepted"),
@@ -567,19 +566,16 @@ class DispatchService:
             payload["breakers"] = breakers
         return payload
 
-    def registry(self) -> MetricRegistry:
-        """Typed metric registry: simulation metrics + service gauges.
+    def metric_rows(self) -> list[tuple[MetricSpec, float]]:
+        """The live exported rows: simulation metrics + service gauges.
 
-        The simulation half is :meth:`MetricsCollector.as_registry` over the
-        store :meth:`stats` just collected (so anything that renders a
-        finished run -- ``prometheus_text``, the JSON exporter -- renders a
-        live service identically); the ``service.*`` half is that same
-        :class:`ServiceStats` snapshot through :data:`SERVICE_METRICS`.
+        :data:`METRICS` over the store :meth:`stats` just collected (so
+        ``prometheus_text`` renders a live service exactly as it renders a
+        finished run), then that same :class:`ServiceStats` snapshot through
+        :data:`SERVICE_METRICS`.
         """
         stats = self.stats()
-        registry = self._metrics.as_registry()
-        export_rows(registry, SERVICE_METRICS, stats)
-        return registry
+        return export_rows(METRICS, self._metrics) + export_rows(SERVICE_METRICS, stats)
 
 
 __all__ = ["DispatchService", "ServiceResult"]

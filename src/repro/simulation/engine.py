@@ -292,7 +292,7 @@ class Simulator:
 
         Copies in the counters other subsystems own (see ``METRICS``).  Runs
         when the run ends and whenever a live view is asked for (the
-        service's ``stats`` / ``registry``).
+        service's ``stats`` / ``metric_rows``).
         """
         state = self.run_state
         policy = self.refresh_policy

@@ -14,20 +14,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from ..observability.registry import LATENCY_BUCKETS_S, MetricRegistry
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Linear-interpolated percentile over pre-sorted raw samples."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    rank = (q / 100.0) * (len(sorted_values) - 1)
-    low = int(rank)
-    high = min(low + 1, len(sorted_values) - 1)
-    fraction = rank - low
-    return sorted_values[low] + (sorted_values[high] - sorted_values[low]) * fraction
+from ..observability.export import percentile
 
 
 @dataclass
@@ -51,13 +38,13 @@ class MetricSpec:
     """One row of a metrics table: a store field and everything said about it.
 
     A table of these rows drives the collect step, ``summary()`` and the
-    registry export, so adding a metric is one row plus one field on the
-    store (:class:`MetricsCollector`, or the service's ``ServiceStats``).
+    exports, so adding a metric is one row plus one field on the store
+    (:class:`MetricsCollector`, or the service's ``ServiceStats``).
     """
 
     field: str
     help: str
-    #: Dotted registry name; ``None`` keeps the field out of the registry.
+    #: Dotted exported name; ``None`` keeps the field out of the exports.
     name: str | None = None
     kind: str = "counter"
     #: ``"<subsystem>.<attribute path>"`` the collect step copies the value
@@ -65,21 +52,18 @@ class MetricSpec:
     source: str | None = None
 
 
-def export_rows(registry: MetricRegistry, table: Iterable[MetricSpec], store: object) -> None:
-    """Write every named row's value in ``store`` into ``registry``.
+def export_rows(table: Iterable[MetricSpec], store: object) -> list[tuple[MetricSpec, float]]:
+    """Every named row of ``table`` with its value in ``store``.
 
     A per-key counter (a ``dict`` field) is exported as its total.
     """
+    rows = []
     for row in table:
         if row.name is None:
             continue
         value = getattr(store, row.field)
-        if isinstance(value, dict):
-            value = sum(value.values())
-        if row.kind == "counter":
-            registry.counter(row.name, row.help).inc(value)
-        else:
-            registry.gauge(row.name, row.help).set(value)
+        rows.append((row, sum(value.values()) if isinstance(value, dict) else value))
+    return rows
 
 
 _M = MetricSpec
@@ -212,8 +196,8 @@ class MetricsCollector:
         """
         samples = sorted(record.dispatch_seconds for record in self.batch_records)
         return {
-            "dispatch_p50_seconds": _percentile(samples, 50.0),
-            "dispatch_p95_seconds": _percentile(samples, 95.0),
+            "dispatch_p50_seconds": percentile(samples, 50.0),
+            "dispatch_p95_seconds": percentile(samples, 95.0),
             "dispatch_max_seconds": samples[-1] if samples else 0.0,
         }
 
@@ -235,24 +219,6 @@ class MetricsCollector:
             for attribute in path:
                 value = getattr(value, attribute)
             setattr(self, row.field, value)
-
-    def as_registry(self) -> MetricRegistry:
-        """The store as a typed registry: one metric per named table row.
-
-        The per-batch dispatch latencies are the one distribution; they
-        populate a histogram so :func:`repro.observability.prometheus_text`
-        can render the tails of a run.
-        """
-        registry = MetricRegistry()
-        export_rows(registry, METRICS, self)
-        latency = registry.histogram(
-            "dispatch.batch_seconds",
-            "Per-batch dispatch latency",
-            buckets=LATENCY_BUCKETS_S,
-        )
-        for record in self.batch_records:
-            latency.observe(record.dispatch_seconds)
-        return registry
 
     def summary(self) -> dict[str, float]:
         """Flat dictionary used by the reporting layer: every table row under

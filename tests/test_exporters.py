@@ -1,7 +1,7 @@
 """Golden-file tests for the observability exporters.
 
 The exporters are pure functions of their inputs, and the tracer accepts an
-injected clock, so a fully deterministic trace + registry can be rendered
+injected clock, so a fully deterministic trace + metric rows can be rendered
 and compared byte-for-byte against committed golden files.  To regenerate
 after an intentional format change::
 
@@ -20,7 +20,6 @@ import pytest
 
 from repro.observability import (
     TRACE_SCHEMA_VERSION,
-    MetricRegistry,
     SpanTracer,
     aggregate_spans,
     markdown_report,
@@ -29,6 +28,7 @@ from repro.observability import (
     spans_to_jsonl,
     write_run_artifacts,
 )
+from repro.simulation.metrics import MetricSpec
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -46,8 +46,8 @@ class StepClock:
         return value
 
 
-def build_fixture() -> tuple[SpanTracer, MetricRegistry, dict]:
-    """One small deterministic run: a traced batch plus a filled registry."""
+def build_fixture() -> tuple[SpanTracer, list, dict, dict]:
+    """One small deterministic run: a traced batch, metric rows, latencies."""
     tracer = SpanTracer(capacity=16, clock=StepClock())
     tracer.set_sim_time(30.0)
     with tracer.span("dispatch.batch", batch=0, algorithm="SARD") as batch:
@@ -58,17 +58,18 @@ def build_fixture() -> tuple[SpanTracer, MetricRegistry, dict]:
         batch.tag("assignments", 4)
     tracer.event("oracle.rebuild", duration=1.5, policy="eager", backend="ch")
 
-    registry = MetricRegistry()
-    registry.counter("requests.total", "Requests released").inc(12)
-    registry.counter("requests.assigned", "Requests assigned").inc(9)
-    registry.gauge("sim.service_rate", "Fraction of requests assigned").set(0.75)
-    histogram = registry.histogram(
-        "dispatch.batch_seconds",
-        "Per-batch dispatch latency",
-        buckets=(0.001, 0.01, 0.1),
-    )
-    for value in (0.0005, 0.004, 0.05, 0.2):
-        histogram.observe(value)
+    rows = [
+        (MetricSpec("total_requests", "Requests released", "requests.total"), 12),
+        (MetricSpec("assigned_requests", "Requests assigned", "requests.assigned"), 9),
+        (
+            MetricSpec("service_rate", "Fraction of requests assigned", "sim.service_rate",
+                       "gauge"),
+            0.75,
+        ),
+    ]
+    latencies = {
+        "dispatch.batch_seconds": ("Per-batch dispatch latency", [0.0005, 0.004, 0.05, 0.2]),
+    }
 
     summary = {
         "service_rate": 0.75,
@@ -76,7 +77,7 @@ def build_fixture() -> tuple[SpanTracer, MetricRegistry, dict]:
         "total_requests": 12.0,
         "dispatch_seconds": 2.5,
     }
-    return tracer, registry, summary
+    return tracer, rows, latencies, summary
 
 
 def check_golden(name: str, produced: str) -> None:
@@ -95,22 +96,22 @@ def check_golden(name: str, produced: str) -> None:
 # golden files
 # --------------------------------------------------------------------- #
 def test_jsonl_matches_golden():
-    tracer, _, _ = build_fixture()
+    tracer, _, _, _ = build_fixture()
     check_golden("trace.jsonl", spans_to_jsonl(tracer.records))
 
 
 def test_prometheus_matches_golden():
-    _, registry, _ = build_fixture()
-    check_golden("metrics.prom", prometheus_text(registry))
+    _, rows, latencies, _ = build_fixture()
+    check_golden("metrics.prom", prometheus_text(rows, latencies))
 
 
 def test_markdown_report_matches_golden():
-    tracer, registry, summary = build_fixture()
+    tracer, _, latencies, summary = build_fixture()
     report = markdown_report(
         "Golden traced run",
         summary=summary,
         tracer=tracer,
-        registry=registry,
+        latencies=latencies,
         highlight_keys=("service_rate", "dispatch_seconds"),
     )
     check_golden("report.md", report)
@@ -120,7 +121,7 @@ def test_markdown_report_matches_golden():
 # schema / structural properties
 # --------------------------------------------------------------------- #
 def test_jsonl_lines_are_versioned_objects():
-    tracer, _, _ = build_fixture()
+    tracer, _, _, _ = build_fixture()
     lines = spans_to_jsonl(tracer.records).splitlines()
     assert len(lines) == len(tracer.records)
     for line in lines:
@@ -134,7 +135,7 @@ def test_jsonl_empty_trace_is_empty_string():
 
 
 def test_span_to_dict_rounds_timings():
-    tracer, _, _ = build_fixture()
+    tracer, _, _, _ = build_fixture()
     record = tracer.records[0]
     payload = span_to_dict(record)
     assert payload["start_s"] == round(record.start, 9)
@@ -142,23 +143,21 @@ def test_span_to_dict_rounds_timings():
 
 
 def test_prometheus_histogram_series_shape():
-    _, registry, _ = build_fixture()
-    text = prometheus_text(registry)
+    _, rows, latencies, _ = build_fixture()
+    text = prometheus_text(rows, latencies)
     assert 'repro_dispatch_batch_seconds_bucket{le="+Inf"} 4' in text
     assert "repro_dispatch_batch_seconds_count 4" in text
     assert "# TYPE repro_requests_total counter" in text
     assert "# TYPE repro_sim_service_rate gauge" in text
 
 
-def test_prometheus_custom_prefix_and_empty_registry():
-    registry = MetricRegistry()
-    assert prometheus_text(registry) == ""
-    registry.counter("one").inc()
-    assert prometheus_text(registry, prefix="custom").startswith("# TYPE custom_one")
+def test_prometheus_empty_input_renders_nothing():
+    assert prometheus_text([]) == ""
+    assert prometheus_text([], {}) == ""
 
 
 def test_aggregate_spans_orders_by_total_duration():
-    tracer, _, _ = build_fixture()
+    tracer, _, _, _ = build_fixture()
     aggregates = aggregate_spans(tracer.records)
     assert [agg.name for agg in aggregates[:2]] == ["dispatch.batch", "oracle.rebuild"]
     by_name = {agg.name: agg for agg in aggregates}
@@ -168,10 +167,10 @@ def test_aggregate_spans_orders_by_total_duration():
 
 
 def test_write_run_artifacts_emits_all_three_formats(tmp_path):
-    tracer, registry, summary = build_fixture()
+    tracer, rows, latencies, summary = build_fixture()
     paths = write_run_artifacts(
         tmp_path, "run", title="Artifacts", summary=summary,
-        tracer=tracer, registry=registry,
+        tracer=tracer, rows=rows, latencies=latencies,
     )
     assert set(paths) == {"trace_jsonl", "prometheus", "report_md"}
     for path in paths.values():

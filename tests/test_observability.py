@@ -1,8 +1,9 @@
-"""Tests for the observability layer: tracer, registry, instrumentation.
+"""Tests for the observability layer: tracer, exposition, instrumentation.
 
 The exporter golden-file tests live in ``test_exporters.py``; this module
 covers the tracer semantics (nesting, the disabled no-op identity, ring
-buffer eviction), the typed metric registry, the event-log query helpers,
+buffer eviction), the shape of the Prometheus exposition, the event-log
+query helpers,
 the metrics facade, and the end-to-end instrumentation contract: with
 tracing on, the per-stage spans of a dispatch batch account for the batch's
 measured dispatch time.
@@ -12,26 +13,30 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import NetworkError
 from repro.network.shortest_path import DistanceOracle
 from repro.observability import (
     NOOP_SPAN,
     NULL_TRACER,
-    MetricError,
-    MetricRegistry,
     SpanTracer,
     get_tracer,
+    prometheus_text,
     set_tracer,
     tracing,
     use_tracer,
 )
+from repro.observability.export import LATENCY_BUCKETS_S
+from repro.service.schemas import ServiceStats
 from repro.service.server import SERVICE_METRICS
 from repro.simulation.events import Event, EventKind, EventLog
-from repro.simulation.metrics import METRICS, BatchRecord, MetricsCollector
+from repro.simulation.metrics import METRICS, BatchRecord, MetricsCollector, export_rows
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -182,93 +187,85 @@ class TestNullTracer:
 
 
 # --------------------------------------------------------------------- #
-# MetricRegistry
+# Prometheus exposition
 # --------------------------------------------------------------------- #
-class TestMetricRegistry:
-    def test_counter_get_or_create_is_idempotent(self):
-        registry = MetricRegistry()
-        first = registry.counter("a.count", "desc")
-        second = registry.counter("a.count")
-        assert first is second
-        first.inc()
-        first.inc(2)
-        assert first.value == 3.0
+_SERIES = re.compile(r'(?P<name>[a-z_][a-z0-9_]*)(\{le="(?P<le>[^"]+)"\})? (?P<value>\S+)')
 
-    def test_counter_rejects_negative_increment(self):
-        registry = MetricRegistry()
-        with pytest.raises(MetricError):
-            registry.counter("a").inc(-1)
 
-    def test_gauge_tracks_peak(self):
-        registry = MetricRegistry()
-        gauge = registry.gauge("g")
-        gauge.set(5.0)
-        gauge.set(2.0)
-        gauge.set(1.0)
-        assert gauge.value == 1.0
-        assert gauge.peak == 5.0
+def _series(text: str) -> list[tuple[str, str | None, float]]:
+    """``(name, le, value)`` of every series line, asserting each line's shape."""
+    series = []
+    for line in text.splitlines():
+        if line.startswith("#"):
+            assert line.split(" ", 2)[1] in ("HELP", "TYPE"), line
+            continue
+        match = _SERIES.fullmatch(line)
+        assert match is not None, line
+        series.append((match["name"], match["le"], float(match["value"])))
+    return series
 
-    def test_type_conflict_raises(self):
-        registry = MetricRegistry()
-        registry.counter("name")
-        with pytest.raises(MetricError):
-            registry.gauge("name")
-        with pytest.raises(MetricError):
-            registry.histogram("name")
 
-    def test_histogram_bucket_conflict_raises(self):
-        registry = MetricRegistry()
-        registry.histogram("h", buckets=(0.1, 1.0))
-        with pytest.raises(MetricError):
-            registry.histogram("h", buckets=(0.2, 1.0))
+def _histogram(samples: list[float]) -> tuple[list[tuple[float, float]], float, float]:
+    """Rendered ``(le, cumulative count)`` pairs, ``_sum`` and ``_count``."""
+    text = prometheus_text([], {"h.seconds": ("help", samples)})
+    series = _series(text)
+    buckets = [
+        (float(le), value) for name, le, value in series if name == "repro_h_seconds_bucket"
+    ]
+    values = {name: value for name, le, value in series if le is None}
+    return buckets, values["repro_h_seconds_sum"], values["repro_h_seconds_count"]
 
-    def test_histogram_buckets_must_strictly_increase(self):
-        registry = MetricRegistry()
-        with pytest.raises(MetricError):
-            registry.histogram("bad", buckets=(1.0, 1.0))
-        with pytest.raises(MetricError):
-            registry.histogram("empty", buckets=())
 
-    def test_histogram_bucketing_and_cumulative(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("h", buckets=(0.001, 0.01, 0.1))
-        for value in (0.0005, 0.004, 0.05, 0.2):
-            hist.observe(value)
-        assert hist.total == 4
-        assert hist.counts == [1, 1, 1, 1]
-        assert hist.cumulative() == [
-            (0.001, 1),
-            (0.01, 2),
-            (0.1, 3),
-            (float("inf"), 4),
-        ]
+class TestExposition:
+    def test_every_series_line_has_the_text_format_shape_in_sorted_name_order(self):
+        metrics = MetricsCollector(total_requests=12, assigned_requests=9, penalty=3.5)
+        metrics.record_batch(_batch(0, 0.004))
+        text = prometheus_text(
+            export_rows(METRICS, metrics),
+            {"dispatch.batch_seconds": ("Per-batch dispatch latency", [0.004]), "a.b": ("", [])},
+        )
+        _series(text)  # asserts every line's shape
+        families: list[str] = []
+        for line in text.splitlines():
+            if line.startswith("# TYPE"):
+                families.append(line.split()[2])
+            elif not line.startswith("#"):
+                # A series sits under its own family's TYPE line.
+                name = line.split()[0].split("{")[0]
+                suffixes = ("", "_bucket", "_sum", "_count")
+                assert name in {families[-1] + suffix for suffix in suffixes}
+        assert families == sorted(families)
+        assert families[0] == "repro_a_b" and "repro_dispatch_batch_seconds" in families
 
-    def test_histogram_percentile_clamps_overflow(self):
-        registry = MetricRegistry()
-        hist = registry.histogram("h", buckets=(1.0, 2.0))
-        for value in (0.5, 1.5, 10.0, 20.0):
-            hist.observe(value)
-        assert hist.percentile(0) == 0.0
-        assert hist.percentile(100) == 2.0  # overflow clamps to last bound
-        with pytest.raises(MetricError):
-            hist.percentile(101)
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=40))
+    def test_buckets_are_cumulative_and_agree_with_sum_and_count(self, samples):
+        buckets, total, count = _histogram(samples)
+        assert [le for le, _ in buckets] == [*LATENCY_BUCKETS_S, float("inf")]
+        cumulative = [value for _, value in buckets]
+        assert cumulative == sorted(cumulative)
+        assert cumulative[-1] == count == len(samples)
+        assert total == sum(samples)
+        for le, value in buckets:
+            assert value == sum(sample <= le for sample in samples)
 
-    def test_iteration_is_sorted_by_name(self):
-        registry = MetricRegistry()
-        registry.counter("z")
-        registry.counter("a")
-        registry.gauge("m")
-        assert [metric.name for metric in registry] == ["a", "m", "z"]
-        assert len(registry) == 3
-        assert "a" in registry and "missing" not in registry
+    def test_a_sample_on_a_bound_counts_in_that_bounds_bucket(self):
+        bound = LATENCY_BUCKETS_S[3]
+        buckets, _, _ = _histogram([bound])
+        by_le = dict(buckets)
+        assert by_le[LATENCY_BUCKETS_S[2]] == 0
+        assert by_le[bound] == 1
 
-    def test_as_dict_expands_histograms(self):
-        registry = MetricRegistry()
-        registry.counter("c").inc(2)
-        hist = registry.histogram("h", buckets=(1.0,))
-        hist.observe(0.5)
-        hist.observe(3.0)
-        assert registry.as_dict() == {"c": 2.0, "h.count": 2.0, "h.sum": 3.5}
+    def test_rows_render_their_help_type_and_value(self):
+        stats = ServiceStats(
+            received=9, accepted=4, rejected={"queue_full": 3, "shed_oldest": 2}, batches=2,
+            queue_depth=1, sim_time=12.5,
+        )
+        text = prometheus_text(export_rows(SERVICE_METRICS, stats))
+        assert "# HELP repro_service_rejected Requests rejected (all reasons)" in text
+        assert "# TYPE repro_service_queue_depth gauge" in text
+        assert "repro_service_rejected 5" in text.splitlines()
+        assert "repro_service_sim_time 12.5" in text.splitlines()
 
 
 # --------------------------------------------------------------------- #
@@ -345,8 +342,8 @@ class TestMetricsFacade:
     def test_table_is_complete(self, traced_sard_run):
         """One table: every numeric field of the store is a row, every row
         is in ``summary()`` under its field name and -- when named -- in the
-        registry under that name and kind, and the exported names of a
-        finished run are the committed list."""
+        exposition under that name, help and kind, and the exported names of
+        a finished run are the committed list."""
         metrics = traced_sard_run[0].metrics
         numeric = {
             spec.name
@@ -355,21 +352,23 @@ class TestMetricsFacade:
         } | {"service_rate", "unified_cost"}
         assert {row.field for row in METRICS} == numeric
         summary = metrics.summary()
-        registry = metrics.as_registry()
+        rows = export_rows(METRICS, metrics)
+        text = prometheus_text(rows).splitlines()
+        exported = {spec.name: value for spec, value in rows}
         for row in METRICS:
             value = float(getattr(metrics, row.field))
             assert summary[row.field] == value
             if row.name is not None:
-                exported = registry.get(row.name)
-                assert exported.kind == row.kind
-                assert exported.description == row.help
-                assert exported.value == value
-        assert registry.get("dispatch.batch_seconds").total == metrics.num_batches
+                assert exported[row.name] == value
+                name = "repro_" + row.name.replace(".", "_")
+                assert f"# HELP {name} {row.help}" in text
+                assert f"# TYPE {name} {row.kind}" in text
+                assert float(next(line for line in text if line.startswith(f"{name} ")).split()[1]) == value
         golden = json.loads((GOLDEN_DIR / "metric_names.json").read_text())
         assert sorted(summary) == golden["summary"]
-        assert sorted(registry.as_dict()) == golden["registry"]
+        assert sorted(exported) == golden["rows"]
         named = [row.name for row in SERVICE_METRICS if row.name is not None]
-        assert sorted(named) == golden["service_registry"]
+        assert sorted(named) == golden["service_rows"]
 
 
 # --------------------------------------------------------------------- #

@@ -2,7 +2,7 @@
 
 Covers the typed schemas (validation + wire round-trips), the bounded
 ingestion queue (ordering, admission policies, async backpressure), the
-service lifecycle (tick alignment, graceful shutdown, health/stats/registry
+service lifecycle (tick alignment, graceful shutdown, health/stats/metric rows
 endpoints), the service-vs-batch parity gate, and the validation and the
 package-level surface of the ``run(RunSpec)`` front door.
 """
@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import json
 import math
+import operator
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.config import REFRESH_POLICIES, ScenarioConfig, ServiceConfig, SimulationConfig
@@ -25,6 +29,7 @@ from repro.experiments.harness import RunSpec, deterministic_summary, run
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.observability.export import _fmt_seconds
 from repro.scenarios import ScaleEdges, ScenarioTimeline, make_refresh_policy
 from repro.service import (
     Admission,
@@ -40,6 +45,7 @@ from repro.service.schemas import SCHEMA_VERSION, check_schema_version
 from repro.service.server import SLO_SERVICE_RATE
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
+from repro.simulation.metrics import METRICS, export_rows
 from repro.workloads.presets import make_workload
 
 
@@ -189,6 +195,84 @@ class TestServiceStatsSchema:
     def test_validation_rejects(self, overrides):
         with pytest.raises(SchemaError):
             ServiceStats(**overrides)
+
+
+#: Payloads the boundary used to answer with ``TypeError`` (or accept).
+MISTYPED_PAYLOADS = [
+    pytest.param(RideRequest, {"request_id": "5", "origin": 0, "destination": 7,
+                               "release_time": 0.0}, id="ride-str-id"),
+    pytest.param(RideRequest, {"request_id": 5, "origin": 0, "destination": 7},
+                 id="ride-missing-release"),
+    pytest.param(RideRequest, {"request_id": 5.5, "origin": 0, "destination": 7,
+                               "release_time": 0.0}, id="ride-float-id"),
+    pytest.param(RideRequest, {"request_id": True, "origin": 0, "destination": 7,
+                               "release_time": 0.0}, id="ride-bool-id"),
+    pytest.param(RideRequest, {"request_id": 5, "origin": 0, "destination": 7,
+                               "release_time": 10**400}, id="ride-huge-time"),
+    pytest.param(AssignmentEvent, {"event": "expired", "time": 1.0}, id="event-missing-id"),
+    pytest.param(ServiceStats, {"received": "5"}, id="stats-str-count"),
+    pytest.param(ServiceStats, {"rejected": {"queue_full": 1.5}}, id="stats-float-reason"),
+    pytest.param(ServiceStats, {"sim_time": math.nan}, id="stats-nan-time"),
+]
+
+
+@pytest.mark.parametrize(("schema", "payload"), MISTYPED_PAYLOADS)
+def test_mistyped_payloads_raise_schema_error(schema, payload):
+    with pytest.raises(SchemaError):
+        schema.from_dict(payload)
+    with pytest.raises(SchemaError):
+        schema.from_json(json.dumps(payload))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=4,
+)
+#: A value each field annotation accepts (most of the time: ranges include
+#: values the models' own checks refuse).
+_PLAUSIBLE = {
+    "int": st.integers(-1, 50),
+    "float": st.floats(-1.0, 500.0) | st.integers(0, 500),
+    "dict[str, int]": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+    "AssignmentEventKind": st.sampled_from([kind.value for kind in AssignmentEventKind]),
+    "RejectionReason": st.sampled_from([reason.value for reason in RejectionReason]),
+}
+
+
+def _json_objects(schema: type) -> st.SearchStrategy:
+    """Arbitrary JSON objects: a plausible payload with a few keys
+    overwritten or added by arbitrary JSON, or any object at all."""
+    fields = dataclasses.fields(schema)
+    keys = st.sampled_from([field.name for field in fields]) | st.text(max_size=3)
+    plausible = {}
+    for field in fields:
+        annotation = str(field.type)
+        plausible[field.name] = _PLAUSIBLE[annotation.removesuffix(" | None")]
+        if annotation.endswith(" | None"):
+            plausible[field.name] |= st.none()
+    required = [field.name for field in fields if field.default is dataclasses.MISSING]
+    base = st.fixed_dictionaries(
+        {name: plausible[name] for name in required},
+        optional={name: value for name, value in plausible.items() if name not in required},
+    )
+    junk = st.dictionaries(keys, _JSON_VALUES, max_size=2)
+    return st.builds(operator.or_, base, junk) | st.dictionaries(keys, _JSON_VALUES, max_size=6)
+
+
+@pytest.mark.parametrize("schema", [RideRequest, AssignmentEvent, ServiceStats])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_parsing_arbitrary_json_raises_schema_error_or_round_trips(schema, data):
+    payload = data.draw(_json_objects(schema))
+    for parse, source in ((schema.from_dict, payload), (schema.from_json, json.dumps(payload))):
+        try:
+            model = parse(source)
+        except SchemaError:
+            continue
+        assert schema.from_dict(model.to_dict()).to_dict() == model.to_dict()
+        assert schema.from_json(model.to_json()) == schema.from_dict(model.to_dict())
 
 
 # --------------------------------------------------------------------- #
@@ -492,14 +576,14 @@ class TestDispatchServiceLifecycle:
         assert health["status"] == "ok"
         service.shutdown()
 
-    def test_registry_carries_service_metrics(
+    def test_rows_carry_service_metrics(
         self, make_service, make_request
     ):
         service = make_service()
         service.start()
         service.submit(make_request(1, 0, 7, 0.0))
         service.tick()
-        snapshot = service.registry().as_dict()
+        snapshot = {spec.name: value for spec, value in service.metric_rows()}
         assert snapshot["service.received"] == 1
         assert snapshot["service.accepted"] == 1
         assert snapshot["service.batches"] == 1
@@ -629,14 +713,14 @@ class TestStreamIsIndependentOfRetention:
 
 
 class TestLiveViewIsTheTruth:
-    def test_mid_run_registry_then_frozen_result(self):
+    def test_mid_run_rows_then_frozen_result(self):
         service, rides = _nyc_service()
         service.start()
         for ride in rides:
             service.submit(ride)
         for _ in range(12):
             service.tick()
-        live = service.registry().as_dict()
+        live = {spec.name: value for spec, value in service.metric_rows()}
         travelled = sum(v.total_travel_time for v in service.vehicles)
         assert travelled > 0
         assert live["oracle.queries"] == service.oracle.stats.queries > 0
@@ -646,9 +730,12 @@ class TestLiveViewIsTheTruth:
         )
 
         result = service.shutdown()
-        final = result.simulation.metrics.as_registry().as_dict()
+        final = {
+            spec.name: value
+            for spec, value in export_rows(METRICS, result.simulation.metrics)
+        }
         service.oracle.stats.reset()
-        frozen = service.registry().as_dict()
+        frozen = {spec.name: value for spec, value in service.metric_rows()}
         for name in ("oracle.queries", "requests.completed", "sim.unified_cost"):
             assert frozen[name] == final[name]
         assert frozen["oracle.queries"] > live["oracle.queries"]
@@ -765,8 +852,19 @@ class TestOneBuilderForEveryRun:
         ]
         for path in traced.artifacts.values():
             assert path.stat().st_size > 0
-        title = (tmp_path / "t.report.md").read_text().splitlines()[0]
-        assert "pruneGDP on NYC (40 requests, 8 vehicles" in title
+        report = (tmp_path / "t.report.md").read_text().splitlines()
+        assert "pruneGDP on NYC (40 requests, 8 vehicles" in report[0]
+        # One percentile rule: the latency table repeats the exact p95.
+        latency_row = next(line for line in report if line.startswith("| dispatch.batch_seconds"))
+        p95 = traced.simulation.metrics.dispatch_latency()["dispatch_p95_seconds"]
+        assert latency_row.split(" | ")[4] == _fmt_seconds(p95)
+        prom = (tmp_path / "t.prom").read_text().splitlines()
+        golden = json.loads((Path(__file__).parent / "golden" / "metric_names.json").read_text())
+        assert [line.split()[2] for line in prom if line.startswith("# TYPE")] == sorted(
+            "repro_" + name.replace(".", "_") for name in golden["rows"] + golden["latencies"]
+        )
+        batches = traced.simulation.metrics.num_batches
+        assert f"repro_dispatch_batch_seconds_count {batches}" in prom
         assert traced.simulation is not None and single.simulation is not None
         assert traced.simulation.unified_cost == single.simulation.unified_cost
         assert traced.simulation.service_rate == single.simulation.service_rate
