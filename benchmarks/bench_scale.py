@@ -23,7 +23,10 @@ Every rung runs in its own child process (a fresh peak RSS,
 together; a rung over budget is killed and recorded as a miss, never
 raised.  Each rung reports build and run seconds, ms per request, peak
 RSS, ``service_rate`` and ``unified_cost``, the oracle's counters, the
-``sard.*`` stage split from spans, and the events the service streamed:
+``sard.*`` stage split from spans, the seconds spent in candidate search
+(``repro.dispatch.base.candidate_vehicles``, timed by a wrapper the child
+installs the way the ledger's ``LayerProbe`` does, so ``src/`` carries no
+extra span) and the events the service streamed:
 ``EventLog.dropped`` is what an :class:`~repro.simulation.events.EventLog`
 would drop of them at its cap.  The smoke rungs (``f <= 0.05``) repeat
 exactly, and the pytest entry point compares their exact metrics with the
@@ -108,6 +111,26 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload), flush=True)
 
 
+def time_candidate_search() -> dict[str, float]:
+    """Wrap ``candidate_vehicles`` in every loaded ``repro`` module that
+    holds it; the returned dict accumulates the wall seconds of its calls."""
+    from repro.dispatch import base
+
+    original, seconds = base.candidate_vehicles, {"candidate_s": 0.0}
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            seconds["candidate_s"] += time.perf_counter() - start
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, "candidate_vehicles", None) is original:
+            module.candidate_vehicles = timed
+    return seconds
+
+
 def run_rung(rung: Rung) -> None:
     """Build and serve one rung, printing a JSON line after each phase."""
     from repro.config import ServiceConfig
@@ -154,7 +177,7 @@ def run_rung(rung: Rung) -> None:
         labels = [*data.labeling.forward, *data.labeling.backward]
         built["label_mean"] = sum(map(len, labels)) / len(labels)
     _emit(built)
-    clock = StageClock()
+    clock, search = StageClock(), time_candidate_search()
     start = time.perf_counter()
     with use_tracer(clock):
         outcome = run(RunSpec(
@@ -178,6 +201,8 @@ def run_rung(rung: Rung) -> None:
         "events": events,
         "eventlog_dropped": max(events - EventLog.MAX_EVENTS, 0),
         "stage_s": {stage: clock.seconds.get(stage, 0.0) for stage in STAGES},
+        **search,
+        "candidate_share": search["candidate_s"] / run_s,
     })
 
 
@@ -263,6 +288,7 @@ COLUMNS = {
     "cost_": ("unified", "s"),
     "settled_": ("settled", "s"),
     "stages_": ("sync/queues/rounds/mat s", "s"),
+    "candidate_": ("candidate search s (share)", "s"),
     "dropped_": ("EventLog.dropped", "s"),
 }
 
@@ -293,6 +319,10 @@ def table_rows(rows: list[dict]) -> list[dict]:
                 "/".join(f"{stages[stage]:.2f}" for stage in STAGES) if stages else "-"
             ),
             "dropped_": _cell(row, "eventlog_dropped", "d"),
+            "candidate_": (
+                f"{row['candidate_s']:.2f} ({row['candidate_share']:.0%})"
+                if "candidate_s" in row else _cell(row, "candidate_s", "s")
+            ),
         })
     return out
 
@@ -313,7 +343,9 @@ def save(rows: list[dict]) -> None:
         f"{_g(summary['ms_per_request_exponent_fixed_regime'])} (fixed regime).  "
         f"Build s ~ nodes^{_g(summary['build_exponent_hub_label'])} (hub_label), "
         f"nodes^{_g(summary['build_exponent_ch'])} (ch).  Stage seconds are "
-        "span totals of sard.sync_graph / build_queues / rounds / materialize."
+        "span totals of sard.sync_graph / build_queues / rounds / materialize; "
+        "candidate search is the wall time inside candidate_vehicles and its "
+        "share of run s."
     )
     text = format_grid(
         table_rows(rows), COLUMNS,

@@ -6,7 +6,6 @@ import abc
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from ..config import SimulationConfig
 from ..insertion.linear_insertion import InsertionOutcome, best_insertion
@@ -44,6 +43,15 @@ class DispatchContext:
     config: SimulationConfig
     #: Mean driving speed in m/s, used to convert time slack to search radii.
     average_speed: float = 10.0
+    #: ``vehicles`` by id and each one's position in ``vehicles``; built from
+    #: them unless given (the engine keeps both, rebuilt on shift events).
+    vehicles_by_id: dict[int, Vehicle] = field(default_factory=dict)
+    fleet_rank: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        fleet = self.vehicles
+        self.vehicles_by_id = self.vehicles_by_id or {v.vehicle_id: v for v in fleet}
+        self.fleet_rank = self.fleet_rank or {v.vehicle_id: r for r, v in enumerate(fleet)}
 
     def working_routes(self) -> WorkingRoutes:
         """The routes one dispatch call plans on, snapshotted on first use."""
@@ -65,16 +73,6 @@ class DispatchContext:
             config=config,
             average_speed=self.average_speed,
         )
-
-    @cached_property
-    def vehicles_by_id(self) -> dict[int, Vehicle]:
-        """The fleet keyed by vehicle identifier (built on first use)."""
-        return {vehicle.vehicle_id: vehicle for vehicle in self.vehicles}
-
-    @cached_property
-    def fleet_rank(self) -> dict[int, int]:
-        """Each vehicle's position in ``vehicles`` (built on first use)."""
-        return {vehicle.vehicle_id: rank for rank, vehicle in enumerate(self.vehicles)}
 
 
 class WorkingRoutes(dict[int, RouteState]):
@@ -213,11 +211,8 @@ def candidate_vehicles(
             (math.hypot(px - x, py - y), rank) for rank, (px, py) in enumerate(positions)
         ]
     else:
-        fleet_rank = context.fleet_rank
-        ranked = [
-            (distance, fleet_rank[vid])
-            for distance, vid in index.k_nearest(x, y, max_candidates)
-        ]
+        rank_of = context.fleet_rank
+        ranked = [(d, rank_of[vid]) for d, vid in index.k_nearest(x, y, max_candidates)]
     ranked.sort()
     cut = [pool[rank] for _, rank in ranked[:max_candidates]]
     if found:

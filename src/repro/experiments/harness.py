@@ -415,7 +415,7 @@ def run(spec: RunSpec) -> RunResult:
                 [record.dispatch_seconds for record in metrics.batch_records],
             ),
             "oracle.query_seconds": (
-                "Sampled shortest-path query latency",
+                "Latency of each computed shortest-path query",
                 [record.duration for record in tracer.records if record.name == "oracle.query"],
             ),
         }

@@ -9,6 +9,11 @@ The same structure backs two different uses in this reproduction:
   them), and
 * indexing the source nodes of pending requests inside the shareability
   graph builder (Algorithm 1, line 4).
+
+Positions are also kept in a flat numpy array, one slot per key, for
+:meth:`GridIndex.k_nearest`.  :meth:`GridIndex.query_radius` stays a cell
+walk: at the radii dispatch asks (3 to 6 cells, 2 to 6 hits) a numpy pass
+measured slower, 0.127 s against 0.075 s per ``chd_ch_cold`` replay.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterator
+
+import numpy as np
 
 from ..exceptions import NetworkError
 from .road_network import RoadNetwork
@@ -29,10 +36,11 @@ class GridIndex:
     touch only the cells overlapping the query disk.
 
     A query's answer is a function of the index's contents, never of the
-    insert / move / remove history that produced them: cells are visited in
-    ``(cx, cy)`` order and the keys of a cell in ascending order (callers
-    truncate and tie-break on the order of the result).  The keys of one
-    index must therefore be mutually orderable -- all ints, or all strings.
+    insert / move / remove history that produced them: a range query visits
+    cells in ``(cx, cy)`` order and the keys of a cell in ascending order,
+    :meth:`k_nearest` sorts by ``(distance, key)`` (callers truncate and
+    tie-break on the order of the result).  The keys of one index must
+    therefore be mutually orderable -- all ints, or all strings.
     """
 
     def __init__(
@@ -57,6 +65,11 @@ class GridIndex:
         #: The occupied cells, ascending: the order queries visit them in.
         self._occupied: list[tuple[int, int]] = []
         self._positions: dict[object, tuple[float, float]] = {}
+        #: Key -> slot, slot -> key and slot -> position (row 0 the x, row 1
+        #: the y coordinates); the first ``len(self)`` slots are in use.
+        self._slots: dict[object, int] = {}
+        self._keys: list = []
+        self._xy = np.empty((2, 16))
 
     @classmethod
     def for_network(cls, network: RoadNetwork, cells_per_axis: int = 32) -> "GridIndex":
@@ -73,28 +86,37 @@ class GridIndex:
     # maintenance
     # ------------------------------------------------------------------ #
     def insert(self, key: int, x: float, y: float) -> None:
-        """Insert (or move) ``key`` at position ``(x, y)``."""
-        if key in self._positions:
-            self.remove(key)
-        cell = self._cell_of(x, y)
-        members = self._cells.get(cell)
-        if members is None:
-            members = self._cells[cell] = []
-            insort(self._occupied, cell)
-        insort(members, key)
-        self._positions[key] = (float(x), float(y))
+        """Insert (or move) ``key`` at position ``(x, y)``; a key already in
+        the index keeps its slot, overwritten in place."""
+        x, y = float(x), float(y)
+        cell, old = self._cell_of(x, y), self._positions.get(key)
+        old_cell = None if old is None else self._cell_of(*old)
+        if old_cell != cell:
+            if old_cell is not None:
+                self._leave(old_cell, key)
+            members = self._cells.get(cell)
+            if members is None:
+                members = self._cells[cell] = []
+                insort(self._occupied, cell)
+            insort(members, key)
+        if old is None:
+            self._slots[key] = len(self._keys)
+            self._keys.append(key)
+            if len(self._keys) > self._xy.shape[1]:
+                self._xy = np.concatenate((self._xy, self._xy), axis=1)
+        self._positions[key] = self._xy[:, self._slots[key]] = (x, y)
 
     def remove(self, key: int) -> None:
-        """Remove ``key`` from the index; missing keys are ignored."""
+        """Remove ``key`` from the index; missing keys are ignored.  The last
+        slot's key moves into the freed slot."""
         position = self._positions.pop(key, None)
         if position is None:
             return
-        cell = self._cell_of(*position)
-        members = self._cells[cell]
-        del members[bisect_left(members, key)]
-        if not members:
-            del self._cells[cell]
-            del self._occupied[bisect_left(self._occupied, cell)]
+        self._leave(self._cell_of(*position), key)
+        slot, moved = self._slots.pop(key), self._keys.pop()
+        if slot < len(self._keys):
+            self._keys[slot], self._slots[moved] = moved, slot
+            self._xy[:, slot] = self._xy[:, len(self._keys)]
 
     def move(self, key: int, x: float, y: float) -> None:
         """Update the position of ``key`` (inserting it if absent)."""
@@ -102,9 +124,8 @@ class GridIndex:
 
     def clear(self) -> None:
         """Remove every object."""
-        self._cells.clear()
-        self._occupied.clear()
-        self._positions.clear()
+        for key in list(self._positions):
+            self.remove(key)
 
     # ------------------------------------------------------------------ #
     # queries
@@ -145,36 +166,30 @@ class GridIndex:
         return results
 
     def k_nearest(self, x: float, y: float, k: int) -> list[tuple[float, int]]:
-        """``(distance, key)`` of every key in a disk around ``(x, y)`` that
-        holds at least ``k`` keys (every key when the index holds fewer).
+        """``(distance, key)`` of the ``k`` nearest keys to ``(x, y)`` and of
+        every key as far away as the k-th (of every key when the index holds
+        at most ``k``), sorted by ``(distance, key)``.
 
-        Whatever lies within the final radius is returned, in query order,
-        so the ``k`` nearest keys *and every key as far away as the k-th* are
-        among the pairs; the caller sorts and breaks ties as it sees fit.
-
-        The disk starts at twice the radius that would hold ``k`` keys were
-        they spread evenly over the bounds and doubles until it holds them:
-        a disk that falls short is scanned again in full, one too large only
-        returns more pairs, and callers ask where the index is sparse.
+        One numpy pass over the coordinate array finds the k-th smallest
+        squared offset and shortlists every key within a hair of it: a sum of
+        squares rounds, and underflows for subnormal offsets, so the band is
+        a relative 1e-9 plus an absolute 1e-300.  The shortlist is measured
+        again with ``math.hypot``, the distance :meth:`query_radius` uses,
+        and cut at the exact k-th distance.
         """
-        positions = self._positions
-        wanted = min(k, len(positions))
-        if wanted < 1:
+        size = len(self._keys)
+        if k < 1 or not size:
             return []
-        area = (self._max_x - self._min_x) * (self._max_y - self._min_y)
-        radius = 2 * math.sqrt(wanted * area / (math.pi * len(positions)))
-        hypot = math.hypot
-        while True:
-            found = []
-            for members in self._cells_overlapping(x, y, radius):
-                for key in members:
-                    px, py = positions[key]
-                    distance = hypot(px - x, py - y)
-                    if distance <= radius:
-                        found.append((distance, key))
-            if len(found) >= wanted:
-                return found
-            radius *= 2
+        k = min(k, size)
+        dx = self._xy[0, :size] - x
+        dy = self._xy[1, :size] - y
+        squared = dx * dx + dy * dy
+        kth = np.partition(squared, k - 1)[k - 1]
+        near = squared <= kth * (1 + 1e-9) + 1e-300
+        keys = [self._keys[slot] for slot in np.flatnonzero(near).tolist()]
+        found = sorted(zip(map(math.hypot, dx[near].tolist(), dy[near].tolist()), keys))
+        reach = found[k - 1][0]
+        return [pair for pair in found if pair[0] <= reach]
 
     def cell_of_point(self, x: float, y: float) -> tuple[int, int]:
         """Cell coordinates containing ``(x, y)`` (clamped to the grid)."""
@@ -200,6 +215,13 @@ class GridIndex:
         cx = min(max(cx, 0), self._cells_per_axis - 1)
         cy = min(max(cy, 0), self._cells_per_axis - 1)
         return cx, cy
+
+    def _leave(self, cell: tuple[int, int], key: int) -> None:
+        members = self._cells[cell]
+        del members[bisect_left(members, key)]
+        if not members:
+            del self._cells[cell]
+            del self._occupied[bisect_left(self._occupied, cell)]
 
     def _cells_overlapping(self, x: float, y: float, radius: float) -> list[list]:
         """Occupied cells the query box overlaps, column by column."""

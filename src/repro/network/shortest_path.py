@@ -135,11 +135,8 @@ class DistanceOracle:
         self._snapshots: OrderedDict[tuple, RoutingData] = OrderedDict()
         #: :meth:`top_speed` of the routing state it was worked out on.
         self._top_speed: tuple[RoutingData | None, float] = (None, 0.0)
-        #: Query-trace sampling interval (observability).  0 disables; the
-        #: miss-path guard is a single falsy-int check so an untraced oracle
-        #: pays no measurable per-query cost.  See :meth:`set_query_tracing`.
-        self._trace_every = 0
-        self._trace_countdown = 0
+        #: Where computed queries are traced (:meth:`set_query_tracing`);
+        #: ``None`` when untraced, so the miss path's guard is one test.
         self._trace_tracer: object | None = None
 
     # ------------------------------------------------------------------ #
@@ -321,26 +318,17 @@ class DistanceOracle:
         cost would have refused."""
         return self._network.euclidean(source, target) / self.top_speed()
 
-    def set_query_tracing(self, tracer: object | None, every: int = 100) -> None:
-        """Sample every ``every``-th *computed* point query into ``tracer``.
+    def set_query_tracing(self, tracer: object | None) -> None:
+        """Record every point query the backend answers (cache hits are not
+        backend latency) as an ``oracle.query`` event of ``tracer`` -- serving
+        backend, settled nodes, wall-clock latency -- and every
+        :meth:`prefetch` batch as one ``oracle.many_to_many`` event.
 
-        Each sampled query becomes an ``oracle.query`` trace event tagged
-        with the serving backend, the settled-node work it caused and its
-        wall-clock latency; batched :meth:`prefetch` fills additionally
-        record one ``oracle.many_to_many`` event per backend batch (those
-        are coarse enough not to need sampling).  Cache hits are never
-        sampled -- the point is backend latency, not dict lookups.
-
-        ``tracer`` is any object with an ``event(name, *, duration, **tags)``
-        method (see :class:`repro.observability.SpanTracer`); ``None``,
-        ``every=0`` or a disabled tracer turns sampling off.
+        ``tracer`` has an ``event(name, *, duration, **tags)`` method (see
+        :class:`repro.observability.SpanTracer`); ``None`` or a disabled
+        tracer turns tracing off.
         """
-        if every < 0:
-            raise NetworkError("query-trace sampling interval must be non-negative")
-        if tracer is None or not getattr(tracer, "enabled", False):
-            every = 0
-        self._trace_every = self._trace_countdown = every
-        self._trace_tracer = tracer if every else None
+        self._trace_tracer = tracer if getattr(tracer, "enabled", False) else None
 
     def cost(self, source: int, target: int) -> float:
         """Minimum travel time from ``source`` to ``target`` in seconds.
@@ -404,18 +392,11 @@ class DistanceOracle:
         if not missing:
             return
         backend = self._fallback or self._backend
-        start = time.perf_counter() if self._trace_every else None
+        start = time.perf_counter() if self._trace_tracer is not None else None
         learned, searches, settled = backend.many_to_many(missing)
         self._account(backend, searches, settled, len(missing), learned)
         if start is not None:
-            self._trace_tracer.event(  # type: ignore[union-attr]
-                "oracle.many_to_many",
-                duration=time.perf_counter() - start,
-                backend=backend.name,
-                pairs=len(missing),
-                settled=settled,
-                fallback=backend is self._fallback,
-            )
+            self._trace("oracle.many_to_many", start, backend, settled=settled, pairs=len(missing))
 
     def clear_cache(self) -> None:
         """Drop every cached distance and start a new :attr:`generation`."""
@@ -479,23 +460,18 @@ class DistanceOracle:
 
     def _compute(self, source: int, target: int) -> float:
         backend = self._fallback or self._backend
-        start = None
-        if self._trace_every:
-            self._trace_countdown -= 1
-            if self._trace_countdown <= 0:
-                self._trace_countdown = self._trace_every
-                start = time.perf_counter()
+        start = time.perf_counter() if self._trace_tracer is not None else None
         distance, settled, learned = backend.one_to_one(source, target)
         self._account(backend, 1, settled, 1, learned)
         if start is not None:
-            self._trace_tracer.event(  # type: ignore[union-attr]
-                "oracle.query",
-                duration=time.perf_counter() - start,
-                backend=backend.name,
-                settled=settled,
-                fallback=backend is self._fallback,
-            )
+            self._trace("oracle.query", start, backend, settled=settled)
         return distance
+
+    def _trace(self, name: str, start: float, backend: RoutingBackend, **tags: int) -> None:
+        self._trace_tracer.event(  # type: ignore[union-attr]
+            name, duration=time.perf_counter() - start, backend=backend.name,
+            fallback=backend is self._fallback, **tags,
+        )
 
 
 __all__ = ["DistanceOracle", "QueryStatistics", "RepairReport", "BACKEND_NAMES"]

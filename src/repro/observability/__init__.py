@@ -22,7 +22,6 @@ from .export import (
     write_run_artifacts,
 )
 from .instrument import (
-    DEFAULT_ORACLE_SAMPLE_EVERY,
     tracing,
 )
 from .trace import (
@@ -42,7 +41,6 @@ from .trace import (
 
 __all__ = [
     "DEFAULT_CAPACITY",
-    "DEFAULT_ORACLE_SAMPLE_EVERY",
     "NOOP_SPAN",
     "NULL_TRACER",
     "TRACE_SCHEMA_VERSION",

@@ -12,7 +12,7 @@ actually use:
 >>> len(tracer.records)  # doctest: +SKIP
 
 :func:`tracing` installs a fresh :class:`SpanTracer` for the block,
-switches the oracle's sampled query tracing on, and restores both on exit
+switches the oracle's query tracing on, and restores both on exit
 -- so a traced run and an untraced run differ by exactly one ``with``
 line.
 """
@@ -29,11 +29,6 @@ from .trace import SpanTracer, use_tracer
 if TYPE_CHECKING:
     from ..network.shortest_path import DistanceOracle
 
-#: Default sampling interval for oracle point queries: one traced query per
-#: N computed ones.  Dispatch issues thousands of queries per batch, so
-#: even 1-in-100 sampling gives a dense latency picture per batch.
-DEFAULT_ORACLE_SAMPLE_EVERY = 100
-
 
 @contextmanager
 def tracing(
@@ -47,8 +42,7 @@ def tracing(
     (every instrumented site in the simulator, dispatchers, refresh
     policies and resilience manager reports to it, keeping the newest
     :data:`~repro.observability.trace.DEFAULT_CAPACITY` records), and --
-    when ``oracle`` is given -- samples one in
-    :data:`DEFAULT_ORACLE_SAMPLE_EVERY` of its computed queries.  Both are
+    when ``oracle`` is given -- traces every query it computes.  Both are
     restored / disabled on exit, so the tracer handed back is a finished,
     stable artifact ready for export.
     """
@@ -56,14 +50,11 @@ def tracing(
     try:
         with use_tracer(tracer):
             if oracle is not None:
-                oracle.set_query_tracing(tracer, DEFAULT_ORACLE_SAMPLE_EVERY)
+                oracle.set_query_tracing(tracer)
             yield tracer
     finally:
         if oracle is not None:
             oracle.set_query_tracing(None)
 
 
-__all__ = [
-    "DEFAULT_ORACLE_SAMPLE_EVERY",
-    "tracing",
-]
+__all__ = ["tracing"]

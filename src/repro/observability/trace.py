@@ -1,7 +1,7 @@
 """Span tracing for the dispatch pipeline.
 
 A *span* is one timed region of the pipeline -- a dispatch batch, the
-shareability-graph update inside it, one sampled oracle query.  Spans nest:
+shareability-graph update inside it, one computed oracle query.  Spans nest:
 entering a span pushes it on the tracer's stack, so each finished record
 carries its parent's id and its nesting depth, and an exporter can rebuild
 the tree.  Two clocks are recorded per span:
@@ -22,8 +22,8 @@ for the active tracer and opens spans unconditionally.  When tracing is
 disabled the active tracer is the :data:`NULL_TRACER` singleton whose
 ``span()`` returns one preallocated no-op span -- no allocation, no
 branching in the instrumented code, overhead of a method call per *span*
-(not per query; the oracle hot path additionally gates its sampling on a
-plain integer, see ``DistanceOracle.set_query_tracing``).
+(not per query; the oracle hot path additionally gates its tracing on one
+``is not None`` test, see ``DistanceOracle.set_query_tracing``).
 """
 
 from __future__ import annotations

@@ -384,6 +384,11 @@ class ServiceStats:
         ):
             if getattr(self, name) < 0:
                 raise SchemaError(f"{name} must be non-negative")
+        if self.accepted > self.received:
+            raise SchemaError("accepted must not exceed received")
+        for reason, count in (self.rejected or {}).items():
+            if count < 0 or reason not in {r.value for r in RejectionReason}:
+                raise SchemaError(f"rejected[{reason!r}] = {count} is not a reason's count")
         if not 0.0 <= self.service_rate <= 1.0:
             raise SchemaError(
                 f"service_rate must be in [0, 1] (got {self.service_rate})"

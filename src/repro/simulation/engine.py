@@ -38,7 +38,7 @@ from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
 from ..observability.trace import get_tracer
 from ..resilience.degrade import ResilienceManager
-from ..scenarios.events import WorldView
+from ..scenarios.events import VehicleShiftEnd, VehicleShiftStart, WorldView
 from ..scenarios.refresh import OracleRefreshPolicy, make_refresh_policy
 from ..scenarios.timeline import ScenarioTimeline
 from .events import Event, EventKind, EventLog
@@ -103,9 +103,12 @@ class RunState:
     #: (:class:`repro.service.DispatchService` streams from here).  A
     #: listener runs inside the batch it observes and must not raise.
     listeners: list[Callable[[Event], None]] = field(default_factory=list)
-    #: Vehicle id -> fleet position, brought up to date at every dispatch
-    #: (vehicles come on shift mid-run).
+    #: Vehicle id -> fleet position; the on-shift vehicles, by id and by rank.
+    #: Rebuilt at run start and on shift events only (``Simulator._sync_fleet``).
     fleet_position: dict[int, int] = field(default_factory=dict)
+    on_shift: list[Vehicle] = field(default_factory=list)
+    on_shift_by_id: dict[int, Vehicle] = field(default_factory=dict)
+    on_shift_rank: dict[int, int] = field(default_factory=dict)
 
 
 # The simulator rejects positional construction: every call site names its
@@ -191,7 +194,6 @@ class Simulator:
             if self.refresh_policy is not None:
                 self.refresh_policy.resilience = self.resilience
 
-        vehicles_by_id = {vehicle.vehicle_id: vehicle for vehicle in self.vehicles}
         self._refresh_vehicle_index()
         # Original costs whose restoration found the edge closed; shared by
         # every WorldView of this run so the reopening can apply them (see
@@ -201,7 +203,7 @@ class Simulator:
             metrics=metrics,
             events=EventLog(),
             pending={},
-            vehicles_by_id=vehicles_by_id,
+            vehicles_by_id={vehicle.vehicle_id: vehicle for vehicle in self.vehicles},
             due=sorted(
                 (vehicle.next_event_time(), position)
                 for position, vehicle in enumerate(self.vehicles)
@@ -211,6 +213,7 @@ class Simulator:
             start_wall=start_wall,
             track_released=track_released,
         )
+        self._sync_fleet()
 
     def process_batch(self, batch: Batch) -> BatchRecord | None:
         """Advance the world to ``batch.end_time`` and dispatch its pool.
@@ -366,6 +369,8 @@ class Simulator:
         for event in due:
             mutations += event.apply(world)
             state.metrics.scenario_events += 1
+        if any(isinstance(event, (VehicleShiftStart, VehicleShiftEnd)) for event in due):
+            self._sync_fleet()
         if mutations and policy is not None:
             rebuilds_before = policy.stats.rebuilds
             repairs_before = policy.stats.repairs
@@ -391,11 +396,13 @@ class Simulator:
             current_time=batch.end_time,
             batch=batch,
             pending=list(pending.values()),
-            vehicles=[v for v in self.vehicles if v.on_shift],
+            vehicles=state.on_shift,
             network=self.network,
             oracle=self.oracle,
             vehicle_index=self._vehicle_index,
             config=self.config,
+            vehicles_by_id=state.on_shift_by_id,
+            fleet_rank=state.on_shift_rank,
         )
         # The span brackets exactly the same window as ``dispatch_seconds``,
         # so the dispatcher's stage spans (its direct children) sum to the
@@ -418,8 +425,6 @@ class Simulator:
             )
 
         due, positions = state.due, state.fleet_position
-        for position in range(len(positions), len(self.vehicles)):
-            positions[self.vehicles[position].vehicle_id] = position
         assigned_ids: set[int] = set()
         for assignment in result.assignments:
             vehicle = vehicles_by_id.get(assignment.vehicle_id)
@@ -522,6 +527,14 @@ class Simulator:
                 self._vehicle_index.move(vehicle.vehicle_id, x, y)
             else:
                 self._vehicle_index.remove(vehicle.vehicle_id)
+
+    def _sync_fleet(self) -> None:
+        """Rebuild the run's fleet maps from ``vehicles`` (see ``RunState``)."""
+        state = self.run_state
+        state.fleet_position = {v.vehicle_id: p for p, v in enumerate(self.vehicles)}
+        state.on_shift = [vehicle for vehicle in self.vehicles if vehicle.on_shift]
+        state.on_shift_by_id = {v.vehicle_id: v for v in state.on_shift}
+        state.on_shift_rank = {v.vehicle_id: rank for rank, v in enumerate(state.on_shift)}
 
     def _memory_estimate(self) -> int:
         due = self.run_state.due

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -83,12 +85,13 @@ class TestCandidateVehicles:
         )
         assert candidate_vehicles(request, context, max_candidates=3) == ranked[:3]
 
-    def test_fleet_map_is_built_once_per_context(self, make_context):
-        vehicles = [Vehicle(vehicle_id=i, location=i) for i in range(3)]
+    def test_fleet_maps_are_built_from_the_vehicles_unless_given(self, make_context):
+        vehicles = [Vehicle(vehicle_id=i, location=i) for i in (7, 3, 5)]
         context = make_context(vehicles, [])
-        assert "vehicles_by_id" not in vars(context)
         assert context.vehicles_by_id == {v.vehicle_id: v for v in vehicles}
-        assert context.vehicles_by_id is context.vehicles_by_id
+        assert context.fleet_rank == {7: 0, 3: 1, 5: 2}
+        kept = replace(context, vehicles_by_id={7: vehicles[0]}, fleet_rank={7: 0})
+        assert kept.vehicles_by_id == {7: vehicles[0]} and kept.fleet_rank == {7: 0}
 
     def test_snapshots_are_taken_for_the_vehicles_asked_about(
         self, make_request, make_context, monkeypatch

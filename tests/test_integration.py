@@ -342,6 +342,36 @@ class TestTickCostsWhatChanged:
             elif clocked_out:
                 assert entry not in ended
 
+    @pytest.mark.parametrize("algorithm", ["pruneGDP", "SARD"])
+    def test_fleet_maps_equal_a_per_tick_rebuild(self, algorithm, monkeypatch):
+        """The engine rebuilds its on-shift fleet and maps only at run start
+        and on shift events; every dispatch must see what a rebuild from
+        the fleet on that tick gives."""
+        dispatch_batch, sizes = Simulator._dispatch_batch, []
+
+        def checked(simulator, batch):
+            state, fleet = simulator.run_state, simulator.vehicles
+            on_shift = [vehicle for vehicle in fleet if vehicle.on_shift]
+            assert len(state.on_shift) == len(on_shift)
+            assert all(a is b for a, b in zip(state.on_shift, on_shift))
+            assert state.on_shift_by_id == {v.vehicle_id: v for v in on_shift}
+            assert state.on_shift_rank == {
+                v.vehicle_id: rank for rank, v in enumerate(on_shift)
+            }
+            assert state.fleet_position == {
+                v.vehicle_id: position for position, v in enumerate(fleet)
+            }
+            sizes.append(len(on_shift))
+            return dispatch_batch(simulator, batch)
+
+        monkeypatch.setattr(Simulator, "_dispatch_batch", checked)
+        run(_shift_spec(algorithm)[0])
+        # Dispatches before the shift start, between it and the shift end,
+        # and after it.
+        first = sizes[0]
+        assert first + 3 in sizes and min(sizes) < first
+        assert sizes.index(first + 3) < sizes.index(min(sizes))
+
     def test_an_idle_fleet_costs_nothing(self, monkeypatch):
         workload = make_workload("nyc", scale=0.1, workload_overrides={"num_vehicles": 200})
         simulator = Simulator(

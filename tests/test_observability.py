@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import NetworkError
 from repro.network.shortest_path import DistanceOracle
 from repro.observability import (
     NOOP_SPAN,
@@ -480,16 +479,26 @@ class TestInstrumentedSimulation:
         assert result.metrics.total_requests == 20
         assert get_tracer().records == ()
 
-    def test_set_query_tracing_rejects_negative_interval(self, oracle):
+    def test_every_computed_query_is_traced(self, grid_network):
+        """One ``oracle.query`` record per query the backend answered: not
+        the cache hits, not the same-node answers."""
+        oracle = DistanceOracle(grid_network)
         tracer = SpanTracer(clock=StepClock())
-        with pytest.raises(NetworkError):
-            oracle.set_query_tracing(tracer, every=-1)
+        oracle.set_query_tracing(tracer)
+        nodes = list(grid_network.nodes())
+        pairs = [(u, v) for u in nodes[:6] for v in nodes[-6:] + nodes[:3]] * 2
+        for u, v in pairs:
+            oracle.cost(u, v)
+        stats = oracle.stats
+        computed = stats.queries - stats.cache_hits - sum(u == v for u, v in pairs)
+        assert 1 < computed < len(pairs)
+        assert sum(r.name == "oracle.query" for r in tracer.records) == computed
 
     def test_traced_and_untraced_costs_identical(self, grid_network):
         plain = DistanceOracle(grid_network, cache_size=0)
         traced = DistanceOracle(grid_network, cache_size=0)
         tracer = SpanTracer(clock=StepClock())
-        traced.set_query_tracing(tracer, every=1)
+        traced.set_query_tracing(tracer)
         nodes = list(grid_network.nodes())
         for u in nodes[:6]:
             for v in nodes[-6:]:

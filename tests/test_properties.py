@@ -675,6 +675,11 @@ class TestGridIndexProperties:
             assert sorted(
                 key for members in index._cells.values() for key in members
             ) == sorted(index._positions)
+            # The coordinate array holds every key once, at its position.
+            assert [index._slots[key] for key in index._keys] == list(range(len(index)))
+            assert {
+                key: tuple(index._xy[:, slot]) for slot, key in enumerate(index._keys)
+            } == index._positions
 
     @given(
         cells_per_axis=st.sampled_from([1, 3, 8, 32]),
@@ -689,22 +694,54 @@ class TestGridIndexProperties:
                       st.floats(min_value=-3000, max_value=3500)),
         ),
         how_many=st.sampled_from(["one", "a third", "half", "all", "more"]),
+        churn=st.lists(st.integers(min_value=0, max_value=23), max_size=8),
     )
     @settings(max_examples=300, deadline=None)
     # A subnormal offset, whose square underflows to 0.0: a disk just short
     # of the nearest key must not hold it.
     @example(
         cells_per_axis=1, contents={0: (0.0, 0.0)}, point=(0.0, 1.11e-308),
-        how_many="one",
+        how_many="one", churn=[],
+    )
+    # Near-subnormal offsets: key 0 is nearer, but its two squares round up
+    # and key 1's one square rounds down, so key 0's sum of squares is twice
+    # key 1's.  The shortlist's band must still hold key 0.
+    @example(
+        cells_per_axis=1, contents={0: (1.72e-162, 1.72e-162), 1: (2.53e-162, 0.0)},
+        point=(0.0, 0.0), how_many="one", churn=[],
+    )
+    # Lattice ties at the k-th key: four keys 50 away share the 2nd place.
+    @example(
+        cells_per_axis=8,
+        contents={key: (250.0 + dx, 250.0 + dy) for key, (dx, dy) in enumerate(
+            [(0, 0), (50, 0), (0, 50), (-50, 0), (0, -50), (50, 50), (100, 0)]
+        )},
+        point=(250.0, 250.0), how_many="a third", churn=[],
+    )
+    # Removals and re-inserts that leave the slots holding keys 5, 1, 0, 3,
+    # 2, 4, for k < len and for k >= len.
+    @example(
+        cells_per_axis=3, contents={key: (100.0 * key, 50.0) for key in range(6)},
+        point=(260.0, 50.0), how_many="half", churn=[0, 2, 4],
+    )
+    @example(
+        cells_per_axis=3, contents={key: (100.0 * key, 50.0) for key in range(6)},
+        point=(260.0, 50.0), how_many="more", churn=[0, 2, 4],
     )
     def test_k_nearest_holds_the_k_nearest_and_everything_tied_with_the_kth(
-        self, cells_per_axis, contents, point, how_many
+        self, cells_per_axis, contents, point, how_many, churn
     ):
         """On a lattice ties are the common case; the query point lies on a
-        key, inside, on the edge of or far outside the bounds."""
+        key, inside, on the edge of or far outside the bounds.  Removing and
+        re-inserting keys (``churn``) moves them to other slots of the
+        coordinate arrays, which must not change the answer."""
         index = GridIndex((0, 0, 500, 500), cells_per_axis=cells_per_axis)
         for key, (px, py) in contents.items():
             index.insert(key, px, py)
+        for key in churn:
+            if key in contents:
+                index.remove(key)
+                index.insert(key, *contents[key])
         size = len(contents)
         k = {"one": 1, "a third": max(size // 3, 1), "half": max(size // 2, 1),
              "all": size, "more": size + 3}[how_many]
@@ -714,18 +751,14 @@ class TestGridIndexProperties:
             key: math.hypot(px - x, py - y) for key, (px, py) in contents.items()
         }
         found = index.k_nearest(x, y, k)
-        assert len({key for _, key in found}) == len(found)
-        assert all(truth[key] == distance for distance, key in found)
         if not contents:
             assert found == []
             return
+        # Exactly the keys as near as the k-th, nearest first, ties by key,
+        # each with its ``math.hypot`` distance.
         kth = sorted(truth.values())[min(k, len(truth)) - 1]
-        reach = max(distance for distance, _ in found)
-        assert reach >= kth
-        # A whole disk comes back, in the order every query answers in.
-        inside = [key for key, distance in truth.items() if distance <= reach]
-        assert [key for _, key in found] == sorted(
-            inside, key=lambda key: (index._cell_of(*contents[key]), key)
+        assert found == sorted(
+            (distance, key) for key, distance in truth.items() if distance <= kth
         )
         # k = 1 holds every closest key; a disk short of them holds nothing.
         closest = min(truth.values())
@@ -841,6 +874,8 @@ class TestCandidateVehiclesEqualTheObviousOnes:
         fleet=st.one_of(
             st.lists(_placed_vehicle, min_size=1, max_size=12),
             st.lists(_placed_vehicle, min_size=26, max_size=40),
+            # Dense: two to five vehicles a node, ties at every cut.
+            st.lists(_placed_vehicle, min_size=60, max_size=200),
         ),
         order=st.randoms(use_true_random=False),
         source=node_ids,
@@ -853,6 +888,14 @@ class TestCandidateVehiclesEqualTheObviousOnes:
     @example(
         cells_per_axis=8, fleet=[(node, True, "driving", 0.0) for node in _NODES[3:33]],
         order=random.Random(0), source=_NODES[0], now=30.0, slack=0.0, max_candidates=24,
+    )
+    # Five idle vehicles on every node but the corner source's: the
+    # fallback's cut to 24 falls inside the ten 200 m away, and the reach
+    # rule keeps the ten 100 m away.
+    @example(
+        cells_per_axis=3,
+        fleet=[(node, True, "idle", 0.0) for node in _NODES[1:] for _ in range(5)],
+        order=random.Random(1), source=_NODES[0], now=0.0, slack=5.0, max_candidates=24,
     )
     @settings(max_examples=400, deadline=None)
     def test_same_vehicles_in_the_same_order(

@@ -191,10 +191,17 @@ class TestServiceStatsSchema:
         dict(received=-1),
         dict(service_rate=1.5),
         dict(schema_version=2),
+        dict(received=4, rejected={"bogus": 1}),
+        dict(received=4, rejected={"queue_full": -4}),
+        dict(received=2, accepted=3),
     ])
     def test_validation_rejects(self, overrides):
         with pytest.raises(SchemaError):
             ServiceStats(**overrides)
+
+    def test_a_payload_breaking_all_three_count_rules_is_refused(self):
+        with pytest.raises(SchemaError):
+            ServiceStats.from_dict({"rejected": {"bogus": -4}, "received": 0, "accepted": 3})
 
 
 #: Payloads the boundary used to answer with ``TypeError`` (or accept).
@@ -235,7 +242,10 @@ _JSON_VALUES = st.recursive(
 _PLAUSIBLE = {
     "int": st.integers(-1, 50),
     "float": st.floats(-1.0, 500.0) | st.integers(0, 500),
-    "dict[str, int]": st.dictionaries(st.text(max_size=3), st.integers(0, 9), max_size=2),
+    "dict[str, int]": st.dictionaries(
+        st.sampled_from([reason.value for reason in RejectionReason]) | st.text(max_size=3),
+        st.integers(-1, 9), max_size=2,
+    ),
     "AssignmentEventKind": st.sampled_from([kind.value for kind in AssignmentEventKind]),
     "RejectionReason": st.sampled_from([reason.value for reason in RejectionReason]),
 }
