@@ -15,7 +15,7 @@ vehicles) a rung generates.  Two axes:
     arrival grows with ``f`` and a rung mixes size with regime.  The
     ms-per-request exponent is fitted on the fixed-regime rungs only.
 (b) ``city_scale`` 1, 2, 4 at ``f`` = 0.1 (fixed regime), on ``hub_label``
-    (every label swept at set-up) and ``ch`` (labels swept as far as the
+    (every label computed at set-up) and ``ch`` (labels swept as far as the
     joins need): set-up, mean label size and the build exponent.
 
 Every rung runs in its own child process (a fresh peak RSS,

@@ -9,7 +9,7 @@ shareability-graph builder.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from typing import Any
 
 import numpy as np
@@ -42,28 +42,27 @@ class RoadNetwork:
     # construction
     # ------------------------------------------------------------------ #
     def add_node(self, node: int, x: float, y: float) -> None:
-        """Add (or move) a node with planar coordinates ``(x, y)``."""
+        """Add (or move) a node with finite planar coordinates ``(x, y)``."""
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise NetworkError(f"node {node} has non-finite coordinates ({x}, {y})")
         self._mutations += 1
         self._coords = None
-        if node in self._positions:
-            self._positions[node] = (float(x), float(y))
-            return
         self._positions[node] = (float(x), float(y))
-        self._adjacency[node] = {}
-        self._reverse[node] = {}
+        self._adjacency.setdefault(node, {})
+        self._reverse.setdefault(node, {})
 
     def add_edge(
         self, u: int, v: int, cost: float, *, bidirectional: bool = False
     ) -> None:
-        """Add a directed edge ``u -> v`` with a positive travel time.
+        """Add a directed edge ``u -> v`` with a finite, non-negative travel time.
 
         With ``bidirectional=True`` the reverse edge ``v -> u`` is added with
         the same cost.
         """
         if u not in self._positions or v not in self._positions:
             raise NetworkError(f"both endpoints must exist before adding edge ({u}, {v})")
-        if cost < 0:
-            raise NetworkError(f"edge ({u}, {v}) has negative cost {cost}")
+        if not 0 <= cost < math.inf:
+            raise NetworkError(f"edge ({u}, {v}) has cost {cost}, not a finite cost >= 0")
         if u == v:
             raise NetworkError(f"self-loop edges are not allowed (node {u})")
         if v not in self._adjacency[u]:
@@ -221,42 +220,6 @@ class RoadNetwork:
         for u, v, cost in self.edges():
             graph.add_edge(u, v, weight=cost)
         return graph
-
-    @classmethod
-    def from_networkx(cls, graph: Any, *, weight: str = "weight") -> "RoadNetwork":
-        """Build a :class:`RoadNetwork` from a networkx graph.
-
-        Node attributes ``x``/``y`` (or ``pos``) provide coordinates; missing
-        coordinates default to ``(0, 0)``.
-        """
-        network = cls()
-        for node, data in graph.nodes(data=True):
-            if "pos" in data:
-                x, y = data["pos"]
-            else:
-                x, y = data.get("x", 0.0), data.get("y", 0.0)
-            network.add_node(int(node), float(x), float(y))
-        for u, v, data in graph.edges(data=True):
-            network.add_edge(int(u), int(v), float(data.get(weight, 1.0)))
-            if not graph.is_directed():
-                network.add_edge(int(v), int(u), float(data.get(weight, 1.0)))
-        return network
-
-    @classmethod
-    def from_edge_list(
-        cls,
-        positions: dict[int, tuple[float, float]],
-        edges: Iterable[tuple[int, int, float]],
-        *,
-        bidirectional: bool = True,
-    ) -> "RoadNetwork":
-        """Build a network from a coordinate map and an edge list."""
-        network = cls()
-        for node, (x, y) in positions.items():
-            network.add_node(node, x, y)
-        for u, v, cost in edges:
-            network.add_edge(u, v, cost, bidirectional=bidirectional)
-        return network
 
     def __contains__(self, node: int) -> bool:
         return node in self._positions

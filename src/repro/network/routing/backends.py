@@ -11,19 +11,13 @@ counter; every distance comes from one of the backends in this module:
     swept only as far as the joins asked of it so far needed.
 ``hub_label``
     ``ch`` over the store every oracle on the network shares, with every
-    node's labels swept in full at set-up (the paper's oracle): the same
-    distances, a slower set-up and rebuild instead of a first-touch cost.
+    node's labels computed at set-up by one pass per direction over the
+    hierarchy (the paper's oracle): the same distances, a slower set-up and
+    rebuild instead of a first-touch cost.
 
-All of them implement :class:`RoutingBackend`: node identifiers in (each
-backend validates them against its own CSR snapshot), exact distances out,
-together with the work the search cost and every other exact distance it
-established on the way.  How a batch is answered is the backend's business.
-
-Preprocessed structures (CSR arrays, the hierarchy, the labels) are expensive
-relative to a single query, so they are built lazily and shared across every
-oracle over the same :class:`RoadNetwork` through a weak-keyed cache keyed on
-the network's monotonic mutation counter, which invalidates on mutation in
-O(1).
+All of them implement :class:`RoutingBackend`.  The preprocessed structures
+(CSR arrays, the hierarchy, the labels) are built lazily and shared by every
+oracle over one :class:`RoadNetwork` (:func:`routing_data`).
 """
 
 from __future__ import annotations
@@ -86,7 +80,7 @@ class RoutingData:
 
     @property
     def labeling(self) -> HubLabeling:
-        """Every node's hub labels (swept on first access, off the hierarchy)."""
+        """Every node's hub labels (labelled on first access, off the hierarchy)."""
         if self._labeling is None:
             self._labeling = HubLabeling(self.hierarchy, eager=True)
         return self._labeling
@@ -335,7 +329,7 @@ class CHBackend:
 
 
 class HubLabelBackend(CHBackend):
-    """The same joins over the network's shared store, swept at set-up."""
+    """The same joins over the network's shared store, labelled at set-up."""
 
     name = "hub_label"
 

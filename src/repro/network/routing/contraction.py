@@ -1,68 +1,28 @@
 """Contraction Hierarchies (CH) preprocessor, upward sweeps and repair.
 
-The preprocessor contracts nodes one by one in increasing "importance",
-inserting *shortcut* edges that preserve shortest-path distances among the
-nodes not yet contracted.  Importance is the classic lazy-updated
-edge-difference heuristic (shortcuts added minus edges removed, plus a
-deleted-neighbours term that spreads contraction evenly across the graph);
-the shortcut count in the priority is a cheap 1-hop *estimate* (does a
-direct overlay edge already beat the candidate shortcut?), cached and only
-re-estimated for the neighbours of the node just contracted, so the ordering
-runs no witness Dijkstras at all.
-Whether a shortcut ``u -> x`` is needed when contracting ``v`` is decided by
-a bounded *witness search*: a Dijkstra from ``u`` in the remaining overlay
-that ignores ``v`` -- if it reaches ``x`` within ``w(u,v) + w(v,x)`` the
-shortcut is redundant.  The witness search is capped (settle limit + cost
-cap), which can only add redundant shortcuts, never lose correctness.  The
-same witness distances drive on-the-fly *edge reduction*: an overlay edge
-``u -> x`` that a witness proves longer than an alternative path is deleted,
-shrinking both later witness searches and the final hierarchy.
+DESIGN.md ("Routing backends", "Incremental CH repair") describes the
+whole; the invariants the code below leans on are these.
 
-The hierarchy is read in one way: a resumable stall-on-demand *upward sweep*
-from a node (:class:`UpwardSweep`), whose result is the node's hub label for
-:mod:`repro.network.routing.hub_labels`.  Shortest *paths* are not read off
-the hierarchy (it records no shortcut middles): every backend's ``path()`` is
-the CSR Dijkstra of ``GraphSearchBackend``.
-
-There is one upward adjacency: the per-node dicts of contraction-time
-incident edges, which the sweeps walk and repair replays against.
-
-Search state is flat: the hierarchy owns one ``dist`` list of ``n`` floats,
-``inf`` between searches, for the witness searches (a label store owns one
-per sweep direction).  A search lists the entries it wrote and resets only
-those, so it costs what it touches, not ``n``; a
-:meth:`~ContractionHierarchy.repair` fork shares the list (same node set).
-While ``v`` is contracted ``dist[v]`` holds ``-1.0``: no candidate distance
-is below it, so the witness searches never relax into ``v`` and need no
-per-edge test.  No overlay edge ever leads into a contracted node (contracting
-``v`` pops every edge into it), so none needs a ``contracted`` test either.
-A candidate above the search's cost cap is dropped outright (no push, no
-write): the contraction compares every distance it reads with a bound no
-larger than the cap, on which such a value decides as ``inf`` does.
-
-Incremental repair (dynamic worlds)
------------------------------------
-
-:meth:`ContractionHierarchy.repair` follows a mutated graph without a full
-re-contraction.  The build records, per contracted node, its *effects* --
-the shortcuts it inserted, the overlay edges its witnesses reduced, and its
-contraction-time incident edges -- plus a *support index* mapping every node
-settled by one of its witness searches back to the contraction that ran
-them.  Because witness searches only relax out-edges of settled nodes, a
-contraction's decisions can only change when (a) its own incident edges
-changed, or (b) an out-edge of one of its recorded witness nodes changed.
-Repair therefore replays the frozen contraction order against the mutated
-graph: clean nodes re-apply their recorded effects verbatim (dict writes,
-no searches), while *dirty* nodes -- seeded from the endpoints and support
-sets of the edges whose weight differs between the old and the new CSR,
-and cascaded through recorded-vs-recomputed effect diffs -- are
-re-contracted with fresh witness searches.  The result is a *forked*
-hierarchy; unchanged records are shared with the source hierarchy by
-reference, which keeps the source valid for the pre-mutation graph (so
-recent states can be cached and swapped back when a burst reverts).
-Reusing the frozen order can only cost hierarchy *quality* (a few extra
-shortcuts after many repairs), never correctness: replayed effects are
-re-validated against the replay overlay, so distances stay exact.
+* Nodes are contracted in lazy edge-difference order, whose shortcut term is
+  a cached 1-hop estimate; the contraction itself runs bounded *witness
+  searches* (a Dijkstra from ``u`` avoiding ``v``) and deletes overlay edges
+  a witness proves longer (edge reduction).  Bounds only add redundant
+  shortcuts, never lose exactness.
+* The upward adjacency is one pair of per-node dicts of contraction-time
+  incident edges.  It is read two ways: a resumable stall-on-demand upward
+  sweep from one node (:class:`UpwardSweep`) and the rank-order passes of
+  :mod:`repro.network.routing.hub_labels`.  No path is read off it (no
+  shortcut middles): every ``path()`` is ``GraphSearchBackend``'s Dijkstra.
+* Search state is flat: one ``dist`` list of ``n`` floats, ``inf`` between
+  searches, reset only where a search wrote (a repair fork shares it).
+  While ``v`` is contracted ``dist[v]`` is ``-1.0``, so no witness search
+  relaxes into it, and no overlay edge leads into a contracted node; a
+  candidate above the search's cost cap is neither pushed nor written.
+* :meth:`ContractionHierarchy.repair` replays the frozen contraction order
+  against a mutated graph from the per-node records of the build (effects,
+  incident edges, witness support sets): clean nodes re-apply their effects,
+  dirty ones re-contract, and the result is a copy-on-write fork that leaves
+  this hierarchy valid for the graph it was built on.
 """
 
 from __future__ import annotations

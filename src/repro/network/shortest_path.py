@@ -176,8 +176,8 @@ class DistanceOracle:
 
         Drops the pair cache and the Dijkstra fallback, serves the shared
         :func:`routing_data` (the backend constructor builds the hierarchy
-        and, for ``hub_label``, sweeps every label; ``ch`` sweeps over the
-        next queries) and returns the wall-clock seconds spent, which the
+        and, for ``hub_label``, every label; ``ch`` sweeps over the next
+        queries) and returns the wall-clock seconds spent, which the
         scenario refresh policies account as rebuild time.
 
         A held state a build would reproduce bit for bit is adopted instead
@@ -216,7 +216,7 @@ class DistanceOracle:
            seed an affected node set that is re-contracted in the frozen
            rank order and spliced into the held hierarchy (see
            :meth:`ContractionHierarchy.repair`); a ``hub_label`` backend
-           sweeps its labels again off the repaired hierarchy.
+           labels every node again off the repaired hierarchy.
         3. **Full rebuild** -- when the backend holds no hierarchy
            (``dijkstra``), the node set changed, or the affected set
            exceeds :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION`
@@ -379,16 +379,15 @@ class DistanceOracle:
         "#Shortest Path Queries" column keeps reflecting the *logical* query
         pattern of the dispatch algorithms, independent of cache warming.
         """
+        sources, targets = list(dict.fromkeys(sources)), list(dict.fromkeys(targets))
+        for node in (*sources, *targets):
+            self._require(node)
         if self._cache_size == 0:
             return
-        targets = list(dict.fromkeys(targets))
-        missing: list[tuple[int, int]] = []
-        for source in dict.fromkeys(sources):
-            for target in targets:
-                if source == target:
-                    self._require(source)
-                elif self._cache_get((source, target)) is None:
-                    missing.append((source, target))
+        missing = [
+            (source, target) for source in sources for target in targets
+            if source != target and self._cache_get((source, target)) is None
+        ]
         if not missing:
             return
         backend = self._fallback or self._backend

@@ -2,8 +2,9 @@
 
 ``tests/golden/ch_hierarchy.json`` pins a sha256 over everything a build
 records (ranks, contraction order, upward adjacency, effects, witness support
-sets), over every node's forward and backward hub label, and over the same
-records after one ``repair()`` of a closure burst -- on three cities.  A
+sets), over every node's forward and backward upward-sweep label, and over
+the same records after one ``repair()`` of a closure burst -- on three
+cities.  A
 change to the build loops that moves a single shortcut, witness or label
 entry fails here.  ``REGEN_GOLDEN=1`` rewrites the file; do that only for a
 change that is meant to produce a different hierarchy.
@@ -22,7 +23,7 @@ import pytest
 
 from repro.network.generators import make_city, ring_radial_city
 from repro.network.routing import contraction
-from repro.network.routing.contraction import ContractionHierarchy
+from repro.network.routing.contraction import ContractionHierarchy, UpwardSweep
 from repro.network.routing.csr import CSRGraph
 from repro.network.routing.hub_labels import HubLabeling
 
@@ -53,12 +54,18 @@ def hierarchy_digest(ch: ContractionHierarchy) -> str:
 
 
 def labels_digest(ch: ContractionHierarchy) -> str:
-    """sha256 over every node's forward and backward label, in settle order."""
-    labeling = HubLabeling(ch, eager=True)
-    return _sha((
-        [list(label.items()) for label in labeling.forward],
-        [list(label.items()) for label in labeling.backward],
-    ))
+    """sha256 over every node's forward and backward label, in settle order,
+    each from one complete :class:`UpwardSweep`."""
+    dist = [math.inf] * ch.csr.num_nodes
+    labels = []
+    for backward in (False, True):
+        for index in range(ch.csr.num_nodes):
+            sweep = UpwardSweep(ch, index, backward=backward)
+            sweep.resume(dist)
+            sweep.advance(dist)
+            sweep.pause(dist)
+            labels.append(list(sweep.label.items()))
+    return _sha((labels[: len(dist)], labels[len(dist) :]))
 
 
 def close_burst(network, *, count: int = 12, seed: int = 0) -> list[tuple[int, int]]:

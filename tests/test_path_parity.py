@@ -14,10 +14,13 @@ edges, and its summed edge cost equals ``cost(u, v)`` exactly -- with
 On the same network families, ``ch`` and ``hub_label`` *distances* -- joins
 of per-node hub labels from one ``HubLabeling`` store, which ``ch`` keeps
 privately and sweeps only as far as its joins need and ``hub_label`` shares
-and sweeps in full at set-up -- equal a fresh Dijkstra, each other and a
-reference join of two complete labels bit for bit, whatever was asked before;
-a sweep advanced in pieces equals the one-shot sweep, no node is settled
-twice, and no label or paused sweep outlives a ``rebuild()`` / ``repair()``.
+and labels in full at set-up, by one min-plus pass per direction -- equal a
+fresh Dijkstra, each other and a reference join of two complete labels bit
+for bit, whatever was asked before; a sweep advanced in pieces equals the
+one-shot sweep, no node is settled twice, and no label or paused sweep
+outlives a ``rebuild()`` / ``repair()``.  The one-pass joins also equal the
+reference joins on every pair of a repaired hierarchy, of the 676-node city
+in each ``rush_hour`` wave state and of small tie-prone digraphs.
 """
 
 from __future__ import annotations
@@ -25,22 +28,27 @@ from __future__ import annotations
 import math
 import operator
 import random
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import UnreachableError
-from repro.network.generators import grid_city, ring_radial_city
+from repro.network.generators import grid_city, make_city, ring_radial_city
 from repro.network.road_network import RoadNetwork
 from repro.network.routing import (
+    ContractionHierarchy,
     CSRGraph,
+    HubLabeling,
     contraction,
     make_backend,
     routing_data,
 )
 from repro.network.routing.contraction import UpwardSweep
 from repro.network.shortest_path import DistanceOracle
+from repro.scenarios.presets import make_scenario
 
 ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
 
@@ -416,18 +424,20 @@ class TestChDistancesAreLabelJoins:
         assert labeling.paused == ({}, {})
         assert all(label is None for label in (*labeling.forward, *labeling.backward))
 
-    def test_hub_label_oracles_share_one_store_swept_at_set_up(
+    def test_hub_label_oracles_share_one_store_labelled_at_set_up(
         self, family, monkeypatch
     ):
         network = FAMILIES[family]()
         sweeps = _SweepLog(monkeypatch).started
         nodes = sorted(network.nodes())
         first = DistanceOracle(network, backend="hub_label")
+        store = first._backend.labeling
         # Every node, both directions, before the first question.
-        assert len(sweeps) == len(set(sweeps)) == 2 * len(nodes)
+        assert None not in (*store.forward, *store.backward)
         second = DistanceOracle(network, backend="hub_label")
+        assert second._backend.labeling is store
         assert _table(first, nodes) == _table(second, nodes)
-        assert len(sweeps) == 2 * len(nodes)
+        assert sweeps == [] and store.paused == ({}, {})
 
     def test_ch_store_is_private_and_sweeps_only_what_it_is_asked(
         self, family, monkeypatch
@@ -473,6 +483,86 @@ class TestChDistancesAreLabelJoins:
         assert after != before
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
             assert after[pair] == pytest.approx(want, abs=1e-9), pair
+
+
+def _all_joins(forward, backward) -> np.ndarray:
+    """``[s, t]``: the least ``d_f(h) + d_b(h)`` over the hubs the labels
+    ``forward[s]`` and ``backward[t]`` share -- ``_reference_join`` for every
+    pair at once, in the same float additions."""
+    n = len(forward)
+    far = np.full((n, n), math.inf)
+    for target, label in enumerate(backward):
+        far[target, list(label)] = list(label.values())
+    return np.array([
+        (np.array(list(label.values()))[None, :] + far[:, list(label)]).min(axis=1)
+        for label in forward
+    ])
+
+
+def _assert_one_pass_joins_are_reference_joins(hierarchy) -> None:
+    store = HubLabeling(hierarchy, eager=True)
+    n = hierarchy.csr.num_nodes
+    reference = [
+        [_reference_label(hierarchy, index, backward=backward) for index in range(n)]
+        for backward in (False, True)
+    ]
+    assert np.array_equal(_all_joins(store.forward, store.backward), _all_joins(*reference))
+
+
+@st.composite
+def _tie_prone_digraphs(draw) -> RoadNetwork:
+    """Up to 12 nodes, weights from a few decimals: many equal-cost paths,
+    and sums that round differently when they are added in another order."""
+    num_nodes = draw(st.integers(2, 12))
+    arcs = st.tuples(st.integers(0, num_nodes - 1), st.integers(0, num_nodes - 1))
+    edges = draw(st.dictionaries(
+        arcs.filter(lambda arc: arc[0] != arc[1]),
+        st.sampled_from((0.0, 0.1, 0.2, 0.3, 0.7, 1.1)),
+        max_size=4 * num_nodes,
+    ))
+    network = RoadNetwork()
+    for node in range(num_nodes):
+        network.add_node(node, float(node), 0.0)
+    for (u, v), cost in edges.items():
+        network.add_edge(u, v, cost)
+    return network
+
+
+class TestOnePassLabelsJoinLikeSweptOnes:
+    """``hub_label``'s store labels every node with one min-plus pass per
+    direction, not with sweeps.  Its labels may differ from the sweeps' by
+    hubs no shortest path uses; its joins equal ``_reference_join`` bit for
+    bit, for every pair."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    @pytest.mark.parametrize("repaired", (False, True))
+    def test_every_family_built_and_repaired(self, family, repaired, monkeypatch):
+        network = FAMILIES[family]()
+        hierarchy = routing_data(network).hierarchy
+        if repaired:
+            monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+            _shortcut(network)
+            hierarchy = hierarchy.repair(CSRGraph.from_network(network))[0]
+        _assert_one_pass_joins_are_reference_joins(hierarchy)
+
+    def test_the_676_node_city_in_every_rush_hour_wave_state(self):
+        city = make_city("nyc", scale=1.0)
+        events = make_scenario("rush_hour", city, horizon=1000.0).events_builder()
+        world = SimpleNamespace(network=city, now=0.0, record=lambda *args: None)
+        # Free flow, core slowed, core and ring slowed, ring slowed.
+        for event in [None, *sorted(events, key=lambda event: event.time)[:3]]:
+            if event is not None:
+                assert event.apply(world) > 0
+            _assert_one_pass_joins_are_reference_joins(
+                ContractionHierarchy(CSRGraph.from_network(city))
+            )
+
+    @settings(max_examples=150, deadline=None)
+    @given(network=_tie_prone_digraphs())
+    def test_tie_prone_digraphs(self, network):
+        _assert_one_pass_joins_are_reference_joins(
+            ContractionHierarchy(CSRGraph.from_network(network))
+        )
 
 
 def _path_or_none(oracle: DistanceOracle, u: int, v: int) -> list[int] | None:

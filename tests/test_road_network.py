@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +37,20 @@ class TestConstruction:
     def test_negative_cost_rejected(self, triangle: RoadNetwork):
         with pytest.raises(NetworkError):
             triangle.add_edge(0, 2, -5.0)
+
+    @pytest.mark.parametrize("cost", [math.nan, math.inf])
+    def test_non_finite_cost_rejected(self, triangle: RoadNetwork, cost: float):
+        with pytest.raises(NetworkError):
+            triangle.add_edge(0, 2, cost)
+        assert not triangle.has_edge(0, 2)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_coordinates_rejected(self, triangle: RoadNetwork, x: float, y: float):
+        with pytest.raises(NetworkError):
+            triangle.add_node(9, x, y)
+        with pytest.raises(NetworkError):
+            triangle.add_node(0, x, y)  # a move too
+        assert not triangle.has_node(9) and triangle.position(0) == (0.0, 0.0)
 
     def test_self_loop_rejected(self, triangle: RoadNetwork):
         with pytest.raises(NetworkError):
@@ -226,28 +239,3 @@ class TestNearestNode:
         with pytest.raises(NetworkError):
             RoadNetwork().nearest_node(0.0, 0.0)
 
-
-class TestInterop:
-    def test_networkx_round_trip(self, triangle: RoadNetwork):
-        graph = triangle.to_networkx()
-        assert isinstance(graph, nx.DiGraph)
-        assert graph.number_of_nodes() == 3
-        back = RoadNetwork.from_networkx(graph)
-        assert back.num_nodes == 3
-        assert back.edge_cost(0, 1) == 10.0
-        assert back.position(1) == (100.0, 0.0)
-
-    def test_from_undirected_networkx_adds_both_directions(self):
-        graph = nx.Graph()
-        graph.add_node(0, x=0.0, y=0.0)
-        graph.add_node(1, x=1.0, y=0.0)
-        graph.add_edge(0, 1, weight=3.0)
-        network = RoadNetwork.from_networkx(graph)
-        assert network.has_edge(0, 1) and network.has_edge(1, 0)
-
-    def test_from_edge_list(self):
-        network = RoadNetwork.from_edge_list(
-            {0: (0, 0), 1: (1, 1)}, [(0, 1, 2.5)], bidirectional=True
-        )
-        assert network.has_edge(1, 0)
-        assert network.edge_cost(0, 1) == 2.5

@@ -205,12 +205,14 @@ ENTRY_POINTS = {
 
 
 class TestUnknownNodes:
+    @pytest.mark.parametrize("cache_size", (1000, 0))
     @pytest.mark.parametrize("serving", SERVING)
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-    def test_every_entry_point_refuses_an_unknown_node(self, entry, serving):
+    def test_every_entry_point_refuses_an_unknown_node(self, entry, serving, cache_size):
         """Regression: ``prefetch([x], [x])`` used to answer ``x -> x`` for
-        a node that is not in the network."""
-        oracle = _oracle(grid_city(4, 4), serving)
+        a node that is not in the network, and an oracle without a cache
+        returned from ``prefetch`` before it looked at the nodes."""
+        oracle = _oracle(grid_city(4, 4), serving, cache_size=cache_size)
         with pytest.raises(NetworkError, match="unknown node 9999"):
             ENTRY_POINTS[entry](oracle)
         assert oracle.stats.searches == 0 and oracle.cache_len == 0

@@ -155,7 +155,10 @@ class TestTopSpeed:
         assert oracle.top_speed() == fastest * (1 + 1e-9)
 
     def test_a_network_without_a_bounding_edge_bounds_nothing(self):
-        network = RoadNetwork.from_edge_list({0: (0.0, 0.0), 1: (0.0, 0.0)}, [(0, 1, 5.0)])
+        network = RoadNetwork()
+        network.add_node(0, 0.0, 0.0)
+        network.add_node(1, 0.0, 0.0)
+        network.add_edge(0, 1, 5.0, bidirectional=True)
         assert DistanceOracle(network).top_speed() == math.inf
         network.add_node(2, 3.0, 4.0)
         network.add_edge(1, 2, 0.0)
