@@ -25,8 +25,9 @@ each backend is what gets measured.  Asserted alongside the timings:
 
 The table also records preprocessing time (``build ms``).  The timed loop runs
 after a warm-up pass over the same pairs; that pass is timed too (``first
-us``), because ``ch`` sweeps a node's search spaces on first touch and only
-joins them afterwards -- the price of a cold pair sits beside the warm one.
+us``), so the price of a cold pair sits beside the warm one.  ``ch`` and
+``hub_label`` are one backend over one label store under two names; both
+rows stay, because the ledger asks for ``ch``.
 
 Run directly (``python benchmarks/bench_oracle_backends.py``) for the full
 table, or through pytest like the other benchmarks.
@@ -118,6 +119,12 @@ HISTORY = (
     "or drop a hub no join uses, so hub_label settled/q 20.4 -> 20.5.  build "
     "ms, three alternating rounds on one host: hub_label 133-149 -> 83-123 "
     "(the CH build, 78-84 ms on ch, is inside both).",
+    "  One label store: ch answers from the shared one-pass labels, as "
+    "hub_label does, and the paused upward sweeps are deleted.  Distances "
+    "unchanged; ch settled/q 17.3 -> 20.5 (entries walked over complete "
+    "labels, hub_label's count).  Three alternating rounds on one host: ch "
+    "first 82-141 -> 4.3-4.9 us, build 69-89 -> 83-114 ms (the CH build plus "
+    "the label pass).",
 )
 
 #: Fixed-seed scenario used by the cross-backend assignment check.

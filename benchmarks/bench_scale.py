@@ -15,8 +15,8 @@ vehicles) a rung generates.  Two axes:
     arrival grows with ``f`` and a rung mixes size with regime.  The
     ms-per-request exponent is fitted on the fixed-regime rungs only.
 (b) ``city_scale`` 1, 2, 4 at ``f`` = 0.1 (fixed regime), on ``hub_label``
-    (every label computed at set-up) and ``ch`` (labels swept as far as the
-    joins need): set-up, mean label size and the build exponent.
+    (``ch`` is the same labels under another name): set-up, mean label size
+    and the build exponent.
 
 Every rung runs in its own child process (a fresh peak RSS,
 ``PYTHONHASHSEED=0``) and gets a 60 s wall budget for build and run
@@ -56,7 +56,7 @@ PAPER_VEHICLES = 3_000
 #: Axis (a) fractions; the rungs at or below SMOKE_F run in CI.
 FRACTIONS = (0.02, 0.05, 0.1, 0.2, 0.5, 1.0)
 SMOKE_F = 0.05
-#: Axis (b): city scales at one fraction, on both label stores.
+#: Axis (b): city scales at one fraction.
 CITY_SCALES = (1.0, 2.0, 4.0)
 CITY_F = 0.1
 #: What a smoke rung must repeat exactly.
@@ -92,11 +92,7 @@ def rungs() -> list[Rung]:
         for fixed_regime in (True, False)
         for f in FRACTIONS
     ]
-    ladder += [
-        Rung("b", CITY_F, city_scale, backend, True)
-        for backend in ("hub_label", "ch")
-        for city_scale in CITY_SCALES
-    ]
+    ladder += [Rung("b", CITY_F, city_scale, "hub_label", True) for city_scale in CITY_SCALES]
     return ladder
 
 
@@ -165,17 +161,17 @@ def run_rung(rung: Rung) -> None:
         simulation_overrides={"routing_backend": rung.backend},
     )
     data = routing_data(workload.network)
+    build_s = time.perf_counter() - start
+    labels = [*data.labeling.forward, *data.labeling.backward]
     built = {
         "phase": "built",
-        "build_s": time.perf_counter() - start,
+        "build_s": build_s,
         "nodes": data.csr.num_nodes,
         "requests": len(workload.requests),
         "vehicles": workload.workload_config.num_vehicles,
         "arrival_rate": workload.workload_config.arrival_rate,
+        "label_mean": sum(map(len, labels)) / len(labels),
     }
-    if rung.backend == "hub_label":
-        labels = [*data.labeling.forward, *data.labeling.backward]
-        built["label_mean"] = sum(map(len, labels)) / len(labels)
     _emit(built)
     clock, search = StageClock(), time_candidate_search()
     start = time.perf_counter()
@@ -262,12 +258,9 @@ def findings(rows: list[dict]) -> dict:
             [(row["f"], row["ms_per_request"]) for row in regime]
         ),
     }
-    for backend in ("hub_label", "ch"):
-        out[f"build_exponent_{backend}"] = fitted_exponent([
-            (row["nodes"], row["build_s"])
-            for row in rows
-            if row["axis"] == "b" and row["backend"] == backend and "build_s" in row
-        ])
+    out["build_exponent"] = fitted_exponent([
+        (row["nodes"], row["build_s"]) for row in rows if row["axis"] == "b" and "build_s" in row
+    ])
     return out
 
 
@@ -341,8 +334,7 @@ def save(rows: list[dict]) -> None:
         f"Largest f in budget: {_g(largest['fixed_regime'])} (fixed regime), "
         f"{_g(largest['fixed_rate'])} (fixed rate).  ms/request ~ f^"
         f"{_g(summary['ms_per_request_exponent_fixed_regime'])} (fixed regime).  "
-        f"Build s ~ nodes^{_g(summary['build_exponent_hub_label'])} (hub_label), "
-        f"nodes^{_g(summary['build_exponent_ch'])} (ch).  Stage seconds are "
+        f"Build s ~ nodes^{_g(summary['build_exponent'])}.  Stage seconds are "
         "span totals of sard.sync_graph / build_queues / rounds / materialize; "
         "candidate search is the wall time inside candidate_vehicles and its "
         "share of run s."

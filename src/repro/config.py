@@ -77,9 +77,9 @@ class SimulationConfig:
     #: Angle pruning threshold delta in radians; ``None`` disables pruning.
     angle_threshold: float | None = DEFAULT_ANGLE_THRESHOLD
     #: Routing backend answering ``cost(u, v)`` queries: ``"dijkstra"``
-    #: (per-query CSR search, the reference), ``"ch"`` (contraction
-    #: hierarchies) or ``"hub_label"`` (hub labels extracted from the
-    #: hierarchy -- the paper's oracle).
+    #: (per-query CSR search, the reference) or ``"hub_label"`` (hub labels
+    #: computed from a contraction hierarchy at set-up -- the paper's
+    #: oracle); ``"ch"`` is the same labels under the ledger's name.
     routing_backend: str = "dijkstra"
 
     def __post_init__(self) -> None:

@@ -9,7 +9,7 @@ and the compiled structures they search:
 * :class:`~repro.network.routing.csr.CSRGraph` -- flat-array adjacency
   compiled once from the dict-based :class:`~repro.network.road_network.RoadNetwork`.
 * :class:`~repro.network.routing.contraction.ContractionHierarchy` --
-  shortcut overlay read by upward sweeps (a node's hub labels).
+  shortcut overlay the hub labels are computed from.
 * :class:`~repro.network.routing.hub_labels.HubLabeling` -- the label store
   and the join that answers a pair for ``ch`` and ``hub_label``.
 """

@@ -6,14 +6,12 @@ counter; every distance comes from one of the backends in this module:
 ``dijkstra``
     CSR-based Dijkstra with early termination (the reference backend).
 ``ch``
-    A contraction hierarchy built up front; a distance is a join of two hub
-    labels (:class:`HubLabeling`) in a store private to the backend, each
-    swept only as far as the joins asked of it so far needed.
+    The shared one-pass labels, under the ledger's name: a contraction
+    hierarchy built up front and every node's hub labels computed from it at
+    set-up (:class:`HubLabeling`, the paper's oracle); a distance is a join
+    of two labels.
 ``hub_label``
-    ``ch`` over the store every oracle on the network shares, with every
-    node's labels computed at set-up by one pass per direction over the
-    hierarchy (the paper's oracle): the same distances, a slower set-up and
-    rebuild instead of a first-touch cost.
+    The same backend under the paper's name.
 
 All of them implement :class:`RoutingBackend`.  The preprocessed structures
 (CSR arrays, the hierarchy, the labels) are built lazily and shared by every
@@ -82,7 +80,7 @@ class RoutingData:
     def labeling(self) -> HubLabeling:
         """Every node's hub labels (labelled on first access, off the hierarchy)."""
         if self._labeling is None:
-            self._labeling = HubLabeling(self.hierarchy, eager=True)
+            self._labeling = HubLabeling(self.hierarchy)
         return self._labeling
 
     def estimated_memory_bytes(self) -> int:
@@ -278,18 +276,19 @@ class GraphSearchBackend:
 # preprocessed backends
 # ---------------------------------------------------------------------- #
 class CHBackend:
-    """Hub-label joins over a private :class:`HubLabeling` that starts empty.
+    """Hub-label joins over the network's shared :class:`HubLabeling`.
 
-    The hierarchy is built up front and shared.  A rebuilt or repaired oracle
-    gets a fresh backend, hence an empty store with nothing paused.
-    ``settled`` is :meth:`HubLabeling.query`'s.
+    The hierarchy and every label are built up front and shared by every
+    oracle over one network; a rebuilt or repaired oracle gets a fresh
+    backend over the new state's store.  ``settled`` is
+    :meth:`HubLabeling.query`'s.
     """
 
     name = "ch"
 
     def __init__(self, data: RoutingData) -> None:
         self.data = data
-        self.labeling = HubLabeling(data.hierarchy, eager=False)
+        self.labeling = data.labeling
 
     def one_to_one(self, source: int, target: int) -> tuple[float, int, Distances]:
         """One label join; learns the asked pair only."""
@@ -320,22 +319,14 @@ class CHBackend:
         return nodes, work, {(source, target): learned[(source, target)]}
 
     def estimated_memory_bytes(self) -> int:
-        """The CSR arrays, the hierarchy over them and the sweeps so far."""
-        return (
-            self.data.csr.estimated_memory_bytes()
-            + self.data.hierarchy.estimated_memory_bytes()
-            + self.labeling.estimated_memory_bytes()
-        )
+        """The CSR arrays, the hierarchy over them and its labels."""
+        return self.data.estimated_memory_bytes()
 
 
 class HubLabelBackend(CHBackend):
-    """The same joins over the network's shared store, labelled at set-up."""
+    """:class:`CHBackend` under the paper's name."""
 
     name = "hub_label"
-
-    def __init__(self, data: RoutingData) -> None:
-        self.data = data
-        self.labeling = data.labeling
 
 
 _BACKENDS: dict[str, type] = {

@@ -1,4 +1,4 @@
-"""Contraction Hierarchies (CH) preprocessor, upward sweeps and repair.
+"""Contraction Hierarchies (CH) preprocessor and repair.
 
 DESIGN.md ("Routing backends", "Incremental CH repair") describes the
 whole; the invariants the code below leans on are these.
@@ -9,8 +9,7 @@ whole; the invariants the code below leans on are these.
   a witness proves longer (edge reduction).  Bounds only add redundant
   shortcuts, never lose exactness.
 * The upward adjacency is one pair of per-node dicts of contraction-time
-  incident edges.  It is read two ways: a resumable stall-on-demand upward
-  sweep from one node (:class:`UpwardSweep`) and the rank-order passes of
+  incident edges, read only by the rank-order label passes of
   :mod:`repro.network.routing.hub_labels`.  No path is read off it (no
   shortcut middles): every ``path()`` is ``GraphSearchBackend``'s Dijkstra.
 * Search state is flat: one ``dist`` list of ``n`` floats, ``inf`` between
@@ -326,7 +325,7 @@ class ContractionHierarchy:
                 dist[node] = inf
         dist[v] = inf
         # Compact copies: the overlay dicts may carry slots of reduced edges,
-        # and the sweeps iterate these for the hierarchy's lifetime.
+        # and the label passes read these for the hierarchy's lifetime.
         incident_fwd = dict(fwd[v])
         incident_bwd = dict(bwd[v])
         for x in incident_fwd:
@@ -540,89 +539,3 @@ class ContractionHierarchy:
             + 8 * len(self._dist)
         )
 
-
-class UpwardSweep:
-    """The stall-on-demand upward Dijkstra from one node, resumable.
-
-    It relaxes only edges to higher-ranked nodes; a node some higher-ranked
-    node reaches more cheaply is *stalled* (settled, not labelled or relaxed:
-    it is no pair's covering hub).  ``label`` holds the nodes settled
-    unstalled, in settle order -- ``(distance, node)`` order, so a label
-    advanced in pieces is a prefix of the one-shot one.  While the sweep runs
-    its tentative distances live in a flat ``dist`` list of ``inf``, which
-    :meth:`resume` fills from the sweep and :meth:`pause` empties again.
-    """
-
-    __slots__ = ("relax", "stall", "label", "stalled", "heap", "floor")
-
-    def __init__(self, hierarchy: ContractionHierarchy, start: int, *, backward: bool) -> None:
-        up, down = hierarchy._stored_fwd, hierarchy._stored_bwd
-        self.relax, self.stall = (down, up) if backward else (up, down)
-        self.label: dict[int, float] = {}
-        self.stalled: dict[int, float] = {}
-        #: The frontier, superseded entries dropped while it is paused.
-        self.heap: list[tuple[float, int]] = [(0.0, start)]
-        #: No node the sweep has yet to label is closer than this.
-        self.floor = 0.0
-
-    def resume(self, dist: list[float]) -> None:
-        for held in (self.label, self.stalled):
-            for node, d in held.items():
-                dist[node] = d
-        for d, node in self.heap:
-            dist[node] = d
-
-    def pause(self, dist: list[float]) -> None:
-        inf = math.inf
-        if self.heap:
-            # Superseded entries (``d > dist[node]``) go: no pop changes.
-            heap = self.heap = [entry for entry in self.heap if entry[0] <= dist[entry[1]]]
-            heapq.heapify(heap)
-            self.floor = heap[0][0] if heap else inf
-            for _, node in heap:
-                dist[node] = inf
-        for node in self.label:
-            dist[node] = inf
-        for node in self.stalled:
-            dist[node] = inf
-
-    def advance(
-        self,
-        dist: list[float],
-        meet: dict[int, float] | None = None,
-        best: float = math.inf,
-        limit: float = math.inf,
-    ) -> float:
-        """Settle nodes until the next is at or above ``best`` or above
-        ``limit``; ``best`` (returned) falls to ``d_f + d_b`` when a node
-        labelled is in ``meet``, the other direction's label."""
-        heappop, heappush = heapq.heappop, heapq.heappush
-        relax, stall, label = self.relax, self.stall, self.label
-        stalled, heap = self.stalled, self.heap
-        # One test per pop: ``d >= stop`` iff ``d >= best or d > limit``.
-        stop = best if limit == math.inf else min(best, math.nextafter(limit, math.inf))
-        while heap:
-            d, node = heappop(heap)
-            if d > dist[node]:
-                continue  # superseded entry; first pop settles the node
-            if d >= stop:
-                heappush(heap, (d, node))
-                break
-            for m, w in stall[node].items():
-                if dist[m] + w < d:
-                    stalled[node] = d
-                    break
-            else:
-                label[node] = d
-                if meet is not None:
-                    far = meet.get(node)
-                    if far is not None and d + far < best:
-                        best = d + far
-                        stop = min(stop, best)
-                for succ, w in relax[node].items():
-                    candidate = d + w
-                    if candidate < dist[succ]:
-                        dist[succ] = candidate
-                        heappush(heap, (candidate, succ))
-        self.floor = heap[0][0] if heap else math.inf
-        return best

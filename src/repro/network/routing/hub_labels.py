@@ -3,16 +3,11 @@
 A node's forward (backward) label is its CH upward search space.  By the CH
 cover property the minimum of ``d_f(h) + d_b(h)`` over the hubs ``h`` two
 labels share is the shortest-path distance, so a ``cost(u, v)`` query is a
-join.  :class:`HubLabeling` is the store of both preprocessed backends.  The
-one every ``hub_label`` oracle over a network shares holds every label from
-set-up on (the paper's setup), computed for a block of sources at a time by
-one min-plus pass per direction over the upward adjacency in contraction
-order (:func:`_complete_labels`).  ``ch``'s private store sweeps a label
-(:class:`~repro.network.routing.contraction.UpwardSweep`) only as far as its
-joins need, with the stopping rule of the stall-on-demand CH query: advance
-the lower frontier while a frontier is below the best meeting distance, then
-pause.  An unreached hub lies at least a frontier away and cannot beat the
-answer, so the distance is the full-label join's bit for bit.
+join.  :class:`HubLabeling` is the one store of both preprocessed backends,
+shared by every oracle over a network: it holds every label from set-up on
+(the paper's setup), computed for a block of sources at a time by one
+min-plus pass per direction over the upward adjacency in contraction order
+(:func:`_complete_labels`).
 """
 
 from __future__ import annotations
@@ -23,42 +18,29 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .contraction import ContractionHierarchy, UpwardSweep
+from .contraction import ContractionHierarchy
 
-#: Sources per block of the eager store's passes: the distance block is
-#: ``n`` x this many floats (0.7 MiB on the 676-node city, 2.8 on 2,704).
+#: Sources per block of the label passes: the distance block is ``n`` x
+#: this many floats (0.7 MiB on the 676-node city, 2.8 on 2,704).
 SOURCE_BLOCK = 128
 
 
 class HubLabeling:
     """Per-node forward / backward labels and the join that answers a pair."""
 
-    __slots__ = ("hierarchy", "forward", "backward", "paused", "_dist")
+    __slots__ = ("hierarchy", "forward", "backward")
 
-    def __init__(self, hierarchy: ContractionHierarchy, *, eager: bool) -> None:
-        """An empty store over ``hierarchy``; ``eager`` labels every node now."""
+    def __init__(self, hierarchy: ContractionHierarchy) -> None:
+        """Label every node of ``hierarchy``, both directions."""
         self.hierarchy = hierarchy
-        n = hierarchy.csr.num_nodes
-        #: ``forward[i]`` -- ``{hub index: distance}``, ``None`` until swept.
-        self.forward: list[dict[int, float] | None] = [None] * n
-        self.backward: list[dict[int, float] | None] = [None] * n
-        if eager:
-            self.forward = _complete_labels(hierarchy, backward=False)
-            self.backward = _complete_labels(hierarchy, backward=True)
-        #: Sweeps begun and not finished, forward then backward, by node.
-        self.paused: tuple[dict[int, UpwardSweep], dict[int, UpwardSweep]] = ({}, {})
-        #: Flat tentative-distance scratch per direction, ``inf`` between calls.
-        self._dist = ([math.inf] * n, [math.inf] * n)
+        #: ``forward[i]`` -- ``{hub index: distance}``.
+        self.forward = _complete_labels(hierarchy, backward=False)
+        self.backward = _complete_labels(hierarchy, backward=True)
 
     def query(self, source_index: int, target_index: int) -> tuple[float, int]:
         """``(distance, settled)`` of one pair of dense indices; ``settled``
-        counts the label entries walked plus those the call's sweeps added."""
-        forward = self.forward[source_index]
-        if forward is None:
-            forward = self._begin(source_index, False)
-        backward = self.backward[target_index]
-        if backward is None:
-            backward = self._begin(target_index, True)
+        counts the label entries walked."""
+        forward, backward = self.forward[source_index], self.backward[target_index]
         # Walk the smaller label, probe the larger.
         walk, other = (backward, forward) if len(backward) < len(forward) else (forward, backward)
         probe = other.get
@@ -67,55 +49,18 @@ class HubLabeling:
             far = probe(hub)
             if far is not None and near + far < best:
                 best = near + far
-        paused = self.paused
-        if not (paused[0] or paused[1]):  # an eager store never pauses
-            return best, len(walk)
-        ahead, behind = paused[0].get(source_index), paused[1].get(target_index)
-        if (ahead is None or ahead.floor >= best) and (behind is None or behind.floor >= best):
-            return best, len(walk)
-        sweeps = [ahead, behind]
-        ends, labels = (source_index, target_index), (forward, backward)
-        before = len(forward) + len(backward)
-        # Advance the lower frontier while one is below ``best`` (a finished
-        # direction has none) until it passes twice the other, resuming a
-        # sweep once and pausing it after.
-        resumed = [False, False]
-        while True:
-            floors = [math.inf if sweep is None else sweep.floor for sweep in sweeps]
-            side = 0 if floors[0] <= floors[1] else 1
-            sweep = sweeps[side]
-            if sweep is None or floors[side] >= best:
-                break
-            if not resumed[side]:
-                sweep.resume(self._dist[side])
-                resumed[side] = True
-            best = sweep.advance(self._dist[side], labels[1 - side], best, 2 * floors[1 - side])
-        for side, sweep in enumerate(sweeps):
-            if sweep is not None and resumed[side]:
-                sweep.pause(self._dist[side])
-                if math.isinf(sweep.floor):
-                    del paused[side][ends[side]]
-        return best, len(walk) + len(forward) + len(backward) - before
-
-    def _begin(self, index: int, backward: bool) -> dict[int, float]:
-        """Start the sweep from ``index`` (it settles nothing yet)."""
-        sweep = self.paused[backward][index] = UpwardSweep(self.hierarchy, index, backward=backward)
-        (self.backward if backward else self.forward)[index] = sweep.label
-        return sweep.label
+        return best, len(walk)
 
     def estimated_memory_bytes(self) -> int:
-        """Rough footprint of the labels held so far and the paused sweeps."""
-        swept = [label for label in (*self.forward, *self.backward) if label is not None]
-        paused = [sweep for held in self.paused for sweep in held.values()]
-        # A dict slot and a float per entry, a dict header per label; a
-        # list slot, a tuple and a float per paused frontier entry.
-        entries = sum(map(len, swept)) + sum(len(sweep.stalled) for sweep in paused)
-        return 72 * entries + 64 * len(swept) + 88 * sum(len(s.heap) for s in paused)
+        """Rough footprint of the labels: a dict slot and a float per entry,
+        a dict header per label."""
+        labels = (*self.forward, *self.backward)
+        return 72 * sum(map(len, labels)) + 64 * len(labels)
 
 
 def _complete_labels(
     hierarchy: ContractionHierarchy, *, backward: bool
-) -> list[dict[int, float] | None]:
+) -> list[dict[int, float]]:
     """Every node's label in one direction: per block of sources of
     consecutive ranks, ``dist[x] = min(dist[p] + w)`` over the upward edges
     ``p -> x`` a level at a time, then the stall test on final distances
@@ -145,7 +90,7 @@ def _complete_labels(
         steps.append((lo, [-reach[node] for node in nodes], passes))
     largest = max((rows.size for *_, passes in steps for rows, _ in passes), default=0)
     scratch = np.empty(largest * SOURCE_BLOCK)
-    labels: list[dict[int, float] | None] = [None] * n
+    labels: dict[int, dict[int, float]] = {}
     for first in range(0, n, SOURCE_BLOCK):
         sources = order[first : first + SOURCE_BLOCK]
         at = (np.array([row_of[node] for node in sources]), np.arange(len(sources)))
@@ -167,7 +112,7 @@ def _complete_labels(
         del dist, kept  # the block goes before the labels come
         for source, count in zip(sources, counts):
             labels[source] = dict(islice(entries, count))
-    return labels
+    return [labels[node] for node in range(n)]
 
 
 def _padded(

@@ -175,9 +175,8 @@ class DistanceOracle:
         """Rebuild the routing structures against the current network.
 
         Drops the pair cache and the Dijkstra fallback, serves the shared
-        :func:`routing_data` (the backend constructor builds the hierarchy
-        and, for ``hub_label``, every label; ``ch`` sweeps over the next
-        queries) and returns the wall-clock seconds spent, which the
+        :func:`routing_data` (a ``ch`` / ``hub_label`` constructor builds the
+        hierarchy and every label) and returns the wall-clock seconds spent, which the
         scenario refresh policies account as rebuild time.
 
         A held state a build would reproduce bit for bit is adopted instead
@@ -215,8 +214,8 @@ class DistanceOracle:
            between the held hierarchy's CSR and the network's current one
            seed an affected node set that is re-contracted in the frozen
            rank order and spliced into the held hierarchy (see
-           :meth:`ContractionHierarchy.repair`); a ``hub_label`` backend
-           labels every node again off the repaired hierarchy.
+           :meth:`ContractionHierarchy.repair`); a ``ch`` / ``hub_label``
+           backend labels every node again off the repaired hierarchy.
         3. **Full rebuild** -- when the backend holds no hierarchy
            (``dijkstra``), the node set changed, or the affected set
            exceeds :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION`

@@ -2,7 +2,8 @@
 
 ``tests/golden/ch_hierarchy.json`` pins a sha256 over everything a build
 records (ranks, contraction order, upward adjacency, effects, witness support
-sets), over every node's forward and backward upward-sweep label, and over
+sets), over every node's forward and backward label from the reference
+upward sweep (``tests/ch_reference.py``), and over
 the same records after one ``repair()`` of a closure burst -- on three
 cities.  A
 change to the build loops that moves a single shortcut, witness or label
@@ -23,9 +24,11 @@ import pytest
 
 from repro.network.generators import make_city, ring_radial_city
 from repro.network.routing import contraction
-from repro.network.routing.contraction import ContractionHierarchy, UpwardSweep
+from repro.network.routing.contraction import ContractionHierarchy
 from repro.network.routing.csr import CSRGraph
 from repro.network.routing.hub_labels import HubLabeling
+
+from ch_reference import upward_label
 
 GOLDEN = Path(__file__).parent / "golden" / "ch_hierarchy.json"
 
@@ -55,17 +58,12 @@ def hierarchy_digest(ch: ContractionHierarchy) -> str:
 
 def labels_digest(ch: ContractionHierarchy) -> str:
     """sha256 over every node's forward and backward label, in settle order,
-    each from one complete :class:`UpwardSweep`."""
-    dist = [math.inf] * ch.csr.num_nodes
-    labels = []
-    for backward in (False, True):
-        for index in range(ch.csr.num_nodes):
-            sweep = UpwardSweep(ch, index, backward=backward)
-            sweep.resume(dist)
-            sweep.advance(dist)
-            sweep.pause(dist)
-            labels.append(list(sweep.label.items()))
-    return _sha((labels[: len(dist)], labels[len(dist) :]))
+    each from one reference upward sweep."""
+    nodes = range(ch.csr.num_nodes)
+    return _sha(tuple(
+        [list(upward_label(ch, index, backward=backward).items()) for index in nodes]
+        for backward in (False, True)
+    ))
 
 
 def close_burst(network, *, count: int = 12, seed: int = 0) -> list[tuple[int, int]]:
@@ -121,7 +119,6 @@ def test_search_scratch_is_all_inf_between_searches(monkeypatch):
     assert repaired._dist is ch._dist
     assert ch._dist == [math.inf] * n
     for hierarchy in (ch, repaired):
-        labeling = HubLabeling(hierarchy, eager=True)
+        labeling = HubLabeling(hierarchy)
         for i in range(n):
             assert labeling.forward[i][i] == 0.0 == labeling.backward[i][i]
-        assert all(d == math.inf for dist in labeling._dist for d in dist)

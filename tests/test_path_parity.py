@@ -9,15 +9,13 @@ node sequence starts at ``u``, ends at ``v``, follows only real network
 edges, and its summed edge cost equals ``cost(u, v)`` exactly -- with
 ``UnreachableError`` raised uniformly for unreachable pairs; ``dijkstra``,
 ``ch`` and ``hub_label`` return the *same* sequence, a preprocessed
-``path()`` sweeps no label, and it follows a ``rebuild()`` / ``repair()``.
+``path()`` joins no label, and it follows a ``rebuild()`` / ``repair()``.
 
 On the same network families, ``ch`` and ``hub_label`` *distances* -- joins
-of per-node hub labels from one ``HubLabeling`` store, which ``ch`` keeps
-privately and sweeps only as far as its joins need and ``hub_label`` shares
-and labels in full at set-up, by one min-plus pass per direction -- equal a
-fresh Dijkstra, each other and a reference join of two complete labels bit
-for bit, whatever was asked before; a sweep advanced in pieces equals the
-one-shot sweep, no node is settled twice, and no label or paused sweep
+of per-node hub labels from the one ``HubLabeling`` store every oracle over
+the network shares, labelled in full at set-up by one min-plus pass per
+direction -- equal a fresh Dijkstra, each other and a reference join of two
+complete labels bit for bit, whatever was asked before, and no label
 outlives a ``rebuild()`` / ``repair()``.  The one-pass joins also equal the
 reference joins on every pair of a repaired hierarchy, of the 676-node city
 in each ``rush_hour`` wave state and of small tie-prone digraphs.
@@ -26,7 +24,6 @@ in each ``rush_hour`` wave state and of small tie-prone digraphs.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from types import SimpleNamespace
 
@@ -43,12 +40,14 @@ from repro.network.routing import (
     CSRGraph,
     HubLabeling,
     contraction,
+    hub_labels,
     make_backend,
     routing_data,
 )
-from repro.network.routing.contraction import UpwardSweep
 from repro.network.shortest_path import DistanceOracle
 from repro.scenarios.presets import make_scenario
+
+from ch_reference import upward_label
 
 ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
 
@@ -224,7 +223,7 @@ def _all_pairs(network: RoadNetwork) -> list[tuple[int, int]]:
 
 
 def _fresh(network: RoadNetwork, name: str, pairs) -> dict[tuple[int, int], float]:
-    """``pairs`` answered by a new backend ``name`` (an empty store for ``ch``)."""
+    """``pairs`` answered by a new backend ``name``."""
     learned, _, _ = make_backend(name, routing_data(network)).many_to_many(pairs)
     return {pair: learned[pair] for pair in pairs}
 
@@ -234,71 +233,15 @@ def _table(oracle: DistanceOracle, nodes) -> dict[tuple[int, int], float]:
     return {(u, v): oracle.cost(u, v) for u in nodes for v in nodes}
 
 
-def _reference_label(hierarchy, index: int, *, backward: bool) -> dict[int, float]:
-    """A complete upward sweep the obvious way: a dict-backed Dijkstra over
-    the upward adjacency that settles in ``(distance, node)`` order and
-    leaves out (and does not relax) a node some higher-ranked node reaches
-    more cheaply."""
-    up, down = hierarchy._stored_fwd, hierarchy._stored_bwd
-    relax, stall = (down, up) if backward else (up, down)
-    dist = {index: 0.0}
-    settled: set[int] = set()
-    label: dict[int, float] = {}
-    while len(settled) < len(dist):
-        d, node = min((d, n) for n, d in dist.items() if n not in settled)
-        settled.add(node)
-        if any(m in dist and dist[m] + w < d for m, w in stall[node].items()):
-            continue
-        label[node] = d
-        for succ, w in relax[node].items():
-            if d + w < dist.get(succ, math.inf):
-                dist[succ] = d + w
-    return label
-
-
 def _reference_join(hierarchy, source: int, target: int) -> float:
     """The minimum of ``d_f(h) + d_b(h)`` over the hubs two complete labels
     share."""
-    forward = _reference_label(hierarchy, source, backward=False)
-    backward = _reference_label(hierarchy, target, backward=True)
+    forward = upward_label(hierarchy, source, backward=False)
+    backward = upward_label(hierarchy, target, backward=True)
     return min(
         (d + backward[hub] for hub, d in forward.items() if hub in backward),
         default=math.inf,
     )
-
-
-class _SweepLog:
-    """Every upward sweep started from now on, and the nodes each settles."""
-
-    def __init__(self, monkeypatch) -> None:
-        #: ``(node index, backward)`` per sweep started, in order.
-        self.started: list[tuple[int, bool]] = []
-        #: Per sweep: every node it settled (labelled or stalled), in order.
-        self.settled: dict[UpwardSweep, list[int]] = {}
-        init, advance = UpwardSweep.__init__, UpwardSweep.advance
-
-        def starting(sweep, hierarchy, start, *, backward):
-            init(sweep, hierarchy, start, backward=backward)
-            self.started.append((start, backward))
-            self.settled[sweep] = []
-
-        def advancing(sweep, dist, *args):
-            labelled, stalled = len(sweep.label), len(sweep.stalled)
-            best = advance(sweep, dist, *args)
-            self.settled[sweep] += [*list(sweep.label)[labelled:], *list(sweep.stalled)[stalled:]]
-            return best
-
-        monkeypatch.setattr(UpwardSweep, "__init__", starting)
-        monkeypatch.setattr(UpwardSweep, "advance", advancing)
-
-
-def _one_shot(hierarchy, index: int, *, backward: bool) -> UpwardSweep:
-    dist = [math.inf] * hierarchy.csr.num_nodes
-    sweep = UpwardSweep(hierarchy, index, backward=backward)
-    sweep.resume(dist)
-    sweep.advance(dist)
-    sweep.pause(dist)
-    return sweep
 
 
 def _shortcut(network: RoadNetwork) -> None:
@@ -333,10 +276,9 @@ class TestChDistancesAreLabelJoins:
         elif order == "reversed":
             pairs.reverse()
         labeling = make_backend("ch", data).labeling
-        for s, t in pairs:  # one store: every pair resumes what others paused
+        for s, t in pairs:
             got = labeling.query(s, t)[0]
             assert got == _reference_join(data.hierarchy, s, t), (s, t)
-        assert all(d == math.inf for dist in labeling._dist for d in dist)
 
     def test_answers_do_not_depend_on_what_was_asked_before(self, family):
         network = FAMILIES[family]()
@@ -350,113 +292,25 @@ class TestChDistancesAreLabelJoins:
             assert cold == warm[(source, target)]
             assert backend.one_to_one(source, target)[0] == cold
 
-    @pytest.mark.parametrize("repaired", (False, True))
-    def test_a_sweep_advanced_in_pieces_equals_the_one_shot_sweep(
-        self, family, repaired, monkeypatch
-    ):
-        network = FAMILIES[family]()
-        hierarchy = routing_data(network).hierarchy
-        if repaired:
-            monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
-            _shortcut(network)
-            hierarchy = hierarchy.repair(CSRGraph.from_network(network))[0]
-        n = hierarchy.csr.num_nodes
-        dist = [math.inf] * n
-        for index in range(n):
-            for backward in (False, True):
-                whole = _one_shot(hierarchy, index, backward=backward)
-                entries = list(whole.label.items())
-                reference = _reference_label(hierarchy, index, backward=backward)
-                assert entries == list(reference.items())
-                # Pause at every other distance of the label, alternating the
-                # two stopping rules, then run to completion.
-                sweep = UpwardSweep(hierarchy, index, backward=backward)
-                for k, (_, d) in enumerate(entries[1::2]):
-                    sweep.resume(dist)
-                    if k % 2:
-                        sweep.advance(dist, best=d)
-                    else:
-                        sweep.advance(dist, limit=d)
-                    sweep.pause(dist)
-                    assert list(sweep.label.items()) == entries[: len(sweep.label)]
-                sweep.resume(dist)
-                sweep.advance(dist)
-                sweep.pause(dist)
-                assert list(sweep.label.items()) == entries
-                assert list(sweep.stalled.items()) == list(whole.stalled.items())
-                assert sweep.floor == math.inf
-                assert dist == [math.inf] * n
+    def test_ch_and_hub_label_oracles_share_one_store(self, family, monkeypatch):
+        labelled: list[tuple[ContractionHierarchy, bool]] = []
+        complete_labels = hub_labels._complete_labels
 
-    def test_no_node_is_settled_twice_per_direction_per_store(
-        self, family, monkeypatch
-    ):
-        network = FAMILIES[family]()
-        backend = make_backend("ch", routing_data(network))
-        log = _SweepLog(monkeypatch)
-        endpoints = sorted(network.nodes())[:6]
-        pairs = [(u, v) for u in endpoints for v in endpoints]
-        backend.many_to_many(pairs * 2)
-        for source, target in random.Random(7).sample(_all_pairs(network), 60):
-            backend.one_to_one(source, target)
-        # Each direction of a node is started once, and never settles a node
-        # it settled before.
-        assert len(log.started) == len(set(log.started))
-        assert all(len(nodes) == len(set(nodes)) for nodes in log.settled.values())
-        hierarchy = backend.data.hierarchy
-        for nodes, (index, backward) in list(zip(log.settled.values(), log.started)):
-            whole = _one_shot(hierarchy, index, backward=backward)
-            assert set(nodes) <= {*whole.label, *whole.stalled}
+        def counting(hierarchy, *, backward):
+            labelled.append((hierarchy, backward))
+            return complete_labels(hierarchy, backward=backward)
 
-    @pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
-    def test_a_refreshed_oracle_starts_with_nothing_paused(self, family, refresh):
+        monkeypatch.setattr(hub_labels, "_complete_labels", counting)
         network = FAMILIES[family]()
         nodes = sorted(network.nodes())
-        oracle = DistanceOracle(network, backend="ch")
-        _table(oracle, nodes[:5])
-        _shortcut(network)
-        if refresh == "fallback":
-            oracle.enable_fallback()
-            _table(oracle, nodes[:5])  # answered by the fallback's Dijkstra
-            oracle.repair()
-        else:
-            getattr(oracle, refresh)()
-        labeling = oracle._backend.labeling
-        assert labeling.paused == ({}, {})
-        assert all(label is None for label in (*labeling.forward, *labeling.backward))
-
-    def test_hub_label_oracles_share_one_store_labelled_at_set_up(
-        self, family, monkeypatch
-    ):
-        network = FAMILIES[family]()
-        sweeps = _SweepLog(monkeypatch).started
-        nodes = sorted(network.nodes())
-        first = DistanceOracle(network, backend="hub_label")
+        first = DistanceOracle(network, backend="ch")
         store = first._backend.labeling
         # Every node, both directions, before the first question.
-        assert None not in (*store.forward, *store.backward)
+        assert len(store.forward) == len(store.backward) == len(nodes)
         second = DistanceOracle(network, backend="hub_label")
-        assert second._backend.labeling is store
+        assert second._backend.labeling is store is routing_data(network).labeling
         assert _table(first, nodes) == _table(second, nodes)
-        assert sweeps == [] and store.paused == ({}, {})
-
-    def test_ch_store_is_private_and_sweeps_only_what_it_is_asked(
-        self, family, monkeypatch
-    ):
-        network = FAMILIES[family]()
-        data = routing_data(network)
-        shared = data.labeling
-        labels = [*shared.forward, *shared.backward]
-        sweeps = _SweepLog(monkeypatch).started
-        oracle = DistanceOracle(network, backend="ch")
-        nodes = sorted(network.nodes())
-        sources, targets = nodes[:3], nodes[3:7]
-        oracle.prefetch(sources, targets)
-        index = data.csr.index_of
-        assert sorted(sweeps) == sorted(
-            [(index[s], False) for s in sources] + [(index[t], True) for t in targets]
-        )
-        # Same label objects as before: the shared store was not written.
-        assert all(map(operator.is_, labels, [*shared.forward, *shared.backward]))
+        assert labelled == [(store.hierarchy, False), (store.hierarchy, True)]
 
     @pytest.mark.parametrize("backend", ("ch", "hub_label"))
     def test_a_batch_learns_exactly_the_asked_pairs(self, family, backend):
@@ -485,6 +339,32 @@ class TestChDistancesAreLabelJoins:
             assert after[pair] == pytest.approx(want, abs=1e-9), pair
 
 
+@pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
+def test_a_refreshed_oracle_answers_from_the_new_store(refresh, monkeypatch):
+    monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+    network = FAMILIES["grid"]()
+    nodes = sorted(network.nodes())
+    oracle = DistanceOracle(network, backend="ch")
+    old = oracle._backend.labeling
+    before = _table(oracle, nodes)
+    _shortcut(network)
+    if refresh == "fallback":
+        oracle.enable_fallback()
+        _table(oracle, nodes)  # answered by the fallback's Dijkstra
+    if refresh == "rebuild":
+        oracle.rebuild()
+    else:
+        assert oracle.repair().mode == "repaired"
+    backend = oracle._backend
+    assert backend.labeling is not old
+    assert backend.labeling is backend.data.labeling is routing_data(network).labeling
+    assert backend.labeling.hierarchy is backend.data.hierarchy
+    after = _table(oracle, nodes)
+    assert after != before
+    for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
+        assert after[pair] == pytest.approx(want, abs=1e-9), pair
+
+
 def _all_joins(forward, backward) -> np.ndarray:
     """``[s, t]``: the least ``d_f(h) + d_b(h)`` over the hubs the labels
     ``forward[s]`` and ``backward[t]`` share -- ``_reference_join`` for every
@@ -500,10 +380,10 @@ def _all_joins(forward, backward) -> np.ndarray:
 
 
 def _assert_one_pass_joins_are_reference_joins(hierarchy) -> None:
-    store = HubLabeling(hierarchy, eager=True)
+    store = HubLabeling(hierarchy)
     n = hierarchy.csr.num_nodes
     reference = [
-        [_reference_label(hierarchy, index, backward=backward) for index in range(n)]
+        [upward_label(hierarchy, index, backward=backward) for index in range(n)]
         for backward in (False, True)
     ]
     assert np.array_equal(_all_joins(store.forward, store.backward), _all_joins(*reference))
@@ -529,10 +409,10 @@ def _tie_prone_digraphs(draw) -> RoadNetwork:
 
 
 class TestOnePassLabelsJoinLikeSweptOnes:
-    """``hub_label``'s store labels every node with one min-plus pass per
-    direction, not with sweeps.  Its labels may differ from the sweeps' by
-    hubs no shortest path uses; its joins equal ``_reference_join`` bit for
-    bit, for every pair."""
+    """The store labels every node with one min-plus pass per direction, not
+    with sweeps.  Its labels may differ from the reference sweeps' by hubs no
+    shortest path uses; its joins equal ``_reference_join`` bit for bit, for
+    every pair."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     @pytest.mark.parametrize("repaired", (False, True))
@@ -593,7 +473,11 @@ class TestOnePathSearch:
         network = FAMILIES[family]()
         oracle = DistanceOracle(network, backend=backend)
         reference = DistanceOracle(network, cache_size=0)
-        sweeps = _SweepLog(monkeypatch).started  # after hub_label's set-up sweeps
+        joins: list[tuple[int, int]] = []
+        join = HubLabeling.query
+        monkeypatch.setattr(
+            HubLabeling, "query", lambda store, s, t: joins.append((s, t)) or join(store, s, t)
+        )
         for u, v in random.Random(11).sample(_all_pairs(network), 30):
             if u == v or math.isinf(reference.cost(u, v)):
                 continue
@@ -606,7 +490,7 @@ class TestOnePathSearch:
                 total += network.edge_cost(a, b)
             assert oracle.cost(u, v) == total
             assert oracle.stats.searches == searches + 1  # the path's; cost() hit
-        assert sweeps == []
+        assert joins == []
 
     @pytest.mark.parametrize("backend", ("ch", "hub_label"))
     @pytest.mark.parametrize("refresh", ("rebuild", "repair"))

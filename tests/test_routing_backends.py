@@ -341,7 +341,7 @@ class TestConfigurationAndSharing:
         labels = data.labeling
         assert isinstance(hierarchy, ContractionHierarchy)
         assert isinstance(labels, HubLabeling)
-        # Every label is swept and holds its own node as a hub at distance zero.
+        # Every label is computed and holds its own node as a hub at distance zero.
         for index in range(data.csr.num_nodes):
             assert labels.forward[index][index] == 0.0
             assert labels.backward[index][index] == 0.0

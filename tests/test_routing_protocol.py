@@ -221,13 +221,18 @@ class TestUnknownNodes:
 class TestMemoryEstimate:
     def test_every_backend_reports_what_it_holds(self):
         """Regression: ``hub_label`` reported less than ``ch``, whose
-        hierarchy it keeps for repairs."""
+        hierarchy it keeps for repairs.  Both hold the CSR, the hierarchy
+        and the one label store; ``dijkstra`` holds the CSR alone."""
         network = grid_city(4, 4)
         held = {
             name: DistanceOracle(network, backend=name).estimated_memory_bytes()
             for name in BACKEND_NAMES
         }
-        assert 0 < held["dijkstra"] < held["ch"] < held["hub_label"]
+        data = routing_data(network)
+        assert held["dijkstra"] == data.csr.estimated_memory_bytes()
+        assert held["dijkstra"] < held["ch"] == held["hub_label"]
+        assert held["ch"] == data.estimated_memory_bytes()
+        assert data.labeling.estimated_memory_bytes() > 0
 
 
 # ---------------------------------------------------------------------- #
