@@ -15,8 +15,10 @@ On the same network families, ``ch`` and ``hub_label`` *distances* -- joins
 of per-node hub labels from the one ``HubLabeling`` store every oracle over
 the network shares, labelled in full at set-up by one min-plus pass per
 direction -- equal a fresh Dijkstra, each other and a reference join of two
-complete labels bit for bit, whatever was asked before, and no label
-outlives a ``rebuild()`` / ``repair()``.  The one-pass joins also equal the
+complete labels bit for bit, whatever was asked before; every label holds
+its node's stall-tested upward distances, whatever the source block; no join
+writes to the store or labels a node again; and no label outlives a
+``rebuild()`` / ``repair()``.  The one-pass joins also equal the
 reference joins on every pair of a repaired hierarchy, of the 676-node city
 in each ``rush_hour`` wave state and of small tie-prone digraphs.
 """
@@ -24,6 +26,7 @@ in each ``rush_hour`` wave state and of small tie-prone digraphs.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from types import SimpleNamespace
 
@@ -47,7 +50,7 @@ from repro.network.routing import (
 from repro.network.shortest_path import DistanceOracle
 from repro.scenarios.presets import make_scenario
 
-from ch_reference import upward_label
+from ch_reference import stall_tested_label, upward_label
 
 ALL_BACKENDS = ("dijkstra", "ch", "hub_label")
 
@@ -251,6 +254,19 @@ def _shortcut(network: RoadNetwork) -> None:
     network.add_edge(u, v, cost / 50.0)
 
 
+def _count_label_passes(monkeypatch) -> list[tuple[ContractionHierarchy, bool]]:
+    """``(hierarchy, backward)`` per label pass run from now on, in order."""
+    labelled: list[tuple[ContractionHierarchy, bool]] = []
+    complete_labels = hub_labels._complete_labels
+
+    def counting(hierarchy, *, backward):
+        labelled.append((hierarchy, backward))
+        return complete_labels(hierarchy, backward=backward)
+
+    monkeypatch.setattr(hub_labels, "_complete_labels", counting)
+    return labelled
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 class TestChDistancesAreLabelJoins:
     def test_all_pairs_equal_dijkstra_and_hub_label_bit_for_bit(self, family):
@@ -292,15 +308,68 @@ class TestChDistancesAreLabelJoins:
             assert cold == warm[(source, target)]
             assert backend.one_to_one(source, target)[0] == cold
 
-    def test_ch_and_hub_label_oracles_share_one_store(self, family, monkeypatch):
-        labelled: list[tuple[ContractionHierarchy, bool]] = []
-        complete_labels = hub_labels._complete_labels
+    @pytest.mark.parametrize("repaired", (False, True))
+    @pytest.mark.parametrize("block", (3, hub_labels.SOURCE_BLOCK))
+    def test_one_pass_labels_are_stall_tested_upward_distances(
+        self, family, block, repaired, monkeypatch
+    ):
+        # Blocks of three sources cross many block boundaries and cut most
+        # levels short; the shipped block holds every node of these networks.
+        monkeypatch.setattr(hub_labels, "SOURCE_BLOCK", block)
+        network = FAMILIES[family]()
+        hierarchy = routing_data(network).hierarchy
+        if repaired:
+            monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+            _shortcut(network)
+            hierarchy = hierarchy.repair(CSRGraph.from_network(network))[0]
+        store = HubLabeling(hierarchy)
+        for backward, labels in ((False, store.forward), (True, store.backward)):
+            assert len(labels) == hierarchy.csr.num_nodes
+            for index, label in enumerate(labels):
+                want = stall_tested_label(hierarchy, index, backward=backward)
+                assert label == want, (index, backward)
+                assert label[index] == 0.0
 
-        def counting(hierarchy, *, backward):
-            labelled.append((hierarchy, backward))
-            return complete_labels(hierarchy, backward=backward)
+    def test_no_node_is_settled_twice_per_direction_per_store(
+        self, family, monkeypatch
+    ):
+        labelled = _count_label_passes(monkeypatch)
+        network = FAMILIES[family]()
+        data = routing_data(network)
+        store = data.labeling
+        endpoints = sorted(network.nodes())[:6]
+        pairs = [(u, v) for u in endpoints for v in endpoints]
+        for name in ("ch", "hub_label"):
+            backend = make_backend(name, data)
+            backend.many_to_many(pairs * 2)
+            for source, target in random.Random(7).sample(_all_pairs(network), 60):
+                _, settled, _ = backend.one_to_one(source, target)
+                # A join walks each entry of the smaller label once.
+                s, t = data.csr.index_of[source], data.csr.index_of[target]
+                assert settled == min(len(store.forward[s]), len(store.backward[t]))
+        # Each direction of every node is labelled once, at set-up.
+        assert labelled == [(store.hierarchy, False), (store.hierarchy, True)]
 
-        monkeypatch.setattr(hub_labels, "_complete_labels", counting)
+    def test_queries_leave_the_shared_store_as_it_was(self, family):
+        network = FAMILIES[family]()
+        data = routing_data(network)
+        store = data.labeling
+        labels = [*store.forward, *store.backward]
+        copies = [dict(label) for label in labels]
+        nodes = sorted(network.nodes())
+        for name in ("ch", "hub_label"):
+            oracle = DistanceOracle(network, backend=name)
+            oracle.prefetch(nodes[:3], nodes[3:7])
+            _table(oracle, nodes[:6])
+            make_backend(name, data).many_to_many(_all_pairs(network))
+        # The same label objects, holding the same entries: no join writes.
+        assert all(map(operator.is_, labels, [*store.forward, *store.backward]))
+        assert [*store.forward, *store.backward] == copies
+
+    def test_hub_label_oracles_share_one_store_labelled_at_set_up(
+        self, family, monkeypatch
+    ):
+        labelled = _count_label_passes(monkeypatch)
         network = FAMILIES[family]()
         nodes = sorted(network.nodes())
         first = DistanceOracle(network, backend="ch")
@@ -338,31 +407,32 @@ class TestChDistancesAreLabelJoins:
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
             assert after[pair] == pytest.approx(want, abs=1e-9), pair
 
-
-@pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
-def test_a_refreshed_oracle_answers_from_the_new_store(refresh, monkeypatch):
-    monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
-    network = FAMILIES["grid"]()
-    nodes = sorted(network.nodes())
-    oracle = DistanceOracle(network, backend="ch")
-    old = oracle._backend.labeling
-    before = _table(oracle, nodes)
-    _shortcut(network)
-    if refresh == "fallback":
-        oracle.enable_fallback()
-        _table(oracle, nodes)  # answered by the fallback's Dijkstra
-    if refresh == "rebuild":
-        oracle.rebuild()
-    else:
-        assert oracle.repair().mode == "repaired"
-    backend = oracle._backend
-    assert backend.labeling is not old
-    assert backend.labeling is backend.data.labeling is routing_data(network).labeling
-    assert backend.labeling.hierarchy is backend.data.hierarchy
-    after = _table(oracle, nodes)
-    assert after != before
-    for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
-        assert after[pair] == pytest.approx(want, abs=1e-9), pair
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
+    def test_a_refreshed_oracle_answers_from_the_new_store(
+        self, family, refresh, monkeypatch
+    ):
+        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+        network = FAMILIES[family]()
+        nodes = sorted(network.nodes())
+        oracle = DistanceOracle(network, backend="ch")
+        old = oracle._backend.labeling
+        before = _table(oracle, nodes)
+        _shortcut(network)
+        if refresh == "fallback":
+            oracle.enable_fallback()
+            _table(oracle, nodes)  # answered by the fallback's Dijkstra
+        if refresh == "rebuild":
+            oracle.rebuild()
+        else:
+            assert oracle.repair().mode == "repaired"
+        backend = oracle._backend
+        assert backend.labeling is not old
+        assert backend.labeling is backend.data.labeling is routing_data(network).labeling
+        assert backend.labeling.hierarchy is backend.data.hierarchy
+        after = _table(oracle, nodes)
+        assert after != before
+        for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
+            assert after[pair] == pytest.approx(want, abs=1e-9), pair
 
 
 def _all_joins(forward, backward) -> np.ndarray:
