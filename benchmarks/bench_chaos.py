@@ -1,8 +1,8 @@
 """Benchmark of the resilience layer under injected faults.
 
 Runs the ``stadium_surge`` and ``bridge_closure`` scenario presets on the
-preprocessed routing backends (``ch``, ``hub_label``) under both
-refresh policies with the ``flaky_oracle`` / ``oracle_meltdown`` chaos
+``ch`` routing backend (``hub_label`` is the same backend under another
+name) under both refresh policies with the ``flaky_oracle`` / ``oracle_meltdown`` chaos
 presets, and reports what the resilience machinery did: faults injected,
 refresh retries, breaker trips, batches run on the degraded dispatcher,
 invariant-probe failures with their self-healing rebuilds, and the recovery
@@ -33,7 +33,7 @@ from repro.experiments.harness import (
 
 from _common import save_grid
 
-BACKENDS = ("ch", "hub_label")
+BACKENDS = ("ch",)
 POLICIES = ("coalesce", "repair")
 SCENARIOS = ("stadium_surge", "bridge_closure")
 CHAOS = ("flaky_oracle", "oracle_meltdown")
@@ -95,7 +95,7 @@ def full_rows() -> list[dict]:
 
 
 def smoke_rows() -> list[dict]:
-    """The CI grid: ``flaky_oracle`` on both backends x both policies."""
+    """The CI grid: ``flaky_oracle`` under both policies."""
     return _grid(("flaky_oracle",), scale=0.04)
 
 
@@ -116,7 +116,7 @@ def test_chaos_smoke_grid():
         assert row["faults"] > 0, row
     _save_grid(
         rows, "chaos_smoke",
-        "Chaos smoke grid (flaky_oracle, policy x backend, parity-verified)",
+        "Chaos smoke grid (flaky_oracle, policy x scenario, parity-verified)",
     )
 
 
@@ -160,7 +160,7 @@ def main() -> None:
     if "--smoke" in sys.argv:
         _save_grid(
             smoke_rows(), "chaos_smoke",
-            "Chaos smoke grid (flaky_oracle, policy x backend, parity-verified)",
+            "Chaos smoke grid (flaky_oracle, policy x scenario, parity-verified)",
         )
         return
     _save_grid(

@@ -15,10 +15,9 @@ each backend is what gets measured.  Asserted alongside the timings:
   that repeats exactly -- equals the committed ``oracle_backends.json`` on
   every backend, so a node-ordering or stall-on-demand regression in the CH
   preprocessor fails the run instead of hiding in wall-clock noise;
-* the shape of the ``ch`` build -- shortcuts inserted and nodes settled by
-  all witness searches, counts that repeat exactly -- equals the committed
-  file too, so a build change that moves a single shortcut or witness fails
-  here (``build ms`` is reported, never gated);
+* the shape of the ``ch`` build -- its upward edges, a count that repeats
+  exactly -- equals the committed file too, so a build change that adds or
+  drops a shortcut fails here (``build ms`` is reported, never gated);
 * every dispatcher produces *identical assignments* across all three backends
   on a fixed-seed scenario, so switching backends is purely a performance
   decision.
@@ -125,6 +124,14 @@ HISTORY = (
     "labels, hub_label's count).  Three alternating rounds on one host: ch "
     "first 82-141 -> 4.3-4.9 us, build 69-89 -> 83-114 ms (the CH build plus "
     "the label pass).",
+    "  Repair records deleted: the CH build keeps ranks, order and the upward "
+    "adjacency only; the incremental repair and the effect / witness records "
+    "of PR 5 are gone.  The build-shape gate is now the upward-edge count "
+    "(3411), because the shortcut and witness-settled counts were read off "
+    "those records.  Retained memory of one build (tracemalloc): 0.53 -> 0.25 "
+    "MiB on this city, 4.45 -> 1.92 MiB on chd 1.2.  Build ms within noise "
+    "(medians of 7 builds, three alternating rounds, 2 vCPUs: 70-75 -> "
+    "55-70 ms).",
 )
 
 #: Fixed-seed scenario used by the cross-backend assignment check.
@@ -181,8 +188,7 @@ def measure_backends() -> list[dict]:
         }
         if name == "ch":
             hierarchy = routing_data(city).hierarchy
-            row["shortcuts"] = sum(map(len, hierarchy._added))
-            row["witness_settled"] = sum(map(len, hierarchy._witness_settled))
+            row["upward_edges"] = sum(map(len, hierarchy._stored_fwd + hierarchy._stored_bwd))
         rows.append(row)
     baseline = rows[0]["query_us"]
     for row in rows:
@@ -193,9 +199,9 @@ def measure_backends() -> list[dict]:
 def results_payload(rows: list[dict]) -> dict:
     """Machine-readable twin of the text table (``oracle_backends.json``).
 
-    ``rows[*].settled_per_query`` and the ``ch`` row's ``shortcuts`` /
-    ``witness_settled`` are what :func:`test_backend_speedup` compares with
-    the committed file; the timings ride along.
+    ``rows[*].settled_per_query`` and the ``ch`` row's ``upward_edges`` are
+    what :func:`test_backend_speedup` compares with the committed file; the
+    timings ride along.
     """
     return {
         "benchmark": "oracle_backends",
@@ -223,10 +229,7 @@ def format_table(rows: list[dict]) -> str:
             f"{row['settled_per_query']:10.1f} {row['max_error']:10.2e}"
         )
     ch = next(row for row in rows if row["backend"] == "ch")
-    lines.append(
-        f"ch build shape: {ch['shortcuts']} shortcuts, "
-        f"{ch['witness_settled']} witness-settled"
-    )
+    lines.append(f"ch build shape: {ch['upward_edges']} upward edges")
     lines.append("")
     lines.extend(HISTORY)
     return "\n".join(lines)
@@ -276,7 +279,7 @@ def test_backend_speedup():
     committed = json.loads((RESULTS_DIR / "oracle_backends.json").read_text())
     rows = measure_backends()
     by_name = {row["backend"]: row for row in rows}
-    counted = ("settled_per_query", "shortcuts", "witness_settled")
+    counted = ("settled_per_query", "upward_edges")
 
     def counts(table: list[dict]) -> dict:
         return {row["backend"]: [row.get(key) for key in counted] for row in table}

@@ -1,11 +1,11 @@
 """Benchmark of the dynamic-world scenario engine and oracle refresh policies.
 
-Runs the ``bridge_closure`` and ``rush_hour`` scenario presets on the
-preprocessed routing backends (``ch``, ``hub_label``) under both
-refresh policies -- ``coalesce`` | ``repair`` -- and reports the refresh overhead per policy: backend rebuilds and their
-wall-clock cost, incremental repairs (nodes re-contracted, snapshot hits),
-queries served by the exact Dijkstra fallback while the structures were
-dirty, and the stale-window time.
+Runs the ``bridge_closure`` and ``rush_hour`` scenario presets on the ``ch``
+routing backend (``hub_label`` is the same backend under another name)
+under both refresh policies -- ``coalesce`` | ``repair`` -- and reports the
+refresh overhead per policy: backend rebuilds and their wall-clock cost,
+repairs (snapshot swaps) and theirs, queries served by the exact Dijkstra
+fallback while the structures were dirty, and the stale-window time.
 
 Every cell goes through the harness front door
 (:func:`repro.experiments.harness.run` with specs that set ``scenario=``
@@ -15,8 +15,8 @@ burst* the scenario oracle is checked against a fresh Dijkstra over the
 mutated network and every returned path is checked to avoid closed edges.
 
 Run directly (``python benchmarks/bench_scenarios.py``) for the full table,
-``--smoke`` for the short CI grid (both scenarios x both backends x all
-policies at a smaller scale, with a markdown copy for the CI job summary),
+``--smoke`` for the short CI grid (both scenarios x both policies at a
+smaller scale, with a markdown copy for the CI job summary),
 ``--trace`` for one traced run that writes the observability artifacts
 (JSONL span trace, Prometheus snapshot, markdown report) into the results
 directory, or through pytest like the other benchmarks.
@@ -30,7 +30,7 @@ from repro.experiments.harness import RunSpec, run, run_grid
 
 from _common import RESULTS_DIR, save_grid, save_json
 
-BACKENDS = ("ch", "hub_label")
+BACKENDS = ("ch",)
 POLICIES = ("coalesce", "repair")
 SCENARIOS = ("bridge_closure", "rush_hour")
 #: Workload scale of the full benchmark (the smoke run shrinks it further).
@@ -50,8 +50,6 @@ COLUMNS: dict[str, tuple[str, str]] = {
     "rebuild_ms": ("rebuild ms", ".1f"),
     "repairs": ("repairs", "d"),
     "repair_ms": ("repair ms", ".1f"),
-    "snapshot_hits": ("snap", "d"),
-    "recontracted": ("recon", "d"),
     "fallback_q": ("fallback q", "d"),
     "stale_ms": ("stale ms", ".1f"),
     "service_rate": ("svc rate", ".3f"),
@@ -86,7 +84,7 @@ def full_rows() -> list[dict]:
 
 
 def smoke_rows() -> list[dict]:
-    """The CI grid: both scenarios x both backends x both policies."""
+    """The CI grid: both scenarios x both policies."""
     return _grid_rows(
         scale=0.04, city_scale=CITY_SCALE,
         algorithm="pruneGDP", parity_pairs=12,
@@ -108,7 +106,7 @@ def test_scenario_refresh_overhead_smoke():
         assert row["rebuilds"] + row["repairs"] >= 1
     _save_grid(
         rows, "scenarios_smoke",
-        "Scenario smoke grid (policy x backend, parity-gated)",
+        "Scenario smoke grid (policy x scenario, parity-gated)",
     )
 
 
@@ -126,9 +124,7 @@ def test_repair_beats_rebuild():
     """The acceptance gate of the repair policy: on both presets, at city
     scale, repair absorbs every burst exactly (the parity probe runs in both
     cells) with fewer from-scratch rebuilds than coalesce's rebuild per
-    quiet boundary -- and any incremental re-contraction stays under 20% of
-    the nodes per burst (the policy's fraction cap guarantees it).  Counts,
-    not wall time: the refresh times are a few ms each and their order flips
+    quiet boundary.  Counts, not wall time: the refresh times are a few ms each and their order flips
     on a busy host.  A rebuild that adopts a held state (coalesce's last
     ``rush_hour`` rebuild returns to the set-up network) still counts in
     ``rebuilds``: the count records refresh decisions, ``rebuild_ms`` what
@@ -161,7 +157,7 @@ def main() -> None:
     if "--smoke" in sys.argv:
         _save_grid(
             smoke_rows(), "scenarios_smoke",
-            "Scenario smoke grid (policy x backend, parity-gated)",
+            "Scenario smoke grid (policy x scenario, parity-gated)",
         )
         return
     _save_grid(

@@ -30,7 +30,9 @@ DEFAULT_MAX_WAIT = 300.0
 DEFAULT_ANGLE_THRESHOLD = math.pi / 2.0
 
 #: Oracle refresh policies accepted by ``ScenarioConfig.refresh_policy`` and
-#: :func:`repro.scenarios.refresh.make_refresh_policy`.
+#: :func:`repro.scenarios.refresh.make_refresh_policy`: ``coalesce`` defers
+#: to one rebuild per quiet batch boundary, ``repair`` refreshes after every
+#: burst (a snapshot swap for an exact reversion, else a full rebuild).
 REFRESH_POLICIES = ("coalesce", "repair")
 
 #: Admission policies accepted by ``ServiceConfig.admission_policy``:
@@ -258,9 +260,9 @@ class ScenarioConfig:
 
     #: Oracle refresh policy, and the one place its default is written:
     #: ``"coalesce"`` folds all bursts since the last rebuild into one
-    #: rebuild at the next quiet batch boundary, ``"repair"`` re-contracts
-    #: only the affected cells of the contraction hierarchy (with snapshot
-    #: swaps for exact reversions).
+    #: rebuild at the next quiet batch boundary, ``"repair"`` refreshes at
+    #: once after every burst: a snapshot swap for an exact reversion, else
+    #: a full rebuild.
     refresh_policy: str = "coalesce"
 
     def __post_init__(self) -> None:
@@ -324,7 +326,7 @@ class ChaosConfig:
     seed: int = 17
     #: Probability that one backend rebuild raises before doing any work.
     rebuild_failure_rate: float = 0.0
-    #: Probability that one incremental repair raises before doing any work.
+    #: Probability that one repair raises before doing any work.
     repair_failure_rate: float = 0.0
     #: Probability that a *successful* rebuild/repair/snapshot swap leaves
     #: the oracle silently corrupted (queries scaled by

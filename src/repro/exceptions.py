@@ -59,7 +59,7 @@ class OracleBuildError(ResilienceError):
 
 
 class OracleRepairError(ResilienceError):
-    """Raised when an incremental repair keeps failing after retry is exhausted."""
+    """Raised when an oracle repair keeps failing after retry is exhausted."""
 
 
 class ServiceError(ReproError):

@@ -218,8 +218,6 @@ _SCENARIO_COLUMNS = {
     "rebuild_ms": "oracle_rebuild_seconds",
     "repairs": "oracle_repairs",
     "repair_ms": "oracle_repair_seconds",
-    "snapshot_hits": "oracle_snapshot_hits",
-    "recontracted": "oracle_nodes_recontracted",
     "refresh_ms": "oracle_rebuild_seconds oracle_repair_seconds",
     "fallback_q": "oracle_fallback_queries",
     "stale_ms": "oracle_stale_seconds",

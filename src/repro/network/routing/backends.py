@@ -47,21 +47,13 @@ def network_fingerprint(network: RoadNetwork) -> tuple[int, int, int]:
 class RoutingData:
     """Lazily-built routing structures shared by every oracle on one network."""
 
-    __slots__ = ("fingerprint", "csr", "repaired", "_hierarchy", "_labeling", "__weakref__")
+    __slots__ = ("fingerprint", "csr", "_hierarchy", "_labeling", "__weakref__")
 
-    def __init__(
-        self,
-        network: RoadNetwork,
-        *,
-        csr: CSRGraph | None = None,
-        hierarchy: ContractionHierarchy | None = None,
-    ) -> None:
-        """Snapshot ``network``; a repair passes the structures it derived."""
+    def __init__(self, network: RoadNetwork) -> None:
+        """Snapshot ``network``."""
         self.fingerprint = network_fingerprint(network)
-        self.csr = csr if csr is not None else CSRGraph.from_network(network)
-        #: A repair's fork: exact, but not what a build of ``csr`` contracts.
-        self.repaired = hierarchy is not None
-        self._hierarchy = hierarchy
+        self.csr = CSRGraph.from_network(network)
+        self._hierarchy: ContractionHierarchy | None = None
         self._labeling: HubLabeling | None = None
 
     @property
@@ -279,8 +271,8 @@ class CHBackend:
     """Hub-label joins over the network's shared :class:`HubLabeling`.
 
     The hierarchy and every label are built up front and shared by every
-    oracle over one network; a rebuilt or repaired oracle gets a fresh
-    backend over the new state's store.  ``settled`` is
+    oracle over one network; a refreshed oracle gets a fresh backend over
+    the new state's store.  ``settled`` is
     :meth:`HubLabeling.query`'s.
     """
 

@@ -47,18 +47,14 @@ SNAPSHOT_CAPACITY = 4
 class RepairReport:
     """Outcome of one :meth:`DistanceOracle.repair` call.
 
-    ``mode`` tells what actually happened: ``"repaired"`` (incremental
-    re-contraction spliced into the held hierarchy), ``"snapshot"`` (the
-    mutated network matched a cached routing state, swapped in without any
-    preprocessing), ``"rebuilt"`` (the mutation set could not be absorbed
-    incrementally and a full rebuild ran instead) or ``"noop"`` (nothing was
-    stale).  The counters are only non-zero for ``"repaired"``.
+    ``mode`` tells what actually happened: ``"snapshot"`` (the mutated
+    network matched a held routing state, swapped in without any
+    preprocessing), ``"rebuilt"`` (a full build ran instead) or ``"noop"``
+    (nothing was stale).
     """
 
     mode: str
     seconds: float = 0.0
-    nodes_recontracted: int = 0
-    shortcuts_replaced: int = 0
 
 
 @dataclass
@@ -180,9 +176,9 @@ class DistanceOracle:
         scenario refresh policies account as rebuild time.
 
         A held state a build would reproduce bit for bit is adopted instead
-        (its CSR equals the fresh compile, row order included, and its
-        hierarchy was built, not repaired): a receded traffic wave returns to
-        one, a reopened road does not (its edge moves to the end of its row).
+        (its CSR equals the fresh compile, row order included): a receded
+        traffic wave returns to one, a reopened road does not (its edge moves
+        to the end of its row).
         ``dijkstra``, which holds no hierarchy, skips the lookup.
 
         Exception-safe: the new backend is fully constructed before any held
@@ -190,65 +186,43 @@ class DistanceOracle:
         its previous structures -- the caller may retry or enter the fallback.
         """
         start = time.perf_counter()
-        data = routing_data(self._network)
-        key = None
-        if self._backend.data.has_hierarchy:
-            key, held = self._held(data)
-            if held is not None and not held.repaired and held.csr == data.csr:
-                data = held
-        self._serve(data, key)
+        self._refresh(same_rows=True)
         return time.perf_counter() - start
 
     def repair(self) -> RepairReport:
-        """Follow network mutations incrementally instead of rebuilding.
+        """Follow network mutations at once, by snapshot swap or full build.
 
-        The repair layer tries, in order:
-
-        1. **Snapshot swap** -- the mutated network's edge content is looked
-           up in the LRU of recent routing states :meth:`rebuild` adopts
-           from (row order is not compared).  Exact reversions -- a wave
-           receding, a closed road reopening at its recorded cost -- swap
-           the held CSR / hierarchy / labels back in O(E log E) signature
-           time, with zero preprocessing.
-        2. **Incremental CH repair** -- the edges whose weight differs
-           between the held hierarchy's CSR and the network's current one
-           seed an affected node set that is re-contracted in the frozen
-           rank order and spliced into the held hierarchy (see
-           :meth:`ContractionHierarchy.repair`); a ``ch`` / ``hub_label``
-           backend labels every node again off the repaired hierarchy.
-        3. **Full rebuild** -- when the backend holds no hierarchy
-           (``dijkstra``), the node set changed, or the affected set
-           exceeds :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION`
-           of all nodes.
+        The mutated network's edge content is looked up in the LRU of recent
+        routing states :meth:`rebuild` adopts from (row order is not
+        compared: equal content means equal distances).  Exact reversions --
+        a wave receding, a closed road reopening at its recorded cost --
+        swap the held CSR / hierarchy / labels back in O(E log E) signature
+        time, with zero preprocessing; any other burst serves a full build.
+        ``dijkstra``, which holds no hierarchy, skips the lookup.
 
         Drops the pair cache and the fallback and registers the new state
-        like :meth:`rebuild`.  The pre-mutation state survives as a
-        copy-on-write fork, so back-and-forth bursts settle into pure swaps.
-        Returns a :class:`RepairReport` describing what happened.
+        like :meth:`rebuild`.  Returns a :class:`RepairReport` describing
+        what happened.
         """
         start = time.perf_counter()
         if self._fallback is None and not self.is_stale:
             return RepairReport(mode="noop")
-        fresh = routing_data(self._network)
-        key, hit = self._held(fresh)
-        if hit is not None:
-            self._serve(hit, key)
-            return RepairReport(mode="snapshot", seconds=time.perf_counter() - start)
-        # The repaired state is a copy-on-write fork, so the serving state --
-        # and its snapshot entry -- stays valid for the pre-mutation network.
-        data = self._backend.data
-        forked = data.hierarchy.repair(fresh.csr) if data.has_hierarchy else None
-        if forked is None:
-            self._serve(fresh, key)
-            return RepairReport(mode="rebuilt", seconds=time.perf_counter() - start)
-        hierarchy, stats = forked
-        self._serve(RoutingData(self._network, csr=fresh.csr, hierarchy=hierarchy), key)
+        swapped = self._refresh(same_rows=False)
         return RepairReport(
-            mode="repaired",
-            seconds=time.perf_counter() - start,
-            nodes_recontracted=stats.nodes_recontracted,
-            shortcuts_replaced=stats.shortcuts_replaced,
+            mode="snapshot" if swapped else "rebuilt", seconds=time.perf_counter() - start
         )
+
+    def _refresh(self, *, same_rows: bool) -> bool:
+        """Serve the held state for the network's content -- only if its CSR
+        rows equal the fresh compile too, when ``same_rows`` -- else the
+        fresh :func:`routing_data`; True when a held state was served."""
+        data, key, held = routing_data(self._network), None, None
+        if self._backend.data.has_hierarchy:
+            key, held = self._held(data)
+            if held is not None and same_rows and held.csr != data.csr:
+                held = None
+        self._serve(held or data, key)
+        return held is not None
 
     def _held(self, data: RoutingData) -> tuple[tuple, RoutingData | None]:
         """The content of ``data`` and the state held for it; first holds the

@@ -49,8 +49,8 @@ def costs_close(a: float, b: float) -> bool:
 
     The invariant probes, assignment verification and the scenario parity
     probe (see :func:`repro.resilience.probes.exact_cost_failures`) compare
-    costs computed by *different algorithms* (hub-label joins, a repaired
-    hierarchy, a fresh Dijkstra), whose summation order differs, so the
+    costs computed by *different algorithms* (hub-label joins over one
+    hierarchy or another, a fresh Dijkstra), whose summation order differs, so the
     within-backend tolerance of :func:`costs_equal` is too tight.  Infinity
     is compared exactly; NaN is never close.
     """

@@ -1,7 +1,7 @@
 """Resilience layer: fault injection, retry/backoff and graceful degradation.
 
-The dynamic-world refresh paths (CH rebuild, incremental repair, snapshot
-swap, Dijkstra fallback) all assume they succeed.  This package makes the
+The dynamic-world refresh paths (CH rebuild, snapshot swap, Dijkstra
+fallback) all assume they succeed.  This package makes the
 oracle/dispatch pipeline survive when they do not:
 
 * :mod:`~repro.resilience.faults` -- a seeded :class:`FaultInjector` driven

@@ -72,7 +72,7 @@ class FaultInjector:
         return self._draw("rebuild", self.config.rebuild_failure_rate)
 
     def fail_repair(self) -> bool:
-        """Decide whether the next incremental repair raises."""
+        """Decide whether the next repair raises."""
         return self._draw("repair", self.config.repair_failure_rate)
 
     def corrupt_refresh(self) -> bool:
@@ -146,7 +146,7 @@ class ChaosOracle(DistanceOracle):
     def repair(self) -> RepairReport:
         injector = self.injector
         if injector.fail_repair():
-            raise InjectedFaultError("injected fault: incremental repair crashed")
+            raise InjectedFaultError("injected fault: repair crashed")
         report = super().repair()
         if report.mode != "noop" and injector.corrupt_refresh():
             self._set_corruption(injector.config.corruption_factor)

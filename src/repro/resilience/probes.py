@@ -10,7 +10,7 @@ resilience manager's assignment verification (every accepted leg) and the
 scenario harness's parity probe (random pairs after every event burst).
 
 Any mismatch means the oracle is silently wrong -- a corrupted snapshot, a
-buggy repair splice -- and, for the probe, triggers the self-healing rung of
+buggy refresh -- and, for the probe, triggers the self-healing rung of
 the degradation ladder.
 """
 

@@ -9,9 +9,8 @@ shift starts and ends -- that a :class:`ScenarioTimeline` feeds into
 :class:`OracleRefreshPolicy` decides, per mutation burst, whether the
 preprocessed routing structures are served through an exact Dijkstra
 fallback and coalesced into one rebuild at the next quiet batch boundary
-(``coalesce``) or absorbed incrementally -- snapshot swaps for exact
-reversions plus re-contraction of only the affected hierarchy cells
-(``repair``); the refresh overhead (rebuilds, repairs, fallback queries,
+(``coalesce``) or refreshed at once -- a snapshot swap for an exact
+reversion, else a full rebuild (``repair``); the refresh overhead (rebuilds, repairs, fallback queries,
 stale-serving time) lands in the run metrics.
 """
 

@@ -12,7 +12,8 @@ rebuild is a real scheduling decision.  Two policies are provided:
     adjacent zones) collapse into a single rebuild.
 ``repair``
     Absorb every burst immediately via
-    :meth:`~repro.network.shortest_path.DistanceOracle.repair` (see
+    :meth:`~repro.network.shortest_path.DistanceOracle.repair`: a snapshot
+    swap when the burst returns to a held state, else a full rebuild (see
     :class:`RepairRefreshPolicy`).
 
 A rebuild that returns to a routing state the oracle still holds (a receded
@@ -44,16 +45,10 @@ class RefreshStats:
     #: Wall-clock time between entering fallback mode and the rebuild that
     #: cleared it ("stale-serving time").
     stale_seconds: float = 0.0
-    #: Bursts absorbed without a full rebuild (incremental re-contraction
-    #: or snapshot swap) and their summed wall-clock cost.
+    #: Bursts absorbed without a full rebuild (an exact-reversion snapshot
+    #: swap) and their summed wall-clock cost.
     repairs: int = 0
     repair_seconds: float = 0.0
-    #: Of those, bursts answered by an exact-reversion snapshot swap.
-    snapshot_hits: int = 0
-    #: Hierarchy nodes re-contracted and overlay effects (shortcut
-    #: insertions / reductions) spliced across all incremental repairs.
-    nodes_recontracted: int = 0
-    shortcuts_replaced: int = 0
     _stale_since: float | None = field(default=None, repr=False)
 
     def mark_stale(self) -> None:
@@ -148,15 +143,12 @@ class CoalescingRefreshPolicy(OracleRefreshPolicy):
 
 
 class RepairRefreshPolicy(OracleRefreshPolicy):
-    """Absorb every burst immediately via incremental CH repair.
+    """Absorb every burst immediately: snapshot swap, else a full rebuild.
 
-    From the queries' point of view never stale, never on the fallback, but
-    pays per burst only for the affected cells of the hierarchy (or an
-    O(E log E) snapshot swap when the burst reverts to a recently seen
-    network state).  Bursts whose affected set exceeds
-    :data:`~repro.network.routing.contraction.REPAIR_MAX_FRACTION` of all
-    nodes fall back to a full rebuild, recorded under the ordinary rebuild
-    counters.
+    From the queries' point of view never stale, never on the fallback.  A
+    burst that reverts to a recently seen network state costs an
+    O(E log E) snapshot swap (counted in ``repairs``); any other burst
+    rebuilds, recorded under the ordinary rebuild counters.
     """
 
     name = "repair"
@@ -178,7 +170,6 @@ class RepairRefreshPolicy(OracleRefreshPolicy):
                 policy=self.name,
                 backend=oracle.backend_name,
                 mode=report.mode,
-                nodes_recontracted=report.nodes_recontracted,
             )
         stats = self.stats
         if report.mode == "fallback":
@@ -192,10 +183,6 @@ class RepairRefreshPolicy(OracleRefreshPolicy):
         elif report.mode != "noop":
             stats.repairs += 1
             stats.repair_seconds += report.seconds
-            stats.nodes_recontracted += report.nodes_recontracted
-            stats.shortcuts_replaced += report.shortcuts_replaced
-            if report.mode == "snapshot":
-                stats.snapshot_hits += 1
         stats.clear_stale()
 
 

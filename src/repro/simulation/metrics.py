@@ -99,14 +99,10 @@ METRICS: tuple[MetricSpec, ...] = (
        "oracle.fallback_queries", source="oracle.fallback_queries"),
     _M("oracle_stale_seconds", "Wall clock served from dirty structures",
        source="refresh.stale_seconds"),
-    _M("oracle_repairs", "Incremental oracle repairs", "oracle.repairs", source="refresh.repairs"),
-    _M("oracle_repair_seconds", "Wall clock of the repairs", source="refresh.repair_seconds"),
-    _M("oracle_snapshot_hits", "Repairs answered by a snapshot swap",
-       source="refresh.snapshot_hits"),
-    _M("oracle_nodes_recontracted", "Nodes re-contracted by repairs",
-       source="refresh.nodes_recontracted"),
-    _M("oracle_shortcuts_replaced", "Overlay effects spliced by repairs",
-       source="refresh.shortcuts_replaced"),
+    _M("oracle_repairs", "Bursts absorbed by a snapshot swap", "oracle.repairs",
+       source="refresh.repairs"),
+    _M("oracle_repair_seconds", "Wall clock of the snapshot swaps",
+       source="refresh.repair_seconds"),
     _M("faults_injected", "Faults injected", "resilience.faults_injected",
        source="resilience.faults_injected"),
     _M("oracle_retries", "Refresh retries performed", source="resilience.stats.retries"),
@@ -149,9 +145,6 @@ class MetricsCollector:
     oracle_stale_seconds: float = 0.0
     oracle_repairs: int = 0
     oracle_repair_seconds: float = 0.0
-    oracle_snapshot_hits: int = 0
-    oracle_nodes_recontracted: int = 0
-    oracle_shortcuts_replaced: int = 0
     faults_injected: int = 0
     oracle_retries: int = 0
     breaker_trips: int = 0

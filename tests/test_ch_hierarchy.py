@@ -1,13 +1,10 @@
 """The contraction hierarchy is a pure function of its graph.
 
 ``tests/golden/ch_hierarchy.json`` pins a sha256 over everything a build
-records (ranks, contraction order, upward adjacency, effects, witness support
-sets), over every node's forward and backward label from the reference
-upward sweep (``tests/ch_reference.py``), and over
-the same records after one ``repair()`` of a closure burst -- on three
-cities.  A
-change to the build loops that moves a single shortcut, witness or label
-entry fails here.  ``REGEN_GOLDEN=1`` rewrites the file; do that only for a
+keeps (ranks, contraction order, upward adjacency) and over every node's
+forward and backward label from the reference upward sweep
+(``tests/ch_reference.py``) -- on three cities.  A change to the build loops
+that moves a single shortcut or label entry fails here.  ``REGEN_GOLDEN=1`` rewrites the file; do that only for a
 change that is meant to produce a different hierarchy.
 """
 
@@ -23,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.network.generators import make_city, ring_radial_city
-from repro.network.routing import contraction
 from repro.network.routing.contraction import ContractionHierarchy
 from repro.network.routing.csr import CSRGraph
 from repro.network.routing.hub_labels import HubLabeling
@@ -44,15 +40,12 @@ def _sha(value) -> str:
 
 
 def hierarchy_digest(ch: ContractionHierarchy) -> str:
-    """sha256 over every record the build and repair write (dict order too)."""
+    """sha256 over everything the build keeps (dict order too)."""
     return _sha((
         ch.rank,
         ch._contract_order,
         [list(d.items()) for d in ch._stored_fwd],
         [list(d.items()) for d in ch._stored_bwd],
-        ch._added,
-        ch._reduced,
-        ch._witness_settled,
     ))
 
 
@@ -82,24 +75,13 @@ def close_burst(network, *, count: int = 12, seed: int = 0) -> list[tuple[int, i
 
 @pytest.fixture(scope="module", params=sorted(CITIES))
 def built(request):
-    """``(name, hierarchy, repaired fork)`` of one city (repair uncapped)."""
-    network = CITIES[request.param]()
-    ch = ContractionHierarchy(CSRGraph.from_network(network))
-    close_burst(network)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
-        repaired = ch.repair(CSRGraph.from_network(network))
-    assert repaired is not None
-    return request.param, ch, repaired[0]
+    """``(name, hierarchy)`` of one city."""
+    return request.param, ContractionHierarchy(CSRGraph.from_network(CITIES[request.param]()))
 
 
 def test_hierarchy_matches_golden(built):
-    name, ch, repaired = built
-    got = {
-        "build": hierarchy_digest(ch),
-        "labels": labels_digest(ch),
-        "repair": hierarchy_digest(repaired),
-    }
+    name, ch = built
+    got = {"build": hierarchy_digest(ch), "labels": labels_digest(ch)}
     if os.environ.get("REGEN_GOLDEN"):
         golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
         golden[name] = got
@@ -107,18 +89,16 @@ def test_hierarchy_matches_golden(built):
     assert json.loads(GOLDEN.read_text())[name] == got
 
 
-def test_search_scratch_is_all_inf_between_searches(monkeypatch):
-    monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+def test_search_scratch_is_all_inf_between_searches():
     network = ring_radial_city(4, 9, seed=3)
     ch = ContractionHierarchy(CSRGraph.from_network(network))
     n = ch.csr.num_nodes
     assert ch._dist == [math.inf] * n
     close_burst(network, count=4)
-    repaired, stats = ch.repair(CSRGraph.from_network(network))
-    assert stats.nodes_recontracted > 0
-    assert repaired._dist is ch._dist
-    assert ch._dist == [math.inf] * n
-    for hierarchy in (ch, repaired):
+    mutated = ContractionHierarchy(CSRGraph.from_network(network))
+    assert mutated._dist is not ch._dist
+    assert mutated._dist == [math.inf] * n == ch._dist
+    for hierarchy in (ch, mutated):
         labeling = HubLabeling(hierarchy)
         for i in range(n):
             assert labeling.forward[i][i] == 0.0 == labeling.backward[i][i]

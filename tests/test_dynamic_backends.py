@@ -33,7 +33,6 @@ from repro.network.routing import (
     ContractionHierarchy,
     CSRGraph,
     RoutingData,
-    contraction,
     make_backend,
     routing_data,
 )
@@ -162,30 +161,26 @@ class TestMutationParity:
         assert seconds > 0.0
 
 
-class TestIncrementalRepair:
-    """DistanceOracle.repair: exact parity with fresh builds, cheaper.
-
-    Repair is uncapped here unless a test sets the cap itself."""
-
-    @pytest.fixture(autouse=True)
-    def uncapped(self, monkeypatch):
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+class TestSwapOrBuildRepair:
+    """DistanceOracle.repair: a snapshot swap when the network returns to a
+    content the oracle holds, else a full build -- exact either way."""
 
     @pytest.mark.parametrize("backend", ("ch", "hub_label"))
     def test_repair_matches_fresh_build_after_each_burst(self, backend):
         """Acceptance: after every mutation burst the repaired oracle agrees
         with a *freshly built* oracle of the same backend on every sampled
-        pair, and its paths avoid closed edges."""
+        pair, and its paths avoid closed edges.  No burst returns to a
+        content seen before, so each one is a build."""
         network = _city()
         rng = random.Random(11)
         nodes = list(network.nodes())
         pairs = [tuple(rng.sample(nodes, 2)) for _ in range(60)]
         oracle = DistanceOracle(network, backend=backend)
         _assert_parity(oracle, network, pairs)
+        modes = []
         for closed in _mutation_bursts(network, rng):
             assert oracle.is_stale
-            report = oracle.repair()
-            assert report.mode == "repaired"
+            modes.append(oracle.repair().mode)
             assert not oracle.is_stale and not oracle.serving_fallback
             fresh = DistanceOracle(network, cache_size=0, backend=backend)
             for u, v in pairs:
@@ -203,43 +198,25 @@ class TestIncrementalRepair:
                 legs = list(zip(path, path[1:]))
                 assert all(network.has_edge(a, b) for a, b in legs)
                 assert not closed.intersection(legs)
+        assert modes == ["rebuilt"] * 3
 
-    def test_repair_recontracts_a_fraction_of_nodes(self):
-        """Repairs are local: a weight *decrease* tightens no recorded
-        witness, so only the mutated edge's endpoints (plus the cascade of
-        their changed shortcuts) re-contract -- a handful of nodes, not the
-        hierarchy.  An *increase* additionally re-contracts the recorded
-        witness dependents, still a strict subset of the nodes."""
+    def test_a_burst_that_does_not_revert_serves_a_fresh_build(self):
+        """No hierarchy is patched: a burst to a content the oracle does not
+        hold serves exactly what a build of the mutated network contracts."""
         network = _city(seed=21)
         oracle = DistanceOracle(network, backend="ch")
-        oracle.cost(0, 5)
-        edges = sorted(network.edges())
-        u, v, cost = edges[7]
+        u, v, cost = sorted(network.edges())[7]
         network.add_edge(u, v, cost * 0.5)
         report = oracle.repair()
-        assert report.mode == "repaired"
-        assert 0 < report.nodes_recontracted <= 8
-        network.add_edge(u, v, cost * 4.0)
-        report = oracle.repair()
-        assert report.mode == "repaired"
-        assert report.nodes_recontracted < network.num_nodes
-
-    def test_repair_fraction_cap_falls_back_to_rebuild(self, monkeypatch):
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.02)
-        network = _city(seed=12)
-        oracle = DistanceOracle(network, backend="ch")
-        oracle.cost(0, 5)
-        for u, v, cost in sorted(network.edges())[:30]:
-            network.add_edge(u, v, cost * 2.0)
-        report = oracle.repair()
+        served = routing_data(network).hierarchy
+        fresh = ContractionHierarchy(CSRGraph.from_network(network))
+        assert served.rank == fresh.rank
+        assert hierarchy_digest(served) == hierarchy_digest(fresh)
         assert report.mode == "rebuilt"
-        assert not oracle.is_stale
 
-    def test_repair_snapshot_swap_on_exact_reversion(self, monkeypatch):
-        """A burst that exceeds the cap rebuilds but keeps the pre-burst
-        state; reverting the mutation then swaps it back without any
-        preprocessing."""
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.05)
+    def test_repair_snapshot_swap_on_exact_reversion(self):
+        """A burst rebuilds but keeps the pre-burst state; reverting the
+        mutation then swaps it back without any preprocessing."""
         network = _city(seed=13)
         rng = random.Random(3)
         nodes = list(network.nodes())
@@ -252,9 +229,7 @@ class TestIncrementalRepair:
         assert oracle.repair().mode == "rebuilt"
         for u, v, cost in scaled:
             network.add_edge(u, v, cost)
-        report = oracle.repair()
-        assert report.mode == "snapshot"
-        assert report.nodes_recontracted == 0
+        assert oracle.repair().mode == "snapshot"
         for pair, want in before.items():
             assert oracle.cost(*pair) == want
 
@@ -265,9 +240,8 @@ class TestIncrementalRepair:
         assert oracle.repair().mode == "noop"
 
     def test_repair_survives_a_node_move_between_bursts(self):
-        """A node move changes no distance: repair diffs the held CSR against
-        the current one, so the burst after the move is still repaired, and
-        exactly."""
+        """A node move changes no distance: the burst after it is refreshed
+        like any other, and exactly."""
         network = _city(seed=15)
         rng = random.Random(15)
         nodes = list(network.nodes())
@@ -276,36 +250,15 @@ class TestIncrementalRepair:
         edges = sorted(network.edges())
         u, v, cost = edges[7]
         network.add_edge(u, v, cost * 2.0)
-        assert oracle.repair().mode == "repaired"
+        assert oracle.repair().mode == "rebuilt"
         x, y = network.position(u)
         network.add_node(u, x + 25.0, y)  # node move
         a, b, other = edges[20]
         network.add_edge(a, b, other * 3.0)
         report = oracle.repair()
-        assert report.mode == "repaired"
+        assert report.mode == "rebuilt"
         assert not oracle.is_stale
         _assert_parity(oracle, network, pairs)
-
-    def test_repair_seeds_its_dirty_set_from_the_csr_diff(self):
-        """Repair keeps no record of the mutations: it diffs the held CSR
-        against the new one.  An identical CSR, or a closure undone at the
-        old weight before repair, seeds nothing and replays the hierarchy
-        unchanged; a real reweight re-contracts nodes."""
-        network = _city(seed=23)
-        ch = ContractionHierarchy(CSRGraph.from_network(network))
-        digest = hierarchy_digest(ch)
-        same, stats = ch.repair(CSRGraph.from_network(network))
-        assert (stats.nodes_recontracted, stats.shortcuts_replaced) == (0, 0)
-        assert hierarchy_digest(same) == digest
-        u, v, cost = sorted(network.edges())[9]
-        network.remove_edge(u, v)
-        network.add_edge(u, v, cost)
-        undone, stats = ch.repair(CSRGraph.from_network(network))
-        assert (stats.nodes_recontracted, stats.shortcuts_replaced) == (0, 0)
-        assert hierarchy_digest(undone) == digest
-        network.add_edge(u, v, cost * 2.0)
-        _, stats = ch.repair(CSRGraph.from_network(network))
-        assert stats.nodes_recontracted > 0
 
     def test_repair_on_graph_search_backend_rebuilds(self):
         """dijkstra holds no hierarchy; repair degenerates to the (cheap) CSR
@@ -320,17 +273,13 @@ class TestIncrementalRepair:
         assert not oracle.is_stale
 
     def test_repair_decrease_below_recorded_shortcut(self):
-        """Regression: a base edge dropping below a recorded parallel
-        shortcut must not be clobbered by the shortcut's clean replay (the
-        decrease-pruned seeding deliberately leaves the shortcut's owner
-        clean; the replayed assignment is weight-guarded instead)."""
-        from repro.network.road_network import RoadNetwork
-
+        """A base edge dropping below a shortcut the hierarchy holds: the
+        refreshed oracle answers with the new edge."""
         network = RoadNetwork()
         for node in range(8):
             network.add_node(node, float(node), 0.0)
         # 0 -> 1 -> 2 costs 8; the direct edge 0 -> 2 costs 10, so node 1
-        # (cheap, degree 2) contracts first and records the shortcut
+        # (cheap, degree 2) contracts first and adds the shortcut
         # (0, 2, 8.0); the high-degree endpoints contract last.
         network.add_edge(0, 1, 4.0, bidirectional=True)
         network.add_edge(1, 2, 4.0, bidirectional=True)
@@ -340,16 +289,15 @@ class TestIncrementalRepair:
             network.add_edge(2, extra, 30.0 + extra, bidirectional=True)
         oracle = DistanceOracle(network, cache_size=0, backend="ch")
         assert oracle.cost(0, 2) == 8.0
-        network.add_edge(0, 2, 4.0)  # below the recorded shortcut weight
+        network.add_edge(0, 2, 4.0)  # below the shortcut's weight
         report = oracle.repair()
-        assert report.mode == "repaired"
+        assert report.mode == "rebuilt"
         assert oracle.cost(0, 2) == 4.0
 
-    def test_repair_node_addition_never_swaps_a_snapshot(self, monkeypatch):
+    def test_repair_node_addition_never_swaps_a_snapshot(self):
         """Regression: the snapshot signature covers the node set, so adding
         a node (edge content unchanged) must rebuild, not swap in routing
         data for the wrong node set."""
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.05)
         network = _city(seed=22)
         oracle = DistanceOracle(network, backend="ch")
         oracle.cost(0, 5)
@@ -393,14 +341,14 @@ class TestGeneration:
         assert oracle.repair().mode == "noop"
         assert oracle.generation == before
         self._slow_one_edge(network)
-        assert oracle.repair().mode == "repaired"
-        repaired = oracle.generation
-        assert repaired != before
+        assert oracle.repair().mode == "rebuilt"
+        rebuilt = oracle.generation
+        assert rebuilt != before
         # Reverting the edge swaps the remembered routing state back in.
         u, v, cost = next(iter(network.edges()))
         network.add_edge(u, v, cost / 2.0)
         assert oracle.repair().mode == "snapshot"
-        assert oracle.generation not in (before, repaired)
+        assert oracle.generation not in (before, rebuilt)
 
     def test_fallback_starts_one_when_it_switches(self):
         network = _city(seed=23)
@@ -465,7 +413,7 @@ class TestGeneration:
 
 
 def _count_builds(monkeypatch) -> list[None]:
-    """One entry per full contraction from now on (forks build none)."""
+    """One entry per full contraction from now on."""
     builds: list[None] = []
     build = ContractionHierarchy._build
 
@@ -511,24 +459,23 @@ class TestRebuildAdoption:
         got = {pair: oracle.cost(*pair) for pair in want}
         assert all(got[pair] == distance for pair, distance in want.items())
 
-    def test_a_repair_fork_is_never_adopted(self, monkeypatch):
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+    def test_a_state_repair_built_is_adopted(self, monkeypatch):
+        """Every state ``repair()`` serves is a build, so ``rebuild()``
+        adopts it like one of its own."""
         network = _city(seed=32)
         oracle = DistanceOracle(network, backend="hub_label")
         edge = sorted(network.edges())[7:8]
         _scale(network, edge, 4.0)
-        assert oracle.repair().mode == "repaired"
-        fork = routing_data(network)
-        assert fork.repaired
+        assert oracle.repair().mode == "rebuilt"
+        repaired = routing_data(network)
         _scale(network, edge, 1.0)
         assert oracle.repair().mode == "snapshot"
-        _scale(network, edge, 4.0)  # the fork's content and rows again
-        assert CSRGraph.from_network(network) == fork.csr
+        _scale(network, edge, 4.0)  # the repaired state's content and rows again
+        assert CSRGraph.from_network(network) == repaired.csr
         builds = _count_builds(monkeypatch)
         oracle.rebuild()
-        assert len(builds) == 1
-        assert routing_data(network) is not fork
-        assert not routing_data(network).repaired
+        assert builds == []
+        assert routing_data(network) is repaired
 
     def test_a_reopened_road_restores_the_content_but_not_the_rows(self, monkeypatch):
         """Closing and reopening a road moves it to the end of its row: the
@@ -596,10 +543,12 @@ class TestRebuildAdoption:
         assert routing_data(network) is initial
 
     @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_a_rebuild_signs_only_the_fresh_content(self, backend, monkeypatch):
-        """A backend without a hierarchy signs nothing (the fresh CSR is all
-        it could adopt); a hierarchy backend signs the state the constructor
-        served once, then only the content each rebuild arrives at."""
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
+    def test_a_refresh_signs_only_the_fresh_content(self, refresh, backend, monkeypatch):
+        """A backend without a hierarchy signs nothing (it holds no state to
+        adopt or swap back); a hierarchy backend signs the state the
+        constructor served once, then only the content each refresh arrives
+        at -- over a wave, its receding and a second wave."""
         signed: list[None] = []
         sign = shortest_path.csr_content
 
@@ -615,7 +564,7 @@ class TestRebuildAdoption:
         for factor, signatures in ((3.0, 2), (1.0, 1), (2.0, 1)):
             _scale(network, zone, factor)
             signed.clear()
-            oracle.rebuild()
+            getattr(oracle, refresh)()
             assert len(signed) == (signatures if hierarchy else 0)
 
     @pytest.mark.parametrize("capacity", (shortest_path.SNAPSHOT_CAPACITY, 0))

@@ -19,8 +19,9 @@ complete labels bit for bit, whatever was asked before; every label holds
 its node's stall-tested upward distances, whatever the source block; no join
 writes to the store or labels a node again; and no label outlives a
 ``rebuild()`` / ``repair()``.  The one-pass joins also equal the
-reference joins on every pair of a repaired hierarchy, of the 676-node city
-in each ``rush_hour`` wave state and of small tie-prone digraphs.
+reference joins on every pair of a hierarchy built after a shortcut, of the
+676-node city in each ``rush_hour`` wave state and of small tie-prone
+digraphs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from repro.network.routing import (
     ContractionHierarchy,
     CSRGraph,
     HubLabeling,
-    contraction,
     hub_labels,
     make_backend,
     routing_data,
@@ -308,20 +308,18 @@ class TestChDistancesAreLabelJoins:
             assert cold == warm[(source, target)]
             assert backend.one_to_one(source, target)[0] == cold
 
-    @pytest.mark.parametrize("repaired", (False, True))
+    @pytest.mark.parametrize("mutated", (False, True))
     @pytest.mark.parametrize("block", (3, hub_labels.SOURCE_BLOCK))
     def test_one_pass_labels_are_stall_tested_upward_distances(
-        self, family, block, repaired, monkeypatch
+        self, family, block, mutated, monkeypatch
     ):
         # Blocks of three sources cross many block boundaries and cut most
         # levels short; the shipped block holds every node of these networks.
         monkeypatch.setattr(hub_labels, "SOURCE_BLOCK", block)
         network = FAMILIES[family]()
-        hierarchy = routing_data(network).hierarchy
-        if repaired:
-            monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+        if mutated:
             _shortcut(network)
-            hierarchy = hierarchy.repair(CSRGraph.from_network(network))[0]
+        hierarchy = ContractionHierarchy(CSRGraph.from_network(network))
         store = HubLabeling(hierarchy)
         for backward, labels in ((False, store.forward), (True, store.backward)):
             assert len(labels) == hierarchy.csr.num_nodes
@@ -408,10 +406,7 @@ class TestChDistancesAreLabelJoins:
             assert after[pair] == pytest.approx(want, abs=1e-9), pair
 
     @pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
-    def test_a_refreshed_oracle_answers_from_the_new_store(
-        self, family, refresh, monkeypatch
-    ):
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+    def test_a_refreshed_oracle_answers_from_the_new_store(self, family, refresh):
         network = FAMILIES[family]()
         nodes = sorted(network.nodes())
         oracle = DistanceOracle(network, backend="ch")
@@ -424,11 +419,13 @@ class TestChDistancesAreLabelJoins:
         if refresh == "rebuild":
             oracle.rebuild()
         else:
-            assert oracle.repair().mode == "repaired"
+            assert oracle.repair().mode == "rebuilt"
         backend = oracle._backend
         assert backend.labeling is not old
         assert backend.labeling is backend.data.labeling is routing_data(network).labeling
         assert backend.labeling.hierarchy is backend.data.hierarchy
+        fresh = ContractionHierarchy(CSRGraph.from_network(network))
+        assert backend.data.hierarchy.rank == fresh.rank
         after = _table(oracle, nodes)
         assert after != before
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
@@ -485,15 +482,14 @@ class TestOnePassLabelsJoinLikeSweptOnes:
     every pair."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    @pytest.mark.parametrize("repaired", (False, True))
-    def test_every_family_built_and_repaired(self, family, repaired, monkeypatch):
+    @pytest.mark.parametrize("mutated", (False, True))
+    def test_every_family_before_and_after_a_shortcut(self, family, mutated):
         network = FAMILIES[family]()
-        hierarchy = routing_data(network).hierarchy
-        if repaired:
-            monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 1.0)
+        if mutated:
             _shortcut(network)
-            hierarchy = hierarchy.repair(CSRGraph.from_network(network))[0]
-        _assert_one_pass_joins_are_reference_joins(hierarchy)
+        _assert_one_pass_joins_are_reference_joins(
+            ContractionHierarchy(CSRGraph.from_network(network))
+        )
 
     def test_the_676_node_city_in_every_rush_hour_wave_state(self):
         city = make_city("nyc", scale=1.0)

@@ -220,9 +220,9 @@ class TestUnknownNodes:
 
 class TestMemoryEstimate:
     def test_every_backend_reports_what_it_holds(self):
-        """Regression: ``hub_label`` reported less than ``ch``, whose
-        hierarchy it keeps for repairs.  Both hold the CSR, the hierarchy
-        and the one label store; ``dijkstra`` holds the CSR alone."""
+        """Regression: ``hub_label`` reported less than ``ch``, although
+        both keep the hierarchy.  Both hold the CSR, the hierarchy and the
+        one label store; ``dijkstra`` holds the CSR alone."""
         network = grid_city(4, 4)
         held = {
             name: DistanceOracle(network, backend=name).estimated_memory_bytes()

@@ -29,7 +29,7 @@ from repro.model.vehicle import Vehicle
 from repro.network.generators import grid_city
 from repro.network import shortest_path
 from repro.network.grid_index import GridIndex
-from repro.network.routing import ContractionHierarchy, contraction, routing_data
+from repro.network.routing import ContractionHierarchy, routing_data
 from repro.network.shortest_path import DistanceOracle
 from repro.observability import tracing
 from repro.scenarios import (
@@ -299,9 +299,12 @@ class TestRefreshPolicies:
 
     def test_repair_finalize_repairs_instead_of_rebuilding(self, city):
         """An oracle still stale when the run ends is repaired by
-        ``finalize``, not rebuilt."""
+        ``finalize``, not rebuilt: here the network is back to the content
+        it started with, so the held state is swapped back."""
         policy = make_refresh_policy("repair")
         oracle = self._mutated(city)
+        u, v, cost = next(iter(city.edges()))
+        city.add_edge(u, v, cost / 2.0)
         assert oracle.is_stale
         policy.finalize(oracle)
         assert policy.stats.repairs == 1 and policy.stats.rebuilds == 0
@@ -311,18 +314,17 @@ class TestRefreshPolicies:
         with pytest.raises(ConfigurationError):
             make_refresh_policy("sometimes")
 
-    def test_repair_absorbs_burst_without_rebuild(self, city):
+    def test_repair_rebuilds_a_burst_that_does_not_revert(self, city):
         policy = make_refresh_policy("repair")
         oracle = self._mutated(city)
         policy.on_mutations(oracle)
-        assert policy.stats.repairs == 1 and policy.stats.rebuilds == 0
+        assert policy.stats.repairs == 0 and policy.stats.rebuilds == 1
         assert not oracle.is_stale and not oracle.serving_fallback
-        assert policy.stats.nodes_recontracted > 0
 
     def test_repair_repeated_bursts_on_same_edges(self, city):
         """Bursts that keep toggling the same edges settle into snapshot
-        swaps: after the first up/down cycle both network states are cached
-        and no further re-contraction happens."""
+        swaps: after the first burst both network states are held and no
+        further build happens."""
         policy = make_refresh_policy("repair")
         oracle = DistanceOracle(city, backend="ch")
         oracle.cost(0, 7)
@@ -339,13 +341,12 @@ class TestRefreshPolicies:
                 key = factor
                 reference_costs.setdefault(key, got)
                 assert got == reference_costs[key]
-        assert policy.stats.repairs == 6 and policy.stats.rebuilds == 0
-        assert policy.stats.snapshot_hits >= 4
+        assert policy.stats.repairs == 5 and policy.stats.rebuilds == 1
 
     def test_repair_close_then_reopen_before_any_query(self, city):
         """A burst that closes and reopens an edge before any query leaves
-        the content unchanged: the repair recognises the reversion without
-        re-contracting anything."""
+        the content unchanged: the repair recognises the reversion and swaps
+        the held state back without building."""
         policy = make_refresh_policy("repair")
         oracle = DistanceOracle(city, backend="ch")
         oracle.cost(0, 7)
@@ -355,27 +356,10 @@ class TestRefreshPolicies:
         assert oracle.is_stale
         policy.on_mutations(oracle)
         assert not oracle.is_stale
-        assert policy.stats.repairs == 1
-        assert policy.stats.nodes_recontracted == 0
-        assert policy.stats.snapshot_hits == 1
+        assert policy.stats.repairs == 1 and policy.stats.rebuilds == 0
         assert oracle.cost(u, v) == pytest.approx(
             DistanceOracle(city, cache_size=0).cost(u, v), abs=1e-9
         )
-
-    def test_repair_falls_back_beyond_fraction_cap(self, city, monkeypatch):
-        """A burst whose affected set exceeds the fraction cap is absorbed by
-        a full rebuild instead."""
-        monkeypatch.setattr(contraction, "REPAIR_MAX_FRACTION", 0.01)
-        policy = make_refresh_policy(
-            "repair", config=ScenarioConfig(refresh_policy="repair")
-        )
-        oracle = DistanceOracle(city, backend="ch")
-        oracle.cost(0, 7)
-        for u, v, cost in list(city.edges())[:20]:
-            city.add_edge(u, v, cost * 3.0)
-        policy.on_mutations(oracle)
-        assert policy.stats.rebuilds == 1 and policy.stats.repairs == 0
-        assert not oracle.is_stale
 
 
 class TestSurgeModulation:
@@ -511,9 +495,9 @@ class TestSimulatorIntegration:
         assert checks["bursts"] == 2  # closure + reopening
         assert result.metrics.scenario_events == 2
         if policy == "repair":
-            # Every burst is absorbed immediately -- incrementally, via a
-            # snapshot swap, or (past the fraction cap at this tiny city
-            # scale) a rebuild -- so queries never run stale or fall back.
+            # Every burst is absorbed immediately -- the closure by a
+            # rebuild, the reopening by a snapshot swap of the set-up state
+            # (dijkstra holds none) -- so queries never run stale or fall back.
             assert (result.metrics.oracle_repairs >= 1) == (backend != "dijkstra")
             assert (
                 result.metrics.oracle_repairs + result.metrics.oracle_rebuilds == 2
@@ -635,7 +619,6 @@ class TestRebuildAdoptionEndToEnd:
             "stats": oracle.stats.snapshot(),
             "rebuilds": result.metrics.oracle_rebuilds,
             "repairs": result.metrics.oracle_repairs,
-            "snapshot_hits": result.metrics.oracle_snapshot_hits,
             **counts,
         }
 
@@ -656,11 +639,11 @@ class TestRebuildAdoptionEndToEnd:
     @pytest.mark.parametrize("backend", ("ch", "hub_label"))
     def test_snapshot_swaps_change_no_outcome(self, scenario, backend, monkeypatch):
         """``repair`` swaps a held state back in where a run that holds
-        nothing rebuilds or re-contracts: every burst is refreshed at the same
-        time either way, and riders, costs and the oracle's logical counters
-        see no difference.  A re-contracted hierarchy is not the one that was
-        swapped back, so its sums may round differently (times agree to
-        1e-6 s) and ``settled_nodes`` may move."""
+        nothing rebuilds: every burst is refreshed at the same time either
+        way, and riders, costs and the oracle's logical counters see no
+        difference.  A rebuilt hierarchy need not be the one that was
+        swapped back (a reopened road ends its row), so its sums may round
+        differently (times agree to 1e-6 s) and ``settled_nodes`` may move."""
         held = self._observe(
             scenario, backend, "repair", shortest_path.SNAPSHOT_CAPACITY, monkeypatch
         )
@@ -682,4 +665,4 @@ class TestRebuildAdoptionEndToEnd:
         moved = {name for name, value in held["stats"].items() if plain["stats"][name] != value}
         assert moved <= {"settled_nodes"}
         assert held["rebuilds"] + held["repairs"] == plain["rebuilds"] + plain["repairs"]
-        assert plain["snapshot_hits"] == 0 < held["snapshot_hits"]
+        assert plain["repairs"] == 0 < held["repairs"]
