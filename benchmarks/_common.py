@@ -3,8 +3,11 @@
 Every benchmark module regenerates one artefact of the paper's evaluation at
 laptop scale: it runs the corresponding experiment through
 :mod:`repro.experiments.figures`, times it with ``pytest-benchmark`` and
-writes the resulting rows (the same columns the paper plots) both to stdout
-and to ``benchmarks/results/<name>.txt``.
+writes the resulting rows (the same columns the paper plots) to stdout, to
+``benchmarks/results/<name>.txt`` / ``.md`` and, for a figure, to the
+``.json`` twin that tooling parses.  A row is a dict of cell coordinates and
+``MetricsCollector`` fields (:func:`repro.experiments.harness.metric_row`),
+the shape every grid of this directory renders.
 
 Absolute values are not comparable to the paper (Python simulator, synthetic
 workloads, compressed time scale); the *shape* -- which algorithm wins, how
@@ -16,14 +19,11 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.experiments.figures import FigureResult, InstanceScale
-from repro.experiments.reporting import format_rows, rows_to_csv
+from repro.experiments.figures import FIGURES, InstanceScale
 
 #: Output directory for the regenerated tables.
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: The full algorithm line-up of the paper's main figures.
-ALL_ALGORITHMS = ("pruneGDP", "TicketAssign+", "DARM+DPRS", "RTV", "GAS", "SARD")
 #: Reduced line-up for the heaviest sweeps.
 CORE_ALGORITHMS = ("pruneGDP", "RTV", "GAS", "SARD")
 
@@ -38,14 +38,46 @@ BENCH_SCALE = InstanceScale(
 )
 
 
-def save_figure(name: str, figure: FigureResult) -> str:
-    """Persist and return the text table of a figure result."""
-    rows = figure.all_rows()
-    text = save_text(
-        name, format_rows(rows, title=f"{figure.figure} -- parameter: {figure.parameter}")
-    )
-    rows_to_csv(rows, RESULTS_DIR / f"{name}.csv")
-    return text
+#: The metric columns of a figure or ablation row (see :func:`format_grid`).
+METRIC_COLUMNS = {
+    "unified_cost": ("unified_cost", ".1f"),
+    "service_rate": ("service_rate", ".3f"),
+    "dispatch_seconds": ("time (s)", ".3f"),
+    "shortest_path_queries": ("#SP queries", "d"),
+    "peak_memory_bytes": ("memory (B)", "d"),
+    "assigned_requests": ("assigned", "d"),
+    "total_requests": ("requests", "d"),
+}
+#: The note under every figure and ablation grid.
+METRIC_NOTE = (
+    "time (s) is the wall clock inside the dispatcher; every other column "
+    "repeats exactly on a same-seed run."
+)
+
+
+def save_figure(name: str, key: str, rows: list[dict]) -> None:
+    """Persist the rows of ``figures.figure(key)`` as ``<name>.txt`` /
+    ``.md`` grids and the ``<name>.json`` twin."""
+    spec = FIGURES[key]
+    title = f"{spec.label} -- parameter: {spec.parameter}"
+    columns = {
+        "dataset": ("dataset", "s"),
+        "algorithm": ("algorithm", "s"),
+        "value": (spec.parameter, "g"),
+        **METRIC_COLUMNS,
+    }
+    save_grid(name, rows, columns, title=title, note=METRIC_NOTE)
+    save_json(name, {"benchmark": name, "title": title, "rows": rows})
+
+
+def series(rows: list[dict], metric: str) -> dict[str, dict[str, list[tuple]]]:
+    """Per-dataset, per-algorithm ``(value, metric)`` series of figure rows,
+    in ascending value, as the paper plots them."""
+    result: dict[str, dict[str, list[tuple]]] = {}
+    for row in sorted(rows, key=lambda row: row["value"]):
+        lines = result.setdefault(row["dataset"], {})
+        lines.setdefault(row["algorithm"], []).append((row["value"], row[metric]))
+    return result
 
 
 def save_json(name: str, payload: dict) -> Path:

@@ -9,25 +9,17 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import ALL_ALGORITHMS, BENCH_SCALE, save_figure
-
-#: Scaled sweep: the paper's 1K / 3K / 5K fleet sizes.
-VEHICLE_VALUES = (1_000, 3_000, 5_000)
+from _common import BENCH_SCALE, save_figure, series
 
 
 def test_figure8_fleet_size_sweep(benchmark):
-    def run():
-        return figures.figure(
-            "fig8",
-            values=VEHICLE_VALUES, presets=("chd", "nyc"),
-            algorithms=ALL_ALGORITHMS, scale=BENCH_SCALE,
-        )
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_figure("figure08_vehicles", figure)
-    rows = figure.all_rows()
-    assert len(rows) == len(VEHICLE_VALUES) * len(ALL_ALGORITHMS) * 2
+    rows = benchmark.pedantic(
+        lambda: figures.figure("fig8", scale=BENCH_SCALE), rounds=1, iterations=1
+    )
+    save_figure("figure08_vehicles", "fig8", rows)
+    values = figures.FIGURES["fig8"].values
+    assert len(rows) == len(values) * len(figures.DEFAULT_ALGORITHMS) * 2
     # More vehicles never lowers SARD's service rate on the same trace.
-    for sweep in figure.sweeps.values():
-        series = dict(sweep.series("service_rate"))["SARD"]
-        assert series[-1][1] >= series[0][1] - 0.05
+    for lines in series(rows, "service_rate").values():
+        sard = lines["SARD"]
+        assert sard[-1][1] >= sard[0][1] - 0.05

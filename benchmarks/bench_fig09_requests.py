@@ -4,25 +4,18 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import CORE_ALGORITHMS, BENCH_SCALE, save_figure
-
-REQUEST_VALUES = (10_000, 100_000, 250_000)
+from _common import CORE_ALGORITHMS, BENCH_SCALE, save_figure, series
 
 
 def test_figure9_request_volume_sweep(benchmark):
     def run():
-        return figures.figure(
-            "fig9",
-            values=REQUEST_VALUES, presets=("chd", "nyc"),
-            algorithms=CORE_ALGORITHMS, scale=BENCH_SCALE,
-        )
+        return figures.figure("fig9", algorithms=CORE_ALGORITHMS, scale=BENCH_SCALE)
 
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_figure("figure09_requests", figure)
-    rows = figure.all_rows()
-    assert len(rows) == len(REQUEST_VALUES) * len(CORE_ALGORITHMS) * 2
+    rows = benchmark.pedantic(run, rounds=1, iterations=1)
+    save_figure("figure09_requests", "fig9", rows)
+    assert len(rows) == len(figures.FIGURES["fig9"].values) * len(CORE_ALGORITHMS) * 2
     # Unified cost grows with the number of requests for every algorithm
     # (more demand means more travel and more penalties), as in the paper.
-    for sweep in figure.sweeps.values():
-        for algorithm, series in sweep.series("unified_cost").items():
-            assert series[-1][1] >= series[0][1]
+    for lines in series(rows, "unified_cost").values():
+        for algorithm, points in lines.items():
+            assert points[-1][1] >= points[0][1]

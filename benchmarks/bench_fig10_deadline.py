@@ -4,23 +4,16 @@ from __future__ import annotations
 
 from repro.experiments import figures
 
-from _common import ALL_ALGORITHMS, BENCH_SCALE, save_figure
-
-GAMMA_VALUES = (1.2, 1.5, 2.0)
+from _common import BENCH_SCALE, save_figure, series
 
 
 def test_figure10_deadline_sweep(benchmark):
-    def run():
-        return figures.figure(
-            "fig10",
-            values=GAMMA_VALUES, presets=("chd", "nyc"),
-            algorithms=ALL_ALGORITHMS, scale=BENCH_SCALE,
-        )
-
-    figure = benchmark.pedantic(run, rounds=1, iterations=1)
-    save_figure("figure10_deadline", figure)
+    rows = benchmark.pedantic(
+        lambda: figures.figure("fig10", scale=BENCH_SCALE), rounds=1, iterations=1
+    )
+    save_figure("figure10_deadline", "fig10", rows)
     # Looser deadlines raise the service rate of the batch methods, the
     # trend the paper highlights (SARD above 90% at gamma = 1.8).
-    for sweep in figure.sweeps.values():
-        sard = dict(sweep.series("service_rate"))["SARD"]
+    for lines in series(rows, "service_rate").values():
+        sard = lines["SARD"]
         assert sard[-1][1] >= sard[0][1] - 0.05

@@ -24,8 +24,8 @@ def test_figure15_cainiao_sweeps(benchmark):
         }
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
-    for parameter, figure in results.items():
-        save_figure(f"figure15_cainiao_{parameter}", figure)
-        for row in figure.all_rows():
-            assert row.dataset == "Cainiao"
-            assert 0.0 <= row.service_rate <= 1.0
+    for parameter, rows in results.items():
+        save_figure(f"figure15_cainiao_{parameter}", f"fig15_{parameter}", rows)
+        for row in rows:
+            assert row["dataset"] == "Cainiao"
+            assert 0.0 <= row["service_rate"] <= 1.0

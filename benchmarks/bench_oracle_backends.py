@@ -8,7 +8,8 @@ each backend is what gets measured.  Asserted alongside the timings:
 
 * the preprocessed backends return the same distances as plain Dijkstra
   (within 1e-6), and the ``hub_label`` backend is at least 5x faster on
-  repeated cost queries (measured ~70x; the only timed assertion);
+  repeated cost queries (measured ~70x; with the headline comparison's
+  dispatch times, one of the two timed assertions CI makes);
 * ``path()`` is exact on every backend: the returned node sequence sums to
   the reference distance edge by edge;
 * ``settled/q`` -- settled nodes / walked label entries per query, a count

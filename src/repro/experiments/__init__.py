@@ -8,23 +8,18 @@
 * :mod:`~repro.experiments.figures` -- the paper's artefacts in paper units
   (Figures 8-17 as one table of sweeps, Tables V-VI, the insertion-order
   study), built on grids of plain specs.
-* :mod:`~repro.experiments.reporting` -- turns result rows into the text /
-  CSV tables printed by the benchmark harness.
+
+Scenario, chaos, figure and ablation runs report rows of one shape: cell
+coordinates, then ``MetricsCollector`` fields under their own names.
 """
 
 from .harness import RunResult, RunSpec, run, run_grid
-from .figures import ResultRow, SweepResult
-from .reporting import format_rows, rows_to_csv
 from . import figures
 
 __all__ = [
-    "ResultRow",
     "RunResult",
     "RunSpec",
-    "SweepResult",
     "run",
     "run_grid",
-    "format_rows",
-    "rows_to_csv",
     "figures",
 ]

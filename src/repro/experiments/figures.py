@@ -1,9 +1,11 @@
 """The paper's artefacts (Figures 8-17, Tables V-VI, studies) in paper units.
 
-Every function builds scaled-down instances of the paper's experiments and
-returns structured results.  The corresponding benchmark module prints the
-same rows/series the paper reports; absolute values differ (Python simulator
-versus the authors' C++ testbed) but the comparison shape is preserved.
+Every function builds scaled-down instances of the paper's experiments; a
+sweep, a figure and the ablation return rows, as scenario and chaos runs do
+(:func:`~repro.experiments.harness.metric_row`).  The corresponding
+benchmark module prints the same rows/series the paper reports; absolute
+values differ (Python simulator versus the authors' C++ testbed) but the
+comparison shape is preserved.
 
 Sweep values and defaults are stated in the paper's units (100K requests,
 3K vehicles); an :class:`InstanceScale` says how far below them a run is and
@@ -21,8 +23,9 @@ import math
 # DET002 audit: every draw below flows through a seeded random.Random
 # stream; the module-global generator is never called (repro-lint enforced).
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from collections.abc import Iterable, Sequence
+from typing import Any
 
 from ..dispatch.sard import SARDDispatcher
 from ..exceptions import ConfigurationError
@@ -33,7 +36,7 @@ from ..shareability.angle_pruning import expected_sharing_probability, fit_logno
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
 from ..workloads.presets import Workload, make_workload
-from .harness import RunResult, RunSpec, run, run_grid
+from .harness import RunSpec, metric_row, run, run_grid
 
 # --------------------------------------------------------------------------- #
 # the paper's parameter grids (Tables III and IV)
@@ -153,85 +156,15 @@ def paper_workload(
 # --------------------------------------------------------------------------- #
 # sweeps: one row per cell, one sweep per dataset, one figure per table entry
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class ResultRow:
-    """One (algorithm, parameter value) cell of a figure."""
-
-    dataset: str
-    algorithm: str
-    parameter: str
-    value: float
-    unified_cost: float
-    service_rate: float
-    running_time: float
-    shortest_path_queries: int
-    peak_memory_bytes: int
-    assigned_requests: int
-    total_requests: int
-
-    def metric(self, name: str) -> float:
-        """Access a metric by the names used in the paper's figures."""
-        mapping = {
-            "unified_cost": self.unified_cost,
-            "service_rate": self.service_rate,
-            "running_time": self.running_time,
-            "shortest_path_queries": float(self.shortest_path_queries),
-            "memory": float(self.peak_memory_bytes),
-        }
-        try:
-            return mapping[name]
-        except KeyError as exc:
-            raise ConfigurationError(f"unknown metric {name!r}") from exc
-
-
-@dataclass
-class SweepResult:
-    """All rows of one parameter sweep (one figure column)."""
-
-    label: str
-    parameter: str
-    rows: list[ResultRow] = field(default_factory=list)
-
-    def series(self, metric: str) -> dict[str, list[tuple[float, float]]]:
-        """Per-algorithm ``(value, metric)`` series, as plotted in the paper."""
-        result: dict[str, list[tuple[float, float]]] = {}
-        for row in sorted(self.rows, key=lambda r: r.value):
-            result.setdefault(row.algorithm, []).append((row.value, row.metric(metric)))
-        return result
-
-
-@dataclass
-class FigureResult:
-    """Results of one figure: one sweep per dataset."""
-
-    figure: str
-    parameter: str
-    sweeps: dict[str, SweepResult] = field(default_factory=dict)
-
-    def all_rows(self) -> list[ResultRow]:
-        """Every row across datasets (used by reporting and tests)."""
-        rows: list[ResultRow] = []
-        for sweep in self.sweeps.values():
-            rows.extend(sweep.rows)
-        return rows
-
-
-def _to_row(dataset: str, parameter: str, value: float, outcome: RunResult) -> ResultRow:
-    assert outcome.spec.algorithm and outcome.simulation is not None
-    metrics = outcome.simulation.metrics
-    return ResultRow(
-        dataset=dataset,
-        algorithm=outcome.spec.algorithm,
-        parameter=parameter,
-        value=float(value),
-        unified_cost=metrics.unified_cost,
-        service_rate=metrics.service_rate,
-        running_time=metrics.dispatch_seconds,
-        shortest_path_queries=metrics.shortest_path_queries,
-        peak_memory_bytes=metrics.peak_memory_bytes,
-        assigned_requests=metrics.assigned_requests,
-        total_requests=metrics.total_requests,
+#: The metric columns of every figure and ablation row, ``MetricsCollector``
+#: fields under their own names (the paper's running time: ``dispatch_seconds``).
+_COLUMNS = {
+    name: name
+    for name in (
+        "unified_cost", "service_rate", "dispatch_seconds", "shortest_path_queries",
+        "peak_memory_bytes", "assigned_requests", "total_requests",
     )
+}
 
 
 def sweep(
@@ -241,23 +174,32 @@ def sweep(
     *,
     algorithms: Sequence[str] = DEFAULT_ALGORITHMS,
     scale: InstanceScale = InstanceScale(),
-) -> SweepResult:
-    """Sweep one parameter (see :func:`paper_workload`) for every algorithm.
+) -> list[dict[str, Any]]:
+    """Sweep one parameter (see :func:`paper_workload`) for every algorithm:
+    one row per cell (``dataset``, ``algorithm``, ``parameter``, ``value``).
 
     The workload is regenerated for every value so that deadline- or
     size-dependent properties are consistent, but only once per value: every
     algorithm of a column runs over the same instance.
     """
-    result = SweepResult(label=f"{preset}:{parameter}", parameter=parameter)
+    rows: list[dict[str, Any]] = []
     for value in values:
         workload = paper_workload(preset, scale, parameter=parameter, value=value)
         outcomes = run_grid(
             RunSpec(workload=workload, algorithm=algorithm) for algorithm in algorithms
         )
-        result.rows.extend(
-            _to_row(workload.name, parameter, value, outcome) for outcome in outcomes
+        rows += (
+            metric_row(
+                _COLUMNS,
+                outcome.simulation.metrics,
+                dataset=workload.name,
+                algorithm=outcome.spec.algorithm,
+                parameter=parameter,
+                value=float(value),
+            )
+            for outcome in outcomes
         )
-    return result
+    return rows
 
 
 @dataclass(frozen=True)
@@ -270,6 +212,11 @@ class FigureSpec:
     values: tuple[float, ...]
     presets: tuple[str, ...] = ("chd", "nyc")
     algorithms: tuple[str, ...] = DEFAULT_ALGORITHMS
+
+    def __post_init__(self) -> None:
+        for name in ("values", "presets", "algorithms"):
+            if not getattr(self, name):
+                raise ConfigurationError(f"{self.label}: an empty {name}= runs nothing")
 
 
 def _cainiao(label: str, parameter: str, values: tuple[float, ...]) -> FigureSpec:
@@ -317,49 +264,40 @@ def figure(
     presets: Sequence[str] | None = None,
     algorithms: Sequence[str] | None = None,
     scale: InstanceScale = InstanceScale(),
-) -> FigureResult:
-    """Run one entry of :data:`FIGURES`; ``None`` keeps the entry's own value."""
+) -> list[dict[str, Any]]:
+    """The rows of one entry of :data:`FIGURES`, preset after preset (see
+    :func:`sweep`); ``None`` keeps the entry's own value, and an empty
+    override is refused."""
     try:
         spec = FIGURES[key]
     except KeyError:
         raise ConfigurationError(
             f"unknown figure {key!r}; choose from {sorted(FIGURES)}"
         ) from None
-    result = FigureResult(figure=spec.label, parameter=spec.parameter)
-    for preset in presets or spec.presets:
-        result.sweeps[preset] = sweep(
-            preset,
-            spec.parameter,
-            values or spec.values,
-            algorithms=algorithms or spec.algorithms,
-            scale=scale,
+    overrides = {"values": values, "presets": presets, "algorithms": algorithms}
+    spec = replace(
+        spec, **{name: tuple(v) for name, v in overrides.items() if v is not None}
+    )
+    rows: list[dict[str, Any]] = []
+    for preset in spec.presets:
+        rows += sweep(
+            preset, spec.parameter, spec.values, algorithms=spec.algorithms, scale=scale
         )
-    return result
+    return rows
 
 
 # --------------------------------------------------------------------------- #
 # Tables V and VI: the angle pruning ablation
 # --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class PruningRow:
-    """One row of the angle-pruning ablation tables."""
-
-    dataset: str
-    method: str
-    unified_cost: float
-    service_rate: float
-    shortest_path_queries: int
-    running_time: float
-
-
 def angle_pruning_ablation(
     *,
     presets: Sequence[str] = ("chd", "nyc"),
     scale: InstanceScale = InstanceScale(),
-) -> list[PruningRow]:
+) -> list[dict[str, Any]]:
     """SARD without pruning versus SARD-O with angle pruning, at the paper's
-    default sizes: Table VI on CHD and NYC, Table V with ``("cainiao",)``."""
-    rows: list[PruningRow] = []
+    default sizes: Table VI on CHD and NYC, Table V with ``("cainiao",)``;
+    one row per cell (``dataset``, ``method``)."""
+    rows: list[dict[str, Any]] = []
     for preset in presets:
         workload = paper_workload(preset, scale)
         for method, dispatcher in (
@@ -369,17 +307,9 @@ def angle_pruning_ablation(
             outcome = run(
                 RunSpec(workload=workload, algorithm=method, dispatcher=dispatcher)
             )
-            assert outcome.simulation is not None
             metrics = outcome.simulation.metrics
             rows.append(
-                PruningRow(
-                    dataset=workload.name,
-                    method=method,
-                    unified_cost=metrics.unified_cost,
-                    service_rate=metrics.service_rate,
-                    shortest_path_queries=metrics.shortest_path_queries,
-                    running_time=metrics.dispatch_seconds,
-                )
+                metric_row(_COLUMNS, metrics, dataset=workload.name, method=method)
             )
     return rows
 

@@ -200,7 +200,7 @@ def _build_workload(spec: RunSpec) -> tuple[Workload, Scenario | None]:
 
 
 # ---------------------------------------------------------------------- #
-# the rows of scenario and chaos runs
+# the rows of every run (figure and ablation rows: ``figures._COLUMNS``)
 # ---------------------------------------------------------------------- #
 #: The closing columns of both rows.
 _OUTCOME_COLUMNS = {
@@ -242,7 +242,7 @@ _CHAOS_COLUMNS = {
 }
 
 
-def _row(
+def metric_row(
     columns: dict[str, str], metrics: MetricsCollector, **cell: Any
 ) -> dict[str, Any]:
     """The ``cell`` coordinates followed by ``columns`` read off ``metrics``."""
@@ -398,7 +398,7 @@ def run(spec: RunSpec) -> RunResult:
     metrics = result.metrics
     row = None
     if manager is not None or scenario is not None:
-        row = _row(
+        row = metric_row(
             _CHAOS_COLUMNS if manager is not None else _SCENARIO_COLUMNS,
             metrics,
             scenario=scenario.name if scenario is not None else None,

@@ -1,4 +1,4 @@
-"""Tests for the figure sweeps, reporting and figure definitions."""
+"""Tests for the figure sweeps, their rows and the figure definitions."""
 
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.experiments import figures
-from repro.experiments.figures import InstanceScale, SweepResult, sweep
-from repro.experiments.reporting import format_rows, rows_to_csv
+from repro.experiments.figures import InstanceScale, sweep
+from repro.simulation.metrics import METRICS
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_rows_nyc.json"
 TINY = InstanceScale(request_fraction=0.0006, vehicle_fraction=0.02, city_scale=0.3)
@@ -25,7 +25,7 @@ SWEEPS = {
     "num_vehicles": (1_000, 5_000),
     "capacity_sigma": (0.0, 2.0),
 }
-#: ResultRow fields that do not depend on the host's clock or allocator.
+#: Row keys that do not depend on the host's clock or allocator.
 EXACT_FIELDS = (
     "dataset", "algorithm", "parameter", "value", "unified_cost", "service_rate",
     "shortest_path_queries", "assigned_requests", "total_requests",
@@ -54,14 +54,26 @@ def sweeps() -> SimpleNamespace:
 
 
 @pytest.fixture(scope="module")
-def gamma_sweep(sweeps) -> SweepResult:
+def gamma_sweep(sweeps) -> list[dict]:
     return sweeps.results["gamma"]
 
 
+@pytest.fixture(scope="module")
+def figure10() -> list[dict]:
+    return figures.figure(
+        "fig10", values=(1.5,), presets=("nyc",), algorithms=ALGORITHMS, scale=TINY
+    )
+
+
+@pytest.fixture(scope="module")
+def ablation() -> list[dict]:
+    return figures.angle_pruning_ablation(presets=("nyc",), scale=TINY)
+
+
 class TestRunner:
-    def test_sweep_produces_row_per_algorithm_and_value(self, gamma_sweep: SweepResult):
-        assert len(gamma_sweep.rows) == 4
-        assert [(row.algorithm, row.value) for row in gamma_sweep.rows] == [
+    def test_sweep_produces_row_per_algorithm_and_value(self, gamma_sweep):
+        assert len(gamma_sweep) == 4
+        assert [(row["algorithm"], row["value"]) for row in gamma_sweep] == [
             ("pruneGDP", 1.3), ("SARD", 1.3), ("pruneGDP", 1.8), ("SARD", 1.8),
         ]
 
@@ -72,11 +84,8 @@ class TestRunner:
         shortest-path queries) regenerates the file with ``REGEN_GOLDEN=1``
         and reviews the diff."""
         produced = {
-            parameter: [
-                {name: getattr(row, name) for name in EXACT_FIELDS}
-                for row in result.rows
-            ]
-            for parameter, result in sweeps.results.items()
+            parameter: [{name: row[name] for name in EXACT_FIELDS} for row in rows]
+            for parameter, rows in sweeps.results.items()
         }
         if os.environ.get("REGEN_GOLDEN"):
             GOLDEN.write_text(json.dumps(produced, indent=2, sort_keys=True))
@@ -87,24 +96,13 @@ class TestRunner:
         by the line-up."""
         assert sweeps.workloads_built == sum(len(values) for values in SWEEPS.values())
 
-    def test_rows_have_sane_metrics(self, gamma_sweep: SweepResult):
-        for row in gamma_sweep.rows:
-            assert 0.0 <= row.service_rate <= 1.0
-            assert row.unified_cost > 0
-            assert row.running_time >= 0
-            assert row.total_requests > 0
-            assert row.dataset == "NYC"
-
-    def test_series_grouping(self, gamma_sweep: SweepResult):
-        series = gamma_sweep.series("service_rate")
-        assert set(series) == {"pruneGDP", "SARD"}
-        assert [value for value, _ in series["SARD"]] == [1.3, 1.8]
-
-    def test_metric_name_validation(self, gamma_sweep: SweepResult):
-        row = gamma_sweep.rows[0]
-        assert row.metric("memory") == float(row.peak_memory_bytes)
-        with pytest.raises(ConfigurationError):
-            row.metric("latency")
+    def test_rows_have_sane_metrics(self, gamma_sweep):
+        for row in gamma_sweep:
+            assert 0.0 <= row["service_rate"] <= 1.0
+            assert row["unified_cost"] > 0
+            assert row["dispatch_seconds"] >= 0
+            assert row["total_requests"] > 0
+            assert row["dataset"] == "NYC"
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -116,27 +114,36 @@ class TestRunner:
 
     def test_vehicle_sweep_scales_fleet(self, sweeps):
         small, large = (
-            row for row in sweeps.results["num_vehicles"].rows if row.algorithm == "pruneGDP"
+            row for row in sweeps.results["num_vehicles"] if row["algorithm"] == "pruneGDP"
         )
-        assert (small.value, large.value) == (1_000.0, 5_000.0)
+        assert (small["value"], large["value"]) == (1_000.0, 5_000.0)
         # More vehicles never hurts the service rate on the same trace.
-        assert large.service_rate >= small.service_rate - 1e-9
+        assert large["service_rate"] >= small["service_rate"] - 1e-9
 
 
-class TestReporting:
-    def test_format_rows_contains_all_cells(self, gamma_sweep: SweepResult):
-        text = format_rows(gamma_sweep.rows, title="Gamma sweep")
-        assert "Gamma sweep" in text
-        assert "SARD" in text and "pruneGDP" in text
-        assert "service_rate" in text
+class TestRows:
+    """Figure and ablation rows are built as scenario and chaos rows are
+    (``metric_row``): cell coordinates, then ``MetricsCollector`` fields
+    under their ``METRICS`` names, so a paper-side alias (``running_time``,
+    ``memory``) cannot come back."""
 
-    def test_csv_round_trip(self, tmp_path, gamma_sweep: SweepResult):
-        path = tmp_path / "rows.csv"
-        text = rows_to_csv(gamma_sweep.rows, path)
-        assert path.exists()
-        lines = text.strip().splitlines()
-        assert len(lines) == 1 + len(gamma_sweep.rows)
-        assert lines[0].startswith("dataset,algorithm")
+    @pytest.mark.parametrize(
+        "produced, cells",
+        [
+            ("gamma_sweep", ["dataset", "algorithm", "parameter", "value"]),
+            ("figure10", ["dataset", "algorithm", "parameter", "value"]),
+            ("ablation", ["dataset", "method"]),
+        ],
+        ids=["sweep", "figure", "angle_pruning_ablation"],
+    )
+    def test_keys_are_cells_then_metric_fields(self, request, produced, cells):
+        rows = request.getfixturevalue(produced)
+        fields = {spec.field for spec in METRICS}
+        assert rows
+        for row in rows:
+            assert list(row)[: len(cells)] == cells
+            assert set(row) - set(cells) <= fields
+            assert {"unified_cost", "service_rate", "dispatch_seconds"} <= set(row)
 
 
 class TestFigureDefinitions:
@@ -147,13 +154,19 @@ class TestFigureDefinitions:
         assert figures.PAPER_PENALTIES == (2, 5, 10, 20, 30)
         assert figures.PAPER_BATCH_PERIODS == (1, 3, 5, 7, 9)
 
-    def test_figure10_structure(self):
-        result = figures.figure(
-            "fig10", values=(1.5,), presets=("nyc",), algorithms=ALGORITHMS, scale=TINY
-        )
-        assert (result.figure, result.parameter) == ("Figure 10", "gamma")
-        assert set(result.sweeps) == {"nyc"}
-        assert len(result.all_rows()) == 2
+    def test_figure10_structure(self, figure10):
+        assert [(row["dataset"], row["parameter"]) for row in figure10] == [
+            ("NYC", "gamma"), ("NYC", "gamma"),
+        ]
+
+    @pytest.mark.parametrize("override", ["values", "presets", "algorithms"])
+    def test_an_empty_override_is_refused_not_defaulted(self, override):
+        """Only ``None`` keeps the entry's own grid, presets or line-up; an
+        empty sequence used to run the entry's whole default instead."""
+        given = {"values": (1.5,), "presets": ("nyc",), "algorithms": ALGORITHMS}
+        given[override] = ()
+        with pytest.raises(ConfigurationError, match=f"empty {override}="):
+            figures.figure("fig10", scale=TINY, **given)
 
     def test_figure_table_covers_the_paper(self):
         """Every entry names a known sweep parameter and algorithms, and an
@@ -178,14 +191,14 @@ class TestFigureDefinitions:
         nyc = figures.paper_workload("nyc", scale, parameter="num_vehicles", value=5_000)
         assert nyc.workload_config.num_vehicles == 100
 
-    def test_angle_pruning_ablation_rows(self):
-        rows = figures.angle_pruning_ablation(presets=("nyc",), scale=TINY)
-        assert [row.method for row in rows] == ["SARD", "SARD-O"]
-        for row in rows:
-            assert 0.0 <= row.service_rate <= 1.0
-            assert row.shortest_path_queries > 0
+    def test_angle_pruning_ablation_rows(self, ablation):
+        assert [row["method"] for row in ablation] == ["SARD", "SARD-O"]
+        for row in ablation:
+            assert 0.0 <= row["service_rate"] <= 1.0
+            assert row["shortest_path_queries"] > 0
         # Angle pruning must not issue more shortest-path queries.
-        assert rows[1].shortest_path_queries <= rows[0].shortest_path_queries * 1.05
+        sard, pruned = ablation
+        assert pruned["shortest_path_queries"] <= sard["shortest_path_queries"] * 1.05
 
     def test_angle_expectation_study_matches_paper_ballpark(self):
         study = figures.angle_expectation_study(num_requests=200)
