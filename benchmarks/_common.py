@@ -5,9 +5,11 @@ laptop scale: it runs the corresponding experiment through
 :mod:`repro.experiments.figures`, times it with ``pytest-benchmark`` and
 writes the resulting rows (the same columns the paper plots) to stdout, to
 ``benchmarks/results/<name>.txt`` / ``.md`` and, for a figure, to the
-``.json`` twin that tooling parses.  A row is a dict of cell coordinates and
-``MetricsCollector`` fields (:func:`repro.experiments.harness.metric_row`),
-the shape every grid of this directory renders.
+``.json`` twin that tooling parses.  A row of any grid here -- figure,
+ablation, scenario or chaos -- is a dict of cell coordinates followed by
+``MetricsCollector`` fields under their ``METRICS`` names
+(:func:`repro.experiments.harness.metric_row`), times in seconds, and
+:func:`save_grid` renders it.
 
 Absolute values are not comparable to the paper (Python simulator, synthetic
 workloads, compressed time scale); the *shape* -- which algorithm wins, how

@@ -6,7 +6,9 @@ name) under both refresh policies with the ``flaky_oracle`` / ``oracle_meltdown`
 presets, and reports what the resilience machinery did: faults injected,
 refresh retries, breaker trips, batches run on the degraded dispatcher,
 invariant-probe failures with their self-healing rebuilds, and the recovery
-latency (wall-clock spent inside failure handling).
+latency (wall-clock spent inside failure handling).  A row is its cells
+followed by ``MetricsCollector`` fields under their ``METRICS`` names
+(times in seconds).
 
 Every cell goes through the harness front door
 (:func:`repro.experiments.harness.run` with specs that set ``chaos=`` -- one
@@ -24,12 +26,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.harness import (
-    RunSpec,
-    deterministic_summary,
-    run,
-    run_grid,
-)
+from repro.experiments.harness import RunSpec, deterministic_summary, metric_row, run
+from repro.simulation.metrics import MetricsCollector
 
 from _common import save_grid
 
@@ -42,24 +40,29 @@ SCALE = 0.08
 CITY_SCALE = 0.4
 ALGORITHM = "pruneGDP"
 
-#: Grid columns: row key -> (printed label, value format).
+#: A row's ``MetricsCollector`` fields: field -> (printed label, value format).
+FIELDS: dict[str, tuple[str, str]] = {
+    "scenario_events": ("events", "d"),
+    "faults_injected": ("faults", "d"),
+    "oracle_retries": ("retries", "d"),
+    "breaker_trips": ("trips", "d"),
+    "degraded_batches": ("degraded", "d"),
+    "batch_overruns": ("overrun", "d"),
+    "probe_failures": ("probe fail", "d"),
+    "self_heals": ("heals", "d"),
+    "recovery_seconds": ("recovery s", ".4f"),
+    "oracle_rebuilds": ("rebuilds", "d"),
+    "oracle_fallback_queries": ("fallback q", "d"),
+    "service_rate": ("svc rate", ".3f"),
+    "unified_cost": ("unified", ".0f"),
+}
+#: Grid columns: the cells, then :data:`FIELDS`.
 COLUMNS: dict[str, tuple[str, str]] = {
     "chaos": ("chaos", "s"),
     "scenario": ("scenario", "s"),
     "backend": ("backend", "s"),
     "policy": ("policy", "s"),
-    "faults": ("faults", "d"),
-    "retries": ("retries", "d"),
-    "breaker_trips": ("trips", "d"),
-    "degraded": ("degraded", "d"),
-    "overruns": ("overrun", "d"),
-    "probe_failures": ("probe fail", "d"),
-    "self_heals": ("heals", "d"),
-    "recovery_ms": ("recovery ms", ".1f"),
-    "rebuilds": ("rebuilds", "d"),
-    "fallback_q": ("fallback q", "d"),
-    "service_rate": ("svc rate", ".3f"),
-    "unified_cost": ("unified", ".0f"),
+    **FIELDS,
 }
 VERIFY_NOTE = (
     "Every accepted assignment's leg costs were verified against fresh "
@@ -68,26 +71,26 @@ VERIFY_NOTE = (
 )
 
 
-def _case(scenario: str, backend: str, policy: str, **kwargs) -> dict:
-    row = run(RunSpec(
-        scenario=scenario, backend=backend, refresh_policy=policy, **kwargs
-    )).row
-    assert row is not None
-    return row
+def _case(scenario: str, backend: str, policy: str, **kwargs) -> MetricsCollector:
+    spec = RunSpec(scenario=scenario, backend=backend, refresh_policy=policy, **kwargs)
+    return run(spec).simulation.metrics
 
 
 def _grid(chaos_names, *, scale: float) -> list[dict]:
-    rows = []
-    for chaos in chaos_names:
-        specs = RunSpec.grid(
-            scenarios=SCENARIOS, backends=BACKENDS, policies=POLICIES,
-            chaos=chaos, scale=scale, city_scale=CITY_SCALE,
-            algorithm=ALGORITHM,
+    return [
+        metric_row(
+            FIELDS,
+            _case(
+                scenario, backend, policy, chaos=chaos,
+                scale=scale, city_scale=CITY_SCALE, algorithm=ALGORITHM,
+            ),
+            chaos=chaos, scenario=scenario, backend=backend, policy=policy,
         )
-        for outcome in run_grid(specs):
-            assert outcome.row is not None
-            rows.append({"chaos": chaos, **outcome.row})
-    return rows
+        for chaos in chaos_names
+        for scenario in SCENARIOS
+        for backend in BACKENDS
+        for policy in POLICIES
+    ]
 
 
 def full_rows() -> list[dict]:
@@ -112,8 +115,8 @@ def test_chaos_smoke_grid():
     actually injected faults."""
     rows = smoke_rows()
     for row in rows:
-        assert row["events"] > 0, row
-        assert row["faults"] > 0, row
+        assert row["scenario_events"] > 0, row
+        assert row["faults_injected"] > 0, row
     _save_grid(
         rows, "chaos_smoke",
         "Chaos smoke grid (flaky_oracle, policy x scenario, parity-verified)",
@@ -125,14 +128,14 @@ def test_meltdown_engages_the_full_ladder():
     degradation ladder on stadium_surge: breaker trips, degraded-dispatcher
     batches and probe-triggered self-heals all nonzero."""
     for policy in POLICIES:
-        row = _case(
+        metrics = _case(
             "stadium_surge", "ch", policy,
             chaos="oracle_meltdown", scale=0.05, city_scale=0.35,
         )
-        assert row["breaker_trips"] > 0, (policy, row)
-        assert row["degraded"] > 0, (policy, row)
-        assert row["self_heals"] > 0, (policy, row)
-        assert row["recovery_ms"] > 0.0, (policy, row)
+        assert metrics.breaker_trips > 0, policy
+        assert metrics.degraded_batches > 0, policy
+        assert metrics.self_heals > 0, policy
+        assert metrics.recovery_seconds > 0.0, policy
 
 
 def test_chaos_runs_are_reproducible():
@@ -147,13 +150,13 @@ def test_degraded_batches_cost_less_dispatch_time():
     """The degradation trade: under meltdown spikes the degraded dispatcher
     keeps serving (service rate stays positive) while the overrun accounting
     shows the budget pressure that tripped it."""
-    row = _case(
+    metrics = _case(
         "stadium_surge", "ch", "coalesce",
         chaos="oracle_meltdown", scale=0.05, city_scale=0.35,
     )
-    assert row["overruns"] >= row["breaker_trips"] // 2
-    assert row["degraded"] > 0
-    assert row["service_rate"] > 0.5
+    assert metrics.batch_overruns >= metrics.breaker_trips // 2
+    assert metrics.degraded_batches > 0
+    assert metrics.service_rate > 0.5
 
 
 def main() -> None:

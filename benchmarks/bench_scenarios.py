@@ -5,7 +5,9 @@ routing backend (``hub_label`` is the same backend under another name)
 under both refresh policies -- ``coalesce`` | ``repair`` -- and reports the
 refresh overhead per policy: backend rebuilds and their wall-clock cost,
 repairs (snapshot swaps) and theirs, queries served by the exact Dijkstra
-fallback while the structures were dirty, and the stale-window time.
+fallback while the structures were dirty, and the stale-window time.  A
+row is its cells followed by ``MetricsCollector`` fields under their
+``METRICS`` names (times in seconds).
 
 Every cell goes through the harness front door
 (:func:`repro.experiments.harness.run` with specs that set ``scenario=``
@@ -26,7 +28,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.experiments.harness import RunSpec, run, run_grid
+from repro.experiments.harness import RunSpec, metric_row, run
+from repro.simulation.metrics import MetricsCollector
 
 from _common import RESULTS_DIR, save_grid, save_json
 
@@ -40,20 +43,24 @@ ALGORITHM = "SARD"
 #: Random pairs checked for parity after every event burst.
 PARITY_PAIRS = 20
 
-#: Grid columns: row key -> (printed label, value format).
+#: A row's ``MetricsCollector`` fields: field -> (printed label, value format).
+FIELDS: dict[str, tuple[str, str]] = {
+    "scenario_events": ("events", "d"),
+    "oracle_rebuilds": ("rebuilds", "d"),
+    "oracle_rebuild_seconds": ("rebuild s", ".4f"),
+    "oracle_repairs": ("repairs", "d"),
+    "oracle_repair_seconds": ("repair s", ".4f"),
+    "oracle_fallback_queries": ("fallback q", "d"),
+    "oracle_stale_seconds": ("stale s", ".4f"),
+    "service_rate": ("svc rate", ".3f"),
+    "unified_cost": ("unified", ".0f"),
+}
+#: Grid columns: the cells, then :data:`FIELDS`.
 COLUMNS: dict[str, tuple[str, str]] = {
     "scenario": ("scenario", "s"),
     "backend": ("backend", "s"),
     "policy": ("policy", "s"),
-    "events": ("events", "d"),
-    "rebuilds": ("rebuilds", "d"),
-    "rebuild_ms": ("rebuild ms", ".1f"),
-    "repairs": ("repairs", "d"),
-    "repair_ms": ("repair ms", ".1f"),
-    "fallback_q": ("fallback q", "d"),
-    "stale_ms": ("stale ms", ".1f"),
-    "service_rate": ("svc rate", ".3f"),
-    "unified_cost": ("unified", ".0f"),
+    **FIELDS,
 }
 PARITY_NOTE = (
     "Parity checked after every event burst: scenario oracle == fresh "
@@ -61,19 +68,21 @@ PARITY_NOTE = (
 )
 
 
+def _case(scenario: str, backend: str, policy: str, **kwargs) -> MetricsCollector:
+    spec = RunSpec(scenario=scenario, backend=backend, refresh_policy=policy, **kwargs)
+    return run(spec).simulation.metrics
+
+
 def _grid_rows(**common) -> list[dict]:
-    specs = RunSpec.grid(
-        scenarios=SCENARIOS, backends=BACKENDS, policies=POLICIES, **common
-    )
-    return [outcome.row for outcome in run_grid(specs) if outcome.row]
-
-
-def _case(scenario: str, backend: str, policy: str, **kwargs) -> dict:
-    row = run(RunSpec(
-        scenario=scenario, backend=backend, refresh_policy=policy, **kwargs
-    )).row
-    assert row is not None
-    return row
+    return [
+        metric_row(
+            FIELDS, _case(scenario, backend, policy, **common),
+            scenario=scenario, backend=backend, policy=policy,
+        )
+        for scenario in SCENARIOS
+        for backend in BACKENDS
+        for policy in POLICIES
+    ]
 
 
 def full_rows() -> list[dict]:
@@ -102,8 +111,8 @@ def _save_grid(rows: list[dict], name: str, title: str) -> None:
 def test_scenario_refresh_overhead_smoke():
     rows = smoke_rows()
     for row in rows:
-        assert row["events"] > 0
-        assert row["rebuilds"] + row["repairs"] >= 1
+        assert row["scenario_events"] > 0
+        assert row["oracle_rebuilds"] + row["oracle_repairs"] >= 1
     _save_grid(
         rows, "scenarios_smoke",
         "Scenario smoke grid (policy x scenario, parity-gated)",
@@ -115,20 +124,20 @@ def test_policies_trade_rebuilds_for_fallback():
     does, on the same bridge_closure scenario."""
     repair = _case("bridge_closure", "ch", "repair", scale=0.05)
     coalesce = _case("bridge_closure", "ch", "coalesce", scale=0.05)
-    assert repair["fallback_q"] == 0
-    assert coalesce["fallback_q"] > 0
-    assert coalesce["stale_ms"] > 0.0
+    assert repair.oracle_fallback_queries == 0
+    assert coalesce.oracle_fallback_queries > 0
+    assert coalesce.oracle_stale_seconds > 0.0
 
 
 def test_repair_beats_rebuild():
     """The acceptance gate of the repair policy: on both presets, at city
     scale, repair absorbs every burst exactly (the parity probe runs in both
     cells) with fewer from-scratch rebuilds than coalesce's rebuild per
-    quiet boundary.  Counts, not wall time: the refresh times are a few ms each and their order flips
-    on a busy host.  A rebuild that adopts a held state (coalesce's last
-    ``rush_hour`` rebuild returns to the set-up network) still counts in
-    ``rebuilds``: the count records refresh decisions, ``rebuild_ms`` what
-    they cost."""
+    quiet boundary.  Counts, not wall time: the refresh times are a few ms
+    each and their order flips on a busy host.  A rebuild that adopts a held
+    state (coalesce's last ``rush_hour`` rebuild returns to the set-up
+    network) still counts in ``oracle_rebuilds``: the count records refresh
+    decisions, ``oracle_rebuild_seconds`` what they cost."""
     for scenario in SCENARIOS:
         coalesce = _case(
             scenario, "ch", "coalesce",
@@ -138,8 +147,8 @@ def test_repair_beats_rebuild():
             scenario, "ch", "repair",
             scale=SCALE, city_scale=CITY_SCALE, parity_pairs=PARITY_PAIRS,
         )
-        assert repair["repairs"] >= 1, (scenario, repair)
-        assert repair["rebuilds"] < coalesce["rebuilds"], (scenario, repair, coalesce)
+        assert repair.oracle_repairs >= 1, scenario
+        assert repair.oracle_rebuilds < coalesce.oracle_rebuilds, scenario
 
 
 def main() -> None:

@@ -40,7 +40,7 @@ def main(preset: str = "chd") -> None:
         )
         result = simulator.run()
         print(f"{name:15s} {result.service_rate:12.1%} "
-              f"{result.unified_cost:14,.0f} {result.running_time:13.2f}")
+              f"{result.unified_cost:14,.0f} {result.metrics.dispatch_seconds:13.2f}")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,10 @@
 This package is a from-scratch Python reproduction of *StructRide: A
 Framework to Exploit the Structure Information of Shareability Graph in
 Ridesharing* (ICDE 2025).  The top-level namespace holds the front door --
-:func:`run` / :func:`run_grid` over a :class:`RunSpec`, and
-:class:`DispatchService` -- plus the names the README, the examples and the
-performance ledger read; everything else is imported from its subpackage
-(``repro.network``, ``repro.model``, ``repro.dispatch``, ...).
+:func:`run` over a :class:`RunSpec`, and :class:`DispatchService` -- plus
+the names the README, the examples and the performance ledger read;
+everything else is imported from its subpackage (``repro.network``,
+``repro.model``, ``repro.dispatch``, ...).
 
 Quick start -- dispatch as a service::
 
@@ -52,7 +52,7 @@ from .service import (
     RideRequest,
     ServiceResult,
 )
-from .experiments import RunResult, RunSpec, run, run_grid
+from .experiments import RunResult, RunSpec, run
 
 __version__ = "1.0.0"
 
@@ -62,7 +62,6 @@ __all__ = [
     "RunSpec",
     "RunResult",
     "run",
-    "run_grid",
     "DispatchService",
     "RideRequest",
     "ServiceResult",

@@ -36,7 +36,7 @@ from ..shareability.angle_pruning import expected_sharing_probability, fit_logno
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 from ..shareability.graph import ShareabilityGraph
 from ..workloads.presets import Workload, make_workload
-from .harness import RunSpec, metric_row, run, run_grid
+from .harness import RunSpec, metric_row, run
 
 # --------------------------------------------------------------------------- #
 # the paper's parameter grids (Tables III and IV)
@@ -158,13 +158,10 @@ def paper_workload(
 # --------------------------------------------------------------------------- #
 #: The metric columns of every figure and ablation row, ``MetricsCollector``
 #: fields under their own names (the paper's running time: ``dispatch_seconds``).
-_COLUMNS = {
-    name: name
-    for name in (
-        "unified_cost", "service_rate", "dispatch_seconds", "shortest_path_queries",
-        "peak_memory_bytes", "assigned_requests", "total_requests",
-    )
-}
+_FIELDS = (
+    "unified_cost", "service_rate", "dispatch_seconds", "shortest_path_queries",
+    "peak_memory_bytes", "assigned_requests", "total_requests",
+)
 
 
 def sweep(
@@ -185,19 +182,16 @@ def sweep(
     rows: list[dict[str, Any]] = []
     for value in values:
         workload = paper_workload(preset, scale, parameter=parameter, value=value)
-        outcomes = run_grid(
-            RunSpec(workload=workload, algorithm=algorithm) for algorithm in algorithms
-        )
         rows += (
             metric_row(
-                _COLUMNS,
-                outcome.simulation.metrics,
+                _FIELDS,
+                run(RunSpec(workload=workload, algorithm=algorithm)).simulation.metrics,
                 dataset=workload.name,
-                algorithm=outcome.spec.algorithm,
+                algorithm=algorithm,
                 parameter=parameter,
                 value=float(value),
             )
-            for outcome in outcomes
+            for algorithm in algorithms
         )
     return rows
 
@@ -304,12 +298,10 @@ def angle_pruning_ablation(
             ("SARD", SARDDispatcher.without_angle_pruning()),
             ("SARD-O", SARDDispatcher.with_angle_pruning()),
         ):
-            outcome = run(
-                RunSpec(workload=workload, algorithm=method, dispatcher=dispatcher)
-            )
-            metrics = outcome.simulation.metrics
+            spec = RunSpec(workload=workload, algorithm=method, dispatcher=dispatcher)
+            metrics = run(spec).simulation.metrics
             rows.append(
-                metric_row(_COLUMNS, metrics, dataset=workload.name, method=method)
+                metric_row(_FIELDS, metrics, dataset=workload.name, method=method)
             )
     return rows
 

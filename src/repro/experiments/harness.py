@@ -6,10 +6,9 @@ field that is set -- a dynamic-world ``scenario`` (with optional
 exact-parity probing), ``chaos`` fault injection, span tracing into
 ``out_dir``, or a replay through :class:`repro.service.DispatchService`
 (``service_config``).  The layers compose, and a field means the same thing
-whatever else is set.  :func:`run_grid` runs a list of specs;
-:meth:`RunSpec.grid` builds the scenario x backend x refresh-policy
-product.  The figure sweeps of :mod:`repro.experiments.figures` are grids
-of plain specs.
+whatever else is set.  Every run's numbers are its ``MetricsCollector``
+(``RunResult.simulation.metrics``) under the ``METRICS`` field names; a
+grid row is :func:`metric_row`, a projection onto some of them.
 """
 
 from __future__ import annotations
@@ -18,9 +17,9 @@ import math
 # DET002 audit: every draw below flows through a seeded random.Random
 # stream; the module-global generator is never called (repro-lint enforced).
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import Any
 
 from pathlib import Path
@@ -125,36 +124,6 @@ class RunSpec:
                     "be ignored"
                 )
 
-    def with_overrides(self, **overrides: Any) -> "RunSpec":
-        """Return a copy of this spec with the given fields replaced."""
-        return replace(self, **overrides)
-
-    @classmethod
-    def grid(
-        cls,
-        *,
-        scenarios: Sequence[str],
-        backends: Sequence[str],
-        policies: Sequence[str],
-        **common: Any,
-    ) -> list["RunSpec"]:
-        """Specs for the scenario x backend x refresh-policy product.
-
-        ``common`` (``chaos=``, ``parity_pairs=``, sizes, ...) is applied to
-        every cell; feed the result to :func:`run_grid`.
-        """
-        return [
-            cls(
-                scenario=scenario,
-                backend=backend,
-                refresh_policy=policy,
-                **common,
-            )
-            for scenario in scenarios
-            for backend in backends
-            for policy in policies
-        ]
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -162,14 +131,12 @@ class RunResult:
 
     ``simulation`` is always set (for a ``service_config=`` run it is the
     simulation nested in ``service``, the full
-    :class:`~repro.service.ServiceResult`); ``row`` is the flat metric row
-    of a scenario or chaos run; ``artifacts`` maps artifact kinds to the
-    paths an ``out_dir=`` run wrote.
+    :class:`~repro.service.ServiceResult`); ``artifacts`` maps artifact
+    kinds to the paths an ``out_dir=`` run wrote.
     """
 
     spec: RunSpec
     simulation: SimulationResult
-    row: dict[str, Any] | None = None
     artifacts: dict[str, Path] | None = None
     service: ServiceResult | None = None
 
@@ -200,69 +167,25 @@ def _build_workload(spec: RunSpec) -> tuple[Workload, Scenario | None]:
 
 
 # ---------------------------------------------------------------------- #
-# the rows of every run (figure and ablation rows: ``figures._COLUMNS``)
+# the rows of every run
 # ---------------------------------------------------------------------- #
-#: The closing columns of both rows.
-_OUTCOME_COLUMNS = {
-    "service_rate": "service_rate",
-    "unified_cost": "unified_cost",
-    "dispatch_s": "dispatch_seconds",
-}
-
-#: A scenario run's refresh-overhead columns: column -> the
-#: :class:`MetricsCollector` field(s) it sums; an ``_ms`` column reports
-#: its fields' seconds in milliseconds.
-_SCENARIO_COLUMNS = {
-    "events": "scenario_events",
-    "rebuilds": "oracle_rebuilds",
-    "rebuild_ms": "oracle_rebuild_seconds",
-    "repairs": "oracle_repairs",
-    "repair_ms": "oracle_repair_seconds",
-    "refresh_ms": "oracle_rebuild_seconds oracle_repair_seconds",
-    "fallback_q": "oracle_fallback_queries",
-    "stale_ms": "oracle_stale_seconds",
-    **_OUTCOME_COLUMNS,
-}
-
-#: A chaos run's resilience columns (read like :data:`_SCENARIO_COLUMNS`).
-_CHAOS_COLUMNS = {
-    "events": "scenario_events",
-    "faults": "faults_injected",
-    "retries": "oracle_retries",
-    "breaker_trips": "breaker_trips",
-    "degraded": "degraded_batches",
-    "overruns": "batch_overruns",
-    "probe_failures": "probe_failures",
-    "self_heals": "self_heals",
-    "recovery_ms": "recovery_seconds",
-    "rebuilds": "oracle_rebuilds",
-    "repairs": "oracle_repairs",
-    "fallback_q": "oracle_fallback_queries",
-    **_OUTCOME_COLUMNS,
-}
-
-
 def metric_row(
-    columns: dict[str, str], metrics: MetricsCollector, **cell: Any
+    fields: Iterable[str], metrics: MetricsCollector, **cell: Any
 ) -> dict[str, Any]:
-    """The ``cell`` coordinates followed by ``columns`` read off ``metrics``."""
-    row = dict(cell)
-    for column, fields in columns.items():
-        value = sum(getattr(metrics, field) for field in fields.split())
-        row[column] = value * 1e3 if column.endswith("_ms") else value
-    return row
+    """The ``cell`` coordinates followed by ``fields`` read off ``metrics``."""
+    return {**cell, **{field: getattr(metrics, field) for field in fields}}
 
 
-def deterministic_summary(row: dict) -> dict:
-    """Strip the timing-dependent columns from a chaos (or scenario) row.
+def deterministic_summary(metrics: MetricsCollector) -> dict[str, float]:
+    """``metrics.summary()`` without its wall-clock ``*_seconds`` keys.
 
     What remains must be bit-identical across two same-seed runs -- the
     reproducibility contract the chaos tests and the CI job assert.
     """
     return {
         key: value
-        for key, value in row.items()
-        if key != "dispatch_s" and not key.endswith("_ms")
+        for key, value in metrics.summary().items()
+        if not key.endswith("_seconds")
     }
 
 
@@ -330,13 +253,11 @@ def run(spec: RunSpec) -> RunResult:
     Every experiment, benchmark and CI job funnels through here.  The run
     is one workload and one engine; each set field adds its layer:
 
-    * ``scenario`` -- the event timeline and refresh policy, and the
-      refresh-overhead ``row``;
+    * ``scenario`` -- the event timeline and refresh policy;
     * ``parity_pairs`` -- the exactness probe after every event burst;
     * ``chaos`` -- a :class:`~repro.resilience.degrade.ResilienceManager`
       (whose oracle the run queries and which verifies every accepted
-      assignment), ``pruneGDP`` as the default algorithm, and the
-      resilience ``row`` in place of the scenario one;
+      assignment) and ``pruneGDP`` as the default algorithm;
     * ``out_dir`` -- span tracing with sampled oracle queries around the
       run, and ``<name>.trace.jsonl`` / ``<name>.prom`` /
       ``<name>.report.md`` written there;
@@ -368,7 +289,6 @@ def run(spec: RunSpec) -> RunResult:
         "resilience": manager,
     }
     context = {"bursts": 0}
-    policy = None
     if scenario is not None:
         probe = _parity_probe(context, spec.parity_pairs) if spec.parity_pairs else None
         policy = make_refresh_policy(spec.refresh_policy, config=scenario.config)
@@ -396,15 +316,6 @@ def run(spec: RunSpec) -> RunResult:
         raise ScenarioError(f"scenario {spec.scenario!r} applied no events")
 
     metrics = result.metrics
-    row = None
-    if manager is not None or scenario is not None:
-        row = metric_row(
-            _CHAOS_COLUMNS if manager is not None else _SCENARIO_COLUMNS,
-            metrics,
-            scenario=scenario.name if scenario is not None else None,
-            backend=backend,
-            policy=policy.name if policy is not None else None,
-        )
     artifacts = None
     if spec.out_dir is not None:
         latencies = {
@@ -432,11 +343,5 @@ def run(spec: RunSpec) -> RunResult:
             latencies=latencies,
             highlight_keys=TRACED_RUN_HIGHLIGHTS,
         )
-    return RunResult(
-        spec=spec, simulation=result, row=row, artifacts=artifacts, service=served
-    )
+    return RunResult(spec=spec, simulation=result, artifacts=artifacts, service=served)
 
-
-def run_grid(specs: Iterable[RunSpec]) -> list[RunResult]:
-    """Run every spec in order (see :meth:`RunSpec.grid`)."""
-    return [run(spec) for spec in specs]

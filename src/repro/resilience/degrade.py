@@ -39,6 +39,7 @@ from random import Random
 from ..config import ChaosConfig
 from ..dispatch.base import Assignment, Dispatcher
 from ..dispatch.prunegdp import PruneGDPDispatcher
+from ..events import EventKind
 from ..exceptions import (
     OracleBuildError,
     OracleRepairError,
@@ -52,16 +53,6 @@ from ..observability.trace import get_tracer
 from .faults import ChaosOracle, FaultInjector
 from .probes import InvariantProbe, exact_cost_failures
 from .retry import RetryPolicy
-
-#: Event-kind strings emitted through the recorder (they match the values of
-#: the corresponding :class:`repro.simulation.events.EventKind` members; the
-#: resilience layer deliberately does not import the simulation package).
-EVENT_FAULT_RETRY = "oracle_retry"
-EVENT_BREAKER_OPENED = "breaker_opened"
-EVENT_BREAKER_CLOSED = "breaker_closed"
-EVENT_DISPATCH_DEGRADED = "dispatch_degraded"
-EVENT_PROBE_FAILED = "probe_failed"
-EVENT_SELF_HEALED = "oracle_self_healed"
 
 #: ``subject`` values of breaker events: which breaker transitioned.
 ORACLE_BREAKER = 0
@@ -184,7 +175,7 @@ class ResilienceManager:
 
     def begin_run(
         self,
-        recorder: Callable[[float, str, int, int | None], None] | None = None,
+        recorder: Callable[[float, EventKind, int, int | None], None] | None = None,
     ) -> None:
         """Reset all per-run state (the simulator calls this at run start)."""
         self.stats = ResilienceStats()
@@ -195,7 +186,7 @@ class ResilienceManager:
         self.oracle_breaker = CircuitBreaker()
         self.dispatch_breaker = CircuitBreaker()
         self._jitter_rng = Random(f"{InvariantProbe.SEED}:jitter")
-        self._recorder: Callable[[float, str, int, int | None], None] | None = recorder
+        self._recorder: Callable[[float, EventKind, int, int | None], None] | None = recorder
         self._now = 0.0
 
     @property
@@ -208,20 +199,20 @@ class ResilienceManager:
         """Trips across both breakers (the metrics counter)."""
         return self.oracle_breaker.trips + self.dispatch_breaker.trips
 
-    def _emit(self, kind: str, subject: int, other: int | None = None) -> None:
+    def _emit(self, kind: EventKind, subject: int, other: int | None = None) -> None:
         if self._recorder is not None:
             self._recorder(self._now, kind, subject, other)
         # Mirror every resilience event into the active trace: breaker
         # transitions, retries, probe failures and heals become leaf spans
         # diagnosable next to the stage timings they interrupted.
         if other is None:
-            get_tracer().event(f"resilience.{kind}", subject=subject)
+            get_tracer().event(f"resilience.{kind.value}", subject=subject)
         else:
-            get_tracer().event(f"resilience.{kind}", subject=subject, other=other)
+            get_tracer().event(f"resilience.{kind.value}", subject=subject, other=other)
 
     def _on_oracle_retry(self, attempt: int, pause: float, error: ReproError) -> None:
         self.stats.retries += 1
-        self._emit(EVENT_FAULT_RETRY, attempt)
+        self._emit(EventKind.ORACLE_RETRY, attempt)
 
     # ------------------------------------------------------------------ #
     # oracle ladder (called by the refresh policies)
@@ -250,13 +241,13 @@ class ResilienceManager:
             )
         except OracleBuildError:
             if breaker.record_failure():
-                self._emit(EVENT_BREAKER_OPENED, ORACLE_BREAKER)
+                self._emit(EventKind.BREAKER_OPENED, ORACLE_BREAKER)
             oracle.enable_fallback()
             elapsed = time.perf_counter() - start
             self.stats.recovery_seconds += elapsed
             return elapsed, False
         if breaker.record_success():
-            self._emit(EVENT_BREAKER_CLOSED, ORACLE_BREAKER)
+            self._emit(EventKind.BREAKER_CLOSED, ORACLE_BREAKER)
         return seconds, True
 
     def guarded_repair(self, oracle: DistanceOracle) -> RepairReport:
@@ -292,7 +283,7 @@ class ResilienceManager:
                 seconds=repair_elapsed + seconds,
             )
         if breaker.record_success():
-            self._emit(EVENT_BREAKER_CLOSED, ORACLE_BREAKER)
+            self._emit(EventKind.BREAKER_CLOSED, ORACLE_BREAKER)
         return report
 
     # ------------------------------------------------------------------ #
@@ -321,11 +312,11 @@ class ResilienceManager:
             oracle.rebuild()
         except ReproError:
             if self.oracle_breaker.record_failure():
-                self._emit(EVENT_BREAKER_OPENED, ORACLE_BREAKER)
+                self._emit(EventKind.BREAKER_OPENED, ORACLE_BREAKER)
             oracle.enable_fallback()
         else:
             if self.oracle_breaker.record_success():
-                self._emit(EVENT_BREAKER_CLOSED, ORACLE_BREAKER)
+                self._emit(EventKind.BREAKER_CLOSED, ORACLE_BREAKER)
         self.stats.recovery_seconds += time.perf_counter() - start
 
     def _run_probes(self, network: RoadNetwork, oracle: DistanceOracle) -> None:
@@ -341,7 +332,7 @@ class ResilienceManager:
         if not failures:
             return
         self.stats.probe_failures += len(failures)
-        self._emit(EVENT_PROBE_FAILED, len(failures))
+        self._emit(EventKind.PROBE_FAILED, len(failures))
         start = time.perf_counter()
         healed = False
         for _ in range(MAX_HEAL_ATTEMPTS):
@@ -349,13 +340,13 @@ class ResilienceManager:
                 oracle.heal()
             self.guarded_rebuild(oracle)
             self.stats.self_heals += 1
-            self._emit(EVENT_SELF_HEALED, len(failures))
+            self._emit(EventKind.ORACLE_SELF_HEALED, len(failures))
             failures = self.probe.check(network, oracle)
             if not failures:
                 healed = True
                 break
             self.stats.probe_failures += len(failures)
-            self._emit(EVENT_PROBE_FAILED, len(failures))
+            self._emit(EventKind.PROBE_FAILED, len(failures))
         if not healed:
             # Last rung: exact fresh-CSR Dijkstra with corruption cleared.
             if isinstance(oracle, ChaosOracle):
@@ -399,15 +390,15 @@ class ResilienceManager:
         )
         if degraded:
             self.stats.degraded_batches += 1
-            self._emit(EVENT_DISPATCH_DEGRADED, DISPATCH_BREAKER)
+            self._emit(EventKind.DISPATCH_DEGRADED, DISPATCH_BREAKER)
             return
         breaker = self.dispatch_breaker
         if charged > self.BATCH_TIME_BUDGET:
             self.stats.batch_overruns += 1
             if breaker.record_failure():
-                self._emit(EVENT_BREAKER_OPENED, DISPATCH_BREAKER)
+                self._emit(EventKind.BREAKER_OPENED, DISPATCH_BREAKER)
         elif breaker.record_success():
-            self._emit(EVENT_BREAKER_CLOSED, DISPATCH_BREAKER)
+            self._emit(EventKind.BREAKER_CLOSED, DISPATCH_BREAKER)
 
     def finalize(
         self, network: RoadNetwork, oracle: DistanceOracle, now: float

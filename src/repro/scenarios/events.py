@@ -24,28 +24,18 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..events import EventKind
 from ..exceptions import ConfigurationError, ScenarioError
 from ..model.vehicle import Vehicle
 from ..network.road_network import RoadNetwork
-
-#: Event-kind strings recorded into the simulation event log (they mirror
-#: :class:`repro.simulation.events.EventKind` values; strings keep this
-#: package import-free of the simulation layer).
-EDGES_RESCALED = "edges_rescaled"
-ROAD_CLOSED = "road_closed"
-ROAD_REOPENED = "road_reopened"
-REQUEST_CANCELLED = "request_cancelled"
-VEHICLE_SHIFT_STARTED = "vehicle_shift_started"
-VEHICLE_SHIFT_ENDED = "vehicle_shift_ended"
 
 
 @dataclass
 class WorldView:
     """Mutable world state the simulator exposes to events at a boundary.
 
-    ``metrics`` is the run's ``MetricsCollector`` and ``record`` is the
-    run's event sink (both typed loosely so the scenario package does not
-    import the simulation layer).
+    ``metrics`` is the run's ``MetricsCollector`` (typed loosely so the
+    scenario package does not import the simulation layer).
     """
 
     now: float
@@ -56,7 +46,8 @@ class WorldView:
     pending: dict[int, Any]
     vehicle_index: Any
     metrics: Any
-    #: ``record(time, kind, subject, other=None)`` -- the run's event sink.
+    #: ``record(time, kind, subject, other=None)`` -- the run's event sink,
+    #: ``kind`` an :class:`~repro.events.EventKind`.
     record: Callable[..., None] = field(default=lambda *args, **kwargs: None)
     #: Original costs a :class:`RestoreEdges` could not write back because
     #: the edge was closed at restore time; the reopening applies them after
@@ -137,7 +128,7 @@ class ScaleEdges(WorldEvent):
                 network.add_edge(u, v, cost * self.factor)
                 self.scaled.append((u, v, cost))
         if self.scaled:
-            world.record(world.now, EDGES_RESCALED, len(self.scaled))
+            world.record(world.now, EventKind.EDGES_RESCALED, len(self.scaled))
         return len(self.scaled)
 
 
@@ -170,7 +161,7 @@ class RestoreEdges(WorldEvent):
                 world.cost_restores[(u, v)] = cost
         self.scaling.scaled = []
         if mutations:
-            world.record(world.now, EDGES_RESCALED, mutations)
+            world.record(world.now, EventKind.EDGES_RESCALED, mutations)
         return mutations
 
 
@@ -218,7 +209,7 @@ class CloseEdges(WorldEvent):
             network.remove_edge(u, v)
             self.closed.append((u, v, cost))
         if self.closed:
-            world.record(world.now, ROAD_CLOSED, len(self.closed))
+            world.record(world.now, EventKind.ROAD_CLOSED, len(self.closed))
         return len(self.closed)
 
 
@@ -249,7 +240,7 @@ class ReopenEdges(WorldEvent):
                 mutations += 1
         self.closure.closed = []
         if mutations:
-            world.record(world.now, ROAD_REOPENED, mutations)
+            world.record(world.now, EventKind.ROAD_REOPENED, mutations)
         return mutations
 
 
@@ -283,7 +274,7 @@ class CancelRequests(WorldEvent):
             if request_id in world.pending:
                 del world.pending[request_id]
                 world.metrics.cancelled_requests += 1
-                world.record(world.now, REQUEST_CANCELLED, request_id)
+                world.record(world.now, EventKind.REQUEST_CANCELLED, request_id)
         return 0
 
 
@@ -318,7 +309,7 @@ class VehicleShiftStart(WorldEvent):
             world.vehicles_by_id[vehicle_id] = vehicle
             x, y = world.network.position(location)
             world.vehicle_index.move(vehicle_id, x, y)
-            world.record(world.now, VEHICLE_SHIFT_STARTED, vehicle_id)
+            world.record(world.now, EventKind.VEHICLE_SHIFT_STARTED, vehicle_id)
         return 0
 
 
@@ -342,5 +333,5 @@ class VehicleShiftEnd(WorldEvent):
                 continue
             vehicle.on_shift = False
             world.vehicle_index.remove(vehicle_id)
-            world.record(world.now, VEHICLE_SHIFT_ENDED, vehicle_id)
+            world.record(world.now, EventKind.VEHICLE_SHIFT_ENDED, vehicle_id)
         return 0

@@ -22,7 +22,7 @@ import enum
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Any
+from typing import Any, TypeVar
 
 from ..config import SimulationConfig
 from ..exceptions import SchemaError, UnreachableError
@@ -49,8 +49,8 @@ def _typed(value: Any, annotation: str, *, name: str, kind: str) -> Any:
     """``value`` checked against a field's annotation (floats widened from ints).
 
     ``bool`` is not an ``int`` here, and a float must be finite: NaN passes
-    every range check a model makes.  An enum field holds the member
-    ``AssignmentEvent.from_dict`` mapped its wire value to.
+    every range check a model makes.  An enum field maps its wire value to
+    the member.
     """
     if value is None and annotation.endswith(" | None"):
         return None
@@ -69,43 +69,12 @@ def _typed(value: Any, annotation: str, *, name: str, kind: str) -> Any:
         type(key) is str and type(count) is int for key, count in value.items()
     ):
         return value
-    if isinstance(value, enum.Enum) and type(value).__name__ == expected:
-        return value
+    if expected in _ENUMS:
+        try:
+            return _ENUMS[expected](value)
+        except ValueError as exc:
+            raise SchemaError(f"{kind}: {exc}") from exc
     raise SchemaError(f"{kind}: {name} must be {expected}, got {value!r}")
-
-
-def _from_payload(cls: type, payload: dict[str, Any], *, kind: str) -> Any:
-    """Shared ``from_dict`` body: version gate, unknown and missing keys, field types.
-
-    A bad payload raises :class:`SchemaError`, never ``TypeError``.
-    """
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{kind}: payload must be an object")
-    check_schema_version(payload, kind=kind)
-    known = {field.name: field for field in fields(cls)}
-    unknown = [key for key in payload if key not in known]
-    if unknown:
-        raise SchemaError(f"{kind}: unknown fields {sorted(unknown, key=str)!r}")
-    missing = [
-        name for name, field in known.items()
-        if name not in payload and field.default is MISSING
-    ]
-    if missing:
-        raise SchemaError(f"{kind}: missing fields {missing!r}")
-    return cls(**{
-        name: _typed(value, str(known[name].type), name=name, kind=kind)
-        for name, value in payload.items()
-    })
-
-
-def _loads(text: str, *, kind: str) -> dict[str, Any]:
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{kind}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise SchemaError(f"{kind}: JSON payload must be an object")
-    return payload
 
 
 class RejectionReason(enum.Enum):
@@ -140,8 +109,77 @@ class AssignmentEventKind(enum.Enum):
     CANCELLED = "cancelled"
 
 
+#: The enum field types, by the name their annotations use.
+_ENUMS: dict[str, type[enum.Enum]] = {
+    cls.__name__: cls for cls in (AssignmentEventKind, RejectionReason)
+}
+
+_Model = TypeVar("_Model", bound="_Schema")
+
+
 @dataclass(frozen=True)
-class RideRequest:
+class _Schema:
+    """The wire format every schema shares: the ``schema_version`` gate
+    (:func:`check_schema_version`) after the model's own checks, ``dict`` /
+    JSON payloads with enums flattened to their wire values, and a parser
+    that raises :class:`SchemaError` on any bad payload, never ``TypeError``.
+    """
+
+    def __post_init__(self) -> None:
+        self._validate()
+        check_schema_version(vars(self), kind=type(self).__name__)
+
+    def _validate(self) -> None:
+        """The model's own field checks."""
+
+    def to_dict(self) -> dict[str, Any]:
+        """Plain-dict payload (JSON-safe, round-trips via :meth:`from_dict`)."""
+        return {
+            name: value.value if isinstance(value, enum.Enum) else value
+            for name, value in asdict(self).items()
+        }
+
+    @classmethod
+    def from_dict(cls: type[_Model], payload: dict[str, Any]) -> _Model:
+        """Parse a payload: version gate, unknown and missing keys, field types."""
+        kind = cls.__name__
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{kind}: payload must be an object")
+        check_schema_version(payload, kind=kind)
+        known = {field.name: field for field in fields(cls)}
+        unknown = [key for key in payload if key not in known]
+        if unknown:
+            raise SchemaError(f"{kind}: unknown fields {sorted(unknown, key=str)!r}")
+        missing = [
+            name for name, field in known.items()
+            if name not in payload and field.default is MISSING
+        ]
+        if missing:
+            raise SchemaError(f"{kind}: missing fields {missing!r}")
+        return cls(**{
+            name: _typed(value, str(known[name].type), name=name, kind=kind)
+            for name, value in payload.items()
+        })
+
+    def to_json(self) -> str:
+        """JSON string of :meth:`to_dict`."""
+        return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_json(cls: type[_Model], text: str) -> _Model:
+        """Parse a JSON string written by :meth:`to_json`."""
+        kind = cls.__name__
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{kind}: invalid JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise SchemaError(f"{kind}: JSON payload must be an object")
+        return cls.from_dict(payload)
+
+
+@dataclass(frozen=True)
+class RideRequest(_Schema):
     """One ride request as submitted over the service boundary.
 
     Only the trip itself is mandatory; ``deadline`` / ``direct_cost`` /
@@ -160,7 +198,7 @@ class RideRequest:
     direct_cost: float | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if self.request_id < 0:
             raise SchemaError("request_id must be non-negative")
         if self.origin < 0 or self.destination < 0:
@@ -193,32 +231,6 @@ class RideRequest:
                 f"request {self.request_id}: direct_cost must be finite "
                 "and non-negative"
             )
-        if self.schema_version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"request {self.request_id}: incompatible schema_version "
-                f"{self.schema_version} (this build speaks {SCHEMA_VERSION})"
-            )
-
-    # ------------------------------------------------------------------ #
-    # wire format
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict payload (JSON-safe, round-trips via :meth:`from_dict`)."""
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "RideRequest":
-        """Parse a payload, rejecting unknown fields and version mismatches."""
-        return _from_payload(cls, payload, kind="RideRequest")
-
-    def to_json(self) -> str:
-        """JSON string of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RideRequest":
-        """Parse a JSON string written by :meth:`to_json`."""
-        return cls.from_dict(_loads(text, kind="RideRequest"))
 
     # ------------------------------------------------------------------ #
     # bridges to the internal data model
@@ -280,7 +292,7 @@ class RideRequest:
 
 
 @dataclass(frozen=True)
-class AssignmentEvent:
+class AssignmentEvent(_Schema):
     """One lifecycle event of an admitted request, streamed to subscribers."""
 
     event: AssignmentEventKind
@@ -294,7 +306,7 @@ class AssignmentEvent:
     reason: RejectionReason | None = None
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.event, AssignmentEventKind):
             raise SchemaError(f"event must be an AssignmentEventKind, got {self.event!r}")
         if self.reason is not None and not isinstance(self.reason, RejectionReason):
@@ -307,46 +319,10 @@ class AssignmentEvent:
             raise SchemaError(
                 f"assigned event for request {self.request_id} needs a vehicle_id"
             )
-        if self.schema_version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"incompatible schema_version {self.schema_version} "
-                f"(this build speaks {SCHEMA_VERSION})"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict payload with enums flattened to their wire values."""
-        payload = asdict(self)
-        payload["event"] = self.event.value
-        payload["reason"] = self.reason.value if self.reason is not None else None
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "AssignmentEvent":
-        """Parse a payload written by :meth:`to_dict`."""
-        if not isinstance(payload, dict):
-            raise SchemaError("AssignmentEvent: payload must be an object")
-        payload = dict(payload)
-        try:
-            if "event" in payload:
-                payload["event"] = AssignmentEventKind(payload["event"])
-            if payload.get("reason") is not None:
-                payload["reason"] = RejectionReason(payload["reason"])
-        except ValueError as exc:
-            raise SchemaError(f"AssignmentEvent: {exc}") from exc
-        return _from_payload(cls, payload, kind="AssignmentEvent")
-
-    def to_json(self) -> str:
-        """JSON string of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AssignmentEvent":
-        """Parse a JSON string written by :meth:`to_json`."""
-        return cls.from_dict(_loads(text, kind="AssignmentEvent"))
 
 
 @dataclass(frozen=True)
-class ServiceStats:
+class ServiceStats(_Schema):
     """Point-in-time snapshot returned by the service's stats endpoint."""
 
     #: Requests offered to the service (accepted + rejected at admission).
@@ -376,7 +352,7 @@ class ServiceStats:
     service_rate: float = 1.0
     schema_version: int = SCHEMA_VERSION
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         for name in (
             "received", "accepted", "assigned", "completed", "expired",
             "dispatch_rejected", "batches", "queue_depth",
@@ -393,31 +369,10 @@ class ServiceStats:
             raise SchemaError(
                 f"service_rate must be in [0, 1] (got {self.service_rate})"
             )
-        if self.schema_version != SCHEMA_VERSION:
-            raise SchemaError(
-                f"incompatible schema_version {self.schema_version} "
-                f"(this build speaks {SCHEMA_VERSION})"
-            )
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dict payload (JSON-safe, round-trips via :meth:`from_dict`)."""
-        payload = asdict(self)
-        payload["rejected"] = dict(self.rejected or {})
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ServiceStats":
-        """Parse a payload written by :meth:`to_dict`."""
-        return _from_payload(cls, payload, kind="ServiceStats")
-
-    def to_json(self) -> str:
-        """JSON string of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ServiceStats":
-        """Parse a JSON string written by :meth:`to_json`."""
-        return cls.from_dict(_loads(text, kind="ServiceStats"))
+        """Plain-dict payload; no rejections are written as ``{}``."""
+        return super().to_dict() | {"rejected": dict(self.rejected or {})}
 
 
 __all__ = [

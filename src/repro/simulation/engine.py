@@ -64,11 +64,6 @@ class SimulationResult:
         """Fraction of requests assigned to vehicles."""
         return self.metrics.service_rate
 
-    @property
-    def running_time(self) -> float:
-        """Total dispatching time in seconds (the paper's "running time")."""
-        return self.metrics.dispatch_seconds
-
     def summary(self) -> dict[str, float]:
         """Flat metric dictionary, prefixed by the algorithm name elsewhere."""
         return self.metrics.summary()
@@ -312,7 +307,7 @@ class Simulator:
         return state.metrics
 
     def _emit(
-        self, when: float, kind: EventKind | str, subject: int, other: int | None = None
+        self, when: float, kind: EventKind, subject: int, other: int | None = None
     ) -> None:
         """The run's one event sink: the engine's own transitions, the world
         events (``WorldView.record``) and the resilience manager's recorder.
@@ -323,7 +318,7 @@ class Simulator:
         state = self.run_state
         if not (self.record_events or state.listeners):
             return
-        event = Event(when, EventKind(kind), subject, other)
+        event = Event(when, kind, subject, other)
         if self.record_events:
             state.events.record(event)
         for listener in state.listeners:

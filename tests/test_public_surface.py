@@ -1,11 +1,11 @@
 """The top-level namespace holds the front door and the names read from outside.
 
 ``repro.__all__`` is exactly the names the README, the examples and the
-performance ledger under ``benchmarks/ledger/`` use, plus ``run_grid``,
-``RunResult`` and ``__version__``; everything else is imported from its
-subpackage.  The ledger is frozen between benchmark changes, so a later trim
-of any namespace it imports from must not break it: its sources are parsed
-(never imported) and every ``repro`` name they read is looked up.
+performance ledger under ``benchmarks/ledger/`` use, plus ``RunResult``
+and ``__version__``; everything else is imported from its subpackage.  The
+ledger is frozen between benchmark changes, so a later trim of any
+namespace it imports from must not break it: its sources are parsed (never
+imported) and every ``repro`` name they read is looked up.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import repro
 FRONT_DOOR = {
     "__version__",
     # the front door
-    "RunSpec", "RunResult", "run", "run_grid",
+    "RunSpec", "RunResult", "run",
     "DispatchService", "RideRequest", "ServiceResult", "AssignmentEventKind",
     "RejectionReason", "ServiceConfig",
     # building a run by hand

@@ -36,6 +36,7 @@ from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
 from repro.numeric import costs_close
+from repro.observability import tracing
 from repro.resilience import (
     BreakerState,
     ChaosOracle,
@@ -48,6 +49,8 @@ from repro.resilience import (
 from repro.scenarios import make_refresh_policy
 from repro.scenarios.events import WorldView
 from repro.scenarios.presets import CHAOS_PRESETS, make_chaos_config
+from repro.simulation.events import EventKind
+from repro.simulation.metrics import METRICS, MetricsCollector
 
 
 # --------------------------------------------------------------------- #
@@ -400,8 +403,28 @@ class TestProbesAndSelfHealing:
         )
         oracle.rebuild()
         manager.before_dispatch(grid_network, oracle, now=5.0)
-        assert "probe_failed" in recorded
-        assert "oracle_self_healed" in recorded
+        assert EventKind.PROBE_FAILED in recorded
+        assert EventKind.ORACLE_SELF_HEALED in recorded
+
+    def test_manager_events_are_traced_under_their_kind_values(self, grid_network):
+        """The recorder gets ``EventKind`` members; the trace names each one
+        ``resilience.<value>``, in the same order."""
+        manager = ResilienceManager(
+            chaos=ChaosConfig(corruption_rate=1.0, corruption_factor=1.2),
+        )
+        oracle = manager.make_oracle(grid_network, backend="ch")
+        recorded = []
+        manager.begin_run(
+            recorder=lambda now, kind, subject, other=None: recorded.append(kind)
+        )
+        with tracing() as tracer:
+            oracle.rebuild()
+            manager.before_dispatch(grid_network, oracle, now=5.0)
+        assert recorded and all(isinstance(kind, EventKind) for kind in recorded)
+        names = {f"resilience.{kind.value}" for kind in EventKind}
+        assert [record.name for record in tracer.records if record.name in names] == [
+            f"resilience.{kind.value}" for kind in recorded
+        ]
 
 
 # --------------------------------------------------------------------- #
@@ -507,8 +530,8 @@ class TestExactCostCheck:
                 len(assignments)
             ),
         )
-        row = _chaos_row("repair", chaos="flaky_oracle")
-        assert verified and sum(verified) > 0 and row["service_rate"] > 0
+        metrics = _chaos_metrics("repair", chaos="flaky_oracle")
+        assert verified and sum(verified) > 0 and metrics.service_rate > 0
 
     def test_costs_close(self):
         assert costs_close(1e4, 1e4 + 5e-7)
@@ -642,21 +665,19 @@ class TestGuardedRefresh:
 SMALL = dict(scale=0.05, city_scale=0.35)
 
 
-def _chaos_row(policy: str, *, chaos: str) -> dict:
-    outcome = run(RunSpec(
+def _chaos_metrics(policy: str, *, chaos: str) -> MetricsCollector:
+    return run(RunSpec(
         scenario="stadium_surge", backend="ch",
         refresh_policy=policy, chaos=chaos, **SMALL,
-    ))
-    assert outcome.row is not None
-    return outcome.row
+    )).simulation.metrics
 
 
 class TestChaosRuns:
     def test_same_seed_runs_are_identical(self):
-        first = _chaos_row("repair", chaos="flaky_oracle")
-        second = _chaos_row("repair", chaos="flaky_oracle")
+        first = _chaos_metrics("repair", chaos="flaky_oracle")
+        second = _chaos_metrics("repair", chaos="flaky_oracle")
         assert deterministic_summary(first) == deterministic_summary(second)
-        assert first["faults"] > 0
+        assert first.faults_injected > 0
 
     @pytest.mark.parametrize("policy", REFRESH_POLICIES)
     def test_stadium_surge_survives_meltdown(self, policy):
@@ -664,27 +685,32 @@ class TestChaosRuns:
         # exact (the manager verifies every accepted assignment, so a single
         # inexact accepted cost raises), and the resilience machinery
         # actually engaged.
-        row = _chaos_row(policy, chaos="oracle_meltdown")
-        assert row["faults"] > 0
-        assert row["breaker_trips"] > 0
-        assert row["self_heals"] > 0
-        assert row["service_rate"] > 0
-        again = _chaos_row(policy, chaos="oracle_meltdown")
-        assert deterministic_summary(row) == deterministic_summary(again)
+        metrics = _chaos_metrics(policy, chaos="oracle_meltdown")
+        assert metrics.faults_injected > 0
+        assert metrics.breaker_trips > 0
+        assert metrics.self_heals > 0
+        assert metrics.service_rate > 0
+        again = _chaos_metrics(policy, chaos="oracle_meltdown")
+        assert deterministic_summary(metrics) == deterministic_summary(again)
 
     def test_degraded_dispatcher_engages_under_spikes(self):
-        row = _chaos_row("coalesce", chaos="oracle_meltdown")
-        assert row["overruns"] > 0
-        assert row["degraded"] > 0
+        metrics = _chaos_metrics("coalesce", chaos="oracle_meltdown")
+        assert metrics.batch_overruns > 0
+        assert metrics.degraded_batches > 0
 
     def test_chaos_metrics_quiet_without_chaos(self):
-        outcome = run(RunSpec(
+        metrics = run(RunSpec(
             scenario="stadium_surge", backend="ch",
             refresh_policy="repair", **SMALL,
-        ))
-        row = outcome.row
-        assert row is not None
-        assert "breaker_trips" not in row  # plain grid stays chaos-free
+        )).simulation.metrics
+        resilience = [
+            row.field for row in METRICS
+            if (row.source or "").startswith("resilience.")
+        ]
+        assert len(resilience) == 8
+        assert {field: getattr(metrics, field) for field in resilience} == dict.fromkeys(
+            resilience, 0
+        )
 
     def test_chaos_resilience_defaults_are_deterministic(self):
         """The fixed behaviour: a 0.05 s budget charged with injected

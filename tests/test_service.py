@@ -45,7 +45,7 @@ from repro.service.schemas import SCHEMA_VERSION, check_schema_version
 from repro.service.server import SLO_SERVICE_RATE
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
-from repro.simulation.metrics import METRICS, export_rows
+from repro.simulation.metrics import METRICS, MetricsCollector, export_rows
 from repro.workloads.presets import make_workload
 
 
@@ -796,37 +796,43 @@ class TestRunSpec:
             backend=backend, simulation_config=SimulationConfig(),
             scenario="bridge_closure", scale=0.03, algorithm="pruneGDP",
         ))
-        assert outcome.row is not None and outcome.row["backend"] == backend
+        assert outcome.simulation.config.routing_backend == backend
 
     def test_a_scenario_run_needs_no_backend_or_policy(self):
         """Without ``backend=`` / ``refresh_policy=`` a scenario run keeps the
-        preset's backend and the scenario's own policy, and its row says so."""
-        outcome = run(RunSpec(
-            scenario="bridge_closure", scale=0.03, algorithm="pruneGDP"
-        ))
+        preset's backend and runs the scenario's own policy."""
+        spec = RunSpec(scenario="bridge_closure", scale=0.03, algorithm="pruneGDP")
+        outcome = run(spec)
         preset = make_workload("nyc", scale=0.02, city_scale=0.35)
-        assert outcome.row is not None
-        assert outcome.row["scenario"] == "bridge_closure"
-        assert outcome.row["backend"] == preset.simulation_config.routing_backend
-        assert outcome.row["policy"] == ScenarioConfig().refresh_policy
-        assert outcome.row["events"] > 0
-
-    def test_grid_builds_the_product(self):
-        specs = RunSpec.grid(
-            scenarios=("a", "b"), backends=("ch",), policies=REFRESH_POLICIES
+        assert outcome.simulation.config.routing_backend == (
+            preset.simulation_config.routing_backend
         )
-        assert len(specs) == 4
-        assert {spec.refresh_policy for spec in specs} == set(REFRESH_POLICIES)
+        assert outcome.simulation.metrics.scenario_events > 0
+        named = run(dataclasses.replace(
+            spec, refresh_policy=ScenarioConfig().refresh_policy
+        ))
+        assert deterministic_summary(outcome.simulation.metrics) == (
+            deterministic_summary(named.simulation.metrics)
+        )
 
-    def test_with_overrides(self):
-        spec = RunSpec().with_overrides(algorithm="SARD")
-        assert spec.algorithm == "SARD"
+    def test_deterministic_summary_keeps_every_count(self):
+        """Only the wall-clock ``*_seconds`` keys leave the summary."""
+        metrics = MetricsCollector(
+            total_requests=5, assigned_requests=4, oracle_rebuilds=2,
+            faults_injected=3, dispatch_seconds=0.25, recovery_seconds=0.5,
+        )
+        kept = deterministic_summary(metrics)
+        assert set(kept) == {
+            key for key in metrics.summary() if not key.endswith("_seconds")
+        }
+        assert kept == {key: metrics.summary()[key] for key in kept}
+        assert kept["oracle_rebuilds"] == 2 and kept["faults_injected"] == 3
 
 
 class TestOneBuilderForEveryRun:
     def test_scenario_and_service_compose(self, monkeypatch):
-        """A scenario replayed through the service keeps the scenario row,
-        and the service streams the batch run's assignments."""
+        """A scenario replayed through the service keeps the batch run's
+        metrics, and the service streams the batch run's assignments."""
         spec = RunSpec(
             scenario="bridge_closure", backend="ch", refresh_policy="repair",
             scale=0.03, algorithm="pruneGDP",
@@ -842,10 +848,11 @@ class TestOneBuilderForEveryRun:
         with monkeypatch.context() as patch:
             patch.setattr(Simulator, "_emit", recording)
             batch = run(spec)
-        served = run(spec.with_overrides(service_config=ServiceConfig()))
-        assert batch.row is not None and served.row is not None
-        assert deterministic_summary(served.row) == deterministic_summary(batch.row)
-        assert served.row["events"] > 0
+        served = run(dataclasses.replace(spec, service_config=ServiceConfig()))
+        assert deterministic_summary(served.simulation.metrics) == (
+            deterministic_summary(batch.simulation.metrics)
+        )
+        assert served.simulation.metrics.scenario_events > 0
         assert served.service is not None
         assert assigned
         assert _streamed_assignment_pairs(served.service.events) == sorted(assigned)
@@ -889,7 +896,7 @@ class TestOneBuilderForEveryRun:
             scenario="bridge_closure", backend="ch", refresh_policy="coalesce",
             scale=0.03, algorithm="pruneGDP", out_dir=tmp_path,
         ))
-        assert outcome.artifacts is not None and outcome.row is not None
+        assert outcome.artifacts is not None
         assert outcome.simulation.metrics.scenario_events > 0
         assert outcome.simulation.metrics.oracle_rebuilds > 0
 
@@ -905,7 +912,7 @@ class TestOneBuilderForEveryRun:
         ))
         title = (tmp_path / "t.report.md").read_text().splitlines()[0]
         assert title.startswith(f"# Traced run: {algorithm} on ")
-        assert (outcome.row is None) == (not layer)
+        assert (outcome.simulation.metrics.faults_injected > 0) == bool(layer)
 
     @pytest.mark.parametrize(
         "layer",
@@ -919,7 +926,7 @@ class TestOneBuilderForEveryRun:
     def test_out_dir_traces_any_layer_without_changing_it(self, tmp_path, layer):
         spec = RunSpec(scale=0.03, city_scale=0.35, algorithm="pruneGDP", **layer)
         plain = run(spec)
-        traced = run(spec.with_overrides(out_dir=tmp_path, name="t"))
+        traced = run(dataclasses.replace(spec, out_dir=tmp_path, name="t"))
         assert plain.artifacts is None and traced.artifacts is not None
         assert sorted(path.name for path in traced.artifacts.values()) == [
             "t.prom", "t.report.md", "t.trace.jsonl",
@@ -929,19 +936,20 @@ class TestOneBuilderForEveryRun:
             plain.simulation.metrics.assigned_requests
         )
         assert (traced.service is None) == (plain.service is None)
-        if plain.row is not None:
-            assert traced.row is not None
-            assert deterministic_summary(traced.row) == deterministic_summary(plain.row)
+        assert deterministic_summary(traced.simulation.metrics) == (
+            deterministic_summary(plain.simulation.metrics)
+        )
 
     def test_chaos_and_service_compose(self):
-        """Chaos replayed through the service keeps the batch run's chaos row."""
+        """Chaos replayed through the service keeps the batch run's metrics."""
         spec = RunSpec(chaos="flaky_oracle", scale=0.03, city_scale=0.35)
         batch = run(spec)
-        served = run(spec.with_overrides(service_config=ServiceConfig()))
-        assert batch.row is not None and served.row is not None
+        served = run(dataclasses.replace(spec, service_config=ServiceConfig()))
         assert served.service is not None
-        assert served.row["faults"] > 0
-        assert deterministic_summary(served.row) == deterministic_summary(batch.row)
+        assert served.simulation.metrics.faults_injected > 0
+        assert deterministic_summary(served.simulation.metrics) == (
+            deterministic_summary(batch.simulation.metrics)
+        )
 
     def test_traced_honours_a_built_workload(self, tmp_path):
         workload = make_workload("nyc", scale=0.02, city_scale=0.35)
@@ -957,7 +965,7 @@ class TestDeprecationShims:
 
     def test_old_names_left_the_eager_namespace(self):
         launchers = sorted(name for name in dir(repro) if name.startswith("run"))
-        assert launchers == ["run", "run_grid"]
+        assert launchers == ["run"]
         assert "run" in repro.__all__ and "RunSpec" in repro.__all__
         assert "__getattr__" not in vars(repro)
         with pytest.raises(AttributeError):
