@@ -72,6 +72,12 @@ class Rule:
         raise NotImplementedError
         yield  # pragma: no cover
 
+    def violation(
+        self, ctx: FileContext, node: ast.expr | ast.stmt | ast.excepthandler, message: str
+    ) -> Violation:
+        """This rule's hit at ``node``."""
+        return Violation(self.code, ctx.path, node.lineno, node.col_offset, message)
+
 
 def _dotted(node: ast.expr) -> str:
     """Best-effort dotted name of an expression (``a.b.c`` -> "a.b.c")."""
@@ -141,15 +147,10 @@ class DET001WallClock(Rule):
                     # constructor, not a clock read; only flag clock factories.
                     pass
             if banned is not None:
-                yield Violation(
-                    code=self.code,
-                    path=ctx.path,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=(
-                        f"wall-clock call `{banned}` in simulation code; use the "
-                        "virtual clock / retry waits"
-                    ),
+                yield self.violation(
+                    ctx, node,
+                    f"wall-clock call `{banned}` in simulation code; use the "
+                    "virtual clock / retry waits",
                 )
 
 
@@ -192,15 +193,10 @@ class DET002ModuleRandom(Rule):
             elif isinstance(func, ast.Name) and func.id in from_random:
                 name = f"random.{func.id}"
             if name is not None:
-                yield Violation(
-                    code=self.code,
-                    path=ctx.path,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=(
-                        f"module-level `{name}()` uses the interpreter-global RNG; "
-                        "draw from a seeded random.Random stream instead"
-                    ),
+                yield self.violation(
+                    ctx, node,
+                    f"module-level `{name}()` uses the interpreter-global RNG; "
+                    "draw from a seeded random.Random stream instead",
                 )
 
 
@@ -244,7 +240,11 @@ class DET003SetIteration(Rule):
             for node in _scope_walk(scope):
                 for iter_expr in self._ordered_iterables(node, exempt):
                     if self._is_set_expr(iter_expr, bindings):
-                        yield self._violation(ctx, iter_expr)
+                        yield self.violation(
+                            ctx, iter_expr,
+                            "iteration over a bare set leaks hash order into results; "
+                            "wrap in sorted(...) or use an ordered container",
+                        )
 
     def _ordered_iterables(self, node: ast.AST, exempt: set[int]) -> Iterator[ast.expr]:
         # `sorted(s)` / `min(s)` / `len(s)`-style consumers are naturally
@@ -283,18 +283,6 @@ class DET003SetIteration(Rule):
                 node.right, bindings
             )
         return False
-
-    def _violation(self, ctx: FileContext, iter_expr: ast.expr) -> Violation:
-        return Violation(
-            code=self.code,
-            path=ctx.path,
-            line=iter_expr.lineno,
-            column=iter_expr.col_offset,
-            message=(
-                "iteration over a bare set leaks hash order into results; "
-                "wrap in sorted(...) or use an ordered container"
-            ),
-        )
 
 
 def _scopes(tree: ast.Module) -> Iterator[ast.AST]:
@@ -473,15 +461,10 @@ class INV002FloatCostEquality(Rule):
                 if self._infinite(left) or self._infinite(right):
                     continue
                 symbol = "==" if isinstance(op, ast.Eq) else "!="
-                yield Violation(
-                    code=self.code,
-                    path=ctx.path,
-                    line=node.lineno,
-                    column=node.col_offset,
-                    message=(
-                        f"exact float `{symbol}` on a cost/weight expression; use "
-                        "repro.numeric.costs_equal/costs_differ (or math.isclose)"
-                    ),
+                yield self.violation(
+                    ctx, node,
+                    f"exact float `{symbol}` on a cost/weight expression; use "
+                    "repro.numeric.costs_equal/costs_differ (or math.isclose)",
                 )
 
 
@@ -528,15 +511,10 @@ class STY001BroadExcept(Rule):
             if node.type is not None and self._reraises(node):
                 continue
             what = "bare `except:`" if node.type is None else "broad `except Exception`"
-            yield Violation(
-                code=self.code,
-                path=ctx.path,
-                line=node.lineno,
-                column=node.col_offset,
-                message=(
-                    f"{what} swallows typed failures; catch a repro.exceptions "
-                    "type or re-raise a typed wrap inside the handler"
-                ),
+            yield self.violation(
+                ctx, node,
+                f"{what} swallows typed failures; catch a repro.exceptions "
+                "type or re-raise a typed wrap inside the handler",
             )
 
 

@@ -19,6 +19,49 @@ from ..network.shortest_path import DistanceOracle
 from ..shareability.builder import DynamicShareabilityGraphBuilder
 
 
+@dataclass(frozen=True, slots=True)
+class Refusal:
+    """An offer of a request, made at ``made``, that found no feasible vehicle.
+
+    While it holds, offering the request again asks only vehicles that
+    refused it and would refuse again: DESIGN's "Standing refusals" has the
+    argument (``nearest`` is ``-inf`` off the radius branch).
+    """
+
+    made: float
+    generation: int
+    max_candidates: int | None
+    x: float
+    y: float
+    circle: float
+    nearest: float
+
+    def holds(self, request: Request, context: DispatchContext, max_candidates: int | None) -> bool:
+        """Whether offering ``request`` in ``context`` would find no vehicle."""
+        return (
+            self.made < context.current_time
+            and self.generation == context.oracle.generation
+            and self.max_candidates == max_candidates
+            and self.nearest <= _radius(request, context)
+        )
+
+
+class Refusals(dict[int, Refusal]):
+    """The standing :class:`Refusal` of each pending request, by request id.
+
+    Whoever changes a vehicle's node, clock or plan calls :meth:`touch` at
+    its node (at both nodes for a move); a shift change clears the store.
+    """
+
+    def touch(self, network: RoadNetwork, *nodes: int) -> None:
+        """Drop every certificate whose circle holds one of ``nodes``."""
+        for x, y in map(network.position, nodes if self else ()):
+            for request_id in [
+                rid for rid, r in self.items() if math.hypot(r.x - x, r.y - y) <= r.circle
+            ]:
+                del self[request_id]
+
+
 @dataclass
 class DispatchContext:
     """Everything a dispatcher may consult when handling one batch.
@@ -47,6 +90,9 @@ class DispatchContext:
     #: them unless given (the engine keeps both, rebuilt on shift events).
     vehicles_by_id: dict[int, Vehicle] = field(default_factory=dict)
     fleet_rank: dict[int, int] = field(default_factory=dict)
+    #: What offers that found no vehicle certify (the engine keeps one
+    #: store for the run; a context on its own starts an empty one).
+    refusals: Refusals = field(default_factory=Refusals)
 
     def __post_init__(self) -> None:
         fleet = self.vehicles
@@ -81,14 +127,14 @@ class WorkingRoutes(dict[int, RouteState]):
     An entry starts as the vehicle's planning snapshot at the context's
     time, taken when the dispatcher first asks for it; :meth:`extend`
     overwrites the entry, so insertions within a batch compound, and records
-    what the route was extended with for :meth:`assignments`.
+    in ``extended`` what the route was extended with.
     """
 
     def __init__(self, context: DispatchContext) -> None:
         super().__init__()
         self._fleet = context.vehicles_by_id
         self._now = context.current_time
-        self._extended: dict[int, list[Request]] = {}
+        self.extended: dict[int, list[Request]] = {}
 
     def __missing__(self, vehicle_id: int) -> RouteState:
         route = self[vehicle_id] = self._fleet[vehicle_id].route_state(self._now)
@@ -97,13 +143,13 @@ class WorkingRoutes(dict[int, RouteState]):
     def extend(self, vehicle_id: int, schedule: Schedule, requests: Iterable[Request]) -> None:
         """Plan ``schedule`` for the vehicle; it newly serves ``requests``."""
         self[vehicle_id] = replace(self[vehicle_id], schedule=schedule)
-        self._extended.setdefault(vehicle_id, []).extend(requests)
+        self.extended.setdefault(vehicle_id, []).extend(requests)
 
     def assignments(self) -> list[Assignment]:
         """One assignment per extended vehicle, in the order first extended."""
         return [
             Assignment(vehicle_id, self[vehicle_id].schedule, tuple(requests))
-            for vehicle_id, requests in self._extended.items()
+            for vehicle_id, requests in self.extended.items()
         ]
 
 
@@ -151,8 +197,12 @@ class Dispatcher(abc.ABC):
     def dispatch(self, context: DispatchContext) -> DispatchResult:
         """Handle one batch and return the schedule assignments."""
 
+    def __init__(self) -> None:
+        self.reset()
+
     def reset(self) -> None:
-        """Forget any cross-batch state (called between simulations)."""
+        """Forget any cross-batch state (called on construction and between
+        simulations)."""
 
     def estimated_memory_bytes(self) -> int:
         """Approximate working-set size, reported in the memory study."""
@@ -178,12 +228,26 @@ def requests_by_vehicle(
     return mapping
 
 
+class Candidates(list[Vehicle]):
+    """What :func:`candidate_vehicles` found, with the circle around the
+    pick-up that decided it (the radius; ``max(radius, k-th distance)`` for
+    the fallback; ``inf`` when every vehicle is a candidate) and, when the
+    radius found them, the distance of the nearest: ``None`` while no cut
+    needed the distances, ``-inf`` on the other branches."""
+
+    def __init__(
+        self, vehicles: Iterable[Vehicle], circle: float, nearest: float | None = -math.inf
+    ) -> None:
+        super().__init__(vehicles)
+        self.circle, self.nearest = circle, nearest
+
+
 def candidate_vehicles(
     request: Request,
     context: DispatchContext,
     *,
     max_candidates: int | None = None,
-) -> list[Vehicle]:
+) -> Candidates:
     """Vehicles that could plausibly pick ``request`` up before its deadline.
 
     The grid index names the vehicles within the distance reachable in the
@@ -197,28 +261,33 @@ def candidate_vehicles(
     """
     x, y = context.network.position(request.source)
     now = context.current_time
-    slack = max(request.latest_pickup - now, 0.0)
-    radius = max(context.average_speed * slack, 1.0)
+    radius = _radius(request, context)
     index = context.vehicle_index
     by_id = context.vehicles_by_id
     found = [by_id[vid] for vid in index.query_radius(x, y, radius) if vid in by_id]
-    pool = found or context.vehicles
-    if max_candidates is None or len(pool) <= max_candidates:
-        return list(pool)
     if found:
+        if max_candidates is None or len(found) <= max_candidates:
+            return Candidates(found, radius, None)
         positions = (index.position(vehicle.vehicle_id) for vehicle in found)
-        ranked = [
+        ranked = sorted(
             (math.hypot(px - x, py - y), rank) for rank, (px, py) in enumerate(positions)
-        ]
-    else:
-        rank_of = context.fleet_rank
-        ranked = [(d, rank_of[vid]) for d, vid in index.k_nearest(x, y, max_candidates)]
-    ranked.sort()
-    cut = [pool[rank] for _, rank in ranked[:max_candidates]]
-    if found:
-        return cut
+        )
+        cut = [found[rank] for _, rank in ranked[:max_candidates]]
+        return Candidates(cut, radius, ranked[0][0])
+    fleet = context.vehicles
+    if max_candidates is None or len(fleet) <= max_candidates:
+        return Candidates(fleet, math.inf)
+    rank_of = context.fleet_rank
+    ranked = sorted((d, rank_of[vid]) for d, vid in index.k_nearest(x, y, max_candidates))
+    cut = [fleet[rank] for _, rank in ranked[:max_candidates]]
     speed, due = context.oracle.top_speed(), request.latest_pickup + 1e-9
-    return [v for (d, _), v in zip(ranked, cut) if v.departure_time(now) + d / speed <= due]
+    kept = (v for (d, _), v in zip(ranked, cut) if v.departure_time(now) + d / speed <= due)
+    return Candidates(kept, max(radius, ranked[-1][0]))
+
+
+def _radius(request: Request, context: DispatchContext) -> float:
+    slack = max(request.latest_pickup - context.current_time, 0.0)
+    return max(context.average_speed * slack, 1.0)
 
 
 def nearest_requests(
@@ -246,17 +315,22 @@ def feasible_insertions(
     """``(outcome, vehicle id)`` of every candidate vehicle that can take
     ``request`` on its working route, in :func:`candidate_vehicles` order.
 
-    This is the one place a dispatcher asks a vehicle.  A driving vehicle's
-    snapshot carries what it already answered, so one probe of its table
-    settles a repeated offer: a known "no" costs nothing more, a known "yes"
-    is returned as it stands, and only what is left reaches the kernel.  An
-    idle vehicle departs at the tick time, so its snapshot is new and it is
-    asked on every tick.
+    This is the one place a dispatcher asks a vehicle.  An offer that found
+    no vehicle, asking no route this dispatch extended, leaves a
+    :class:`Refusal` in ``context.refusals``; while it holds, a later
+    dispatch answers the request with ``[]`` and no search.  A driving
+    vehicle's snapshot carries what it already answered, so one probe of its
+    table settles a repeated offer: a known "no" costs nothing more, a known
+    "yes" is returned as it stands, and only what is left reaches the kernel.
     """
+    refusal = context.refusals.get(request.request_id)
+    if refusal is not None and refusal.holds(request, context, max_candidates):
+        return []
     oracle = context.oracle
+    vehicles = candidate_vehicles(request, context, max_candidates=max_candidates)
     asked: list[tuple[RouteState, InsertionOutcome | None]] = []
     origins: list[int] = []
-    for vehicle in candidate_vehicles(request, context, max_candidates=max_candidates):
+    for vehicle in vehicles:
         route = routes[vehicle.vehicle_id]
         known = None
         if route.min_insert_position:
@@ -278,6 +352,15 @@ def feasible_insertions(
             outcome = best_insertion(route, request, oracle)
         if outcome.feasible:
             found.append((outcome, route.vehicle_id))
+    if not found and not routes.extended:
+        x, y = context.network.position(request.source)
+        nearest = vehicles.nearest
+        if nearest is None:  # only a refusal needs it; most offers find a vehicle
+            positions = map(context.vehicle_index.position, [v.vehicle_id for v in vehicles])
+            nearest = min(math.hypot(px - x, py - y) for px, py in positions)
+        context.refusals[request.request_id] = Refusal(
+            context.current_time, oracle.generation, max_candidates, x, y, vehicles.circle, nearest,
+        )
     return found
 
 

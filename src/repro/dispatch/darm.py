@@ -40,13 +40,8 @@ class DARMDispatcher(Dispatcher):
     #: Cap on the candidate vehicles each request evaluates.
     max_candidates = 32
 
-    def __init__(self) -> None:
-        self._demand: dict[tuple[int, int], float] = {}
-        self._last_reposition = float("-inf")
-        self.repositioned = 0
-
     def reset(self) -> None:
-        self._demand = {}
+        self._demand: dict[tuple[int, int], float] = {}
         self._last_reposition = float("-inf")
         self.repositioned = 0
 
@@ -117,6 +112,7 @@ class DARMDispatcher(Dispatcher):
             travel = context.oracle.cost(vehicle.location, target_node)
             if travel <= 0 or travel == float("inf"):
                 continue
+            context.refusals.touch(context.network, vehicle.location, target_node)
             vehicle.reposition(target_node, travel, context.current_time)
             index.move(vehicle.vehicle_id, *context.network.position(target_node))
             self.repositioned += 1

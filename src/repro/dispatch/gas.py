@@ -38,15 +38,9 @@ class GASDispatcher(Dispatcher):
     #: Bound on the greedy scans of the fleet within one batch.
     max_passes = 3
 
-    def __init__(self) -> None:
-        self._rng = random.Random(self.seed)
-        self._builder: DynamicShareabilityGraphBuilder | None = None
-        self.grouping_stats = GroupingStatistics()
-        self._last_group_count = 0
-
     def reset(self) -> None:
         self._rng = random.Random(self.seed)
-        self._builder = None
+        self._builder: DynamicShareabilityGraphBuilder | None = None
         self.grouping_stats = GroupingStatistics()
         self._last_group_count = 0
 

@@ -49,7 +49,7 @@ class PruneGDPDispatcher(Dispatcher):
     ) -> None:
         self._max_candidates = max_candidates
         self._reject_unassigned = reject_unassigned
-        self._fleet_size = 0
+        super().__init__()
 
     def reset(self) -> None:
         self._fleet_size = 0

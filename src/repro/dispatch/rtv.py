@@ -39,15 +39,8 @@ class RTVDispatcher(Dispatcher):
     #: Solver wall-clock limit per batch, in seconds.
     time_limit = 10.0
 
-    def __init__(self) -> None:
-        self._builder: DynamicShareabilityGraphBuilder | None = None
-        self.grouping_stats = GroupingStatistics()
-        self.ilp_solved = 0
-        self.ilp_fallbacks = 0
-        self._last_variable_count = 0
-
     def reset(self) -> None:
-        self._builder = None
+        self._builder: DynamicShareabilityGraphBuilder | None = None
         self.grouping_stats = GroupingStatistics()
         self.ilp_solved = 0
         self.ilp_fallbacks = 0

@@ -66,10 +66,7 @@ class SARDDispatcher(Dispatcher):
 
     def __init__(self, *, angle_pruning: bool = True) -> None:
         self._angle_pruning = angle_pruning
-        self._builder: DynamicShareabilityGraphBuilder | None = None
-        self.grouping_stats = GroupingStatistics()
-        self.rounds_executed = 0
-        self._last_group_count = 0
+        super().__init__()
 
     # ------------------------------------------------------------------ #
     # configuration helpers
@@ -87,7 +84,7 @@ class SARDDispatcher(Dispatcher):
         return cls(angle_pruning=False)
 
     def reset(self) -> None:
-        self._builder = None
+        self._builder: DynamicShareabilityGraphBuilder | None = None
         self.grouping_stats = GroupingStatistics()
         self.rounds_executed = 0
         self._last_group_count = 0

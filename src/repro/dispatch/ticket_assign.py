@@ -31,9 +31,6 @@ class TicketAssignDispatcher(Dispatcher):
     #: Bound on the retry rounds within one batch.
     max_rounds = 50
 
-    def __init__(self) -> None:
-        self.contention_retries = 0
-
     def reset(self) -> None:
         self.contention_retries = 0
 

@@ -117,8 +117,7 @@ def are_shareable(
     anchor (first pick-up) and the edge exists if either orientation admits a
     feasible joint schedule.
     """
-    schedule, _ = best_pair_schedule(first, second, oracle, capacity=capacity)
-    if schedule is not None:
-        return True
-    schedule, _ = best_pair_schedule(second, first, oracle, capacity=capacity)
-    return schedule is not None
+    return any(
+        best_pair_schedule(a, b, oracle, capacity=capacity)[0] is not None
+        for a, b in ((first, second), (second, first))
+    )

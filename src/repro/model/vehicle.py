@@ -253,37 +253,28 @@ class Vehicle:
         idle vehicle departs at ``current_time`` and gets a new one per call.
         """
         departure = self.departure_time(current_time)
-        if self.schedule and self._leg_arrival is not None:
-            # Driving: the first remaining way-point is committed.
-            snapshot = self._snapshot
-            if (
-                snapshot is None
-                or snapshot.schedule is not self.schedule
-                or snapshot.departure_time != departure
-                or snapshot.origin != self.location
-                or snapshot.onboard != self.onboard
-                or snapshot.capacity != self.capacity
-            ):
-                snapshot = self._snapshot = RouteState(
-                    vehicle_id=self.vehicle_id,
-                    origin=self.location,
-                    departure_time=departure,
-                    schedule=self.schedule,
-                    capacity=self.capacity,
-                    onboard=self.onboard,
-                    min_insert_position=1,
-                )
-            return snapshot
-        self._snapshot = None
-        return RouteState(
-            vehicle_id=self.vehicle_id,
-            origin=self.location,
-            departure_time=departure,
-            schedule=self.schedule,
-            capacity=self.capacity,
-            onboard=self.onboard,
-            min_insert_position=0,
-        )
+        # Driving: the first remaining way-point is committed.
+        driving = bool(self.schedule) and self._leg_arrival is not None
+        snapshot = self._snapshot if driving else None
+        if (
+            snapshot is None
+            or snapshot.schedule is not self.schedule
+            or snapshot.departure_time != departure
+            or snapshot.origin != self.location
+            or snapshot.onboard != self.onboard
+            or snapshot.capacity != self.capacity
+        ):
+            snapshot = RouteState(
+                vehicle_id=self.vehicle_id,
+                origin=self.location,
+                departure_time=departure,
+                schedule=self.schedule,
+                capacity=self.capacity,
+                onboard=self.onboard,
+                min_insert_position=int(driving),
+            )
+        self._snapshot = snapshot if driving else None
+        return snapshot
 
     def departure_time(self, current_time: float) -> float:
         """When a plan made at ``current_time`` leaves :attr:`location`."""

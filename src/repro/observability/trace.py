@@ -31,8 +31,8 @@ from __future__ import annotations
 import time
 from collections import deque
 from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from types import TracebackType
 
 #: Values a span tag may carry (kept JSON-serialisable by construction).
 TagValue = int | float | str | bool
@@ -68,12 +68,7 @@ class NoopSpan:
     def __enter__(self) -> NoopSpan:
         return self
 
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         return None
 
     def tag(self, key: str, value: TagValue) -> None:
@@ -152,12 +147,7 @@ class _Span:
         self._start = tracer._clock()
         return self
 
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         tracer = self._tracer
         end = tracer._clock()
         stack = tracer._stack
@@ -309,24 +299,14 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
     return previous
 
 
-class use_tracer:
-    """Context manager installing a tracer for the duration of a block."""
-
-    def __init__(self, tracer: Tracer | None) -> None:
-        self._tracer = tracer
-        self._previous: Tracer | None = None
-
-    def __enter__(self) -> Tracer:
-        self._previous = set_tracer(self._tracer)
-        return _active
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: TracebackType | None,
-    ) -> None:
-        set_tracer(self._previous)
+@contextmanager
+def use_tracer(tracer: Tracer | None) -> Iterator[Tracer]:
+    """Install a tracer for the duration of a block; yields the active one."""
+    previous = set_tracer(tracer)
+    try:
+        yield _active
+    finally:
+        set_tracer(previous)
 
 
 __all__ = [

@@ -226,29 +226,19 @@ class ResilienceManager:
         the rebuild is not even attempted -- the fallback is refreshed and
         the recovery probe in :meth:`before_dispatch` owns the retry.
         """
-        breaker = self.oracle_breaker
         start = time.perf_counter()
-        if breaker.state is BreakerState.OPEN:
-            oracle.enable_fallback()
-            return time.perf_counter() - start, False
         try:
-            _, seconds = self.retry.call(
-                oracle.rebuild,
-                rng=self._jitter_rng,
-                error_type=OracleBuildError,
-                describe="oracle rebuild",
-                on_retry=self._on_oracle_retry,
-            )
+            done = self._retried(oracle, oracle.rebuild, OracleBuildError, "oracle rebuild")
         except OracleBuildError:
-            if breaker.record_failure():
+            if self.oracle_breaker.record_failure():
                 self._emit(EventKind.BREAKER_OPENED, ORACLE_BREAKER)
             oracle.enable_fallback()
             elapsed = time.perf_counter() - start
             self.stats.recovery_seconds += elapsed
             return elapsed, False
-        if breaker.record_success():
-            self._emit(EventKind.BREAKER_CLOSED, ORACLE_BREAKER)
-        return seconds, True
+        if done is None:
+            return time.perf_counter() - start, False
+        return done[1], True
 
     def guarded_repair(self, oracle: DistanceOracle) -> RepairReport:
         """Repair with retry; exhaustion climbs the ladder to a rebuild.
@@ -256,24 +246,12 @@ class ResilienceManager:
         Returns the backend's :class:`RepairReport` on success.  When the
         retry budget is exhausted the ladder trips to an immediate rebuild
         (itself guarded), reported as mode ``"rebuilt"`` -- or
-        ``"fallback"`` when the rebuild failed too and the oracle is serving
-        its exact Dijkstra fallback.
+        ``"fallback"`` when the rebuild failed too, or the breaker is open,
+        and the oracle is serving its exact Dijkstra fallback.
         """
-        breaker = self.oracle_breaker
         start = time.perf_counter()
-        if breaker.state is BreakerState.OPEN:
-            oracle.enable_fallback()
-            return RepairReport(
-                mode="fallback", seconds=time.perf_counter() - start
-            )
         try:
-            report, _ = self.retry.call(
-                oracle.repair,
-                rng=self._jitter_rng,
-                error_type=OracleRepairError,
-                describe="oracle repair",
-                on_retry=self._on_oracle_retry,
-            )
+            done = self._retried(oracle, oracle.repair, OracleRepairError, "oracle repair")
         except OracleRepairError:
             repair_elapsed = time.perf_counter() - start
             self.stats.recovery_seconds += repair_elapsed
@@ -282,9 +260,26 @@ class ResilienceManager:
                 mode="rebuilt" if rebuilt else "fallback",
                 seconds=repair_elapsed + seconds,
             )
-        if breaker.record_success():
+        if done is None:
+            return RepairReport(mode="fallback", seconds=time.perf_counter() - start)
+        return done[0]
+
+    def _retried(
+        self, oracle: DistanceOracle, op: Callable[[], Any], error: type[ReproError], what: str
+    ) -> tuple[Any, float] | None:
+        """``op``'s ``(result, seconds)`` under the retry policy, a success
+        closing the oracle breaker; ``None`` while the breaker is open (the
+        oracle then serves its fallback).  Raises ``error`` when out of tries."""
+        if self.oracle_breaker.state is BreakerState.OPEN:
+            oracle.enable_fallback()
+            return None
+        done = self.retry.call(
+            op, rng=self._jitter_rng, error_type=error, describe=what,
+            on_retry=self._on_oracle_retry,
+        )
+        if self.oracle_breaker.record_success():
             self._emit(EventKind.BREAKER_CLOSED, ORACLE_BREAKER)
-        return report
+        return done
 
     # ------------------------------------------------------------------ #
     # batch hooks (called by the simulator)
@@ -331,35 +326,28 @@ class ResilienceManager:
         )
         if not failures:
             return
-        self.stats.probe_failures += len(failures)
-        self._emit(EventKind.PROBE_FAILED, len(failures))
         start = time.perf_counter()
-        healed = False
-        for _ in range(MAX_HEAL_ATTEMPTS):
-            if isinstance(oracle, ChaosOracle):
-                oracle.heal()
-            self.guarded_rebuild(oracle)
-            self.stats.self_heals += 1
-            self._emit(EventKind.ORACLE_SELF_HEALED, len(failures))
-            failures = self.probe.check(network, oracle)
-            if not failures:
-                healed = True
-                break
+        for attempt in range(MAX_HEAL_ATTEMPTS + 1):
             self.stats.probe_failures += len(failures)
             self._emit(EventKind.PROBE_FAILED, len(failures))
-        if not healed:
-            # Last rung: exact fresh-CSR Dijkstra with corruption cleared.
             if isinstance(oracle, ChaosOracle):
                 oracle.heal()
-            oracle.enable_fallback()
+            if attempt < MAX_HEAL_ATTEMPTS:
+                self.guarded_rebuild(oracle)
+                self.stats.self_heals += 1
+                self._emit(EventKind.ORACLE_SELF_HEALED, len(failures))
+            else:  # last rung: exact fresh-CSR Dijkstra, corruption cleared
+                oracle.enable_fallback()
             failures = self.probe.check(network, oracle)
-            if failures:
-                worst = failures[0]
-                raise ResilienceError(
-                    "invariant probes still failing after self-healing and "
-                    f"exact fallback: cost({worst.source}, {worst.target}) = "
-                    f"{worst.got} but fresh Dijkstra says {worst.want}"
-                )
+            if not failures:
+                break
+        else:
+            worst = failures[0]
+            raise ResilienceError(
+                "invariant probes still failing after self-healing and "
+                f"exact fallback: cost({worst.source}, {worst.target}) = "
+                f"{worst.got} but fresh Dijkstra says {worst.want}"
+            )
         self.stats.recovery_seconds += time.perf_counter() - start
 
     def select_dispatcher(self, primary: Dispatcher) -> tuple[Dispatcher, bool]:

@@ -76,6 +76,14 @@ class WorldEvent:
     def apply(self, world: WorldView) -> int:
         raise NotImplementedError
 
+    def _follows(self, paired: WorldEvent | None, kind: str) -> None:
+        """Refuse an undo event without its paired ``kind`` event or before it."""
+        name = type(self).__name__
+        if paired is None:
+            raise ConfigurationError(f"{name} needs its paired {kind} event")
+        if self.time < paired.time:
+            raise ConfigurationError(f"{name} at {self.time} precedes its {kind} at {paired.time}")
+
 
 def _directed(
     edges: Sequence[tuple[int, int]], bidirectional: bool
@@ -140,12 +148,7 @@ class RestoreEdges(WorldEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.scaling is None:
-            raise ConfigurationError("RestoreEdges needs its paired ScaleEdges event")
-        if self.time < self.scaling.time:
-            raise ConfigurationError(
-                f"restore at {self.time} precedes its scaling at {self.scaling.time}"
-            )
+        self._follows(self.scaling, "ScaleEdges")
 
     def apply(self, world: WorldView) -> int:
         network = world.network
@@ -221,12 +224,7 @@ class ReopenEdges(WorldEvent):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.closure is None:
-            raise ConfigurationError("ReopenEdges needs its paired CloseEdges event")
-        if self.time < self.closure.time:
-            raise ConfigurationError(
-                f"reopening at {self.time} precedes its closure at {self.closure.time}"
-            )
+        self._follows(self.closure, "CloseEdges")
 
     def apply(self, world: WorldView) -> int:
         network = world.network

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Any, TypeVar
 
 from ..config import SimulationConfig
@@ -146,13 +146,13 @@ class _Schema:
         if not isinstance(payload, dict):
             raise SchemaError(f"{kind}: payload must be an object")
         check_schema_version(payload, kind=kind)
-        known = {field.name: field for field in fields(cls)}
+        known = {spec.name: spec for spec in fields(cls)}
         unknown = [key for key in payload if key not in known]
         if unknown:
             raise SchemaError(f"{kind}: unknown fields {sorted(unknown, key=str)!r}")
         missing = [
-            name for name, field in known.items()
-            if name not in payload and field.default is MISSING
+            name for name, spec in known.items()
+            if name not in payload and spec.default is spec.default_factory is MISSING
         ]
         if missing:
             raise SchemaError(f"{kind}: missing fields {missing!r}")
@@ -330,7 +330,7 @@ class ServiceStats(_Schema):
     #: Requests admitted into the ingestion queue.
     accepted: int = 0
     #: Admission rejections by :class:`RejectionReason` wire value.
-    rejected: dict[str, int] | None = None
+    rejected: dict[str, int] = field(default_factory=dict)
     #: Requests assigned to a vehicle so far.
     assigned: int = 0
     #: Requests dropped off so far.
@@ -362,17 +362,13 @@ class ServiceStats(_Schema):
                 raise SchemaError(f"{name} must be non-negative")
         if self.accepted > self.received:
             raise SchemaError("accepted must not exceed received")
-        for reason, count in (self.rejected or {}).items():
+        for reason, count in self.rejected.items():
             if count < 0 or reason not in {r.value for r in RejectionReason}:
                 raise SchemaError(f"rejected[{reason!r}] = {count} is not a reason's count")
         if not 0.0 <= self.service_rate <= 1.0:
             raise SchemaError(
                 f"service_rate must be in [0, 1] (got {self.service_rate})"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-dict payload; no rejections are written as ``{}``."""
-        return super().to_dict() | {"rejected": dict(self.rejected or {})}
 
 
 __all__ = [

@@ -281,11 +281,9 @@ class DispatchService:
         shed under ``drop_oldest``) is also streamed as a ``rejected``
         assignment event.
         """
-        self._require_running()
-        ride = self._coerce(request)
-        invalid = self._validate_nodes(ride)
-        if invalid is not None:
-            return invalid
+        ride, refused = self._screen(request)
+        if refused is not None:
+            return refused
         admission = self._queue.offer(ride)
         self._emit_admission(ride, admission)
         return admission
@@ -297,11 +295,9 @@ class DispatchService:
         full queue blocks the submitter (backpressure) until a tick frees
         space, instead of returning a ``QUEUE_FULL`` rejection.
         """
-        self._require_running()
-        ride = self._coerce(request)
-        invalid = self._validate_nodes(ride)
-        if invalid is not None:
-            return invalid
+        ride, refused = self._screen(request)
+        if refused is not None:
+            return refused
         admission = await self._queue.put(ride)
         self._emit_admission(ride, admission)
         return admission
@@ -311,11 +307,13 @@ class DispatchService:
             return RideRequest.from_request(request)
         return request
 
-    def _validate_nodes(self, ride: RideRequest) -> Admission | None:
-        if self.network.has_node(ride.origin) and self.network.has_node(
-            ride.destination
-        ):
-            return None
+    def _screen(self, request: RideRequest | Request) -> tuple[RideRequest, Admission | None]:
+        """The payload of ``request`` and, if an endpoint is not a node of
+        the network, its refusal (streamed as a ``rejected`` event)."""
+        self._require_running()
+        ride = self._coerce(request)
+        if self.network.has_node(ride.origin) and self.network.has_node(ride.destination):
+            return ride, None
         admission = self._queue.refuse(RejectionReason.UNKNOWN_NODE)
         self._emit(AssignmentEvent(
             event=AssignmentEventKind.REJECTED,
@@ -323,7 +321,7 @@ class DispatchService:
             request_id=ride.request_id,
             reason=RejectionReason.UNKNOWN_NODE,
         ))
-        return admission
+        return ride, admission
 
     def _emit_admission(self, ride: RideRequest, admission: Admission) -> None:
         if admission.shed is not None:

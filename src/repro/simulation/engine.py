@@ -28,7 +28,7 @@ from heapq import heappop, heappush
 from types import SimpleNamespace
 
 from ..config import SimulationConfig
-from ..dispatch.base import DispatchContext, Dispatcher
+from ..dispatch.base import DispatchContext, Dispatcher, Refusals
 from ..exceptions import DispatchError
 from ..model.batch import Batch, BatchStream
 from ..model.request import Request
@@ -104,6 +104,9 @@ class RunState:
     on_shift: list[Vehicle] = field(default_factory=list)
     on_shift_by_id: dict[int, Vehicle] = field(default_factory=dict)
     on_shift_rank: dict[int, int] = field(default_factory=dict)
+    #: The standing refusal of each pending request (``feasible_insertions``);
+    #: touched wherever a vehicle's node, clock or plan changes.
+    refusals: Refusals = field(default_factory=Refusals)
 
 
 # The simulator rejects positional construction: every call site names its
@@ -398,6 +401,7 @@ class Simulator:
             config=self.config,
             vehicles_by_id=state.on_shift_by_id,
             fleet_rank=state.on_shift_rank,
+            refusals=state.refusals,
         )
         # The span brackets exactly the same window as ``dispatch_seconds``,
         # so the dispatcher's stage spans (its direct children) sum to the
@@ -437,6 +441,7 @@ class Simulator:
                 continue
             was_idle = vehicle.is_idle
             vehicle.assign_schedule(assignment.schedule, new_requests, batch.end_time)
+            state.refusals.touch(self.network, vehicle.location)
             if was_idle:  # a vehicle under way keeps the heap entry it has
                 heappush(due, (vehicle.next_event_time(), positions[vehicle.vehicle_id]))
             for request in new_requests:
@@ -459,6 +464,8 @@ class Simulator:
                     batch.end_time, EventKind.REQUEST_REJECTED, request.request_id
                 )
 
+        for request_id in [rid for rid in state.refusals if rid not in pending]:
+            del state.refusals[request_id]
         metrics.observe_memory(self._memory_estimate())
         self._emit(batch.end_time, EventKind.BATCH_DISPATCHED, batch.index)
         return BatchRecord(
@@ -478,26 +485,28 @@ class Simulator:
     def _advance_vehicles(self, until: float) -> None:
         """Advance the vehicles whose next way-point is due by ``until``.
 
-        Idle and mid-leg vehicles are not touched.  The due ones are visited
-        in fleet order (the order of their ``REQUEST_COMPLETED`` events), and
-        only one that changed node while on shift is re-indexed.
+        Idle and mid-leg vehicles are not visited.  The due ones are visited
+        in fleet order (the order of their ``REQUEST_COMPLETED`` events); one
+        on shift that served a stop is touched, and re-indexed if it moved.
         """
-        due = self.run_state.due
+        due, refusals = self.run_state.due, self.run_state.refusals
         positions = []
         while due and due[0][0] <= until:
             positions.append(heappop(due)[1])
         positions.sort()
         for position in positions:
             vehicle = self.vehicles[position]
-            node = vehicle.location
+            node, plan = vehicle.location, vehicle.schedule
             for request, drop_time in vehicle.advance_to(until, self.oracle):
                 self._emit(
                     drop_time, EventKind.REQUEST_COMPLETED,
                     request.request_id, vehicle.vehicle_id,
                 )
-            if vehicle.location != node and vehicle.on_shift:
-                x, y = self.network.position(vehicle.location)
-                self._vehicle_index.move(vehicle.vehicle_id, x, y)
+            if vehicle.schedule is not plan and vehicle.on_shift:
+                refusals.touch(self.network, node, vehicle.location)
+                if vehicle.location != node:
+                    x, y = self.network.position(vehicle.location)
+                    self._vehicle_index.move(vehicle.vehicle_id, x, y)
             if not vehicle.is_idle:
                 heappush(due, (vehicle.next_event_time(), position))
 
@@ -524,8 +533,10 @@ class Simulator:
                 self._vehicle_index.remove(vehicle.vehicle_id)
 
     def _sync_fleet(self) -> None:
-        """Rebuild the run's fleet maps from ``vehicles`` (see ``RunState``)."""
+        """Rebuild the run's fleet maps from ``vehicles`` (see ``RunState``);
+        the refusals, all made on the old fleet, go."""
         state = self.run_state
+        state.refusals.clear()
         state.fleet_position = {v.vehicle_id: p for p, v in enumerate(self.vehicles)}
         state.on_shift = [vehicle for vehicle in self.vehicles if vehicle.on_shift]
         state.on_shift_by_id = {v.vehicle_id: v for v in state.on_shift}

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import pytest
 
 from repro import Simulator, make_dispatcher, make_workload
-from repro.config import ServiceConfig
+from repro.config import ChaosConfig, ServiceConfig
 from repro.dispatch import base
 from repro.dispatch.base import DispatchContext, candidate_vehicles, feasible_insertions
 from repro.dispatch.sard import SARDDispatcher
 from repro.experiments.harness import RunSpec, run
+from repro.insertion.linear_insertion import InsertionOutcome
 from repro.model.batch import Batch
 from repro.model.schedule import Schedule
 from repro.model.vehicle import RouteState, Vehicle
 from repro.network.grid_index import GridIndex
+from repro.network.shortest_path import DistanceOracle
 from repro.scenarios.events import VehicleShiftEnd, VehicleShiftStart
 from repro.scenarios.timeline import Scenario
 from repro.simulation import engine
@@ -177,14 +180,20 @@ class TestPlanSnapshotReuseIsInvisible:
 
 
 def _advance_the_whole_fleet(simulator: Simulator, until: float) -> None:
-    """The obvious tick: every vehicle advances, every on-shift vehicle is
-    re-indexed, every off-shift one removed."""
+    """The obvious tick: every vehicle advances, every on-shift vehicle whose
+    node, clock or plan changed is touched where it was and where it is,
+    every on-shift vehicle is re-indexed, every off-shift one removed."""
     for vehicle in simulator.vehicles:
+        before = (vehicle.location, vehicle.departure_time(until), vehicle.schedule)
         for request, drop_time in vehicle.advance_to(until, simulator.oracle):
             simulator._emit(
                 drop_time, EventKind.REQUEST_COMPLETED,
                 request.request_id, vehicle.vehicle_id,
             )
+        after = (vehicle.location, vehicle.departure_time(until), vehicle.schedule)
+        if after != before and vehicle.on_shift:
+            for node in sorted({before[0], after[0]}):
+                simulator.run_state.refusals.touch(simulator.network, node)
     for vehicle in simulator.vehicles:
         if vehicle.on_shift:
             x, y = simulator.network.position(vehicle.location)
@@ -230,14 +239,7 @@ def _shift_spec(algorithm: str) -> tuple[RunSpec, float, set[int]]:
 def _observe(spec: RunSpec, monkeypatch) -> tuple[list, dict, dict]:
     """Run ``spec``: its engine events, its summary without the wall-clock
     rows and its oracle's counters (the index invariant is checked per tick)."""
-    oracles = []
-    fresh_oracle = Workload.fresh_oracle
-
-    def keeping(workload, **options):
-        oracles.append(fresh_oracle(workload, **options))
-        return oracles[-1]
-
-    ticks = []
+    ticks, oracles = [], []
 
     def checked_context(**parts):
         # What every candidate query relies on: the index holds exactly
@@ -250,10 +252,10 @@ def _observe(spec: RunSpec, monkeypatch) -> tuple[list, dict, dict]:
             for v in context.vehicles
         )
         ticks.append(context.current_time)
+        oracles.append(context.oracle)
         return context
 
     with monkeypatch.context() as patch:
-        patch.setattr(Workload, "fresh_oracle", keeping)
         patch.setattr(engine, "DispatchContext", checked_context)
         events = _engine_events(patch)
         simulation = run(spec).simulation
@@ -466,25 +468,61 @@ def _replace_everywhere(patch, original, replacement) -> None:
                     patch.setattr(module, attr, replacement)
 
 
-#: What the oracle did to answer; ``prefetch`` moves these, never an answer.
-_ORACLE_EFFORT = ("oracle_searches", "oracle_settled_nodes", "oracle_fallback_queries")
+#: What the oracle did to answer; ``prefetch`` and a standing refusal move
+#: these, never an answer.
+_ORACLE_EFFORT = (
+    "shortest_path_queries", "oracle_searches", "oracle_settled_nodes",
+    "oracle_fallback_queries",
+)
+
+_SHRINKING_CHAOS = ChaosConfig(corruption_rate=0.5, corruption_factor=0.6)
+
+
+class _SkewedOracle(DistanceOracle):
+    """Answers without a triangle inequality: every third pair costs half
+    its shortest path.  A vehicle's detour or drive can then bring a
+    pick-up earlier, so a vehicle that changed may take what it refused."""
+
+    def cost(self, source: int, target: int) -> float:
+        value = super().cost(source, target)
+        return value / 2 if (source * 7919 + target) % 3 == 0 else value
+
+
+def _skewed_oracle(workload, *, backend=None, **options):
+    return _SkewedOracle(
+        workload.network, backend=backend or workload.simulation_config.routing_backend,
+        **options,
+    )
 
 
 class TestQueueBuildingAsksOnlyWhatItLacks:
     """``feasible_insertions`` answers a repeated offer from the driving
-    vehicle's snapshot and prefetches only the legs the kernel reads: a run
-    that prefetches and asks the kernel about every candidate is
-    event-for-event the same, for every dispatcher that inserts."""
+    vehicle's snapshot, prefetches only the legs the kernel reads, and
+    answers a request whose last offer found no vehicle from its refusal
+    while that holds: a run that prefetches and asks the kernel about every
+    candidate on every offer is event-for-event the same, for every
+    dispatcher that inserts."""
 
-    @pytest.mark.parametrize("world", ["static", "rush_hour", "shifts"])
+    @pytest.mark.parametrize("world", ["static", "rush_hour", "shifts", "chaos", "skewed"])
     @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP", "TicketAssign+", "DARM+DPRS"])
     def test_event_stream_equals_asking_every_candidate(self, algorithm, world, monkeypatch):
         def make_spec():
             if world == "shifts":
                 return _shift_spec(algorithm)[0]
+            if world == "skewed":
+                return RunSpec(
+                    workload=make_workload(
+                        "nyc", scale=0.1, workload_overrides={"num_vehicles": 20}
+                    ),
+                    algorithm=algorithm, service_config=ServiceConfig(),
+                )
             return RunSpec(
                 preset="nyc", scale=0.1, algorithm=algorithm,
-                scenario=None if world == "static" else world,
+                scenario=None if world == "static" else "rush_hour",
+                # Refreshes that leave every answer at 0.6 of the truth until
+                # a probe heals them: two generation bumps that shrink and
+                # regrow every cost.
+                chaos=_SHRINKING_CHAOS if world == "chaos" else None,
                 service_config=ServiceConfig(),
             )
 
@@ -496,6 +534,8 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
             return best_insertion(route, request, oracle)
 
         monkeypatch.setattr(base, "best_insertion", counted)
+        if world == "skewed":
+            monkeypatch.setattr(Workload, "fresh_oracle", _skewed_oracle)
         asked.append(0)
         events, summary, counters = _observe(make_spec(), monkeypatch)
         asked.append(0)
@@ -506,16 +546,19 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
         for key in summary:
             if key not in _ORACLE_EFFORT:
                 assert obvious[1][key] == summary[key], key
-        assert obvious[2]["queries"] == counters["queries"]
-        if world == "rush_hour":
+        assert counters["queries"] <= obvious[2]["queries"]
+        if world in ("rush_hour", "chaos"):
             assert summary["oracle_rebuilds"] > 0
+        if world == "chaos":
+            assert summary["faults_injected"] > 0
         # ... and it really is less of the kernel wherever a request is
         # offered twice (pruneGDP and DARM answer each request once), and for
-        # SARD's many repeated offers less of the backend too.
+        # SARD's many repeated offers less of the oracle and the backend too.
         assert asked[0] <= asked[1]
         if algorithm in ("SARD", "TicketAssign+"):
             assert asked[0] < asked[1]
         if algorithm == "SARD":
+            assert counters["queries"] < obvious[2]["queries"]
             assert counters["searches"] <= obvious[2]["searches"]
 
     @pytest.mark.parametrize("backend", ["ch", "hub_label"])
@@ -571,8 +614,11 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
 
         monkeypatch.setattr(base, "best_insertion", logged)
 
+        refusals = base.Refusals()
+
         def queues(now):
             context = make_context(vehicles, pending, current_time=now)
+            context.refusals = refusals
             routes = context.working_routes()
             return [
                 [
@@ -583,15 +629,19 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
             ]
 
         first = queues(2.0)
-        refused_idle = [pair for pair in asked if pair[0] >= 2]
         assert {(0, 1), (1, 2), (2, 1), (3, 2)} <= set(asked)
         assert first == [[(0.0, 0)], [(0.0, 1)], []]
+        # Request 3 was offered to the whole fleet and found no vehicle.
+        assert {(vehicle, 3) for vehicle in range(4)} <= set(asked)
+        assert set(refusals) == {3}
         del asked[:]
         before = oracle.stats.snapshot()
         again = queues(3.0)
         # The driving pair answers from its snapshots; the idle pair departs
-        # at the new tick time and is asked again (and refuses again), by design.
-        assert asked == refused_idle
+        # at the new tick time and is asked again about the requests a
+        # driving vehicle takes, but no vehicle changed, so request 3's
+        # refusal stands and none of its four refusals is asked again.
+        assert asked == [(2, 1), (3, 2)]
         assert oracle.stats.snapshot()["searches"] == before["searches"]
         assert again == first
 
@@ -600,3 +650,88 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
         before = oracle.stats.snapshot()
         assert queues(4.0) == first
         assert asked == [] and oracle.stats.snapshot() == before
+
+    @staticmethod
+    def _kernel_taking(monkeypatch, takes):
+        """Replace the kernel by one that takes a request where ``takes(route)``."""
+
+        def kernel(route, request, oracle):
+            if takes(route):
+                return InsertionOutcome(True, 1.0, route.schedule)
+            return InsertionOutcome.infeasible(route.schedule)
+
+        monkeypatch.setattr(base, "best_insertion", kernel)
+
+    def test_a_refusal_is_not_honoured_in_the_dispatch_that_made_it(
+        self, make_request, make_context, monkeypatch
+    ):
+        # TicketAssign+ offers a request again after extending routes in the
+        # same dispatch; an extended route may take what its vehicle refused.
+        self._kernel_taking(monkeypatch, lambda route: len(route.schedule) > 0)
+        rider, request = make_request(1, 0, 5), make_request(2, 1, 4)
+        context = make_context([Vehicle(vehicle_id=0, location=0)], [rider, request])
+        routes = context.working_routes()
+        assert feasible_insertions(request, context, routes, None) == []
+        assert set(context.refusals) == {2}
+        routes.extend(0, Schedule.direct(rider), (rider,))
+        assert [v for _, v in feasible_insertions(request, context, routes, None)] == [0]
+
+    def test_an_offer_that_asked_an_extended_route_certifies_nothing(
+        self, make_request, make_context, monkeypatch
+    ):
+        # The extended route refuses, its vehicle's own plan would not: a
+        # later dispatch on the unchanged vehicle must ask it.
+        self._kernel_taking(monkeypatch, lambda route: len(route.schedule) == 0)
+        vehicles = [Vehicle(vehicle_id=0, location=0)]
+        rider, request = make_request(1, 0, 5), make_request(2, 1, 4)
+        context = make_context(vehicles, [rider, request])
+        routes = context.working_routes()
+        routes.extend(0, Schedule.direct(rider), (rider,))
+        assert feasible_insertions(request, context, routes, None) == []
+        assert not context.refusals
+        later = make_context(vehicles, [rider, request], current_time=13.0)
+        later.refusals = context.refusals
+        found = feasible_insertions(request, later, later.working_routes(), None)
+        assert [v for _, v in found] == [0]
+
+    def test_a_repositioned_vehicle_is_a_touch_where_it_was_and_where_it_goes(
+        self, make_context, grid_network
+    ):
+        # DARM rejects whatever it cannot place, so no refusal outlives its
+        # dispatch in a DARM run; the touch is checked here instead.
+        vehicles = [Vehicle(vehicle_id=vid, location=0) for vid in range(10)]
+        context = make_context(vehicles, [])
+        darm = make_dispatcher("DARM+DPRS")
+        far = context.vehicle_index.cell_of_point(*grid_network.position(35))
+        darm._demand = {far: 1.0}
+        target = grid_network.nearest_node(*context.vehicle_index.cell_center(far))
+        for rid, node in enumerate((0, target, 14)):
+            x, y = grid_network.position(node)
+            context.refusals[rid] = base.Refusal(0.0, 0, None, x, y, 1.0, -math.inf)
+        darm._reposition(context, base.DispatchResult())
+        assert darm.repositioned == 1 and vehicles[0].location == target
+        assert set(context.refusals) == {2}
+
+    def test_a_stop_served_where_the_vehicle_stands_is_a_touch(self, tiny_workload):
+        # A vehicle planned to pick a rider up at its own node, released
+        # later: serving it moves nothing but changes the plan.
+        workload = tiny_workload
+        rider = workload.requests[0]
+        node = rider.source
+        vehicle = Vehicle(vehicle_id=0, location=node)
+        simulator = Simulator(
+            network=workload.network, oracle=workload.fresh_oracle(),
+            vehicles=[vehicle], requests=[], dispatcher=make_dispatcher("SARD"),
+            config=workload.simulation_config,
+        )
+        vehicle.assign_schedule(Schedule.direct(rider), [rider], rider.release_time - 5.0)
+        simulator.begin_run(start_time=rider.release_time - 5.0)
+        simulator._advance_vehicles(rider.release_time - 1.0)
+        refusals = simulator.run_state.refusals
+        x, y = workload.network.position(node)
+        refusals[7] = base.Refusal(0.0, 0, None, x, y, 1.0, -math.inf)
+        simulator._advance_vehicles(rider.release_time - 0.5)
+        assert set(refusals) == {7} and vehicle.onboard == 0
+        simulator._advance_vehicles(rider.release_time)
+        assert vehicle.location == node and vehicle.onboard == rider.riders
+        assert not refusals

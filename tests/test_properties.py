@@ -401,6 +401,59 @@ class TestInsertionKernelEqualsBruteForce:
         assert best_insertion(route, newcomer, _ORACLE) == InsertionOutcome.infeasible(backwards)
 
 
+class TestDepartureNeverFallsBetweenTouches:
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(["advance", "advance", "assign", "reposition"]),
+                st.integers(min_value=0, max_value=15),
+                st.sampled_from([0.0, 1.0, 4.0, 15.0, 60.0]),
+            ),
+            min_size=4, max_size=40,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_departure_time_at_an_unchanged_node(self, operations):
+        """The engine touches a vehicle when it is assigned or repositioned and
+        when an advance replaces its schedule.  Between two touches, each
+        tick's ``departure_time`` at the same node is no earlier than the
+        last one: the candidate fallback's reach filter only drops more
+        vehicles, which a standing refusal relies on."""
+        city = grid_city(4, 4, block_length=100.0, speed=10.0, perturbation=0.2, seed=5)
+        oracle = DistanceOracle(city)
+        nodes = sorted(city.nodes())
+        vehicle = Vehicle(vehicle_id=3, location=nodes[0], capacity=2)
+        now, last, rid = 0.0, None, 0
+        for operation, pick, amount in operations:
+            touched = operation != "advance"
+            if operation == "advance":
+                now += amount
+                plan = vehicle.schedule
+                vehicle.advance_to(now, oracle)
+                touched = vehicle.schedule is not plan
+            elif operation == "assign":
+                rid += 1
+                source, destination = nodes[pick], nodes[(pick + 5) % 16]
+                # Released now or later: a plan may wait at its own node.
+                request = Request.create(
+                    request_id=rid, source=source, destination=destination,
+                    release_time=now + amount, direct_cost=oracle.cost(source, destination),
+                    gamma=3.0, max_wait=math.inf,
+                )
+                outcome = best_insertion(vehicle.route_state(now), request, oracle)
+                if not outcome.feasible:
+                    continue
+                vehicle.assign_schedule(outcome.schedule, [request], now)
+            elif vehicle.is_idle:
+                vehicle.reposition(nodes[pick], oracle.cost(vehicle.location, nodes[pick]), now)
+            else:
+                continue
+            observed = (vehicle.location, vehicle.departure_time(now))
+            if not touched and last is not None and last[0] == observed[0]:
+                assert observed[1] >= last[1]
+            last = None if touched else observed
+
+
 # --------------------------------------------------------------------------- #
 # Differential test: a vehicle's reused plan snapshot against a fresh one.
 # --------------------------------------------------------------------------- #
@@ -728,6 +781,12 @@ class TestGridIndexProperties:
         cells_per_axis=3, contents={key: (100.0 * key, 50.0) for key in range(6)},
         point=(260.0, 50.0), how_many="more", churn=[0, 2, 4],
     )
+    # The smallest subnormal distance: ``5e-324 * 0.99`` rounds back up to
+    # ``5e-324``, so only the next float down is a disk short of the key.
+    @example(
+        cells_per_axis=1, contents={0: (0.0, 0.0)}, point=(0.0, 5e-324),
+        how_many="one", churn=[],
+    )
     def test_k_nearest_holds_the_k_nearest_and_everything_tied_with_the_kth(
         self, cells_per_axis, contents, point, how_many, churn
     ):
@@ -766,7 +825,7 @@ class TestGridIndexProperties:
             key for _, key in index.k_nearest(x, y, 1)
         }
         if closest > 0:
-            assert index.query_radius(x, y, closest * 0.99) == []
+            assert index.query_radius(x, y, math.nextafter(closest, 0)) == []
 
 
 _EXPRESS_ROADS = ((_NODES[7], _NODES[28]), (_NODES[25], _NODES[10]))
