@@ -129,7 +129,7 @@ def test_policies_trade_rebuilds_for_fallback():
     assert coalesce.oracle_stale_seconds > 0.0
 
 
-def test_repair_beats_rebuild():
+def test_repair_absorbs_every_burst_with_fewer_full_builds():
     """The acceptance gate of the repair policy: on both presets, at city
     scale, repair absorbs every burst exactly (the parity probe runs in both
     cells) with fewer from-scratch rebuilds than coalesce's rebuild per

@@ -49,8 +49,9 @@ class Refusal:
 class Refusals(dict[int, Refusal]):
     """The standing :class:`Refusal` of each pending request, by request id.
 
-    Whoever changes a vehicle's node, clock or plan calls :meth:`touch` at
-    its node (at both nodes for a move); a shift change clears the store.
+    The engine calls :meth:`touch` where it changes a vehicle's node, clock
+    or plan (at both nodes for a move), drops a certificate with its request
+    and clears the store on a shift change.
     """
 
     def touch(self, network: RoadNetwork, *nodes: int) -> None:
@@ -68,9 +69,10 @@ class DispatchContext:
 
     ``pending`` contains every unassigned, unexpired request known to the
     platform, including the requests of the current ``batch``.  Dispatchers
-    must not mutate the vehicles; they return assignments and the simulator
-    applies them.  They plan on :meth:`working_routes`, which snapshots the
-    vehicles a candidate query actually names rather than the fleet.
+    write only ``refusals`` (:func:`feasible_insertions`); they return a
+    :class:`DispatchResult` and the simulator applies it.  They plan on
+    :meth:`working_routes`, which snapshots the vehicles a candidate query
+    actually names rather than the fleet.
     ``vehicle_index`` holds exactly ``vehicles`` -- every one of them, keyed
     by its id at its node's position, and nothing else -- so what the index
     says is near is the fleet that is near.
@@ -169,7 +171,7 @@ class Assignment:
 
 @dataclass
 class DispatchResult:
-    """Assignments produced for one batch plus explicitly rejected requests.
+    """What one batch's dispatch asks the simulator to do.
 
     Requests that are neither assigned nor rejected stay in the pending pool
     and are offered again in the next batch (until they expire).
@@ -177,6 +179,9 @@ class DispatchResult:
 
     assignments: list[Assignment] = field(default_factory=list)
     rejected: list[Request] = field(default_factory=list)
+    #: ``(vehicle id, node, travel time)`` of each idle vehicle sent toward
+    #: ``node`` (``Vehicle.reposition``); the simulator moves it.
+    repositions: list[tuple[int, int, float]] = field(default_factory=list)
 
     @property
     def assigned_request_ids(self) -> set[int]:

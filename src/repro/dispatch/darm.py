@@ -22,7 +22,6 @@ cost -- which this heuristic reproduces.
 
 from __future__ import annotations
 
-from ..network.grid_index import GridIndex
 from .base import DispatchContext, DispatchResult, Dispatcher
 from .prunegdp import insert_greedily
 
@@ -43,7 +42,6 @@ class DARMDispatcher(Dispatcher):
     def reset(self) -> None:
         self._demand: dict[tuple[int, int], float] = {}
         self._last_reposition = float("-inf")
-        self.repositioned = 0
 
     def estimated_memory_bytes(self) -> int:
         # Demand table plus (a stand-in for) the learned policy parameters.
@@ -78,10 +76,11 @@ class DARMDispatcher(Dispatcher):
     def _reposition(self, context: DispatchContext, result: DispatchResult) -> None:
         """Send a fraction of the idle vehicles toward high-demand cells.
 
-        Repositioning is modelled as a committed relocation: the vehicle's
-        location jumps to the target node, its clock advances by the travel
-        time and the travel time is charged to its odometer, so it cannot
-        serve requests until it (virtually) arrives.
+        Each move goes into ``result.repositions`` for the engine to commit
+        (``Vehicle.reposition``): the vehicle's location jumps to the target
+        node, its clock advances by the travel time and the travel time is
+        charged to its odometer, so it cannot serve requests until it
+        (virtually) arrives.
         """
         if not self._demand:
             return
@@ -103,16 +102,12 @@ class DARMDispatcher(Dispatcher):
         hot_cells = [cell for cell, demand in hot_cells[:budget] if demand > 0]
         if not hot_cells:
             return
-        index: GridIndex = context.vehicle_index
         for vehicle, cell in zip(idle, hot_cells):
-            target_xy = index.cell_center(cell)
+            target_xy = context.vehicle_index.cell_center(cell)
             target_node = context.network.nearest_node(*target_xy)
             if target_node == vehicle.location:
                 continue
             travel = context.oracle.cost(vehicle.location, target_node)
             if travel <= 0 or travel == float("inf"):
                 continue
-            context.refusals.touch(context.network, vehicle.location, target_node)
-            vehicle.reposition(target_node, travel, context.current_time)
-            index.move(vehicle.vehicle_id, *context.network.position(target_node))
-            self.repositioned += 1
+            result.repositions.append((vehicle.vehicle_id, target_node, travel))

@@ -34,8 +34,9 @@ from ..network.road_network import RoadNetwork
 class WorldView:
     """Mutable world state the simulator exposes to events at a boundary.
 
-    ``metrics`` is the run's ``MetricsCollector`` (typed loosely so the
-    scenario package does not import the simulation layer).
+    Events change the network and the fleet list; the pending pool, the
+    vehicle index and the metrics are the simulator's, reached only through
+    ``retire`` (the simulator re-indexes the fleet after a shift event).
     """
 
     now: float
@@ -43,12 +44,12 @@ class WorldView:
     oracle: Any
     vehicles: list[Vehicle]
     vehicles_by_id: dict[int, Vehicle]
-    pending: dict[int, Any]
-    vehicle_index: Any
-    metrics: Any
     #: ``record(time, kind, subject, other=None)`` -- the run's event sink,
     #: ``kind`` an :class:`~repro.events.EventKind`.
     record: Callable[..., None] = field(default=lambda *args, **kwargs: None)
+    #: ``retire(request_id, kind, time)`` -- take a request still pending
+    #: out of the pool, counted and recorded as ``kind``; a no-op otherwise.
+    retire: Callable[..., object] = field(default=lambda *args, **kwargs: False)
     #: Original costs a :class:`RestoreEdges` could not write back because
     #: the edge was closed at restore time; the reopening applies them after
     #: re-adding the edge, so interleaved waves and closures still leave the
@@ -269,10 +270,7 @@ class CancelRequests(WorldEvent):
 
     def apply(self, world: WorldView) -> int:
         for request_id in self.request_ids:
-            if request_id in world.pending:
-                del world.pending[request_id]
-                world.metrics.cancelled_requests += 1
-                world.record(world.now, EventKind.REQUEST_CANCELLED, request_id)
+            world.retire(request_id, EventKind.REQUEST_CANCELLED, world.now)
         return 0
 
 
@@ -305,8 +303,6 @@ class VehicleShiftStart(WorldEvent):
             )
             world.vehicles.append(vehicle)
             world.vehicles_by_id[vehicle_id] = vehicle
-            x, y = world.network.position(location)
-            world.vehicle_index.move(vehicle_id, x, y)
             world.record(world.now, EventKind.VEHICLE_SHIFT_STARTED, vehicle_id)
         return 0
 
@@ -330,6 +326,5 @@ class VehicleShiftEnd(WorldEvent):
             if vehicle is None or not vehicle.on_shift:
                 continue
             vehicle.on_shift = False
-            world.vehicle_index.remove(vehicle_id)
             world.record(world.now, EventKind.VEHICLE_SHIFT_ENDED, vehicle_id)
         return 0

@@ -221,7 +221,7 @@ class DispatchService:
             )
         if self._started:
             raise ServiceError("service already started")
-        self._sim.begin_run(track_released=True)
+        self._sim.begin_run()
         state = self._sim.run_state
         state.listeners.append(self._on_engine_event)
         self._metrics = state.metrics

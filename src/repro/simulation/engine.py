@@ -10,9 +10,9 @@ One :class:`Simulator` instance runs one algorithm over one workload:
    waves, closures/reopenings, cancellations, vehicle shifts -- and the
    oracle refresh policy either repairs the backend or serves a
    Dijkstra-fallback window until a coalesced rebuild,
-4. the dispatcher is called with the pending pool and returns assignments,
-5. assignments are applied to the vehicles; a vehicle that was idle becomes
-   due at the next boundary,
+4. the dispatcher is called with the pending pool and returns what to do,
+5. the engine, the one writer of the pool and the fleet, applies it; a
+   vehicle that was idle becomes due at the next boundary,
 6. after the last batch the refresh policy finalizes (no stale tail), the
    vehicles finish their remaining schedules and the final metrics are
    computed.
@@ -43,6 +43,16 @@ from ..scenarios.refresh import OracleRefreshPolicy, make_refresh_policy
 from ..scenarios.timeline import ScenarioTimeline
 from .events import Event, EventKind, EventLog
 from .metrics import BatchRecord, MetricsCollector
+
+#: The ``METRICS`` counter of each way a request leaves the pending pool;
+#: a rider rejected or expired is unserved for good and pays the penalty.
+_EXITS = {
+    EventKind.REQUEST_ASSIGNED: "assigned_requests",
+    EventKind.REQUEST_REJECTED: "rejected_requests",
+    EventKind.REQUEST_EXPIRED: "expired_requests",
+    EventKind.REQUEST_CANCELLED: "cancelled_requests",
+}
+_PENALISED = (EventKind.REQUEST_REJECTED, EventKind.REQUEST_EXPIRED)
 
 
 @dataclass
@@ -91,10 +101,7 @@ class RunState:
     #: End time of the last processed batch (the scenario drain anchor).
     last_time: float
     start_wall: float
-    #: Count released requests into ``metrics.total_requests`` as batches
-    #: arrive (service mode: the trace is not known up front).
-    track_released: bool
-    #: Called with every event the run emits, retained in ``events`` or not
+    #: Called with every event the run emits, ``events.record`` first when on
     #: (:class:`repro.service.DispatchService` streams from here).  A
     #: listener runs inside the batch it observes and must not raise.
     listeners: list[Callable[[Event], None]] = field(default_factory=list)
@@ -105,8 +112,11 @@ class RunState:
     on_shift_by_id: dict[int, Vehicle] = field(default_factory=dict)
     on_shift_rank: dict[int, int] = field(default_factory=dict)
     #: The standing refusal of each pending request (``feasible_insertions``);
-    #: touched wherever a vehicle's node, clock or plan changes.
+    #: the engine touches it (``Refusals``) and drops it with its request.
     refusals: Refusals = field(default_factory=Refusals)
+    #: Original costs a ``RestoreEdges`` found closed, for the reopening to
+    #: apply; every ``WorldView`` of the run shares it.
+    cost_restores: dict[tuple[int, int], float] = field(default_factory=dict)
 
 
 # The simulator rejects positional construction: every call site names its
@@ -168,23 +178,13 @@ class Simulator:
             self.process_batch(batch)
         return self.end_run()
 
-    def begin_run(
-        self, *, start_time: float = 0.0, track_released: bool = False
-    ) -> None:
-        """Initialise a stepwise run (dispatcher, oracle stats, run state).
-
-        With ``track_released`` the metrics count requests as their batches
-        arrive instead of from ``self.requests`` -- service mode, where the
-        trace is fed in incrementally by :class:`repro.service.DispatchService`.
-        """
+    def begin_run(self, *, start_time: float = 0.0) -> None:
+        """Initialise a stepwise run (dispatcher, oracle stats, run state)."""
         if self._run is not None:
             raise DispatchError(
                 "a run is already in progress; finish it with end_run() first"
             )
         start_wall = time.perf_counter()
-        metrics = MetricsCollector(
-            total_requests=0 if track_released else len(self.requests)
-        )
         self.dispatcher.reset()
         self.oracle.stats.reset()
         if self.resilience is not None:
@@ -192,14 +192,10 @@ class Simulator:
             if self.refresh_policy is not None:
                 self.refresh_policy.resilience = self.resilience
 
-        self._refresh_vehicle_index()
-        # Original costs whose restoration found the edge closed; shared by
-        # every WorldView of this run so the reopening can apply them (see
-        # WorldView.cost_restores).
-        self._cost_restores: dict[tuple[int, int], float] = {}
+        events = EventLog()
         self._run = RunState(
-            metrics=metrics,
-            events=EventLog(),
+            metrics=MetricsCollector(),
+            events=events,
             pending={},
             vehicles_by_id={vehicle.vehicle_id: vehicle for vehicle in self.vehicles},
             due=sorted(
@@ -209,7 +205,7 @@ class Simulator:
             ),
             last_time=start_time,
             start_wall=start_wall,
-            track_released=track_released,
+            listeners=[events.record] if self.record_events else [],
         )
         self._sync_fleet()
 
@@ -221,8 +217,7 @@ class Simulator:
         """
         state = self.run_state
         state.last_time = batch.end_time
-        if state.track_released:
-            state.metrics.total_requests += len(batch)
+        state.metrics.total_requests += len(batch)
         tracer = get_tracer()
         tracer.set_sim_time(batch.end_time)
         with tracer.span("sim.advance", batch=batch.index):
@@ -313,19 +308,33 @@ class Simulator:
         self, when: float, kind: EventKind, subject: int, other: int | None = None
     ) -> None:
         """The run's one event sink: the engine's own transitions, the world
-        events (``WorldView.record``) and the resilience manager's recorder.
+        events (``WorldView.record``) and the resilience manager's recorder,
+        handed to the run's listeners (the event log first, when on)."""
+        listeners = self.run_state.listeners
+        if listeners:
+            event = Event(when, kind, subject, other)
+            for listener in listeners:
+                listener(event)
 
-        Retains the event in the log when ``record_events`` is on (and the
-        log's cap allows) and hands it to the run's listeners either way.
-        """
+    def _retire(
+        self, request_id: int, kind: EventKind, when: float, vehicle_id: int | None = None
+    ) -> bool:
+        """The pending pool's one exit; ``False`` if the request is not in it.
+
+        ``kind`` says how it left: its ``METRICS`` counter counts it, a
+        rejected or expired one pays Equation 3's penalty, its refusal goes
+        and the event is emitted."""
         state = self.run_state
-        if not (self.record_events or state.listeners):
-            return
-        event = Event(when, kind, subject, other)
-        if self.record_events:
-            state.events.record(event)
-        for listener in state.listeners:
-            listener(event)
+        request = state.pending.pop(request_id, None)
+        if request is None:
+            return False
+        state.refusals.pop(request_id, None)
+        metrics, counter = state.metrics, _EXITS[kind]
+        setattr(metrics, counter, getattr(metrics, counter) + 1)
+        if kind in _PENALISED:
+            metrics.penalty += self.config.penalty_coefficient * request.direct_cost
+        self._emit(when, kind, request_id, vehicle_id)
+        return True
 
     # ------------------------------------------------------------------ #
     # scenario engine
@@ -357,11 +366,9 @@ class Simulator:
             oracle=self.oracle,
             vehicles=self.vehicles,
             vehicles_by_id=state.vehicles_by_id,
-            pending=state.pending,
-            vehicle_index=self._vehicle_index,
-            metrics=state.metrics,
             record=self._emit,
-            cost_restores=self._cost_restores,
+            retire=self._retire,
+            cost_restores=state.cost_restores,
         )
         mutations = 0
         for event in due:
@@ -384,7 +391,7 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def _dispatch_batch(self, batch: Batch) -> BatchRecord:
         state = self.run_state
-        metrics, pending, vehicles_by_id = state.metrics, state.pending, state.vehicles_by_id
+        pending, vehicles_by_id = state.pending, state.vehicles_by_id
         dispatcher = self.dispatcher
         degraded = False
         if self.resilience is not None:
@@ -424,14 +431,9 @@ class Simulator:
             )
 
         due, positions = state.due, state.fleet_position
-        assigned_ids: set[int] = set()
+        assigned = 0
         for assignment in result.assignments:
-            vehicle = vehicles_by_id.get(assignment.vehicle_id)
-            if vehicle is None:
-                raise DispatchError(
-                    f"{self.dispatcher.name} assigned to unknown vehicle "
-                    f"{assignment.vehicle_id}"
-                )
+            vehicle = self._named(vehicles_by_id, assignment.vehicle_id, "assigned to")
             new_requests = [
                 request
                 for request in assignment.new_requests
@@ -445,35 +447,26 @@ class Simulator:
             if was_idle:  # a vehicle under way keeps the heap entry it has
                 heappush(due, (vehicle.next_event_time(), positions[vehicle.vehicle_id]))
             for request in new_requests:
-                assigned_ids.add(request.request_id)
-                del pending[request.request_id]
-                self._emit(
-                    batch.end_time, EventKind.REQUEST_ASSIGNED,
-                    request.request_id, vehicle.vehicle_id,
+                assigned += self._retire(
+                    request.request_id, EventKind.REQUEST_ASSIGNED,
+                    batch.end_time, vehicle.vehicle_id,
                 )
-        metrics.assigned_requests += len(assigned_ids)
-
+        for vehicle_id, node, travel in result.repositions:
+            vehicle = self._named(state.on_shift_by_id, vehicle_id, "repositioned")
+            state.refusals.touch(self.network, vehicle.location, node)
+            vehicle.reposition(node, travel, batch.end_time)
+            self._vehicle_index.move(vehicle_id, *self.network.position(node))
         for request in result.rejected:
-            if request.request_id in pending:
-                del pending[request.request_id]
-                metrics.rejected_requests += 1
-                metrics.penalty += (
-                    self.config.penalty_coefficient * request.direct_cost
-                )
-                self._emit(
-                    batch.end_time, EventKind.REQUEST_REJECTED, request.request_id
-                )
+            self._retire(request.request_id, EventKind.REQUEST_REJECTED, batch.end_time)
 
-        for request_id in [rid for rid in state.refusals if rid not in pending]:
-            del state.refusals[request_id]
-        metrics.observe_memory(self._memory_estimate())
+        state.metrics.observe_memory(self._memory_estimate())
         self._emit(batch.end_time, EventKind.BATCH_DISPATCHED, batch.index)
         return BatchRecord(
             index=batch.index,
             start_time=batch.start_time,
             end_time=batch.end_time,
             released=len(batch),
-            assigned=len(assigned_ids),
+            assigned=assigned,
             pending_after=len(pending),
             dispatch_seconds=dispatch_seconds,
             degraded=degraded,
@@ -511,36 +504,34 @@ class Simulator:
                 heappush(due, (vehicle.next_event_time(), position))
 
     def _expire_pending(self, now: float) -> None:
-        state = self.run_state
-        expired = [r for r in state.pending.values() if r.is_expired(now)]
-        for request in expired:
-            del state.pending[request.request_id]
-            state.metrics.expired_requests += 1
-            state.metrics.penalty += self.config.penalty_coefficient * request.direct_cost
-            self._emit(
+        for request in [r for r in self.run_state.pending.values() if r.is_expired(now)]:
+            self._retire(
+                request.request_id, EventKind.REQUEST_EXPIRED,
                 now if math.isfinite(now) else request.latest_pickup,
-                EventKind.REQUEST_EXPIRED, request.request_id,
             )
 
-    def _refresh_vehicle_index(self) -> None:
-        """Place the fleet in the index when a run begins; from then on the
-        index is written by whoever moves a vehicle or changes its shift."""
-        for vehicle in self.vehicles:
-            if vehicle.on_shift:
-                x, y = self.network.position(vehicle.location)
-                self._vehicle_index.move(vehicle.vehicle_id, x, y)
-            else:
-                self._vehicle_index.remove(vehicle.vehicle_id)
+    def _named(self, fleet: dict[int, Vehicle], vehicle_id: int, verb: str) -> Vehicle:
+        """The vehicle of ``fleet`` a dispatch result names, known or not."""
+        if vehicle_id not in fleet:
+            raise DispatchError(f"{self.dispatcher.name} {verb} unknown vehicle {vehicle_id}")
+        return fleet[vehicle_id]
 
     def _sync_fleet(self) -> None:
-        """Rebuild the run's fleet maps from ``vehicles`` (see ``RunState``);
-        the refusals, all made on the old fleet, go."""
+        """Rebuild the run's fleet maps from ``vehicles`` (see ``RunState``)
+        and index exactly the on-shift fleet, at run start and after shift
+        events; the refusals, all made on the old fleet, go."""
         state = self.run_state
         state.refusals.clear()
         state.fleet_position = {v.vehicle_id: p for p, v in enumerate(self.vehicles)}
         state.on_shift = [vehicle for vehicle in self.vehicles if vehicle.on_shift]
         state.on_shift_by_id = {v.vehicle_id: v for v in state.on_shift}
         state.on_shift_rank = {v.vehicle_id: rank for rank, v in enumerate(state.on_shift)}
+        index, position = self._vehicle_index, self.network.position
+        for vehicle in self.vehicles:
+            if vehicle.on_shift:
+                index.move(vehicle.vehicle_id, *position(vehicle.location))
+            else:
+                index.remove(vehicle.vehicle_id)
 
     def _memory_estimate(self) -> int:
         due = self.run_state.due

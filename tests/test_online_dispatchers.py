@@ -111,10 +111,10 @@ class TestDARM:
         dispatcher.dispatch(context)
         assert dispatcher.estimated_memory_bytes() > 0
         dispatcher.reset()
-        assert dispatcher.repositioned == 0
+        assert dispatcher._demand == {}
 
-    def test_repositioning_moves_idle_vehicle_and_charges_cost(
-        self, make_request, make_context, monkeypatch
+    def test_repositioning_returns_a_move_for_the_idle_vehicle(
+        self, make_request, make_context, oracle, monkeypatch
     ):
         # One busy area (requests around node 0) and one idle vehicle far away.
         idle = Vehicle(vehicle_id=7, location=35)
@@ -124,7 +124,9 @@ class TestDARM:
         monkeypatch.setattr(DARMDispatcher, "reposition_period", 0.0)
         dispatcher = DARMDispatcher()
         context = make_context(vehicles, requests, current_time=6.0)
-        dispatcher.dispatch(context)
-        assert dispatcher.repositioned >= 1
-        assert idle.total_travel_time > 0
-        assert idle.location != 35
+        result = dispatcher.dispatch(context)
+        assert result.repositions
+        # The engine commits the move (test_simulator.py); DARM only names it.
+        vehicle_id, node, travel = result.repositions[0]
+        assert vehicle_id == 7 and node != 35 and travel == oracle.cost(35, node) > 0
+        assert idle.location == 35 and idle.total_travel_time == 0

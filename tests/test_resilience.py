@@ -455,7 +455,6 @@ def _parity_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
     context = {"bursts": 0}
     world = WorldView(
         now=0.0, network=network, oracle=oracle, vehicles=[], vehicles_by_id={},
-        pending={}, vehicle_index=None, metrics=None,
     )
     try:
         _parity_probe(context, 4)(world)
@@ -517,7 +516,7 @@ class TestExactCostCheck:
 
         world = WorldView(
             now=0.0, network=grid_network, oracle=Teleporting(grid_network),
-            vehicles=[], vehicles_by_id={}, pending={}, vehicle_index=None, metrics=None,
+            vehicles=[], vehicles_by_id={},
         )
         with pytest.raises(ScenarioError, match="missing edge"):
             _parity_probe({"bursts": 0}, 4)(world)

@@ -24,11 +24,9 @@ from repro.config import (
 )
 from repro.dispatch import make_dispatcher
 from repro.exceptions import ConfigurationError, ScenarioError
-from repro.model.request import Request
-from repro.model.vehicle import Vehicle
+from repro.model.batch import Batch
 from repro.network.generators import grid_city
 from repro.network import shortest_path
-from repro.network.grid_index import GridIndex
 from repro.network.routing import ContractionHierarchy, routing_data
 from repro.network.shortest_path import DistanceOracle
 from repro.observability import tracing
@@ -51,7 +49,6 @@ from repro.scenarios import (
 )
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
-from repro.simulation.metrics import MetricsCollector
 from repro.workloads.presets import make_workload
 from repro.workloads.requests_gen import RequestGenerator
 
@@ -70,9 +67,6 @@ def _world(network, **overrides) -> WorldView:
         oracle=None,
         vehicles=[],
         vehicles_by_id={},
-        pending={},
-        vehicle_index=GridIndex.for_network(network),
-        metrics=MetricsCollector(),
     )
     defaults.update(overrides)
     return WorldView(**defaults)
@@ -167,34 +161,38 @@ class TestWorldEvents:
         with pytest.raises(ConfigurationError):
             traffic_wave([], 2.0, 30.0, 20.0)
 
-    def test_cancellation_only_touches_pending(self, city):
-        pending = {
-            7: Request.create(
-                request_id=7, source=0, destination=5, release_time=0.0,
-                direct_cost=100.0, gamma=1.5, max_wait=300.0,
-            )
-        }
-        metrics = MetricsCollector()
-        world = _world(city, pending=pending, metrics=metrics)
-        CancelRequests(5.0, [7, 8, 9]).apply(world)
-        assert pending == {}
-        assert metrics.cancelled_requests == 1
+    def test_cancellation_asks_the_engine_to_retire_each_id(self, city):
+        # Whether an id is still pending, and what leaving counts, is the
+        # engine's (see test_simulator.py's pool tests).
+        retired = []
+        CancelRequests(5.0, [7, 8, 9]).apply(_world(city, retire=lambda *a: retired.append(a)))
+        assert retired == [(rid, EventKind.REQUEST_CANCELLED, 10.0) for rid in (7, 8, 9)]
 
     def test_shift_start_and_end(self, city):
-        vehicles: list[Vehicle] = []
-        by_id: dict[int, Vehicle] = {}
-        index = GridIndex.for_network(city)
-        world = _world(city, vehicles=vehicles, vehicles_by_id=by_id,
-                       vehicle_index=index, now=42.0)
-        VehicleShiftStart(42.0, [(100, 0, 4), (101, 5, 2)]).apply(world)
-        assert {v.vehicle_id for v in vehicles} == {100, 101}
-        assert by_id[100]._clock == 42.0
+        # The events change the fleet; the engine re-indexes it at the same
+        # boundary, before anything is dispatched.
+        simulator = Simulator(
+            network=city, oracle=DistanceOracle(city), vehicles=[], requests=[],
+            dispatcher=make_dispatcher("SARD"), config=SimulationConfig(),
+            timeline=ScenarioTimeline([
+                VehicleShiftStart(42.0, [(100, 0, 4), (101, 5, 2)]),
+                VehicleShiftEnd(60.0, [100, 999]),  # unknown id ignored
+                VehicleShiftStart(61.0, [(101, 0, 4)]),
+            ]),
+        )
+        index = simulator._vehicle_index
+        simulator.begin_run(start_time=40.0)
+        simulator.process_batch(Batch(0, 40.0, 50.0, ()))
+        by_id = simulator.run_state.vehicles_by_id
+        assert {v.vehicle_id for v in simulator.vehicles} == {100, 101}
+        assert by_id[100]._clock == 50.0
         assert 100 in index and 101 in index
-        VehicleShiftEnd(60.0, [100, 999]).apply(world)  # unknown id ignored
+        simulator.process_batch(Batch(1, 50.0, 60.0, ()))
         assert not by_id[100].on_shift and by_id[101].on_shift
         assert 100 not in index and 101 in index
+        assert [v.vehicle_id for v in simulator.run_state.on_shift] == [101]
         with pytest.raises(ScenarioError):
-            VehicleShiftStart(61.0, [(101, 0, 4)]).apply(world)
+            simulator.process_batch(Batch(2, 60.0, 70.0, ()))
 
     def test_shift_start_rejects_unknown_node(self, city):
         with pytest.raises(ScenarioError):

@@ -7,11 +7,15 @@ import math
 import pytest
 
 from repro.config import SimulationConfig
-from repro.dispatch import make_dispatcher
-from repro.dispatch.base import DispatchResult, Dispatcher
+from repro.dispatch import DISPATCHER_REGISTRY, make_dispatcher
+from repro.dispatch.base import DispatchResult, Dispatcher, Refusal
+from repro.dispatch.darm import DARMDispatcher
 from repro.exceptions import DispatchError
+from repro.model.batch import Batch
+from repro.model.schedule import Schedule
 from repro.model.vehicle import Vehicle
 from repro.network.shortest_path import DistanceOracle
+from repro.scenarios import make_scenario_workload
 from repro.simulation.engine import Simulator
 from repro.simulation.events import EventKind
 from repro.simulation.metrics import MetricsCollector
@@ -165,3 +169,154 @@ class TestEventLog:
         log.record(Event(1.0, EventKind.REQUEST_ASSIGNED, 1, 4))
         assert len(log.of_kind(EventKind.REQUEST_RELEASED)) == 1
         assert log.count(EventKind.REQUEST_ASSIGNED) == 1
+
+
+# --------------------------------------------------------------------------- #
+# The engine is the one writer of a run's state.
+# --------------------------------------------------------------------------- #
+_EXIT_COUNTERS = {
+    EventKind.REQUEST_ASSIGNED: "assigned_requests",
+    EventKind.REQUEST_REJECTED: "rejected_requests",
+    EventKind.REQUEST_EXPIRED: "expired_requests",
+    EventKind.REQUEST_CANCELLED: "cancelled_requests",
+}
+
+
+class TestEveryRequestLeavesThePoolOnce:
+    """No lost rider at the pool: a released request leaves it exactly once,
+    assigned, rejected, expired or cancelled, and what it leaves behind is
+    counted and charged as it left."""
+
+    @pytest.mark.parametrize("scenario", [None, "stadium_surge"])
+    @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP"])
+    def test_each_request_exits_once_and_is_accounted_for(
+        self, algorithm, scenario, monkeypatch
+    ):
+        # At this size a rider cancels while still pending, in both runs.
+        workload, built = make_scenario_workload(
+            "nyc", "stadium_surge", scale=0.1, city_scale=0.35
+        )
+        simulator = Simulator(
+            network=workload.network, oracle=workload.fresh_oracle(),
+            vehicles=workload.fresh_vehicles(), requests=list(workload.requests),
+            dispatcher=make_dispatcher(algorithm), config=workload.simulation_config,
+            timeline=built.make_timeline() if scenario else None,
+        )
+        process_batch, batches = Simulator.process_batch, []
+
+        def checked(sim, batch):
+            record = process_batch(sim, batch)
+            state = sim.run_state
+            assert set(state.refusals) <= set(state.pending)
+            batches.append(batch.index)
+            return record
+
+        monkeypatch.setattr(Simulator, "process_batch", checked)
+        result = simulator.run()
+        assert batches
+        by_id = {request.request_id: request for request in workload.requests}
+        released: dict[int, int] = {}
+        exits: dict[int, list[tuple[int, EventKind]]] = {rid: [] for rid in by_id}
+        penalty = 0.0
+        coefficient = workload.simulation_config.penalty_coefficient
+        for position, event in enumerate(result.events):
+            if event.kind is EventKind.REQUEST_RELEASED:
+                assert event.subject not in released
+                released[event.subject] = position
+            elif event.kind in _EXIT_COUNTERS:
+                exits[event.subject].append((position, event.kind))
+                if event.kind in (EventKind.REQUEST_REJECTED, EventKind.REQUEST_EXPIRED):
+                    penalty += coefficient * by_id[event.subject].direct_cost
+        assert set(released) == set(by_id)
+        for rid, left in exits.items():
+            assert len(left) == 1, (rid, left)
+            assert left[0][0] > released[rid]
+        metrics = result.metrics
+        for kind, counter in _EXIT_COUNTERS.items():
+            assert getattr(metrics, counter) == result.events.count(kind), counter
+        assert metrics.penalty == penalty
+        assert metrics.total_requests == len(by_id)
+        # Across the four cells every way out is taken.
+        kinds = {kind for left in exits.values() for _, kind in left}
+        assert EventKind.REQUEST_ASSIGNED in kinds
+        assert (EventKind.REQUEST_CANCELLED in kinds) == (scenario is not None)
+        unplaced = EventKind.REQUEST_EXPIRED if algorithm == "SARD" else EventKind.REQUEST_REJECTED
+        assert unplaced in kinds
+
+
+def _fleet_state(vehicles, index):
+    return (
+        [(v.location, v._clock, tuple(v.schedule), v.onboard, v.total_travel_time, v.on_shift)
+         for v in vehicles],
+        {key: index.position(key) for key in index.keys()},
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DISPATCHER_REGISTRY))
+def test_no_dispatcher_changes_the_fleet(name, make_request, make_context, monkeypatch):
+    """A dispatcher returns what should happen; the engine makes it happen."""
+    monkeypatch.setattr(DARMDispatcher, "reposition_fraction", 1.0)
+    monkeypatch.setattr(DARMDispatcher, "reposition_period", 0.0)
+    busy = Vehicle(vehicle_id=3, location=20)
+    rider = make_request(9, 20, 23, release_time=0.0)
+    busy.assign_schedule(Schedule.direct(rider), [rider], 0.0)
+    vehicles = [Vehicle(vehicle_id=0, location=0), busy, Vehicle(vehicle_id=7, location=35)]
+    requests = [make_request(i, 0, 4, release_time=5.0) for i in (1, 2, 3, 4)]
+    context = make_context(vehicles, requests, current_time=6.0)
+    before = _fleet_state(vehicles, context.vehicle_index)
+    result = make_dispatcher(name).dispatch(context)
+    assert result.assignments
+    assert _fleet_state(vehicles, context.vehicle_index) == before
+    assert bool(result.repositions) == (name == "DARM+DPRS")
+
+
+class _Repositioning(Dispatcher):
+    name = "reposition"
+
+    def __init__(self, moves):
+        super().__init__()
+        self.moves = moves
+
+    def dispatch(self, context):
+        return DispatchResult(repositions=list(self.moves))
+
+
+class TestRepositionsAreTheEngines:
+    def _simulator(self, grid_network, moves, vehicles):
+        simulator = Simulator(
+            network=grid_network, oracle=DistanceOracle(grid_network), vehicles=vehicles,
+            requests=[], dispatcher=_Repositioning(moves), config=SimulationConfig(),
+        )
+        simulator.begin_run()
+        return simulator
+
+    def test_a_returned_reposition_moves_the_vehicle_and_touches_both_nodes(
+        self, grid_network, make_request
+    ):
+        vehicles = [Vehicle(vehicle_id=vid, location=0) for vid in range(3)]
+        travel = DistanceOracle(grid_network).cost(0, 35)
+        simulator = self._simulator(grid_network, [(1, 35, travel)], vehicles)
+        refusals = simulator.run_state.refusals
+        for rid, node in enumerate((0, 35, 14)):
+            x, y = grid_network.position(node)
+            refusals[rid] = Refusal(0.0, 0, None, x, y, 1.0, -math.inf)
+        waiting = make_request(9, 20, 23, release_time=1.0)
+        simulator.process_batch(Batch(0, 0.0, 5.0, (waiting,)))
+        moved = vehicles[1]
+        assert moved.location == 35 and moved.is_idle
+        assert moved.total_travel_time == travel and moved._clock == 5.0 + travel
+        assert simulator._vehicle_index.position(1) == grid_network.position(35)
+        assert [v.location for v in vehicles] == [0, 35, 0]
+        assert set(refusals) == {2}
+
+    @pytest.mark.parametrize("vehicle_id", [99, 2])
+    def test_a_reposition_of_a_vehicle_not_on_shift_is_refused(
+        self, grid_network, make_request, vehicle_id
+    ):
+        vehicles = [Vehicle(vehicle_id=vid, location=0) for vid in range(3)]
+        vehicles[2].on_shift = False
+        simulator = self._simulator(grid_network, [(vehicle_id, 35, 10.0)], vehicles)
+        waiting = make_request(9, 20, 23, release_time=1.0)
+        with pytest.raises(DispatchError, match=f"repositioned unknown vehicle {vehicle_id}"):
+            simulator.process_batch(Batch(0, 0.0, 5.0, (waiting,)))
+        assert vehicles[2].location == 0 and 2 not in simulator._vehicle_index
