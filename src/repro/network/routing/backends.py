@@ -47,12 +47,14 @@ def network_fingerprint(network: RoadNetwork) -> tuple[int, int, int]:
 class RoutingData:
     """Lazily-built routing structures shared by every oracle on one network."""
 
-    __slots__ = ("fingerprint", "csr", "_hierarchy", "_labeling", "__weakref__")
+    __slots__ = ("fingerprint", "csr", "_first", "_hierarchy", "_labeling", "__weakref__")
 
     def __init__(self, network: RoadNetwork) -> None:
         """Snapshot ``network``."""
         self.fingerprint = network_fingerprint(network)
         self.csr = CSRGraph.from_network(network)
+        #: The network's first routed CSR, or its content once compared with.
+        self._first = _FIRST_ROUTED.setdefault(network, [self.csr])
         self._hierarchy: ContractionHierarchy | None = None
         self._labeling: HubLabeling | None = None
 
@@ -63,9 +65,15 @@ class RoutingData:
 
     @property
     def hierarchy(self) -> ContractionHierarchy:
-        """The contraction hierarchy (built on first access)."""
+        """The contraction hierarchy (built on first access): with witness
+        searches over the content the network was first routed at, without
+        over any other (DESIGN.md, "Routing backends")."""
         if self._hierarchy is None:
-            self._hierarchy = ContractionHierarchy(self.csr)
+            first = self._first
+            if first[0] is not self.csr and isinstance(first[0], CSRGraph):
+                first[0] = csr_content(first[0])
+            witness = first[0] is self.csr or first[0] == csr_content(self.csr)
+            self._hierarchy = ContractionHierarchy(self.csr, witness=witness)
         return self._hierarchy
 
     @property
@@ -82,6 +90,9 @@ class RoutingData:
 
 
 _ROUTING_DATA: "weakref.WeakKeyDictionary[RoadNetwork, RoutingData]" = (
+    weakref.WeakKeyDictionary()
+)
+_FIRST_ROUTED: "weakref.WeakKeyDictionary[RoadNetwork, list[CSRGraph | tuple]]" = (
     weakref.WeakKeyDictionary()
 )
 

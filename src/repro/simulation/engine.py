@@ -147,6 +147,7 @@ class Simulator:
     resilience: ResilienceManager | None = None
     _vehicle_index: GridIndex = field(init=False)
     _run: RunState | None = field(init=False, default=None, repr=False)
+    _ran: bool = field(init=False, default=False, repr=False)
 
     def __post_init__(self) -> None:
         if len({v.vehicle_id for v in self.vehicles}) != len(self.vehicles):
@@ -179,11 +180,14 @@ class Simulator:
         return self.end_run()
 
     def begin_run(self, *, start_time: float = 0.0) -> None:
-        """Initialise a stepwise run (dispatcher, oracle stats, run state)."""
+        """Initialise the one run a simulator makes (dispatcher, oracle stats, run state)."""
         if self._run is not None:
             raise DispatchError(
                 "a run is already in progress; finish it with end_run() first"
             )
+        if self._ran:  # its vehicles carry the finished run's state
+            raise DispatchError("a simulator runs once; build a new one")
+        self._ran = True
         start_wall = time.perf_counter()
         self.dispatcher.reset()
         self.oracle.stats.reset()

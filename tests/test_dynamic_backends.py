@@ -7,7 +7,9 @@ hold preprocessed structures.  The load-bearing properties:
   backend agrees with a fresh Dijkstra over the mutated network,
 * closed edges never appear in returned paths, and
 * a rebuild adopts a routing state the oracle holds only where a fresh build
-  would reproduce it bit for bit.
+  would reproduce it bit for bit, and
+* a refresh builds without witness searches except on the content the
+  network was first routed at, exactly either way.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from dataclasses import replace
 import pytest
 
 from test_ch_hierarchy import hierarchy_digest
+from test_path_parity import FAMILIES
 
 from repro.config import ChaosConfig
 from repro.exceptions import InjectedFaultError, UnreachableError
@@ -68,13 +71,13 @@ def _mutation_bursts(network, rng):
     """Three bursts: reweight, close, reopen -- returns closed-edge sets."""
     edges = sorted(network.edges())
     # Burst 1: slow a random edge subset down 3x.
-    reweighted = rng.sample(edges, 12)
+    reweighted = rng.sample(edges, min(12, len(edges)))
     for u, v, cost in reweighted:
         network.add_edge(u, v, cost * 3.0)
     yield set()
     # Burst 2: close a handful of safe edges (keep degrees positive).
     closed: set[tuple[int, int]] = set()
-    for u, v, cost in rng.sample(edges, 20):
+    for u, v, cost in rng.sample(edges, min(20, len(edges))):
         if len(closed) == 6:
             break
         if not network.has_edge(u, v):
@@ -161,6 +164,22 @@ class TestMutationParity:
         assert seconds > 0.0
 
 
+def _decrease_network() -> RoadNetwork:
+    """0 -> 1 -> 2 costs 8 and the direct edge 0 -> 2 costs 10, so node 1
+    (cheap, degree 2) contracts first and adds the shortcut (0, 2, 8.0); the
+    high-degree endpoints contract last."""
+    network = RoadNetwork()
+    for node in range(8):
+        network.add_node(node, float(node), 0.0)
+    network.add_edge(0, 1, 4.0, bidirectional=True)
+    network.add_edge(1, 2, 4.0, bidirectional=True)
+    network.add_edge(0, 2, 10.0, bidirectional=True)
+    for extra in range(3, 8):
+        network.add_edge(0, extra, 20.0 + extra, bidirectional=True)
+        network.add_edge(2, extra, 30.0 + extra, bidirectional=True)
+    return network
+
+
 class TestSwapOrBuildRepair:
     """DistanceOracle.repair: a snapshot swap when the network returns to a
     content the oracle holds, else a full build -- exact either way."""
@@ -202,14 +221,15 @@ class TestSwapOrBuildRepair:
 
     def test_a_burst_that_does_not_revert_serves_a_fresh_build(self):
         """No hierarchy is patched: a burst to a content the oracle does not
-        hold serves exactly what a build of the mutated network contracts."""
+        hold serves exactly what a witness-free build of the mutated network
+        contracts."""
         network = _city(seed=21)
         oracle = DistanceOracle(network, backend="ch")
         u, v, cost = sorted(network.edges())[7]
         network.add_edge(u, v, cost * 0.5)
         report = oracle.repair()
         served = routing_data(network).hierarchy
-        fresh = ContractionHierarchy(CSRGraph.from_network(network))
+        fresh = ContractionHierarchy(CSRGraph.from_network(network), witness=False)
         assert served.rank == fresh.rank
         assert hierarchy_digest(served) == hierarchy_digest(fresh)
         assert report.mode == "rebuilt"
@@ -275,18 +295,7 @@ class TestSwapOrBuildRepair:
     def test_repair_decrease_below_recorded_shortcut(self):
         """A base edge dropping below a shortcut the hierarchy holds: the
         refreshed oracle answers with the new edge."""
-        network = RoadNetwork()
-        for node in range(8):
-            network.add_node(node, float(node), 0.0)
-        # 0 -> 1 -> 2 costs 8; the direct edge 0 -> 2 costs 10, so node 1
-        # (cheap, degree 2) contracts first and adds the shortcut
-        # (0, 2, 8.0); the high-degree endpoints contract last.
-        network.add_edge(0, 1, 4.0, bidirectional=True)
-        network.add_edge(1, 2, 4.0, bidirectional=True)
-        network.add_edge(0, 2, 10.0, bidirectional=True)
-        for extra in range(3, 8):
-            network.add_edge(0, extra, 20.0 + extra, bidirectional=True)
-            network.add_edge(2, extra, 30.0 + extra, bidirectional=True)
+        network = _decrease_network()
         oracle = DistanceOracle(network, cache_size=0, backend="ch")
         assert oracle.cost(0, 2) == 8.0
         network.add_edge(0, 2, 4.0)  # below the shortcut's weight
@@ -412,14 +421,14 @@ class TestGeneration:
         assert after == best_insertion(replace(route), newcomer, oracle)
 
 
-def _count_builds(monkeypatch) -> list[None]:
-    """One entry per full contraction from now on."""
-    builds: list[None] = []
+def _count_builds(monkeypatch) -> list[bool]:
+    """The ``witness`` argument of every full contraction from now on."""
+    builds: list[bool] = []
     build = ContractionHierarchy._build
 
-    def counting(self):
-        builds.append(None)
-        build(self)
+    def counting(self, witness=True):
+        builds.append(witness)
+        build(self, witness)
 
     monkeypatch.setattr(ContractionHierarchy, "_build", counting)
     return builds
@@ -529,7 +538,7 @@ class TestRebuildAdoption:
         zone = sorted(network.edges())[:40]
         generation = oracle.generation
 
-        def crash(self):
+        def crash(self, *args):
             raise MemoryError("build crashed")
 
         monkeypatch.setattr(ContractionHierarchy, "_build", crash)
@@ -579,3 +588,110 @@ class TestRebuildAdoption:
         held = initial.estimated_memory_bytes() if capacity else 0
         assert oracle.cache_len == 0
         assert oracle.estimated_memory_bytes() == serving.estimated_memory_bytes() + held
+
+
+#: Networks a refresh must serve exactly: a 7 x 7 city, the 8-node network
+#: whose decrease undercuts a shortcut, and the path-parity families.
+REFRESH_NETWORKS = {"city": _city, "decrease": _decrease_network, **FAMILIES}
+
+
+def _refresh_steps(name, network):
+    """Mutate ``network`` and yield after each step: the three
+    ``_mutation_bursts`` (on ``decrease``, its decrease instead), a node
+    move, then every edge back at its first cost -- the first content, in
+    new CSR rows where a road was reopened."""
+    first = list(network.edges())
+    if name == "decrease":
+        network.add_edge(0, 2, 4.0)
+        yield
+    else:
+        yield from _mutation_bursts(network, random.Random(11))
+    node = min(network.nodes())
+    x, y = network.position(node)
+    network.add_node(node, x + 25.0, y)
+    yield
+    for u, v, cost in first:
+        network.add_edge(u, v, cost)
+    yield
+
+
+def _assert_serves_its_build_exactly(oracle, network, first_content) -> None:
+    """The served hierarchy is the build its content calls for -- with
+    witness searches on the network's first content, without on any other --
+    and every label join of its store equals a fresh Dijkstra."""
+    data = routing_data(network)
+    assert oracle._backend.data is data and not oracle.serving_fallback
+    witness = csr_content(data.csr) == first_content
+    built = ContractionHierarchy(data.csr, witness=witness)
+    assert hierarchy_digest(data.hierarchy) == hierarchy_digest(built)
+    csr, store = data.csr, oracle._backend.labeling
+    for source in range(csr.num_nodes):
+        distances, _ = csr.sssp(source)
+        for target, want in enumerate(distances):
+            got, _ = store.query(source, target)
+            assert got == pytest.approx(want, abs=1e-9), (source, target)
+
+
+class TestWitnessFreeRefresh:
+    """A refresh to a content the network was not first routed at contracts
+    without witness searches, in minimum-degree order; the first content
+    keeps its witness build.  Both are exact."""
+
+    @pytest.mark.parametrize("name", sorted(REFRESH_NETWORKS))
+    @pytest.mark.parametrize("backend", ("ch", "hub_label"))
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
+    def test_every_refresh_serves_its_build_and_joins_exactly(self, name, backend, refresh):
+        network = REFRESH_NETWORKS[name]()
+        oracle = DistanceOracle(network, backend=backend)
+        first_content = csr_content(routing_data(network).csr)
+        _assert_serves_its_build_exactly(oracle, network, first_content)
+        for _ in _refresh_steps(name, network):
+            if refresh == "fallback":
+                oracle.enable_fallback()
+            getattr(oracle, "repair" if refresh == "repair" else "rebuild")()
+            _assert_serves_its_build_exactly(oracle, network, first_content)
+
+    def test_a_network_that_never_mutates_builds_one_witness_hierarchy(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        network = _city(seed=41)
+        nodes = sorted(network.nodes())[:8]
+        for backend in ("ch", "hub_label", "ch"):
+            oracle = DistanceOracle(network, backend=backend)
+            oracle.prefetch(nodes, nodes)
+            assert oracle.repair().mode == "noop"
+        assert builds == [True]
+
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
+    def test_a_refresh_to_new_content_runs_no_witness_search(self, refresh, monkeypatch):
+        network = _city(seed=42)
+        oracle = DistanceOracle(network, backend="hub_label")
+        searches: list[None] = []
+        search = ContractionHierarchy._witness_search
+        monkeypatch.setattr(
+            ContractionHierarchy, "_witness_search",
+            lambda self, *args: searches.append(None) or search(self, *args),
+        )
+        builds = _count_builds(monkeypatch)
+        for _ in _mutation_bursts(network, random.Random(5)):
+            getattr(oracle, refresh)()
+        assert builds == [False] * 3 and searches == []
+
+    @pytest.mark.parametrize("refresh", ("rebuild", "repair"))
+    def test_a_refresh_back_to_the_first_content_serves_the_witness_hierarchy(
+        self, refresh, monkeypatch
+    ):
+        """Held nowhere (``SNAPSHOT_CAPACITY = 0``), the first content is
+        built again, with witness searches, into the hierarchy it started on."""
+        monkeypatch.setattr(shortest_path, "SNAPSHOT_CAPACITY", 0)
+        network = _city(seed=43)
+        oracle = DistanceOracle(network, backend="ch")
+        initial = routing_data(network).hierarchy
+        zone = sorted(network.edges())[:40]
+        _scale(network, zone, 3.0)
+        getattr(oracle, refresh)()
+        builds = _count_builds(monkeypatch)
+        _scale(network, zone, 1.0)
+        getattr(oracle, refresh)()
+        served = routing_data(network).hierarchy
+        assert builds == [True] and served is not initial
+        assert hierarchy_digest(served) == hierarchy_digest(initial)

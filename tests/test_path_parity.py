@@ -16,7 +16,8 @@ of per-node hub labels from the one ``HubLabeling`` store every oracle over
 the network shares, labelled in full at set-up by one min-plus pass per
 direction -- equal a fresh Dijkstra, each other and a reference join of two
 complete labels bit for bit, whatever was asked before; every label holds
-its node's stall-tested upward distances, whatever the source block; no join
+its node's stall-tested upward distances, whatever the source block and
+whether or not the hierarchy was built with witness searches; no join
 writes to the store or labels a node again; and no label outlives a
 ``rebuild()`` / ``repair()``.  The one-pass joins also equal the
 reference joins on every pair of a hierarchy built after a shortcut, of the
@@ -328,6 +329,19 @@ class TestChDistancesAreLabelJoins:
                 assert label == want, (index, backward)
                 assert label[index] == 0.0
 
+    @pytest.mark.parametrize("mutated", (False, True))
+    def test_witness_free_one_pass_labels_are_stall_tested_upward_distances(
+        self, family, mutated
+    ):
+        network = FAMILIES[family]()
+        if mutated:
+            _shortcut(network)
+        hierarchy = ContractionHierarchy(CSRGraph.from_network(network), witness=False)
+        store = HubLabeling(hierarchy)
+        for backward, labels in ((False, store.forward), (True, store.backward)):
+            for index, label in enumerate(labels):
+                assert label == stall_tested_label(hierarchy, index, backward=backward)
+
     def test_no_node_is_settled_twice_per_direction_per_store(
         self, family, monkeypatch
     ):
@@ -424,7 +438,7 @@ class TestChDistancesAreLabelJoins:
         assert backend.labeling is not old
         assert backend.labeling is backend.data.labeling is routing_data(network).labeling
         assert backend.labeling.hierarchy is backend.data.hierarchy
-        fresh = ContractionHierarchy(CSRGraph.from_network(network))
+        fresh = ContractionHierarchy(CSRGraph.from_network(network), witness=False)
         assert backend.data.hierarchy.rank == fresh.rank
         after = _table(oracle, nodes)
         assert after != before

@@ -23,7 +23,7 @@ from repro.config import (
     WorkloadConfig,
 )
 from repro.dispatch import make_dispatcher
-from repro.exceptions import ConfigurationError, ScenarioError
+from repro.exceptions import ConfigurationError, DispatchError, ScenarioError
 from repro.model.batch import Batch
 from repro.network.generators import grid_city
 from repro.network import shortest_path
@@ -516,6 +516,32 @@ class TestSimulatorIntegration:
         assert result.metrics.scenario_events >= 4
         assert result.metrics.oracle_rebuilds >= 1
 
+    def test_a_simulator_runs_once(self):
+        """A second run would start its shift vehicles again (their ids are
+        already in the fleet) and sum the first run's served work into its
+        metrics: it is refused before it touches anything."""
+        workload, scenario = make_scenario_workload(
+            "nyc", "stadium_surge", scale=0.05, city_scale=0.35
+        )
+        simulator = Simulator(
+            network=workload.network,
+            oracle=workload.fresh_oracle(),
+            vehicles=workload.fresh_vehicles(),
+            requests=list(workload.requests),
+            dispatcher=make_dispatcher("pruneGDP"),
+            config=workload.simulation_config,
+            timeline=scenario.make_timeline(),
+        )
+        fleet = list(simulator.vehicles)
+        result = simulator.run()
+        assert result.events.count(EventKind.VEHICLE_SHIFT_STARTED) > 0
+        grown = list(simulator.vehicles)
+        assert len(grown) > len(fleet)
+        for again in (simulator.run, simulator.begin_run):
+            with pytest.raises(DispatchError, match="runs once"):
+                again()
+        assert simulator.vehicles == grown
+
     def test_off_shift_vehicles_get_no_new_assignments(self):
         """After a shift end, the retired vehicle appears in no further
         assignment events."""
@@ -583,9 +609,9 @@ class TestRebuildAdoptionEndToEnd:
         counts = {"builds": 0, "adoptions": 0}
         build, rebuild = ContractionHierarchy._build, DistanceOracle.rebuild
 
-        def counting_build(self):
+        def counting_build(self, *args):
             counts["builds"] += 1
-            build(self)
+            build(self, *args)
 
         def counting_rebuild(self):
             compiled = routing_data(self.network)  # what a build would serve
