@@ -106,8 +106,8 @@ class RunSpec:
         if self.parity_pairs and (self.scenario is None or self.chaos is not None):
             raise ConfigurationError(
                 "parity_pairs probes a scenario's oracle after each event "
-                "burst; it needs scenario= and no chaos= (whose faults the "
-                "resilience layer verifies instead)"
+                "burst; it needs scenario= and no chaos= (whose oracle the "
+                "resilience layer probes before every dispatch instead)"
             )
         if self.workload is not None:
             # A built workload already fixed its size, backend and trace; a
@@ -256,8 +256,8 @@ def run(spec: RunSpec) -> RunResult:
     * ``scenario`` -- the event timeline and refresh policy;
     * ``parity_pairs`` -- the exactness probe after every event burst;
     * ``chaos`` -- a :class:`~repro.resilience.degrade.ResilienceManager`
-      (whose oracle the run queries and which verifies every accepted
-      assignment) and ``pruneGDP`` as the default algorithm;
+      (whose oracle the run queries and which probes it before every
+      dispatch) and ``pruneGDP`` as the default algorithm;
     * ``out_dir`` -- span tracing with sampled oracle queries around the
       run, and ``<name>.trace.jsonl`` / ``<name>.prom`` /
       ``<name>.report.md`` written there;

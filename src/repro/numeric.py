@@ -47,7 +47,7 @@ def costs_differ(
 def costs_close(a: float, b: float) -> bool:
     """The one "exact against fresh Dijkstra" rule: absolute error <= 1e-6 s.
 
-    The invariant probes, assignment verification and the scenario parity
+    The resilience manager's invariant probe and the scenario parity
     probe (see :func:`repro.resilience.probes.exact_cost_failures`) compare
     costs computed by *different algorithms* (hub-label joins over one
     hierarchy or another, a fresh Dijkstra), whose summation order differs, so the

@@ -21,19 +21,20 @@ oracle/dispatch pipeline survive when they do not:
   overrun their time budget degrade the dispatcher until a recovery probe
   closes the breaker.
 * :mod:`~repro.resilience.probes` -- the one serving-oracle-vs-fresh-Dijkstra
-  cost check, run by sampled invariant probes (silent corruption triggers
-  self-healing rebuilds) and by the verification of accepted assignments.
+  cost check, run by the manager's sampled invariant probe before every
+  dispatch (silent corruption triggers self-healing rebuilds) and by the
+  scenario harness's parity probe.
 
 The invariant the ladder enforces: under any injected fault sequence the
-simulation completes, every accepted assignment's costs are exact at
-dispatch time, and the recovery latency is reported in the metrics.
+simulation completes, every dispatch prices on an oracle the probe has just
+checked, and the recovery latency is reported in the metrics.
 """
 
 from __future__ import annotations
 
 from .degrade import BreakerState, CircuitBreaker, ResilienceManager, ResilienceStats
 from .faults import ChaosOracle, FaultInjector
-from .probes import InvariantProbe, ProbeFailure
+from .probes import ProbeFailure
 from .retry import RetryPolicy
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "ChaosOracle",
     "CircuitBreaker",
     "FaultInjector",
-    "InvariantProbe",
     "ProbeFailure",
     "ResilienceManager",
     "ResilienceStats",

@@ -23,21 +23,21 @@ The :class:`ResilienceManager` orchestrates two breakers:
 Sampled invariant probes (see :mod:`~repro.resilience.probes`) run before
 every dispatch: a mismatch against fresh Dijkstra triggers the self-healing
 rung (heal + rebuild, then the exact fallback as last resort), so dispatch
-always prices insertions on a probe-verified oracle.  After every dispatch
-each accepted assignment's legs are checked against fresh Dijkstra too.
+always prices insertions on an oracle the probe has just checked -- the one
+exactness gate (DESIGN's "Resilience" says why no later check is needed).
 """
 
 from __future__ import annotations
 
 import enum
 import time
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 from random import Random
 
 from ..config import ChaosConfig
-from ..dispatch.base import Assignment, Dispatcher
+from ..dispatch.base import Dispatcher
 from ..dispatch.prunegdp import PruneGDPDispatcher
 from ..events import EventKind
 from ..exceptions import (
@@ -46,12 +46,11 @@ from ..exceptions import (
     ReproError,
     ResilienceError,
 )
-from ..model.vehicle import Vehicle
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle, RepairReport
 from ..observability.trace import get_tracer
 from .faults import ChaosOracle, FaultInjector
-from .probes import InvariantProbe, exact_cost_failures
+from .probes import ProbeFailure, exact_cost_failures
 from .retry import RetryPolicy
 
 #: ``subject`` values of breaker events: which breaker transitioned.
@@ -151,6 +150,10 @@ class ResilienceManager:
     #: Per-batch budget, in injected virtual seconds; overrunning it counts
     #: a dispatch-breaker failure and eventually degrades the dispatcher.
     BATCH_TIME_BUDGET = 0.05
+    #: Seed of the probe's pair sampler and of the retry jitter stream.
+    PROBE_SEED = 23
+    #: Random node pairs probed per check.
+    PROBE_PAIRS = 4
 
     def __init__(self, *, chaos: ChaosConfig | None = None) -> None:
         self.injector = FaultInjector(chaos) if chaos is not None else None
@@ -161,7 +164,6 @@ class ResilienceManager:
         self.degraded_dispatcher = PruneGDPDispatcher(
             max_candidates=8, reject_unassigned=False
         )
-        self.probe = InvariantProbe()
         self.begin_run()
 
     # ------------------------------------------------------------------ #
@@ -181,11 +183,11 @@ class ResilienceManager:
         self.stats = ResilienceStats()
         if self.injector is not None:
             self.injector.reset()
-        self.probe.reset()
         self.degraded_dispatcher.reset()
         self.oracle_breaker = CircuitBreaker()
         self.dispatch_breaker = CircuitBreaker()
-        self._jitter_rng = Random(f"{InvariantProbe.SEED}:jitter")
+        self._probe_rng = Random(f"{self.PROBE_SEED}:probe")
+        self._jitter_rng = Random(f"{self.PROBE_SEED}:jitter")
         self._recorder: Callable[[float, EventKind, int, int | None], None] | None = recorder
         self._now = 0.0
 
@@ -290,9 +292,9 @@ class ResilienceManager:
         """Oracle-breaker recovery probe + invariant probes, pre-dispatch.
 
         Runs after the scenario step (mutations + refresh) and before the
-        batch is dispatched, so every dispatch prices insertions on a
-        probe-verified oracle -- the ordering that makes accepted
-        assignments parity-exact under injected corruption.
+        batch is dispatched, so every dispatch prices insertions on an
+        oracle the probe has just checked -- the ordering that keeps
+        accepted assignments parity-exact under injected corruption.
         """
         self._now = now
         breaker = self.oracle_breaker
@@ -314,14 +316,23 @@ class ResilienceManager:
                 self._emit(EventKind.BREAKER_CLOSED, ORACLE_BREAKER)
         self.stats.recovery_seconds += time.perf_counter() - start
 
+    def _probe(self, network: RoadNetwork, oracle: DistanceOracle) -> list[ProbeFailure]:
+        """The mismatches of :attr:`PROBE_PAIRS` random node pairs against a
+        fresh Dijkstra over the current network, however dirty the oracle."""
+        nodes = sorted(network.nodes())
+        if len(nodes) < 2:
+            return []
+        pairs = [self._probe_rng.sample(nodes, 2) for _ in range(self.PROBE_PAIRS)]
+        return list(exact_cost_failures(network, oracle, pairs))
+
     def _run_probes(self, network: RoadNetwork, oracle: DistanceOracle) -> None:
         """Invariant probes; mismatches trigger the self-healing rung."""
         probe_start = time.perf_counter()
-        failures = self.probe.check(network, oracle)
+        failures = self._probe(network, oracle)
         get_tracer().event(
             "resilience.probe",
             duration=time.perf_counter() - probe_start,
-            pairs=self.probe.PAIRS,
+            pairs=self.PROBE_PAIRS,
             failures=len(failures),
         )
         if not failures:
@@ -338,7 +349,7 @@ class ResilienceManager:
                 self._emit(EventKind.ORACLE_SELF_HEALED, len(failures))
             else:  # last rung: exact fresh-CSR Dijkstra, corruption cleared
                 oracle.enable_fallback()
-            failures = self.probe.check(network, oracle)
+            failures = self._probe(network, oracle)
             if not failures:
                 break
         else:
@@ -353,21 +364,19 @@ class ResilienceManager:
     def select_dispatcher(self, primary: Dispatcher) -> tuple[Dispatcher, bool]:
         """The dispatcher for this batch and whether it is the degraded one.
 
-        Half-open probe batches run the primary dispatcher again; the
-        following :meth:`observe_batch` decides whether the breaker closes
-        (within budget) or re-opens.
+        Called just before dispatch, so it first discards the virtual latency
+        accrued outside it (probes, advancing).  Half-open probe batches run
+        the primary dispatcher again; the following :meth:`observe_batch`
+        decides whether the breaker closes (within budget) or re-opens.
         """
+        if self.injector is not None:
+            self.injector.drain_latency()
         breaker = self.dispatch_breaker
         if breaker.state is BreakerState.OPEN:
             if breaker.tick():
                 return primary, False
             return self.degraded_dispatcher, True
         return primary, False
-
-    def start_batch(self) -> None:
-        """Discard virtual latency accrued outside dispatch (probes, advance)."""
-        if self.injector is not None:
-            self.injector.drain_latency()
 
     def observe_batch(self, *, degraded: bool, now: float) -> None:
         """Charge one dispatched batch's injected virtual latency against
@@ -394,36 +403,6 @@ class ResilienceManager:
         """Tail probes after the final refresh, before post-run advancing."""
         self._now = now
         self._run_probes(network, oracle)
-
-    # ------------------------------------------------------------------ #
-    # acceptance verification
-    # ------------------------------------------------------------------ #
-    def verify_assignments(
-        self,
-        network: RoadNetwork,
-        oracle: DistanceOracle,
-        assignments: Sequence[Assignment],
-        vehicles_by_id: Mapping[int, Vehicle],
-    ) -> None:
-        """Check every accepted assignment's leg costs against fresh Dijkstra.
-
-        Verifies the invariant the resilience layer promises: whatever
-        faults were injected, the costs dispatch committed to are exact.
-        Raises :class:`ResilienceError` on the first deviation.
-        """
-        for assignment in assignments:
-            nodes = list(assignment.schedule.nodes())
-            vehicle = vehicles_by_id.get(assignment.vehicle_id)
-            if vehicle is not None:
-                nodes = [vehicle.location, *nodes]
-            legs = [(u, v) for u, v in zip(nodes, nodes[1:]) if u != v]
-            for failure in exact_cost_failures(network, oracle, legs):
-                raise ResilienceError(
-                    f"accepted assignment for vehicle {assignment.vehicle_id} "
-                    f"priced leg ({failure.source}, {failure.target}) at "
-                    f"{failure.got} but fresh Dijkstra says {failure.want} -- "
-                    "the oracle served an inexact cost"
-                )
 
 
 __all__ = [

@@ -4,10 +4,10 @@
 it costs node pairs through the serving oracle and through a cache-less
 Dijkstra oracle compiled from the *current* network (always exact, whatever
 state the preprocessed structures are in) and reports the pairs that are
-not :func:`~repro.numeric.costs_close`.  Three callers share it: the
-:class:`InvariantProbe` (seeded random pairs before every dispatch), the
-resilience manager's assignment verification (every accepted leg) and the
-scenario harness's parity probe (random pairs after every event burst).
+not :func:`~repro.numeric.costs_close`.  Two callers share it: the
+resilience manager's invariant probe (seeded random pairs before every
+dispatch and after the run's last refresh) and the scenario harness's
+parity probe (random pairs after every event burst).
 
 Any mismatch means the oracle is silently wrong -- a corrupted snapshot, a
 buggy refresh -- and, for the probe, triggers the self-healing rung of
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from random import Random
 
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
@@ -63,35 +62,4 @@ def exact_cost_failures(
             on_exact(source, target, got)
 
 
-class InvariantProbe:
-    """Seeded pair sampler checking the serving oracle before every dispatch."""
-
-    #: Seed of the pair sampler (the retry jitter stream derives from it too).
-    SEED = 23
-    #: Random node pairs probed per check.
-    PAIRS = 4
-
-    def __init__(self) -> None:
-        self.reset()
-
-    def reset(self) -> None:
-        """Rewind the pair sampler to the seed state (one stream per run)."""
-        self._rng = Random(f"{self.SEED}:probe")
-
-    def check(
-        self, network: RoadNetwork, oracle: DistanceOracle
-    ) -> list[ProbeFailure]:
-        """Probe :attr:`PAIRS` random node pairs; return the mismatches.
-
-        The reference is compiled from the current network on every check:
-        probing must stay exact even while the serving oracle's preprocessed
-        structures are dirty or corrupted.
-        """
-        nodes = sorted(network.nodes())
-        if len(nodes) < 2:
-            return []
-        pairs = [self._rng.sample(nodes, 2) for _ in range(self.PAIRS)]
-        return list(exact_cost_failures(network, oracle, pairs))
-
-
-__all__ = ["InvariantProbe", "ProbeFailure", "exact_cost_failures"]
+__all__ = ["ProbeFailure", "exact_cost_failures"]

@@ -179,9 +179,8 @@ class DispatchService:
         #: end-of-run tail).
         self._streaming_batch: int | None = None
         self._history: deque[AssignmentEvent] = deque(
-            maxlen=self.service_config.event_history or None
+            maxlen=self.service_config.event_history
         )
-        self._retain_history = self.service_config.event_history > 0
         self._events_dropped = 0
         self._subscribers: list[Callable[[AssignmentEvent], None]] = []
 
@@ -463,15 +462,9 @@ class DispatchService:
         ))
 
     def _emit(self, event: AssignmentEvent) -> None:
-        if self._retain_history:
-            if (
-                self._history.maxlen is not None
-                and len(self._history) >= self._history.maxlen
-            ):
-                self._events_dropped += 1
-            self._history.append(event)
-        else:
+        if len(self._history) == self._history.maxlen:
             self._events_dropped += 1
+        self._history.append(event)
         for callback in self._subscribers:
             callback(event)
 

@@ -140,8 +140,8 @@ class Simulator:
     #: ``make_refresh_policy(config=scenario.config)`` only picks the
     #: scenario's own policy by name.
     refresh_policy: OracleRefreshPolicy | None = None
-    #: Resilience layer: retries, circuit breakers, invariant probes,
-    #: assignment verification and dispatcher degradation (see
+    #: Resilience layer: retries, circuit breakers, the pre-dispatch
+    #: invariant probe and dispatcher degradation (see
     #: :mod:`repro.resilience`).  Setting it is the only switch; ``None``
     #: runs the classic unguarded pipeline.
     resilience: ResilienceManager | None = None
@@ -236,9 +236,9 @@ class Simulator:
             self._scenario_step(batch.end_time)
         if self.resilience is not None:
             # Recovery probes + invariant probes run between the scenario
-            # step (the only place corruption can be injected) and the
-            # dispatch, so assignments are always priced on a
-            # probe-verified oracle.
+            # step (where the refresh seams can inject corruption) and the
+            # dispatch, so assignments are always priced on an oracle the
+            # probe has just checked.
             with tracer.span("resilience.before_dispatch", batch=batch.index):
                 self.resilience.before_dispatch(
                     self.network, self.oracle, batch.end_time
@@ -395,12 +395,11 @@ class Simulator:
     # ------------------------------------------------------------------ #
     def _dispatch_batch(self, batch: Batch) -> BatchRecord:
         state = self.run_state
-        pending, vehicles_by_id = state.pending, state.vehicles_by_id
+        pending, on_shift_by_id = state.pending, state.on_shift_by_id
         dispatcher = self.dispatcher
         degraded = False
         if self.resilience is not None:
             dispatcher, degraded = self.resilience.select_dispatcher(self.dispatcher)
-            self.resilience.start_batch()
         context = DispatchContext(
             current_time=batch.end_time,
             batch=batch,
@@ -410,7 +409,7 @@ class Simulator:
             oracle=self.oracle,
             vehicle_index=self._vehicle_index,
             config=self.config,
-            vehicles_by_id=state.on_shift_by_id,
+            vehicles_by_id=on_shift_by_id,
             fleet_rank=state.on_shift_rank,
             refusals=state.refusals,
         )
@@ -430,14 +429,11 @@ class Simulator:
         dispatch_seconds = time.perf_counter() - dispatch_start
         if self.resilience is not None:
             self.resilience.observe_batch(degraded=degraded, now=batch.end_time)
-            self.resilience.verify_assignments(
-                self.network, self.oracle, result.assignments, vehicles_by_id
-            )
 
         due, positions = state.due, state.fleet_position
         assigned = 0
         for assignment in result.assignments:
-            vehicle = self._named(vehicles_by_id, assignment.vehicle_id, "assigned to")
+            vehicle = self._named(on_shift_by_id, assignment.vehicle_id, "assigned to")
             new_requests = [
                 request
                 for request in assignment.new_requests
@@ -456,7 +452,7 @@ class Simulator:
                     batch.end_time, vehicle.vehicle_id,
                 )
         for vehicle_id, node, travel in result.repositions:
-            vehicle = self._named(state.on_shift_by_id, vehicle_id, "repositioned")
+            vehicle = self._named(on_shift_by_id, vehicle_id, "repositioned")
             state.refusals.touch(self.network, vehicle.location, node)
             vehicle.reposition(node, travel, batch.end_time)
             self._vehicle_index.move(vehicle_id, *self.network.position(node))

@@ -3,8 +3,8 @@
 The chaos contract under test: with the same seed the injected fault
 sequence -- and therefore the whole simulation outcome -- is reproducible;
 under any injected fault sequence the run completes without an unhandled
-exception; and every accepted assignment's leg costs stay exact against a
-fresh Dijkstra over the mutated network.
+exception; and every dispatch prices on an oracle the pre-dispatch probe
+has just checked against a fresh Dijkstra over the mutated network.
 """
 
 from __future__ import annotations
@@ -15,13 +15,12 @@ from random import Random
 import pytest
 
 from repro.config import REFRESH_POLICIES, ChaosConfig
-from repro.dispatch.base import Assignment
+from repro.dispatch.prunegdp import PruneGDPDispatcher
 from repro.exceptions import (
     ConfigurationError,
     InjectedFaultError,
     OracleBuildError,
     OracleRepairError,
-    ResilienceError,
     ScenarioError,
 )
 from repro.experiments.harness import (
@@ -30,9 +29,6 @@ from repro.experiments.harness import (
     deterministic_summary,
     run,
 )
-from repro.model.request import Request
-from repro.model.schedule import Schedule
-from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
 from repro.numeric import costs_close
@@ -42,7 +38,6 @@ from repro.resilience import (
     ChaosOracle,
     CircuitBreaker,
     FaultInjector,
-    InvariantProbe,
     ResilienceManager,
     RetryPolicy,
 )
@@ -350,26 +345,28 @@ class TestOracleSeams:
 # --------------------------------------------------------------------- #
 class TestProbesAndSelfHealing:
     def test_probe_detects_corruption(self, grid_network, monkeypatch):
-        monkeypatch.setattr(InvariantProbe, "SEED", 5)
+        monkeypatch.setattr(ResilienceManager, "PROBE_SEED", 5)
         injector = FaultInjector(
             ChaosConfig(corruption_rate=1.0, corruption_factor=1.1)
         )
         oracle = ChaosOracle(grid_network, injector=injector, backend="ch")
-        probe = InvariantProbe()
-        assert probe.check(grid_network, oracle) == []
+        manager = ResilienceManager()
+        assert manager._probe(grid_network, oracle) == []
         oracle.rebuild()
-        failures = probe.check(grid_network, oracle)
+        failures = manager._probe(grid_network, oracle)
         assert failures
         assert all(f.got == pytest.approx(1.1 * f.want) for f in failures)
 
     def test_probe_sampling_is_seeded(self, grid_network, oracle, monkeypatch):
-        monkeypatch.setattr(InvariantProbe, "SEED", 9)
-        monkeypatch.setattr(InvariantProbe, "PAIRS", 6)
-        a = InvariantProbe()
-        b = InvariantProbe()
-        a.check(grid_network, oracle)
-        b.check(grid_network, oracle)
-        assert a._rng.getstate() == b._rng.getstate()
+        monkeypatch.setattr(ResilienceManager, "PROBE_SEED", 9)
+        monkeypatch.setattr(ResilienceManager, "PROBE_PAIRS", 6)
+        a = ResilienceManager()
+        b = ResilienceManager()
+        a._probe(grid_network, oracle)
+        b._probe(grid_network, oracle)
+        assert a._probe_rng.getstate() == b._probe_rng.getstate()
+        a.begin_run()  # one stream per run: rewound to the seed state
+        assert a._probe_rng.getstate() == ResilienceManager()._probe_rng.getstate()
 
     def test_manager_self_heals_probe_failures(self, grid_network):
         # Corruption always fires on refresh, but rebuilds never fail: the
@@ -428,27 +425,10 @@ class TestProbesAndSelfHealing:
 
 
 # --------------------------------------------------------------------- #
-# one exact-cost check: the probe, the verifier and the scenario parity probe
+# one exact-cost check: the manager's probe and the scenario parity probe
 # --------------------------------------------------------------------- #
 def _probe_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
-    return bool(InvariantProbe().check(network, oracle))
-
-
-def _verifier_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
-    """Verify one assignment: the vehicle at the first node drives to the
-    second, picks up and drops off at the last (two legs)."""
-    nodes = sorted(network.nodes())
-    request = Request.create(
-        1, nodes[1], nodes[-1], 0.0,
-        direct_cost=DistanceOracle(network).cost(nodes[1], nodes[-1]), gamma=2.0,
-    )
-    vehicle = Vehicle(vehicle_id=0, location=nodes[0])
-    assignment = Assignment(0, Schedule.direct(request), (request,))
-    try:
-        ResilienceManager().verify_assignments(network, oracle, [assignment], {0: vehicle})
-    except ResilienceError:
-        return True
-    return False
+    return bool(ResilienceManager()._probe(network, oracle))
 
 
 def _parity_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
@@ -464,7 +444,7 @@ def _parity_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
     return False
 
 
-CHECKERS = {"probe": _probe_flags, "verifier": _verifier_flags, "parity": _parity_flags}
+CHECKERS = {"probe": _probe_flags, "parity": _parity_flags}
 
 
 def _serving(network: RoadNetwork, backend: str, state: str) -> DistanceOracle:
@@ -520,17 +500,6 @@ class TestExactCostCheck:
         )
         with pytest.raises(ScenarioError, match="missing edge"):
             _parity_probe({"bursts": 0}, 4)(world)
-
-    def test_an_attached_manager_verifies_every_dispatch(self, monkeypatch):
-        verified: list[int] = []
-        monkeypatch.setattr(
-            ResilienceManager, "verify_assignments",
-            lambda self, network, oracle, assignments, vehicles: verified.append(
-                len(assignments)
-            ),
-        )
-        metrics = _chaos_metrics("repair", chaos="flaky_oracle")
-        assert verified and sum(verified) > 0 and metrics.service_rate > 0
 
     def test_costs_close(self):
         assert costs_close(1e4, 1e4 + 5e-7)
@@ -680,10 +649,10 @@ class TestChaosRuns:
 
     @pytest.mark.parametrize("policy", REFRESH_POLICIES)
     def test_stadium_surge_survives_meltdown(self, policy):
-        # The hard invariant: the run completes, assignments are verified
-        # exact (the manager verifies every accepted assignment, so a single
-        # inexact accepted cost raises), and the resilience machinery
-        # actually engaged.
+        # The hard invariant: the run completes and the resilience machinery
+        # actually engaged.  That every dispatch ran on an oracle the probe
+        # had just checked is pinned by
+        # test_every_dispatch_runs_on_a_checked_oracle.
         metrics = _chaos_metrics(policy, chaos="oracle_meltdown")
         assert metrics.faults_injected > 0
         assert metrics.breaker_trips > 0
@@ -691,6 +660,36 @@ class TestChaosRuns:
         assert metrics.service_rate > 0
         again = _chaos_metrics(policy, chaos="oracle_meltdown")
         assert deterministic_summary(metrics) == deterministic_summary(again)
+
+    @pytest.mark.parametrize("policy", ["coalesce", "repair"])
+    @pytest.mark.parametrize("scenario", ["stadium_surge", "bridge_closure"])
+    @pytest.mark.parametrize("chaos", ["oracle_meltdown", "flaky_oracle"])
+    def test_every_dispatch_runs_on_a_checked_oracle(
+        self, monkeypatch, chaos, scenario, policy
+    ):
+        """The pre-dispatch probe is the one exactness gate: no dispatch,
+        primary or degraded, and no post-run advance sees a corrupted oracle,
+        nor a stale one off its exact fallback.  Reads flags only -- an
+        oracle call would draw a latency spike and move the fault sequence."""
+        seen: list[DistanceOracle] = []
+        dispatch = PruneGDPDispatcher.dispatch
+
+        def checked(self, context):
+            oracle = context.oracle
+            assert not oracle.corrupted, len(seen)
+            assert oracle.serving_fallback or not oracle.is_stale, len(seen)
+            seen.append(oracle)
+            return dispatch(self, context)
+
+        monkeypatch.setattr(PruneGDPDispatcher, "dispatch", checked)
+        metrics = run(RunSpec(
+            scenario=scenario, backend="ch", refresh_policy=policy,
+            chaos=chaos, **SMALL,
+        )).simulation.metrics
+        assert seen and metrics.faults_injected > 0
+        oracle = seen[-1]
+        assert not oracle.corrupted
+        assert oracle.serving_fallback or not oracle.is_stale
 
     def test_degraded_dispatcher_engages_under_spikes(self):
         metrics = _chaos_metrics("coalesce", chaos="oracle_meltdown")
@@ -716,7 +715,7 @@ class TestChaosRuns:
         virtual latency only (breaker decisions never depend on the host's
         wall clock), four probe pairs per check."""
         assert ResilienceManager.BATCH_TIME_BUDGET == 0.05
-        assert InvariantProbe.PAIRS == 4
+        assert ResilienceManager.PROBE_PAIRS == 4
         manager = ResilienceManager(
             chaos=ChaosConfig(query_spike_rate=1.0, spike_seconds=0.03)
         )

@@ -8,7 +8,7 @@ import pytest
 
 from repro.config import SimulationConfig
 from repro.dispatch import DISPATCHER_REGISTRY, make_dispatcher
-from repro.dispatch.base import DispatchResult, Dispatcher, Refusal
+from repro.dispatch.base import Assignment, DispatchResult, Dispatcher, Refusal
 from repro.dispatch.darm import DARMDispatcher
 from repro.exceptions import DispatchError
 from repro.model.batch import Batch
@@ -270,22 +270,25 @@ def test_no_dispatcher_changes_the_fleet(name, make_request, make_context, monke
     assert bool(result.repositions) == (name == "DARM+DPRS")
 
 
-class _Repositioning(Dispatcher):
-    name = "reposition"
+class _Scripted(Dispatcher):
+    name = "scripted"
 
-    def __init__(self, moves):
+    def __init__(self, moves, assignments=()):
         super().__init__()
         self.moves = moves
+        self.assignments = assignments
 
     def dispatch(self, context):
-        return DispatchResult(repositions=list(self.moves))
+        return DispatchResult(
+            assignments=list(self.assignments), repositions=list(self.moves)
+        )
 
 
 class TestRepositionsAreTheEngines:
-    def _simulator(self, grid_network, moves, vehicles):
+    def _simulator(self, grid_network, moves, vehicles, assignments=()):
         simulator = Simulator(
             network=grid_network, oracle=DistanceOracle(grid_network), vehicles=vehicles,
-            requests=[], dispatcher=_Repositioning(moves), config=SimulationConfig(),
+            requests=[], dispatcher=_Scripted(moves, assignments), config=SimulationConfig(),
         )
         simulator.begin_run()
         return simulator
@@ -320,3 +323,16 @@ class TestRepositionsAreTheEngines:
         with pytest.raises(DispatchError, match=f"repositioned unknown vehicle {vehicle_id}"):
             simulator.process_batch(Batch(0, 0.0, 5.0, (waiting,)))
         assert vehicles[2].location == 0 and 2 not in simulator._vehicle_index
+
+    @pytest.mark.parametrize("vehicle_id", [99, 2])
+    def test_an_assignment_to_a_vehicle_not_on_shift_is_refused(
+        self, grid_network, make_request, vehicle_id
+    ):
+        vehicles = [Vehicle(vehicle_id=vid, location=0) for vid in range(3)]
+        vehicles[2].on_shift = False
+        waiting = make_request(9, 20, 23, release_time=1.0)
+        assignment = Assignment(vehicle_id, Schedule.direct(waiting), (waiting,))
+        simulator = self._simulator(grid_network, [], vehicles, [assignment])
+        with pytest.raises(DispatchError, match=f"assigned to unknown vehicle {vehicle_id}"):
+            simulator.process_batch(Batch(0, 0.0, 5.0, (waiting,)))
+        assert vehicles[2].is_idle and 9 in simulator.run_state.pending
