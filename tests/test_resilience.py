@@ -21,6 +21,7 @@ from repro.exceptions import (
     InjectedFaultError,
     OracleBuildError,
     OracleRepairError,
+    ResilienceError,
     ScenarioError,
 )
 from repro.experiments.harness import (
@@ -425,10 +426,24 @@ class TestProbesAndSelfHealing:
 
 
 # --------------------------------------------------------------------- #
-# one exact-cost check: the manager's probe and the scenario parity probe
+# one exact-cost check: the manager's probe, the pre-dispatch gate it feeds
+# and the scenario parity probe
 # --------------------------------------------------------------------- #
 def _probe_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
     return bool(ResilienceManager()._probe(network, oracle))
+
+
+def _gate_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
+    """The whole pre-dispatch gate: a flagged oracle is healed (or, past the
+    last rung, refused), so the next dispatch never prices on it."""
+    manager = ResilienceManager()
+    try:
+        manager.before_dispatch(network, oracle, 0.0)
+    except ResilienceError:
+        return True
+    assert not getattr(oracle, "corrupted", False)
+    assert ResilienceManager()._probe(network, oracle) == []
+    return manager.stats.probe_failures > 0
 
 
 def _parity_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
@@ -444,7 +459,7 @@ def _parity_flags(network: RoadNetwork, oracle: DistanceOracle) -> bool:
     return False
 
 
-CHECKERS = {"probe": _probe_flags, "parity": _parity_flags}
+CHECKERS = {"probe": _probe_flags, "gate": _gate_flags, "parity": _parity_flags}
 
 
 def _serving(network: RoadNetwork, backend: str, state: str) -> DistanceOracle:
