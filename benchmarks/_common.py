@@ -82,23 +82,24 @@ def series(rows: list[dict], metric: str) -> dict[str, dict[str, list[tuple]]]:
     return result
 
 
-def save_json(name: str, payload: dict) -> Path:
+def save_json(name: str, payload: dict, directory: Path = RESULTS_DIR) -> Path:
     """Persist a machine-readable result next to the text table.
 
     The JSON twin is what tooling should parse (``bench_oracle_backends.py``
     compares its counts with the committed one); the ``.txt`` table remains
-    the human copy.
+    the human copy.  Tests write theirs under their ``tmp_path``; only a
+    module run as a script rewrites the committed copy.
     """
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.json"
+    directory.mkdir(parents=True, exist_ok=True)
+    path = directory / f"{name}.json"
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
-def save_text(name: str, text: str) -> str:
+def save_text(name: str, text: str, directory: Path = RESULTS_DIR) -> str:
     """Persist free-form text output (used by the ablation tables)."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / f"{name}.txt").write_text(text + "\n")
     print(text)
     return text
 
@@ -150,9 +151,10 @@ def save_grid(
     *,
     title: str,
     note: str,
+    directory: Path = RESULTS_DIR,
 ) -> None:
     """Persist a grid as ``<name>.txt`` (also printed) and ``<name>.md``."""
-    save_text(name, format_grid(rows, columns, title=title, note=note))
-    (RESULTS_DIR / f"{name}.md").write_text(
+    save_text(name, format_grid(rows, columns, title=title, note=note), directory)
+    (directory / f"{name}.md").write_text(
         format_grid(rows, columns, title=title, note=note, markdown=True) + "\n"
     )

@@ -21,17 +21,19 @@ checked oracles; ``test_every_dispatch_runs_on_a_checked_oracle`` in
 
 Run directly (``python benchmarks/bench_chaos.py``) for the full table,
 ``--smoke`` for the short CI grid (with a markdown copy for the CI job
-summary), or through pytest like the other benchmark modules.
+summary), or through pytest like the other benchmark modules (which writes
+the smoke grid under the test's ``tmp_path``, not over the committed copy).
 """
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 from repro.experiments.harness import RunSpec, deterministic_summary, metric_row, run
 from repro.simulation.metrics import MetricsCollector
 
-from _common import save_grid
+from _common import RESULTS_DIR, save_grid
 
 BACKENDS = ("ch",)
 POLICIES = ("coalesce", "repair")
@@ -106,14 +108,14 @@ def smoke_rows() -> list[dict]:
     return _grid(("flaky_oracle",), scale=0.04)
 
 
-def _save_grid(rows: list[dict], name: str, title: str) -> None:
-    save_grid(name, rows, COLUMNS, title=title, note=VERIFY_NOTE)
+def _save_grid(rows: list[dict], name: str, title: str, directory: Path = RESULTS_DIR) -> None:
+    save_grid(name, rows, COLUMNS, title=title, note=VERIFY_NOTE, directory=directory)
 
 
 # ---------------------------------------------------------------------- #
 # pytest entry points (mirroring the other benchmark modules)
 # ---------------------------------------------------------------------- #
-def test_chaos_smoke_grid():
+def test_chaos_smoke_grid(tmp_path):
     """The CI gate: every cell survives its fault sequence, each dispatch on
     an oracle the probe had just checked (pinned by
     ``test_every_dispatch_runs_on_a_checked_oracle``), and the chaos layer
@@ -124,7 +126,7 @@ def test_chaos_smoke_grid():
         assert row["faults_injected"] > 0, row
     _save_grid(
         rows, "chaos_smoke",
-        "Chaos smoke grid (flaky_oracle, policy x scenario, probe-checked oracle)",
+        "Chaos smoke grid (flaky_oracle, policy x scenario, probe-checked oracle)", tmp_path,
     )
 
 

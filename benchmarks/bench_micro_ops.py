@@ -5,6 +5,10 @@ blocks (shortest-path queries, grid-index lookups, the candidate-vehicle
 search, linear insertion, pairwise shareability tests, shareability-graph
 construction, shareability loss and group enumeration) so regressions in any
 substrate show up directly.
+
+Under pytest the ``micro_best_insertion`` table lands in the test's
+``tmp_path``; ``python bench_micro_ops.py`` (from ``benchmarks/``) rewrites
+the committed ``results/micro_best_insertion.{txt,json}``.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from _common import save_json, save_text
+from _common import RESULTS_DIR, save_json, save_text
 from repro.config import SimulationConfig
 from repro.dispatch.base import DispatchContext, candidate_vehicles
 from repro.grouping.additive_tree import build_groups
@@ -32,9 +37,13 @@ from repro.shareability.builder import DynamicShareabilityGraphBuilder
 from repro.shareability.loss import residual_shareability_loss, shareability_loss
 
 
+def _city():
+    return grid_city(14, 14, block_length=150.0, perturbation=0.2, seed=21)
+
+
 @pytest.fixture(scope="module")
 def city():
-    return grid_city(14, 14, block_length=150.0, perturbation=0.2, seed=21)
+    return _city()
 
 
 @pytest.fixture(scope="module")
@@ -201,8 +210,9 @@ def _best_insertion_cost(route, request, oracle, *, offer: str) -> tuple[float, 
     return best * 1e6, queries
 
 
-def test_best_insertion_by_route_length(city, oracle):
-    """us per ``best_insertion`` call against 0 / 2 / 4 / 6 / 8 stops.
+def best_insertion_by_route_length(city, oracle, directory: Path) -> tuple[list, list]:
+    """us per ``best_insertion`` call against 0 / 2 / 4 / 6 / 8 stops, saved
+    as ``micro_best_insertion`` under ``directory``: the rows and the offers.
 
     The ``feasible`` request has time to spare at every position; the
     ``late`` one is rejected at every position by its waiting limit, on the
@@ -265,9 +275,14 @@ def test_best_insertion_by_route_length(city, oracle):
             for row in offers
         ),
     ]
-    save_text("micro_best_insertion", "\n".join(lines))
+    save_text("micro_best_insertion", "\n".join(lines), directory)
     save_json("micro_best_insertion",
-              {"benchmark": "micro_best_insertion", "rows": rows, "offers": offers})
+              {"benchmark": "micro_best_insertion", "rows": rows, "offers": offers}, directory)
+    return rows, offers
+
+
+def test_best_insertion_by_route_length(city, oracle, tmp_path):
+    rows, offers = best_insertion_by_route_length(city, oracle, tmp_path)
     # Linear, not cubic: eight stops may not cost a late pick-up 20x an idle car.
     assert rows[-1]["late_warm_us"] < 20 * rows[0]["late_warm_us"]
     for first, again in zip(offers[::2], offers[1::2]):
@@ -335,3 +350,8 @@ def test_group_enumeration(benchmark, city, oracle, config, requests):
         return len(groups)
 
     benchmark(run)
+
+
+if __name__ == "__main__":
+    city = _city()
+    best_insertion_by_route_length(city, DistanceOracle(city), RESULTS_DIR)

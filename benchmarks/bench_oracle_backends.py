@@ -30,7 +30,9 @@ us``), so the price of a cold pair sits beside the warm one.  ``ch`` and
 rows stay, because the ledger asks for ``ch``.
 
 Run directly (``python benchmarks/bench_oracle_backends.py``) for the full
-table, or through pytest like the other benchmarks.
+table, which rewrites the committed ``results/oracle_backends.{txt,json}``,
+or through pytest like the other benchmarks, which compares its counts with
+that committed copy and writes its own under the test's ``tmp_path``.
 """
 
 from __future__ import annotations
@@ -275,8 +277,7 @@ def verify_identical_assignments() -> dict[str, int]:
 # ---------------------------------------------------------------------- #
 # pytest entry points (mirroring the other benchmark modules)
 # ---------------------------------------------------------------------- #
-def test_backend_speedup():
-    # Read the committed counts before the run overwrites the file.
+def test_backend_speedup(tmp_path):
     committed = json.loads((RESULTS_DIR / "oracle_backends.json").read_text())
     rows = measure_backends()
     by_name = {row["backend"]: row for row in rows}
@@ -299,8 +300,8 @@ def test_backend_speedup():
         by_name["ch"]["settled_per_query"]
         < by_name["dijkstra"]["settled_per_query"] / 2
     ), by_name["ch"]["settled_per_query"]
-    save_text("oracle_backends", format_table(rows))
-    save_json("oracle_backends", results_payload(rows))
+    save_text("oracle_backends", format_table(rows), tmp_path)
+    save_json("oracle_backends", results_payload(rows), tmp_path)
 
 
 def test_identical_assignments_across_backends():

@@ -21,12 +21,14 @@ Run directly (``python benchmarks/bench_scenarios.py``) for the full table,
 smaller scale, with a markdown copy for the CI job summary),
 ``--trace`` for one traced run that writes the observability artifacts
 (JSONL span trace, Prometheus snapshot, markdown report) into the results
-directory, or through pytest like the other benchmarks.
+directory, or through pytest like the other benchmarks (which writes the
+smoke grid under the test's ``tmp_path``, not over the committed copy).
 """
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 from repro.experiments.harness import RunSpec, metric_row, run
 from repro.simulation.metrics import MetricsCollector
@@ -100,22 +102,22 @@ def smoke_rows() -> list[dict]:
     )
 
 
-def _save_grid(rows: list[dict], name: str, title: str) -> None:
-    save_grid(name, rows, COLUMNS, title=title, note=PARITY_NOTE)
-    save_json(name, {"benchmark": name, "title": title, "rows": rows})
+def _save_grid(rows: list[dict], name: str, title: str, directory: Path = RESULTS_DIR) -> None:
+    save_grid(name, rows, COLUMNS, title=title, note=PARITY_NOTE, directory=directory)
+    save_json(name, {"benchmark": name, "title": title, "rows": rows}, directory)
 
 
 # ---------------------------------------------------------------------- #
 # pytest entry points (mirroring the other benchmark modules)
 # ---------------------------------------------------------------------- #
-def test_scenario_refresh_overhead_smoke():
+def test_scenario_refresh_overhead_smoke(tmp_path):
     rows = smoke_rows()
     for row in rows:
         assert row["scenario_events"] > 0
         assert row["oracle_rebuilds"] + row["oracle_repairs"] >= 1
     _save_grid(
         rows, "scenarios_smoke",
-        "Scenario smoke grid (policy x scenario, parity-gated)",
+        "Scenario smoke grid (policy x scenario, parity-gated)", tmp_path,
     )
 
 

@@ -147,6 +147,11 @@ class WorkingRoutes(dict[int, RouteState]):
         self[vehicle_id] = replace(self[vehicle_id], schedule=schedule)
         self.extended.setdefault(vehicle_id, []).extend(requests)
 
+    def idle(self, vehicle: Vehicle) -> bool:
+        """Whether the vehicle's working route has no stop (without taking
+        its snapshot)."""
+        return not vehicle.schedule and vehicle.vehicle_id not in self.extended
+
     def assignments(self) -> list[Assignment]:
         """One assignment per extended vehicle, in the order first extended."""
         return [
@@ -311,74 +316,105 @@ def nearest_requests(
     return sorted(requests, key=lambda r: euclidean(vehicle.location, r.source))[:limit]
 
 
-def feasible_insertions(
-    request: Request,
-    context: DispatchContext,
-    routes: WorkingRoutes,
-    max_candidates: int | None,
-) -> list[tuple[InsertionOutcome, int]]:
-    """``(outcome, vehicle id)`` of every candidate vehicle that can take
-    ``request`` on its working route, in :func:`candidate_vehicles` order.
-
-    This is the one place a dispatcher asks a vehicle.  An offer that found
-    no vehicle, asking no route this dispatch extended, leaves a
-    :class:`Refusal` in ``context.refusals``; while it holds, a later
-    dispatch answers the request with ``[]`` and no search.  A driving
-    vehicle's snapshot carries what it already answered, so one probe of its
-    table settles a repeated offer: a known "no" costs nothing more, a known
-    "yes" is returned as it stands, and only what is left reaches the kernel.
-    """
+def _offer(
+    request: Request, context: DispatchContext, routes: WorkingRoutes, max_candidates: int | None
+) -> Candidates | None:
+    """The candidates an offer of ``request`` asks, their pick-up legs
+    prefetched; ``None`` while the request's :class:`Refusal` holds."""
     refusal = context.refusals.get(request.request_id)
     if refusal is not None and refusal.holds(request, context, max_candidates):
-        return []
-    oracle = context.oracle
+        return None
     vehicles = candidate_vehicles(request, context, max_candidates=max_candidates)
-    asked: list[tuple[RouteState, InsertionOutcome | None]] = []
-    origins: list[int] = []
-    for vehicle in vehicles:
-        route = routes[vehicle.vehicle_id]
-        known = None
-        if route.min_insert_position:
-            known = route.outcomes(oracle).get(request)
-        else:
-            origins.append(route.origin)
-        asked.append((route, known))
     # Batch the pick-up legs the kernel is about to read into one oracle
     # call (a reverse multi-source search for the graph backends, one join
     # per pair for hub labels).  That is ``origin -> source`` of the routes
     # open at position 0 only: behind a committed stop the kernel starts at
     # that stop's node and never asks for the leg from the origin.
     # ``prefetch`` leaves the logical query counters untouched.
+    origins = [
+        vehicle.location for vehicle in vehicles
+        if routes.idle(vehicle) or not routes[vehicle.vehicle_id].min_insert_position
+    ]
     if origins:
-        oracle.prefetch(origins, (request.source,))
+        context.oracle.prefetch(origins, (request.source,))
+    return vehicles
+
+
+def _ask(route: RouteState, request: Request, oracle: DistanceOracle) -> InsertionOutcome:
+    """The kernel's answer, unless the driving snapshot already holds it."""
+    known = route.outcomes(oracle).get(request) if route.min_insert_position else None
+    return best_insertion(route, request, oracle) if known is None else known
+
+
+def _refuse(
+    request: Request, context: DispatchContext, routes: WorkingRoutes,
+    max_candidates: int | None, vehicles: Candidates,
+) -> None:
+    """Certify an offer that asked every candidate and found no vehicle,
+    unless it asked a route this dispatch extended."""
+    if routes.extended:
+        return
+    x, y = context.network.position(request.source)
+    nearest = vehicles.nearest
+    if nearest is None:  # only a refusal needs it; most offers find a vehicle
+        positions = map(context.vehicle_index.position, [v.vehicle_id for v in vehicles])
+        nearest = min(math.hypot(px - x, py - y) for px, py in positions)
+    context.refusals[request.request_id] = Refusal(
+        context.current_time, context.oracle.generation, max_candidates, x, y,
+        vehicles.circle, nearest,
+    )
+
+
+def feasible_insertions(
+    request: Request, context: DispatchContext, routes: WorkingRoutes, max_candidates: int | None
+) -> list[tuple[InsertionOutcome, int]]:
+    """``(outcome, vehicle id)`` of every candidate vehicle that can take
+    ``request`` on its working route, in :func:`candidate_vehicles` order.
+
+    An offer that found no vehicle, asking no route this dispatch extended,
+    leaves a :class:`Refusal` in ``context.refusals``; while it holds, a
+    later dispatch answers the request with ``[]`` and no search.  A driving
+    vehicle's snapshot carries what it already answered, so one probe of its
+    table settles a repeated offer: a known "no" costs nothing more, a known
+    "yes" is returned as it stands, and only what is left reaches the kernel.
+    """
+    vehicles, oracle = _offer(request, context, routes, max_candidates), context.oracle
     found: list[tuple[InsertionOutcome, int]] = []
-    for route, outcome in asked:
-        if outcome is None:
-            outcome = best_insertion(route, request, oracle)
+    for vehicle in vehicles or ():
+        outcome = _ask(routes[vehicle.vehicle_id], request, oracle)
         if outcome.feasible:
-            found.append((outcome, route.vehicle_id))
-    if not found and not routes.extended:
-        x, y = context.network.position(request.source)
-        nearest = vehicles.nearest
-        if nearest is None:  # only a refusal needs it; most offers find a vehicle
-            positions = map(context.vehicle_index.position, [v.vehicle_id for v in vehicles])
-            nearest = min(math.hypot(px - x, py - y) for px, py in positions)
-        context.refusals[request.request_id] = Refusal(
-            context.current_time, oracle.generation, max_candidates, x, y, vehicles.circle, nearest,
-        )
+            found.append((outcome, vehicle.vehicle_id))
+    if vehicles is not None and not found:
+        _refuse(request, context, routes, max_candidates, vehicles)
     return found
 
 
 def cheapest_insertion(
-    request: Request,
-    context: DispatchContext,
-    routes: WorkingRoutes,
-    max_candidates: int | None,
+    request: Request, context: DispatchContext, routes: WorkingRoutes, max_candidates: int | None
 ) -> tuple[InsertionOutcome, int] | None:
-    """The :func:`feasible_insertions` entry whose schedule grows the least,
-    the earlier candidate winning a tie; ``None`` when no vehicle can."""
-    best = None
-    for found in feasible_insertions(request, context, routes, max_candidates):
-        if best is None or found[0].delta_cost < best[0].delta_cost:
-            best = found
+    """The feasible insertion whose schedule grows the least, the earlier
+    candidate winning a tie; ``None`` when no vehicle can.
+
+    The offer is :func:`feasible_insertions`' (refusal, candidates and the
+    prefetch, which keeps warming the legs of idle candidates this skips:
+    ``dijkstra`` may answer a prefetched pair a last ulp apart from a point
+    query), but once a feasible insertion is known an idle candidate is not
+    asked if its straight-line bound ``lower_bound(location, source) +
+    cost(source, destination)``, which the kernel's price for it is at
+    least, is above the best: it could neither win nor tie.
+    """
+    vehicles = _offer(request, context, routes, max_candidates)
+    oracle, source = context.oracle, request.source
+    best = trip = None
+    for vehicle in vehicles or ():
+        if best is not None and routes.idle(vehicle):
+            # A cache hit: every feasible answer read this leg.
+            trip = oracle.cost(source, request.destination) if trip is None else trip
+            if oracle.lower_bound(vehicle.location, source) + trip > best[0].delta_cost:
+                continue
+        outcome = _ask(routes[vehicle.vehicle_id], request, oracle)
+        if outcome.feasible and (best is None or outcome.delta_cost < best[0].delta_cost):
+            best = outcome, vehicle.vehicle_id
+    if vehicles is not None and best is None:
+        _refuse(request, context, routes, max_candidates, vehicles)
     return best

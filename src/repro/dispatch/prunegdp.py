@@ -2,9 +2,11 @@
 
 Requests are processed one at a time in release order; each is inserted into
 the candidate vehicle whose schedule grows the least (smallest additional
-travel cost).  The operator is extremely fast -- it is the running-time
-baseline in every figure of the paper -- but purely local: it never revisits
-an earlier decision, which is what the batch methods exploit.
+travel cost), and an idle candidate whose straight-line bound already costs
+more than the best found is not asked (:func:`~.base.cheapest_insertion`).
+The operator is extremely fast -- it is the running-time baseline in every
+figure of the paper -- but purely local: it never revisits an earlier
+decision, which is what the batch methods exploit.
 """
 
 from __future__ import annotations

@@ -11,8 +11,7 @@ Section IV of the paper:
   deadline filtering and the angle pruning rule (Theorem III.1).
 * :mod:`~repro.shareability.angle_pruning` -- geometric predicates and the
   expected-sharing-probability analysis under a log-normal trip-length model.
-* :mod:`~repro.shareability.loss` -- shareability loss (Definition 6) and the
-  supernode substitution operation.
+* :mod:`~repro.shareability.loss` -- shareability loss (Definition 6).
 * :mod:`~repro.shareability.cliques` -- clique-partition bounds
   (Equations 6-8) supporting Theorem IV.1.
 """
@@ -29,7 +28,6 @@ from .loss import (
     residual_shareability_loss,
     shareability_loss,
     sharing_ratio,
-    substitute_supernode,
 )
 from .cliques import (
     clique_partition_upper_bound,
@@ -49,7 +47,6 @@ __all__ = [
     "shareability_loss",
     "residual_shareability_loss",
     "sharing_ratio",
-    "substitute_supernode",
     "clique_partition_upper_bound",
     "largest_clique_estimate",
     "bounded_clique_partition_upper_bound",

@@ -62,11 +62,6 @@ class ShareabilityGraph:
         del self._adjacency[request_id]
         del self._requests[request_id]
 
-    def remove_requests(self, request_ids: Iterable[int]) -> None:
-        """Remove several nodes."""
-        for rid in list(request_ids):
-            self.remove_request(rid)
-
     # ------------------------------------------------------------------ #
     # queries
     # ------------------------------------------------------------------ #
@@ -141,14 +136,6 @@ class ShareabilityGraph:
             for v in neighbours:
                 if u < v:
                     yield u, v
-
-    def copy(self) -> "ShareabilityGraph":
-        """Deep copy of the graph structure (requests are shared, immutable)."""
-        duplicate = ShareabilityGraph()
-        duplicate._requests = dict(self._requests)
-        duplicate._adjacency = {rid: set(neigh) for rid, neigh in self._adjacency.items()}
-        duplicate._num_edges = self._num_edges
-        return duplicate
 
     def to_networkx(self) -> Any:
         """Export as an undirected :class:`networkx.Graph` (tests / analysis)."""

@@ -1,4 +1,4 @@
-"""Shareability loss (Definition 6) and supernode substitution.
+"""Shareability loss (Definition 6).
 
 When a vehicle accepts a group ``G`` of requests, those requests leave the
 shareability graph as individual nodes and are replaced by a single
@@ -21,10 +21,9 @@ Two variants are provided:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 
 from ..exceptions import ReproError
-from ..model.request import Request
 from .graph import ShareabilityGraph
 
 
@@ -97,47 +96,6 @@ def residual_shareability_loss(graph: ShareabilityGraph, group: Sequence[int]) -
         return float(len(graph.neighbors(members[0]) - member_set))
     neighbourhoods = {rid: graph.neighbors(rid) - member_set for rid in members}
     return _loss_from_neighbourhoods(members, neighbourhoods)
-
-
-def _neighbour_intersection(
-    graph: ShareabilityGraph, members: Iterable[int], *, exclude: set[int]
-) -> set[int]:
-    """Common outside neighbours of ``members`` (excluding the group itself)."""
-    members = list(members)
-    if not members:
-        return set()
-    common = graph.neighbors(members[0])
-    for rid in members[1:]:
-        common &= graph.neighbors(rid)
-        if not common:
-            break
-    return common - exclude
-
-
-def substitute_supernode(
-    graph: ShareabilityGraph,
-    group: Sequence[int],
-    *,
-    supernode_request: Request | None = None,
-) -> ShareabilityGraph:
-    """Return a copy of ``graph`` with ``group`` merged into a supernode.
-
-    The supernode is connected to an outside node exactly when that node was
-    adjacent to every member of the group.  When ``supernode_request`` is
-    omitted, the request object of the first group member represents the
-    merged node (its identifier is reused).
-    """
-    members = _validated_members(graph, group)
-    member_set = set(members)
-    survivors = _neighbour_intersection(graph, members, exclude=member_set)
-    representative = supernode_request or graph.request(members[0])
-    result = graph.copy()
-    result.remove_requests(members)
-    result.add_request(representative)
-    for neighbour in survivors:
-        if neighbour in result:
-            result.add_edge(representative.request_id, neighbour)
-    return result
 
 
 def sharing_ratio(graph: ShareabilityGraph, group: Sequence[int], total_cost: float) -> float:

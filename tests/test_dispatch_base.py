@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
-from repro.dispatch import DISPATCHER_REGISTRY, make_dispatcher
+from repro.dispatch import DISPATCHER_REGISTRY, base, make_dispatcher
 from repro.dispatch.base import (
     Assignment,
     DispatchResult,
@@ -167,6 +167,38 @@ class TestAskingVehicles:
         assert found[0][0].delta_cost == found[1][0].delta_cost
         outcome, vehicle_id = cheapest_insertion(request, context, routes, None)
         assert vehicle_id == 7 and outcome == found[0][0]
+
+    def test_cheapest_insertion_leaves_unasked_only_idle_candidates_that_cannot_win(
+        self, make_request, make_context, oracle, monkeypatch
+    ):
+        # Request 10 -> 7 (30 s).  Idle vehicles at 9 (40 s), twice at 10
+        # (30 s) and at 11, and one under way to 11 whose rider's trip to 6
+        # passes the request's (0 s, though its own bound is 44 s).
+        rider = make_request(90, 11, 6, gamma=2.5)
+        vehicles = [
+            Vehicle(vehicle_id=i, location=node) for i, node in enumerate((10, 10, 9, 17, 11))
+        ]
+        vehicles[3].assign_schedule(Schedule.direct(rider), [rider], 0.0)
+        vehicles[3].advance_to(1.0, oracle)
+        request = make_request(1, 10, 7, release_time=1.0, gamma=2.0)
+        context = make_context(vehicles, [request], current_time=2.0)
+        assert [v.vehicle_id for v in candidate_vehicles(request, context)] == [2, 0, 1, 4, 3]
+        asked = []
+        best_insertion = base.best_insertion
+
+        def logged(route, request, oracle):
+            asked.append(route.vehicle_id)
+            return best_insertion(route, request, oracle)
+
+        monkeypatch.setattr(base, "best_insertion", logged)
+        routes = context.working_routes()
+        outcome, vehicle_id = cheapest_insertion(request, context, routes, None)
+        assert (outcome.delta_cost, vehicle_id) == (0.0, 3)
+        # Vehicle 1's bound ties the best (30 s): asked, and it keeps the
+        # tie for vehicle 0; vehicle 4's (40 s) cannot win; a driving
+        # vehicle is always asked.
+        assert asked == [2, 0, 1, 3]
+        assert set(routes) == {0, 1, 2, 3}
 
     def test_cheapest_insertion_without_a_feasible_vehicle(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=0, location=35)]

@@ -211,10 +211,10 @@ def _advance_the_whole_fleet(simulator: Simulator, until: float) -> None:
 _SHIFT_IDS = (900_001, 900_002, 900_003)
 
 
-def _shift_spec(algorithm: str) -> tuple[RunSpec, float, set[int]]:
+def _shift_spec(algorithm: str, backend: str = "dijkstra") -> tuple[RunSpec, float, set[int]]:
     """A run whose fleet changes under it: three vehicles come on shift a
     third of the way in, and half the fleet (busy or not) clocks out half-way."""
-    workload = make_workload("nyc", scale=0.1)
+    workload = make_workload("nyc", scale=0.1, simulation_overrides={"routing_backend": backend})
     horizon = max(request.release_time for request in workload.requests)
     starts = [
         (vehicle_id, request.source, 4)
@@ -452,14 +452,28 @@ def _ask_every_candidate(request, context, routes, max_candidates):
     return found
 
 
-def _prefetch_every_candidate(request, context, routes, max_candidates):
-    """``feasible_insertions`` after warming every candidate's pick-up leg,
-    the driving routes' too (which the kernel never reads)."""
-    offered = candidate_vehicles(request, context, max_candidates=max_candidates)
-    context.oracle.prefetch(
-        [routes[vehicle.vehicle_id].origin for vehicle in offered], (request.source,)
-    )
-    return feasible_insertions(request, context, routes, max_candidates)
+def _cheapest_of_every_candidate(request, context, routes, max_candidates):
+    """The obvious ``cheapest_insertion``: :func:`_ask_every_candidate`, then
+    the first minimal delta."""
+    best = None
+    for found in _ask_every_candidate(request, context, routes, max_candidates):
+        if best is None or found[0].delta_cost < best[0].delta_cost:
+            best = found
+    return best
+
+
+def _prefetching_every_candidate(offer):
+    """``offer`` after warming every candidate's pick-up leg, the driving
+    routes' too (which the kernel never reads)."""
+
+    def warmed(request, context, routes, max_candidates):
+        offered = candidate_vehicles(request, context, max_candidates=max_candidates)
+        context.oracle.prefetch(
+            [routes[vehicle.vehicle_id].origin for vehicle in offered], (request.source,)
+        )
+        return offer(request, context, routes, max_candidates)
+
+    return warmed
 
 
 def _replace_everywhere(patch, original, replacement) -> None:
@@ -485,7 +499,12 @@ _SHRINKING_CHAOS = ChaosConfig(corruption_rate=0.5, corruption_factor=0.6)
 class _SkewedOracle(DistanceOracle):
     """Answers without a triangle inequality: every third pair costs half
     its shortest path.  A vehicle's detour or drive can then bring a
-    pick-up earlier, so a vehicle that changed may take what it refused."""
+    pick-up earlier, so a vehicle that changed may take what it refused.
+    Its top speed doubles with it, so ``lower_bound`` still bounds every
+    answer, as the kernel's scan and ``cheapest_insertion``'s skip need."""
+
+    def top_speed(self) -> float:
+        return 2 * super().top_speed()
 
     def cost(self, source: int, target: int) -> float:
         value = super().cost(source, target)
@@ -503,25 +522,30 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
     """``feasible_insertions`` answers a repeated offer from the driving
     vehicle's snapshot, prefetches only the legs the kernel reads, and
     answers a request whose last offer found no vehicle from its refusal
-    while that holds: a run that prefetches and asks the kernel about every
-    candidate on every offer is event-for-event the same, for every
-    dispatcher that inserts."""
+    while that holds; ``cheapest_insertion`` also leaves unasked an idle
+    candidate whose straight-line bound costs more than the best found: a
+    run that prefetches and asks the kernel about every candidate on every
+    offer is event-for-event the same, for every dispatcher that inserts."""
 
+    @pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub_label"])
     @pytest.mark.parametrize("world", ["static", "rush_hour", "shifts", "chaos", "skewed"])
     @pytest.mark.parametrize("algorithm", ["SARD", "pruneGDP", "TicketAssign+", "DARM+DPRS"])
-    def test_event_stream_equals_asking_every_candidate(self, algorithm, world, monkeypatch):
+    def test_event_stream_equals_asking_every_candidate(
+        self, algorithm, world, backend, monkeypatch
+    ):
         def make_spec():
             if world == "shifts":
-                return _shift_spec(algorithm)[0]
+                return _shift_spec(algorithm, backend)[0]
             if world == "skewed":
                 return RunSpec(
                     workload=make_workload(
-                        "nyc", scale=0.1, workload_overrides={"num_vehicles": 20}
+                        "nyc", scale=0.1, workload_overrides={"num_vehicles": 20},
+                        simulation_overrides={"routing_backend": backend},
                     ),
                     algorithm=algorithm, service_config=ServiceConfig(),
                 )
             return RunSpec(
-                preset="nyc", scale=0.1, algorithm=algorithm,
+                preset="nyc", scale=0.1, algorithm=algorithm, backend=backend,
                 scenario=None if world == "static" else "rush_hour",
                 # Refreshes that leave every answer at 0.6 of the truth until
                 # a probe heals them: two generation bumps that shrink and
@@ -545,6 +569,7 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
         asked.append(0)
         with monkeypatch.context() as patch:
             _replace_everywhere(patch, base.feasible_insertions, _ask_every_candidate)
+            _replace_everywhere(patch, base.cheapest_insertion, _cheapest_of_every_candidate)
             obvious = _observe(make_spec(), monkeypatch)
         assert obvious[0] == events
         for key in summary:
@@ -555,12 +580,11 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
             assert summary["oracle_rebuilds"] > 0
         if world == "chaos":
             assert summary["faults_injected"] > 0
-        # ... and it really is less of the kernel wherever a request is
-        # offered twice (pruneGDP and DARM answer each request once), and for
-        # SARD's many repeated offers less of the oracle and the backend too.
-        assert asked[0] <= asked[1]
-        if algorithm in ("SARD", "TicketAssign+"):
-            assert asked[0] < asked[1]
+        # ... and it really is less of the kernel: SARD and TicketAssign+
+        # offer a request again, the three that take the cheapest leave idle
+        # candidates unasked, and SARD asks less of the oracle and the
+        # backend too.
+        assert asked[0] < asked[1]
         if algorithm == "SARD":
             assert counters["queries"] < obvious[2]["queries"]
             assert counters["searches"] <= obvious[2]["searches"]
@@ -581,7 +605,8 @@ class TestQueueBuildingAsksOnlyWhatItLacks:
 
         events, summary, counters = _observe(make_spec(), monkeypatch)
         with monkeypatch.context() as patch:
-            _replace_everywhere(patch, feasible_insertions, _prefetch_every_candidate)
+            for offer in (feasible_insertions, base.cheapest_insertion):
+                _replace_everywhere(patch, offer, _prefetching_every_candidate(offer))
             warmed = _observe(make_spec(), monkeypatch)
         assert warmed[0] == events
         for key in summary:

@@ -1,4 +1,4 @@
-"""Tests for shareability loss (Definition 6) and supernode substitution."""
+"""Tests for shareability loss (Definition 6)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.shareability.loss import (
     residual_shareability_loss,
     shareability_loss,
     sharing_ratio,
-    substitute_supernode,
 )
 
 
@@ -87,46 +86,6 @@ class TestResidualVariant:
             assert residual_shareability_loss(example3_graph, group) <= shareability_loss(
                 example3_graph, group
             )
-
-
-class TestSupernodeSubstitution:
-    def test_substitution_keeps_common_neighbours_only(self, example3_graph):
-        merged = substitute_supernode(example3_graph, [1, 3])
-        # r2 was adjacent to both r1 and r3, so the supernode keeps that edge.
-        assert merged.num_nodes == 3
-        assert merged.has_edge(1, 2)
-        assert not merged.has_edge(1, 4)
-
-    def test_substitution_drops_partial_neighbours(self, example3_graph):
-        merged = substitute_supernode(example3_graph, [1, 2])
-        # r4 was adjacent to r2 only, so it loses its edge to the supernode.
-        assert merged.degree(4) == 0
-        assert merged.has_edge(1, 3)
-
-    def test_edge_loss_matches_shareability_loss_spirit(self, example3_graph):
-        """Groups with a smaller Definition-6 loss destroy fewer edges."""
-
-        def edges_destroyed(group):
-            merged = substitute_supernode(example3_graph, group)
-            return example3_graph.num_edges - merged.num_edges
-
-        assert edges_destroyed([1, 3]) < edges_destroyed([1, 2])
-
-    def test_original_graph_untouched(self, example3_graph):
-        substitute_supernode(example3_graph, [1, 3])
-        assert example3_graph.num_nodes == 4
-        assert example3_graph.num_edges == 4
-
-    def test_custom_supernode_request(self, example3_graph):
-        merged = substitute_supernode(
-            example3_graph, [1, 3], supernode_request=_request(77)
-        )
-        assert 77 in merged
-        assert 1 not in merged and 3 not in merged
-
-    def test_empty_group_rejected(self, example3_graph):
-        with pytest.raises(ReproError):
-            substitute_supernode(example3_graph, [])
 
 
 class TestSharingRatio:

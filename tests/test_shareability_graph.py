@@ -93,12 +93,6 @@ class TestQueries:
     def test_degree_sum_equals_twice_edges(self, paper_graph: ShareabilityGraph):
         assert sum(paper_graph.degrees().values()) == 2 * paper_graph.num_edges
 
-    def test_copy_is_independent(self, paper_graph: ShareabilityGraph):
-        clone = paper_graph.copy()
-        clone.remove_request(2)
-        assert paper_graph.num_nodes == 4
-        assert clone.num_nodes == 3
-
     def test_networkx_export(self, paper_graph: ShareabilityGraph):
         graph = paper_graph.to_networkx()
         assert isinstance(graph, nx.Graph)
