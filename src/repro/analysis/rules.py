@@ -16,7 +16,6 @@ a written reason, never by weakening a rule.
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -394,80 +393,6 @@ def _name_is_set(bindings: _SetBindings, name: str, line: int) -> bool:
     return entries[0][1]
 
 
-_COSTY = re.compile(
-    r"(?:^|_)(cost|costs|weight|weights|dist|distance|distances|loss|fare|"
-    r"price|penalty|detour|eta)(?:$|_)",
-    re.IGNORECASE,
-)
-_INF_NAMES = re.compile(r"(?:^|_)INF(?:$|_)|infinity", re.IGNORECASE)
-
-
-class INV002FloatCostEquality(Rule):
-    """No ``==`` / ``!=`` on float cost or weight expressions.
-
-    Costs are sums of float edge weights; two mathematically equal routes
-    can differ in the last ulp depending on summation order, backend and
-    repair history -- exact comparison makes acceptance decisions
-    backend-dependent.  Use ``repro.numeric.costs_equal`` /
-    ``costs_differ`` (relative+absolute tolerance) or ``math.isclose``.
-    Comparisons against infinity are exempt (IEEE infinity is exact and is
-    the idiomatic unreachable sentinel).
-    """
-
-    code = "INV002"
-
-    def applies_to(self, path: str) -> bool:
-        return _under(path, "src/repro/")
-
-    def _costy(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Name):
-            return bool(_COSTY.search(node.id)) and not _INF_NAMES.search(node.id)
-        if isinstance(node, ast.Attribute):
-            return bool(_COSTY.search(node.attr)) and not _INF_NAMES.search(node.attr)
-        if isinstance(node, ast.Subscript):
-            return self._costy(node.value)
-        if isinstance(node, ast.Call):
-            return self._costy(node.func)
-        if isinstance(node, ast.BinOp):
-            return self._costy(node.left) or self._costy(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return self._costy(node.operand)
-        return False
-
-    def _infinite(self, node: ast.expr) -> bool:
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-            if node.func.id == "float" and node.args:
-                arg = node.args[0]
-                if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                    return "inf" in arg.value.lower()
-        if isinstance(node, ast.Attribute):
-            return node.attr == "inf" or bool(_INF_NAMES.search(node.attr))
-        if isinstance(node, ast.Name):
-            return bool(_INF_NAMES.search(node.id))
-        if isinstance(node, ast.UnaryOp):
-            return self._infinite(node.operand)
-        return False
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            for op, left, right in zip(node.ops, operands, operands[1:]):
-                if not isinstance(op, (ast.Eq, ast.NotEq)):
-                    continue
-                if not (self._costy(left) or self._costy(right)):
-                    continue
-                if self._infinite(left) or self._infinite(right):
-                    continue
-                symbol = "==" if isinstance(op, ast.Eq) else "!="
-                yield self.violation(
-                    ctx, node,
-                    f"exact float `{symbol}` on a cost/weight expression; use "
-                    "repro.numeric.costs_equal/costs_differ (or math.isclose)",
-                )
-
-
 class STY001BroadExcept(Rule):
     """No bare ``except:`` / broad ``except Exception`` without re-raise.
 
@@ -539,7 +464,6 @@ RULES: tuple[type[Rule], ...] = (
     DET001WallClock,
     DET002ModuleRandom,
     DET003SetIteration,
-    INV002FloatCostEquality,
     STY001BroadExcept,
     WVR001WaiverReason,
 )

@@ -22,6 +22,7 @@ from typing import Any, ClassVar
 
 from .exceptions import ConfigurationError
 from .network.routing import BACKEND_NAMES
+from .numeric import to_grid
 
 #: Default maximum waiting time for a pick-up, in seconds (5 minutes).
 DEFAULT_MAX_WAIT = 300.0
@@ -67,7 +68,8 @@ class SimulationConfig:
     gamma: float = 1.5
     #: Penalty coefficient pr for unserved requests in the unified cost.
     penalty_coefficient: float = 10.0
-    #: Batch period Delta in seconds.
+    #: Batch period Delta in seconds, rounded up to the time grid
+    #: (:mod:`repro.numeric`) so every batch boundary is on it.
     batch_period: float = 3.0
     #: Vehicle capacity c (seats).  Per-vehicle overrides are possible.
     capacity: int = 3
@@ -98,6 +100,7 @@ class SimulationConfig:
             raise ConfigurationError("penalty_coefficient must be non-negative")
         if self.batch_period <= 0:
             raise ConfigurationError("batch_period must be positive")
+        object.__setattr__(self, "batch_period", to_grid(self.batch_period, up=True))
         if self.capacity < 1:
             raise ConfigurationError("capacity must be at least 1")
         if self.max_wait < 0:

@@ -290,7 +290,7 @@ def candidate_vehicles(
     rank_of = context.fleet_rank
     ranked = sorted((d, rank_of[vid]) for d, vid in index.k_nearest(x, y, max_candidates))
     cut = [fleet[rank] for _, rank in ranked[:max_candidates]]
-    speed, due = context.oracle.top_speed(), request.latest_pickup + 1e-9
+    speed, due = context.oracle.top_speed(), request.latest_pickup
     kept = (v for (d, _), v in zip(ranked, cut) if v.departure_time(now) + d / speed <= due)
     return Candidates(kept, max(radius, ranked[-1][0]))
 
@@ -396,12 +396,12 @@ def cheapest_insertion(
     candidate winning a tie; ``None`` when no vehicle can.
 
     The offer is :func:`feasible_insertions`' (refusal, candidates and the
-    prefetch, which keeps warming the legs of idle candidates this skips:
-    ``dijkstra`` may answer a prefetched pair a last ulp apart from a point
-    query), but once a feasible insertion is known an idle candidate is not
-    asked if its straight-line bound ``lower_bound(location, source) +
-    cost(source, destination)``, which the kernel's price for it is at
-    least, is above the best: it could neither win nor tie.
+    prefetch, which still warms the legs of idle candidates this skips: on
+    the time grid a prefetched pair is the same float as a point query), but
+    once a feasible insertion is known an idle candidate is not asked if its
+    straight-line bound ``lower_bound(location, source) + cost(source,
+    destination)``, which the kernel's price for it is at least, is above
+    the best: it could neither win nor tie.
     """
     vehicles = _offer(request, context, routes, max_candidates)
     oracle, source = context.oracle, request.source

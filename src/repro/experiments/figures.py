@@ -373,11 +373,11 @@ def insertion_order_study(
             release_outcome = insert_sequence(route, by_release, oracle)
             shareability_outcome = insert_sequence(route, by_shareability, oracle)
             samples += 1
-            if release_outcome.feasible and release_outcome.total_cost <= optimal + 1e-6:
+            if release_outcome.feasible and release_outcome.total_cost <= optimal:
                 release_hits += 1
             if (
                 shareability_outcome.feasible
-                and shareability_outcome.total_cost <= optimal + 1e-6
+                and shareability_outcome.total_cost <= optimal
             ):
                 shareability_hits += 1
         if samples == 0:

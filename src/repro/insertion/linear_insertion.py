@@ -66,10 +66,10 @@ def best_insertion(
     position; the walk ends at the first stop
     the detour makes late or overfull, since every later drop-off position
     drives through it too.  A drop-off position is settled by comparing the
-    arrival at the stop behind it with that stop's slack; only an arrival
-    within the profile's margin of the slack walks the tail exactly.  All
-    clocks and cost sums run in ``Schedule.evaluate``'s order, so the
-    outcome equals evaluating every extended schedule from scratch.
+    arrival at the stop behind it with that stop's slack
+    (:attr:`RouteProfile.latest`).  Every time is on the time grid, so each
+    comparison is exact and the outcome equals evaluating every extended
+    schedule from scratch.
 
     The outcome is kept on the snapshot (:meth:`RouteState.outcomes`): a
     request offered again to an unchanged plan is answered from there.
@@ -78,8 +78,7 @@ def best_insertion(
     cost = oracle.cost
     source, destination = request.source, request.destination
     riders, release = request.riders, request.release_time
-    pickup_due = request.latest_pickup + 1e-9
-    dropoff_due = request.deadline + 1e-9
+    pickup_due, dropoff_due = request.latest_pickup, request.deadline
     capacity = route.capacity
     n = len(schedule)
     if n == 0:
@@ -102,7 +101,7 @@ def best_insertion(
         return outcome
     (
         legs, releases, due, node_at, clock_at, load_at, travel_at,
-        open_until, safe_by, late_after, request_ids,
+        open_until, latest, request_ids,
     ) = route.profile(oracle)
     if request.request_id in request_ids:
         return route.refusal(oracle)
@@ -134,10 +133,7 @@ def best_insertion(
                 if d < n:
                     leg = cost(destination, node_at[d + 1])
                     arrival += leg
-                    if arrival > late_after[d] or (
-                        arrival > safe_by[d]
-                        and not _tail_on_time(arrival, d, releases, due, legs)
-                    ):
+                    if arrival > latest[d]:
                         total = inf
                     else:
                         total += leg
@@ -145,7 +141,7 @@ def best_insertion(
                             total += legs[k]
                 # An unreachable leg anywhere makes ``total`` infinite (or the
                 # difference NaN), which never beats ``best_delta``.
-                if total - base_cost < best_delta - 1e-12:
+                if total - base_cost < best_delta:
                     best_delta, best_total = total - base_cost, total
                     best_pickup, best_dropoff = i, d + 1
             if d == n:
@@ -173,22 +169,6 @@ def best_insertion(
         )
     outcomes[request] = outcome
     return outcome
-
-
-def _tail_on_time(
-    clock: float, k: int, releases: list[float], due: list[float], legs: list[float]
-) -> bool:
-    """Exact walk of stops ``k ..`` from an arrival at ``k`` at ``clock``."""
-    last = len(due) - 1
-    while True:
-        if clock < releases[k]:
-            clock = releases[k]
-        if clock > due[k]:
-            return False
-        if k == last:
-            return True
-        k += 1
-        clock += legs[k]
 
 
 def insert_sequence(

@@ -67,16 +67,16 @@ def best_pair_schedule(
     if (
         first.riders + second.riders > seats
         or first.request_id == second.request_id
-        or start > first.latest_pickup + 1e-9
+        or start > first.latest_pickup
     ):
         return None, math.inf
     cost, bound = oracle.cost, oracle.lower_bound
-    # (node, earliest service, deadline plus tolerance) of s_a, e_a, s_b, e_b.
+    # (node, earliest service, deadline) of s_a, e_a, s_b, e_b.
     stops = (
         (first.source, start, math.inf),
-        (first.destination, -math.inf, first.deadline + 1e-9),
-        (second.source, second.release_time, second.latest_pickup + 1e-9),
-        (second.destination, -math.inf, second.deadline + 1e-9),
+        (first.destination, -math.inf, first.deadline),
+        (second.source, second.release_time, second.latest_pickup),
+        (second.destination, -math.inf, second.deadline),
     )
     best_order = None
     best_cost = math.inf

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 from ..exceptions import ConfigurationError
+from ..numeric import to_grid
 
 
 @dataclass(frozen=True, order=True)
@@ -32,6 +33,11 @@ class Request:
     max_wait:
         Maximum time the rider will wait for pick-up after the release time
         (the paper uses 5 minutes).
+
+    The four times are put on the time grid (:mod:`repro.numeric`) at
+    construction: ``release_time`` and ``direct_cost`` rounded up,
+    ``deadline`` and ``max_wait`` down, so a plan that is on time on the
+    grid is on time for the request as submitted.
     """
 
     # ``order=True`` sorts by release time first, which is the natural
@@ -68,6 +74,11 @@ class Request:
             raise ConfigurationError(
                 f"request {self.request_id} has a negative maximum waiting time"
             )
+        for name, up in (
+            ("release_time", True), ("deadline", False),
+            ("direct_cost", True), ("max_wait", False),
+        ):
+            object.__setattr__(self, name, to_grid(getattr(self, name), up=up))
         object.__setattr__(
             self,
             "latest_pickup",

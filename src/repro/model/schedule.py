@@ -218,7 +218,7 @@ class Schedule:
             clock += leg
             # A pick-up cannot happen before the request is released.
             clock = max(clock, wp.earliest_service)
-            if clock > wp.deadline + 1e-9:
+            if clock > wp.deadline:
                 return ScheduleEvaluation(
                     False, math.inf, tuple(arrivals),
                     f"deadline violated at way-point {index}",

@@ -14,9 +14,6 @@ from .schedule import Schedule, WaypointKind
 if TYPE_CHECKING:
     from ..insertion.linear_insertion import InsertionOutcome
 
-#: Slack comparisons closer than this to a deadline are re-simulated exactly.
-_SLACK_MARGIN = 1e-6
-
 #: ``Vehicle.estimated_memory_bytes`` of a vehicle without a plan.
 IDLE_VEHICLE_BYTES = 200
 
@@ -27,16 +24,16 @@ class RouteProfile(NamedTuple):
     Way-point ``k`` of an ``n``-stop route is described by the per-stop
     arrays; the ``*_at`` arrays have ``n + 1`` entries and describe the
     vehicle just *before* position ``k`` (entry 0 is the route's origin).
-    Clocks and travel sums are accumulated in exactly the order
-    :meth:`Schedule.evaluate` uses, so a walk resumed from them is
-    bit-identical to one started at the origin.
+    Every time is on the time grid (:mod:`repro.numeric`), so clocks, travel
+    sums and slacks are exact: a walk resumed from them is bit-identical to
+    one started at the origin.
     """
 
     #: Leg into stop ``k`` from its predecessor (the origin for ``k == 0``).
     legs: list[float]
     #: Earliest service time of stop ``k`` (a pick-up's release time).
     releases: list[float]
-    #: Deadline of stop ``k`` plus the evaluation tolerance of 1e-9.
+    #: Deadline of stop ``k``.
     due: list[float]
     #: Node, departure clock, onboard load and travelled cost before
     #: position ``k``.
@@ -48,12 +45,10 @@ class RouteProfile(NamedTuple):
     #: capacity; no position beyond ``open_until`` can take a new stop
     #: (-1: the stops violate the order constraint, so no position can).
     open_until: int
-    #: Arriving at stop ``k`` no later than ``safe_by[k]`` keeps stops
-    #: ``k ..`` feasible (Definition 3's slack, less the margin); arriving
-    #: after ``late_after[k]`` breaks one of them.  Between the two, only
-    #: an exact walk of the tail decides.
-    safe_by: list[float]
-    late_after: list[float]
+    #: Arriving at stop ``k`` no later than ``latest[k]`` keeps stops
+    #: ``k ..`` feasible, arriving later breaks one of them (Definition 3's
+    #: slack; ``-inf`` when no arrival does).
+    latest: list[float]
     #: Requests with a stop on the route.
     request_ids: frozenset[int]
 
@@ -78,7 +73,6 @@ def _price_route(route: "RouteState", oracle: DistanceOracle) -> RouteProfile:
     travel_at = [0.0]
     here, clock, load, travel = route.origin, route.departure_time, route.onboard, 0.0
     open_until = n if route.schedule.satisfies_order() else -1
-    horizon = abs(clock)
     for index, waypoint in enumerate(waypoints):
         request = waypoint.request
         if waypoint.kind is WaypointKind.PICKUP:
@@ -92,45 +86,34 @@ def _price_route(route: "RouteState", oracle: DistanceOracle) -> RouteProfile:
         clock += leg
         if clock < release:
             clock = release
-        late = deadline + 1e-9
         if open_until > index and (
-            leg == math.inf or clock > late or not 0 <= load <= capacity
+            leg == math.inf or clock > deadline or not 0 <= load <= capacity
         ):
             open_until = index
         legs.append(leg)
         releases.append(release)
-        due.append(late)
+        due.append(deadline)
         node_at.append(node)
         clock_at.append(clock)
         load_at.append(load)
         travel_at.append(travel)
         here = node
-        if horizon < deadline < math.inf:
-            horizon = deadline
 
-    # Backwards: ``latest`` is the latest arrival at stop k that keeps every
-    # deadline from k on (ignoring releases), ``gap`` the smallest distance
-    # of a release in that tail from its own latest arrival.  Rounding in
-    # this pass differs from the forward walk's, hence the margin.
-    margin = max(_SLACK_MARGIN, 1e-12 * horizon)
-    safe_by = [0.0] * n
-    late_after = [0.0] * n
-    latest = gap = math.inf
+    # Backwards: stop k is served at ``max(arrival, releases[k])``, which
+    # must be at most its deadline and leave the next stop on time; an
+    # arrival at most ``latest[k]`` does exactly that.
+    latest_at = [0.0] * n
+    latest = math.inf
     for k in range(n - 1, -1, -1):
         if due[k] < latest:
             latest = due[k]
-        if latest == -math.inf or not 0 <= load_at[k + 1] <= capacity:
-            gap = -math.inf
-        elif latest - releases[k] < gap:
-            gap = latest - releases[k]
-        if gap < -margin:
+        if latest < releases[k] or not 0 <= load_at[k + 1] <= capacity:
             latest = -math.inf
-        safe_by[k] = latest - margin if gap > margin else -math.inf
-        late_after[k] = latest + margin
+        latest_at[k] = latest
         latest = -math.inf if legs[k] == math.inf else latest - legs[k]
     return RouteProfile(
         legs, releases, due, node_at, clock_at, load_at, travel_at,
-        open_until, safe_by, late_after,
+        open_until, latest_at,
         frozenset(wp.request.request_id for wp in waypoints),
     )
 

@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from ..exceptions import NetworkError
+from ..numeric import to_grid
 
 
 class RoadNetwork:
@@ -56,8 +57,10 @@ class RoadNetwork:
     ) -> None:
         """Add a directed edge ``u -> v`` with a finite, non-negative travel time.
 
-        With ``bidirectional=True`` the reverse edge ``v -> u`` is added with
-        the same cost.
+        The weight is rounded up to the time grid (:mod:`repro.numeric`), so
+        every path cost is exact and no bound drawn from the geometry rises
+        above it.  With ``bidirectional=True`` the reverse edge ``v -> u`` is
+        added with the same cost.
         """
         if u not in self._positions or v not in self._positions:
             raise NetworkError(f"both endpoints must exist before adding edge ({u}, {v})")
@@ -67,8 +70,9 @@ class RoadNetwork:
             raise NetworkError(f"self-loop edges are not allowed (node {u})")
         if v not in self._adjacency[u]:
             self._num_edges += 1
-        self._adjacency[u][v] = float(cost)
-        self._reverse[v][u] = float(cost)
+        cost = to_grid(float(cost), up=True)
+        self._adjacency[u][v] = cost
+        self._reverse[v][u] = cost
         self._mutations += 1
         if bidirectional:
             self.add_edge(v, u, cost, bidirectional=False)

@@ -17,8 +17,9 @@ whose refresh and query seams consult the injector:
 * A *successful* refresh may leave the oracle silently corrupted: query
   results are scaled by ``corruption_factor`` (emulating a snapshot whose
   weights were perturbed) until :meth:`ChaosOracle.heal` clears it.  The
-  scaling is applied at the query layer on every finite nonzero cost, so any
-  invariant probe pair detects it.
+  scaling is applied at the query layer on every finite nonzero cost and
+  rounded up to the time grid (:mod:`repro.numeric`) like a weight, so any
+  invariant probe pair of more than a few grid steps detects it.
 * ``top_speed`` is divided by the factor, so it still bounds the costs.
 * ``cost`` draws latency spikes, accumulated as *virtual*
   seconds the simulator charges against its per-batch time budget.
@@ -34,6 +35,7 @@ from ..config import ChaosConfig
 from ..exceptions import InjectedFaultError
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle, RepairReport
+from ..numeric import to_grid
 
 
 class FaultInjector:
@@ -163,7 +165,7 @@ class ChaosOracle(DistanceOracle):
         value = super().cost(source, target)
         scale = self._corruption
         if scale is not None and value > 0.0 and math.isfinite(value):
-            return value * scale
+            return to_grid(value * scale, up=True)
         return value
 
 

@@ -3,8 +3,9 @@
 :func:`exact_cost_failures` is the one check behind every exactness gate:
 it costs node pairs through the serving oracle and through a cache-less
 Dijkstra oracle compiled from the *current* network (always exact, whatever
-state the preprocessed structures are in) and reports the pairs that are
-not :func:`~repro.numeric.costs_close`.  Two callers share it: the
+state the preprocessed structures are in) and reports the pairs whose costs
+differ.  Every cost is a sum of grid weights (:mod:`repro.numeric`), so the
+backends agree to the bit and the test is ``!=``.  Two callers share it: the
 resilience manager's invariant probe (seeded random pairs before every
 dispatch and after the run's last refresh) and the scenario harness's
 parity probe (random pairs after every event burst).
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 from ..network.road_network import RoadNetwork
 from ..network.shortest_path import DistanceOracle
-from ..numeric import costs_close
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def exact_cost_failures(
     on_exact: Callable[[int, int, float], None] | None = None,
 ) -> Iterator[ProbeFailure]:
     """Yield every ``(source, target)`` of ``pairs`` whose ``oracle.cost``
-    is not close to a fresh cache-less Dijkstra over ``network``.
+    differs from a fresh cache-less Dijkstra over ``network``.
 
     Lazy and in order: each pair costs one ``oracle.cost`` call, made when
     the caller asks for the next failure, so a caller that stops at the first
@@ -56,7 +56,7 @@ def exact_cost_failures(
     for source, target in pairs:
         want = reference.cost(source, target)
         got = oracle.cost(source, target)
-        if not costs_close(got, want):
+        if got != want:
             yield ProbeFailure(source, target, got, want)
         elif on_exact is not None:
             on_exact(source, target, got)

@@ -171,11 +171,9 @@ class DynamicShareabilityGraphBuilder:
 
     def _deadline_window_overlaps(self, first: Request, second: Request) -> bool:
         """Cheap temporal filter: pick-up windows of the two requests overlap."""
-        first_window = (first.release_time, first.latest_pickup)
-        second_window = (second.release_time, second.latest_pickup)
         return (
-            first_window[0] <= second_window[1] + 1e-9
-            and second_window[0] <= first_window[1] + 1e-9
+            first.release_time <= second.latest_pickup
+            and second.release_time <= first.latest_pickup
         )
 
     def _test_pair(self, anchor: Request, candidate: Request) -> bool:

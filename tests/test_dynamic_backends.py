@@ -64,7 +64,7 @@ def _assert_parity(oracle, network, pairs):
         if math.isinf(want):
             assert math.isinf(got), (u, v)
         else:
-            assert got == pytest.approx(want, abs=1e-6), (u, v)
+            assert got == want, (u, v)
 
 
 def _mutation_bursts(network, rng):
@@ -208,7 +208,7 @@ class TestSwapOrBuildRepair:
                 if math.isinf(want):
                     assert math.isinf(got), (u, v)
                 else:
-                    assert got == pytest.approx(want, abs=1e-9), (u, v)
+                    assert got == want, (u, v)
             for u, v in pairs[:20]:
                 try:
                     path = oracle.path(u, v)
@@ -629,7 +629,7 @@ def _assert_serves_its_build_exactly(oracle, network, first_content) -> None:
         distances, _ = csr.sssp(source)
         for target, want in enumerate(distances):
             got, _ = store.query(source, target)
-            assert got == pytest.approx(want, abs=1e-9), (source, target)
+            assert got == want, (source, target)
 
 
 class TestWitnessFreeRefresh:

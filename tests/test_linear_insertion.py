@@ -7,7 +7,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.insertion import linear_insertion
 from repro.insertion.linear_insertion import (
     InsertionOutcome,
     base_route_cost,
@@ -20,6 +19,7 @@ from repro.model.vehicle import RouteState
 from repro.network.generators import grid_city
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import TIME_GRID
 
 from test_properties import KineticTreeScheduler
 
@@ -216,45 +216,38 @@ class TestKernelWork:
         assert slow_outcome != fast_outcome
         assert best_insertion(route, newcomer, oracle) == fast_outcome
 
-    @pytest.mark.parametrize("nudge, feasible", [(5e-7, True), (-5e-7, False)])
-    def test_arrival_within_the_margin_is_settled_exactly(
-        self, make_line_request, line_oracle, monkeypatch, nudge, feasible
+    @pytest.mark.parametrize("shift, feasible", [(0.0, True), (-TIME_GRID, False)])
+    def test_arrival_at_the_slack_is_on_time_and_one_grid_step_later_is_late(
+        self, make_line_request, line_oracle, shift, feasible
     ):
-        """An onboard rider reaches node 4 at t=40; a deadline half a
-        microsecond either side of that is inside the slack margin, where
-        only the exact walk of the tail decides."""
-        exact_walks = []
-        monkeypatch.setattr(
-            linear_insertion, "_tail_on_time",
-            lambda *args, walk=linear_insertion._tail_on_time: (
-                exact_walks.append(args[:2]) or walk(*args)
-            ),
-        )
-        rider = replace(make_line_request(1, 0, 4, max_wait=1000.0), deadline=40.0 + nudge)
+        """An onboard rider reaches node 4 at t=40 after a detour via 1 and
+        3: a deadline of exactly 40 takes the newcomer, one grid step less
+        refuses it."""
+        rider = replace(make_line_request(1, 0, 4, max_wait=1000.0), deadline=40.0 + shift)
         dropoff_only = Schedule(Schedule.direct(rider).waypoints[1:])
         newcomer = make_line_request(2, 1, 3, gamma=5.0, max_wait=1000.0)
         route = _route(0, schedule=dropoff_only, onboard=1)
+        assert route.profile(line_oracle).latest == [rider.deadline]
         outcome = best_insertion(route, newcomer, line_oracle)
-        assert exact_walks == [(40.0, 0)]
         assert outcome.feasible is feasible
         if feasible:
             assert outcome.schedule.nodes() == [1, 3, 4]
             assert outcome.delta_cost == 0.0
 
 
-    @pytest.mark.parametrize("nudge, feasible", [(5e-7, True), (-5e-7, False)])
-    def test_release_within_the_margin_of_the_slack_is_settled_exactly(
-        self, make_line_request, line_oracle, nudge, feasible
+    @pytest.mark.parametrize("shift, feasible", [(0.0, True), (-TIME_GRID, False)])
+    def test_release_exactly_at_its_slack_is_on_time(
+        self, make_line_request, line_oracle, shift, feasible
     ):
         """Waiting at node 1 until t=20 brings the onboard rider to node 4 at
-        t=50, half a microsecond from the deadline: no arrival, however
-        early, may skip the exact walk."""
-        rider = replace(make_line_request(1, 0, 4), deadline=50.0 + nudge)
+        t=50: with a deadline of exactly 50 the pick-up's slack is its
+        release, one grid step less and no arrival at it is on time."""
+        rider = replace(make_line_request(1, 0, 4), deadline=50.0 + shift)
         waiting = make_line_request(2, 1, 2, release_time=20.0, gamma=9.0, max_wait=1000.0)
         schedule = Schedule((*Schedule.direct(waiting).waypoints,
                              Schedule.direct(rider).waypoints[1]))
         route = _route(0, schedule=schedule, onboard=1)
-        assert route.profile(line_oracle).safe_by[0] == -math.inf
+        assert route.profile(line_oracle).latest[0] == (20.0 if feasible else -math.inf)
         newcomer = make_line_request(3, 0, 1, gamma=9.0, max_wait=1000.0)
         assert best_insertion(route, newcomer, line_oracle).feasible is feasible
 
@@ -285,8 +278,7 @@ class TestKernelWork:
         route = _route(0, schedule=schedule, onboard=1)
         profile = route.profile(line_oracle)
         assert profile.open_until == 2
-        assert profile.late_after[0] == -math.inf
-        assert profile.late_after[1:] == pytest.approx([80.0, 100.0], abs=1e-5)
+        assert profile.latest == [-math.inf, 80.0, 100.0]
         newcomer = make_line_request(3, 0, 1, gamma=9.0, max_wait=1000.0)
         assert not best_insertion(route, newcomer, line_oracle).feasible
 

@@ -92,9 +92,9 @@ def _assert_exact_path(network: RoadNetwork, oracle: DistanceOracle,
     for a, b in zip(path, path[1:]):
         assert network.has_edge(a, b), (oracle.backend_name, u, v, a, b)
         total += network.edge_cost(a, b)
-    assert total == pytest.approx(expected, abs=1e-9), (oracle.backend_name, u, v)
+    assert total == expected, (oracle.backend_name, u, v)
     # The facade must agree with itself, not just with the reference.
-    assert oracle.cost(u, v) == pytest.approx(total, abs=1e-9)
+    assert oracle.cost(u, v) == total
 
 
 class TestPathParity:
@@ -179,9 +179,7 @@ class TestNativePreprocessedPaths:
         cost = oracle.cost(0, 35)
         assert oracle.stats.searches == searches  # answered from the cache
         assert oracle.stats.cache_hits >= 1
-        assert cost == pytest.approx(
-            sum(grid_network.edge_cost(a, b) for a, b in zip(path, path[1:]))
-        )
+        assert cost == sum(grid_network.edge_cost(a, b) for a, b in zip(path, path[1:]))
 
 
 class TestCSRSettledGuard:
@@ -276,8 +274,7 @@ class TestChDistancesAreLabelJoins:
         got = _fresh(network, "ch", pairs)
         assert got == _fresh(network, "hub_label", pairs)  # inf and s == t too
         reference = _fresh(network, "dijkstra", pairs)
-        for pair in pairs:  # approx(inf) matches inf only
-            assert got[pair] == pytest.approx(reference[pair], abs=1e-9), pair
+        assert got == reference  # every weight is on the time grid
         assert all(got[(u, v)] == 0.0 for u, v in pairs if u == v)
         if family == "unreachable":
             assert any(math.isinf(d) for d in got.values())
@@ -417,7 +414,7 @@ class TestChDistancesAreLabelJoins:
         after = _table(oracle, nodes)
         assert after != before
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
-            assert after[pair] == pytest.approx(want, abs=1e-9), pair
+            assert after[pair] == want, pair
 
     @pytest.mark.parametrize("refresh", ("rebuild", "repair", "fallback"))
     def test_a_refreshed_oracle_answers_from_the_new_store(self, family, refresh):
@@ -443,7 +440,22 @@ class TestChDistancesAreLabelJoins:
         after = _table(oracle, nodes)
         assert after != before
         for pair, want in _fresh(network, "dijkstra", _all_pairs(network)).items():
-            assert after[pair] == pytest.approx(want, abs=1e-9), pair
+            assert after[pair] == want, pair
+
+
+@pytest.mark.parametrize("city, scale", [("nyc", 1.0), ("chd", 1.2), ("nyc", 0.7)])
+def test_the_ledger_cities_cost_the_identical_float_on_every_backend(city, scale):
+    """The cities of the performance ledger: every weight is on the time
+    grid, so a label join and a Dijkstra add the same floats exactly."""
+    network = make_city(city, scale=scale)
+    nodes = sorted(network.nodes())
+    rng = random.Random(7)
+    pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(1000)]
+    costs = {}
+    for backend in ("dijkstra", "ch", "hub_label"):
+        oracle = DistanceOracle(network, backend=backend)
+        costs[backend] = [oracle.cost(u, v) for u, v in pairs]
+    assert costs["ch"] == costs["hub_label"] == costs["dijkstra"]
 
 
 def _all_joins(forward, backward) -> np.ndarray:

@@ -20,6 +20,7 @@ from repro.model.vehicle import RouteState, Vehicle
 from repro.network.generators import grid_city
 from repro.network.grid_index import GridIndex
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import to_grid
 from repro.resilience.faults import ChaosOracle, FaultInjector
 from repro.shareability.cliques import clique_partition_upper_bound, greedy_clique_partition
 from repro.shareability.graph import ShareabilityGraph
@@ -58,7 +59,7 @@ class TestShortestPathProperties:
     def test_triangle_inequality(self, source, middle, target):
         direct = _ORACLE.cost(source, target)
         detour = _ORACLE.cost(source, middle) + _ORACLE.cost(middle, target)
-        assert direct <= detour + 1e-9
+        assert direct <= detour
 
     @given(source=node_ids, target=node_ids)
     @settings(max_examples=40, deadline=None)
@@ -87,8 +88,8 @@ class TestScheduleProperties:
         )
         if evaluation.feasible:
             arrivals = evaluation.arrival_times
-            assert all(a <= b + 1e-9 for a, b in zip(arrivals, arrivals[1:]))
-            assert arrivals[-1] <= request.deadline + 1e-6
+            assert all(a <= b for a, b in zip(arrivals, arrivals[1:]))
+            assert arrivals[-1] <= request.deadline
 
     @given(first=request_strategy, second=request_strategy)
     @settings(max_examples=40, deadline=None,
@@ -110,7 +111,7 @@ class TestScheduleProperties:
             _ORACLE, route.origin, route.departure_time, capacity=4
         )
         assert evaluation.feasible
-        assert outcome.delta_cost >= -1e-9
+        assert outcome.delta_cost >= 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -122,7 +123,7 @@ def _reference_best_insertion(route, request, oracle) -> InsertionOutcome:
     schedule = route.schedule
     n = len(schedule)
     direct_pickup = route.departure_time + oracle.cost(route.origin, request.source)
-    if n == 0 and direct_pickup > request.latest_pickup + 1e-9:
+    if n == 0 and direct_pickup > request.latest_pickup:
         return InsertionOutcome.infeasible(schedule)
     base_cost = schedule.travel_cost(oracle, route.origin)
     best = InsertionOutcome.infeasible(schedule)
@@ -136,7 +137,7 @@ def _reference_best_insertion(route, request, oracle) -> InsertionOutcome:
             if not evaluation.feasible:
                 continue
             delta = evaluation.travel_cost - base_cost
-            if delta < best.delta_cost - 1e-12:
+            if delta < best.delta_cost:
                 best = InsertionOutcome(
                     feasible=True, delta_cost=delta, schedule=candidate,
                     pickup_position=pickup_pos, dropoff_position=dropoff_pos,
@@ -207,7 +208,7 @@ class KineticTreeScheduler:
                 if math.isinf(leg):
                     continue
                 arrival = max(clock + leg, wp.earliest_service)
-                if arrival > wp.deadline + 1e-9:
+                if arrival > wp.deadline:
                     continue
                 new_load = load + wp.load_delta
                 if new_load > route.capacity or new_load < 0:
@@ -226,7 +227,7 @@ class KineticTreeScheduler:
             clock = max(clock + leg, wp.earliest_service)
             load += wp.load_delta
             if (
-                math.isinf(leg) or clock > wp.deadline + 1e-9
+                math.isinf(leg) or clock > wp.deadline
                 or load > route.capacity or load < 0
             ):
                 return None
@@ -264,8 +265,8 @@ def _reference_best_pair_schedule(first, second, oracle, *, capacity=None):
 
 
 class _TableOracle:
-    """Twelve nodes with arbitrary pairwise costs: no ties, no triangle
-    inequality, and a share of unreachable ordered pairs."""
+    """Twelve nodes with arbitrary pairwise costs on the time grid: no ties,
+    no triangle inequality, and a share of unreachable ordered pairs."""
 
     nodes = tuple(range(12))
     #: The table never changes, so neither does what was derived from it.
@@ -274,7 +275,7 @@ class _TableOracle:
     def __init__(self, seed: int) -> None:
         rng = random.Random(seed)
         self._cost = {
-            (u, v): math.inf if rng.random() < 0.05 else rng.uniform(3.0, 40.0)
+            (u, v): math.inf if rng.random() < 0.05 else to_grid(rng.uniform(3.0, 40.0), up=True)
             for u in self.nodes for v in self.nodes if u != v
         }
 
@@ -287,8 +288,8 @@ class _TableOracle:
 
 
 _TABLES = [_TableOracle(seed) for seed in range(2)]
-# Jittered legs: routes through the same streets in a different order cost the
-# same up to the last bit, which is what the 1e-12 tie-break is about.
+# Jittered legs: routes through the same streets in a different order cost
+# exactly the same, because every weight is on the time grid.
 _JITTERED = DistanceOracle(grid_city(6, 6, block_length=100.0, speed=10.0,
                                      perturbation=0.3, seed=3))
 
@@ -870,7 +871,7 @@ def _reference_candidate_vehicles(request, context, *, max_candidates=None):
                 v for v in found
                 if v.route_state(now).departure_time
                 + network.euclidean(v.location, request.source) / speed
-                <= request.latest_pickup + 1e-9
+                <= request.latest_pickup
             ]
     return found
 
@@ -999,7 +1000,8 @@ def _sped_up_oracle(backend, network):
     u, v = _EXPRESS_ROADS[0]
     network.add_edge(u, v, network.edge_cost(u, v) / 3.0, bidirectional=True)
     oracle.enable_fallback()
-    assert oracle.top_speed() == pytest.approx(3 * built)
+    # Three times the speed, less the weight's rounding up to the grid.
+    assert oracle.top_speed() == network.euclidean(u, v) / network.edge_cost(u, v) * (1 + 1e-9)
     return oracle
 
 
@@ -1109,7 +1111,7 @@ class TestTheBoundRefusesOnlyRefusals:
     def test_best_insertion(self, case):
         oracle, route, request = case
         profile = route.profile(oracle)
-        due = request.latest_pickup + 1e-9
+        due = request.latest_pickup
         opened = range(route.min_insert_position, min(len(route.schedule), profile.open_until) + 1)
         bites = len(route.schedule) > 0 and any(
             profile.clock_at[i] <= due

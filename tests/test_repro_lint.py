@@ -140,18 +140,6 @@ class TestDET003RebindRegression:
         assert lines == [4]
 
 
-class TestINV002:
-    def test_flags_exact_cost_equality(self) -> None:
-        report = lint_fixture("inv002_violating.py")
-        assert hits(report) == [("INV002", 5), ("INV002", 9)]
-
-    def test_out_of_scope_paths_are_exempt(self) -> None:
-        assert hits(lint_fixture("inv002_violating.py", TEST_SCOPE)) == []
-
-    def test_infinity_sentinel_and_helper_are_clean(self) -> None:
-        assert hits(lint_fixture("inv002_clean.py")) == []
-
-
 class TestSTY001:
     def test_flags_swallowing_handlers(self) -> None:
         report = lint_fixture("sty001_violating.py")
@@ -193,7 +181,7 @@ class TestWaivers:
 class TestCatalogAndDiscovery:
     def test_catalog_codes_are_unique_and_documented(self) -> None:
         codes = [code for code, _summary in rule_catalog()]
-        assert codes == ["DET001", "DET002", "DET003", "INV002", "STY001", "WVR001"]
+        assert codes == ["DET001", "DET002", "DET003", "STY001", "WVR001"]
         for rule in RULES:
             assert rule.__doc__, f"{rule.code} has no docstring"
 

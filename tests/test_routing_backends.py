@@ -1,7 +1,7 @@
 """Tests for the pluggable routing backends (CSR / CH / hub labels).
 
 The load-bearing property: every backend is an exact drop-in for plain
-Dijkstra -- equal costs (within 1e-6) on arbitrary directed networks
+Dijkstra -- the identical float cost on arbitrary directed networks
 including unreachable pairs, uniform logical query accounting, and identical
 dispatcher behaviour.
 """
@@ -101,7 +101,7 @@ class TestBackendEquivalence:
                     if math.isinf(expected):
                         assert math.isinf(actual), (u, v, actual)
                     else:
-                        assert actual == pytest.approx(expected, abs=1e-6)
+                        assert actual == expected
 
     def test_equivalence_on_jittered_city_with_expressways(self):
         city = grid_city(
@@ -114,7 +114,7 @@ class TestBackendEquivalence:
         for backend in ("ch", "hub_label"):
             oracle = DistanceOracle(city, cache_size=0, backend=backend)
             for u, v in pairs:
-                assert oracle.cost(u, v) == pytest.approx(plain.cost(u, v), abs=1e-6)
+                assert oracle.cost(u, v) == plain.cost(u, v)
 
     def test_prefetch_matches_point_queries(self):
         network = _random_network(24, 0.1, seed=3)
@@ -133,7 +133,7 @@ class TestBackendEquivalence:
                 if math.isinf(expected):
                     assert math.isinf(value)
                 else:
-                    assert value == pytest.approx(expected, abs=1e-6)
+                    assert value == expected
 
     def test_path_works_on_every_backend(self, grid_network):
         for backend in ALL_BACKENDS:
@@ -143,7 +143,7 @@ class TestBackendEquivalence:
             total = sum(
                 grid_network.edge_cost(u, v) for u, v in zip(path, path[1:])
             )
-            assert total == pytest.approx(oracle.cost(0, 35))
+            assert total == oracle.cost(0, 35)
 
     def test_unknown_endpoint_raises_on_every_backend(self, grid_network):
         for backend in ALL_BACKENDS:
@@ -187,7 +187,7 @@ class TestBackendEquivalence:
         assert len(seen_pairs) == 6  # requested pairs, no dense blow-up
         assert len(set(seen_pairs)) == 6
         for (s, t), value in table.items():
-            assert value == pytest.approx(reference.cost(s, t), abs=1e-9)
+            assert value == reference.cost(s, t)
 
         # Direct backend call: duplicate pairs are answered once.
         backend = make_backend("ch", routing_data(grid_network))

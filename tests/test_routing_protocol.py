@@ -80,7 +80,7 @@ def _dijkstra(network: RoadNetwork, source: int) -> dict[int, float]:
 def _assert_exact(network: RoadNetwork, learned: dict) -> None:
     for (source, target), distance in learned.items():
         want = _dijkstra(network, source).get(target, math.inf)
-        assert distance == pytest.approx(want, abs=1e-6), (source, target)
+        assert distance == want, (source, target)
 
 
 def _oracle(network: RoadNetwork, serving: str, **options) -> DistanceOracle:
@@ -119,18 +119,18 @@ class TestProtocolConformance:
         for source, target in pairs:
             want = _dijkstra(network, source).get(target, math.inf)
             distance, settled, learned = backend.one_to_one(source, target)
-            assert distance == pytest.approx(want, abs=1e-6)
+            assert distance == want
             assert learned[(source, target)] == distance and settled >= 0
             _assert_exact(network, learned)
             nodes, settled, learned = backend.path(source, target)
-            assert learned[(source, target)] == pytest.approx(want, abs=1e-6)
+            assert learned[(source, target)] == want
             _assert_exact(network, learned)
             if math.isinf(want):
                 assert nodes is None
                 continue
             assert nodes[0] == source and nodes[-1] == target
             legs = [network.edge_cost(a, b) for a, b in zip(nodes, nodes[1:])]
-            assert sum(legs) == pytest.approx(want, abs=1e-6)
+            assert sum(legs) == want
 
     @pytest.mark.parametrize("serving", SERVING)
     @settings(
@@ -156,7 +156,7 @@ class TestProtocolConformance:
                 )
             for source, target in pairs:
                 want = _dijkstra(network, source).get(target, math.inf)
-                assert oracle.cost(source, target) == pytest.approx(want, abs=1e-6)
+                assert oracle.cost(source, target) == want
                 if math.isinf(want):
                     with pytest.raises(UnreachableError):
                         oracle.path(source, target)

@@ -29,6 +29,7 @@ from repro.network.generators import grid_city
 from repro.network import shortest_path
 from repro.network.routing import ContractionHierarchy, routing_data
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import to_grid
 from repro.observability import tracing
 from repro.scenarios import (
     CancelRequests,
@@ -86,7 +87,7 @@ class TestWorldEvents:
         slowdown, recovery = traffic_wave(edges, 1.8, 10.0, 50.0)
         world = _world(city)
         slowdown.apply(world)
-        assert city.edge_cost(*edges[0]) == pytest.approx(before[edges[0]] * 1.8)
+        assert city.edge_cost(*edges[0]) == to_grid(before[edges[0]] * 1.8, up=True)
         recovery.apply(world)
         # Exact bit-for-bit restore (the recovery replays the remembered
         # costs; an inverse multiplication would leave ulp drift on the
@@ -335,7 +336,7 @@ class TestRefreshPolicies:
                 assert not oracle.is_stale
                 got = oracle.cost(u, v)
                 want = DistanceOracle(city, cache_size=0).cost(u, v)
-                assert got == pytest.approx(want, abs=1e-9)
+                assert got == want
                 key = factor
                 reference_costs.setdefault(key, got)
                 assert got == reference_costs[key]
@@ -355,9 +356,7 @@ class TestRefreshPolicies:
         policy.on_mutations(oracle)
         assert not oracle.is_stale
         assert policy.stats.repairs == 1 and policy.stats.rebuilds == 0
-        assert oracle.cost(u, v) == pytest.approx(
-            DistanceOracle(city, cache_size=0).cost(u, v), abs=1e-9
-        )
+        assert oracle.cost(u, v) == DistanceOracle(city, cache_size=0).cost(u, v)
 
 
 class TestSurgeModulation:
@@ -485,7 +484,7 @@ class TestSimulatorIntegration:
                 if math.isinf(want):
                     assert math.isinf(got)
                     continue
-                assert got == pytest.approx(want, abs=1e-6)
+                assert got == want
                 path = world.oracle.path(u, v)
                 assert all(network.has_edge(a, b) for a, b in zip(path, path[1:]))
 
@@ -666,8 +665,8 @@ class TestRebuildAdoptionEndToEnd:
         nothing rebuilds: every burst is refreshed at the same time either
         way, and riders, costs and the oracle's logical counters see no
         difference.  A rebuilt hierarchy need not be the one that was
-        swapped back (a reopened road ends its row), so its sums may round
-        differently (times agree to 1e-6 s) and ``settled_nodes`` may move."""
+        swapped back (a reopened road ends its row), so ``settled_nodes``
+        may move; its sums are of grid weights, so every time is the same."""
         held = self._observe(
             scenario, backend, "repair", shortest_path.SNAPSHOT_CAPACITY, monkeypatch
         )
@@ -682,10 +681,8 @@ class TestRebuildAdoptionEndToEnd:
             )
 
         assert split(held) == split(plain)
-        assert [e[0] for e in held["events"]] == pytest.approx(
-            [e[0] for e in plain["events"]], abs=1e-6
-        )
-        assert held["unified_cost"] == pytest.approx(plain["unified_cost"], abs=1e-6)
+        assert [e[0] for e in held["events"]] == [e[0] for e in plain["events"]]
+        assert held["unified_cost"] == plain["unified_cost"]
         moved = {name for name, value in held["stats"].items() if plain["stats"][name] != value}
         assert moved <= {"settled_nodes"}
         assert held["rebuilds"] + held["repairs"] == plain["rebuilds"] + plain["repairs"]

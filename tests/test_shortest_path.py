@@ -11,6 +11,7 @@ from repro.exceptions import NetworkError, UnreachableError
 from repro.network.generators import grid_city
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import to_grid
 
 
 @pytest.fixture()
@@ -149,7 +150,9 @@ class TestTopSpeed:
         assert oracle.top_speed() == fastest * (1 + 1e-9)
         refresh = oracle.repair if backend != "dijkstra" else oracle.rebuild
         refresh()
-        assert oracle.top_speed() == pytest.approx(3 * fastest, rel=1e-8)
+        # Three times the speed, less the weight's rounding up to the grid.
+        assert jittered_city.edge_cost(0, 24) == to_grid(euclidean(0, 24) / (3 * fastest), up=True)
+        assert oracle.top_speed() == euclidean(0, 24) / jittered_city.edge_cost(0, 24) * (1 + 1e-9)
         jittered_city.remove_edge(0, 24)
         oracle.rebuild()
         assert oracle.top_speed() == fastest * (1 + 1e-9)

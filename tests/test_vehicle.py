@@ -11,6 +11,7 @@ from repro.insertion.linear_insertion import best_insertion
 from repro.model.schedule import Schedule
 from repro.model.vehicle import Vehicle
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import TIME_GRID
 
 
 class TestRouteState:
@@ -196,7 +197,7 @@ class TestRouteProfile:
         profile = state.profile(oracle)
         # Latest arrival that keeps the rest of the route on time, minus the
         # arrival the route is driven with.
-        return [late - arrival for late, arrival in zip(profile.late_after, profile.clock_at[1:])]
+        return [late - arrival for late, arrival in zip(profile.latest, profile.clock_at[1:])]
 
     def test_slack_definition3(self, make_line_request, line_oracle):
         request = make_line_request(1, 0, 3, gamma=2.0, max_wait=1000.0)
@@ -204,8 +205,7 @@ class TestRouteProfile:
         buffers = self._buffers(vehicle.route_state(0.0), line_oracle)
         # Drop-off arrives at t=30 with deadline 60 -> slack 30; the pick-up's
         # buffer is bounded by the drop-off slack.
-        assert buffers[1] == pytest.approx(30.0)
-        assert buffers[0] == pytest.approx(30.0)
+        assert buffers == [30.0, 30.0]
 
     def test_slack_non_increasing_towards_front(self, make_line_request, line_oracle):
         a = make_line_request(1, 0, 4, gamma=1.8, max_wait=500.0)
@@ -215,11 +215,39 @@ class TestRouteProfile:
         state = vehicle.route_state(0.0)
         buffers = self._buffers(state, line_oracle)
         for earlier, later in zip(buffers, buffers[1:]):
-            assert earlier <= later + 1e-9
+            assert earlier <= later
         profile = state.profile(line_oracle)
         assert profile.open_until == len(schedule)
         assert profile.travel_cost == schedule.travel_cost(line_oracle, 0)
-        assert all(safe < late for safe, late in zip(profile.safe_by, profile.late_after))
+
+    @staticmethod
+    def _tail_on_time(profile, k, arrival):
+        """Walk stops ``k ..`` from an arrival at stop ``k``."""
+        for stop in range(k, len(profile.due)):
+            if stop > k:
+                arrival += profile.legs[stop]
+            arrival = max(arrival, profile.releases[stop])
+            if arrival > profile.due[stop]:
+                return False
+        return True
+
+    @pytest.mark.parametrize("release", [0.0, 15.0, 25.0])
+    def test_an_arrival_at_the_slack_is_on_time_and_one_grid_step_later_is_late(
+        self, make_line_request, line_oracle, release
+    ):
+        """Definition 3 on the grid: ``latest[k]`` is the last on-time arrival
+        at stop ``k``, with or without a release that binds it."""
+        a = make_line_request(1, 0, 4, gamma=1.8, max_wait=500.0)
+        b = make_line_request(2, 1, 3, release, gamma=2.0, max_wait=500.0)
+        schedule = Schedule.direct(a).with_insertion(b, 1, 2)
+        profile = Vehicle(vehicle_id=1, location=0, schedule=schedule).route_state(0.0).profile(
+            line_oracle
+        )
+        assert profile.open_until == len(schedule)
+        for k, latest in enumerate(profile.latest):
+            assert profile.clock_at[k + 1] <= latest < math.inf
+            assert self._tail_on_time(profile, k, latest)
+            assert not self._tail_on_time(profile, k, latest + TIME_GRID)
 
     def test_profile_is_cached_per_oracle(self, make_line_request, line_network, line_oracle):
         request = make_line_request(1, 0, 3)

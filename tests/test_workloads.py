@@ -10,6 +10,7 @@ from repro.config import SimulationConfig, WorkloadConfig
 from repro.exceptions import WorkloadError
 from repro.network.generators import grid_city
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import TIME_GRID
 from repro.workloads.presets import WORKLOAD_PRESETS, make_workload
 from repro.workloads.requests_gen import RequestGenerator, generate_vehicles
 
@@ -42,12 +43,12 @@ class TestRequestGenerator:
         requests = RequestGenerator(small_city, oracle, workload_config, config).generate()
         for request in requests:
             assert request.source != request.destination
-            assert request.direct_cost == pytest.approx(
-                oracle.cost(request.source, request.destination)
-            )
-            assert request.deadline == pytest.approx(
-                request.release_time + config.gamma * request.direct_cost
-            )
+            assert request.direct_cost == oracle.cost(request.source, request.destination)
+            # The deadline is ``release + gamma * direct`` of the drawn release
+            # time, rounded down; the release was rounded up, by less than a step.
+            latest = request.release_time + config.gamma * request.direct_cost
+            assert latest - 2 * TIME_GRID < request.deadline <= latest
+            assert request.deadline % TIME_GRID == request.release_time % TIME_GRID == 0
             assert request.riders >= 1
             assert request.max_wait == config.max_wait
 
