@@ -66,10 +66,6 @@ class Request:
             raise ConfigurationError(
                 f"request {self.request_id} has negative direct cost"
             )
-        if self.deadline < self.release_time:
-            raise ConfigurationError(
-                f"request {self.request_id} has a deadline before its release time"
-            )
         if self.max_wait < 0:
             raise ConfigurationError(
                 f"request {self.request_id} has a negative maximum waiting time"
@@ -79,6 +75,12 @@ class Request:
             ("direct_cost", True), ("max_wait", False),
         ):
             object.__setattr__(self, name, to_grid(getattr(self, name), up=up))
+        # On the grid values: rounding can put a deadline less than one grid
+        # step after its release before it.
+        if self.deadline < self.release_time:
+            raise ConfigurationError(
+                f"request {self.request_id} has a deadline before its release time"
+            )
         object.__setattr__(
             self,
             "latest_pickup",

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import ChaosConfig, ServiceConfig, SimulationConfig
+from repro.exceptions import ConfigurationError
 from repro.experiments.harness import RunSpec, run
 from repro.model import vehicle as vehicle_module
 from repro.model.request import Request
@@ -63,6 +64,14 @@ class TestWriters:
         assert request.max_wait == 102 * TIME_GRID
         assert request.latest_pickup == 205 * TIME_GRID
         assert request.release_time >= 0.1 and request.deadline <= 9.9
+
+    def test_a_deadline_rounded_below_its_release_is_refused(self):
+        # 0.1 s is 102.4 grid steps: the release rounds up to 103 and the
+        # deadline down to 102.
+        with pytest.raises(ConfigurationError):
+            Request(release_time=0.1, request_id=1, source=0, destination=1, deadline=0.1)
+        on_time = Request(release_time=0.25, request_id=1, source=0, destination=1, deadline=0.25)
+        assert on_time.deadline == on_time.release_time == 0.25
 
     def test_an_off_grid_batch_period_is_put_on_the_grid(self):
         assert SimulationConfig(batch_period=0.1).batch_period == 103 * TIME_GRID
