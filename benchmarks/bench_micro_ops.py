@@ -158,7 +158,7 @@ def test_candidate_vehicles(benchmark, city, oracle, config, reach):
         for offer in offers:
             nearest = sorted(vehicles, key=lambda v: city.euclidean(v.location, offer.source))
             kept.append(sum(
-                city.euclidean(v.location, offer.source) / speed <= offer.latest_pickup + 1e-9
+                city.euclidean(v.location, offer.source) / speed <= offer.latest_pickup
                 for v in nearest[:24]
             ))
         assert found == kept

@@ -37,7 +37,11 @@ class Request:
     The four times are put on the time grid (:mod:`repro.numeric`) at
     construction: ``release_time`` and ``direct_cost`` rounded up,
     ``deadline`` and ``max_wait`` down, so a plan that is on time on the
-    grid is on time for the request as submitted.
+    grid is on time for the request as submitted.  The submitted window is
+    what is validated: a window holding no grid instant (a deadline less
+    than one grid step after an off-grid release) comes out with its
+    deadline below its release, so its latest pick-up precedes its release
+    and it expires unserved, as no plan on the grid can serve it.
     """
 
     # ``order=True`` sorts by release time first, which is the natural
@@ -66,6 +70,10 @@ class Request:
             raise ConfigurationError(
                 f"request {self.request_id} has negative direct cost"
             )
+        if self.deadline < self.release_time:
+            raise ConfigurationError(
+                f"request {self.request_id} has a deadline before its release time"
+            )
         if self.max_wait < 0:
             raise ConfigurationError(
                 f"request {self.request_id} has a negative maximum waiting time"
@@ -75,12 +83,6 @@ class Request:
             ("direct_cost", True), ("max_wait", False),
         ):
             object.__setattr__(self, name, to_grid(getattr(self, name), up=up))
-        # On the grid values: rounding can put a deadline less than one grid
-        # step after its release before it.
-        if self.deadline < self.release_time:
-            raise ConfigurationError(
-                f"request {self.request_id} has a deadline before its release time"
-            )
         object.__setattr__(
             self,
             "latest_pickup",

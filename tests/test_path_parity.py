@@ -49,6 +49,7 @@ from repro.network.routing import (
     routing_data,
 )
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import TIME_GRID
 from repro.scenarios.presets import make_scenario
 
 from ch_reference import stall_tested_label, upward_label
@@ -446,7 +447,8 @@ class TestChDistancesAreLabelJoins:
 @pytest.mark.parametrize("city, scale", [("nyc", 1.0), ("chd", 1.2), ("nyc", 0.7)])
 def test_the_ledger_cities_cost_the_identical_float_on_every_backend(city, scale):
     """The cities of the performance ledger: every weight is on the time
-    grid, so a label join and a Dijkstra add the same floats exactly."""
+    grid, so a label join and a Dijkstra add the same floats exactly, and
+    every cost is on the grid too."""
     network = make_city(city, scale=scale)
     nodes = sorted(network.nodes())
     rng = random.Random(7)
@@ -456,6 +458,9 @@ def test_the_ledger_cities_cost_the_identical_float_on_every_backend(city, scale
         oracle = DistanceOracle(network, backend=backend)
         costs[backend] = [oracle.cost(u, v) for u, v in pairs]
     assert costs["ch"] == costs["hub_label"] == costs["dijkstra"]
+    assert all(
+        cost % TIME_GRID == 0 for cost in costs["dijkstra"] if math.isfinite(cost)
+    )
 
 
 def _all_joins(forward, backward) -> np.ndarray:

@@ -20,9 +20,7 @@ from repro.exceptions import ConfigurationError
 from repro.experiments.harness import RunSpec, run
 from repro.model import vehicle as vehicle_module
 from repro.model.request import Request
-from repro.network.generators import grid_city
 from repro.network.road_network import RoadNetwork
-from repro.network.shortest_path import DistanceOracle
 from repro.numeric import TIME_GRID, to_grid
 from repro.resilience.faults import ChaosOracle
 from repro.simulation.engine import Simulator
@@ -65,13 +63,17 @@ class TestWriters:
         assert request.latest_pickup == 205 * TIME_GRID
         assert request.release_time >= 0.1 and request.deadline <= 9.9
 
-    def test_a_deadline_rounded_below_its_release_is_refused(self):
+    def test_a_window_holding_no_grid_instant_expires_on_release(self):
         # 0.1 s is 102.4 grid steps: the release rounds up to 103 and the
-        # deadline down to 102.
+        # deadline down to 102, so no pick-up on the grid is on time.
+        request = Request(release_time=0.1, request_id=1, source=0, destination=1, deadline=0.1)
+        assert request.deadline == 102 * TIME_GRID < request.release_time == 103 * TIME_GRID
+        assert request.latest_pickup < request.release_time
+        assert request.is_expired(request.release_time)
         with pytest.raises(ConfigurationError):
-            Request(release_time=0.1, request_id=1, source=0, destination=1, deadline=0.1)
-        on_time = Request(release_time=0.25, request_id=1, source=0, destination=1, deadline=0.25)
-        assert on_time.deadline == on_time.release_time == 0.25
+            Request(release_time=0.1, request_id=1, source=0, destination=1, deadline=0.0999)
+        on_grid_window = Request(release_time=0.25, request_id=1, source=0, destination=1, deadline=0.25)
+        assert on_grid_window.latest_pickup == on_grid_window.release_time == 0.25
 
     def test_an_off_grid_batch_period_is_put_on_the_grid(self):
         assert SimulationConfig(batch_period=0.1).batch_period == 103 * TIME_GRID
@@ -90,17 +92,6 @@ def test_a_permuted_sum_of_grid_weights_is_bit_identical(weights, seed):
     shuffled = list(weights)
     random.Random(seed).shuffle(shuffled)
     assert sum(shuffled) == sum(weights) == math.fsum(weights)
-
-
-@pytest.mark.parametrize("backend", ["dijkstra", "ch", "hub_label"])
-def test_every_backend_returns_the_identical_float(backend):
-    city = grid_city(8, 8, block_length=130.0, speed=9.7, perturbation=0.4, seed=5)
-    oracle = DistanceOracle(city, backend=backend)
-    reference = DistanceOracle(city, backend="dijkstra", cache_size=0)
-    pairs = [(u, v) for u in range(0, 64, 3) for v in range(1, 64, 5)]
-    for u, v in pairs:
-        assert oracle.cost(u, v) == reference.cost(u, v), (u, v)
-        assert on_grid(oracle.cost(u, v))
 
 
 _CHAOS = ChaosConfig(corruption_rate=0.5, corruption_factor=0.6)
