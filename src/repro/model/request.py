@@ -34,14 +34,10 @@ class Request:
         Maximum time the rider will wait for pick-up after the release time
         (the paper uses 5 minutes).
 
-    The four times are put on the time grid (:mod:`repro.numeric`) at
-    construction: ``release_time`` and ``direct_cost`` rounded up,
-    ``deadline`` and ``max_wait`` down, so a plan that is on time on the
-    grid is on time for the request as submitted.  The submitted window is
-    what is validated: a window holding no grid instant (a deadline less
-    than one grid step after an off-grid release) comes out with its
-    deadline below its release, so its latest pick-up precedes its release
-    and it expires unserved, as no plan on the grid can serve it.
+    The submitted times are validated, then put on the time grid
+    (:mod:`repro.numeric`): ``release_time`` and ``direct_cost`` rounded up,
+    ``deadline`` and ``max_wait`` down, so a plan on time on the grid is on
+    time as submitted; a window holding no grid instant expires unserved.
     """
 
     # ``order=True`` sorts by release time first, which is the natural
