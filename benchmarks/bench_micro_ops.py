@@ -141,7 +141,7 @@ def test_candidate_vehicles(benchmark, city, oracle, config, reach):
     context = DispatchContext(
         current_time=0.0, batch=Batch(0, 0.0, config.batch_period, tuple(offers)),
         pending=offers, vehicles=vehicles, network=city, oracle=oracle,
-        vehicle_index=index, config=config, average_speed=10.0,
+        vehicle_index=index, config=config,
     )
 
     def run():

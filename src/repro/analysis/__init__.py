@@ -3,10 +3,10 @@
 The correctness story of this reproduction rests on conventions that are
 invisible to generic linters: every random draw flows through a seeded
 ``random.Random`` stream, simulated time comes from the virtual batch clock
-(never the wall clock), no decision iterates a bare ``set``, and float costs
-are compared through tolerance helpers.  One unseeded ``random.random()`` or
-a stray ``time.time()`` in a hot path silently breaks the deterministic-summary
-and chaos-parity gates CI relies on -- long after review.
+(never the wall clock) and no decision iterates a bare ``set``.  One
+unseeded ``random.random()`` or a stray ``time.time()`` in a hot path
+silently breaks the deterministic-summary and chaos-parity gates CI relies
+on -- long after review.
 
 This package encodes those conventions as per-file AST rules (see
 :mod:`repro.analysis.rules` for the catalog).  The one escape hatch is a

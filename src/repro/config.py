@@ -27,6 +27,9 @@ from .numeric import to_grid
 #: Default maximum waiting time for a pick-up, in seconds (5 minutes).
 DEFAULT_MAX_WAIT = 300.0
 
+#: Mean driving speed in m/s that turns a time slack into a search radius.
+AVERAGE_SPEED = 10.0
+
 #: Default angle pruning threshold, in radians (pi / 2 as used in the paper).
 DEFAULT_ANGLE_THRESHOLD = math.pi / 2.0
 

@@ -7,7 +7,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from ..config import SimulationConfig
+from ..config import AVERAGE_SPEED, SimulationConfig
 from ..insertion.linear_insertion import InsertionOutcome, best_insertion
 from ..model.batch import Batch
 from ..model.request import Request
@@ -86,8 +86,6 @@ class DispatchContext:
     oracle: DistanceOracle
     vehicle_index: GridIndex
     config: SimulationConfig
-    #: Mean driving speed in m/s, used to convert time slack to search radii.
-    average_speed: float = 10.0
     #: ``vehicles`` by id and each one's position in ``vehicles``; built from
     #: them unless given (the engine keeps both, rebuilt on shift events).
     vehicles_by_id: dict[int, Vehicle] = field(default_factory=dict)
@@ -119,7 +117,6 @@ class DispatchContext:
             network=self.network,
             oracle=self.oracle,
             config=config,
-            average_speed=self.average_speed,
         )
 
 
@@ -297,7 +294,7 @@ def candidate_vehicles(
 
 def _radius(request: Request, context: DispatchContext) -> float:
     slack = max(request.latest_pickup - context.current_time, 0.0)
-    return max(context.average_speed * slack, 1.0)
+    return max(AVERAGE_SPEED * slack, 1.0)
 
 
 def nearest_requests(

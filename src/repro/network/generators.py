@@ -149,14 +149,13 @@ def ring_radial_city(
     rings: int,
     spokes: int,
     *,
-    ring_spacing: float = 400.0,
     speed: float = DEFAULT_SPEED,
     seed: int = 0,
 ) -> RoadNetwork:
     """Build a ring-and-radial city (a common European/Chinese layout).
 
     Node 0 is the center; ring ``i`` (1-based) has ``spokes`` nodes evenly
-    spaced on a circle of radius ``i * ring_spacing``.  Every node connects to
+    spaced on a circle of radius ``400 * i`` m.  Every node connects to
     its ring neighbours and to the matching node on adjacent rings.
     """
     if rings < 1 or spokes < 3:
@@ -169,7 +168,7 @@ def ring_radial_city(
         return 1 + (ring - 1) * spokes + spoke
 
     for ring in range(1, rings + 1):
-        radius = ring * ring_spacing
+        radius = ring * 400.0
         for spoke in range(spokes):
             angle = 2 * math.pi * spoke / spokes
             network.add_node(node_id(ring, spoke), radius * math.cos(angle),

@@ -2,11 +2,12 @@
 
 Sums and differences of grid values below 2^43 s are exact in float64, so
 every routing backend and every summation order yields the same float, and
-a feasibility test is one exact comparison.  Two writers put times on the
+a feasibility test is one exact comparison.  Four writers put times on the
 grid: :meth:`~repro.network.road_network.RoadNetwork.add_edge` (weights,
-rounded up) and :class:`~repro.model.request.Request` (release up, deadline
-and waiting time down, direct cost up); a plan feasible on the grid is then
-feasible for the times as given.
+rounded up), :class:`~repro.model.request.Request` (release up, deadline
+and waiting time down, direct cost up), ``SimulationConfig.batch_period``
+and ``ChaosOracle``'s corrupted answers (both up); a plan feasible on the
+grid is then feasible for the times as given.
 """
 
 from __future__ import annotations

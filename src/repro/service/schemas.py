@@ -28,6 +28,7 @@ from ..config import SimulationConfig
 from ..exceptions import SchemaError, UnreachableError
 from ..model.request import Request
 from ..network.shortest_path import DistanceOracle
+from ..numeric import to_grid
 
 #: Major version stamped on every payload this module writes.
 SCHEMA_VERSION = 1
@@ -90,6 +91,8 @@ class RejectionReason(enum.Enum):
     UNKNOWN_NODE = "unknown_node"
     #: No route exists from origin to destination.
     UNREACHABLE = "unreachable"
+    #: On the time grid the latest on-time pick-up precedes the release.
+    EMPTY_WINDOW = "empty_window"
     #: The service is shutting down and no longer admits requests.
     SHUTTING_DOWN = "shutting_down"
     #: The dispatcher rejected the request (online baselines reject
@@ -220,9 +223,11 @@ class RideRequest(_Schema):
             raise SchemaError(
                 f"request {self.request_id}: max_wait must be non-negative"
             )
-        if self.deadline is not None and self.deadline < self.release_time:
+        if self.deadline is not None and (
+            to_grid(self.deadline, up=False) < to_grid(self.release_time, up=True)
+        ):
             raise SchemaError(
-                f"request {self.request_id}: deadline precedes release_time"
+                f"request {self.request_id}: deadline precedes release_time on the time grid"
             )
         if self.direct_cost is not None and (
             not math.isfinite(self.direct_cost) or self.direct_cost < 0
@@ -242,6 +247,8 @@ class RideRequest(_Schema):
         Deadline, direct cost and waiting budget are carried along, so
         converting back with :meth:`to_request` reproduces the request
         exactly -- the property the service/batch parity gate relies on.
+        The wire carries finite times only, so keeping the model's default
+        ``deadline`` or ``max_wait`` of ``inf`` raises ``SchemaError``.
         """
         return cls(
             request_id=request.request_id,

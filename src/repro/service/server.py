@@ -274,11 +274,11 @@ class DispatchService:
         """Offer one request for admission (non-blocking).
 
         Internal :class:`~repro.model.request.Request` objects are wrapped
-        loss-free; payloads whose endpoints are not nodes of the service's
-        road network are refused with :attr:`RejectionReason.UNKNOWN_NODE`
-        before touching the queue.  Every rejection (including a request
-        shed under ``drop_oldest``) is also streamed as a ``rejected``
-        assignment event.
+        loss-free, finite times only (an infinite ``deadline`` or ``max_wait``
+        raises ``SchemaError``); payloads whose endpoints are not nodes of the
+        service's road network are refused with ``UNKNOWN_NODE`` before
+        touching the queue.  Every rejection (including a request shed under
+        ``drop_oldest``) is also streamed as a ``rejected`` assignment event.
         """
         ride, refused = self._screen(request)
         if refused is not None:
@@ -385,19 +385,24 @@ class DispatchService:
         self, ride: RideRequest, index: int, end: float
     ) -> Request | None:
         try:
-            return ride.to_request(oracle=self.oracle, config=self.config)
+            request = ride.to_request(oracle=self.oracle, config=self.config)
         except UnreachableError:
             # Admitted but unroutable (no client-supplied direct cost and
             # the oracle found no path): reject at materialisation time.
-            self._queue.counters.reject(RejectionReason.UNREACHABLE)
-            self._emit(AssignmentEvent(
-                event=AssignmentEventKind.REJECTED,
-                time=end,
-                request_id=ride.request_id,
-                batch_index=index,
-                reason=RejectionReason.UNREACHABLE,
-            ))
-            return None
+            reason = RejectionReason.UNREACHABLE
+        else:
+            if not request.is_expired(request.release_time):
+                return request
+            reason = RejectionReason.EMPTY_WINDOW
+        self._queue.counters.reject(reason)
+        self._emit(AssignmentEvent(
+            event=AssignmentEventKind.REJECTED,
+            time=end,
+            request_id=ride.request_id,
+            batch_index=index,
+            reason=reason,
+        ))
+        return None
 
     def serve(
         self, requests: Iterable[RideRequest | Request]
@@ -477,8 +482,8 @@ class DispatchService:
         While the run is live the engine's store is collected first, so the
         snapshot is current.  ``rejected`` merges admission-time refusals
         (queue full, shed, duplicate, unknown node, shutdown) with
-        materialisation-time ``unreachable`` rejections -- the latter also
-        count in ``accepted`` since the request did enter the queue.
+        materialisation-time ``unreachable`` and ``empty_window`` rejections,
+        which also count in ``accepted`` (the request did enter the queue).
         """
         counters = self._queue.counters
         if self._started and not self._stopped:

@@ -1,7 +1,7 @@
 """Shareability graph: construction, structure analysis and shareability loss.
 
-This package implements Section III and the structural measurements of
-Section IV of the paper:
+This package implements Section III and the shareability loss of Section IV
+of the paper:
 
 * :class:`~repro.shareability.graph.ShareabilityGraph` -- the undirected
   graph whose nodes are pending requests and whose edges connect shareable
@@ -12,8 +12,6 @@ Section IV of the paper:
 * :mod:`~repro.shareability.angle_pruning` -- geometric predicates and the
   expected-sharing-probability analysis under a log-normal trip-length model.
 * :mod:`~repro.shareability.loss` -- shareability loss (Definition 6).
-* :mod:`~repro.shareability.cliques` -- clique-partition bounds
-  (Equations 6-8) supporting Theorem IV.1.
 """
 
 from .graph import ShareabilityGraph
@@ -29,12 +27,6 @@ from .loss import (
     shareability_loss,
     sharing_ratio,
 )
-from .cliques import (
-    clique_partition_upper_bound,
-    largest_clique_estimate,
-    bounded_clique_partition_upper_bound,
-    greedy_clique_partition,
-)
 
 __all__ = [
     "ShareabilityGraph",
@@ -47,8 +39,4 @@ __all__ = [
     "shareability_loss",
     "residual_shareability_loss",
     "sharing_ratio",
-    "clique_partition_upper_bound",
-    "largest_clique_estimate",
-    "bounded_clique_partition_upper_bound",
-    "greedy_clique_partition",
 ]

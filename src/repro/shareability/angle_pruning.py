@@ -135,8 +135,6 @@ def expected_sharing_probability(
     sigma: float,
     theta: float,
     gamma: float,
-    *,
-    grid_points: int = 400,
 ) -> float:
     """Expected probability that a candidate at angle ``theta`` is shareable.
 
@@ -161,7 +159,7 @@ def expected_sharing_probability(
     # Integrate the anchor-length distribution over a generous quantile range.
     lo = math.exp(mu - 5.0 * sigma)
     hi = math.exp(mu + 5.0 * sigma)
-    xs = np.linspace(lo, hi, grid_points)
+    xs = np.linspace(lo, hi, 400)
     pdf = np.array([_lognormal_pdf(x, mu, sigma) for x in xs])
     values = np.array([inner(x) for x in xs])
     numerator = integrate.trapezoid(values * pdf, xs)

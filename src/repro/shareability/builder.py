@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable
 
-from ..config import SimulationConfig
+from ..config import AVERAGE_SPEED, SimulationConfig
 from ..insertion.pair_schedules import are_shareable
 from ..model.request import Request
 from ..network.grid_index import GridIndex
@@ -58,15 +58,11 @@ class DynamicShareabilityGraphBuilder:
     config:
         Simulation configuration supplying the angle threshold, the vehicle
         capacity (used by the pair test) and the grid resolution.
-    average_speed:
-        Mean driving speed (m/s) used to convert deadline slack into a search
-        radius for the spatial filter.
     """
 
     network: RoadNetwork
     oracle: DistanceOracle
     config: SimulationConfig
-    average_speed: float = 10.0
     graph: ShareabilityGraph = field(default_factory=ShareabilityGraph)
     stats: BuilderStatistics = field(default_factory=BuilderStatistics)
     _source_index: GridIndex | None = None
@@ -136,7 +132,7 @@ class DynamicShareabilityGraphBuilder:
         can drive within the request's detour budget plus waiting slack.
         """
         slack = max(request.detour_budget, 0.0) + self.config.max_wait
-        return max(self.average_speed * slack, 1.0)
+        return max(AVERAGE_SPEED * slack, 1.0)
 
     def _insert_request(self, request: Request) -> None:
         if request.request_id in self.graph:

@@ -85,10 +85,6 @@ class ShareabilityGraph:
         """Iterate over node identifiers."""
         return iter(self._requests)
 
-    def requests(self) -> list[Request]:
-        """All request objects currently in the graph."""
-        return list(self._requests.values())
-
     def request(self, request_id: int) -> Request:
         """The request object of a node."""
         try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..config import DemandSurge, SimulationConfig, WorkloadConfig
 from ..exceptions import WorkloadError
@@ -104,16 +104,10 @@ class Workload:
     requests: list[Request]
     workload_config: WorkloadConfig
     simulation_config: SimulationConfig
-    _vehicle_seed_offset: int = field(default=1000, repr=False)
 
     def fresh_vehicles(self) -> list[Vehicle]:
         """A brand-new fleet (vehicles are mutable, so one per simulation)."""
-        return generate_vehicles(
-            self.network,
-            self.workload_config,
-            self.simulation_config,
-            seed_offset=self._vehicle_seed_offset,
-        )
+        return generate_vehicles(self.network, self.workload_config, self.simulation_config)
 
     def fresh_oracle(
         self, *, cache_size: int = 200_000, backend: str | None = None

@@ -243,8 +243,6 @@ def generate_vehicles(
     network: RoadNetwork,
     workload: WorkloadConfig,
     simulation: SimulationConfig,
-    *,
-    seed_offset: int = 1000,
 ) -> list[Vehicle]:
     """Create the fleet: random initial positions, configurable capacities.
 
@@ -252,7 +250,7 @@ def generate_vehicles(
     normal distribution with mean ``simulation.capacity`` (Appendix C of the
     paper); otherwise every vehicle gets the same capacity.
     """
-    rng = random.Random(workload.seed + seed_offset)
+    rng = random.Random(workload.seed + 1000)  # a stream apart from the trace's
     nodes = list(network.nodes())
     if not nodes:
         raise WorkloadError("cannot place vehicles on an empty network")

@@ -144,7 +144,6 @@ def make_context(grid_network: RoadNetwork, oracle: DistanceOracle, config: Simu
             oracle=oracle,
             vehicle_index=index,
             config=cfg,
-            average_speed=10.0,
         )
 
     return _make

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from repro.config import ChaosConfig, SimulationConfig
+import repro.dispatch.base
+from repro.config import AVERAGE_SPEED, ChaosConfig, SimulationConfig
 from repro.dispatch.base import DispatchContext, candidate_vehicles
 from repro.insertion.linear_insertion import InsertionOutcome, best_insertion
 from repro.insertion.pair_schedules import best_pair_schedule, pair_orderings
@@ -22,7 +24,6 @@ from repro.network.grid_index import GridIndex
 from repro.network.shortest_path import DistanceOracle
 from repro.numeric import to_grid
 from repro.resilience.faults import ChaosOracle, FaultInjector
-from repro.shareability.cliques import clique_partition_upper_bound, greedy_clique_partition
 from repro.shareability.graph import ShareabilityGraph
 from repro.shareability.loss import residual_shareability_loss, shareability_loss
 
@@ -854,7 +855,7 @@ def _reference_candidate_vehicles(request, context, *, max_candidates=None):
     network, now = context.network, context.current_time
     source_xy = network.position(request.source)
     slack = max(request.latest_pickup - now, 0.0)
-    radius = max(context.average_speed * slack, 1.0)
+    radius = max(AVERAGE_SPEED * slack, 1.0)
     ids = context.vehicle_index.query_radius(source_xy[0], source_xy[1], radius)
     by_id = context.vehicles_by_id
     found = [by_id[vid] for vid in ids if vid in by_id]
@@ -912,7 +913,7 @@ def _fleet(placed, oracle):
     return vehicles
 
 
-def _candidate_context(network, oracle, placed, order, cells_per_axis, request, now, speed):
+def _candidate_context(network, oracle, placed, order, cells_per_axis, request, now):
     """A context like the engine's: off-shift vehicles are in neither the
     fleet nor the index, which holds the rest at their nodes."""
     vehicles = _fleet(placed, oracle)
@@ -924,7 +925,7 @@ def _candidate_context(network, oracle, placed, order, cells_per_axis, request, 
     return DispatchContext(
         current_time=now, batch=Batch(0, now, now + 5.0, (request,)), pending=[request],
         vehicles=on_shift, network=network, oracle=oracle, vehicle_index=index,
-        config=SimulationConfig(), average_speed=speed,
+        config=SimulationConfig(),
     )
 
 
@@ -971,13 +972,14 @@ class TestCandidateVehiclesEqualTheObviousOnes:
             max_wait=slack,
         )
         context = _candidate_context(
-            _EXPRESS, _EXPRESS_ORACLE, fleet, order, cells_per_axis, request, now, 10.0
+            _EXPRESS, _EXPRESS_ORACLE, fleet, order, cells_per_axis, request, now
         )
         expected = _reference_candidate_vehicles(
             request, context, max_candidates=max_candidates
         )
         index = context.vehicle_index
-        in_reach = len(index.query_radius(*_EXPRESS.position(source), max(10.0 * slack, 1.0)))
+        radius = max(AVERAGE_SPEED * slack, 1.0)
+        in_reach = len(index.query_radius(*_EXPRESS.position(source), radius))
         pool = in_reach or len(context.vehicles)
         cut = max_candidates and pool > max_candidates
         event(f"{'in reach' if in_reach else 'fallback'}, {'cut' if cut else 'whole'}")
@@ -1056,11 +1058,12 @@ class TestTheReachRuleDropsOnlyRefusals:
             release_time=now, request_id=1, source=source, destination=destination,
             max_wait=slack,
         )
-        context = _candidate_context(network, oracle, fleet, order, 8, request, now, 1.0)
+        context = _candidate_context(network, oracle, fleet, order, 8, request, now)
         x, y = network.position(source)
         assume(not context.vehicle_index.query_radius(x, y, max(slack, 1.0)))
         max_candidates = max(len(context.vehicles) - 1, 1) if cut == "all but one" else cut
-        kept = candidate_vehicles(request, context, max_candidates=max_candidates)
+        with mock.patch.object(repro.dispatch.base, "AVERAGE_SPEED", 1.0):
+            kept = candidate_vehicles(request, context, max_candidates=max_candidates)
         kept_ids = {vehicle.vehicle_id for vehicle in kept}
         nearest = sorted(
             context.vehicles, key=lambda v: network.euclidean(v.location, source)
@@ -1176,21 +1179,6 @@ class TestShareabilityGraphProperties:
     def test_degree_sum_is_twice_edge_count(self, graph):
         assert sum(graph.degrees().values()) == 2 * graph.num_edges
 
-    @given(graph=graph_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_greedy_partition_is_a_partition_of_cliques(self, graph):
-        partition = greedy_clique_partition(graph, max_clique_size=3)
-        covered = sorted(rid for clique in partition for rid in clique)
-        assert covered == sorted(graph.request_ids())
-        assert all(graph.is_clique(clique) for clique in partition)
-        assert all(1 <= len(clique) <= 3 for clique in partition)
-
-    @given(graph=graph_strategy)
-    @settings(max_examples=60, deadline=None)
-    def test_equation6_bound_is_at_most_n(self, graph):
-        bound = clique_partition_upper_bound(graph.num_nodes, graph.num_edges)
-        assert 0 <= bound <= graph.num_nodes
-
     @given(graph=graph_strategy, data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_loss_bounds(self, graph, data):
@@ -1201,6 +1189,6 @@ class TestShareabilityGraphProperties:
             return
         full = shareability_loss(graph, group)
         residual = residual_shareability_loss(graph, group)
-        assert residual <= full + 1e-9
+        assert residual <= full
         assert full <= graph.num_nodes
         assert residual >= -1.0

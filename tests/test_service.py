@@ -26,6 +26,7 @@ from repro.config import REFRESH_POLICIES, ScenarioConfig, ServiceConfig, Simula
 from repro.dispatch import make_dispatcher
 from repro.exceptions import ConfigurationError, SchemaError, ServiceError, UnreachableError
 from repro.experiments.harness import RunSpec, deterministic_summary, run
+from repro.model.request import Request
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
@@ -87,6 +88,9 @@ class TestRideRequestSchema:
         dict(release_time=float("inf")),
         dict(max_wait=-1.0),
         dict(release_time=10.0, deadline=5.0),
+        # 0.1 s is 102.4 grid steps: the release rounds up to 103 steps and
+        # the deadline down to 102, so the window holds no grid instant.
+        dict(release_time=0.1, deadline=0.1005),
         dict(direct_cost=float("nan")),
         dict(schema_version=99),
         *NON_FINITE_TIMES,
@@ -129,6 +133,15 @@ class TestRideRequestSchema:
         ride = RideRequest.from_request(request)
         back = ride.to_request(oracle=oracle, config=config)
         assert back == request
+
+    @pytest.mark.parametrize("name", ["max_wait", "deadline"])
+    def test_internal_request_keeping_an_infinite_default_is_refused(self, name):
+        # The wire carries finite times only; ``Request`` defaults both to inf.
+        finite = {"max_wait": 60.0, "deadline": 400.0}
+        del finite[name]
+        request = Request(release_time=7.0, request_id=5, source=0, destination=21, **finite)
+        with pytest.raises(SchemaError, match=f"{name} must be finite"):
+            RideRequest.from_request(request)
 
     def test_to_request_derives_missing_fields(self, oracle, config):
         ride = _ride(6, 10.0, origin=0, destination=21)
@@ -500,6 +513,25 @@ class TestDispatchServiceLifecycle:
         assert service.queue.depth == 0
         assert service.stats().rejected == {"unknown_node": 1}
         service.shutdown()
+
+    @pytest.mark.parametrize("trip", [
+        # The derived deadline is 0.1 + gamma * 0: it rounds down to 102
+        # grid steps, the release up to 103.
+        pytest.param(dict(origin=7, destination=7), id="origin-is-destination"),
+        pytest.param(dict(deadline=5.0, direct_cost=4.95), id="direct-cost-fills-window"),
+    ])
+    def test_empty_window_rejected_at_materialisation(self, trip, make_service):
+        service = make_service(algorithm="SARD")
+        service.start()
+        assert service.submit(_ride(1, 0.1, **trip)).accepted
+        service.tick()
+        result = service.shutdown()
+        assert result.stats.accepted == 1
+        assert result.stats.rejected == {"empty_window": 1}
+        assert result.stats.expired == result.stats.dispatch_rejected == 0
+        assert [(e.event, e.reason) for e in result.events] == [
+            (AssignmentEventKind.REJECTED, RejectionReason.EMPTY_WINDOW)
+        ]
 
     def test_duplicate_submission_rejected(self, make_service, make_request):
         service = make_service()

@@ -1,8 +1,9 @@
 """Every time the dispatch path adds or compares is on the 2^-10 s grid.
 
-Two writers put times on the grid (``RoadNetwork.add_edge`` and
-``Request``); everything else is sums and differences of grid values, which
-float64 adds exactly.  These tests check the writers, the exactness of the
+Four writers put times on the grid (``RoadNetwork.add_edge``, ``Request``,
+``SimulationConfig.batch_period`` and ``ChaosOracle``'s corrupted answers);
+everything else is sums and differences of grid values, which float64 adds
+exactly.  These tests check the writers, the exactness of the
 sums, and -- over whole generated runs on every backend, world and fault
 mode -- that nothing off the grid reaches a batch boundary or a priced route.
 """
