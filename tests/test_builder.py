@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import pytest
 
+import repro.shareability.builder
 from repro.config import SimulationConfig
 from repro.insertion.pair_schedules import are_shareable
 from repro.shareability.builder import DynamicShareabilityGraphBuilder
@@ -118,6 +120,21 @@ class TestPruning:
         late = make_request(2, 1, 5, release_time=500.0, max_wait=10.0)
         builder.update([early, late])
         assert not builder.graph.has_edge(1, 2)
+
+    def test_spatial_radius_is_the_slack_driven_at_ten_metres_a_second(
+        self, builder, make_request
+    ):
+        # Sources 100 m apart: 10 m/s over 120 s of waiting reaches the other
+        # source; 0 m/s leaves the 1 m floor, which reaches only its own node.
+        near = [make_request(1, 0, 4), make_request(2, 1, 5)]
+        builder.update(near)
+        assert builder.graph.has_edge(1, 2)
+        builder.reset()
+        with mock.patch.object(repro.shareability.builder, "AVERAGE_SPEED", 0.0):
+            builder.update(near)
+        assert not builder.graph.has_edge(1, 2)
+        assert builder.stats.pairs_tested == 0
+        assert builder.stats.pruned_by_spatial == 1
 
     def test_statistics_accumulate(self, builder, make_request):
         builder.update([make_request(1, 0, 4), make_request(2, 1, 5)])

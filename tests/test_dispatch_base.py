@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import SimulationConfig
+from repro.config import AVERAGE_SPEED, SimulationConfig
 from repro.dispatch import DISPATCHER_REGISTRY, base, make_dispatcher
 from repro.dispatch.base import (
     Assignment,
@@ -56,6 +57,35 @@ class TestCandidateVehicles:
         request = make_request(1, 0, 4, release_time=0.0, max_wait=0.0)
         context = make_context(vehicles, [request], current_time=0.0)
         assert candidate_vehicles(request, context) == vehicles
+
+    @pytest.mark.parametrize("max_wait, now, radius, found", [
+        # Vehicles 0, 1, 2 stand 0, 100 and 200 m from the pick-up; the
+        # direct trip leaves 50 s of detour, so the waiting time decides.
+        (15.0, 0.0, 150.0, {0, 1}),
+        (25.0, 0.0, 250.0, {0, 1, 2}),
+        (25.0, 10.0, 150.0, {0, 1}),
+        (0.0, 0.0, 1.0, {0}),
+        (15.0, 30.0, 1.0, {0}),
+    ])
+    def test_radius_is_the_slack_driven_at_ten_metres_a_second(
+        self, max_wait, now, radius, found, make_request, make_context
+    ):
+        assert AVERAGE_SPEED == 10.0
+        vehicles = [Vehicle(vehicle_id=i, location=i) for i in range(3)]
+        request = make_request(1, 0, 35, release_time=0.0, max_wait=max_wait)
+        context = make_context(vehicles, [request], current_time=now)
+        candidates = candidate_vehicles(request, context)
+        assert candidates.circle == radius
+        assert {v.vehicle_id for v in candidates} == found
+
+    def test_radius_reads_the_module_speed(self, make_request, make_context):
+        vehicles = [Vehicle(vehicle_id=i, location=i) for i in range(3)]
+        request = make_request(1, 0, 35, release_time=0.0, max_wait=15.0)
+        context = make_context(vehicles, [request], current_time=0.0)
+        with mock.patch.object(base, "AVERAGE_SPEED", 20.0):
+            candidates = candidate_vehicles(request, context)
+        assert candidates.circle == 300.0
+        assert {v.vehicle_id for v in candidates} == {0, 1, 2}
 
     def test_max_candidates_keeps_closest(self, make_request, make_context):
         vehicles = [Vehicle(vehicle_id=i, location=i) for i in range(10)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import pytest
 
@@ -58,6 +60,15 @@ class TestRingRadialCity:
     def test_node_count(self):
         city = ring_radial_city(3, 8)
         assert city.num_nodes == 1 + 3 * 8
+
+    @pytest.mark.parametrize("rings, spokes", [(1, 3), (3, 8)])
+    def test_rings_are_400_m_apart(self, rings, spokes):
+        city = ring_radial_city(rings, spokes)
+        assert city.position(0) == (0.0, 0.0)
+        for ring in range(1, rings + 1):
+            for spoke in range(spokes):
+                x, y = city.position(1 + (ring - 1) * spokes + spoke)
+                assert math.hypot(x, y) == pytest.approx(400.0 * ring, rel=1e-12)
 
     def test_strongly_connected(self):
         city = ring_radial_city(2, 6, seed=2)

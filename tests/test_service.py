@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 
 import repro
 from repro.config import REFRESH_POLICIES, ScenarioConfig, ServiceConfig, SimulationConfig
-from repro.dispatch import make_dispatcher
+from repro.dispatch import DISPATCHER_REGISTRY, make_dispatcher
 from repro.exceptions import ConfigurationError, SchemaError, ServiceError, UnreachableError
 from repro.experiments.harness import RunSpec, deterministic_summary, run
 from repro.model.request import Request
 from repro.model.vehicle import Vehicle
 from repro.network.road_network import RoadNetwork
 from repro.network.shortest_path import DistanceOracle
+from repro.numeric import TIME_GRID
 from repro.observability.export import _fmt_seconds
 from repro.scenarios import ScaleEdges, ScenarioTimeline, make_refresh_policy
 from repro.service import (
@@ -91,6 +92,8 @@ class TestRideRequestSchema:
         # 0.1 s is 102.4 grid steps: the release rounds up to 103 steps and
         # the deadline down to 102, so the window holds no grid instant.
         dict(release_time=0.1, deadline=0.1005),
+        # A deadline equal to an off-grid release: 103 steps up, 102 down.
+        dict(release_time=0.1, deadline=0.1),
         dict(direct_cost=float("nan")),
         dict(schema_version=99),
         *NON_FINITE_TIMES,
@@ -101,6 +104,38 @@ class TestRideRequestSchema:
         fields.update(overrides)
         with pytest.raises(SchemaError):
             RideRequest(**fields)
+
+    @pytest.mark.parametrize("window", [
+        pytest.param(dict(release_time=0.0, deadline=0.0), id="one-on-grid-instant"),
+        pytest.param(dict(release_time=10.0, deadline=10.0 + TIME_GRID / 2),
+                     id="half-a-step-after-an-on-grid-release"),
+        pytest.param(dict(release_time=0.1, deadline=103 * TIME_GRID),
+                     id="deadline-at-the-first-instant-after-the-release"),
+        pytest.param(dict(release_time=0.1, deadline=0.1 + TIME_GRID), id="one-step-wide"),
+    ])
+    def test_window_holding_a_grid_instant_is_valid(self, window):
+        ride = RideRequest(request_id=1, origin=0, destination=7, **window)
+        # The wire keeps the times as given; only the comparison is on the grid.
+        assert (ride.release_time, ride.deadline) == (
+            window["release_time"], window["deadline"]
+        )
+
+    @given(
+        release=st.floats(min_value=0.0, max_value=1e5),
+        width=st.floats(min_value=-TIME_GRID, max_value=4 * TIME_GRID),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_window_is_refused_exactly_when_it_holds_no_grid_instant(self, release, width):
+        deadline = release + width
+        # TIME_GRID is a power of two, so the division and product are exact.
+        first_instant = math.ceil(release / TIME_GRID) * TIME_GRID
+        fields = dict(request_id=1, origin=0, destination=7,
+                      release_time=release, deadline=deadline)
+        if first_instant <= deadline:
+            RideRequest(**fields)
+        else:
+            with pytest.raises(SchemaError, match="on the time grid"):
+                RideRequest(**fields)
 
     @pytest.mark.parametrize("field", NON_FINITE_TIMES)
     def test_from_dict_rejects_non_finite_times(self, field):
@@ -532,6 +567,56 @@ class TestDispatchServiceLifecycle:
         assert [(e.event, e.reason) for e in result.events] == [
             (AssignmentEventKind.REJECTED, RejectionReason.EMPTY_WINDOW)
         ]
+
+    @pytest.mark.parametrize("release, trip", [
+        # An on-grid release: the derived deadline equals it, one instant.
+        pytest.param(0.0, dict(origin=7, destination=7), id="origin-is-destination-on-grid"),
+        # 5.0 s - 5017 steps = 103 steps, the release rounded up.
+        pytest.param(0.1, dict(deadline=5.0, direct_cost=5017 * TIME_GRID),
+                     id="direct-cost-leaves-one-instant"),
+    ])
+    def test_window_holding_one_grid_instant_is_materialised(
+        self, release, trip, make_service
+    ):
+        service = make_service(algorithm="SARD")
+        service.start()
+        assert service.submit(_ride(1, release, **trip)).accepted
+        service.tick()
+        result = service.shutdown()
+        # Dispatched at the window's end, after its only instant: it expires.
+        assert result.stats.rejected == {}
+        assert result.stats.expired == 1
+        assert [(e.event, e.reason) for e in result.events] == [
+            (AssignmentEventKind.EXPIRED, RejectionReason.EXPIRED)
+        ]
+
+    def test_empty_window_rejection_shows_in_live_stats(self, make_service):
+        service = make_service(algorithm="SARD")
+        service.start()
+        service.submit(_ride(1, 0.1, origin=7, destination=7))
+        assert service.stats().rejected == {}
+        service.tick()
+        live = service.stats()
+        assert (live.accepted, live.rejected, live.queue_depth) == (1, {"empty_window": 1}, 0)
+        assert live.expired == live.dispatch_rejected == live.assigned == 0
+        service.shutdown()
+
+    @pytest.mark.parametrize("algorithm", sorted(DISPATCHER_REGISTRY))
+    def test_empty_window_is_refused_before_any_dispatcher(
+        self, algorithm, make_service, make_request
+    ):
+        service = make_service(algorithm=algorithm)
+        service.start()
+        service.submit(_ride(1, 0.1, origin=7, destination=7))
+        service.submit(make_request(2, 0, 7, 0.0))
+        result = service.shutdown()
+        assert result.stats.rejected == {"empty_window": 1}
+        assert [(e.event, e.reason) for e in result.events if e.request_id == 1] == [
+            (AssignmentEventKind.REJECTED, RejectionReason.EMPTY_WINDOW)
+        ]
+        # The other ride of the batch meets the dispatcher as usual.
+        stats = result.stats
+        assert stats.assigned + stats.expired + stats.dispatch_rejected == 1
 
     def test_duplicate_submission_rejected(self, make_service, make_request):
         service = make_service()

@@ -90,6 +90,24 @@ class TestVehicleGeneration:
         assert len(capacities) > 1
         assert all(1 <= c <= 8 for c in capacities)
 
+    def test_fleet_does_not_depend_on_the_trace_size(self, small_city, workload_config):
+        # The fleet draws from a stream of its own, seeded apart from the trace's.
+        longer = workload_config.with_overrides(num_requests=240)
+        first = generate_vehicles(small_city, workload_config, SimulationConfig())
+        second = generate_vehicles(small_city, longer, SimulationConfig())
+        assert [(v.vehicle_id, v.location, v.capacity) for v in first] == [
+            (v.vehicle_id, v.location, v.capacity) for v in second
+        ]
+
+    def test_fleet_follows_the_seed(self, small_city, workload_config):
+        first = generate_vehicles(small_city, workload_config, SimulationConfig())
+        again = generate_vehicles(small_city, workload_config, SimulationConfig())
+        other = generate_vehicles(
+            small_city, workload_config.with_overrides(seed=6), SimulationConfig()
+        )
+        assert [v.location for v in first] == [v.location for v in again]
+        assert [v.location for v in first] != [v.location for v in other]
+
     def test_unique_vehicle_ids(self, small_city, workload_config):
         vehicles = generate_vehicles(small_city, workload_config, SimulationConfig())
         ids = [v.vehicle_id for v in vehicles]
